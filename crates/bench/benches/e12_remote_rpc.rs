@@ -10,6 +10,11 @@
 //!   `TcpTransport` into a `TcpServer` on 127.0.0.1 (marshal → frame →
 //!   socket → dispatch → frame → demarshal). Acceptance: < 100 µs;
 //! * `roundtrip_p90_ns` / `roundtrip_min_ns` — spread of the same samples;
+//! * `mux_roundtrip_median_ns` — the same call through a one-connection
+//!   `MuxTransport` into a `MuxServer`, and `mux_over_pooled_ratio`, its
+//!   ratio to `roundtrip_median_ns` from the same run: what the mux
+//!   stack's thread hand-offs cost over a bare blocking round trip.
+//!   Acceptance: ratio ≤ [`MUX_OVER_POOLED_GATE`];
 //! * `loopback_orb_ns` — the E3 in-process ORB configuration re-measured
 //!   in this process: the marshal/dispatch cost floor without sockets, so
 //!   the delta to the median is the price of the real network stack;
@@ -18,11 +23,17 @@
 
 use cca_rpc::frame::{encode_frame, FrameKind, DEFAULT_MAX_PAYLOAD};
 use cca_rpc::transport::Dispatcher;
-use cca_rpc::{ObjRef, Orb, TcpServer, TcpTransport, Transport};
+use cca_rpc::{MuxServer, MuxTransport, ObjRef, Orb, TcpServer, TcpTransport, Transport};
 use cca_sidl::{DynObject, DynValue, SidlError};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Twice the `mux_over_pooled_ratio` measured when `MuxServer`'s event
+/// loop went readiness-driven (2-vCPU box: 2.6–2.7 over 20,000 calls,
+/// 2.1 in fast mode; the timer-driven loop before it read 6.5), so a mux
+/// call that doubles against the pooled one turns CI red.
+const MUX_OVER_POOLED_GATE: f64 = 5.4;
 
 struct Echo;
 
@@ -70,6 +81,27 @@ fn measure_min<R>(samples: usize, target: Duration, mut f: impl FnMut() -> R) ->
         .fold(f64::INFINITY, f64::min)
 }
 
+/// Per-call latencies of `calls` echo invocations, ascending, after a
+/// warm-up that dials, fills caches and settles the scheduler.
+fn sorted_roundtrips(remote: &ObjRef, calls: usize) -> Vec<u64> {
+    for _ in 0..200 {
+        remote.invoke("echo", vec![DynValue::Double(1.0)]).unwrap();
+    }
+    let mut roundtrips: Vec<u64> = (0..calls)
+        .map(|i| {
+            let start = Instant::now();
+            black_box(
+                remote
+                    .invoke("echo", vec![DynValue::Double(i as f64)])
+                    .unwrap(),
+            );
+            start.elapsed().as_nanos() as u64
+        })
+        .collect();
+    roundtrips.sort_unstable();
+    roundtrips
+}
+
 /// Atomic publication: write next to the target, then rename. A crashed or
 /// ctrl-C'd bench run never leaves a truncated JSON for CI to trip over.
 fn write_atomic(path: &str, contents: &str) {
@@ -95,27 +127,21 @@ fn main() {
     let transport = Arc::new(TcpTransport::new(server.local_addr().to_string()).with_pool_size(1));
     let remote = ObjRef::new("echo", Arc::clone(&transport) as Arc<dyn Transport>);
 
-    // Warm up: dial, fill caches, settle the scheduler.
-    for _ in 0..200 {
-        remote.invoke("echo", vec![DynValue::Double(1.0)]).unwrap();
-    }
-
-    // Per-call samples for the distribution quantities.
-    let mut roundtrips: Vec<u64> = (0..calls)
-        .map(|i| {
-            let start = Instant::now();
-            black_box(
-                remote
-                    .invoke("echo", vec![DynValue::Double(i as f64)])
-                    .unwrap(),
-            );
-            start.elapsed().as_nanos() as u64
-        })
-        .collect();
-    roundtrips.sort_unstable();
+    let roundtrips = sorted_roundtrips(&remote, calls);
     let median = roundtrips[roundtrips.len() / 2] as f64;
     let p90 = roundtrips[roundtrips.len() * 9 / 10] as f64;
     let min = roundtrips[0] as f64;
+
+    // --- the same call over the multiplexed stack ------------------------
+    let mux_server = MuxServer::bind("127.0.0.1:0", Arc::clone(&orb) as Arc<dyn Dispatcher>)
+        .expect("bind ephemeral port");
+    let mux_transport =
+        Arc::new(MuxTransport::new(mux_server.local_addr().to_string()).with_connections(1));
+    let mux_remote = ObjRef::new("echo", mux_transport as Arc<dyn Transport>);
+    let mux_roundtrips = sorted_roundtrips(&mux_remote, calls);
+    let mux_median = mux_roundtrips[mux_roundtrips.len() / 2] as f64;
+    let mux_over_pooled = mux_median / median;
+    mux_server.shutdown();
 
     // --- the in-process floor: same ORB, no sockets ----------------------
     let local = ObjRef::loopback("echo", orb);
@@ -135,6 +161,8 @@ fn main() {
     println!("e12_remote_rpc/roundtrip_median   {median:>12.2} ns/call  ({calls} calls)");
     println!("e12_remote_rpc/roundtrip_p90      {p90:>12.2} ns/call");
     println!("e12_remote_rpc/roundtrip_min      {min:>12.2} ns/call");
+    println!("e12_remote_rpc/mux_roundtrip_median {mux_median:>10.2} ns/call");
+    println!("e12_remote_rpc/mux_over_pooled    {mux_over_pooled:>12.3} x");
     println!("e12_remote_rpc/loopback_orb       {loopback:>12.2} ns/iter");
     println!("e12_remote_rpc/frame_encode       {frame_encode:>12.2} ns/iter");
 
@@ -147,11 +175,13 @@ fn main() {
             "  \"roundtrip_median_ns\": {:.3},\n",
             "  \"roundtrip_p90_ns\": {:.3},\n",
             "  \"roundtrip_min_ns\": {:.3},\n",
+            "  \"mux_roundtrip_median_ns\": {:.3},\n",
+            "  \"mux_over_pooled_ratio\": {:.3},\n",
             "  \"loopback_orb_ns\": {:.3},\n",
             "  \"frame_encode_ns\": {:.3}\n",
             "}}\n"
         ),
-        calls, median, p90, min, loopback, frame_encode
+        calls, median, p90, min, mux_median, mux_over_pooled, loopback, frame_encode
     );
     let out = std::env::var("BENCH_RPC_OUT").unwrap_or_else(|_| "BENCH_rpc.json".to_string());
     write_atomic(&out, &json);
@@ -162,5 +192,11 @@ fn main() {
         median < 100_000.0,
         "acceptance: the loopback TCP round-trip median must stay under \
          100 us (measured {median:.0} ns)"
+    );
+    assert!(
+        mux_over_pooled <= MUX_OVER_POOLED_GATE,
+        "acceptance: an unloaded mux call must stay within \
+         {MUX_OVER_POOLED_GATE}x the pooled one (measured {mux_median:.0} ns \
+         vs {median:.0} ns = {mux_over_pooled:.2}x)"
     );
 }

@@ -207,29 +207,19 @@ fn main() {
     // --- merge into BENCH_rpc.json (E12's keys survive) ------------------
     let out = std::env::var("BENCH_RPC_OUT").unwrap_or_else(|_| "BENCH_rpc.json".to_string());
     let existing = std::fs::read_to_string(&out).unwrap_or_default();
-    let mut fields = vec![
-        ("calls".to_string(), extract_num(&existing, "calls")),
-        (
-            "roundtrip_median_ns".to_string(),
-            extract_num(&existing, "roundtrip_median_ns"),
-        ),
-        (
-            "roundtrip_p90_ns".to_string(),
-            extract_num(&existing, "roundtrip_p90_ns"),
-        ),
-        (
-            "roundtrip_min_ns".to_string(),
-            extract_num(&existing, "roundtrip_min_ns"),
-        ),
-        (
-            "loopback_orb_ns".to_string(),
-            extract_num(&existing, "loopback_orb_ns"),
-        ),
-        (
-            "frame_encode_ns".to_string(),
-            extract_num(&existing, "frame_encode_ns"),
-        ),
-    ];
+    let mut fields: Vec<(String, Option<f64>)> = [
+        "calls",
+        "roundtrip_median_ns",
+        "roundtrip_p90_ns",
+        "roundtrip_min_ns",
+        "mux_roundtrip_median_ns",
+        "mux_over_pooled_ratio",
+        "loopback_orb_ns",
+        "frame_encode_ns",
+    ]
+    .into_iter()
+    .map(|key| (key.to_string(), extract_num(&existing, key)))
+    .collect();
     fields.extend([
         ("mux_calls".to_string(), Some(total_calls as f64)),
         ("logical_clients".to_string(), Some(logical_clients as f64)),

@@ -1,1 +1,3 @@
 //! cca-bench: criterion benchmark harness (see benches/).
+
+#![forbid(unsafe_code)]

@@ -236,10 +236,15 @@ fn committed_bench_artifacts_parse_and_declare_schema() {
             // E13 merges the mux throughput quantities into E12's
             // artifact; a bench.sh run that skipped the merge (or a bad
             // hand edit) must fail here, not in a trend script.
-            for key in ["throughput_calls_per_sec", "p99_ns"] {
+            for key in [
+                "throughput_calls_per_sec",
+                "p99_ns",
+                "mux_roundtrip_median_ns",
+                "mux_over_pooled_ratio",
+            ] {
                 assert!(
                     matches!(map.get(key), Some(Json::Num(_))),
-                    "{name}: missing numeric '{key}' field (E13 mux merge)"
+                    "{name}: missing numeric '{key}' field (E12 mux row / E13 mux merge)"
                 );
             }
         }

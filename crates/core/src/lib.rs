@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # cca-core — the Common Component Architecture specification
 //!
 //! This crate is the Rust rendering of the CCA standard the paper defines

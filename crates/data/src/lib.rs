@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 // Index-based loops over multiple same-length buffers are the clearest
 // idiom for stencil/linear-algebra kernels; the iterator rewrites clippy
 // suggests obscure them.

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # cca-framework — a CCA-compliant reference framework
 //!
 //! The paper (§4): "A component framework is said to be CCA compliant if it

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # cca-obs — zero-cost-when-off observability for `cca-rs`
 //!
 //! The paper gives every component a `CCAServices` handle and touts

@@ -490,6 +490,8 @@ pub struct MuxMetrics {
     paused_connections: AtomicU64,
     pause_events: AtomicU64,
     protocol_violations: AtomicU64,
+    loop_passes: AtomicU64,
+    loop_parks: AtomicU64,
 }
 
 /// Lock-free running maximum: raise `peak` to at least `value`.
@@ -544,6 +546,17 @@ impl MuxMetrics {
         self.protocol_violations.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// The server's event loop began a pass over its connections.
+    pub fn record_loop_pass(&self) {
+        self.loop_passes.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The server's event loop found nothing to do and blocked until a
+    /// socket or a waker became ready.
+    pub fn record_loop_park(&self) {
+        self.loop_parks.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Calls in flight right now.
     pub fn in_flight(&self) -> u64 {
         self.in_flight.load(Ordering::Relaxed)
@@ -574,6 +587,16 @@ impl MuxMetrics {
         self.protocol_violations.load(Ordering::Relaxed)
     }
 
+    /// Event-loop passes so far. An idle server makes none.
+    pub fn loop_passes(&self) -> u64 {
+        self.loop_passes.load(Ordering::Relaxed)
+    }
+
+    /// Times the event loop blocked waiting for readiness.
+    pub fn loop_parks(&self) -> u64 {
+        self.loop_parks.load(Ordering::Relaxed)
+    }
+
     /// A point-in-time copy.
     pub fn snapshot(&self) -> MuxSnapshot {
         MuxSnapshot {
@@ -584,6 +607,8 @@ impl MuxMetrics {
             paused_connections: self.paused_connections.load(Ordering::Relaxed),
             pause_events: self.pause_events.load(Ordering::Relaxed),
             protocol_violations: self.protocol_violations.load(Ordering::Relaxed),
+            loop_passes: self.loop_passes.load(Ordering::Relaxed),
+            loop_parks: self.loop_parks.load(Ordering::Relaxed),
         }
     }
 }
@@ -614,6 +639,10 @@ pub struct MuxSnapshot {
     pub pause_events: u64,
     /// Mux protocol violations (each cost its peer the connection).
     pub protocol_violations: u64,
+    /// Server event-loop passes.
+    pub loop_passes: u64,
+    /// Times the server event loop blocked waiting for readiness.
+    pub loop_parks: u64,
 }
 
 impl MuxSnapshot {
@@ -622,14 +651,17 @@ impl MuxSnapshot {
         format!(
             "{{\"in_flight\":{},\"peak_in_flight\":{},\"queued_bytes\":{},\
              \"peak_queued_bytes\":{},\"paused_connections\":{},\
-             \"pause_events\":{},\"protocol_violations\":{}}}",
+             \"pause_events\":{},\"protocol_violations\":{},\
+             \"loop_passes\":{},\"loop_parks\":{}}}",
             self.in_flight,
             self.peak_in_flight,
             self.queued_bytes,
             self.peak_queued_bytes,
             self.paused_connections,
             self.pause_events,
-            self.protocol_violations
+            self.protocol_violations,
+            self.loop_passes,
+            self.loop_parks
         )
     }
 }
@@ -899,11 +931,16 @@ mod tests {
         assert_eq!(m.pause_events(), 4);
 
         m.record_protocol_violation();
+        m.record_loop_pass();
+        m.record_loop_pass();
+        m.record_loop_park();
         let s = m.snapshot();
         assert_eq!(s.peak_in_flight, 3);
         assert_eq!(s.peak_queued_bytes, 4096);
         assert_eq!(s.protocol_violations, 1);
+        assert_eq!((s.loop_passes, s.loop_parks), (2, 1));
         assert!(s.to_json().contains("\"peak_in_flight\":3"));
+        assert!(s.to_json().ends_with("\"loop_passes\":2,\"loop_parks\":1}"));
         assert!(format!("{m:?}").contains("in_flight"));
     }
 

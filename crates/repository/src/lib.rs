@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # cca-repository — the CCA Repository API
 //!
 //! Figure 2 of the paper: component definitions written in SIDL "can be

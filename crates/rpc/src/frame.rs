@@ -339,7 +339,12 @@ pub struct FrameDecoder {
     /// *precedes* `buf` in the stream and is consumed first, frame by
     /// frame, without copying.
     view: Bytes,
+    /// Accumulated stream bytes are `buf[..filled]`. What lies beyond is
+    /// scratch that an earlier [`fill_from`](Self::fill_from) zeroed and
+    /// offered to a `read`; keeping it inside `len` is what lets the next
+    /// call offer it again without zeroing it again.
     buf: Vec<u8>,
+    filled: usize,
     /// Full-range handles on storages given away by zero-copy pops. Once
     /// the consumers of a storage's payload views drop them, the handle
     /// here is the last one and the `Vec` is reclaimed as the next `buf`
@@ -366,6 +371,7 @@ impl FrameDecoder {
         FrameDecoder {
             view: Bytes::new(),
             buf: Vec::new(),
+            filled: 0,
             retired: Vec::new(),
             max_payload,
         }
@@ -373,7 +379,9 @@ impl FrameDecoder {
 
     /// Appends newly arrived bytes.
     pub fn feed(&mut self, chunk: &[u8]) {
+        self.buf.truncate(self.filled);
         self.buf.extend_from_slice(chunk);
+        self.filled = self.buf.len();
     }
 
     /// Reads up to `max` bytes from `reader` directly into the buffer —
@@ -385,23 +393,18 @@ impl FrameDecoder {
         reader: &mut impl std::io::Read,
         max: usize,
     ) -> std::io::Result<usize> {
-        let old = self.buf.len();
-        self.buf.resize(old + max, 0);
-        match reader.read(&mut self.buf[old..]) {
-            Ok(n) => {
-                self.buf.truncate(old + n);
-                Ok(n)
-            }
-            Err(e) => {
-                self.buf.truncate(old);
-                Err(e)
-            }
+        let end = self.filled + max;
+        if self.buf.len() < end {
+            self.buf.resize(end, 0);
         }
+        let n = reader.read(&mut self.buf[self.filled..end])?;
+        self.filled += n;
+        Ok(n)
     }
 
     /// Bytes buffered but not yet popped as a frame.
     pub fn buffered(&self) -> usize {
-        self.view.len() + self.buf.len()
+        self.view.len() + self.filled
     }
 
     /// Parses one frame from the front of `bytes`; `None` means incomplete.
@@ -451,14 +454,15 @@ impl FrameDecoder {
                     // (partial-frame-sized) remainder back in front of the
                     // accumulation buffer and continue contiguously.
                     let mut merged = self.view.to_vec();
-                    merged.extend_from_slice(&self.buf);
+                    merged.extend_from_slice(&self.buf[..self.filled]);
+                    self.filled = merged.len();
                     self.buf = merged;
                     self.view = Bytes::new();
                 }
             }
         }
         let Some((header, context, body_at, total)) =
-            Self::parse_prefix(&self.buf, self.max_payload)?
+            Self::parse_prefix(&self.buf[..self.filled], self.max_payload)?
         else {
             return Ok(None);
         };
@@ -469,6 +473,8 @@ impl FrameDecoder {
         // payloads aren't worth the buffer churn and copy out as before.
         const ZERO_COPY_POP_MIN: usize = 32 << 10;
         let payload = if header.payload_len as usize >= ZERO_COPY_POP_MIN {
+            self.buf.truncate(self.filled);
+            self.filled = 0;
             let whole = Bytes::from(std::mem::take(&mut self.buf));
             self.view = whole.slice(total..);
             let payload = whole.slice(body_at..total);
@@ -495,7 +501,8 @@ impl FrameDecoder {
             payload
         } else {
             let payload = Bytes::from(self.buf[body_at..total].to_vec());
-            self.buf.drain(..total);
+            self.buf.copy_within(total..self.filled, 0);
+            self.filled -= total;
             payload
         };
         Ok(Some(Frame {
@@ -518,7 +525,7 @@ impl FrameDecoder {
         let mut prefix = [0u8; FRAME_HEADER_LEN];
         let from_view = self.view.len().min(FRAME_HEADER_LEN);
         prefix[..from_view].copy_from_slice(&self.view.as_slice()[..from_view]);
-        let from_buf = self.buf.len().min(FRAME_HEADER_LEN - from_view);
+        let from_buf = self.filled.min(FRAME_HEADER_LEN - from_view);
         prefix[from_view..from_view + from_buf].copy_from_slice(&self.buf[..from_buf]);
         let need = if from_view + from_buf < FRAME_HEADER_LEN {
             FRAME_HEADER_LEN
@@ -880,6 +887,56 @@ mod tests {
             assert_eq!(f.payload.as_slice(), format!("m{id}").as_bytes());
         }
         assert!(dec.next_frame().unwrap().is_none());
+    }
+
+    #[test]
+    fn scratch_past_the_filled_mark_never_reads_as_stream_bytes() {
+        // Small frames (copied out, scratch kept) and slab-sized ones
+        // (zero-copy pop, buffer given away) alternate, delivered in
+        // 7,001-byte reads against a 64 KiB offer with a `feed` thrown in,
+        // so every pop leaves stale bytes past the mark and every seam
+        // (view/buf straddle, recycled buffer) is crossed.
+        let payloads: Vec<Vec<u8>> = (0..12u8)
+            .map(|i| {
+                vec![
+                    i + 1;
+                    if i % 3 == 2 {
+                        40 << 10
+                    } else {
+                        100 + i as usize
+                    }
+                ]
+            })
+            .collect();
+        let mut stream = Vec::new();
+        for (id, payload) in payloads.iter().enumerate() {
+            stream.extend(
+                encode_frame(FrameKind::Bulk, id as u64, payload, DEFAULT_MAX_PAYLOAD).unwrap(),
+            );
+        }
+        let mut dec = FrameDecoder::new();
+        let mut popped = Vec::new();
+        let mut rest = &stream[..];
+        while !rest.is_empty() {
+            let (mut piece, tail) = rest.split_at(rest.len().min(7_001));
+            rest = tail;
+            if popped.len() == 5 {
+                dec.feed(piece);
+            } else {
+                let offered = piece.len();
+                assert_eq!(dec.fill_from(&mut piece, 64 << 10).unwrap(), offered);
+            }
+            while let Some(frame) = dec.next_frame().unwrap() {
+                popped.push(frame);
+            }
+        }
+        dec.finish().unwrap();
+        assert_eq!(dec.buffered(), 0);
+        assert_eq!(popped.len(), payloads.len());
+        for (id, (frame, payload)) in popped.iter().zip(&payloads).enumerate() {
+            assert_eq!(frame.request_id, id as u64);
+            assert_eq!(frame.payload.as_slice(), &payload[..]);
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 //! # cca-rpc — distributed substrate and the CORBA-like baseline
 //!
 //! The paper distinguishes two ways a connected port can behave: the
@@ -37,8 +38,10 @@
 //! * [`mux`] — the same wire, multiplexed: [`mux::MuxTransport`] pipelines
 //!   thousands of concurrent calls over a handful of sockets by routing
 //!   replies to waiters by frame request id, and [`mux::MuxServer`] serves
-//!   them from an event-driven readiness loop with per-connection
-//!   backpressure instead of a thread per peer (experiment E13).
+//!   them from one event loop that parks in `poll(2)` on its sockets
+//!   (`readiness.rs`, the workspace's only `unsafe` block), with
+//!   per-connection backpressure instead of a thread per peer
+//!   (experiment E13).
 //! * [`bulk`] — the data plane: `FrameKind::Bulk` slabs carrying M×N
 //!   array-redistribution chunks as raw little-endian bytes (no
 //!   per-element encoding), acknowledged with resume watermarks so a
@@ -49,6 +52,7 @@ pub mod frame;
 pub mod mux;
 pub mod orb;
 pub mod proxy;
+mod readiness;
 pub mod resilient;
 pub mod tcp;
 pub mod transport;

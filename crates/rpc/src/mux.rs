@@ -41,6 +41,7 @@ use crate::frame::{
     encode_frame, encode_frame_header_onto, encode_frame_onto, encode_frame_with, read_frame,
     Frame, FrameDecoder, FrameKind, DEFAULT_MAX_PAYLOAD, FRAME_HEADER_LEN,
 };
+use crate::readiness::{self, PollFd, Waker, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use crate::tcp::CONNECTION_EXCEPTION_TYPE;
 use crate::transport::{Dispatcher, Transport};
 use bytes::Bytes;
@@ -48,8 +49,10 @@ use cca_core::resilience::{SplitMix64, DEADLINE_EXCEPTION_TYPE};
 use cca_obs::{MuxMetrics, TraceContext, TransportMetrics};
 use cca_sidl::SidlError;
 use std::collections::{HashMap, VecDeque};
+use std::ffi::c_short;
 use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -908,6 +911,9 @@ struct ServerConn {
     /// A `Join` frame was decoded on this connection: its death must be
     /// reported to the [`SessionSink`] as a rank death.
     joined: bool,
+    /// The pass after a park visits this connection: `poll` reported it,
+    /// or a completed reply has been routed to it since.
+    ready: bool,
 }
 
 impl ServerConn {
@@ -915,6 +921,20 @@ impl ServerConn {
     /// plus requests still in (or bound for) the dispatch pool.
     fn backlog(&self) -> usize {
         self.out.len() - self.out_pos + self.pending_cost
+    }
+
+    /// What a parked loop waits for on this connection: request bytes
+    /// unless backpressure holds reads off, room to write while reply
+    /// bytes are unflushed. Errors and hang-ups are reported regardless.
+    fn poll_events(&self, write_buffer_cap: usize) -> c_short {
+        let mut events = 0;
+        if self.backlog() <= write_buffer_cap {
+            events |= POLLIN;
+        }
+        if self.out_pos < self.out.len() {
+            events |= POLLOUT;
+        }
+        events
     }
 }
 
@@ -949,9 +969,10 @@ pub struct MuxServer {
     /// Completed dispatches awaiting the event loop:
     /// `(conn id, job cost, frame)`.
     completed: Mutex<Vec<(u64, usize, Vec<u8>)>>,
-    /// Event-loop wakeup: workers and the accept thread set the flag.
-    wake: Mutex<bool>,
-    wake_cv: Condvar,
+    /// True while the event loop is blocked in `poll` (or about to be):
+    /// whoever swaps it back to false owes the loop one [`Waker::wake`].
+    parked: AtomicBool,
+    waker: Waker,
     accepted: AtomicU64,
     rejected_over_capacity: AtomicU64,
     dispatched: AtomicU64,
@@ -1003,8 +1024,8 @@ impl MuxServer {
             }),
             jobs_cv: Condvar::new(),
             completed: Mutex::new(Vec::new()),
-            wake: Mutex::new(false),
-            wake_cv: Condvar::new(),
+            parked: AtomicBool::new(false),
+            waker: Waker::new()?,
             accepted: AtomicU64::new(0),
             rejected_over_capacity: AtomicU64::new(0),
             dispatched: AtomicU64::new(0),
@@ -1107,9 +1128,13 @@ impl MuxServer {
         self.fault_draws.lock().unwrap().next_below(1000) < permille
     }
 
+    /// Call *after* publishing work (`completed`, `incoming`,
+    /// `shutting_down`). A loop that is not parked re-checks all three
+    /// before it parks, so the loaded path pays one swap and no syscall.
     fn wake_event_loop(&self) {
-        *self.wake.lock().unwrap() = true;
-        self.wake_cv.notify_one();
+        if self.parked.swap(false, Ordering::SeqCst) {
+            self.waker.wake();
+        }
     }
 
     fn accept_loop(self: Arc<Self>, listener: TcpListener) {
@@ -1230,19 +1255,26 @@ impl MuxServer {
         }
     }
 
-    /// The readiness loop. Std-only means no `epoll`: readiness is
-    /// discovered by attempting nonblocking reads/writes each pass and
-    /// parking briefly (or until a worker/acceptor wakes us) when a full
-    /// pass makes no progress. Under load the loop never parks; idle it
-    /// costs one wakeup per park interval.
+    /// The readiness loop. A pass registers new connections, routes
+    /// completed replies, then flushes and reads with nonblocking calls;
+    /// under load passes follow one another and the loop never parks. A
+    /// pass that moved nothing parks the loop in `poll(2)`, with no
+    /// timeout, on the waker plus every open connection (see
+    /// [`Self::park`]), and the pass after a park visits only the
+    /// connections that `poll` reported or a reply was routed to. Idle, the
+    /// loop makes no passes at all.
     fn event_loop(self: Arc<Self>) {
         let mut conns: Vec<ServerConn> = Vec::new();
         let mut next_conn_id: u64 = 0;
+        let mut poll_set: Vec<PollFd> = Vec::new();
+        // The previous pass ended in a park: visit `ready` connections only.
+        let mut after_park = false;
         // Per-read ceiling, sized for the bulk plane: megabyte slabs
         // arrive in a handful of reads instead of sixteen, and the loop
         // visits each connection that much less often per byte moved.
         const READ_CHUNK: usize = 256 << 10;
         loop {
+            self.metrics.record_loop_pass();
             let mut progressed = false;
 
             // New connections, registered nonblocking.
@@ -1264,6 +1296,7 @@ impl MuxServer {
                         paused: false,
                         closed: false,
                         joined: false,
+                        ready: true,
                     });
                     progressed = true;
                 }
@@ -1274,9 +1307,16 @@ impl MuxServer {
                 let mut completed = self.completed.lock().unwrap();
                 for (conn_id, cost, framed) in completed.drain(..) {
                     progressed = true;
-                    let Some(conn) = conns.iter_mut().find(|c| c.id == conn_id && !c.closed) else {
+                    // `conns` is sorted by id: ids only grow, registration
+                    // appends, and the reap's `retain` keeps order.
+                    let Ok(at) = conns.binary_search_by_key(&conn_id, |c| c.id) else {
                         continue; // connection died mid-dispatch
                     };
+                    let conn = &mut conns[at];
+                    if conn.closed {
+                        continue;
+                    }
+                    conn.ready = true;
                     conn.pending_cost = conn.pending_cost.saturating_sub(cost);
                     if framed.is_empty() {
                         // Close sentinel: undecodable payload or oversized
@@ -1292,7 +1332,7 @@ impl MuxServer {
             let shutting_down = self.shutting_down.load(Ordering::SeqCst);
 
             for conn in conns.iter_mut() {
-                if conn.closed {
+                if conn.closed || (after_park && !conn.ready) {
                     continue;
                 }
                 // Flush pending replies (nonblocking).
@@ -1359,6 +1399,8 @@ impl MuxServer {
                 }
             }
 
+            after_park = false;
+
             // Reap closed connections. A joined connection's death IS the
             // rank-death signal: report it before the conn is forgotten.
             let before = conns.len();
@@ -1391,8 +1433,9 @@ impl MuxServer {
                 .set_paused_connections(conns.iter().filter(|c| c.paused).count() as u64);
 
             if shutting_down {
-                // Drain phase: exit once nothing is left to flush (or the
-                // peers are gone). Workers were already told to stop.
+                // The pass above was the one final flush of whatever
+                // replies had completed; now hang up on everyone. Workers
+                // were already told to stop.
                 for conn in &conns {
                     let _ = conn.stream.shutdown(Shutdown::Both);
                 }
@@ -1400,20 +1443,64 @@ impl MuxServer {
             }
 
             if !progressed {
-                let mut woken = self.wake.lock().unwrap();
-                if !*woken {
-                    // Park briefly: worker completions and new accepts
-                    // set the flag; incoming bytes on nonblocking sockets
-                    // cannot, so the timeout is the poll interval.
-                    let (guard, _) = self
-                        .wake_cv
-                        .wait_timeout(woken, Duration::from_micros(200))
-                        .unwrap();
-                    woken = guard;
-                }
-                *woken = false;
+                after_park = self.park(&mut conns, &mut poll_set);
             }
         }
+    }
+
+    /// Blocks the event loop until a pass has something to do, and marks
+    /// the connections that pass must visit. Returns `false` when there was
+    /// work already and the loop should make a full pass instead.
+    ///
+    /// Why no timeout is safe: bytes arriving on a socket end the `poll`
+    /// themselves (it is level-triggered), and every other source of work
+    /// (`completed`, `incoming`, `shutting_down`) is published *before*
+    /// its producer calls [`Self::wake_event_loop`], while this function
+    /// sets `parked` *before* it re-checks those three. Both sides are
+    /// `SeqCst`, so either the producer's swap sees `parked` and writes
+    /// the waker byte, or the re-check here sees the work; a wake-up
+    /// cannot be lost.
+    fn park(&self, conns: &mut [ServerConn], poll_set: &mut Vec<PollFd>) -> bool {
+        self.parked.store(true, Ordering::SeqCst);
+        let work_pending = !self.completed.lock().unwrap().is_empty()
+            || !self.incoming.lock().unwrap().is_empty()
+            || self.shutting_down.load(Ordering::SeqCst);
+        if work_pending {
+            self.parked.store(false, Ordering::SeqCst);
+            return false;
+        }
+        let cap = self.config.write_buffer_cap;
+        poll_set.clear();
+        poll_set.push(self.waker.poll_fd());
+        poll_set.extend(
+            conns
+                .iter()
+                .map(|c| PollFd::new(c.stream.as_raw_fd(), c.poll_events(cap))),
+        );
+        self.metrics.record_loop_park();
+        let polled = readiness::wait(poll_set, None);
+        self.parked.store(false, Ordering::SeqCst);
+        if polled.is_err() {
+            // The kernel refused the set (out of memory): fall back to a
+            // full pass of nonblocking attempts.
+            return false;
+        }
+        if poll_set[0].revents() != 0 {
+            self.waker.drain();
+        }
+        for (conn, polled) in conns.iter_mut().zip(&poll_set[1..]) {
+            conn.ready = polled.revents() != 0;
+            // A dead socket is reported whatever was asked for. With
+            // `POLLIN` alongside, the read below drains what the peer
+            // sent and meets the EOF or error itself; without it (reads
+            // paused) nothing would, and the loop would spin on the
+            // hang-up, so close here.
+            let dead = polled.revents() & (POLLERR | POLLHUP | POLLNVAL) != 0;
+            if dead && polled.revents() & POLLIN == 0 {
+                conn.closed = true;
+            }
+        }
+        true
     }
 
     /// Decodes every complete frame buffered on `conn`; returns `false`
@@ -1550,6 +1637,13 @@ mod tests {
                 "double" => Ok(DynValue::Double(args[0].as_double()? * 2.0)),
                 other => Err(SidlError::invoke(format!("no method '{other}'"))),
             }
+        }
+    }
+
+    struct Echo;
+    impl Dispatcher for Echo {
+        fn dispatch(&self, request: Bytes) -> Result<Bytes, SidlError> {
+            Ok(request)
         }
     }
 
@@ -1768,12 +1862,6 @@ mod tests {
         // refuses to read: the server must stop reading (dispatch stalls)
         // instead of buffering without bound, then finish once the client
         // drains.
-        struct Echo;
-        impl Dispatcher for Echo {
-            fn dispatch(&self, request: Bytes) -> Result<Bytes, SidlError> {
-                Ok(request)
-            }
-        }
         let server = MuxServer::bind_with(
             "127.0.0.1:0",
             Arc::new(Echo),
@@ -1840,14 +1928,166 @@ mod tests {
         assert_eq!(server.dispatched(), SENT);
     }
 
+    /// `n` raw peers, each registered with the event loop (one echo
+    /// answered proves it, where `connections_accepted` would only prove
+    /// the accept thread saw it).
+    fn registered_peers(server: &MuxServer, n: u64) -> Vec<TcpStream> {
+        (0..n)
+            .map(|id| {
+                let mut peer = TcpStream::connect(server.local_addr()).unwrap();
+                write_frame(
+                    &mut peer,
+                    FrameKind::Request,
+                    id,
+                    b"hi",
+                    DEFAULT_MAX_PAYLOAD,
+                )
+                .unwrap();
+                let reply = read_frame(&mut peer, DEFAULT_MAX_PAYLOAD).unwrap().unwrap();
+                assert_eq!(reply.request_id, id);
+                peer
+            })
+            .collect()
+    }
+
+    /// Waits for the event loop to stop making passes and returns the
+    /// count it stopped at.
+    fn settled_passes(server: &MuxServer) -> u64 {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let before = server.metrics().loop_passes();
+            std::thread::sleep(Duration::from_millis(20));
+            if server.metrics().loop_passes() == before {
+                return before;
+            }
+            assert!(Instant::now() < deadline, "the event loop never went quiet");
+        }
+    }
+
+    fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(1);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
-    fn accept_bound_refuses_excess_connections() {
-        struct Echo;
-        impl Dispatcher for Echo {
+    fn an_idle_server_makes_no_passes() {
+        let server = MuxServer::bind("127.0.0.1:0", Arc::new(Echo)).unwrap();
+        let _peers = registered_peers(&server, 8);
+        let before = settled_passes(&server);
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(
+            server.metrics().loop_passes(),
+            before,
+            "an idle loop sits in poll, it does not tick"
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_sequential_call_costs_a_few_passes_however_many_idle_peers_there_are() {
+        const CALLS: u64 = 200;
+        for idle in [0, 64] {
+            let server = MuxServer::bind("127.0.0.1:0", Arc::new(Echo)).unwrap();
+            let _peers = registered_peers(&server, idle);
+            let t = MuxTransport::new(server.local_addr().to_string()).with_connections(1);
+            t.call(Bytes::from_static(b"dial")).unwrap();
+            let before = settled_passes(&server);
+            for _ in 0..CALLS {
+                t.call(Bytes::from_static(b"ping")).unwrap();
+            }
+            // Request in, a look that finds nothing, completion out,
+            // another look; a stale waker byte can add one more of each.
+            let passes = server.metrics().loop_passes() - before;
+            assert!(
+                passes <= 6 * CALLS,
+                "{passes} passes for {CALLS} calls beside {idle} idle peers"
+            );
+            server.shutdown();
+        }
+    }
+
+    #[test]
+    fn a_paused_connection_whose_peer_hangs_up_is_reaped_without_spinning() {
+        // Answers the first request at once and holds the rest in the
+        // workers, so the connection ends up paused on unanswered requests
+        // alone, with nothing to write and reads off: the one state where
+        // only the hang-up `poll` reports unasked can tell the loop the
+        // peer is gone.
+        struct Gate {
+            seen: AtomicU64,
+            open: Mutex<bool>,
+            opened: Condvar,
+        }
+        impl Dispatcher for Gate {
             fn dispatch(&self, request: Bytes) -> Result<Bytes, SidlError> {
+                if self.seen.fetch_add(1, Ordering::SeqCst) > 0 {
+                    let mut open = self.open.lock().unwrap();
+                    while !*open {
+                        open = self.opened.wait(open).unwrap();
+                    }
+                }
                 Ok(request)
             }
         }
+        let gate = Arc::new(Gate {
+            seen: AtomicU64::new(0),
+            open: Mutex::new(false),
+            opened: Condvar::new(),
+        });
+        let server = MuxServer::bind_with(
+            "127.0.0.1:0",
+            Arc::clone(&gate) as Arc<dyn Dispatcher>,
+            MuxServerConfig {
+                write_buffer_cap: 1 << 10,
+                ..MuxServerConfig::default()
+            },
+        )
+        .unwrap();
+
+        let mut peer = TcpStream::connect(server.local_addr()).unwrap();
+        write_frame(
+            &mut peer,
+            FrameKind::Request,
+            0,
+            b"first",
+            DEFAULT_MAX_PAYLOAD,
+        )
+        .unwrap();
+        // Wait for the reply without consuming it: closing a socket with
+        // unread bytes sends a reset, not a polite FIN.
+        assert_eq!(peer.peek(&mut [0u8; 1]).unwrap(), 1);
+        for id in 1..=4 {
+            write_frame(
+                &mut peer,
+                FrameKind::Request,
+                id,
+                &[0u8; 1 << 10],
+                DEFAULT_MAX_PAYLOAD,
+            )
+            .unwrap();
+        }
+        wait_until("the connection is paused", || {
+            server.metrics().paused_connections() == 1
+        });
+        let before = settled_passes(&server);
+
+        drop(peer);
+        wait_until("the dead connection is reaped", || {
+            server.live_conns.load(Ordering::SeqCst) == 0
+        });
+        let passes = settled_passes(&server) - before;
+        assert!(passes <= 4, "{passes} passes to reap one hung-up peer");
+
+        *gate.open.lock().unwrap() = true;
+        gate.opened.notify_all();
+        server.shutdown();
+    }
+
+    #[test]
+    fn accept_bound_refuses_excess_connections() {
         let server = MuxServer::bind_with(
             "127.0.0.1:0",
             Arc::new(Echo),

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # cca-sidl — the Scientific Interface Definition Language
 //!
 //! §5 of the paper: "The Scientific Interface Definition Language is a

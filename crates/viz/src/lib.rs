@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # cca-viz — visualization, monitoring, and computational steering
 //!
 //! Figure 1's lower half: "components for visualization, which can often be

@@ -12,6 +12,8 @@
 #   fault      the fault-injection suites under one CCA_FAULT_SEED
 #   fleet      the multi-process kill-matrix under one CCA_FAULT_SEED
 #   bench-gate quick-mode E10/E11/E13/E14/E15/E16/E17 perf gates
+#   ccabench   the end-to-end benchmark's smoke run (benchmark/, all six
+#              workloads with their oracles on, a few seconds)
 #
 # The CI workflow fans these out as separate jobs; `all` keeps the
 # one-command local story.
@@ -152,6 +154,15 @@ bench_gate() {
         cargo bench --offline -p cca-bench --bench e17_repository
 }
 
+# ccabench (benchmark/README.md) is a package of its own with its own lock
+# file and target directory; --smoke runs every workload for half a second
+# with every oracle on and exits nonzero if any operation failed. Rows land
+# in benchmark/out/*.json for the workflow to upload.
+ccabench() {
+    echo "==> ccabench smoke run"
+    cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --smoke
+}
+
 case "$MODE" in
 all)
     build_test
@@ -160,6 +171,7 @@ all)
     fault
     fleet
     bench_gate
+    ccabench
     ;;
 build-test) build_test ;;
 clippy) clippy ;;
@@ -167,8 +179,9 @@ fmt) fmt ;;
 fault) fault ;;
 fleet) fleet ;;
 bench-gate) bench_gate ;;
+ccabench) ccabench ;;
 *)
-    echo "unknown mode '$MODE' (want all|build-test|clippy|fmt|fault|fleet|bench-gate)" >&2
+    echo "unknown mode '$MODE' (want all|build-test|clippy|fmt|fault|fleet|bench-gate|ccabench)" >&2
     exit 2
     ;;
 esac

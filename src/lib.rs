@@ -1,5 +1,8 @@
 //! Umbrella crate for `cca-rs`. Re-exports the public API of every
 //! subsystem crate; see README.md and DESIGN.md.
+
+#![forbid(unsafe_code)]
+
 pub mod generated;
 
 pub use cca_core as core;

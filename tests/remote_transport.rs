@@ -13,7 +13,7 @@
 
 use cca::core::event::RecordingListener;
 use cca::core::resilience::{
-    fault_seed_from_env, BreakerPolicy, CallPolicy, MockClock, RetryPolicy,
+    fault_seed_from_env, BreakerPolicy, CallPolicy, MockClock, RetryPolicy, SplitMix64,
 };
 use cca::core::{CcaError, CcaServices, Component, ConfigEvent, GoPort, PortHandle};
 use cca::framework::{Framework, RemoteTransportKind};
@@ -29,7 +29,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
 // Fixtures
@@ -933,4 +933,79 @@ fn garbage_and_oversized_frames_only_kill_their_own_mux_connection() {
     assert!(matches!(reply, DynValue::Long(10)));
     server.shutdown();
     assert_eq!(server.dispatched(), 1);
+}
+
+/// The event loop parks in `poll` with no timeout, so a wake-up lost to
+/// the race between "nothing to do" and "blocked" would show up here as a
+/// call that never completes. Eight callers with seeded 0–300 µs gaps keep
+/// the loop going in and out of its park, with requests, completions and
+/// parks interleaving every way the scheduler offers; then a dial and a
+/// `shutdown()` each arrive at a loop known to be parked.
+#[test]
+fn no_wake_up_is_lost_between_the_event_loop_and_its_park() {
+    /// Waits for the loop to go quiet; parked is the only way it can.
+    fn wait_parked(server: &MuxServer) {
+        loop {
+            let before = server.metrics().loop_passes();
+            std::thread::sleep(Duration::from_millis(20));
+            if server.metrics().loop_passes() == before {
+                return;
+            }
+        }
+    }
+    const THREADS: u64 = 8;
+    const CALLS: u64 = 2_000;
+    let seed = fault_seed_from_env();
+
+    let orb = Orb::new();
+    orb.register(
+        "doubler",
+        Arc::new(Doubler {
+            calls: AtomicU64::new(0),
+        }),
+    );
+    let server = MuxServer::bind("127.0.0.1:0", orb as Arc<dyn Dispatcher>).unwrap();
+    let doubler = |transport: MuxTransport| {
+        ObjRef::new(
+            "doubler",
+            Arc::new(transport) as Arc<dyn cca::rpc::Transport>,
+        )
+    };
+    let addr = server.local_addr().to_string();
+    let objref = doubler(MuxTransport::new(&addr).with_io_timeout(Duration::from_secs(2)));
+    std::thread::scope(|scope| {
+        for thread in 0..THREADS {
+            let objref = &objref;
+            scope.spawn(move || {
+                let mut gaps = SplitMix64::new(seed ^ (thread << 32));
+                for call in 0..CALLS {
+                    let x = (thread * CALLS + call) as i64;
+                    let reply = objref
+                        .invoke("double", vec![DynValue::Long(x)])
+                        .unwrap_or_else(|e| panic!("thread {thread} call {call}: {e}"));
+                    assert!(matches!(reply, DynValue::Long(y) if y == 2 * x));
+                    std::thread::sleep(Duration::from_micros(gaps.next_below(300)));
+                }
+            });
+        }
+    });
+    assert_eq!(server.dispatched(), THREADS * CALLS);
+
+    wait_parked(&server);
+    let began = Instant::now();
+    let late = doubler(MuxTransport::new(&addr));
+    let reply = late.invoke("double", vec![DynValue::Long(21)]).unwrap();
+    assert!(matches!(reply, DynValue::Long(42)));
+    assert!(
+        began.elapsed() < Duration::from_secs(1),
+        "accept while parked"
+    );
+
+    wait_parked(&server);
+    let began = Instant::now();
+    assert!(server.shutdown() > 0);
+    assert!(
+        began.elapsed() < Duration::from_secs(1),
+        "shutdown while parked"
+    );
 }
