@@ -1,4 +1,4 @@
-//! E10 — observability overhead gate, recorded to `BENCH_obs.json`.
+//! E10 — observability overhead gate.
 //!
 //! The whole point of `cca-obs` is that §6.2's "no penalty" claim keeps
 //! holding with the instrumentation compiled in. This bench pins that:
@@ -7,7 +7,7 @@
 //!   CachedPort steady state (one relaxed generation load + compare +
 //!   memoized `Arc` borrow). This is the PR-1 baseline the gates are
 //!   measured against, rebuilt here so the comparison survives future
-//!   refactors of the real type;
+//!   refactors of the real type (`cca_bench::fixtures::Pr1Replica`);
 //! * `cached_off_ns` — the real `CachedPort::get` with counters and
 //!   tracing off. Acceptance: ≤1.1× the replica — turning observability
 //!   *off* must cost at most the one extra flag load;
@@ -19,195 +19,106 @@
 //! * ORB byte accounting: round trips and payload bytes for a handful of
 //!   proxied calls, proving the transport metrics see both directions.
 //!
-//! Minimum-of-samples is used for the gated ratios (not median): the
-//! quantities differ by fractions of a nanosecond, and the minimum is the
-//! standard estimator for the true cost of an L1-hot loop.
+//! Each gated call runs as an alternating pair against the replica and
+//! gates the lower decile of the per-round ratio: the quantities differ by
+//! fractions of a nanosecond, so only the L1-hot floor says anything.
 
-use cca_core::{CcaServices, PortHandle};
-use cca_data::TypeMap;
+use cca_bench::fixtures::{wire_single, Pr1Replica, WorkImpl, WorkPort};
+use cca_bench::{Harness, Report};
 use cca_rpc::{ObjRef, Orb};
-use cca_sidl::{DynObject, DynValue, SidlError};
+use cca_sidl::DynValue;
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-trait WorkPort: Send + Sync {
-    fn accumulate(&self, x: f64) -> f64;
-}
-
-struct WorkImpl {
-    bias: f64,
-}
-
-impl WorkPort for WorkImpl {
-    fn accumulate(&self, x: f64) -> f64 {
-        x * 1.0000001 + self.bias
-    }
-}
-
-impl DynObject for WorkImpl {
-    fn sidl_type(&self) -> &str {
-        "bench.WorkPort"
-    }
-    fn invoke(&self, method: &str, args: Vec<DynValue>) -> Result<DynValue, SidlError> {
-        match method {
-            "accumulate" => Ok(DynValue::Double(self.accumulate(args[0].as_double()?))),
-            other => Err(SidlError::invoke(format!("no method '{other}'"))),
-        }
-    }
-}
-
-/// PR-1's `CachedPort`, transplanted verbatim (modulo the public
-/// `generation()` accessor) and compiled against today's `CcaServices`:
-/// generation load, staleness compare against the `Option` memo,
-/// out-of-line revalidation through `get_port_as`. No flag check, no
-/// metrics — the pre-observability baseline the gates measure against.
-struct Pr1Replica<P: ?Sized + Send + Sync + 'static> {
-    services: Arc<CcaServices>,
-    name: Arc<str>,
-    seen_generation: u64,
-    port: Option<Arc<P>>,
-}
-
-impl<P: ?Sized + Send + Sync + 'static> Pr1Replica<P> {
-    fn new(services: Arc<CcaServices>, name: impl Into<Arc<str>>) -> Self {
-        Pr1Replica {
-            services,
-            name: name.into(),
-            seen_generation: 0,
-            port: None,
-        }
-    }
-
-    #[inline]
-    fn get(&mut self) -> Result<&Arc<P>, cca_core::CcaError> {
-        let generation = self.services.generation();
-        if self.port.is_none() || generation != self.seen_generation {
-            self.revalidate(generation)?;
-        }
-        Ok(self.port.as_ref().unwrap())
-    }
-
-    #[cold]
-    fn revalidate(&mut self, generation: u64) -> Result<(), cca_core::CcaError> {
-        self.port = None;
-        let resolved = self.services.get_port_as::<P>(&self.name)?;
-        self.port = Some(resolved);
-        self.seen_generation = generation;
-        Ok(())
-    }
-}
-
-/// Minimum ns/iter over `samples` batches, each auto-calibrated to roughly
-/// `target` wall-clock.
-fn measure_min<R>(samples: usize, target: Duration, mut f: impl FnMut() -> R) -> f64 {
-    let mut iters: u64 = 1;
-    loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        let elapsed = start.elapsed();
-        if elapsed >= target || iters >= 1 << 28 {
-            break;
-        }
-        iters = if elapsed.is_zero() {
-            iters * 16
-        } else {
-            let scale = target.as_secs_f64() / elapsed.as_secs_f64();
-            ((iters as f64 * scale.clamp(1.2, 16.0)) as u64).max(iters + 1)
-        };
-    }
-    (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            start.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
-fn wire_single() -> Arc<CcaServices> {
-    let provider = CcaServices::new("provider");
-    let obj: Arc<dyn WorkPort> = Arc::new(WorkImpl { bias: 0.5 });
-    provider
-        .add_provides_port(PortHandle::new("work", "bench.WorkPort", obj))
-        .unwrap();
-    let user = CcaServices::new("user");
-    user.register_uses_port("in", "bench.WorkPort", TypeMap::new())
-        .unwrap();
-    user.connect_uses("in", provider.get_provides_port("work").unwrap())
-        .unwrap();
-    user
-}
-
-/// Atomic publication: write next to the target, then rename. A crashed or
-/// ctrl-C'd bench run never leaves a truncated JSON for CI to trip over.
-fn write_atomic(path: &str, contents: &str) {
-    let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, contents).unwrap_or_else(|e| panic!("write {tmp}: {e}"));
-    std::fs::rename(&tmp, path).unwrap_or_else(|e| panic!("rename {tmp} -> {path}: {e}"));
-}
 
 fn main() {
-    let fast = std::env::var_os("CCA_BENCH_FAST").is_some();
-    let samples = if fast { 7 } else { 15 };
-    let target = Duration::from_millis(if fast { 2 } else { 8 });
+    let h = Harness::from_env();
+    let mut report = Report::new("e10_obs_overhead", &h);
 
-    // Make the flag state explicit regardless of the environment.
-    cca_obs::set_tracing(false);
-    cca_obs::set_counters(false);
-
-    // --- bare floor and PR-1 replica -----------------------------------
+    // --- bare floor ------------------------------------------------------
     let obj: Arc<dyn WorkPort> = Arc::new(WorkImpl { bias: 0.5 });
-    let bare = measure_min(samples, target, || {
-        black_box(&obj).accumulate(black_box(1.0))
-    });
+    report.metric(
+        "bare_virtual_call_ns",
+        h.time(|| black_box(&obj).accumulate(black_box(1.0))),
+    );
 
+    // --- PR-1 replica vs the real CachedPort, observability off ---------
     let user = wire_single();
     let mut replica = Pr1Replica::<dyn WorkPort>::new(Arc::clone(&user), "in");
     replica.get().unwrap();
-    let pr1 = measure_min(samples, target, || {
-        black_box(&mut replica)
-            .get()
-            .unwrap()
-            .accumulate(black_box(1.0))
-    });
-
-    // --- the real CachedPort, observability off ------------------------
     let mut cached = user.cached_port::<dyn WorkPort>("in");
     cached.get().unwrap();
-    let cached_off = measure_min(samples, target, || {
-        black_box(&mut cached)
-            .get()
-            .unwrap()
-            .accumulate(black_box(1.0))
-    });
+    // The replica closure is written out at each use: handing `ratio` a
+    // `&mut` to one shared closure puts a second pointer hop inside the
+    // timed loop (~1.4 ns on a 2.9 ns call) and flatters every probe.
+    let off = h.ratio(
+        || {
+            black_box(&mut replica)
+                .get()
+                .unwrap()
+                .accumulate(black_box(1.0))
+        },
+        || {
+            black_box(&mut cached)
+                .get()
+                .unwrap()
+                .accumulate(black_box(1.0))
+        },
+    );
+    report.metric("pr1_replica_ns", off.baseline);
+    report.metric("cached_off_ns", off.probe);
+    report.metric("off_over_pr1_ratio", off.ratio).at_most(
+        1.1,
+        "observability-off CachedPort::get must stay within 1.1x of the PR-1 fast path",
+    );
 
     // --- counters on ----------------------------------------------------
     cca_obs::set_counters(true);
     cached.get().unwrap(); // re-prime under the new flag state
-    let cached_counters = measure_min(samples, target, || {
-        black_box(&mut cached)
-            .get()
-            .unwrap()
-            .accumulate(black_box(1.0))
-    });
+    let counters = h.ratio(
+        || {
+            black_box(&mut replica)
+                .get()
+                .unwrap()
+                .accumulate(black_box(1.0))
+        },
+        || {
+            black_box(&mut cached)
+                .get()
+                .unwrap()
+                .accumulate(black_box(1.0))
+        },
+    );
     let counted = user.port_metrics("in").unwrap().calls();
     cca_obs::set_counters(false);
+    report.metric("cached_counters_ns", counters.probe);
+    report
+        .metric("counters_over_pr1_ratio", counters.ratio)
+        .at_most(
+            1.5,
+            "counters-on CachedPort::get must stay within 1.5x of the PR-1 fast path",
+        );
+    report
+        .count("counted_calls", counted as f64)
+        .at_least(1.0, "the counters-on run must actually be counted");
 
     // --- span cost, tracing off vs. on ----------------------------------
-    let span_off = measure_min(samples, target, || {
-        let _span = cca_obs::span("bench.noop");
-    });
+    report.metric(
+        "span_off_ns",
+        h.time(|| {
+            let _span = cca_obs::span("bench.noop");
+        }),
+    );
     cca_obs::set_tracing(true);
-    let span_on = measure_min(samples, target, || {
-        let _span = cca_obs::span("bench.noop");
-    });
+    report.metric(
+        "span_on_ns",
+        h.time(|| {
+            let _span = cca_obs::span("bench.noop");
+        }),
+    );
     cca_obs::set_tracing(false);
-    let traced_events = cca_obs::drain().len();
+    report
+        .count("traced_events", cca_obs::drain().len() as f64)
+        .at_least(1.0, "tracing-on spans must reach the ring buffers");
 
     // --- ORB byte accounting --------------------------------------------
     let orb = Orb::new();
@@ -221,85 +132,15 @@ fn main() {
     }
     cca_obs::set_counters(false);
     let rpc = objref.metrics().snapshot();
-
-    // --- report ----------------------------------------------------------
-    let off_ratio = cached_off / pr1;
-    let counters_ratio = cached_counters / pr1;
-    println!("e10_obs_overhead/bare_virtual_call    {bare:>10.2} ns/iter");
-    println!("e10_obs_overhead/pr1_replica          {pr1:>10.2} ns/iter");
-    println!(
-        "e10_obs_overhead/cached_off           {cached_off:>10.2} ns/iter  ({off_ratio:.3}x pr1)"
-    );
-    println!(
-        "e10_obs_overhead/cached_counters      {cached_counters:>10.2} ns/iter  ({counters_ratio:.3}x pr1, {counted} calls counted)"
-    );
-    println!("e10_obs_overhead/span_off             {span_off:>10.2} ns/iter");
-    println!("e10_obs_overhead/span_on              {span_on:>10.2} ns/iter  ({traced_events} events buffered)");
-    println!(
-        "e10_obs_overhead/orb_round_trips      {} ({} B out, {} B in)",
-        rpc.round_trips, rpc.bytes_out, rpc.bytes_in
-    );
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"schema\": \"cca-bench/1\",\n",
-            "  \"experiment\": \"e10_obs_overhead\",\n",
-            "  \"bare_virtual_call_ns\": {:.3},\n",
-            "  \"pr1_replica_ns\": {:.3},\n",
-            "  \"cached_off_ns\": {:.3},\n",
-            "  \"cached_counters_ns\": {:.3},\n",
-            "  \"off_over_pr1_ratio\": {:.3},\n",
-            "  \"counters_over_pr1_ratio\": {:.3},\n",
-            "  \"span_off_ns\": {:.3},\n",
-            "  \"span_on_ns\": {:.3},\n",
-            "  \"orb_round_trips\": {},\n",
-            "  \"orb_bytes_out\": {},\n",
-            "  \"orb_bytes_in\": {}\n",
-            "}}\n"
-        ),
-        bare,
-        pr1,
-        cached_off,
-        cached_counters,
-        off_ratio,
-        counters_ratio,
-        span_off,
-        span_on,
-        rpc.round_trips,
-        rpc.bytes_out,
-        rpc.bytes_in
-    );
-    let out = std::env::var("BENCH_OBS_OUT").unwrap_or_else(|_| "BENCH_obs.json".to_string());
-    write_atomic(&out, &json);
-    println!("wrote {out}");
-
-    // --- acceptance gates ------------------------------------------------
-    assert!(
-        off_ratio <= 1.1,
-        "acceptance: observability-off CachedPort::get must stay within 1.1x \
-         of the PR-1 fast path (measured {off_ratio:.3}x)"
-    );
-    assert!(
-        counters_ratio <= 1.5,
-        "acceptance: counters-on CachedPort::get must stay within 1.5x of \
-         the PR-1 fast path (measured {counters_ratio:.3}x)"
-    );
-    assert!(
-        counted > 0,
-        "acceptance: counters-on run must actually be counted"
-    );
-    assert!(
-        traced_events > 0,
-        "acceptance: tracing-on spans must reach the ring buffers"
-    );
-    assert_eq!(
-        rpc.round_trips, 64,
-        "acceptance: every proxied call counted"
-    );
+    report
+        .count("orb_round_trips", rpc.round_trips as f64)
+        .exactly(64.0, "every proxied call is counted");
+    report.count("orb_bytes_out", rpc.bytes_out as f64);
+    report.count("orb_bytes_in", rpc.bytes_in as f64);
     assert_eq!(
         rpc.per_method,
         vec![("accumulate".to_string(), 64)],
-        "acceptance: per-method attribution"
+        "per-method attribution"
     );
+    report.finish();
 }

@@ -1,4 +1,4 @@
-//! E14 — wire-tracing overhead gate, merged into `BENCH_obs.json`.
+//! E14 — wire-tracing overhead gate.
 //!
 //! PR 7 teaches the `CCAR` frame to carry a trace context. The claim to
 //! defend: with tracing **off**, the new codec and the remote call path
@@ -18,32 +18,18 @@
 //!   Acceptance: tracing on stays within 1.5× of off — causal tracing
 //!   must be cheap enough to leave on while chasing a fault.
 //!
-//! Gated ratios run as alternating baseline/probe rounds and gate on the
-//! minimum per-round ratio: the encode quantities differ by nanoseconds,
-//! the minimum estimates the L1-hot floor, and interleaving keeps clock
-//! or allocator drift between two long separate windows from failing the
-//! gate — a genuinely slower probe is slower in *every* round.
+//! Gated ratios run as alternating baseline/probe rounds and gate the
+//! lower decile of the per-round ratio: the encode quantities differ by
+//! nanoseconds, so only the L1-hot floor says anything.
 
+use cca_bench::fixtures::Echo;
+use cca_bench::{Harness, Report};
 use cca_rpc::frame::{encode_frame_with, FrameKind, DEFAULT_MAX_PAYLOAD};
 use cca_rpc::transport::Dispatcher;
 use cca_rpc::{MuxServer, MuxTransport, ObjRef, Orb, Transport};
-use cca_sidl::{DynObject, DynValue, SidlError};
+use cca_sidl::DynValue;
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-struct Echo;
-impl DynObject for Echo {
-    fn sidl_type(&self) -> &str {
-        "bench.Echo"
-    }
-    fn invoke(&self, method: &str, mut args: Vec<DynValue>) -> Result<DynValue, SidlError> {
-        match method {
-            "echo" => Ok(args.pop().unwrap_or(DynValue::Void)),
-            other => Err(SidlError::invoke(format!("no method '{other}'"))),
-        }
-    }
-}
 
 /// PR-6's `encode_frame`, transplanted verbatim: 20-byte header with two
 /// reserved zero bytes where v2 now carries flags and extension length.
@@ -64,94 +50,9 @@ fn pr6_encode_frame(kind: u8, request_id: u64, payload: &[u8], max_payload: u32)
     out
 }
 
-fn time_iters<R>(iters: u64, f: &mut impl FnMut() -> R) -> f64 {
-    let start = Instant::now();
-    for _ in 0..iters {
-        black_box(f());
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
-}
-
-/// Calibrates a batch size so one run of `f` takes roughly `target`.
-fn calibrate<R>(target: Duration, f: &mut impl FnMut() -> R) -> u64 {
-    let mut iters: u64 = 1;
-    loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        let elapsed = start.elapsed();
-        if elapsed >= target || iters >= 1 << 28 {
-            return iters;
-        }
-        iters = if elapsed.is_zero() {
-            iters * 16
-        } else {
-            let scale = target.as_secs_f64() / elapsed.as_secs_f64();
-            ((iters as f64 * scale.clamp(1.2, 16.0)) as u64).max(iters + 1)
-        };
-    }
-}
-
-/// Alternating A/B measurement for a gated ratio: each round times the
-/// baseline and the probe back to back, keeping the minimum of each and
-/// the minimum per-round `probe/baseline` ratio. Interleaving makes the
-/// ratio robust against allocator or clock drift between two long
-/// separate measurement windows — a genuinely slower probe is slower in
-/// *every* round, while one noisy round cannot fail the gate.
-fn measure_ratio<RA, RB>(
-    samples: usize,
-    target: Duration,
-    mut baseline: impl FnMut() -> RA,
-    mut probe: impl FnMut() -> RB,
-) -> (f64, f64, f64) {
-    let iters = calibrate(target, &mut baseline);
-    calibrate(target, &mut probe); // warm the probe path too
-    let (mut best_a, mut best_b, mut best_ratio) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    for _ in 0..samples {
-        let a = time_iters(iters, &mut baseline);
-        let b = time_iters(iters, &mut probe);
-        best_a = best_a.min(a);
-        best_b = best_b.min(b);
-        best_ratio = best_ratio.min(b / a);
-    }
-    (best_a, best_b, best_ratio)
-}
-
-/// Minimum ns/iter over `samples` batches, each auto-calibrated to roughly
-/// `target` wall-clock.
-fn measure_min<R>(samples: usize, target: Duration, mut f: impl FnMut() -> R) -> f64 {
-    let iters = calibrate(target, &mut f);
-    (0..samples)
-        .map(|_| time_iters(iters, &mut f))
-        .fold(f64::INFINITY, f64::min)
-}
-
-fn extract_num(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Atomic publication: write next to the target, then rename. A crashed or
-/// ctrl-C'd bench run never leaves a truncated JSON for CI to trip over.
-fn write_atomic(path: &str, contents: &str) {
-    let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, contents).unwrap_or_else(|e| panic!("write {tmp}: {e}"));
-    std::fs::rename(&tmp, path).unwrap_or_else(|e| panic!("rename {tmp} -> {path}: {e}"));
-}
-
 fn main() {
-    let fast = std::env::var_os("CCA_BENCH_FAST").is_some();
-    let samples = if fast { 7 } else { 15 };
-    let target = Duration::from_millis(if fast { 2 } else { 8 });
-
-    cca_obs::set_tracing(false);
-    cca_obs::set_counters(false);
+    let h = Harness::from_env();
+    let mut report = Report::new("e14_wire_trace", &h);
     cca_obs::drain();
 
     // --- codec layer: PR-6 replica vs v2 with tracing off ---------------
@@ -159,26 +60,7 @@ fn main() {
     // performs: read the current context (one relaxed load when tracing
     // is off), then encode.
     let payload: Vec<u8> = (0..64u8).collect();
-    let (pr6_encode, off_encode, encode_ratio) = measure_ratio(
-        samples,
-        target,
-        || pr6_encode_frame(0, black_box(42), black_box(&payload), DEFAULT_MAX_PAYLOAD),
-        || {
-            encode_frame_with(
-                FrameKind::Request,
-                black_box(42),
-                black_box(&payload),
-                DEFAULT_MAX_PAYLOAD,
-                cca_obs::trace::current_context(),
-            )
-            .unwrap()
-        },
-    );
-    // Informational: the same encode inside a live span (16-byte
-    // extension on the wire). Not gated — tracing on is opt-in.
-    cca_obs::set_tracing(true);
-    let root = cca_obs::span("bench.e14.encode");
-    let on_encode = measure_min(samples, target, || {
+    let v2_encode = || {
         encode_frame_with(
             FrameKind::Request,
             black_box(42),
@@ -187,7 +69,24 @@ fn main() {
             cca_obs::trace::current_context(),
         )
         .unwrap()
-    });
+    };
+    let encode = h.ratio(
+        || pr6_encode_frame(0, black_box(42), black_box(&payload), DEFAULT_MAX_PAYLOAD),
+        v2_encode,
+    );
+    report.metric("wire_pr6_encode_ns", encode.baseline);
+    report.metric("wire_off_encode_ns", encode.probe);
+    report
+        .metric("wire_off_over_pr6_ratio", encode.ratio)
+        .at_most(
+            1.1,
+            "tracing-off v2 frame encode must stay within 1.1x of the PR-6 codec",
+        );
+    // Informational: the same encode inside a live span (16-byte
+    // extension on the wire). Not gated — tracing on is opt-in.
+    cca_obs::set_tracing(true);
+    let root = cca_obs::span("bench.e14.encode");
+    report.metric("wire_on_encode_ns", h.time(v2_encode));
     drop(root);
     cca_obs::set_tracing(false);
     cca_obs::drain();
@@ -205,11 +104,7 @@ fn main() {
     }
     // Alternating rounds again, flipping the tracing gate around the
     // probe so each round compares off and on under the same conditions.
-    let rt_samples = if fast { 5 } else { 9 };
-    let rt_target = Duration::from_millis(if fast { 10 } else { 40 });
-    let (remote_off, remote_on, remote_ratio) = measure_ratio(
-        rt_samples,
-        rt_target,
+    let remote = h.ratio(
         || {
             cca_obs::set_tracing(false);
             objref.invoke("echo", vec![DynValue::Double(1.0)]).unwrap()
@@ -222,74 +117,16 @@ fn main() {
     cca_obs::set_tracing(false);
     let traced_events = cca_obs::drain().len();
     server.shutdown();
-
-    // --- report ----------------------------------------------------------
-    println!("e14_wire_trace/pr6_encode        {pr6_encode:>10.2} ns/iter");
-    println!(
-        "e14_wire_trace/off_encode        {off_encode:>10.2} ns/iter  ({encode_ratio:.3}x pr6)"
-    );
-    println!("e14_wire_trace/on_encode         {on_encode:>10.2} ns/iter  (+16 B extension)");
-    println!("e14_wire_trace/remote_call_off   {remote_off:>10.2} ns/call");
-    println!(
-        "e14_wire_trace/remote_call_on    {remote_on:>10.2} ns/call  \
-         ({remote_ratio:.3}x off, {traced_events} events buffered)"
-    );
-
-    // --- merge into BENCH_obs.json (E10's keys survive) ------------------
-    let out = std::env::var("BENCH_OBS_OUT").unwrap_or_else(|_| "BENCH_obs.json".to_string());
-    let existing = std::fs::read_to_string(&out).unwrap_or_default();
-    let mut fields: Vec<(String, Option<f64>)> = [
-        "bare_virtual_call_ns",
-        "pr1_replica_ns",
-        "cached_off_ns",
-        "cached_counters_ns",
-        "off_over_pr1_ratio",
-        "counters_over_pr1_ratio",
-        "span_off_ns",
-        "span_on_ns",
-        "orb_round_trips",
-        "orb_bytes_out",
-        "orb_bytes_in",
-    ]
-    .iter()
-    .map(|k| (k.to_string(), extract_num(&existing, k)))
-    .collect();
-    fields.extend([
-        ("wire_pr6_encode_ns".to_string(), Some(pr6_encode)),
-        ("wire_off_encode_ns".to_string(), Some(off_encode)),
-        ("wire_off_over_pr6_ratio".to_string(), Some(encode_ratio)),
-        ("remote_call_off_ns".to_string(), Some(remote_off)),
-        ("remote_call_on_ns".to_string(), Some(remote_on)),
-        ("remote_on_over_off_ratio".to_string(), Some(remote_ratio)),
-    ]);
-    let mut json = String::from(
-        "{\n  \"schema\": \"cca-bench/1\",\n  \"experiment\": \"e10_obs_overhead+e14_wire_trace\",\n",
-    );
-    for (key, value) in fields.iter().filter_map(|(k, v)| v.map(|v| (k, v))) {
-        json.push_str(&format!("  \"{key}\": {value:.3},\n"));
-    }
-    json.truncate(json.trim_end_matches(",\n").len());
-    json.push_str("\n}\n");
-    write_atomic(&out, &json);
-    println!("wrote {out}");
-
-    // --- acceptance gates ------------------------------------------------
-    assert!(
-        encode_ratio <= 1.1,
-        "acceptance: tracing-off v2 frame encode must stay within 1.1x of \
-         the PR-6 codec (measured {encode_ratio:.3}x)"
-    );
-    assert!(
-        remote_ratio <= 1.5,
-        "acceptance: tracing-on mux round trips must stay within 1.5x of \
-         tracing-off (measured {remote_ratio:.3}x)"
-    );
-    assert!(
-        traced_events > 0,
-        "acceptance: the tracing-on loop must actually record spans"
-    );
-    assert!(
-        remote_off > 0.0 && remote_on > 0.0,
-        "acceptance: round trips must be measurable"
-    );
+    report.metric("remote_call_off_ns", remote.baseline);
+    report.metric("remote_call_on_ns", remote.probe);
+    report
+        .metric("remote_on_over_off_ratio", remote.ratio)
+        .at_most(
+            1.5,
+            "tracing-on mux round trips must stay within 1.5x of tracing-off",
+        );
+    report
+        .count("traced_events", traced_events as f64)
+        .at_least(1.0, "the tracing-on loop must actually record spans");
+    report.finish();
 }

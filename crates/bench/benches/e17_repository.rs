@@ -1,26 +1,27 @@
 //! E17 — repository scale: exact lookup, trigram fuzzy discovery, and
-//! concurrent query throughput at a million registered types, recorded
-//! to `BENCH_repo.json`.
+//! concurrent query throughput at a million registered types.
 //!
 //! PR 10 reshapes `cca-repository` from one flat `RwLock<BTreeMap>` into
 //! hash-sharded Arc snapshots with a per-shard trigram index. This bench
 //! populates a catalog with 1M synthetic SIDL component types (100k in
 //! `CCA_BENCH_FAST` mode) and measures:
 //!
-//! * `exact_lookup_p50_ns` — class → entry through the shard hash and a
-//!   frozen snapshot. Gate: **p50 < 5 µs**.
-//! * `fuzzy_p50_us` — a mixed needle set (selective compound names plus
-//!   broad single words) through the trigram index, scored and capped.
-//!   Gate: **p50 < 5 ms**. `flat_scan_p50_us` runs the same needles the
-//!   seed way — linear scan, `to_lowercase` per entry per query — and
-//!   `scan_speedup` is the ratio.
+//! * `exact_lookup_ns` — class → entry through the shard hash and a
+//!   frozen snapshot, per lookup, summarised by block medians. Gate:
+//!   **< 5 µs**.
+//! * `fuzzy_us` — a mixed needle set (selective compound names plus
+//!   broad single words) through the trigram index, scored and capped;
+//!   one sample per pass over the needles (the pass median). Gate:
+//!   **< 5 ms**. `flat_scan_us` runs the same needles the seed way —
+//!   linear scan, `to_lowercase` per entry per query — and `scan_speedup`
+//!   is the ratio of medians.
 //! * `four_thread_qps` vs `single_thread_qps` — the same mixed query
-//!   stream from 4 threads against 1. Reads are lock-free (snapshot
-//!   clone per query), so with ≥4 real cores the gate demands ≥2x
-//!   scaling; on the smaller CI boxes it only demands that concurrent
-//!   readers don't collapse (≥1.2x on 2–3 cores, ≥0.4x on 1), same
-//!   core-count-branched gating as E12's proxy fan-out.
+//!   stream from 4 threads against 1, five alternating rounds. Reads are
+//!   lock-free (snapshot clone per query), so with ≥4 real cores the gate
+//!   demands ≥2x scaling; on the smaller CI boxes it only demands that
+//!   concurrent readers don't collapse (≥1.2x on 2–3 cores, ≥0.4x on 1).
 
+use cca_bench::{Harness, Report, Rounds, Stats};
 use cca_core::{CcaError, CcaServices, Component};
 use cca_data::TypeMap;
 use cca_repository::{ComponentEntry, FuzzyQuery, PortSpec, Repository};
@@ -145,21 +146,13 @@ fn entry_of(i: usize) -> ComponentEntry {
     }
 }
 
-fn p50(mut v: Vec<f64>) -> f64 {
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    v[v.len() / 2]
-}
-
 fn main() {
-    let fast = std::env::var_os("CCA_BENCH_FAST").is_some();
-    let (types, exact_samples, fuzzy_reps, flat_reps, qps_queries) = if fast {
-        (100_000usize, 1_001usize, 8usize, 1usize, 64usize)
-    } else {
-        (1_000_000usize, 5_001usize, 25usize, 3usize, 400usize)
-    };
-
-    cca_obs::set_tracing(false);
-    cca_obs::set_counters(false);
+    let h = Harness::from_env();
+    let mut report = Report::new("e17_repository", &h);
+    let (types, exact_samples, fuzzy_reps, flat_reps, qps_queries) = h.pick(
+        (100_000usize, 1_000usize, 8usize, 1usize, 64usize),
+        (1_000_000, 5_000, 25, 3, 400),
+    );
 
     // --- populate: one all-or-nothing batch, one publication per shard --
     let repo = Repository::new();
@@ -170,12 +163,11 @@ fn main() {
     let n = repo.register_components(batch).expect("populate");
     let populate_ms = start.elapsed().as_secs_f64() * 1e3;
     assert_eq!(n, types);
-    println!(
-        "e17 repo: populated {types} types across {} shards in {populate_ms:.0} ms",
-        repo.shard_count()
-    );
+    report.count("types", types as f64);
+    report.count("shards", repo.shard_count() as f64);
+    report.count("populate_ms", populate_ms);
 
-    // --- exact lookup p50 ----------------------------------------------
+    // --- exact lookup ----------------------------------------------------
     // Deterministic stride through the keyspace; every lookup hits.
     let mut samples = Vec::with_capacity(exact_samples);
     for k in 0..exact_samples {
@@ -185,7 +177,12 @@ fn main() {
         samples.push(start.elapsed().as_secs_f64() * 1e9);
         std::hint::black_box(e);
     }
-    let exact_ns = p50(samples);
+    report
+        .metric(
+            "exact_lookup_ns",
+            Stats::from_blocks(&samples, exact_samples / 20),
+        )
+        .at_most(5_000.0, "an exact lookup must stay under 5 us");
 
     // --- the seed baseline: flat map + per-entry lowering ---------------
     // The flat exact path (BTreeMap::get) was never the problem; the scan
@@ -194,46 +191,64 @@ fn main() {
     let flat: BTreeMap<String, String> = (0..types)
         .map(|i| (class_of(i), format!("synthetic component {i}")))
         .collect();
-    let mut samples = Vec::with_capacity(exact_samples.min(1_001));
-    for k in 0..exact_samples.min(1_001) {
+    let mut samples = Vec::with_capacity(1_000);
+    for k in 0..1_000 {
         let class = class_of((k * 7919) % types);
         let start = Instant::now();
         std::hint::black_box(flat.get(&class));
         samples.push(start.elapsed().as_secs_f64() * 1e9);
     }
-    let flat_exact_ns = p50(samples);
+    report.metric("flat_exact_ns", Stats::from_blocks(&samples, 50));
 
-    let mut samples = Vec::new();
-    for _ in 0..flat_reps {
-        for needle in NEEDLES {
-            let lowered = needle.to_lowercase();
-            let start = Instant::now();
-            let hits = flat
-                .iter()
-                .filter(|(class, desc)| {
-                    class.to_lowercase().contains(&lowered)
-                        || desc.to_lowercase().contains(&lowered)
-                })
-                .count();
-            samples.push(start.elapsed().as_secs_f64() * 1e6);
-            std::hint::black_box(hits);
-        }
-    }
-    let flat_scan_us = p50(samples);
+    // One sample per pass over the needle mix: the pass's median query, us.
+    let needle_pass = |query: &dyn Fn(&str)| {
+        let per_needle: Vec<f64> = NEEDLES
+            .iter()
+            .map(|needle| {
+                let start = Instant::now();
+                query(needle);
+                start.elapsed().as_secs_f64() * 1e6
+            })
+            .collect();
+        Stats::from_samples(&per_needle).median
+    };
+    let flat_scan: Vec<f64> = (0..flat_reps)
+        .map(|_| {
+            needle_pass(&|needle| {
+                let lowered = needle.to_lowercase();
+                let hits = flat
+                    .iter()
+                    .filter(|(class, desc)| {
+                        class.to_lowercase().contains(&lowered)
+                            || desc.to_lowercase().contains(&lowered)
+                    })
+                    .count();
+                std::hint::black_box(hits);
+            })
+        })
+        .collect();
+    let flat_scan = Stats::from_samples(&flat_scan);
     drop(flat);
 
-    // --- fuzzy query p50 ------------------------------------------------
-    let mut samples = Vec::new();
-    for _ in 0..fuzzy_reps {
-        for needle in NEEDLES {
-            let start = Instant::now();
-            let page = repo.fuzzy(&FuzzyQuery::new(needle).with_limit(25));
-            samples.push(start.elapsed().as_secs_f64() * 1e6);
-            std::hint::black_box(page);
-        }
-    }
-    let fuzzy_us = p50(samples);
-    let scan_speedup = flat_scan_us / fuzzy_us;
+    // --- fuzzy query ------------------------------------------------------
+    let fuzzy: Vec<f64> = (0..fuzzy_reps)
+        .map(|_| {
+            needle_pass(&|needle| {
+                std::hint::black_box(repo.fuzzy(&FuzzyQuery::new(needle).with_limit(25)));
+            })
+        })
+        .collect();
+    let fuzzy = Stats::from_samples(&fuzzy);
+    report
+        .metric("fuzzy_us", fuzzy)
+        .at_most(5_000.0, "a fuzzy query must stay under 5 ms");
+    report.metric("flat_scan_us", flat_scan);
+    report
+        .count("scan_speedup", flat_scan.median / fuzzy.median)
+        .at_least(
+            h.pick(1.5, 5.0),
+            "the trigram path must clearly beat the seed's flat scan",
+        );
 
     // --- concurrent query throughput ------------------------------------
     let run_queries = |count: usize| {
@@ -242,72 +257,41 @@ fn main() {
             std::hint::black_box(page);
         }
     };
-    let start = Instant::now();
-    run_queries(qps_queries);
-    let single_qps = qps_queries as f64 / start.elapsed().as_secs_f64();
-
+    // Single- and 4-thread passes alternate, so each round's scaling
+    // compares neighbours in time.
     let threads = 4usize;
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| run_queries(qps_queries));
-        }
-    });
-    let four_qps = (threads * qps_queries) as f64 / start.elapsed().as_secs_f64();
-    let scaling = four_qps / single_qps;
+    let mut qps = vec![Vec::new(), Vec::new()];
+    for _ in 0..5 {
+        let start = Instant::now();
+        run_queries(qps_queries);
+        qps[0].push(qps_queries as f64 / start.elapsed().as_secs_f64());
 
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+        let start = Instant::now();
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| run_queries(qps_queries));
+            }
+        });
+        qps[1].push((threads * qps_queries) as f64 / start.elapsed().as_secs_f64());
+    }
+    let qps = Rounds(qps);
 
-    println!("e17 repo: exact lookup p50     {exact_ns:>10.0} ns (flat map {flat_exact_ns:.0} ns)");
-    println!("e17 repo: fuzzy query p50      {fuzzy_us:>10.1} us");
-    println!("e17 repo: flat scan p50        {flat_scan_us:>10.1} us  ({scan_speedup:.1}x slower)");
-    println!("e17 repo: single-thread        {single_qps:>10.0} q/s");
-    println!("e17 repo: 4-thread             {four_qps:>10.0} q/s  ({scaling:.2}x, {cores} cores)");
-
-    // Gates (ISSUE 10 acceptance): exact p50 < 5 µs, fuzzy p50 < 5 ms,
-    // and 4-thread scaling ≥2x — the scaling demand only where the
-    // hardware can physically deliver it (4+ cores); below that the gate
-    // pins "lock-free readers don't collapse under contention".
-    assert!(
-        exact_ns < 5_000.0,
-        "acceptance: exact lookup p50 {exact_ns:.0} ns must stay under 5 us"
-    );
-    assert!(
-        fuzzy_us < 5_000.0,
-        "acceptance: fuzzy query p50 {fuzzy_us:.1} us must stay under 5 ms"
-    );
-    let required_scaling = if cores >= 4 {
-        2.0
-    } else if cores >= 2 {
-        1.2
-    } else {
-        0.4
+    // 4-thread scaling >= 2x is demanded only where the hardware can
+    // physically deliver it (4+ cores); below that the gate pins
+    // "lock-free readers don't collapse under contention".
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let required_scaling = match cores {
+        4.. => 2.0,
+        2..=3 => 1.2,
+        _ => 0.4,
     };
-    assert!(
-        scaling >= required_scaling,
-        "acceptance: 4-thread scaling {scaling:.2}x must be >= {required_scaling}x on {cores} cores"
-    );
-    let required_speedup = if fast { 1.5 } else { 5.0 };
-    assert!(
-        scan_speedup > required_speedup,
-        "acceptance: trigram path {scan_speedup:.1}x vs flat scan must beat {required_speedup}x"
-    );
-
-    let out = std::env::var("BENCH_REPO_OUT").unwrap_or_else(|_| "BENCH_repo.json".to_string());
-    let tmp = format!("{out}.tmp");
-    let json = format!(
-        "{{\n  \"schema\": \"cca-bench/1\",\n  \"experiment\": \"e17_repository\",\n  \
-         \"types\": {types},\n  \"shards\": {},\n  \"populate_ms\": {populate_ms:.0},\n  \
-         \"exact_lookup_p50_ns\": {exact_ns:.0},\n  \"flat_exact_p50_ns\": {flat_exact_ns:.0},\n  \
-         \"fuzzy_p50_us\": {fuzzy_us:.1},\n  \"flat_scan_p50_us\": {flat_scan_us:.1},\n  \
-         \"scan_speedup\": {scan_speedup:.1},\n  \"single_thread_qps\": {single_qps:.0},\n  \
-         \"four_thread_qps\": {four_qps:.0},\n  \"throughput_scaling\": {scaling:.2},\n  \
-         \"cores\": {cores}\n}}\n",
-        repo.shard_count()
-    );
-    std::fs::write(&tmp, json).expect("write tmp artifact");
-    std::fs::rename(&tmp, &out).expect("publish artifact");
-    println!("e17 repo: wrote {out}");
+    report.metric("single_thread_qps", qps.stats(0));
+    report.metric("four_thread_qps", qps.stats(1));
+    report
+        .metric("throughput_scaling", qps.derive(|s| s[1] / s[0]))
+        .at_least(
+            required_scaling,
+            "4 reader threads must scale (>=2x on 4+ cores, >=1.2x on 2-3, >=0.4x on 1)",
+        );
+    report.finish();
 }

@@ -16,107 +16,66 @@
 //!                       connect/disconnect;
 //!   port_get_each_call— pathological: getPort inside the loop, showing
 //!                       why components cache their ports.
+//!
+//! The five rungs are timed in alternating rounds (100 calls per
+//! iteration, reported per call). Gate — §6.2 verbatim:
+//! `port_cached / trait_object ≤ 1.25` within each round.
 
-use cca_core::{CcaServices, PortHandle};
-use cca_data::TypeMap;
-use criterion::{criterion_group, criterion_main, Criterion};
+use cca_bench::fixtures::{wire_single, WorkImpl, WorkPort};
+use cca_bench::{batch, hundred, Harness, Report};
 use std::hint::black_box;
 use std::sync::Arc;
-
-trait WorkPort: Send + Sync {
-    fn accumulate(&self, x: f64) -> f64;
-}
-
-struct WorkImpl {
-    bias: f64,
-}
-
-impl WorkPort for WorkImpl {
-    fn accumulate(&self, x: f64) -> f64 {
-        // A body comparable to a tight numerical kernel invocation.
-        x * 1.0000001 + self.bias
-    }
-}
 
 #[inline(never)]
 fn raw_fn(bias: f64, x: f64) -> f64 {
     x * 1.0000001 + bias
 }
 
-fn wire() -> Arc<CcaServices> {
-    let provider = CcaServices::new("provider");
+fn main() {
+    let h = Harness::from_env();
     let obj: Arc<dyn WorkPort> = Arc::new(WorkImpl { bias: 0.5 });
-    provider
-        .add_provides_port(PortHandle::new("work", "bench.WorkPort", obj))
-        .unwrap();
-    let user = CcaServices::new("user");
-    user.register_uses_port("in", "bench.WorkPort", TypeMap::new())
-        .unwrap();
-    user.connect_uses("in", provider.get_provides_port("work").unwrap())
-        .unwrap();
-    user
-}
-
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e1_direct_connect");
-
-    group.bench_function("raw_fn", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for _ in 0..100 {
-                acc = raw_fn(black_box(0.5), black_box(acc));
-            }
-            acc
-        })
-    });
-
-    let obj: Arc<dyn WorkPort> = Arc::new(WorkImpl { bias: 0.5 });
-    group.bench_function("trait_object", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for _ in 0..100 {
-                acc = black_box(&obj).accumulate(black_box(acc));
-            }
-            acc
-        })
-    });
-
-    let user = wire();
+    let user = wire_single();
     let port: Arc<dyn WorkPort> = user.get_port_as("in").unwrap();
-    group.bench_function("port_cached", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for _ in 0..100 {
-                acc = black_box(&port).accumulate(black_box(acc));
-            }
-            acc
-        })
-    });
-
     let mut cached = user.cached_port::<dyn WorkPort>("in");
-    group.bench_function("cached_port_handle", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for _ in 0..100 {
-                acc = cached.get().unwrap().accumulate(black_box(acc));
-            }
-            acc
-        })
-    });
 
-    group.bench_function("port_get_each_call", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for _ in 0..100 {
-                let p: Arc<dyn WorkPort> = user.get_port_as("in").unwrap();
-                acc = p.accumulate(black_box(acc));
-            }
-            acc
-        })
-    });
+    let rounds = h.rounds(&mut [
+        &mut batch(hundred(0.0, |acc| raw_fn(black_box(0.5), black_box(acc)))),
+        &mut batch(hundred(0.0, |acc| {
+            black_box(&obj).accumulate(black_box(acc))
+        })),
+        &mut batch(hundred(0.0, |acc| {
+            black_box(&port).accumulate(black_box(acc))
+        })),
+        &mut batch(hundred(0.0, |acc| {
+            cached.get().unwrap().accumulate(black_box(acc))
+        })),
+        &mut batch(hundred(0.0, |acc| {
+            let p: Arc<dyn WorkPort> = user.get_port_as("in").unwrap();
+            p.accumulate(black_box(acc))
+        })),
+    ]);
 
-    group.finish();
+    let mut report = Report::new("e1_direct_connect", &h);
+    for (i, key) in [
+        "raw_fn_ns",
+        "trait_object_ns",
+        "port_cached_ns",
+        "cached_port_handle_ns",
+        "port_get_each_call_ns",
+    ]
+    .iter()
+    .enumerate()
+    {
+        report.metric(key, rounds.stats(i).scaled(0.01));
+    }
+    report
+        .metric(
+            "port_cached_over_trait_object_ratio",
+            rounds.derive(|s| s[2] / s[1]),
+        )
+        .at_most(
+            1.25,
+            "§6.2: a direct-connect port call costs a function call to the connected object",
+        );
+    report.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -11,10 +11,14 @@
 //!                 → vtable → impl, the Babel binding structure. The paper
 //!                 predicts ≈ 2–3 `raw_call`-units; compare against
 //!                 `call_unit` to express the measured ratio.
+//!
+//! The four rungs are timed in alternating rounds (100 calls per
+//! iteration, reported per call). Gate — §6.2 verbatim: within each round
+//! `(sidl_stub − direct_impl) ≤ 3 × call_unit`.
 
 use cca::generated::demo;
 use cca::sidl::SidlError;
-use criterion::{criterion_group, criterion_main, Criterion};
+use cca_bench::{batch, hundred, Harness, Report};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
@@ -53,60 +57,46 @@ fn unit_call(x: i64) -> i64 {
     black_box(x)
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e2_sidl_binding");
-
-    group.bench_function("call_unit", |b| {
-        b.iter(|| {
-            let mut acc = 0i64;
-            for _ in 0..100 {
-                acc = unit_call(black_box(acc + 1));
-            }
-            acc
-        })
-    });
-
-    let concrete = CounterImpl {
+fn main() {
+    let h = Harness::from_env();
+    let counter = || CounterImpl {
         value: AtomicI64::new(0),
     };
-    group.bench_function("direct_impl", |b| {
-        b.iter(|| {
-            let mut acc = 0i64;
-            for _ in 0..100 {
-                acc = concrete.add_concrete(black_box(1));
-            }
-            acc
-        })
-    });
+    let concrete = counter();
+    let dyn_counter: Arc<dyn demo::Counter> = Arc::new(counter());
+    let stub = demo::CounterStub(Arc::new(counter()));
 
-    let dyn_counter: Arc<dyn demo::Counter> = Arc::new(CounterImpl {
-        value: AtomicI64::new(0),
-    });
-    group.bench_function("vtable", |b| {
-        b.iter(|| {
-            let mut acc = 0i64;
-            for _ in 0..100 {
-                acc = black_box(&dyn_counter).add(black_box(1)).unwrap();
-            }
-            acc
-        })
-    });
+    let rounds = h.rounds(&mut [
+        &mut batch(hundred(0i64, |acc| unit_call(black_box(acc + 1)))),
+        &mut batch(hundred(0i64, |_| concrete.add_concrete(black_box(1)))),
+        &mut batch(hundred(0i64, |_| {
+            black_box(&dyn_counter).add(black_box(1)).unwrap()
+        })),
+        &mut batch(hundred(0i64, |_| {
+            black_box(&stub).add(black_box(1)).unwrap()
+        })),
+    ]);
 
-    let stub = demo::CounterStub(Arc::new(CounterImpl {
-        value: AtomicI64::new(0),
-    }));
-    group.bench_function("sidl_stub", |b| {
-        b.iter(|| {
-            let mut acc = 0i64;
-            for _ in 0..100 {
-                acc = black_box(&stub).add(black_box(1)).unwrap();
-            }
-            acc
-        })
-    });
-
-    group.finish();
+    let mut report = Report::new("e2_sidl_binding", &h);
+    for (i, key) in [
+        "call_unit_ns",
+        "direct_impl_ns",
+        "vtable_ns",
+        "sidl_stub_ns",
+    ]
+    .iter()
+    .enumerate()
+    {
+        report.metric(key, rounds.stats(i).scaled(0.01));
+    }
+    report
+        .metric(
+            "binding_cost_in_call_units",
+            rounds.derive(|s| (s[3] - s[1]) / s[0]),
+        )
+        .at_most(
+            3.0,
+            "§6.2: the SIDL binding costs approximately 2-3 function calls per method call",
+        );
+    report.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

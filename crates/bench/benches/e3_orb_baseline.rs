@@ -17,10 +17,10 @@
 //! and intolerable *inside* one, which is the paper's argument for
 //! direct-connect ports.
 
+use cca_bench::{Harness, Report};
 use cca_data::NdArray;
 use cca_rpc::{LatencyTransport, LoopbackTransport, ObjRef, Orb};
 use cca_sidl::{DynObject, DynValue, SidlError};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
@@ -56,61 +56,59 @@ impl DynObject for SumImpl {
     }
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e3_orb_baseline");
+fn main() {
+    let h = Harness::from_env();
+    let mut report = Report::new("e3_orb_baseline", &h);
 
     // Direct-connect reference.
     let port: Arc<dyn SumPort> = Arc::new(SumImpl);
-    group.bench_function("direct_port", |b| {
-        b.iter(|| black_box(&port).total(black_box(1.0)))
-    });
+    report.metric(
+        "direct_port_ns",
+        h.time(|| black_box(&port).total(black_box(1.0))),
+    );
 
     // Dynamic facade (no marshaling, name dispatch only).
     let dyn_port: Arc<dyn DynObject> = Arc::new(SumImpl);
-    group.bench_function("dynamic_facade", |b| {
-        b.iter(|| {
+    report.metric(
+        "dynamic_facade_ns",
+        h.time(|| {
             black_box(&dyn_port)
                 .invoke("total", vec![DynValue::Double(black_box(1.0))])
                 .unwrap()
-        })
-    });
+        }),
+    );
 
     // The ORB in the same address space.
     let orb = Orb::new();
     orb.register("sum", Arc::new(SumImpl));
     let objref = ObjRef::loopback("sum", Arc::clone(&orb));
-    group.bench_function("orb_loopback/scalar", |b| {
-        b.iter(|| {
+    report.metric(
+        "orb_loopback_scalar_ns",
+        h.time(|| {
             objref
                 .invoke("total", vec![DynValue::Double(black_box(1.0))])
                 .unwrap()
-        })
-    });
+        }),
+    );
 
     for n in [128usize, 8192] {
         // 1 KiB and 64 KiB of doubles.
         let arr = NdArray::from_vec(&[n], vec![1.0f64; n]).unwrap();
-        group.bench_with_input(
-            BenchmarkId::new("orb_loopback/array_doubles", n),
-            &arr,
-            |b, arr| {
-                b.iter(|| {
-                    objref
-                        .invoke("arrayTotal", vec![DynValue::DoubleArray(arr.clone())])
-                        .unwrap()
-                })
-            },
+        report.metric(
+            &format!("orb_loopback_array_doubles_{n}_ns"),
+            h.time(|| {
+                objref
+                    .invoke("arrayTotal", vec![DynValue::DoubleArray(arr.clone())])
+                    .unwrap()
+            }),
         );
         // Same payload over the direct port: the cost CORBA adds is the
         // difference.
-        group.bench_with_input(
-            BenchmarkId::new("direct_port/array_doubles", n),
-            &arr,
-            |b, arr| b.iter(|| black_box(&port).array_total(black_box(arr))),
+        report.metric(
+            &format!("direct_port_array_doubles_{n}_ns"),
+            h.time(|| black_box(&port).array_total(black_box(&arr))),
         );
     }
-
-    group.finish();
 
     // The ORB across the simulated LAN (100 µs + 10 ns/byte).
     let remote_orb = Orb::new();
@@ -121,17 +119,13 @@ fn bench(c: &mut Criterion) {
         Duration::from_nanos(10),
     );
     let remote_ref = ObjRef::new("sum", lan);
-    let mut slow = c.benchmark_group("e3_orb_baseline_lan");
-    slow.sample_size(20);
-    slow.bench_function("orb_lan/scalar", |b| {
-        b.iter(|| {
+    report.metric(
+        "orb_lan_scalar_ns",
+        h.time(|| {
             remote_ref
                 .invoke("total", vec![DynValue::Double(black_box(1.0))])
                 .unwrap()
-        })
-    });
-    slow.finish();
+        }),
+    );
+    report.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

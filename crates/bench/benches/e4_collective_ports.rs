@@ -16,8 +16,8 @@
 //!    for cyclic layouts, justifying the precompute-and-reuse design
 //!    called out in DESIGN.md §5.
 
+use cca_bench::{Harness, Report};
 use cca_data::{DimDist, DistArrayDesc, Distribution, ProcessGrid, RedistPlan};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn block(n: usize, p: usize) -> DistArrayDesc {
     DistArrayDesc::new(&[n], Distribution::block_1d(p, 1).unwrap()).unwrap()
@@ -43,12 +43,12 @@ fn buffers(desc: &DistArrayDesc) -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
+    let h = Harness::from_env();
+    let mut report = Report::new("e4_collective_ports", &h);
     let n = 65_536;
 
-    // 1. Mapping regimes at fixed size.
-    let mut group = c.benchmark_group("e4_transfer");
-    group.throughput(Throughput::Elements(n as u64));
+    // 1. Mapping regimes at fixed size (65,536 elements per transfer).
     let cases: Vec<(&str, DistArrayDesc, DistArrayDesc)> = vec![
         ("matched_4to4", block(n, 4), block(n, 4)),
         ("scatter_1to4", block(n, 1), block(n, 4)),
@@ -65,33 +65,30 @@ fn bench(c: &mut Criterion) {
         let compiled = plan.compile().unwrap();
         let bufs = buffers(src);
         // Interpreted: per-element index translation on every call.
-        group.bench_function(format!("{name}/interpreted"), |b| {
-            b.iter(|| plan.apply(&bufs).unwrap())
-        });
+        report.metric(
+            &format!("transfer_{name}_interpreted_ns"),
+            h.time(|| plan.apply(&bufs).unwrap()),
+        );
         // Compiled: the precomputed-offset path collective ports execute.
-        group.bench_function(format!("{name}/compiled"), |b| {
-            b.iter(|| compiled.apply(&bufs).unwrap())
-        });
+        report.metric(
+            &format!("transfer_{name}_compiled_ns"),
+            h.time(|| compiled.apply(&bufs).unwrap()),
+        );
     }
-    group.finish();
 
     // 2. Size sweep for the arbitrary M×N case.
-    let mut sweep = c.benchmark_group("e4_transfer_sweep_mxn_4to3");
     for size in [4_096usize, 16_384, 65_536, 262_144] {
         let src = block(size, 4);
         let dst = block_cyclic(size, 3, 256);
-        let plan = RedistPlan::build(&src, &dst).unwrap();
-        let compiled = plan.compile().unwrap();
+        let compiled = RedistPlan::build(&src, &dst).unwrap().compile().unwrap();
         let bufs = buffers(&src);
-        sweep.throughput(Throughput::Elements(size as u64));
-        sweep.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, _| {
-            b.iter(|| compiled.apply(&bufs).unwrap())
-        });
+        report.metric(
+            &format!("transfer_sweep_mxn_4to3_{size}_ns"),
+            h.time(|| compiled.apply(&bufs).unwrap()),
+        );
     }
-    sweep.finish();
 
     // 3. Plan construction (the reuse ablation).
-    let mut build = c.benchmark_group("e4_plan_build");
     for (name, src, dst) in [
         ("block_4to4", block(n, 4), block(n, 4)),
         (
@@ -105,16 +102,15 @@ fn bench(c: &mut Criterion) {
             cyclic(4_096, 3),
         ),
     ] {
-        build.bench_function(format!("{name}/build"), |b| {
-            b.iter(|| RedistPlan::build(&src, &dst).unwrap())
-        });
+        report.metric(
+            &format!("plan_{name}_build_ns"),
+            h.time(|| RedistPlan::build(&src, &dst).unwrap()),
+        );
         let plan = RedistPlan::build(&src, &dst).unwrap();
-        build.bench_function(format!("{name}/compile"), |b| {
-            b.iter(|| plan.compile().unwrap())
-        });
+        report.metric(
+            &format!("plan_{name}_compile_ns"),
+            h.time(|| plan.compile().unwrap()),
+        );
     }
-    build.finish();
+    report.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -17,7 +17,7 @@
 use cca::generated::demo;
 use cca::sidl::dynamic::invoke_checked;
 use cca::sidl::{DynObject, DynValue, Reflection, SidlError};
-use criterion::{criterion_group, criterion_main, Criterion};
+use cca_bench::{Harness, Report};
 use parking_lot::Mutex;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -46,26 +46,29 @@ impl demo::Counter for CounterImpl {
 
 const SIDL: &str = include_str!("../../../sidl/esi.sidl");
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e5_reflection");
+fn main() {
+    let h = Harness::from_env();
+    let mut report = Report::new("e5_reflection", &h);
 
     let stub = demo::CounterStub(Arc::new(CounterImpl {
         value: Mutex::new(0),
     }));
-    group.bench_function("static_stub", |b| {
-        b.iter(|| black_box(&stub).add(black_box(1)).unwrap())
-    });
+    report.metric(
+        "static_stub_ns",
+        h.time(|| black_box(&stub).add(black_box(1)).unwrap()),
+    );
 
     let skel = demo::CounterSkel(CounterImpl {
         value: Mutex::new(0),
     });
-    group.bench_function("dynamic_invoke", |b| {
-        b.iter(|| {
+    report.metric(
+        "dynamic_invoke_ns",
+        h.time(|| {
             black_box(&skel)
                 .invoke("add", vec![DynValue::Long(black_box(1))])
                 .unwrap()
-        })
-    });
+        }),
+    );
 
     let reflection = Reflection::from_model(&cca::sidl::compile(SIDL).unwrap());
     let add_info = reflection
@@ -74,33 +77,32 @@ fn bench(c: &mut Criterion) {
         .method("add")
         .unwrap()
         .clone();
-    group.bench_function("dynamic_checked", |b| {
-        b.iter(|| {
+    report.metric(
+        "dynamic_checked_ns",
+        h.time(|| {
             invoke_checked(
                 black_box(&skel),
                 &add_info,
                 vec![DynValue::Long(black_box(1))],
             )
             .unwrap()
-        })
-    });
+        }),
+    );
 
-    group.bench_function("reflection_query", |b| {
-        b.iter(|| {
+    report.metric(
+        "reflection_query_ns",
+        h.time(|| {
             let info = reflection.type_info(black_box("demo.Counter")).unwrap();
             info.method(black_box("add")).unwrap().arity()
-        })
-    });
+        }),
+    );
 
     // The discovery path end-to-end: compile SIDL → reflection. This is a
     // per-deposit cost, not per-call; included so EXPERIMENTS.md can set
     // the scales side by side.
-    group.bench_function("compile_and_reflect_esi_sidl", |b| {
-        b.iter(|| Reflection::from_model(&cca::sidl::compile(black_box(SIDL)).unwrap()))
-    });
-
-    group.finish();
+    report.metric(
+        "compile_and_reflect_esi_sidl_ns",
+        h.time(|| Reflection::from_model(&cca::sidl::compile(black_box(SIDL)).unwrap())),
+    );
+    report.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -30,9 +30,9 @@ use cca::solvers::esi::{
 };
 use cca::solvers::precond::Jacobi;
 use cca::solvers::{HydroConfig, HydroSim, KrylovKind};
+use cca_bench::{Harness, Report};
 use cca_data::NdArray;
 use cca_sidl::DynValue;
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use std::sync::Arc;
 
 fn cfg(n: usize) -> HydroConfig {
@@ -86,117 +86,94 @@ fn assemble(sim: &HydroSim) -> Assembly {
     }
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e6_hydro_timestep");
-    group.sample_size(10);
+fn main() {
+    let h = Harness::from_env();
+    let mut report = Report::new("e6_hydro_app", &h);
 
     for n in [16usize, 32, 64] {
-        let cells = (n * n) as u64;
-        group.throughput(Throughput::Elements(cells));
+        let pristine = HydroSim::new(cfg(n), 1, 0);
+        let fresh = || HydroSim::new(cfg(n), 1, 0);
 
         // Monolithic: direct call, but numerically identical to the port
         // path (same CSR operator, same preconditioner, zero start). Each
         // sample steps a *fresh* simulation so the CG iteration count is
         // identical across variants and never decays to breakdown.
-        group.bench_with_input(BenchmarkId::new("monolithic", n), &n, |b, &n| {
-            let pristine = HydroSim::new(cfg(n), 1, 0);
-            let a = pristine.local_matrix();
-            let jac = Jacobi::new(&a);
-            b.iter_batched_ref(
-                || HydroSim::new(cfg(n), 1, 0),
-                |sim| {
-                    sim.step_with_solver(None, &|_op, rhs, x| {
-                        x.fill(0.0);
-                        cca::solvers::cg(&a, &jac, rhs, x, 1e-8, 600, &cca::solvers::SerialReduce)
-                    })
-                    .unwrap()
-                },
-                BatchSize::SmallInput,
-            );
-        });
+        let a = pristine.local_matrix();
+        let jac = Jacobi::new(&a);
+        report.metric(
+            &format!("monolithic_{n}_ns"),
+            h.time_with_setup(fresh, |sim| {
+                sim.step_with_solver(None, &|_op, rhs, x| {
+                    x.fill(0.0);
+                    cca::solvers::cg(&a, &jac, rhs, x, 1e-8, 600, &cca::solvers::SerialReduce)
+                })
+                .unwrap()
+            }),
+        );
 
         // The fused, warm-started, matrix-free loop a hand-tuned code
         // would write — implementation fusion, orthogonal to CCA.
-        group.bench_with_input(BenchmarkId::new("monolithic_matrixfree", n), &n, |b, &n| {
-            let pristine = HydroSim::new(cfg(n), 1, 0);
-            let jac = Jacobi::new(&pristine.local_matrix());
-            b.iter_batched_ref(
-                || HydroSim::new(cfg(n), 1, 0),
-                |sim| sim.step(None, &jac).unwrap(),
-                BatchSize::SmallInput,
-            );
-        });
+        report.metric(
+            &format!("monolithic_matrixfree_{n}_ns"),
+            h.time_with_setup(fresh, |sim| sim.step(None, &jac).unwrap()),
+        );
 
         // Componentized, direct-connect ports.
-        group.bench_with_input(BenchmarkId::new("componentized", n), &n, |b, &n| {
-            let pristine = HydroSim::new(cfg(n), 1, 0);
-            let assembly = assemble(&pristine);
-            let port = Arc::clone(&assembly.port);
-            b.iter_batched_ref(
-                || HydroSim::new(cfg(n), 1, 0),
-                |sim| {
-                    sim.step_with_solver(None, &|_op, rhs, x| {
-                        let (solution, stats) = port.solve_system(rhs)?;
-                        x.copy_from_slice(&solution);
-                        Ok(stats)
-                    })
-                    .unwrap()
-                },
-                BatchSize::SmallInput,
-            );
-        });
+        let assembly = assemble(&pristine);
+        let port = Arc::clone(&assembly.port);
+        report.metric(
+            &format!("componentized_{n}_ns"),
+            h.time_with_setup(fresh, |sim| {
+                sim.step_with_solver(None, &|_op, rhs, x| {
+                    let (solution, stats) = port.solve_system(rhs)?;
+                    x.copy_from_slice(&solution);
+                    Ok(stats)
+                })
+                .unwrap()
+            }),
+        );
 
         // Componentized with the solve marshaled through the ORB — the
         // wrong tool for a tightly coupled loop, quantified.
-        group.bench_with_input(BenchmarkId::new("componentized_proxied", n), &n, |b, &n| {
-            let pristine = HydroSim::new(cfg(n), 1, 0);
-            let assembly = assemble(&pristine);
-            let orb = cca::rpc::Orb::new();
-            orb.register("solver", Arc::clone(&assembly.dynamic));
-            let objref = cca::rpc::ObjRef::loopback("solver", orb);
-            b.iter_batched_ref(
-                || HydroSim::new(cfg(n), 1, 0),
-                |sim| {
-                    sim.step_with_solver(None, &|_op, rhs, x| {
-                        let arr = NdArray::from_vec(&[rhs.len()], rhs.to_vec()).unwrap();
-                        let reply = objref
-                            .invoke("solve", vec![DynValue::DoubleArray(arr)])
-                            .map_err(cca::core::CcaError::Sidl)?;
-                        let DynValue::DoubleArray(out) = reply else {
-                            return Err(cca::core::CcaError::Framework("bad reply".into()));
-                        };
-                        x.copy_from_slice(out.as_slice());
-                        Ok(cca::solvers::SolveStats {
-                            iterations: 0,
-                            residual: 0.0,
-                            converged: true,
-                        })
+        let orb = cca::rpc::Orb::new();
+        orb.register("solver", Arc::clone(&assembly.dynamic));
+        let objref = cca::rpc::ObjRef::loopback("solver", orb);
+        report.metric(
+            &format!("componentized_proxied_{n}_ns"),
+            h.time_with_setup(fresh, |sim| {
+                sim.step_with_solver(None, &|_op, rhs, x| {
+                    let arr = NdArray::from_vec(&[rhs.len()], rhs.to_vec()).unwrap();
+                    let reply = objref
+                        .invoke("solve", vec![DynValue::DoubleArray(arr)])
+                        .map_err(cca::core::CcaError::Sidl)?;
+                    let DynValue::DoubleArray(out) = reply else {
+                        return Err(cca::core::CcaError::Framework("bad reply".into()));
+                    };
+                    x.copy_from_slice(out.as_slice());
+                    Ok(cca::solvers::SolveStats {
+                        iterations: 0,
+                        residual: 0.0,
+                        converged: true,
                     })
-                    .unwrap()
-                },
-                BatchSize::SmallInput,
-            );
-        });
+                })
+                .unwrap()
+            }),
+        );
     }
-    group.finish();
 
     // SPMD scaling of the monolithic step (the tightly-coupled upper half
     // of Figure 1): one timestep on p ranks, measured end-to-end including
     // thread-group setup, so interpret as assembly cost + stepping.
-    let mut spmd_group = c.benchmark_group("e6_hydro_spmd_step");
-    spmd_group.sample_size(10);
     for p in [1usize, 2, 4] {
-        spmd_group.bench_with_input(BenchmarkId::from_parameter(p), &p, |b, &p| {
-            b.iter(|| {
+        report.metric(
+            &format!("spmd_step_{p}_ranks_ns"),
+            h.time(|| {
                 cca::parallel::spmd(p, |c| {
                     let mut sim = HydroSim::new(cfg(48), p, c.rank());
                     sim.step(Some(c), &cca::solvers::precond::Identity).unwrap();
                 })
-            });
-        });
+            }),
+        );
     }
-    spmd_group.finish();
+    report.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

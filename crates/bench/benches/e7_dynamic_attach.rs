@@ -18,8 +18,8 @@ use cca::solvers::precond::Identity;
 use cca::solvers::{HydroConfig, HydroSim};
 use cca::viz::monitor::FieldProviderComponent;
 use cca::viz::{InMemoryFieldSource, MonitorComponent};
+use cca_bench::{Harness, Report};
 use cca_data::{DistArrayDesc, Distribution};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
 
 fn cfg() -> HydroConfig {
@@ -30,50 +30,46 @@ fn cfg() -> HydroConfig {
     }
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e7_dynamic_attach");
-    group.sample_size(20);
+fn main() {
+    let h = Harness::from_env();
+    let mut report = Report::new("e7_dynamic_attach", &h);
 
     // Timestep with 0 or 1 attached monitors.
     for viz_count in [0usize, 1] {
-        group.bench_with_input(
-            BenchmarkId::new("step_with_viz", viz_count),
-            &viz_count,
-            |b, &viz_count| {
-                let mut sim = HydroSim::new(cfg(), 1, 0);
-                let source = InMemoryFieldSource::new();
-                let desc =
-                    DistArrayDesc::new(&[cfg().nx, cfg().ny], Distribution::serial(2).unwrap())
-                        .unwrap();
-                let fw = Framework::new(Repository::new());
-                fw.add_instance("sim0", FieldProviderComponent::new(source.clone()))
+        let mut sim = HydroSim::new(cfg(), 1, 0);
+        let source = InMemoryFieldSource::new();
+        let desc =
+            DistArrayDesc::new(&[cfg().nx, cfg().ny], Distribution::serial(2).unwrap()).unwrap();
+        let fw = Framework::new(Repository::new());
+        fw.add_instance("sim0", FieldProviderComponent::new(source.clone()))
+            .unwrap();
+        let monitors: Vec<Arc<MonitorComponent>> = (0..viz_count)
+            .map(|i| {
+                let m = MonitorComponent::new("u");
+                fw.add_instance(format!("viz{i}"), m.clone()).unwrap();
+                fw.connect(&format!("viz{i}"), "fields", "sim0", "fields")
                     .unwrap();
-                let monitors: Vec<Arc<MonitorComponent>> = (0..viz_count)
-                    .map(|i| {
-                        let m = MonitorComponent::new("u");
-                        fw.add_instance(format!("viz{i}"), m.clone()).unwrap();
-                        fw.connect(&format!("viz{i}"), "fields", "sim0", "fields")
-                            .unwrap();
-                        m
-                    })
-                    .collect();
-                b.iter(|| {
-                    sim.step(None, &Identity).unwrap();
-                    if !monitors.is_empty() {
-                        source
-                            .publish("u", desc.clone(), vec![sim.u.clone()])
-                            .unwrap();
-                        for m in &monitors {
-                            m.capture().unwrap();
-                        }
+                m
+            })
+            .collect();
+        report.metric(
+            &format!("step_with_viz_{viz_count}_ns"),
+            h.time(|| {
+                sim.step(None, &Identity).unwrap();
+                if !monitors.is_empty() {
+                    source
+                        .publish("u", desc.clone(), vec![sim.u.clone()])
+                        .unwrap();
+                    for m in &monitors {
+                        m.capture().unwrap();
                     }
-                });
-            },
+                }
+            }),
         );
     }
 
     // Builder redirect cost (swap provider behind a live uses port).
-    group.bench_function("redirect_provider", |b| {
+    {
         use cca::core::{CcaError, Component, PortHandle};
         use cca_data::TypeMap;
         struct Prov;
@@ -100,32 +96,32 @@ fn bench(c: &mut Criterion) {
         fw.add_instance("u", Arc::new(User)).unwrap();
         fw.connect("u", "in", "a", "out").unwrap();
         let mut current = "a";
-        b.iter(|| {
-            let next = if current == "a" { "b" } else { "a" };
-            fw.redirect("u", "in", current, next, "out").unwrap();
-            current = next;
-        });
-    });
+        report.metric(
+            "redirect_provider_ns",
+            h.time(|| {
+                let next = if current == "a" { "b" } else { "a" };
+                fw.redirect("u", "in", current, next, "out").unwrap();
+                current = next;
+            }),
+        );
+    }
 
     // Full attach/detach cycle of a monitor component.
-    group.bench_function("attach_detach_cycle", |b| {
-        let source = InMemoryFieldSource::new();
-        let fw = Framework::new(Repository::new());
-        fw.add_instance("sim0", FieldProviderComponent::new(source))
-            .unwrap();
-        let mut k = 0u64;
-        b.iter(|| {
+    let source = InMemoryFieldSource::new();
+    let fw = Framework::new(Repository::new());
+    fw.add_instance("sim0", FieldProviderComponent::new(source))
+        .unwrap();
+    let mut k = 0u64;
+    report.metric(
+        "attach_detach_cycle_ns",
+        h.time(|| {
             let name = format!("viz{k}");
             k += 1;
             let m = MonitorComponent::new("u");
             fw.add_instance(&name, m).unwrap();
             fw.connect(&name, "fields", "sim0", "fields").unwrap();
             fw.destroy_instance(&name).unwrap();
-        });
-    });
-
-    group.finish();
+        }),
+    );
+    report.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -7,9 +7,9 @@
 //! traversal — events into the void are nearly free, as the
 //! listener-pattern design intends.
 
+use cca_bench::{Harness, Report};
 use cca_core::{CcaServices, PortHandle};
 use cca_data::TypeMap;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -46,8 +46,9 @@ fn wire(n_listeners: usize) -> Arc<CcaServices> {
     user
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e8_fanout");
+fn main() {
+    let h = Harness::from_env();
+    let mut report = Report::new("e8_fanout", &h);
     for n in [0usize, 1, 2, 4, 8] {
         let user = wire(n);
         // Pre-resolve the listener list once (the steady-state pattern)…
@@ -55,30 +56,29 @@ fn bench(c: &mut Criterion) {
             .get_ports("events")
             .unwrap()
             .iter()
-            .map(|h| h.typed().unwrap())
+            .map(|handle| handle.typed().unwrap())
             .collect();
-        group.bench_with_input(BenchmarkId::new("cached_listeners", n), &n, |b, _| {
-            b.iter(|| {
+        report.metric(
+            &format!("cached_listeners_{n}_ns"),
+            h.time(|| {
                 for l in &cached {
                     l.notify(black_box(1.0));
                 }
-            })
-        });
+            }),
+        );
         // …and the per-call resolution variant (listener set may change
         // between calls under dynamic reconfiguration). `get_ports` hands
         // back the shared `Arc<[PortHandle]>` snapshot, so this loop does
         // zero heap allocations per call.
-        group.bench_with_input(BenchmarkId::new("resolve_each_call", n), &n, |b, _| {
-            b.iter(|| {
-                for h in user.get_ports("events").unwrap().iter() {
-                    let l: Arc<dyn EventPort> = h.typed().unwrap();
+        report.metric(
+            &format!("resolve_each_call_{n}_ns"),
+            h.time(|| {
+                for handle in user.get_ports("events").unwrap().iter() {
+                    let l: Arc<dyn EventPort> = handle.typed().unwrap();
                     l.notify(black_box(1.0));
                 }
-            })
-        });
+            }),
+        );
     }
-    group.finish();
+    report.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,5 +1,5 @@
 //! E9 — the PR's acceptance measurement: port-resolution cost ladder and
-//! plan-cache behavior, recorded to `BENCH_ports.json`.
+//! plan-cache behavior.
 //!
 //! §6.2 claims a direct-connected port call costs nothing beyond a virtual
 //! function call. This bench quantifies the claim for the current
@@ -17,126 +17,57 @@
 //! * plan-cache build vs. hit latency plus hit/build counters across five
 //!   simulated timesteps.
 //!
-//! Uses its own wall-clock sampler (median of batched runs) rather than
-//! criterion so the ratios land in one JSON file the CI trend can track.
+//! The cached call and its floor run as an alternating pair, so the gated
+//! ratio is formed within each round.
 
-use cca_core::{CcaServices, PortHandle};
-use cca_data::{DimDist, DistArrayDesc, Distribution, ProcessGrid, RedistPlan, TypeMap};
+use cca_bench::fixtures::{wire_fanout, wire_single, WorkImpl, WorkPort};
+use cca_bench::{Harness, Report};
+use cca_data::{DimDist, DistArrayDesc, Distribution, ProcessGrid, RedistPlan};
 use cca_framework::{MxNPort, PlanCache};
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-trait WorkPort: Send + Sync {
-    fn accumulate(&self, x: f64) -> f64;
-}
-
-struct WorkImpl {
-    bias: f64,
-}
-
-impl WorkPort for WorkImpl {
-    fn accumulate(&self, x: f64) -> f64 {
-        x * 1.0000001 + self.bias
-    }
-}
-
-/// Median ns/iter over `samples` batches, each auto-calibrated to roughly
-/// `target` of wall-clock time.
-fn measure<R>(samples: usize, target: Duration, mut f: impl FnMut() -> R) -> f64 {
-    let mut iters: u64 = 1;
-    loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        let elapsed = start.elapsed();
-        if elapsed >= target || iters >= 1 << 28 {
-            break;
-        }
-        iters = if elapsed.is_zero() {
-            iters * 16
-        } else {
-            let scale = target.as_secs_f64() / elapsed.as_secs_f64();
-            ((iters as f64 * scale.clamp(1.2, 16.0)) as u64).max(iters + 1)
-        };
-    }
-    let mut results: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            start.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .collect();
-    results.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    results[results.len() / 2]
-}
-
-fn wire_single() -> Arc<CcaServices> {
-    let provider = CcaServices::new("provider");
-    let obj: Arc<dyn WorkPort> = Arc::new(WorkImpl { bias: 0.5 });
-    provider
-        .add_provides_port(PortHandle::new("work", "bench.WorkPort", obj))
-        .unwrap();
-    let user = CcaServices::new("user");
-    user.register_uses_port("in", "bench.WorkPort", TypeMap::new())
-        .unwrap();
-    user.connect_uses("in", provider.get_provides_port("work").unwrap())
-        .unwrap();
-    user
-}
-
-fn wire_fanout(n: usize) -> Arc<CcaServices> {
-    let user = CcaServices::new("emitter");
-    user.register_uses_port("events", "bench.WorkPort", TypeMap::new())
-        .unwrap();
-    for i in 0..n {
-        let provider = CcaServices::new(format!("listener{i}"));
-        let obj: Arc<dyn WorkPort> = Arc::new(WorkImpl { bias: i as f64 });
-        provider
-            .add_provides_port(PortHandle::new("in", "bench.WorkPort", obj))
-            .unwrap();
-        user.connect_uses("events", provider.get_provides_port("in").unwrap())
-            .unwrap();
-    }
-    user
-}
 
 fn main() {
-    let fast = std::env::var_os("CCA_BENCH_FAST").is_some();
-    let samples = if fast { 5 } else { 11 };
-    let target = Duration::from_millis(if fast { 2 } else { 8 });
+    let h = Harness::from_env();
+    let mut report = Report::new("e9_port_resolution", &h);
 
     // --- port-resolution ladder ----------------------------------------
     let obj: Arc<dyn WorkPort> = Arc::new(WorkImpl { bias: 0.5 });
-    let bare = measure(samples, target, || {
-        black_box(&obj).accumulate(black_box(1.0))
-    });
-
     let user = wire_single();
     let mut cached = user.cached_port::<dyn WorkPort>("in");
     cached.get().unwrap();
-    let cached_ns = measure(samples, target, || {
-        cached.get().unwrap().accumulate(black_box(1.0))
-    });
+    let pair = h.ratio(
+        || black_box(&obj).accumulate(black_box(1.0)),
+        || cached.get().unwrap().accumulate(black_box(1.0)),
+    );
+    report.metric("bare_virtual_call_ns", pair.baseline);
+    report.metric("cached_port_ns", pair.probe);
+    report.metric("cached_over_bare_ratio", pair.ratio).at_most(
+        3.0,
+        "a cached port call must be within 3x of a bare virtual call",
+    );
 
-    let uncached = measure(samples, target, || {
-        let p: Arc<dyn WorkPort> = user.get_port_as("in").unwrap();
-        p.accumulate(black_box(1.0))
-    });
+    report.metric(
+        "uncached_get_port_ns",
+        h.time(|| {
+            let p: Arc<dyn WorkPort> = user.get_port_as("in").unwrap();
+            p.accumulate(black_box(1.0))
+        }),
+    );
 
     // --- fan-out over the shared snapshot ------------------------------
     let emitter = wire_fanout(8);
-    let fanout8 = measure(samples, target, || {
-        let mut acc = 0.0;
-        for h in emitter.get_ports("events").unwrap().iter() {
-            let l: Arc<dyn WorkPort> = h.typed().unwrap();
-            acc = l.accumulate(black_box(acc));
-        }
-        acc
-    });
+    report.metric(
+        "fanout8_ns",
+        h.time(|| {
+            let mut acc = 0.0;
+            for handle in emitter.get_ports("events").unwrap().iter() {
+                let l: Arc<dyn WorkPort> = handle.typed().unwrap();
+                acc = l.accumulate(black_box(acc));
+            }
+            acc
+        }),
+    );
 
     // --- plan cache across simulated timesteps -------------------------
     let src = DistArrayDesc::new(&[4096], Distribution::block_1d(4, 1).unwrap()).unwrap();
@@ -145,17 +76,19 @@ fn main() {
         Distribution::new(ProcessGrid::linear(3).unwrap(), &[DimDist::Cyclic]).unwrap(),
     )
     .unwrap();
-
-    let build_ns = measure(samples.min(7), target, || {
-        RedistPlan::build(&src, &dst).unwrap()
-    });
+    report.metric(
+        "plan_build_ns",
+        h.time(|| RedistPlan::build(&src, &dst).unwrap()),
+    );
 
     let cache = PlanCache::new();
     cache.get_or_build(&src, &dst).unwrap(); // prime: the "first timestep"
-    let hit_ns = measure(samples, target, || cache.get_or_build(&src, &dst).unwrap());
+    report.metric(
+        "plan_cache_hit_ns",
+        h.time(|| cache.get_or_build(&src, &dst).unwrap()),
+    );
 
     let cache = PlanCache::new();
-    let builds_before = RedistPlan::build_count();
     for step in 0..5u32 {
         let port = MxNPort::with_cache(
             &src,
@@ -168,69 +101,9 @@ fn main() {
         .unwrap();
         black_box(port.plan().total_elements());
     }
-    let timestep_builds = RedistPlan::build_count() - builds_before;
-
-    // --- report ---------------------------------------------------------
-    let cached_ratio = cached_ns / bare;
-    let uncached_ratio = uncached / bare;
-    println!("e9_port_resolution/bare_virtual_call      {bare:>10.2} ns/iter");
-    println!(
-        "e9_port_resolution/cached_port            {cached_ns:>10.2} ns/iter  ({cached_ratio:.2}x bare)"
-    );
-    println!(
-        "e9_port_resolution/uncached_get_port_as   {uncached:>10.2} ns/iter  ({uncached_ratio:.2}x bare)"
-    );
-    println!("e9_port_resolution/fanout8                {fanout8:>10.2} ns/iter");
-    println!("e9_port_resolution/plan_build             {build_ns:>10.2} ns");
-    println!("e9_port_resolution/plan_cache_hit         {hit_ns:>10.2} ns");
-    println!(
-        "e9_port_resolution/timestep_builds        {timestep_builds} (5 timesteps, cache hits {})",
-        cache.hits()
-    );
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"schema\": \"cca-bench/1\",\n",
-            "  \"experiment\": \"e9_port_resolution\",\n",
-            "  \"bare_virtual_call_ns\": {:.3},\n",
-            "  \"cached_port_ns\": {:.3},\n",
-            "  \"uncached_get_port_ns\": {:.3},\n",
-            "  \"cached_over_bare_ratio\": {:.3},\n",
-            "  \"uncached_over_bare_ratio\": {:.3},\n",
-            "  \"fanout8_ns\": {:.3},\n",
-            "  \"plan_build_ns\": {:.1},\n",
-            "  \"plan_cache_hit_ns\": {:.1},\n",
-            "  \"timestep_plan_builds\": {},\n",
-            "  \"timestep_plan_hits\": {}\n",
-            "}}\n"
-        ),
-        bare,
-        cached_ns,
-        uncached,
-        cached_ratio,
-        uncached_ratio,
-        fanout8,
-        build_ns,
-        hit_ns,
-        timestep_builds,
-        cache.hits()
-    );
-    let out = std::env::var("BENCH_PORTS_OUT").unwrap_or_else(|_| "BENCH_ports.json".to_string());
-    // Atomic publication (write-then-rename): a crashed run never leaves a
-    // truncated JSON for the CI parse check to trip over.
-    let tmp = format!("{out}.tmp");
-    std::fs::write(&tmp, &json).expect("write BENCH_ports.json.tmp");
-    std::fs::rename(&tmp, &out).expect("rename into BENCH_ports.json");
-    println!("wrote {out}");
-
-    assert!(
-        cached_ratio <= 3.0,
-        "acceptance: cached port call must be within 3x of a bare virtual call \
-         (measured {cached_ratio:.2}x)"
-    );
-    assert_eq!(
-        timestep_builds, 1,
-        "acceptance: no RedistPlan::build after the first timestep"
-    );
+    report
+        .count("timestep_plan_builds", cache.builds() as f64)
+        .exactly(1.0, "no plan is built after the first of 5 timesteps");
+    report.count("timestep_plan_hits", cache.hits() as f64);
+    report.finish();
 }

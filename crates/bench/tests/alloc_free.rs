@@ -1,8 +1,9 @@
 //! Acceptance check: the direct-connect steady state performs ZERO heap
 //! allocations per call.
 //!
-//! Counts every allocation through a wrapping `#[global_allocator]` and
-//! asserts the delta across the hot paths is exactly zero:
+//! Counts the measuring thread's allocations through a wrapping
+//! `#[global_allocator]` and asserts the delta across the hot paths is
+//! exactly zero:
 //!
 //! * a uses-port fan-out (`get_ports` snapshot + `typed()` per listener) —
 //!   the snapshot is a shared `Arc<[PortHandle]>` and `typed()` clones an
@@ -19,13 +20,19 @@
 //!   (`span` + `current_context` + `install_context`) — exactly zero;
 //! * the remote call path itself over both the pooled and the mux
 //!   transport: a remote call allocates (payload vecs, frames), so the
-//!   assertion is *equality* — the warmed per-loop allocation count must
-//!   be deterministic, and turning tracing ON must not add a single
-//!   allocation (rings are preallocated; context rides in the frame).
+//!   assertion is *equality* — the calling thread's warmed per-loop
+//!   allocation count must be deterministic, and turning tracing ON must
+//!   not add a single allocation (rings are preallocated; context rides
+//!   in the frame).
 //!
-//! The tests share `SERIAL` so their measured regions never overlap — the
-//! harness runs tests on multiple threads, and a sibling's setup
-//! allocations would otherwise pollute the counter deltas.
+//! The tally is per thread, so what a sibling test or a server thread
+//! allocates meanwhile cannot leak into a measured region. The `cca-obs`
+//! flags, though, are process-global, and the paths that depend on them are
+//! sensitive to a flip mid-loop (a first traced span allocates its thread's
+//! ring; a first counted remote call allocates its per-method entry). So
+//! every check that flips or depends on a flag runs inside the one test
+//! that owns them, in sequence; the rest are allocation-free in either
+//! flag state and run beside it.
 
 use cca_core::{CcaServices, PortHandle};
 use cca_data::TypeMap;
@@ -33,18 +40,26 @@ use cca_rpc::transport::Dispatcher;
 use cca_rpc::{MuxServer, MuxServerConfig, MuxTransport, ObjRef, Orb, TcpServer, TcpTransport};
 use cca_sidl::{DynObject, DynValue, SidlError};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-static SERIAL: Mutex<()> = Mutex::new(());
+use std::sync::Arc;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor: reading it never
+    // allocates or registers anything, so the allocator may touch it.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn tally() {
+    // `try_with`: a thread being torn down may allocate past its TLS.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        tally();
         System.alloc(layout)
     }
 
@@ -53,7 +68,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        tally();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -61,8 +76,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn alloc_count() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 trait EventPort: Send + Sync {
@@ -99,7 +115,6 @@ fn wire_fanout(n: usize) -> Arc<CcaServices> {
 
 #[test]
 fn fanout_multicast_allocates_nothing_per_call() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let user = wire_fanout(8);
 
     // Warm-up pass outside the measured region (first call may touch lazy
@@ -126,7 +141,6 @@ fn fanout_multicast_allocates_nothing_per_call() {
 
 #[test]
 fn cached_port_get_allocates_nothing_in_steady_state() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let user = wire_fanout(1);
     let mut cached = user.cached_port::<dyn EventPort>("events");
     cached.get().unwrap().notify(1); // first get resolves (may allocate)
@@ -142,9 +156,7 @@ fn cached_port_get_allocates_nothing_in_steady_state() {
     );
 }
 
-#[test]
 fn counters_on_cached_record_path_allocates_nothing() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let user = wire_fanout(1);
     let mut cached = user.cached_port::<dyn EventPort>("events");
     cca_obs::set_counters(true);
@@ -168,9 +180,7 @@ fn counters_on_cached_record_path_allocates_nothing() {
     assert_eq!(counted, 1000, "every call must be counted");
 }
 
-#[test]
 fn tracing_off_span_guard_allocates_nothing() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     cca_obs::set_tracing(false);
     drop(cca_obs::span("alloc.warmup"));
 
@@ -185,9 +195,7 @@ fn tracing_off_span_guard_allocates_nothing() {
     );
 }
 
-#[test]
 fn tracing_off_remote_plumbing_allocates_nothing() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     cca_obs::set_tracing(false);
     drop(cca_obs::span("alloc.warmup"));
 
@@ -264,9 +272,7 @@ fn assert_trace_plumbing_adds_no_allocations(label: &str, objref: &ObjRef) {
     );
 }
 
-#[test]
 fn remote_call_trace_plumbing_adds_no_allocations_pooled() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let orb = Orb::new();
     orb.register("doubler", Arc::new(Doubler));
     let server = TcpServer::bind("127.0.0.1:0", orb as Arc<dyn Dispatcher>).unwrap();
@@ -279,9 +285,7 @@ fn remote_call_trace_plumbing_adds_no_allocations_pooled() {
     server.shutdown();
 }
 
-#[test]
 fn remote_call_trace_plumbing_adds_no_allocations_mux() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let orb = Orb::new();
     orb.register("doubler", Arc::new(Doubler));
     // One dispatch worker: the server-side ring warm-up is deterministic.
@@ -301,11 +305,21 @@ fn remote_call_trace_plumbing_adds_no_allocations_mux() {
     server.shutdown();
 }
 
+/// The one test that owns the process-global `cca-obs` flags (see the
+/// module doc): each check leaves both flags off for the next.
+#[test]
+fn flag_dependent_paths_add_no_allocations() {
+    counters_on_cached_record_path_allocates_nothing();
+    tracing_off_span_guard_allocates_nothing();
+    tracing_off_remote_plumbing_allocates_nothing();
+    remote_call_trace_plumbing_adds_no_allocations_pooled();
+    remote_call_trace_plumbing_adds_no_allocations_mux();
+}
+
 #[test]
 fn steady_state_redistribution_allocates_nothing() {
     use cca_data::{DistArrayDesc, Distribution, RedistPlan};
 
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // A 4-rank → 3-rank block recoupling: every timestep re-runs the same
     // compiled plan over the same buffers.
     let src_desc = DistArrayDesc::new(&[96], Distribution::block_1d(4, 1).unwrap()).unwrap();
@@ -350,7 +364,6 @@ fn steady_state_redistribution_allocates_nothing() {
 
 #[test]
 fn uncached_get_port_as_success_path_allocates_nothing() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let user = wire_fanout(1);
     let _warm: Arc<dyn EventPort> = user.get_port_as("events").unwrap();
 

@@ -169,6 +169,7 @@ fn metric_reads_race_connection_churn() {
             let metrics = user.port_metrics("in").unwrap();
             let mut last_calls = 0u64;
             let mut last_churn = 0u64;
+            let mut last_disconnects = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 let snap = metrics.snapshot();
                 // Counters are monotonic: a later read never goes backward,
@@ -177,7 +178,13 @@ fn metric_reads_race_connection_churn() {
                 assert!(snap.churn >= last_churn, "churn went backward");
                 last_calls = snap.calls;
                 last_churn = snap.churn;
-                assert!(snap.disconnects <= snap.connects);
+                // A snapshot reads its counters one by one, so within one
+                // the writer can finish a whole disconnect+connect between
+                // the two loads. What monotonic counters do guarantee: a
+                // disconnect count read earlier never exceeds a connect
+                // count read later.
+                assert!(last_disconnects <= snap.connects);
+                last_disconnects = snap.disconnects;
                 assert!(snap.fan_out <= snap.max_fan_out);
                 // The whole-component aggregation stays coherent too.
                 let all = user.metrics_snapshot();

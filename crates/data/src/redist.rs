@@ -59,23 +59,12 @@ pub struct RedistPlan {
     transfers: Vec<Transfer>,
 }
 
-/// Process-wide count of [`RedistPlan::build`] invocations. Lets callers
-/// (and the plan-cache tests/benches) assert that steady-state timesteps
-/// build no new plans.
-static BUILD_COUNT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
 impl RedistPlan {
-    /// Number of times [`RedistPlan::build`] has run in this process.
-    pub fn build_count() -> u64 {
-        BUILD_COUNT.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
     /// Builds the plan by intersecting every source-owned region with every
     /// target-owned region. Cost is O(M·N·regions²) in the worst (cyclic)
     /// case, which is why plans are built once and reused across timesteps
     /// (see the E4 ablation).
     pub fn build(source: &DistArrayDesc, target: &DistArrayDesc) -> Result<Self, DataError> {
-        BUILD_COUNT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         if source.global_extents() != target.global_extents() {
             return Err(DataError::GlobalShapeMismatch {
                 source: source.global_extents().to_vec(),

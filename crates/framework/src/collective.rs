@@ -498,14 +498,12 @@ mod tests {
         let cache = PlanCache::new();
         let src = block_desc(16, 4);
         let dst = cyclic_desc(16, 3);
-        let before = RedistPlan::build_count();
         let p1 =
             MxNPort::with_cache(&src, &dst, vec![0, 1, 2, 3], vec![0, 1, 2], 60, &cache).unwrap();
         let p2 =
             MxNPort::with_cache(&src, &dst, vec![0, 1, 2, 3], vec![4, 5, 6], 61, &cache).unwrap();
         // One region-intersection pass total; the second port is a cache hit
         // sharing the same plan object.
-        assert_eq!(RedistPlan::build_count() - before, 1);
         assert_eq!((cache.builds(), cache.hits(), cache.len()), (1, 1, 1));
         assert!(std::ptr::eq(p1.plan(), p2.plan()));
         assert!(std::ptr::eq(p1.compiled_plan(), p2.compiled_plan()));
@@ -524,7 +522,6 @@ mod tests {
         let cache = PlanCache::new();
         let src = block_desc(12, 3);
         let dst = cyclic_desc(12, 2);
-        let before = RedistPlan::build_count();
         for step in 0..5u32 {
             let port =
                 MxNPort::with_cache(&src, &dst, vec![0, 1, 2], vec![0, 1], 70 + step, &cache)
@@ -535,8 +532,7 @@ mod tests {
                 check(&dst, r, buf);
             }
         }
-        assert_eq!(RedistPlan::build_count() - before, 1);
-        assert_eq!(cache.hits(), 4);
+        assert_eq!((cache.builds(), cache.hits()), (1, 4));
     }
 
     #[test]

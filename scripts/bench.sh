@@ -1,95 +1,14 @@
 #!/usr/bin/env bash
-# Runs the direct-connect benchmark suite (E1 ladder, E8 fan-out, E9
-# port-resolution, E10 observability overhead, E11 resilience overhead,
-# E12 remote rpc, E13 mux throughput, E14 wire tracing, E15 bulk data
-# plane) and leaves the machine-readable results in BENCH_ports.json,
-# BENCH_obs.json, BENCH_resilience.json, BENCH_rpc.json, and
-# BENCH_data.json at the repo root. All files are published atomically
-# (write temp + rename), so a killed run never leaves a truncated
-# artifact.
+# Runs every experiment under crates/bench/benches. Each publishes its own
+# BENCH_<experiment>.json (atomically) into crates/bench/results/, or into
+# $CCA_BENCH_OUT_DIR when set; none reads another's output, so any one of
+# them can also be run alone with `cargo bench -p cca-bench --bench <name>`.
+# --no-fail-fast: a bench that fails a gate (it lists every failing gate,
+# then exits nonzero) does not stop the ones after it.
 #
-# Every bench runs even if an earlier one fails its acceptance gate; the
-# script exits nonzero if ANY did, so one broken gate can't mask another's
-# result (and CI still gets every artifact that was produced).
-#
-# Set CCA_BENCH_FAST=1 for a quick smoke run (fewer samples, shorter
-# calibration) — used by CI, where absolute numbers are noise anyway and
-# only the acceptance assertions (E9: cached ≤3x bare, one plan build per
-# shape; E10: off ≤1.1x PR-1, counters on ≤1.5x; E11: closed breaker
-# ≤1.1x PR-1; E12: loopback TCP round-trip median <100us; E13: the
-# logical clients share ≤8 sockets and mux beats the pooled baseline;
-# E14: tracing-off v2 encode ≤1.1x the PR-6 codec, tracing-on remote
-# calls ≤1.5x tracing-off; E15: bulk slabs outrun the generic encoding
-# and sender memory stays window-bounded; E17: exact lookup p50 <5us,
-# fuzzy p50 <5ms, concurrent scaling per core budget) matter.
-set -uo pipefail
+# CCA_BENCH_FAST=1 shrinks sample counts and workload sizes for CI; the
+# ratio gates still bind, the committed-baseline gates bind only on the host
+# the committed artifacts name.
+set -euo pipefail
 cd "$(dirname "$0")/.."
-ROOT="$(pwd)"
-
-FAILED=()
-
-run_bench() {
-    local label="$1"
-    shift
-    echo "==> $label"
-    if ! "$@"; then
-        echo "!! $label FAILED"
-        FAILED+=("$label")
-    fi
-}
-
-run_bench "E1 direct-connect ladder" \
-    cargo bench --offline -p cca-bench --bench e1_direct_connect
-
-run_bench "E8 fan-out" \
-    cargo bench --offline -p cca-bench --bench e8_fanout
-
-run_bench "E9 port resolution (writes BENCH_ports.json)" \
-    env BENCH_PORTS_OUT="$ROOT/BENCH_ports.json" \
-    cargo bench --offline -p cca-bench --bench e9_port_resolution
-
-run_bench "E10 observability overhead (writes BENCH_obs.json)" \
-    env BENCH_OBS_OUT="$ROOT/BENCH_obs.json" \
-    cargo bench --offline -p cca-bench --bench e10_obs_overhead
-
-run_bench "E11 resilience overhead (writes BENCH_resilience.json)" \
-    env BENCH_RESILIENCE_OUT="$ROOT/BENCH_resilience.json" \
-    cargo bench --offline -p cca-bench --bench e11_resilience
-
-run_bench "E12 remote rpc round-trip (writes BENCH_rpc.json)" \
-    env BENCH_RPC_OUT="$ROOT/BENCH_rpc.json" \
-    cargo bench --offline -p cca-bench --bench e12_remote_rpc
-
-# E13 must run after E12: it merges the mux throughput quantities into the
-# BENCH_rpc.json E12 just wrote (E12's keys are preserved).
-run_bench "E13 mux throughput (merges into BENCH_rpc.json)" \
-    env BENCH_RPC_OUT="$ROOT/BENCH_rpc.json" \
-    cargo bench --offline -p cca-bench --bench e13_mux_throughput
-
-# E14 must run after E10 for the same reason: it merges the wire-tracing
-# quantities into BENCH_obs.json (E10's keys are preserved).
-run_bench "E14 wire tracing (merges into BENCH_obs.json)" \
-    env BENCH_OBS_OUT="$ROOT/BENCH_obs.json" \
-    cargo bench --offline -p cca-bench --bench e14_wire_trace
-
-run_bench "E15 bulk data plane (writes BENCH_data.json)" \
-    env BENCH_DATA_OUT="$ROOT/BENCH_data.json" \
-    cargo bench --offline -p cca-bench --bench e15_bulk_data
-
-run_bench "E16 worker fleet (writes BENCH_fleet.json)" \
-    env BENCH_FLEET_OUT="$ROOT/BENCH_fleet.json" \
-    cargo bench --offline -p cca-bench --bench e16_fleet
-
-run_bench "E17 repository scale (writes BENCH_repo.json)" \
-    env BENCH_REPO_OUT="$ROOT/BENCH_repo.json" \
-    cargo bench --offline -p cca-bench --bench e17_repository
-
-echo "==> results"
-for artifact in BENCH_ports.json BENCH_obs.json BENCH_resilience.json BENCH_rpc.json BENCH_data.json BENCH_fleet.json BENCH_repo.json; do
-    [ -f "$ROOT/$artifact" ] && cat "$ROOT/$artifact"
-done
-
-if [ "${#FAILED[@]}" -gt 0 ]; then
-    echo "benches failed: ${FAILED[*]}" >&2
-    exit 1
-fi
+exec cargo bench --offline -p cca-bench --no-fail-fast

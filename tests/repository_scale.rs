@@ -1,7 +1,8 @@
 //! Repository torture battery: the sharded catalog at scale and on the
 //! wire. Deposits tens of thousands of synthetic component types in one
 //! batch (a million under `CCA_SCALE_FULL=1` — the committed
-//! `BENCH_repo.json` carries the measured numbers at that size), then
+//! `crates/bench/results/BENCH_e17_repository.json` carries the measured
+//! numbers at that size), then
 //! hammers the discovery surfaces: exact lookups round-trip every
 //! sampled entry, fuzzy queries return known-answer rankings across
 //! every score tier, paged cursor walks reach exhaustion with no gaps
