@@ -9,12 +9,14 @@
 //!    isolates pure data movement; cost must track `moved_elements`.
 //! 2. **Size scaling** (`transfer_sweep/*`): the 4→3 M×N case over array
 //!    sizes — expected linear in bytes moved.
-//! 3. **Plan reuse ablation** (`plan_build/*` vs `transfer/*`): building a
-//!    plan (the once-per-connection cost a collective port pays) vs
-//!    executing it (the per-timestep cost). Rebuilding per call — which a
-//!    naive implementation would do — costs more than the transfer itself
-//!    for cyclic layouts, justifying the precompute-and-reuse design
-//!    called out in DESIGN.md §5.
+//! 3. **Plan construction** (`plan_*_build_ns`, `plan_*_compile_ns` vs
+//!    `transfer_*`): building and compiling a plan (the once-per-connection
+//!    cost a collective port pays) vs executing it (the per-timestep
+//!    cost). Build merges per-dimension interval lists and compile is
+//!    O(rank) arithmetic per transfer, so neither visits an element:
+//!    compiling the matched 4→4 plan is gated to cost no more than
+//!    executing it once, and the build and compiled-transfer rows at 2×
+//!    their committed values (DESIGN.md §5).
 
 use cca_bench::{Harness, Report};
 use cca_data::{DimDist, DistArrayDesc, Distribution, ProcessGrid, RedistPlan};
@@ -69,11 +71,19 @@ fn main() {
             &format!("transfer_{name}_interpreted_ns"),
             h.time(|| plan.apply(&bufs).unwrap()),
         );
-        // Compiled: the precomputed-offset path collective ports execute.
-        report.metric(
-            &format!("transfer_{name}_compiled_ns"),
-            h.time(|| compiled.apply(&bufs).unwrap()),
-        );
+        // Compiled: the run-copy path collective ports execute, into
+        // buffers the timestep loop reuses. (Allocating the outputs per
+        // call, as the interpreted rows do, would time the allocator: four
+        // 128 KiB vectors sit on glibc's mmap threshold, and whether they
+        // are returned to the kernel on every free depends on what the
+        // process freed before.)
+        let mut out = buffers(dst);
+        report
+            .metric(
+                &format!("transfer_{name}_compiled_ns"),
+                h.time(|| compiled.apply_into(&bufs, &mut out).unwrap()),
+            )
+            .at_most_x_committed(2.0, "a compiled transfer is one slice copy per run");
     }
 
     // 2. Size sweep for the arbitrary M×N case.
@@ -82,13 +92,14 @@ fn main() {
         let dst = block_cyclic(size, 3, 256);
         let compiled = RedistPlan::build(&src, &dst).unwrap().compile().unwrap();
         let bufs = buffers(&src);
+        let mut out = buffers(&dst);
         report.metric(
             &format!("transfer_sweep_mxn_4to3_{size}_ns"),
-            h.time(|| compiled.apply(&bufs).unwrap()),
+            h.time(|| compiled.apply_into(&bufs, &mut out).unwrap()),
         );
     }
 
-    // 3. Plan construction (the reuse ablation).
+    // 3. Plan construction.
     for (name, src, dst) in [
         ("block_4to4", block(n, 4), block(n, 4)),
         (
@@ -102,15 +113,37 @@ fn main() {
             cyclic(4_096, 3),
         ),
     ] {
-        report.metric(
+        let build = report.metric(
             &format!("plan_{name}_build_ns"),
             h.time(|| RedistPlan::build(&src, &dst).unwrap()),
         );
+        if name == "cyclic_to_cyclic_4to3_small" {
+            build.at_most_x_committed(2.0, "build is linear in intervals plus transfers");
+        }
         let plan = RedistPlan::build(&src, &dst).unwrap();
         report.metric(
             &format!("plan_{name}_compile_ns"),
             h.time(|| plan.compile().unwrap()),
         );
     }
+
+    // The same two quantities as `plan_block_4to4_compile_ns` and
+    // `transfer_matched_4to4_compiled_ns`, in alternating rounds so their
+    // ratio is formed between neighbours in time.
+    let (_, src, dst) = &cases[0];
+    let plan = RedistPlan::build(src, dst).unwrap();
+    let compiled = plan.compile().unwrap();
+    let bufs = buffers(src);
+    let mut out = buffers(dst);
+    let pair = h.ratio(
+        || compiled.apply_into(&bufs, &mut out).unwrap(),
+        || plan.compile().unwrap(),
+    );
+    report
+        .metric("plan_block_4to4_compile_over_transfer_ratio", pair.ratio)
+        .at_most(
+            1.0,
+            "compiling a plan may not cost more than executing it once",
+        );
     report.finish();
 }

@@ -76,10 +76,12 @@ fn main() {
         Distribution::new(ProcessGrid::linear(3).unwrap(), &[DimDist::Cyclic]).unwrap(),
     )
     .unwrap();
-    report.metric(
-        "plan_build_ns",
-        h.time(|| RedistPlan::build(&src, &dst).unwrap()),
-    );
+    report
+        .metric(
+            "plan_build_ns",
+            h.time(|| RedistPlan::build(&src, &dst).unwrap()),
+        )
+        .at_most_x_committed(2.0, "build is linear in intervals plus transfers");
 
     let cache = PlanCache::new();
     cache.get_or_build(&src, &dst).unwrap(); // prime: the "first timestep"

@@ -23,7 +23,9 @@
 //!   assertion is *equality* — the calling thread's warmed per-loop
 //!   allocation count must be deterministic, and turning tracing ON must
 //!   not add a single allocation (rings are preallocated; context rides
-//!   in the frame).
+//!   in the frame);
+//! * building and compiling a redistribution plan: not zero, but the same
+//!   count whatever the array's size — nothing is allocated per element.
 //!
 //! The tally is per thread, so what a sibling test or a server thread
 //! allocates meanwhile cannot leak into a measured region. The `cca-obs`
@@ -359,6 +361,32 @@ fn steady_state_redistribution_allocates_nothing() {
         delta, 0,
         "steady-state redistribution (apply_into + pack_into reuse) must be \
          allocation-free ({delta} allocations over 1000 timesteps)"
+    );
+}
+
+/// Planning allocates per rank, per interval and per transfer — never per
+/// element: the same layouts cost the same allocations at any size.
+#[test]
+fn planning_allocations_do_not_grow_with_the_array() {
+    use cca_data::{DimDist, DistArrayDesc, Distribution, ProcessGrid, RedistPlan};
+
+    let desc = |side: usize, grid: [usize; 2]| {
+        let grid = ProcessGrid::new(&grid).unwrap();
+        let dist = Distribution::new(grid, &[DimDist::Block, DimDist::Block]).unwrap();
+        DistArrayDesc::new(&[side, side], dist).unwrap()
+    };
+    let plan_allocations = |side: usize| {
+        let (src, dst) = (desc(side, [1, 4]), desc(side, [3, 1]));
+        let before = alloc_count();
+        let compiled = RedistPlan::build(&src, &dst).unwrap().compile().unwrap();
+        let delta = alloc_count() - before;
+        assert_eq!(compiled.transfers().len(), 12);
+        delta
+    };
+    assert_eq!(
+        plan_allocations(64),
+        plan_allocations(1024),
+        "build + compile of [1,4]->[3,1] must allocate alike at 64x64 and 1024x1024"
     );
 }
 

@@ -60,10 +60,14 @@ pub struct RedistPlan {
 }
 
 impl RedistPlan {
-    /// Builds the plan by intersecting every source-owned region with every
-    /// target-owned region. Cost is O(M·N·regions²) in the worst (cyclic)
-    /// case, which is why plans are built once and reused across timesteps
-    /// (see the E4 ablation).
+    /// Builds the plan. Owned regions are cartesian products of
+    /// per-dimension intervals, so a rank pair is intersected one dimension
+    /// at a time (a two-pointer merge over the sorted
+    /// [`DistArrayDesc::dim_intervals`] lists) and its transfers are the
+    /// product of the overlaps: O(intervals + transfers) per rank pair.
+    /// Transfers are ordered by source rank, target rank, target region,
+    /// source region (regions as `owned_regions` lists them); a bulk slab
+    /// names a transfer by its index in this order.
     pub fn build(source: &DistArrayDesc, target: &DistArrayDesc) -> Result<Self, DataError> {
         if source.global_extents() != target.global_extents() {
             return Err(DataError::GlobalShapeMismatch {
@@ -71,23 +75,53 @@ impl RedistPlan {
                 target: target.global_extents().to_vec(),
             });
         }
+        let rank = source.rank();
+        let intervals = |desc: &DistArrayDesc, r: usize| -> Result<Vec<_>, DataError> {
+            let coords = desc.distribution().grid().coords_of(r)?;
+            Ok((0..rank)
+                .map(|d| desc.dim_intervals(d, coords[d]))
+                .collect())
+        };
+        let dst_intervals = (0..target.nranks())
+            .map(|r| intervals(target, r))
+            .collect::<Result<Vec<_>, _>>()?;
         let mut transfers = Vec::new();
         for src_rank in 0..source.nranks() {
-            let src_regions = source.owned_regions(src_rank)?;
-            if src_regions.is_empty() {
-                continue;
-            }
-            for dst_rank in 0..target.nranks() {
-                for dst_region in target.owned_regions(dst_rank)? {
-                    for src_region in &src_regions {
-                        if let Some(overlap) = src_region.intersect(&dst_region) {
-                            transfers.push(Transfer {
-                                src_rank,
-                                dst_rank,
-                                region: overlap,
-                            });
-                        }
-                    }
+            let src_intervals = intervals(source, src_rank)?;
+            for (dst_rank, dst_intervals) in dst_intervals.iter().enumerate() {
+                let overlaps: Vec<_> = (0..rank)
+                    .map(|d| overlaps(&src_intervals[d], &dst_intervals[d]))
+                    .collect();
+                // Per dimension, the overlaps grouped by target interval.
+                let groups: Vec<Vec<&[Overlap]>> = overlaps
+                    .iter()
+                    .map(|o| {
+                        o.chunk_by(|a, b| a.dst_interval == b.dst_interval)
+                            .collect()
+                    })
+                    .collect();
+                // One odometer, last digit fastest: digits `0..rank` pick a
+                // group per dimension (a target region), digits `rank..`
+                // an overlap within each picked group (the source regions
+                // that meet it).
+                let digits = |at: &[usize], p: usize| match p.checked_sub(rank) {
+                    None => groups[p].len(),
+                    Some(d) => groups[d][at[d]].len(),
+                };
+                let mut at = vec![0; 2 * rank];
+                let mut more = groups.iter().all(|g| !g.is_empty());
+                while more {
+                    let pick = |d: usize| &groups[d][at[d]][at[rank + d]];
+                    let region = Region {
+                        start: (0..rank).map(|d| pick(d).start).collect(),
+                        len: (0..rank).map(|d| pick(d).len).collect(),
+                    };
+                    transfers.push(Transfer {
+                        src_rank,
+                        dst_rank,
+                        region,
+                    });
+                    more = advance(&mut at, digits);
                 }
             }
         }
@@ -258,6 +292,49 @@ impl RedistPlan {
         }
         Ok(dst)
     }
+}
+
+/// Where one source interval meets one target interval along a dimension.
+struct Overlap {
+    /// Index of the target interval in its owner's list.
+    dst_interval: usize,
+    start: usize,
+    len: usize,
+}
+
+/// Two-pointer merge over two ascending lists of disjoint `(start, len)`
+/// intervals; the overlaps come out ascending too.
+fn overlaps(src: &[(usize, usize)], dst: &[(usize, usize)]) -> Vec<Overlap> {
+    let mut out = Vec::new();
+    let (mut i, mut j) = (0, 0);
+    while i < src.len() && j < dst.len() {
+        let (src_end, dst_end) = (src[i].0 + src[i].1, dst[j].0 + dst[j].1);
+        let start = src[i].0.max(dst[j].0);
+        let end = src_end.min(dst_end);
+        if start < end {
+            out.push(Overlap {
+                dst_interval: j,
+                start,
+                len: end - start,
+            });
+        }
+        i += usize::from(src_end <= dst_end);
+        j += usize::from(dst_end <= src_end);
+    }
+    out
+}
+
+/// Steps the odometer `at`, last digit fastest, digit `p` running over
+/// `0..digits(at, p)`; `false` once it has wrapped around to all zeros.
+fn advance(at: &mut [usize], digits: impl Fn(&[usize], usize) -> usize) -> bool {
+    for p in (0..at.len()).rev() {
+        at[p] += 1;
+        if at[p] < digits(at, p) {
+            return true;
+        }
+        at[p] = 0;
+    }
+    false
 }
 
 #[cfg(test)]
@@ -457,14 +534,15 @@ mod proptests {
     use crate::dist::{DimDist, Distribution, ProcessGrid};
     use proptest::prelude::*;
 
+    /// Grids up to 4 wide against extents from 1: some ranks own nothing.
     fn arb_dist(rank: usize) -> impl Strategy<Value = Distribution> {
         (
-            proptest::collection::vec(1usize..4, rank),
+            proptest::collection::vec(1usize..=4, rank),
             proptest::collection::vec(
                 prop_oneof![
                     Just(DimDist::Block),
                     Just(DimDist::Cyclic),
-                    (1usize..3).prop_map(|b| DimDist::BlockCyclic { block: b }),
+                    (1usize..=4).prop_map(|b| DimDist::BlockCyclic { block: b }),
                 ],
                 rank,
             ),
@@ -475,10 +553,10 @@ mod proptests {
     }
 
     fn arb_pair() -> impl Strategy<Value = (DistArrayDesc, DistArrayDesc)> {
-        (1usize..=2)
+        (1usize..=3)
             .prop_flat_map(|rank| {
                 (
-                    proptest::collection::vec(1usize..10, rank),
+                    proptest::collection::vec(1usize..=12, rank),
                     arb_dist(rank),
                     arb_dist(rank),
                 )
@@ -491,7 +569,42 @@ mod proptests {
             })
     }
 
+    /// The plan as it was first built: every source region against every
+    /// target region. Quadratic; kept as the order `build` must reproduce.
+    fn build_by_region_pairs(source: &DistArrayDesc, target: &DistArrayDesc) -> Vec<Transfer> {
+        let mut transfers = Vec::new();
+        for src_rank in 0..source.nranks() {
+            let src_regions = source.owned_regions(src_rank).unwrap();
+            for dst_rank in 0..target.nranks() {
+                for dst_region in target.owned_regions(dst_rank).unwrap() {
+                    for src_region in &src_regions {
+                        if let Some(overlap) = src_region.intersect(&dst_region) {
+                            transfers.push(Transfer {
+                                src_rank,
+                                dst_rank,
+                                region: overlap,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        transfers
+    }
+
+    fn tagged_by_offset(desc: &DistArrayDesc) -> Vec<Vec<u64>> {
+        (0..desc.nranks())
+            .map(|r| {
+                let n = desc.local_count(r).unwrap() as u64;
+                (0..n).map(|k| k * 1000 + r as u64).collect()
+            })
+            .collect()
+    }
+
     proptest! {
+        // The cases are small (≤ 12³ elements); the default 32 leave the
+        // rank-3 fusing and grouping corners thinly covered.
+        #![proptest_config(ProptestConfig::with_cases(256))]
         #[test]
         fn plan_moves_every_element_exactly_once((src, dst) in arb_pair()) {
             let plan = RedistPlan::build(&src, &dst).unwrap();
@@ -561,23 +674,57 @@ mod proptests {
         fn compiled_plan_equals_interpreted_plan((src, dst) in arb_pair()) {
             let plan = RedistPlan::build(&src, &dst).unwrap();
             let compiled = plan.compile().unwrap();
-            let bufs: Vec<Vec<u64>> = (0..src.nranks()).map(|r| {
-                let n = src.local_count(r).unwrap();
-                (0..n as u64).map(|k| k * 1000 + r as u64).collect()
-            }).collect();
+            let bufs = tagged_by_offset(&src);
             prop_assert_eq!(plan.apply(&bufs).unwrap(), compiled.apply(&bufs).unwrap());
+        }
+
+        #[test]
+        fn build_emits_the_region_pair_transfers_in_their_order((src, dst) in arb_pair()) {
+            let plan = RedistPlan::build(&src, &dst).unwrap();
+            prop_assert_eq!(plan.transfers(), &build_by_region_pairs(&src, &dst)[..]);
+        }
+
+        #[test]
+        fn packed_sub_ranges_compose_to_the_interpreted_plan(
+            (src, dst) in arb_pair(),
+            steps in proptest::collection::vec(1usize..40, 1..8),
+        ) {
+            let plan = RedistPlan::build(&src, &dst).unwrap();
+            let compiled = plan.compile().unwrap();
+            let bufs = tagged_by_offset(&src);
+            let mut landed: Vec<Vec<u64>> = (0..compiled.dst_ranks())
+                .map(|r| vec![0; compiled.dst_count(r)])
+                .collect();
+            let mut scratch = Vec::new();
+            let mut step = steps.iter().cycle();
+            for ct in compiled.transfers() {
+                let mut first = 0;
+                while first < ct.count() {
+                    let n = (*step.next().unwrap()).min(ct.count() - first);
+                    let covered: usize = ct.runs(first, n).map(|(_, _, len)| len).sum();
+                    prop_assert_eq!(covered, n);
+                    ct.pack_range_into(&bufs[ct.src_rank], first, n, &mut scratch);
+                    prop_assert_eq!(scratch.len(), n);
+                    ct.unpack_range(&scratch, first, &mut landed[ct.dst_rank]);
+                    first += n;
+                }
+            }
+            prop_assert_eq!(landed, plan.apply(&bufs).unwrap());
         }
     }
 }
 
-/// A [`RedistPlan`] with per-transfer flat offsets precomputed — the form
-/// a collective port actually executes every timestep.
+/// A [`RedistPlan`] with every transfer reduced to a strided rectangle —
+/// the form a collective port actually executes every timestep.
 ///
 /// [`RedistPlan::pack`]/[`RedistPlan::unpack`] translate every element's
 /// global index to a local offset on every call (division-heavy, ~100s of
-/// ns/element). Compiling does that translation once per connection; the
-/// per-timestep work collapses to indexed gathers/scatters. Experiment E4
-/// measures both paths as the plan-reuse ablation called out in DESIGN.md.
+/// ns/element). But a transfer's region lies inside one owned block per
+/// side per dimension, where local indices advance in step with global
+/// ones, so its local offsets on either side are a base plus one stride
+/// per dimension. Compiling computes those O(rank) words; the per-timestep
+/// work collapses to one slice copy per contiguous run (E4 measures both
+/// paths).
 #[derive(Debug, Clone)]
 pub struct CompiledPlan {
     transfers: Vec<CompiledTransfer>,
@@ -585,41 +732,74 @@ pub struct CompiledPlan {
     dst_counts: Vec<usize>,
 }
 
-/// One transfer with its gather/scatter index lists.
+/// One transfer as the rectangle of local offsets it moves, in packed
+/// (region column-major) order.
 #[derive(Debug, Clone)]
 pub struct CompiledTransfer {
     /// Source rank.
     pub src_rank: usize,
     /// Destination rank.
     pub dst_rank: usize,
-    /// Flat offsets into the source rank's local buffer, in payload order.
-    pub src_offsets: Box<[usize]>,
-    /// Flat offsets into the destination rank's local buffer, same order.
-    pub dst_offsets: Box<[usize]>,
+    count: usize,
+    /// Local offset of the first packed element on each side.
+    src_base: usize,
+    dst_base: usize,
+    /// The rectangle as `(len, src_stride, dst_stride)` per dimension,
+    /// innermost first. `dims[0]` has stride one on both sides — it is the
+    /// contiguous run — and an adjacent pair is fused wherever the inner
+    /// one spans the whole local extent on both.
+    dims: Box<[(usize, usize, usize)]>,
 }
 
 impl CompiledTransfer {
     /// Elements moved by this transfer.
     pub fn count(&self) -> usize {
-        self.src_offsets.len()
+        self.count
+    }
+
+    /// The contiguous runs covering elements `[first, first + count)` of
+    /// the packed order, as `(src_offset, dst_offset, len)`: a partial
+    /// first row, whole rows, a partial last row. Allocation-free; the row
+    /// index is decomposed into the outer dimensions once per run. Panics
+    /// if the range reaches past [`count`](Self::count) — callers validate
+    /// wire input before here.
+    pub fn runs(
+        &self,
+        first: usize,
+        count: usize,
+    ) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+        let end = first.checked_add(count).filter(|&end| end <= self.count);
+        let end = end.expect("packed range outside the transfer");
+        let run = self.dims[0].0;
+        let mut pos = first;
+        std::iter::from_fn(move || {
+            if pos >= end {
+                return None;
+            }
+            let (mut row, within) = (pos / run, pos % run);
+            let (mut src, mut dst) = (self.src_base + within, self.dst_base + within);
+            for &(len, src_stride, dst_stride) in &self.dims[1..] {
+                src += row % len * src_stride;
+                dst += row % len * dst_stride;
+                row /= len;
+            }
+            let len = (run - within).min(end - pos);
+            pos += len;
+            Some((src, dst, len))
+        })
     }
 
     /// Gathers this transfer's payload from the source local buffer.
     pub fn pack<T: Clone>(&self, src_local: &[T]) -> Vec<T> {
-        self.src_offsets
-            .iter()
-            .map(|&off| src_local[off].clone())
-            .collect()
+        let mut out = Vec::new();
+        self.pack_into(src_local, &mut out);
+        out
     }
 
     /// Buffer-reuse variant of [`pack`](Self::pack): clears `out` and
     /// gathers into it, so timestep loops reuse one scratch allocation.
     pub fn pack_into<T: Clone>(&self, src_local: &[T], out: &mut Vec<T>) {
-        out.clear();
-        out.reserve(self.src_offsets.len());
-        for &off in self.src_offsets.iter() {
-            out.push(src_local[off].clone());
-        }
+        self.pack_range_into(src_local, 0, self.count, out);
     }
 
     /// Gathers elements `[first, first + count)` of this transfer's packed
@@ -634,17 +814,16 @@ impl CompiledTransfer {
     ) {
         out.clear();
         out.reserve(count);
-        for &off in &self.src_offsets[first..first + count] {
-            out.push(src_local[off].clone());
+        for (src, _, len) in self.runs(first, count) {
+            out.extend_from_slice(&src_local[src..src + len]);
         }
     }
 
-    /// Scatters a payload into the destination local buffer.
+    /// Scatters a whole payload into the destination local buffer. Panics
+    /// unless the payload holds exactly [`count`](Self::count) elements.
     pub fn unpack<T: Clone>(&self, payload: &[T], dst_local: &mut [T]) {
-        debug_assert_eq!(payload.len(), self.dst_offsets.len());
-        for (v, &off) in payload.iter().zip(self.dst_offsets.iter()) {
-            dst_local[off] = v.clone();
-        }
+        assert_eq!(payload.len(), self.count, "payload is not the transfer");
+        self.unpack_range(payload, 0, dst_local);
     }
 
     /// Scatters a payload slice representing elements `[first,
@@ -652,42 +831,62 @@ impl CompiledTransfer {
     /// chunked transfer, scattering straight from the received bytes'
     /// element view into the destination local slice.
     pub fn unpack_range<T: Clone>(&self, payload: &[T], first: usize, dst_local: &mut [T]) {
-        for (v, &off) in payload
-            .iter()
-            .zip(self.dst_offsets[first..first + payload.len()].iter())
-        {
-            dst_local[off] = v.clone();
+        let mut rest = payload;
+        for (_, dst, len) in self.runs(first, payload.len()) {
+            let (run, tail) = rest.split_at(len);
+            dst_local[dst..dst + len].clone_from_slice(run);
+            rest = tail;
         }
     }
 }
 
 impl RedistPlan {
-    /// Precomputes every transfer's offset lists.
+    /// Reduces every transfer to its rectangle: O(rank) arithmetic per
+    /// transfer, straight from the two descriptors; no element is visited.
     pub fn compile(&self) -> Result<CompiledPlan, DataError> {
+        let local_extents = |desc: &DistArrayDesc| {
+            (0..desc.nranks())
+                .map(|r| desc.local_extents(r))
+                .collect::<Result<Vec<_>, _>>()
+        };
+        let src_extents = local_extents(&self.source)?;
+        let dst_extents = local_extents(&self.target)?;
         let mut transfers = Vec::with_capacity(self.transfers.len());
         for t in &self.transfers {
-            let n = t.count();
-            let mut src_offsets = Vec::with_capacity(n);
-            let mut dst_offsets = Vec::with_capacity(n);
-            for idx in t.region.indices() {
-                src_offsets.push(Self::local_offset(&self.source, t.src_rank, &idx)?);
-                dst_offsets.push(Self::local_offset(&self.target, t.dst_rank, &idx)?);
+            let (src_extents, dst_extents) = (&src_extents[t.src_rank], &dst_extents[t.dst_rank]);
+            let (_, src_first) = self.source.global_to_local(&t.region.start)?;
+            let (_, dst_first) = self.target.global_to_local(&t.region.start)?;
+            let mut dims = Vec::with_capacity(t.region.len.len());
+            let (mut src_base, mut dst_base) = (0, 0);
+            let (mut src_stride, mut dst_stride) = (1, 1);
+            for (d, &len) in t.region.len.iter().enumerate() {
+                src_base += src_first[d] * src_stride;
+                dst_base += dst_first[d] * dst_stride;
+                match dims.last_mut() {
+                    Some((inner, s, d))
+                        if *inner * *s == src_stride && *inner * *d == dst_stride =>
+                    {
+                        *inner *= len
+                    }
+                    _ => dims.push((len, src_stride, dst_stride)),
+                }
+                src_stride *= src_extents[d];
+                dst_stride *= dst_extents[d];
             }
             transfers.push(CompiledTransfer {
                 src_rank: t.src_rank,
                 dst_rank: t.dst_rank,
-                src_offsets: src_offsets.into_boxed_slice(),
-                dst_offsets: dst_offsets.into_boxed_slice(),
+                count: t.count(),
+                src_base,
+                dst_base,
+                dims: dims.into_boxed_slice(),
             });
         }
+        let counts = |extents: &[Vec<usize>]| extents.iter().map(|e| e.iter().product()).collect();
         Ok(CompiledPlan {
             transfers,
-            src_counts: (0..self.source.nranks())
-                .map(|r| self.source.local_count(r))
-                .collect::<Result<_, _>>()?,
-            dst_counts: (0..self.target.nranks())
-                .map(|r| self.target.local_count(r))
-                .collect::<Result<_, _>>()?,
+            src_counts: counts(&src_extents),
+            dst_counts: counts(&dst_extents),
         })
     }
 }
@@ -717,20 +916,6 @@ impl CompiledPlan {
         &self,
         src_buffers: &[Vec<T>],
     ) -> Result<Vec<Vec<T>>, DataError> {
-        if src_buffers.len() != self.src_counts.len() {
-            return Err(DataError::ShapeMismatch {
-                expected: vec![self.src_counts.len()],
-                found: vec![src_buffers.len()],
-            });
-        }
-        for (r, buf) in src_buffers.iter().enumerate() {
-            if buf.len() != self.src_counts[r] {
-                return Err(DataError::ShapeMismatch {
-                    expected: vec![self.src_counts[r]],
-                    found: vec![buf.len()],
-                });
-            }
-        }
         let mut dst: Vec<Vec<T>> = self
             .dst_counts
             .iter()
@@ -749,39 +934,13 @@ impl CompiledPlan {
         src_buffers: &[Vec<T>],
         dst_buffers: &mut [Vec<T>],
     ) -> Result<(), DataError> {
-        if src_buffers.len() != self.src_counts.len() {
-            return Err(DataError::ShapeMismatch {
-                expected: vec![self.src_counts.len()],
-                found: vec![src_buffers.len()],
-            });
-        }
-        for (r, buf) in src_buffers.iter().enumerate() {
-            if buf.len() != self.src_counts[r] {
-                return Err(DataError::ShapeMismatch {
-                    expected: vec![self.src_counts[r]],
-                    found: vec![buf.len()],
-                });
-            }
-        }
-        if dst_buffers.len() != self.dst_counts.len() {
-            return Err(DataError::ShapeMismatch {
-                expected: vec![self.dst_counts.len()],
-                found: vec![dst_buffers.len()],
-            });
-        }
-        for (r, buf) in dst_buffers.iter().enumerate() {
-            if buf.len() != self.dst_counts[r] {
-                return Err(DataError::ShapeMismatch {
-                    expected: vec![self.dst_counts[r]],
-                    found: vec![buf.len()],
-                });
-            }
-        }
+        check_buffers(src_buffers, &self.src_counts)?;
+        check_buffers(dst_buffers, &self.dst_counts)?;
         for t in &self.transfers {
             let src = &src_buffers[t.src_rank];
             let out = &mut dst_buffers[t.dst_rank];
-            for (&s, &d) in t.src_offsets.iter().zip(t.dst_offsets.iter()) {
-                out[d] = src[s].clone();
+            for (s, d, len) in t.runs(0, t.count) {
+                out[d..d + len].clone_from_slice(&src[s..s + len]);
             }
         }
         Ok(())
@@ -808,7 +967,7 @@ impl CompiledPlan {
     }
 
     /// Precomputes the per-peer *wire* layout of this plan for the bulk
-    /// data plane, the same way compiling precomputed the region offsets:
+    /// data plane, the same way compiling precomputed the rectangles:
     /// each transfer's total packed byte count and its division into
     /// aligned chunks of (at most) `chunk_bytes`. Sender and receiver both
     /// derive the layout from the same compiled plan, so chunk boundaries
@@ -826,6 +985,21 @@ impl CompiledPlan {
                 .map(|t| (t.count() * elem_size) as u64)
                 .collect(),
         }
+    }
+}
+
+/// One buffer per rank, each of that rank's local count.
+fn check_buffers<T>(buffers: &[Vec<T>], counts: &[usize]) -> Result<(), DataError> {
+    let mismatch = |expected: usize, found: usize| DataError::ShapeMismatch {
+        expected: vec![expected],
+        found: vec![found],
+    };
+    if buffers.len() != counts.len() {
+        return Err(mismatch(counts.len(), buffers.len()));
+    }
+    match buffers.iter().zip(counts).find(|(b, &n)| b.len() != n) {
+        Some((b, &n)) => Err(mismatch(n, b.len())),
+        None => Ok(()),
     }
 }
 
@@ -949,6 +1123,85 @@ mod compiled_tests {
             let fast = ct.pack(&bufs[ct.src_rank]);
             assert_eq!(slow, fast);
         }
+    }
+
+    fn block_2d(side: usize, grid: [usize; 2]) -> DistArrayDesc {
+        let dist = Distribution::new(
+            ProcessGrid::new(&grid).unwrap(),
+            &[DimDist::Block, DimDist::Block],
+        )
+        .unwrap();
+        DistArrayDesc::new(&[side, side], dist).unwrap()
+    }
+
+    #[test]
+    fn whole_columns_fuse_into_one_run_and_cut_columns_into_one_run_each() {
+        let src = block_2d(2048, [1, 4]);
+        let whole = RedistPlan::build(&src, &block_2d(2048, [1, 3])).unwrap();
+        for ct in whole.compile().unwrap().transfers() {
+            assert_eq!(ct.runs(0, ct.count()).count(), 1);
+        }
+        let cut = RedistPlan::build(&src, &block_2d(2048, [3, 1])).unwrap();
+        for ct in cut.compile().unwrap().transfers() {
+            let runs: Vec<_> = ct.runs(0, ct.count()).collect();
+            assert_eq!(runs.len(), 512, "one run per column of the source rank");
+            assert!(runs.iter().all(|&(_, _, len)| len == 682 || len == 683));
+        }
+    }
+
+    /// At this size a table of offsets would be 4 GB; the rectangles are a
+    /// few words. Sampled elements must sit where the interpreted plan's
+    /// index translation puts them, on both sides.
+    #[test]
+    fn a_16384_squared_plan_compiles_and_agrees_with_local_offset() {
+        let (src, dst) = (block_2d(16_384, [1, 4]), block_2d(16_384, [3, 1]));
+        let plan = RedistPlan::build(&src, &dst).unwrap();
+        let compiled = plan.compile().unwrap();
+        assert_eq!(plan.total_elements(), 16_384 * 16_384);
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        for (t, ct) in plan.transfers().iter().zip(compiled.transfers()) {
+            assert_eq!(t.count(), ct.count());
+            for _ in 0..1000 {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let k = (state >> 33) as usize % ct.count();
+                let global = [
+                    t.region.start[0] + k % t.region.len[0],
+                    t.region.start[1] + k / t.region.len[0],
+                ];
+                let (s, d, len) = ct.runs(k, 1).next().unwrap();
+                assert_eq!(len, 1);
+                assert_eq!(
+                    s,
+                    RedistPlan::local_offset(&src, t.src_rank, &global).unwrap()
+                );
+                assert_eq!(
+                    d,
+                    RedistPlan::local_offset(&dst, t.dst_rank, &global).unwrap()
+                );
+            }
+        }
+    }
+
+    /// In release builds too: a short payload must not scatter a prefix.
+    #[test]
+    #[should_panic(expected = "payload is not the transfer")]
+    fn compiled_unpack_refuses_a_short_payload() {
+        let plan = RedistPlan::build(&block_desc(8, 2), &block_desc(8, 4)).unwrap();
+        let compiled = plan.compile().unwrap();
+        let ct = &compiled.transfers()[0];
+        let mut out = vec![7u64; compiled.dst_count(ct.dst_rank)];
+        ct.unpack(&vec![0u64; ct.count() - 1], &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the transfer")]
+    fn runs_past_the_transfer_are_refused_up_front() {
+        let plan = RedistPlan::build(&block_desc(8, 2), &block_desc(8, 4)).unwrap();
+        let compiled = plan.compile().unwrap();
+        let ct = &compiled.transfers()[0];
+        let _ = ct.runs(usize::MAX, 2);
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //! * [`BulkLandingZone`] — the destination side. Installed as the server's
 //!   [`BulkSink`], it validates each slab against the plan (generation,
 //!   transfer index, element tag, declared total), scatters the body
-//!   bytes directly into the destination rank's local slice via the
-//!   transfer's precomputed `dst_offsets`, and answers with a [`BulkAck`]
-//!   carrying the transfer's contiguous-landing watermark.
+//!   bytes directly into the destination rank's local slice, one
+//!   contiguous run of the transfer's rectangle at a time, and answers
+//!   with a [`BulkAck`] carrying the transfer's contiguous-landing
+//!   watermark.
 //!
 //! The watermark is the resilience contract: the sender records
 //! `acked_through` after every chunk, so when a connection dies
@@ -40,7 +41,7 @@
 //! loopback round trips (E15 gates the resulting speedup).
 
 use bytes::Bytes;
-use cca_data::{CompiledPlan, WireLayout};
+use cca_data::{CompiledPlan, CompiledTransfer, WireLayout};
 use cca_obs::span;
 use cca_obs::BulkMetrics;
 use cca_rpc::{
@@ -231,36 +232,18 @@ impl<T: BulkElem> BulkRedistSender<T> {
                 let Some((offset, len)) = chunks.next() else {
                     break;
                 };
-                let first = offset as usize / T::SIZE;
-                let count = len / T::SIZE;
                 resident += BULK_SLAB_HEADER_LEN + len;
                 self.peak_buffer_bytes = self.peak_buffer_bytes.max(resident);
                 // The slab is built in place on the connection's write
-                // queue: header, then the chunk's elements gathered in
-                // maximal contiguous runs (block redistributions are
-                // almost entirely runs, so the inner loop is a straight
-                // sequential copy the compiler vectorizes).
+                // queue: header, then the chunk's elements gathered run by
+                // run straight from local storage.
                 let submitted = channel.submit_with(BULK_SLAB_HEADER_LEN + len, |slab| {
                     SlabHeader {
                         chunk_offset: offset,
                         ..header
                     }
                     .encode_into(slab);
-                    let offs = &transfer.src_offsets[first..first + count];
-                    let body = &mut slab[BULK_SLAB_HEADER_LEN..];
-                    let mut i = 0;
-                    while i < count {
-                        let start = offs[i];
-                        let mut run = 1;
-                        while i + run < count && offs[i + run] == start + run {
-                            run += 1;
-                        }
-                        let dst = body[i * T::SIZE..(i + run) * T::SIZE].chunks_exact_mut(T::SIZE);
-                        for (x, b) in data[start..start + run].iter().zip(dst) {
-                            x.write_le(b);
-                        }
-                        i += run;
-                    }
+                    gather_le(transfer, data, offset, &mut slab[BULK_SLAB_HEADER_LEN..]);
                 });
                 match submitted {
                     Ok(pending) => in_flight.push_back((len, pending)),
@@ -340,20 +323,15 @@ impl<T: BulkElem> BulkRedistSender<T> {
         let mut wm = resume_from;
         let mut outcome = Ok(());
         for (offset, len) in self.layout.chunks_from(t, resume_from) {
-            let first = offset as usize / T::SIZE;
-            let count = len / T::SIZE;
             // One slab: 32-byte header, then the chunk's elements gathered
-            // straight from local storage through the precomputed offsets.
+            // run by run straight from local storage.
             let mut slab = vec![0u8; BULK_SLAB_HEADER_LEN + len];
             SlabHeader {
                 chunk_offset: offset,
                 ..header
             }
             .encode_into(&mut slab);
-            for i in 0..count {
-                data[transfer.src_offsets[first + i]]
-                    .write_le(&mut slab[BULK_SLAB_HEADER_LEN + i * T::SIZE..]);
-            }
+            gather_le(transfer, data, offset, &mut slab[BULK_SLAB_HEADER_LEN..]);
             self.peak_buffer_bytes = self.peak_buffer_bytes.max(slab.len());
             let buffer_bytes = slab.len() as u64;
             let reply = match channel.call(Bytes::from(slab)) {
@@ -430,6 +408,20 @@ impl<T: BulkElem> BulkRedistSender<T> {
     /// This sender's throughput/resume counters.
     pub fn metrics(&self) -> &Arc<BulkMetrics> {
         &self.metrics
+    }
+}
+
+/// Fills `body` with the bytes of `transfer`'s packed payload that start
+/// at byte `offset`: one sequential little-endian copy per contiguous run
+/// of the source rank's storage.
+fn gather_le<T: BulkElem>(transfer: &CompiledTransfer, data: &[T], offset: u64, body: &mut [u8]) {
+    let mut at = 0;
+    for (src, _, len) in transfer.runs(offset as usize / T::SIZE, body.len() / T::SIZE) {
+        let cells = body[at * T::SIZE..(at + len) * T::SIZE].chunks_exact_mut(T::SIZE);
+        for (x, cell) in data[src..src + len].iter().zip(cells) {
+            x.write_le(cell);
+        }
+        at += len;
     }
 }
 
@@ -566,28 +558,28 @@ impl<T: BulkElem> BulkSink for BulkLandingZone<T> {
         let transfer = &self.compiled.transfers()[t];
         let first = header.chunk_offset as usize / T::SIZE;
         let count = body.len() / T::SIZE;
-        let raw = body.as_slice();
-        let end = header.chunk_offset + body.len() as u64;
+        let end = header
+            .chunk_offset
+            .checked_add(body.len() as u64)
+            .filter(|&end| end <= want_total)
+            .ok_or(BulkError::OutOfRange {
+                offset: header.chunk_offset,
+                len: body.len() as u64,
+                total: want_total,
+            })?;
         let acked_through = {
             let mut st = self.state.lock();
             // Scatter straight from the frame's bytes into the destination
-            // rank's local slice — the only copy on the receive path.
-            // Like the gather, offsets are walked in maximal contiguous
-            // runs so the hot loop is a straight sequential copy.
+            // rank's local slice — the only copy on the receive path, one
+            // sequential copy per contiguous run.
             let dst_local = &mut st.dst[transfer.dst_rank];
-            let offs = &transfer.dst_offsets[first..first + count];
-            let mut i = 0;
-            while i < count {
-                let start = offs[i];
-                let mut run = 1;
-                while i + run < count && offs[i + run] == start + run {
-                    run += 1;
+            let (raw, mut at) = (body.as_slice(), 0);
+            for (_, dst, len) in transfer.runs(first, count) {
+                let cells = raw[at * T::SIZE..(at + len) * T::SIZE].chunks_exact(T::SIZE);
+                for (slot, cell) in dst_local[dst..dst + len].iter_mut().zip(cells) {
+                    *slot = T::read_le(cell);
                 }
-                let src = raw[i * T::SIZE..(i + run) * T::SIZE].chunks_exact(T::SIZE);
-                for (slot, b) in dst_local[start..start + run].iter_mut().zip(src) {
-                    *slot = T::read_le(b);
-                }
-                i += run;
+                at += len;
             }
             // A slab that is exactly one layout chunk marks its flag;
             // anything else (hand-built slabs at odd offsets) can only
@@ -690,6 +682,34 @@ mod tests {
         );
     }
 
+    /// 2-d, every column cut in three, 5-element chunks over 8- and
+    /// 7-element runs: slabs start and end mid-run. The oracle is the
+    /// interpreted plan, which shares nothing with the rectangles.
+    #[test]
+    fn chunks_that_straddle_strided_runs_land_where_the_interpreted_plan_puts_them() {
+        use cca_data::{DimDist, ProcessGrid};
+        let desc = |grid: [usize; 2]| {
+            let dist = Distribution::new(
+                ProcessGrid::new(&grid).unwrap(),
+                &[DimDist::Block, DimDist::Block],
+            )
+            .unwrap();
+            DistArrayDesc::new(&[23, 23], dist).unwrap()
+        };
+        let plan = RedistPlan::build(&desc([1, 4]), &desc([3, 1])).unwrap();
+        let compiled = Arc::new(plan.compile().unwrap());
+        let zone = BulkLandingZone::<f64>::new(Arc::clone(&compiled), 9, 40);
+        let channel = ZoneChannel(Arc::clone(&zone));
+        let src = source_buffers(&compiled);
+        for (rank, data) in src.iter().enumerate() {
+            let mut sender = BulkRedistSender::<f64>::new(Arc::clone(&compiled), 9, 40, rank);
+            sender.send(&channel, data).unwrap();
+            assert!(sender.is_complete());
+        }
+        assert!(zone.is_complete());
+        assert_eq!(zone.snapshot_buffers(), plan.apply(&src).unwrap());
+    }
+
     #[test]
     fn replayed_chunks_are_idempotent_and_acks_carry_watermarks() {
         let compiled = compiled_4_to_3(40);
@@ -709,6 +729,16 @@ mod tests {
         );
     }
 
+    /// The zone refused the slab with a `cca.rpc.BulkProtocol` error.
+    fn expect_type(r: Result<Vec<u8>, SidlError>) {
+        match r {
+            Err(SidlError::UserException { exception_type, .. }) => {
+                assert_eq!(exception_type, BULK_EXCEPTION_TYPE)
+            }
+            other => panic!("expected bulk protocol error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn mismatched_generation_tag_transfer_and_total_are_typed() {
         let compiled = compiled_4_to_3(24);
@@ -726,12 +756,6 @@ mod tests {
             h.encode_into(&mut raw);
             Bytes::from(raw)
         };
-        let expect_type = |r: Result<Vec<u8>, SidlError>| match r {
-            Err(SidlError::UserException { exception_type, .. }) => {
-                assert_eq!(exception_type, BULK_EXCEPTION_TYPE)
-            }
-            other => panic!("expected bulk protocol error, got {other:?}"),
-        };
         expect_type(zone.receive(mk(6, 0, cca_rpc::ElemTag::F64, total)));
         expect_type(zone.receive(mk(5, 999, cca_rpc::ElemTag::F64, total)));
         expect_type(zone.receive(mk(5, 0, cca_rpc::ElemTag::I64, total)));
@@ -739,6 +763,67 @@ mod tests {
         // Nothing landed from any of those.
         assert_eq!(zone.metrics().chunks_landed(), 0);
         assert_eq!(zone.watermark(0), 0);
+    }
+
+    /// `chunk_offset + body` wraps to 0, so an unchecked range test passes
+    /// it on to a scatter at element 2^61 − 1. It must cost a typed error
+    /// and the peer's connection — not a dispatch worker.
+    #[test]
+    fn a_wrapping_chunk_offset_is_typed_and_costs_only_its_connection() {
+        use cca_rpc::frame::DEFAULT_MAX_PAYLOAD;
+        use cca_rpc::transport::Dispatcher;
+        use cca_rpc::{encode_frame, FrameKind, MuxServer, MuxServerConfig, MuxTransport, Orb};
+        use std::io::{Read, Write};
+
+        let compiled = compiled_4_to_3(96);
+        let zone = BulkLandingZone::<f64>::new(Arc::clone(&compiled), 3, 64);
+        let mut hostile = vec![0u8; BULK_SLAB_HEADER_LEN + 8];
+        SlabHeader {
+            generation: 3,
+            transfer: 0,
+            tag: cca_rpc::ElemTag::F64,
+            chunk_offset: u64::MAX - 7,
+            total_bytes: compiled.wire_layout(8, 64).transfer_bytes(0),
+        }
+        .encode_into(&mut hostile);
+
+        expect_type(zone.receive(Bytes::from(hostile.clone())));
+
+        // One dispatch worker: were it lost to a panic, no sibling could
+        // serve the stream that follows.
+        let server = MuxServer::bind_with(
+            "127.0.0.1:0",
+            Orb::new() as Arc<dyn Dispatcher>,
+            MuxServerConfig {
+                dispatch_threads: 1,
+                ..MuxServerConfig::default()
+            },
+        )
+        .unwrap();
+        server.set_bulk_sink(Arc::clone(&zone) as Arc<dyn BulkSink>);
+        let mut peer = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        peer.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        let framed = encode_frame(FrameKind::Bulk, 1, &hostile, DEFAULT_MAX_PAYLOAD).unwrap();
+        peer.write_all(&framed).unwrap();
+        let mut reply = Vec::new();
+        assert_eq!(
+            peer.read_to_end(&mut reply).unwrap(),
+            0,
+            "the hostile peer is hung up on, unanswered"
+        );
+        assert_eq!(zone.metrics().chunks_landed(), 0);
+
+        let transport = Arc::new(MuxTransport::new(server.local_addr().to_string()));
+        let channel = BulkChannel::new(transport);
+        let src = source_buffers(&compiled);
+        for (rank, data) in src.iter().enumerate() {
+            let mut sender = BulkRedistSender::<f64>::new(Arc::clone(&compiled), 3, 64, rank);
+            sender.send(channel.as_ref(), data).unwrap();
+        }
+        assert!(zone.is_complete());
+        assert_eq!(zone.snapshot_buffers(), compiled.apply(&src).unwrap());
+        server.shutdown();
     }
 
     /// A channel that charges the shared clock and never delivers — a
@@ -853,9 +938,12 @@ mod tests {
         let expected = compiled.apply(&src).unwrap();
         zone.with_buffers(|bufs| {
             for t in compiled.sends_from(1) {
-                for (&s, &d) in t.src_offsets.iter().zip(t.dst_offsets.iter()) {
-                    assert_eq!(bufs[t.dst_rank][d], src[1][s]);
-                    assert_eq!(bufs[t.dst_rank][d], expected[t.dst_rank][d]);
+                for (s, d, len) in t.runs(0, t.count()) {
+                    assert_eq!(bufs[t.dst_rank][d..d + len], src[1][s..s + len]);
+                    assert_eq!(
+                        bufs[t.dst_rank][d..d + len],
+                        expected[t.dst_rank][d..d + len]
+                    );
                 }
             }
         });

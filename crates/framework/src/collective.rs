@@ -33,9 +33,9 @@ pub type SharedPlan = (Arc<RedistPlan>, Arc<CompiledPlan>);
 /// A keyed cache of redistribution plans, shared across ports, timesteps,
 /// and components.
 ///
-/// Plan construction is the expensive part of an M×N coupling
-/// (O(M·N·regions²) region intersection — see [`RedistPlan::build`]); the
-/// descriptors, in contrast, are tiny. Keying on the
+/// Planning costs interval merges per rank pair plus a few words per
+/// transfer (see [`RedistPlan::build`]) — nothing per element, but still
+/// more than a lookup — and the descriptors are tiny. Keying on the
 /// `(source, target)` descriptor pair means every port connecting
 /// identically distributed arrays shares one immutable
 /// [`RedistPlan`]/[`CompiledPlan`] pair behind `Arc`s: the first timestep
@@ -328,7 +328,8 @@ impl MxNPort {
             .map_err(|e| CcaError::Framework(e.to_string()))
     }
 
-    /// The precomputed offset lists the port executes.
+    /// The compiled plan (one strided rectangle per transfer) the port
+    /// executes.
     pub fn compiled_plan(&self) -> &CompiledPlan {
         &self.compiled
     }

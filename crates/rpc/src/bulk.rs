@@ -223,8 +223,7 @@ impl fmt::Display for BulkError {
             BulkError::OutOfRange { offset, len, total } => {
                 write!(
                     f,
-                    "bulk chunk [{offset}, {}) exceeds transfer total {total}",
-                    offset + len
+                    "bulk chunk of {len} bytes at offset {offset} exceeds transfer total {total}"
                 )
             }
             BulkError::GenerationMismatch { got, want } => {
@@ -323,7 +322,10 @@ impl SlabHeader {
                 elem_size: tag.elem_size(),
             });
         }
-        if header.chunk_offset + body_len > header.total_bytes {
+        // Checked: the offset is wire input, and a sum that wraps would
+        // pass for in range.
+        let end = header.chunk_offset.checked_add(body_len);
+        if end.is_none_or(|end| end > header.total_bytes) {
             return Err(BulkError::OutOfRange {
                 offset: header.chunk_offset,
                 len: body_len,
@@ -483,6 +485,30 @@ mod tests {
                 total: 16
             })
         ));
+    }
+
+    #[test]
+    fn a_chunk_offset_that_wraps_the_range_check_is_out_of_range() {
+        // offset + 8 == 0 (mod 2^64): unchecked, the sum passes for in
+        // range against any total (release) or panics (debug).
+        let h = SlabHeader {
+            generation: 1,
+            transfer: 0,
+            tag: ElemTag::F64,
+            chunk_offset: u64::MAX - 7,
+            total_bytes: 64,
+        };
+        let err = SlabHeader::decode(&slab(h, &[0u8; 8])).unwrap_err();
+        assert_eq!(
+            err,
+            BulkError::OutOfRange {
+                offset: u64::MAX - 7,
+                len: 8,
+                total: 64
+            }
+        );
+        // Rendering the error must not wrap either.
+        assert!(err.to_string().contains("18446744073709551608"));
     }
 
     #[test]

@@ -33,8 +33,8 @@ pub struct MonitorComponent {
     services: Mutex<Option<Arc<CcaServices>>>,
     history: Mutex<Vec<Frame>>,
     /// Cached gather plan, rebuilt only when the source's distribution
-    /// changes (plan construction is the expensive once-per-connection
-    /// step; see the E4 ablation).
+    /// changes (planning is once-per-connection work; E4 prices it beside
+    /// one execution).
     plan_cache: Mutex<Option<(DistArrayDesc, CompiledPlan)>>,
 }
 

@@ -307,8 +307,11 @@ fn total_drop_trips_the_breaker_and_half_open_probe_finishes_the_stream() {
     let expected = compiled.apply(&src).unwrap();
     r.zone.with_buffers(|bufs| {
         for t in compiled.sends_from(0) {
-            for &d in t.dst_offsets.iter() {
-                assert_eq!(bufs[t.dst_rank][d], expected[t.dst_rank][d]);
+            for (_, d, len) in t.runs(0, t.count()) {
+                assert_eq!(
+                    bufs[t.dst_rank][d..d + len],
+                    expected[t.dst_rank][d..d + len]
+                );
             }
         }
     });
