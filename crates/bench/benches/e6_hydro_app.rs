@@ -18,6 +18,14 @@
 //! warm-start implementation a hand-optimized code would use — context for
 //! what implementation fusion (orthogonal to componentization) buys.
 //!
+//! The kernel rows (`matvec_ns`, `matvec_reference_csr_ns`, `dot_ns`,
+//! `axpy_ns`, `jacobi_ns`) divide the solve: each kernel a CG iteration
+//! runs, alone on the 192² operator ccabench's `hydro_direct` uses, beside
+//! `copy_ns`, a `copy_from_slice` of one vector, as the roofline.
+//! `operator_bands_64` is the structural gate behind them: if the hydro
+//! operator stops being recognised as five diagonals, that count turns CI
+//! red rather than a timing row reading 2× on a noisy box.
+//!
 //! Expected shape: componentized ≈ monolithic (the gap is a handful of
 //! virtual calls per *solve*, not per matrix application); proxied adds a
 //! marshaling constant that only amortizes as the mesh grows.
@@ -28,8 +36,9 @@ use cca::solvers::esi::{
     expose_precond_ports, expose_solver_ports, LinearSolverPort, MatrixComponent, PrecondComponent,
     PrecondKind, SolverComponent, SolverConfig, ESI_SIDL,
 };
-use cca::solvers::precond::Jacobi;
-use cca::solvers::{HydroConfig, HydroSim, KrylovKind};
+use cca::solvers::precond::{Jacobi, Preconditioner};
+use cca::solvers::vector::{axpy, dot_local};
+use cca::solvers::{CsrMatrix, HydroConfig, HydroSim, KrylovKind};
 use cca_bench::{Harness, Report};
 use cca_data::NdArray;
 use cca_sidl::DynValue;
@@ -86,9 +95,61 @@ fn assemble(sim: &HydroSim) -> Assembly {
     }
 }
 
+/// The same operator rebuilt from its rows with row 0's first two columns
+/// out of order: `CsrMatrix::new` then keeps it on the CSR loop, so the
+/// reference row times the crate's own fallback on identical work.
+fn csr_path_copy(a: &CsrMatrix) -> CsrMatrix {
+    let mut indptr = vec![0];
+    let mut indices = Vec::with_capacity(a.nnz());
+    let mut data = Vec::with_capacity(a.nnz());
+    for r in 0..a.nrows() {
+        for (c, v) in a.row(r) {
+            indices.push(c);
+            data.push(v);
+        }
+        indptr.push(indices.len());
+    }
+    indices.swap(0, 1);
+    data.swap(0, 1);
+    CsrMatrix::new(a.nrows(), a.ncols(), indptr, indices, data).unwrap()
+}
+
+/// One row per kernel of a CG iteration, at 192².
+fn kernel_rows(report: &mut Report, h: &Harness) {
+    let a = HydroSim::new(cfg(192), 1, 0).local_matrix();
+    let reference = csr_path_copy(&a);
+    assert_eq!(reference.band_count(), None);
+    let jac = Jacobi::new(&a);
+    let x: Vec<f64> = (0..a.nrows()).map(|i| 1.0 + (i % 7) as f64).collect();
+    let mut y = vec![0.0; a.nrows()];
+    let mut row = |name: &str, f: &mut dyn FnMut(&mut [f64])| {
+        report.metric(&format!("{name}_ns"), h.time(|| f(&mut y)));
+    };
+    row("copy", &mut |y| y.copy_from_slice(&x));
+    row("matvec", &mut |y| a.matvec(&x, y));
+    row("matvec_reference_csr", &mut |y| reference.matvec(&x, y));
+    row("dot", &mut |y| y[0] = dot_local(&x, &x));
+    row("axpy", &mut |y| axpy(1e-9, &x, y));
+    row("jacobi", &mut |y| jac.apply(&x, y));
+}
+
 fn main() {
     let h = Harness::from_env();
     let mut report = Report::new("e6_hydro_app", &h);
+
+    report
+        .count(
+            "operator_bands_64",
+            HydroSim::new(cfg(64), 1, 0)
+                .local_matrix()
+                .band_count()
+                .map_or(-1.0, |d| d as f64),
+        )
+        .exactly(
+            5.0,
+            "the 5-point operator is stored as five diagonals; -1 means matvec fell back to the CSR loop",
+        );
+    kernel_rows(&mut report, &h);
 
     for n in [16usize, 32, 64] {
         let pristine = HydroSim::new(cfg(n), 1, 0);

@@ -464,6 +464,7 @@ mod tests {
     fn local_matrix_matches_matrix_free_operator_serially() {
         let sim = HydroSim::new(small_cfg(), 1, 0);
         let a = sim.local_matrix();
+        assert_eq!(a.band_count(), Some(5), "matvec must run over diagonals");
         let op = DiffusionOp {
             mesh: &sim.mesh,
             comm: None,

@@ -52,11 +52,35 @@ impl Reduction for CommReduce<'_> {
     }
 }
 
+/// Independent partial sums in [`dot_local`]. A constant, so the result
+/// does not depend on CPU features or on how many ranks share the vector.
+const DOT_LANES: usize = 8;
+
 /// Local dot product of two equal-length slices.
+///
+/// Element `i` of the whole chunks of eight goes to partial sum `i % 8`;
+/// the eight are combined as
+/// `((s0+s4) + (s2+s6)) + ((s1+s5) + (s3+s7))` and the `len % 8` trailing
+/// products are added last, in order. A single running sum is a serial add
+/// chain the compiler may not reassociate; eight chains it can keep in
+/// vector registers.
 #[inline]
 pub fn dot_local(x: &[f64], y: &[f64]) -> f64 {
-    debug_assert_eq!(x.len(), y.len());
-    x.iter().zip(y).map(|(a, b)| a * b).sum()
+    assert_eq!(x.len(), y.len(), "dot_local: lengths differ");
+    let xs = x.chunks_exact(DOT_LANES);
+    let ys = y.chunks_exact(DOT_LANES);
+    let (x_tail, y_tail) = (xs.remainder(), ys.remainder());
+    let mut s = [0.0f64; DOT_LANES];
+    for (a, b) in xs.zip(ys) {
+        for ((sl, al), bl) in s.iter_mut().zip(a).zip(b) {
+            *sl += al * bl;
+        }
+    }
+    let mut sum = ((s[0] + s[4]) + (s[2] + s[6])) + ((s[1] + s[5]) + (s[3] + s[7]));
+    for (a, b) in x_tail.iter().zip(y_tail) {
+        sum += a * b;
+    }
+    sum
 }
 
 /// Global dot product under a reduction context.
@@ -74,7 +98,7 @@ pub fn norm2<R: Reduction>(r: &R, x: &[f64]) -> f64 {
 /// `y += alpha * x`.
 #[inline]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
+    assert_eq!(x.len(), y.len(), "axpy: lengths differ");
     for (yi, xi) in y.iter_mut().zip(x) {
         *yi += alpha * xi;
     }
@@ -83,7 +107,7 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 /// `y = x + beta * y` (the CG direction update).
 #[inline]
 pub fn xpby(x: &[f64], beta: f64, y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
+    assert_eq!(x.len(), y.len(), "xpby: lengths differ");
     for (yi, xi) in y.iter_mut().zip(x) {
         *yi = xi + beta * *yi;
     }
@@ -122,6 +146,56 @@ mod tests {
         let mut z = vec![0.0; 3];
         copy(&x, &mut z);
         assert_eq!(z, x);
+    }
+
+    /// Neumaier's compensated sum of the products: the reference a
+    /// reordered sum is judged against.
+    fn compensated_dot(x: &[f64], y: &[f64]) -> f64 {
+        let (mut sum, mut comp) = (0.0f64, 0.0f64);
+        for (a, b) in x.iter().zip(y) {
+            let p = a * b;
+            let t = sum + p;
+            comp += if sum.abs() >= p.abs() {
+                (sum - t) + p
+            } else {
+                (p - t) + sum
+            };
+            sum = t;
+        }
+        sum + comp
+    }
+
+    #[test]
+    fn dot_local_is_accurate_and_repeatable_at_every_remainder() {
+        for n in 0..=33usize {
+            let x: Vec<f64> = (0..n).map(|i| 0.1 + ((i * 37) % 19) as f64 / 7.0).collect();
+            let y: Vec<f64> = (0..n).map(|i| 1.3 + ((i * 11) % 23) as f64 / 3.0).collect();
+            let got = dot_local(&x, &y);
+            let want = compensated_dot(&x, &y);
+            assert!(
+                (got - want).abs() <= 1e-13 * want.abs(),
+                "n={n}: {got} vs {want}"
+            );
+            assert_eq!(got.to_bits(), dot_local(&x, &y).to_bits(), "n={n}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "dot_local: lengths differ")]
+    fn dot_local_rejects_unequal_lengths() {
+        dot_local(&[1.0, 2.0, 3.0], &[1.0, 2.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "axpy: lengths differ")]
+    fn axpy_rejects_unequal_lengths() {
+        axpy(2.0, &[1.0, 2.0, 3.0], &mut [1.0, 2.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "xpby: lengths differ")]
+    fn xpby_rejects_unequal_lengths() {
+        xpby(&[1.0, 2.0], 0.5, &mut [1.0, 2.0, 3.0]);
     }
 
     #[test]
