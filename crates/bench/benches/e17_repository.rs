@@ -6,6 +6,15 @@
 //! populates a catalog with 1M synthetic SIDL component types (100k in
 //! `CCA_BENCH_FAST` mode) and measures:
 //!
+//! * `single_deposit_us`, `entries_indexed_per_deposit`,
+//!   `batch64_deposit_ms` — 256 single deposits, then one 64-entry batch,
+//!   into the full catalog. The timings are recorded; the gate is a
+//!   **count** a noisy box cannot flip: entries passed through
+//!   `Segment::build` per deposit, from `cca_obs::repo()`. A deposit that
+//!   rebuilds its shard reads `types / shards`; the two-segment snapshot
+//!   (PR 24) rebuilds at most eight entries and folds the shard on every
+//!   ninth deposit to it, ≈ `types / shards / 9 + 4` in the long run.
+//!   Gate: **≤ `types / shards / 4`**.
 //! * `exact_lookup_ns` — class → entry through the shard hash and a
 //!   frozen snapshot, per lookup, summarised by block medians. Gate:
 //!   **< 5 µs**.
@@ -166,6 +175,38 @@ fn main() {
     report.count("types", types as f64);
     report.count("shards", repo.shard_count() as f64);
     report.count("populate_ms", populate_ms);
+
+    // --- deposits into the full catalog ---------------------------------
+    let late = |k: usize| ComponentEntry {
+        class: format!("late.Arrival{k:07}"),
+        description: format!("late arrival {k}"),
+        ..entry_of(k)
+    };
+    const SINGLES: usize = 256;
+    let indexed_before = cca_obs::repo().snapshot().entries_indexed;
+    let samples: Vec<f64> = (0..SINGLES)
+        .map(|k| {
+            let entry = late(k);
+            let start = Instant::now();
+            repo.register_component(entry).expect("new class");
+            start.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    let indexed = cca_obs::repo().snapshot().entries_indexed - indexed_before;
+    report.metric("single_deposit_us", Stats::from_blocks(&samples, 16));
+    report
+        .count(
+            "entries_indexed_per_deposit",
+            (indexed / SINGLES as u64) as f64,
+        )
+        .at_most(
+            (types / repo.shard_count() / 4) as f64,
+            "a single deposit must not rebuild its shard (that reads types / shards)",
+        );
+    let batch: Vec<ComponentEntry> = (SINGLES..SINGLES + 64).map(late).collect();
+    let start = Instant::now();
+    repo.register_components(batch).expect("new classes");
+    report.count("batch64_deposit_ms", start.elapsed().as_secs_f64() * 1e3);
 
     // --- exact lookup ----------------------------------------------------
     // Deterministic stride through the keyspace; every lookup hits.

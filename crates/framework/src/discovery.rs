@@ -354,6 +354,36 @@ mod tests {
     }
 
     #[test]
+    fn a_remote_caller_cannot_size_an_allocation_with_its_limit() {
+        // `limit` arrives as a SIDL long from anyone who can dial the
+        // port; it caps the page, it must never size a buffer.
+        let fw = fw_with_catalog();
+        let disc = fw.install_discovery().unwrap();
+        for limit in [i64::MAX, 100_000_000_000] {
+            let page = disc
+                .invoke(
+                    "searchJson",
+                    vec![DynValue::Str("krylov".into()), DynValue::Long(limit)],
+                )
+                .unwrap();
+            let page = page.as_str().unwrap();
+            assert!(page.contains("\"matched\":2"), "{page}");
+            assert!(page.contains("\"cursor\":null"), "{page}");
+            let next = disc
+                .invoke(
+                    "pageJson",
+                    vec![
+                        DynValue::Str("krylov".into()),
+                        DynValue::Long(limit),
+                        DynValue::Str("v1:4294967295:a".into()),
+                    ],
+                )
+                .unwrap();
+            assert!(next.as_str().unwrap().contains("\"matched\":2"));
+        }
+    }
+
+    #[test]
     fn unknown_method_bad_args_and_junk_cursor_error() {
         let fw = fw_with_catalog();
         let disc = fw.install_discovery().unwrap();

@@ -21,6 +21,8 @@ pub struct RepoCounters {
     fuzzy_hits: AtomicU64,
     cursor_pages: AtomicU64,
     rebalances: AtomicU64,
+    entries_indexed: AtomicU64,
+    folds: AtomicU64,
 }
 
 impl RepoCounters {
@@ -55,6 +57,17 @@ impl RepoCounters {
         self.rebalances.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records `n` entries passed through a segment build — the work a
+    /// publication does, whatever the box's clock says it cost.
+    pub fn record_entries_indexed(&self, n: u64) {
+        self.entries_indexed.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Records one fold of a shard's `recent` segment into its base.
+    pub fn record_fold(&self) {
+        self.folds.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// A point-in-time copy.
     pub fn snapshot(&self) -> RepoSnapshot {
         RepoSnapshot {
@@ -65,6 +78,8 @@ impl RepoCounters {
             fuzzy_hits: self.fuzzy_hits.load(Ordering::Relaxed),
             cursor_pages: self.cursor_pages.load(Ordering::Relaxed),
             rebalances: self.rebalances.load(Ordering::Relaxed),
+            entries_indexed: self.entries_indexed.load(Ordering::Relaxed),
+            folds: self.folds.load(Ordering::Relaxed),
         }
     }
 
@@ -77,6 +92,8 @@ impl RepoCounters {
         self.fuzzy_hits.store(0, Ordering::Relaxed);
         self.cursor_pages.store(0, Ordering::Relaxed);
         self.rebalances.store(0, Ordering::Relaxed);
+        self.entries_indexed.store(0, Ordering::Relaxed);
+        self.folds.store(0, Ordering::Relaxed);
     }
 }
 
@@ -97,6 +114,11 @@ pub struct RepoSnapshot {
     pub cursor_pages: u64,
     /// Store-wide reshards.
     pub rebalances: u64,
+    /// Entries sorted and trigram-indexed by segment builds (appends
+    /// rebuild a handful, folds a whole shard).
+    pub entries_indexed: u64,
+    /// Folds of a shard's `recent` segment into its base.
+    pub folds: u64,
 }
 
 impl RepoSnapshot {
@@ -105,14 +127,16 @@ impl RepoSnapshot {
         format!(
             "{{\"deposits\":{},\"exact_lookups\":{},\"exact_misses\":{},\
              \"fuzzy_queries\":{},\"fuzzy_hits\":{},\"cursor_pages\":{},\
-             \"rebalances\":{}}}",
+             \"rebalances\":{},\"entries_indexed\":{},\"folds\":{}}}",
             self.deposits,
             self.exact_lookups,
             self.exact_misses,
             self.fuzzy_queries,
             self.fuzzy_hits,
             self.cursor_pages,
-            self.rebalances
+            self.rebalances,
+            self.entries_indexed,
+            self.folds
         )
     }
 }
@@ -125,6 +149,8 @@ static GLOBAL: RepoCounters = RepoCounters {
     fuzzy_hits: AtomicU64::new(0),
     cursor_pages: AtomicU64::new(0),
     rebalances: AtomicU64::new(0),
+    entries_indexed: AtomicU64::new(0),
+    folds: AtomicU64::new(0),
 };
 
 /// The process-global repository counter block.
@@ -147,6 +173,9 @@ mod tests {
         c.record_fuzzy_query(0);
         c.record_cursor_page();
         c.record_rebalance();
+        c.record_entries_indexed(9);
+        c.record_entries_indexed(3);
+        c.record_fold();
         let s = c.snapshot();
         assert_eq!(
             s,
@@ -158,6 +187,8 @@ mod tests {
                 fuzzy_hits: 10,
                 cursor_pages: 1,
                 rebalances: 1,
+                entries_indexed: 12,
+                folds: 1,
             }
         );
         c.reset();
@@ -172,7 +203,7 @@ mod tests {
             c.snapshot().to_json(),
             "{\"deposits\":1,\"exact_lookups\":0,\"exact_misses\":0,\
              \"fuzzy_queries\":0,\"fuzzy_hits\":0,\"cursor_pages\":0,\
-             \"rebalances\":0}"
+             \"rebalances\":0,\"entries_indexed\":0,\"folds\":0}"
         );
     }
 

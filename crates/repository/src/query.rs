@@ -16,8 +16,9 @@
 //!   under shard count changes, and a [`QueryCursor`] can resume it
 //!   exactly where the previous page stopped.
 
+use crate::shard::{Segment, StoredEntry};
 use crate::store::{ComponentEntry, Repository};
-use crate::trigram::score_match;
+use crate::trigram::{score_match, trigrams_of};
 use std::collections::BinaryHeap;
 
 /// A conjunctive component query. Empty fields match everything.
@@ -195,7 +196,7 @@ impl Repository {
         let lowered = query.text.as_ref().map(|t| t.to_lowercase());
         let mut out: Vec<ComponentEntry> = Vec::new();
         for snap in self.sharded().snapshots() {
-            for stored in snap.entries() {
+            for stored in snap.segments().into_iter().flat_map(Segment::entries) {
                 if let Some(t) = lowered.as_deref() {
                     if !stored.lowered_class.contains(t) && !stored.lowered_aux.contains(t) {
                         continue;
@@ -241,10 +242,11 @@ impl Repository {
         true
     }
 
-    /// Runs a fuzzy discovery query: trigram candidates per shard (scan
-    /// fallback for needles under 3 bytes), substring-verified, scored,
-    /// and capped to the best `limit` hits in `(score desc, class asc)`
-    /// order. `next` resumes exactly after the last returned hit.
+    /// Runs a fuzzy discovery query: trigram candidates per segment of
+    /// every shard (scan fallback for needles under 3 bytes),
+    /// substring-verified, scored, and capped to the best `limit` hits in
+    /// `(score desc, class asc)` order. `next` resumes exactly after the
+    /// last returned hit.
     pub fn fuzzy(&self, query: &FuzzyQuery) -> QueryPage {
         let needle = query.needle.to_lowercase();
         if needle.is_empty() {
@@ -254,58 +256,57 @@ impl Repository {
         let after = query.cursor.as_ref();
         // Min-heap (via the inverted Ord above) of the best `limit` hits
         // seen so far; O(matches · log limit), no full sort of the
-        // candidate set.
-        let mut heap: BinaryHeap<WorstFirst> = BinaryHeap::with_capacity(limit + 1);
+        // candidate set. It grows with the hits it holds — at most
+        // min(limit, matches) + 1 — never with `limit` itself, which a
+        // remote caller chooses.
+        let mut heap: BinaryHeap<WorstFirst> = BinaryHeap::new();
         let mut matched = 0usize;
+        let mut consider = |stored: &StoredEntry| {
+            let class = stored.entry.class.as_str();
+            let Some(score) = score_match(&stored.lowered_class, &stored.lowered_aux, &needle)
+            else {
+                return;
+            };
+            if let Some(c) = after {
+                // Strictly after the cursor in the total order.
+                let after_cursor = score < c.score || (score == c.score && *class > *c.class);
+                if !after_cursor {
+                    return;
+                }
+            }
+            matched += 1;
+            if heap.len() < limit {
+                heap.push(WorstFirst {
+                    score,
+                    class: class.to_string(),
+                });
+                return;
+            }
+            let worst = heap.peek().expect("heap full");
+            if score > worst.score || (score == worst.score && *class < *worst.class) {
+                heap.pop();
+                heap.push(WorstFirst {
+                    score,
+                    class: class.to_string(),
+                });
+            }
+        };
+        // Decomposed once per query, not once per segment.
+        let mut needle_trigrams = Vec::new();
+        trigrams_of(&needle, &mut needle_trigrams);
         let mut candidates: Vec<u32> = Vec::new();
         for snap in self.sharded().snapshots() {
-            let mut consider = |class: &str, lowered_class: &str, lowered_aux: &str| {
-                let Some(score) = score_match(lowered_class, lowered_aux, &needle) else {
-                    return;
-                };
-                if let Some(c) = after {
-                    // Strictly after the cursor in the total order.
-                    let after_cursor = score < c.score || (score == c.score && *class > *c.class);
-                    if !after_cursor {
-                        return;
-                    }
-                }
-                matched += 1;
-                if heap.len() < limit {
-                    heap.push(WorstFirst {
-                        score,
-                        class: class.to_string(),
-                    });
-                    return;
-                }
-                let worst = heap.peek().expect("heap full");
-                if score > worst.score || (score == worst.score && *class < *worst.class) {
-                    heap.pop();
-                    heap.push(WorstFirst {
-                        score,
-                        class: class.to_string(),
-                    });
-                }
-            };
-            match snap.index().candidates(&needle, &mut candidates) {
-                Some(()) => {
-                    for &ord in &candidates {
-                        let stored = snap.by_ordinal(ord);
-                        consider(
-                            &stored.entry.class,
-                            &stored.lowered_class,
-                            &stored.lowered_aux,
-                        );
-                    }
-                }
-                // Needle too short for trigrams: scan this shard.
-                None => {
-                    for stored in snap.entries() {
-                        consider(
-                            &stored.entry.class,
-                            &stored.lowered_class,
-                            &stored.lowered_aux,
-                        );
+            for segment in snap.segments() {
+                let entries = segment.entries();
+                if needle_trigrams.is_empty() {
+                    // Needle too short for trigrams: scan.
+                    entries.iter().for_each(&mut consider);
+                } else {
+                    segment
+                        .index()
+                        .candidates(&needle_trigrams, &mut candidates);
+                    for &ordinal in &candidates {
+                        consider(&entries[ordinal as usize]);
                     }
                 }
             }
@@ -521,6 +522,20 @@ mod tests {
             }
         }
         assert_eq!(walked, full.hits);
+    }
+
+    #[test]
+    fn an_absurd_limit_is_a_cap_not_an_allocation() {
+        // A remote caller picks the limit (DiscoveryPort passes a `long`
+        // straight through); reserving `limit + 1` heap slots up front
+        // aborted the process at 10^11 and overflowed at i64::MAX.
+        let repo = demo_repo();
+        for limit in [100_000_000_000usize, i64::MAX as usize, usize::MAX] {
+            let page = repo.fuzzy(&FuzzyQuery::new("esi").with_limit(limit));
+            let classes: Vec<&str> = page.hits.iter().map(|h| h.class.as_str()).collect();
+            assert_eq!(classes, vec!["esi.Cg", "esi.Ilu"], "limit {limit}");
+            assert!(page.next.is_none());
+        }
     }
 
     #[test]

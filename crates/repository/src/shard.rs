@@ -4,25 +4,38 @@
 //! snapshots behind a generation counter; this module lifts the same
 //! clone-mutate-swap discipline to the repository. Entries are hashed by
 //! class name across N shards. Each shard publishes an immutable
-//! [`ShardSnapshot`] — the entry table *and* the trigram index built over
-//! it — behind a briefly-held pointer lock, so a reader (exact lookup,
-//! fuzzy query, `entries()` walk) clones one `Arc` and then works on a
+//! [`ShardSnapshot`] — entry tables *and* the trigram indexes built over
+//! them — behind a briefly-held pointer lock, so a reader (exact lookup,
+//! fuzzy query, `entries()` walk) clones two `Arc`s and then works on a
 //! frozen world: no lock is held while searching, and a concurrent
 //! deposit can never tear the view. Writers serialize per shard, build
 //! the successor snapshot off-line, swap the pointer in O(1), and bump
 //! that shard's monotonic generation counter.
 //!
-//! Two write paths exist because their cost classes differ by orders of
-//! magnitude:
+//! A snapshot is **two** immutable indexed [`Segment`]s, both built by the
+//! one [`Segment::build`]: `base`, the bulk of the shard, shared untouched
+//! from one publication to the next, and `recent`, the at most
+//! `RECENT_MAX` entries deposited since `base` was built, disjoint from it
+//! by class. That split is what lets a deposit cost what the entry costs.
+//! Three publications exist, each one generation bump:
 //!
-//! * [`ShardedStore::try_insert`] / [`try_remove`](ShardedStore::try_remove)
-//!   — one entry, one shard: clone the shard's table, mutate, rebuild
-//!   that shard's trigram index. O(shard) per call; fine interactively.
-//! * [`ShardedStore::try_insert_batch`] — groups the batch by shard,
-//!   locks every touched shard (in index order — no deadlock), validates
-//!   **all-or-nothing** (a duplicate anywhere publishes nothing), then
-//!   pays one clone+rebuild per shard per batch. This is how a
-//!   million-type population costs minutes of CPU in total, not O(n²).
+//! * **append** — [`ShardedStore::try_insert`] of a new class while
+//!   `recent` has room: rebuild `recent` alone (≤ `RECENT_MAX` entries),
+//!   republish `base` by `Arc::clone`. O(1) in the shard.
+//! * **fold** — `recent` is full, or the write is an overwrite or a
+//!   [`try_remove`](ShardedStore::try_remove): rebuild `base ∪ recent`
+//!   into one `base` with an empty `recent`. O(shard), every
+//!   `RECENT_MAX + 1`-th deposit to a shard.
+//! * **batch** — [`ShardedStore::try_insert_batch`] groups the batch by
+//!   shard, locks every touched shard (in index order — no deadlock),
+//!   validates **all-or-nothing** against both segments (a duplicate
+//!   anywhere publishes nothing), then per shard appends when the bucket
+//!   fits in `recent` and folds otherwise. A million-type populate is one
+//!   fold per shard; a 64-entry batch is an append wherever two more fit.
+//!
+//! `recent` is indexed rather than scanned so that readers keep one code
+//! path and pay nothing for it: a needle none of whose trigrams occur in
+//! a shard's eight newest entries costs that segment one binary search.
 //!
 //! Resharding ([`crate::Repository::rebalance`]) replaces the whole
 //! store. A writer that raced the swap — it cloned the old store's `Arc`
@@ -31,7 +44,7 @@
 //! readers of the old store just finish against their frozen snapshots.
 
 use crate::store::ComponentEntry;
-use crate::trigram::TrigramIndex;
+use crate::trigram::{size_class, TrigramIndex};
 use cca_core::CcaError;
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
@@ -85,12 +98,17 @@ impl StoredEntry {
     }
 }
 
-/// The immutable published state of one shard. Everything a reader needs
-/// — entries, ordinal arrays, trigram postings — is frozen together, so
-/// any snapshot is internally consistent by construction.
-pub struct ShardSnapshot {
-    /// The shard generation this snapshot was published at.
-    pub generation: u64,
+/// Most entries a shard's `recent` segment holds before the next deposit
+/// folds it into `base`. Chosen by measurement (DESIGN §4i): a fold costs
+/// what a populate of the shard costs, so the mean deposit is
+/// fold ÷ (`RECENT_MAX` + 1), and a time-budgeted writer grows the catalog
+/// — and the resident set — in inverse proportion to it.
+const RECENT_MAX: usize = 8;
+
+/// One immutable indexed run of entries: the table, its class map and the
+/// trigram postings over it, frozen together, so any segment is internally
+/// consistent by construction.
+pub struct Segment {
     /// Entries sorted by class name; the index into this vec is the
     /// ordinal the trigram postings refer to.
     entries: Vec<StoredEntry>,
@@ -100,17 +118,11 @@ pub struct ShardSnapshot {
     index: TrigramIndex,
 }
 
-impl ShardSnapshot {
-    fn empty() -> Arc<Self> {
-        Arc::new(ShardSnapshot {
-            generation: 0,
-            entries: Vec::new(),
-            by_class: BTreeMap::new(),
-            index: TrigramIndex::default(),
-        })
-    }
-
-    fn from_entries(mut entries: Vec<StoredEntry>, generation: u64) -> Arc<Self> {
+impl Segment {
+    /// Sorts and indexes `entries` (classes must be distinct). The only
+    /// way a segment comes to be — `base` and `recent` alike.
+    fn build(mut entries: Vec<StoredEntry>) -> Arc<Self> {
+        cca_obs::repo().record_entries_indexed(entries.len() as u64);
         entries.sort_by(|a, b| a.entry.class.cmp(&b.entry.class));
         let by_class = entries
             .iter()
@@ -119,8 +131,7 @@ impl ShardSnapshot {
             .collect();
         let texts: Vec<String> = entries.iter().map(|e| e.search_text()).collect();
         let index = TrigramIndex::build(&texts);
-        Arc::new(ShardSnapshot {
-            generation,
+        Arc::new(Segment {
             entries,
             by_class,
             index,
@@ -132,36 +143,57 @@ impl ShardSnapshot {
         self.by_class.get(class).map(|&i| &self.entries[i as usize])
     }
 
-    /// All entries, sorted by class name.
+    /// All entries, sorted by class name; the position of an entry is the
+    /// ordinal this segment's trigram postings refer to.
     pub fn entries(&self) -> &[StoredEntry] {
         &self.entries
     }
 
-    /// The entry behind a trigram ordinal.
-    pub fn by_ordinal(&self, ordinal: u32) -> &StoredEntry {
-        &self.entries[ordinal as usize]
-    }
-
-    /// This snapshot's trigram index.
+    /// This segment's trigram index.
     pub fn index(&self) -> &TrigramIndex {
         &self.index
+    }
+}
+
+/// The immutable published state of one shard: two segments, disjoint by
+/// class, that together hold every entry of the shard.
+#[derive(Clone)]
+pub struct ShardSnapshot {
+    /// The shard generation this snapshot was published at.
+    pub generation: u64,
+    /// The bulk of the shard, as of the last fold.
+    base: Arc<Segment>,
+    /// At most `RECENT_MAX` entries deposited since.
+    recent: Arc<Segment>,
+}
+
+impl ShardSnapshot {
+    /// Both segments, `base` first. Every reader loops over this.
+    pub fn segments(&self) -> [&Segment; 2] {
+        [&self.base, &self.recent]
+    }
+
+    /// Exact lookup by class name.
+    pub fn get(&self, class: &str) -> Option<&StoredEntry> {
+        self.segments().into_iter().find_map(|s| s.get(class))
     }
 
     /// Entry count.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.base.entries.len() + self.recent.entries.len()
     }
 
     /// True when the shard holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 }
 
 struct Shard {
     /// The published snapshot. Readers take the lock only long enough to
-    /// clone the `Arc`; writers only to swap it.
-    snap: RwLock<Arc<ShardSnapshot>>,
+    /// clone its two `Arc`s; writers only to swap it. Held by value, not
+    /// behind an `Arc` of its own: one pointer hop fewer per shard visit.
+    snap: RwLock<ShardSnapshot>,
     /// Monotonic publication counter, bumped after every swap.
     generation: AtomicU64,
     /// Serializes writers of this shard (clone-mutate-swap must not race
@@ -172,43 +204,83 @@ struct Shard {
 impl Shard {
     fn new() -> Self {
         Shard {
-            snap: RwLock::new(ShardSnapshot::empty()),
+            snap: RwLock::new(ShardSnapshot {
+                generation: 0,
+                base: Segment::build(Vec::new()),
+                recent: Segment::build(Vec::new()),
+            }),
             generation: AtomicU64::new(0),
             write: Mutex::new(()),
         }
     }
 
-    fn snapshot(&self) -> Arc<ShardSnapshot> {
-        Arc::clone(&self.snap.read())
+    fn snapshot(&self) -> ShardSnapshot {
+        self.snap.read().clone()
     }
 
-    /// Publishes `entries` as the next snapshot. Caller holds `write`.
-    fn publish(&self, entries: Vec<StoredEntry>) {
+    /// Publishes the two segments as the next snapshot. Caller holds
+    /// `write`.
+    fn publish(&self, base: Arc<Segment>, recent: Arc<Segment>) {
         let generation = self.generation.load(Ordering::Acquire) + 1;
-        let next = ShardSnapshot::from_entries(entries, generation);
-        *self.snap.write() = next;
+        let next = ShardSnapshot {
+            generation,
+            base,
+            recent,
+        };
+        // The guard is gone by the end of this statement: whoever holds
+        // the last reference to a retired segment frees it, and that must
+        // never be the holder of the pointer lock.
+        let retired = std::mem::replace(&mut *self.snap.write(), next);
         self.generation.store(generation, Ordering::Release);
+        drop(retired);
+    }
+
+    /// Publishes everything `current` holds except the class `without`,
+    /// plus `new`, as one `base` with an empty `recent`. Caller holds
+    /// `write`.
+    fn fold(&self, current: &ShardSnapshot, without: Option<&str>, new: Vec<StoredEntry>) {
+        cca_obs::repo().record_fold();
+        // Sized once, to a size class (see `size_class`): grown by
+        // doubling, this table leaves a trail of freed blocks the clones'
+        // small strings then pin.
+        let mut all = Vec::with_capacity(size_class(current.len() + new.len()));
+        all.extend(
+            current
+                .segments()
+                .into_iter()
+                .flat_map(Segment::entries)
+                .filter(|e| Some(e.entry.class.as_str()) != without)
+                .cloned(),
+        );
+        all.extend(new);
+        self.publish(Segment::build(all), Segment::build(Vec::new()));
+    }
+
+    /// Publishes `current` plus `new` (classes absent from `current`):
+    /// an append while `recent` has room for them, a fold otherwise.
+    /// Caller holds `write`.
+    fn deposit(&self, current: &ShardSnapshot, new: Vec<StoredEntry>) {
+        if current.recent.entries.len() + new.len() <= RECENT_MAX {
+            let mut recent = current.recent.entries.clone();
+            recent.extend(new);
+            self.publish(Arc::clone(&current.base), Segment::build(recent));
+        } else {
+            self.fold(current, None, new);
+        }
     }
 }
 
 /// The outcome of a write attempt against a possibly-retired store.
-pub enum WriteOutcome<T> {
-    /// The write published.
+/// `Retired` hands the unpublished payload back (`B`: the entry, the
+/// batch, or nothing for a remove), so the caller can retry against the
+/// current store without having cloned it up front.
+pub enum WriteOutcome<T, B> {
+    /// The write was decided here: published, or rejected whole (for an
+    /// insert, a duplicate; nothing published).
     Done(T),
     /// The store was retired by a rebalance after the caller cloned its
     /// handle; retry against the current store.
-    Retired,
-}
-
-/// The outcome of a batch insert. `Retired` hands the (unpublished)
-/// batch back so the caller can retry against the current store without
-/// having cloned a million entries up front.
-pub enum BatchOutcome {
-    /// The batch published (`Ok`: entries inserted) or was rejected
-    /// whole (`Err`: a duplicate; nothing published).
-    Done(Result<usize, CcaError>),
-    /// The store was retired mid-flight; here is the batch back.
-    Retired(Vec<StoredEntry>),
+    Retired(B),
 }
 
 /// A fixed set of shards plus the retirement flag that makes
@@ -251,7 +323,7 @@ impl ShardedStore {
         }
         for (shard, bucket) in store.shards.iter().zip(buckets) {
             let _w = shard.write.lock();
-            shard.publish(bucket);
+            shard.deposit(&shard.snapshot(), bucket);
         }
         store
     }
@@ -272,14 +344,14 @@ impl ShardedStore {
     }
 
     /// The published snapshot of one shard.
-    pub fn snapshot(&self, shard: usize) -> Arc<ShardSnapshot> {
+    pub fn snapshot(&self, shard: usize) -> ShardSnapshot {
         self.shards[shard].snapshot()
     }
 
     /// Published snapshots of every shard (one frozen world per shard;
     /// cross-shard reads are not atomic with each other, which exact
     /// lookups and per-shard queries never need).
-    pub fn snapshots(&self) -> Vec<Arc<ShardSnapshot>> {
+    pub fn snapshots(&self) -> Vec<ShardSnapshot> {
         self.shards.iter().map(Shard::snapshot).collect()
     }
 
@@ -307,41 +379,42 @@ impl ShardedStore {
     }
 
     /// Inserts one entry. `overwrite` distinguishes register (duplicate
-    /// is an error) from re-deposit (replace in place).
+    /// is an error) from re-deposit (replace in place). A new class is an
+    /// append or, every `RECENT_MAX + 1`-th time, a fold; a replacement
+    /// always folds.
     pub fn try_insert(
         &self,
         stored: StoredEntry,
         overwrite: bool,
-    ) -> WriteOutcome<Result<(), CcaError>> {
+    ) -> WriteOutcome<Result<(), CcaError>, StoredEntry> {
         let shard = &self.shards[self.shard_of(&stored.entry.class)];
         let _w = shard.write.lock();
         if self.is_retired() {
-            return WriteOutcome::Retired;
+            return WriteOutcome::Retired(stored);
         }
         let current = shard.snapshot();
-        if !overwrite && current.get(&stored.entry.class).is_some() {
-            return WriteOutcome::Done(Err(CcaError::ComponentAlreadyExists(
-                stored.entry.class.clone(),
-            )));
+        if current.get(&stored.entry.class).is_none() {
+            shard.deposit(&current, vec![stored]);
+        } else if overwrite {
+            let class = stored.entry.class.clone();
+            shard.fold(&current, Some(&class), vec![stored]);
+        } else {
+            return WriteOutcome::Done(Err(CcaError::ComponentAlreadyExists(stored.entry.class)));
         }
-        let mut entries: Vec<StoredEntry> = current
-            .entries()
-            .iter()
-            .filter(|e| e.entry.class != stored.entry.class)
-            .cloned()
-            .collect();
-        entries.push(stored);
-        shard.publish(entries);
         WriteOutcome::Done(Ok(()))
     }
 
     /// Inserts a batch, all-or-nothing: every touched shard is locked (in
-    /// index order), every class validated against the existing tables
-    /// *and* the batch itself, and only then does any shard publish. A
-    /// duplicate anywhere leaves the whole store untouched.
-    pub fn try_insert_batch(&self, batch: Vec<StoredEntry>) -> BatchOutcome {
+    /// index order), every class validated against both segments of the
+    /// existing snapshots *and* the batch itself, and only then does any
+    /// shard publish — an append where its bucket fits in `recent`, a fold
+    /// where not. A duplicate anywhere leaves the whole store untouched.
+    pub fn try_insert_batch(
+        &self,
+        batch: Vec<StoredEntry>,
+    ) -> WriteOutcome<Result<usize, CcaError>, Vec<StoredEntry>> {
         if batch.is_empty() {
-            return BatchOutcome::Done(Ok(0));
+            return WriteOutcome::Done(Ok(0));
         }
         let mut buckets: Vec<Vec<StoredEntry>> =
             (0..self.shards.len()).map(|_| Vec::new()).collect();
@@ -358,7 +431,7 @@ impl ShardedStore {
             .map(|&i| self.shards[i].write.lock())
             .collect();
         if self.is_retired() {
-            return BatchOutcome::Retired(buckets.into_iter().flatten().collect());
+            return WriteOutcome::Retired(buckets.into_iter().flatten().collect());
         }
         let mut inserted = 0usize;
         for &i in &touched {
@@ -367,14 +440,14 @@ impl ShardedStore {
             bucket.sort_by(|a, b| a.entry.class.cmp(&b.entry.class));
             for pair in bucket.windows(2) {
                 if pair[0].entry.class == pair[1].entry.class {
-                    return BatchOutcome::Done(Err(CcaError::ComponentAlreadyExists(
+                    return WriteOutcome::Done(Err(CcaError::ComponentAlreadyExists(
                         pair[0].entry.class.clone(),
                     )));
                 }
             }
             for e in bucket.iter() {
                 if current.get(&e.entry.class).is_some() {
-                    return BatchOutcome::Done(Err(CcaError::ComponentAlreadyExists(
+                    return WriteOutcome::Done(Err(CcaError::ComponentAlreadyExists(
                         e.entry.class.clone(),
                     )));
                 }
@@ -383,41 +456,25 @@ impl ShardedStore {
         }
         for &i in &touched {
             let shard = &self.shards[i];
-            let mut entries: Vec<StoredEntry> = shard.snapshot().entries().to_vec();
-            entries.append(&mut buckets[i]);
-            shard.publish(entries);
+            shard.deposit(&shard.snapshot(), std::mem::take(&mut buckets[i]));
         }
         drop(guards);
-        BatchOutcome::Done(Ok(inserted))
+        WriteOutcome::Done(Ok(inserted))
     }
 
-    /// Removes one entry by class.
-    pub fn try_remove(&self, class: &str) -> WriteOutcome<Result<ComponentEntry, CcaError>> {
+    /// Removes one entry by class (a fold, whichever segment held it).
+    pub fn try_remove(&self, class: &str) -> WriteOutcome<Result<ComponentEntry, CcaError>, ()> {
         let shard = &self.shards[self.shard_of(class)];
         let _w = shard.write.lock();
         if self.is_retired() {
-            return WriteOutcome::Retired;
+            return WriteOutcome::Retired(());
         }
         let current = shard.snapshot();
-        if current.get(class).is_none() {
+        let Some(removed) = current.get(class).map(|e| e.entry.clone()) else {
             return WriteOutcome::Done(Err(CcaError::ComponentNotFound(class.to_string())));
-        }
-        let mut removed = None;
-        let entries: Vec<StoredEntry> = current
-            .entries()
-            .iter()
-            .filter(|e| {
-                if e.entry.class == class {
-                    removed = Some(e.entry.clone());
-                    false
-                } else {
-                    true
-                }
-            })
-            .cloned()
-            .collect();
-        shard.publish(entries);
-        WriteOutcome::Done(Ok(removed.expect("presence checked above")))
+        };
+        shard.fold(&current, Some(class), Vec::new());
+        WriteOutcome::Done(Ok(removed))
     }
 
     /// Locks every shard, marks this store retired, and returns all
@@ -429,7 +486,13 @@ impl ShardedStore {
         self.retired.store(true, Ordering::Release);
         let mut all = Vec::with_capacity(self.len());
         for s in self.shards.iter() {
-            all.extend(s.snapshot().entries().iter().cloned());
+            let snap = s.snapshot();
+            all.extend(
+                snap.segments()
+                    .into_iter()
+                    .flat_map(Segment::entries)
+                    .cloned(),
+            );
         }
         all
     }
@@ -463,17 +526,10 @@ mod tests {
         })
     }
 
-    fn unwrap_done<T>(o: WriteOutcome<T>) -> T {
+    fn unwrap_done<T, B>(o: WriteOutcome<T, B>) -> T {
         match o {
             WriteOutcome::Done(t) => t,
-            WriteOutcome::Retired => panic!("store unexpectedly retired"),
-        }
-    }
-
-    fn unwrap_batch(o: BatchOutcome) -> Result<usize, CcaError> {
-        match o {
-            BatchOutcome::Done(r) => r,
-            BatchOutcome::Retired(_) => panic!("store unexpectedly retired"),
+            WriteOutcome::Retired(_) => panic!("store unexpectedly retired"),
         }
     }
 
@@ -522,17 +578,141 @@ mod tests {
         let before = store.generations();
         // Batch with a duplicate against the store: nothing publishes.
         let batch = vec![entry("a.A"), entry("b.B"), entry("x.Existing")];
-        assert!(unwrap_batch(store.try_insert_batch(batch)).is_err());
+        assert!(unwrap_done(store.try_insert_batch(batch)).is_err());
         assert_eq!(store.len(), 1);
         assert_eq!(store.generations(), before);
         // Batch with an internal duplicate: same.
         let batch = vec![entry("a.A"), entry("a.A")];
-        assert!(unwrap_batch(store.try_insert_batch(batch)).is_err());
+        assert!(unwrap_done(store.try_insert_batch(batch)).is_err());
         assert_eq!(store.len(), 1);
         // A clean batch lands everywhere.
-        let n = unwrap_batch(store.try_insert_batch(vec![entry("a.A"), entry("b.B")])).unwrap();
+        let n = unwrap_done(store.try_insert_batch(vec![entry("a.A"), entry("b.B")])).unwrap();
         assert_eq!(n, 2);
         assert_eq!(store.len(), 3);
+    }
+
+    /// `(base, recent)` entry counts of a one-shard store.
+    fn layout(store: &ShardedStore) -> (usize, usize) {
+        let [base, recent] = store.snapshot(0).segments().map(|s| s.entries().len());
+        (base, recent)
+    }
+
+    fn single(store: &ShardedStore, class: &str) {
+        unwrap_done(store.try_insert(entry(class), false)).unwrap();
+    }
+
+    #[test]
+    fn the_eighth_deposit_appends_and_the_ninth_folds() {
+        let store = ShardedStore::new(1);
+        for i in 0..RECENT_MAX {
+            single(&store, &format!("p{i}.C"));
+            assert_eq!(layout(&store), (0, i + 1), "appends leave base alone");
+        }
+        let base_before = Arc::as_ptr(&store.snapshot(0).base);
+        single(&store, "late.Ninth");
+        assert_eq!(layout(&store), (RECENT_MAX + 1, 0), "a full recent folds");
+        assert_ne!(Arc::as_ptr(&store.snapshot(0).base), base_before);
+        // The next deposit starts a new recent beside the folded base,
+        // shared by pointer, not rebuilt.
+        let folded = Arc::as_ptr(&store.snapshot(0).base);
+        single(&store, "late.Tenth");
+        assert_eq!(layout(&store), (RECENT_MAX + 1, 1));
+        assert_eq!(Arc::as_ptr(&store.snapshot(0).base), folded);
+        // One publication per deposit, every entry reachable from either
+        // segment, and never from both.
+        assert_eq!(store.generations(), vec![RECENT_MAX as u64 + 2]);
+        assert_eq!(store.len(), RECENT_MAX + 2);
+        let snap = store.snapshot(0);
+        for class in (0..RECENT_MAX)
+            .map(|i| format!("p{i}.C"))
+            .chain(["late.Ninth".to_string(), "late.Tenth".to_string()])
+        {
+            assert!(store.get(&class).is_some(), "{class}");
+            let holders = snap.segments().map(|s| s.get(&class).is_some());
+            assert!(holders[0] != holders[1], "{class}");
+        }
+    }
+
+    #[test]
+    fn overwrite_and_remove_fold_whichever_segment_holds_the_class() {
+        let store = ShardedStore::new(1);
+        let base: Vec<StoredEntry> = (0..20).map(|i| entry(&format!("b{i:02}.C"))).collect();
+        unwrap_done(store.try_insert_batch(base)).unwrap();
+        single(&store, "r.Recent");
+        assert_eq!(layout(&store), (20, 1));
+
+        let replace = |class: &str| {
+            let mut e = entry(class).entry;
+            e.description = "replaced".into();
+            unwrap_done(store.try_insert(StoredEntry::new(e), true)).unwrap();
+            assert_eq!(store.get(class).unwrap().entry.description, "replaced");
+        };
+        replace("r.Recent");
+        assert_eq!(layout(&store), (21, 0), "overwrite in recent folds");
+        single(&store, "r.Other");
+        replace("b07.C");
+        assert_eq!(
+            layout(&store),
+            (22, 0),
+            "overwrite in base folds recent in too"
+        );
+        assert_eq!(store.len(), 22);
+
+        single(&store, "r.Third");
+        assert_eq!(layout(&store), (22, 1));
+        let gone = unwrap_done(store.try_remove("r.Third")).unwrap();
+        assert_eq!(gone.class, "r.Third");
+        assert_eq!(layout(&store), (22, 0), "remove from recent folds");
+        single(&store, "r.Fourth");
+        unwrap_done(store.try_remove("b00.C")).unwrap();
+        assert_eq!(
+            layout(&store),
+            (22, 0),
+            "remove from base folds recent in too"
+        );
+        assert!(store.get("b00.C").is_none() && store.get("r.Third").is_none());
+        assert!(store.get("r.Fourth").is_some() && store.get("r.Other").is_some());
+        assert!(unwrap_done(store.try_remove("r.Third")).is_err());
+    }
+
+    #[test]
+    fn a_batch_appends_while_it_fits_and_folds_when_it_overflows() {
+        let store = ShardedStore::new(1);
+        let batch = |from: usize, n: usize| -> Vec<StoredEntry> {
+            (from..from + n)
+                .map(|i| entry(&format!("p{i:02}.C")))
+                .collect()
+        };
+        unwrap_done(store.try_insert_batch(batch(0, 5))).unwrap();
+        assert_eq!(layout(&store), (0, 5));
+        unwrap_done(store.try_insert_batch(batch(5, RECENT_MAX - 5))).unwrap();
+        assert_eq!(
+            layout(&store),
+            (0, RECENT_MAX),
+            "filling recent exactly still appends"
+        );
+        // A duplicate sitting in recent rejects the batch whole.
+        let before = store.generations();
+        let mut clash = batch(40, 2);
+        clash.push(entry("p03.C"));
+        assert!(unwrap_done(store.try_insert_batch(clash)).is_err());
+        assert_eq!(store.generations(), before);
+        assert_eq!(layout(&store), (0, RECENT_MAX));
+        unwrap_done(store.try_insert_batch(batch(20, 2))).unwrap();
+        assert_eq!(
+            layout(&store),
+            (RECENT_MAX + 2, 0),
+            "an overflowing bucket folds"
+        );
+        // ... as does one that never could have fit.
+        unwrap_done(store.try_insert_batch(batch(50, RECENT_MAX + 1))).unwrap();
+        assert_eq!(layout(&store), (2 * RECENT_MAX + 3, 0));
+        assert_eq!(store.generations(), vec![4], "one publication per batch");
+        // And a duplicate sitting in base rejects too.
+        let mut clash = batch(70, 1);
+        clash.push(entry("p50.C"));
+        assert!(unwrap_done(store.try_insert_batch(clash)).is_err());
+        assert_eq!(store.generations(), vec![4]);
     }
 
     #[test]
@@ -551,14 +731,15 @@ mod tests {
         unwrap_done(store.try_insert(entry("a.A"), false)).unwrap();
         let all = store.retire_and_collect();
         assert_eq!(all.len(), 1);
+        // A refused write hands its payload back for the retry.
         assert!(matches!(
             store.try_insert(entry("b.B"), false),
-            WriteOutcome::Retired
+            WriteOutcome::Retired(back) if back.entry.class == "b.B"
         ));
-        assert!(matches!(store.try_remove("a.A"), WriteOutcome::Retired));
+        assert!(matches!(store.try_remove("a.A"), WriteOutcome::Retired(())));
         assert!(matches!(
             store.try_insert_batch(vec![entry("c.C")]),
-            BatchOutcome::Retired(_)
+            WriteOutcome::Retired(back) if back.len() == 1
         ));
         // Readers of the retired store still see their frozen world.
         assert!(store.get("a.A").is_some());

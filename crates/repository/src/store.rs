@@ -1,7 +1,7 @@
 //! Component entries and instantiation factories.
 
 use crate::catalog::Catalog;
-use crate::shard::{BatchOutcome, ShardedStore, StoredEntry, WriteOutcome, DEFAULT_SHARDS};
+use crate::shard::{Segment, ShardedStore, StoredEntry, WriteOutcome, DEFAULT_SHARDS};
 use cca_core::{CcaError, Component};
 use cca_data::TypeMap;
 use cca_sidl::SidlError;
@@ -135,39 +135,38 @@ impl Repository {
             .expect("overwrite insert cannot reject");
     }
 
-    fn insert(&self, stored: StoredEntry, overwrite: bool) -> Result<(), CcaError> {
+    fn insert(&self, mut stored: StoredEntry, overwrite: bool) -> Result<(), CcaError> {
         // The retry loop only spins when a rebalance retired the store
         // between our handle clone and the shard lock — rare, bounded by
         // the number of concurrent rebalances.
         loop {
-            match self.sharded().try_insert(stored.clone(), overwrite) {
+            match self.sharded().try_insert(stored, overwrite) {
                 WriteOutcome::Done(r) => {
                     if r.is_ok() {
                         cca_obs::repo().record_deposits(1);
                     }
                     return r;
                 }
-                WriteOutcome::Retired => continue,
+                WriteOutcome::Retired(back) => stored = back,
             }
         }
     }
 
-    /// Registers a whole batch in one publication per shard,
+    /// Registers a whole batch in one publication per touched shard,
     /// all-or-nothing: any duplicate (against the store or within the
     /// batch) rejects the lot and publishes nothing. This is the scale
-    /// path — a million types cost one snapshot rebuild per shard, not
-    /// one per entry.
+    /// path — a million types cost one fold per shard, not one per entry.
     pub fn register_components(&self, batch: Vec<ComponentEntry>) -> Result<usize, CcaError> {
         let mut stored: Vec<StoredEntry> = batch.into_iter().map(StoredEntry::new).collect();
         loop {
             match self.sharded().try_insert_batch(stored) {
-                BatchOutcome::Done(r) => {
+                WriteOutcome::Done(r) => {
                     if let Ok(n) = r {
                         cca_obs::repo().record_deposits(n as u64);
                     }
                     return r;
                 }
-                BatchOutcome::Retired(back) => stored = back,
+                WriteOutcome::Retired(back) => stored = back,
             }
         }
     }
@@ -177,7 +176,7 @@ impl Repository {
         loop {
             match self.sharded().try_remove(class) {
                 WriteOutcome::Done(r) => return r,
-                WriteOutcome::Retired => continue,
+                WriteOutcome::Retired(()) => continue,
             }
         }
     }
@@ -207,7 +206,9 @@ impl Repository {
             .sharded()
             .snapshots()
             .iter()
-            .flat_map(|s| s.entries().iter().map(|e| e.entry.clone()))
+            .flat_map(|snap| snap.segments())
+            .flat_map(Segment::entries)
+            .map(|e| e.entry.clone())
             .collect();
         all.sort_by(|a, b| a.class.cmp(&b.class));
         all

@@ -44,6 +44,19 @@ pub fn trigrams_of(text: &str, out: &mut Vec<Trigram>) {
     out.dedup();
 }
 
+/// Rounds a capacity up to one of sixteen steps per power of two (at most
+/// 1/8 over). A segment's long-lived blocks — its entry table, its posting
+/// pool — are rebuilt a few entries larger at every fold while readers
+/// still hold the old ones, so an exactly-sized block never fits the hole
+/// its predecessor, or any other shard's, leaves behind: the allocator
+/// carves a larger hole or extends the heap, and resident memory creeps
+/// with every fold (measured at 100k types: 7 KB a deposit, 139 MB after
+/// 3,500 against 123 MB with classes). Classed, a freed block is the next
+/// fold's block.
+pub(crate) fn size_class(n: usize) -> usize {
+    n.next_multiple_of((n.next_power_of_two() / 16).max(1))
+}
+
 /// The immutable postings table of one shard snapshot: trigram → sorted
 /// entry ordinals. Stored as two parallel sorted arrays (keys + ranges
 /// into one flat ordinal pool) so a million-entry shard costs one
@@ -76,7 +89,7 @@ impl TrigramIndex {
         pairs.sort_unstable();
         let mut keys = Vec::new();
         let mut spans = Vec::new();
-        let mut postings = Vec::with_capacity(pairs.len());
+        let mut postings = Vec::with_capacity(size_class(pairs.len()));
         for (t, ordinal) in pairs {
             if keys.last() != Some(&t) {
                 if let Some(last) = spans.last_mut() {
@@ -109,27 +122,34 @@ impl TrigramIndex {
         }
     }
 
-    /// Ordinals whose text contains **every** trigram of `needle`
-    /// (candidates only — the caller must still verify the substring, as
-    /// trigram containment is necessary but not sufficient). Returns
-    /// `None` when the needle is too short to have trigrams, in which
-    /// case the caller falls back to a scan.
-    pub fn candidates(&self, lowered_needle: &str, out: &mut Vec<u32>) -> Option<()> {
-        let mut needle_tris = Vec::new();
-        trigrams_of(lowered_needle, &mut needle_tris);
-        if needle_tris.is_empty() {
-            return None;
+    /// Ordinals whose text contains **every** trigram of the needle,
+    /// given decomposed (the non-empty output of [`trigrams_of`], computed
+    /// once per query and reused for every segment). Candidates only —
+    /// the caller must still verify the substring, as trigram containment
+    /// is necessary but not sufficient. Returns at the first trigram this
+    /// index does not hold, before touching `out`'s allocation or making
+    /// one of its own: a segment that cannot match costs a binary search.
+    pub fn candidates(&self, needle_trigrams: &[Trigram], out: &mut Vec<u32>) {
+        out.clear();
+        let mut lists: Vec<&[u32]> = Vec::new();
+        for &t in needle_trigrams {
+            let list = self.postings(t);
+            if list.is_empty() {
+                return;
+            }
+            if lists.is_empty() {
+                lists.reserve_exact(needle_trigrams.len());
+            }
+            lists.push(list);
         }
         // Rarest-first intersection: sorting the lists by length means the
         // working set can only shrink as fast as possible.
-        let mut lists: Vec<&[u32]> = needle_tris.iter().map(|&t| self.postings(t)).collect();
         lists.sort_unstable_by_key(|l| l.len());
-        out.clear();
-        if lists[0].is_empty() {
-            return Some(());
-        }
-        out.extend_from_slice(lists[0]);
-        for list in &lists[1..] {
+        let Some((rarest, rest)) = lists.split_first() else {
+            return;
+        };
+        out.extend_from_slice(rarest);
+        for list in rest {
             if out.is_empty() {
                 break;
             }
@@ -149,7 +169,6 @@ impl TrigramIndex {
             }
             out.truncate(kept);
         }
-        Some(())
     }
 
     /// Number of distinct trigrams.
@@ -218,8 +237,10 @@ mod tests {
     use super::*;
 
     fn find(index: &TrigramIndex, needle: &str) -> Vec<u32> {
-        let mut out = Vec::new();
-        index.candidates(needle, &mut out).expect("needle >= 3");
+        let (mut needle_trigrams, mut out) = (Vec::new(), Vec::new());
+        trigrams_of(needle, &mut needle_trigrams);
+        assert!(!needle_trigrams.is_empty(), "needle >= 3");
+        index.candidates(&needle_trigrams, &mut out);
         out
     }
 
@@ -237,11 +258,24 @@ mod tests {
 
     #[test]
     fn short_needles_decline() {
-        let index = TrigramIndex::build(&["abc"]);
-        let mut out = Vec::new();
-        assert!(index.candidates("ab", &mut out).is_none());
-        assert!(index.candidates("", &mut out).is_none());
-        assert!(index.candidates("abc", &mut out).is_some());
+        let mut tris = vec![7];
+        trigrams_of("ab", &mut tris);
+        assert!(tris.is_empty());
+        trigrams_of("", &mut tris);
+        assert!(tris.is_empty());
+        trigrams_of("abc", &mut tris);
+        assert_eq!(tris.len(), 1);
+    }
+
+    #[test]
+    fn an_absent_trigram_clears_stale_candidates() {
+        let index = TrigramIndex::build(&["abcd"]);
+        let mut out = vec![9, 9];
+        // "bcd" present, "cde" absent: nothing survives, nothing stale.
+        let mut tris = Vec::new();
+        trigrams_of("bcde", &mut tris);
+        index.candidates(&tris, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -1,20 +1,24 @@
 //! Property tests for the sharded catalog: the discovery guarantees that
 //! must hold for *every* catalog, not just the curated fixtures.
 //!
-//! Four contracts under random entry sets and needles:
+//! Five contracts under random entry sets and needles:
 //! - **Completeness and soundness**: the trigram-accelerated fuzzy path
 //!   returns exactly the entries whose searchable text contains the
 //!   needle — the posting intersection may over-approximate, but the
 //!   verify step must never let a false positive out and the index must
 //!   never lose a true match.
 //! - **Layout independence**: rankings are a pure function of the texts;
-//!   the same catalog sharded 1, 4, or 32 ways ranks identically.
+//!   the same catalog sharded 1, 4, or 32 ways ranks identically — and so
+//!   does the same catalog however its deposits split it between each
+//!   shard's `base` and `recent` segments (one batch, one entry at a
+//!   time, or a mix with an overwrite, a remove and a rebalance between).
 //! - **Cap fidelity**: a limited page is exactly the head of the
 //!   unlimited ranking — capping never trades a higher-scored hit for a
 //!   lower one.
 //! - **Torn-read freedom**: readers racing a depositor only ever observe
-//!   fully-published snapshots — sorted entries, a class map that agrees
-//!   with the entry array, a generation that never runs backwards.
+//!   fully-published snapshots — two sorted, class-disjoint segments, class
+//!   maps that agree with the entry arrays, a bounded `recent`, a
+//!   generation that never runs backwards.
 
 use cca_core::{CcaError, CcaServices, Component};
 use cca_data::TypeMap;
@@ -22,7 +26,7 @@ use cca_repository::{
     ComponentEntry, FuzzyQuery, PortSpec, Repository, ShardedStore, StoredEntry, WriteOutcome,
 };
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -67,6 +71,39 @@ fn populate(repo: &Repository, catalog: &[(String, String)]) {
     for (class, desc) in catalog {
         repo.register_component(entry(class, desc)).unwrap();
     }
+}
+
+/// Everything a reader can observe of a catalog: `entries()`, the
+/// unlimited ranking of `needle`, and the same ranking walked by cursor in
+/// pages of three.
+type Observed = (
+    Vec<(String, String)>,
+    Vec<(String, u32)>,
+    Vec<(String, u32)>,
+);
+
+fn observe(repo: &Repository, needle: &str) -> Observed {
+    let entries = repo
+        .entries()
+        .into_iter()
+        .map(|e| (e.class, e.description))
+        .collect();
+    let pairs = |page: cca_repository::QueryPage| -> Vec<(String, u32)> {
+        page.hits.into_iter().map(|h| (h.class, h.score)).collect()
+    };
+    let ranking = pairs(repo.fuzzy(&FuzzyQuery::new(needle).with_limit(usize::MAX)));
+    let mut walked = Vec::new();
+    let mut query = FuzzyQuery::new(needle).with_limit(3);
+    loop {
+        let page = repo.fuzzy(&query);
+        let next = page.next.clone();
+        walked.extend(pairs(page));
+        match next {
+            Some(cursor) => query = FuzzyQuery::new(needle).with_limit(3).after(cursor),
+            None => break,
+        }
+    }
+    (entries, ranking, walked)
 }
 
 /// The reference answer, computed the slow honest way: which classes'
@@ -141,6 +178,47 @@ proptest! {
         }
     }
 
+    /// The same catalog reached by three deposit histories — one batch
+    /// (one fold, or one append when it is small), one entry at a time
+    /// (eight appends, a fold, eight appends, …), and half as a batch,
+    /// half singly, with an overwrite back to the original, a throw-away
+    /// class added and removed, and a rebalance in between — reads
+    /// identically: `entries()`, the unlimited ranking (class and score)
+    /// and the cursor walk. Which segment an entry sits in is not
+    /// observable. One shard to start with, so that catalogs of a few
+    /// dozen entries do cross the fold boundary.
+    #[test]
+    fn reads_are_independent_of_segment_layout(
+        catalog in arb_catalog(),
+        needle in "[a-d]{1,4}",
+        reshard in prop_oneof![Just(1usize), Just(4), Just(32)],
+    ) {
+        let batched = Repository::with_shards(1);
+        batched
+            .register_components(catalog.iter().map(|(c, d)| entry(c, d)).collect())
+            .unwrap();
+        let reference = observe(&batched, &needle);
+        prop_assert_eq!(&reference.1, &reference.2, "a cursor walk is the ranking");
+
+        let singly = Repository::with_shards(1);
+        populate(&singly, &catalog);
+        prop_assert_eq!(&observe(&singly, &needle), &reference);
+
+        let mixed = Repository::with_shards(1);
+        let (head, tail) = catalog.split_at(catalog.len() / 2);
+        mixed
+            .register_components(head.iter().map(|(c, d)| entry(c, d)).collect())
+            .unwrap();
+        populate(&mixed, tail);
+        let (victim, desc) = &catalog[catalog.len() / 3];
+        mixed.reregister_component(entry(victim, "dddd scratch"));
+        mixed.register_component(entry("zz.Scratch", "abcd")).unwrap();
+        mixed.rebalance(reshard);
+        mixed.reregister_component(entry(victim, desc));
+        mixed.unregister_component("zz.Scratch").unwrap();
+        prop_assert_eq!(&observe(&mixed, &needle), &reference);
+    }
+
     /// A capped page is exactly the head of the uncapped ranking: the
     /// top-k heap never evicts a higher-scored hit in favour of a lower
     /// one, and the continuation cursor appears exactly when something
@@ -170,14 +248,19 @@ proptest! {
 // Torn-read freedom: readers race a depositor on the raw store.
 // ---------------------------------------------------------------------
 
+/// Mirrors `shard.rs`'s private cap on a `recent` segment.
+const RECENT_MAX: usize = 8;
+
 /// Readers hammer every shard while a depositor publishes entries one at
-/// a time. Every observed snapshot must be internally consistent —
-/// entries sorted by class, the class map pointing at the right
-/// ordinals, the trigram index sized to the entry array — and per-shard
-/// generations must never run backwards. A torn publish (entries from
-/// one generation, index from another) would trip the ordinal checks;
-/// clone-mutate-swap makes that impossible by construction, and this
-/// test is the regression net around that construction.
+/// a time. Every observed snapshot must be internally consistent — each
+/// of its two segments strictly sorted by class with a class map pointing
+/// at the right ordinals, the two disjoint by class, `recent` within its
+/// cap, `len()` their sum, every entry reachable through the snapshot's
+/// own `get` — and per-shard generations must never run backwards. A torn
+/// publish (a `recent` from one generation beside a `base` that already
+/// folded it in) would trip the disjointness check; clone-mutate-swap
+/// makes that impossible by construction, and this test is the regression
+/// net around that construction.
 #[test]
 fn concurrent_readers_never_observe_a_torn_snapshot() {
     const SHARDS: usize = 8;
@@ -202,23 +285,30 @@ fn concurrent_readers_never_observe_a_torn_snapshot() {
                             snap.generation
                         );
                         *last = snap.generation;
-                        let entries = snap.entries();
-                        assert!(
-                            entries
-                                .windows(2)
-                                .all(|w| w[0].entry.class < w[1].entry.class),
-                            "published entries must be strictly sorted"
-                        );
-                        for (ordinal, stored) in entries.iter().enumerate() {
-                            let found = snap
-                                .get(&stored.entry.class)
-                                .expect("every published entry is reachable by class");
-                            assert_eq!(found.entry.class, stored.entry.class);
-                            assert_eq!(
-                                snap.by_ordinal(ordinal as u32).entry.class,
-                                stored.entry.class,
-                                "class map and entry array must agree"
+                        let [base, recent] = snap.segments();
+                        assert!(recent.entries().len() <= RECENT_MAX);
+                        assert_eq!(snap.len(), base.entries().len() + recent.entries().len());
+                        let mut seen = BTreeSet::new();
+                        for segment in [base, recent] {
+                            let entries = segment.entries();
+                            assert!(
+                                entries
+                                    .windows(2)
+                                    .all(|w| w[0].entry.class < w[1].entry.class),
+                                "a published segment must be strictly sorted"
                             );
+                            for stored in entries {
+                                let class = stored.entry.class.as_str();
+                                assert!(seen.insert(class), "{class} is in both segments");
+                                let found = segment
+                                    .get(class)
+                                    .expect("class map and entry array must agree");
+                                assert!(std::ptr::eq(found, stored));
+                                let reached = snap
+                                    .get(class)
+                                    .expect("every published entry is reachable by class");
+                                assert!(std::ptr::eq(reached, stored));
+                            }
                         }
                         checks += 1;
                     }
@@ -231,7 +321,7 @@ fn concurrent_readers_never_observe_a_torn_snapshot() {
             let stored = StoredEntry::new(entry(&format!("pkg{}.Type{i:05}", i % 7), "racing"));
             match store.try_insert(stored, false) {
                 WriteOutcome::Done(r) => r.unwrap(),
-                WriteOutcome::Retired => panic!("nobody retires this store"),
+                WriteOutcome::Retired(_) => panic!("nobody retires this store"),
             }
         }
         done.store(true, Ordering::Release);
