@@ -1,5 +1,5 @@
 //! E9 — the PR's acceptance measurement: port-resolution cost ladder and
-//! plan-cache behavior.
+//! redistribution-plan build cost.
 //!
 //! §6.2 claims a direct-connected port call costs nothing beyond a virtual
 //! function call. This bench quantifies the claim for the current
@@ -14,8 +14,8 @@
 //!   BTreeMap lookup, downcast): the price the cache removes;
 //! * `fanout8_ns` — one multicast over 8 connected listeners through the
 //!   shared `Arc<[PortHandle]>` snapshot (zero allocations per call);
-//! * plan-cache build vs. hit latency plus hit/build counters across five
-//!   simulated timesteps.
+//! * `plan_build_ns` — one redistribution plan build for a 4→3
+//!   block-to-cyclic coupling, what a port pays when it is connected.
 //!
 //! The cached call and its floor run as an alternating pair, so the gated
 //! ratio is formed within each round.
@@ -23,7 +23,6 @@
 use cca_bench::fixtures::{wire_fanout, wire_single, WorkImpl, WorkPort};
 use cca_bench::{Harness, Report};
 use cca_data::{DimDist, DistArrayDesc, Distribution, ProcessGrid, RedistPlan};
-use cca_framework::{MxNPort, PlanCache};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -69,7 +68,7 @@ fn main() {
         }),
     );
 
-    // --- plan cache across simulated timesteps -------------------------
+    // --- plan build -----------------------------------------------------
     let src = DistArrayDesc::new(&[4096], Distribution::block_1d(4, 1).unwrap()).unwrap();
     let dst = DistArrayDesc::new(
         &[4096],
@@ -83,29 +82,5 @@ fn main() {
         )
         .at_most_x_committed(2.0, "build is linear in intervals plus transfers");
 
-    let cache = PlanCache::new();
-    cache.get_or_build(&src, &dst).unwrap(); // prime: the "first timestep"
-    report.metric(
-        "plan_cache_hit_ns",
-        h.time(|| cache.get_or_build(&src, &dst).unwrap()),
-    );
-
-    let cache = PlanCache::new();
-    for step in 0..5u32 {
-        let port = MxNPort::with_cache(
-            &src,
-            &dst,
-            vec![0, 1, 2, 3],
-            vec![0, 1, 2],
-            90 + step,
-            &cache,
-        )
-        .unwrap();
-        black_box(port.plan().total_elements());
-    }
-    report
-        .count("timestep_plan_builds", cache.builds() as f64)
-        .exactly(1.0, "no plan is built after the first of 5 timesteps");
-    report.count("timestep_plan_hits", cache.hits() as f64);
     report.finish();
 }

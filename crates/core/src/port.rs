@@ -8,7 +8,7 @@
 //! [`PortHandle`] is the direct-connect representation of §6.2: it holds an
 //! `Arc` to the provider's actual object, so once a component has retrieved
 //! it via `getPort`, a method call "reacts as quickly as an inline
-//! [virtual] function call" — there is no framework interposition on the
+//! \[virtual\] function call" — there is no framework interposition on the
 //! call path. A framework *may* instead hand out a proxy (the distributed
 //! case); the component cannot tell, which is exactly the paper's design.
 //!

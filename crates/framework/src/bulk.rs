@@ -12,7 +12,7 @@
 //!   rank's local array storage into one header-prefixed slab (no
 //!   per-element tag/length framing, no intermediate typed buffer), and
 //!   sends it through any [`Transport`] — normally a
-//!   [`BulkChannel`](cca_rpc::BulkChannel) over the mux, optionally under
+//!   [`BulkChannel`] over the mux, optionally under
 //!   a `DeadlineTransport` so a wedged receiver costs a typed
 //!   `cca.rpc.DeadlineExceeded`, not a hung writer.
 //! * [`BulkLandingZone`] — the destination side. Installed as the server's

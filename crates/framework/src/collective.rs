@@ -21,95 +21,13 @@
 use cca_core::CcaError;
 use cca_data::{CompiledPlan, DistArrayDesc, RedistPlan};
 use cca_parallel::{Comm, Tag};
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// The shared, immutable product of one plan construction: the plan and
-/// its compiled execution schedule.
-pub type SharedPlan = (Arc<RedistPlan>, Arc<CompiledPlan>);
-
-/// A keyed cache of redistribution plans, shared across ports, timesteps,
-/// and components.
-///
-/// Planning costs interval merges per rank pair plus a few words per
-/// transfer (see [`RedistPlan::build`]) — nothing per element, but still
-/// more than a lookup — and the descriptors are tiny. Keying on the
-/// `(source, target)` descriptor pair means every port connecting
-/// identically distributed arrays shares one immutable
-/// [`RedistPlan`]/[`CompiledPlan`] pair behind `Arc`s: the first timestep
-/// builds, every later timestep (and every other component with the same
-/// coupling shape) is a lock + hash lookup.
-#[derive(Default)]
-pub struct PlanCache {
-    entries: Mutex<HashMap<(DistArrayDesc, DistArrayDesc), SharedPlan>>,
-    hits: AtomicU64,
-    builds: AtomicU64,
-}
-
-impl PlanCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the shared plan for `(source, target)`, building and
-    /// compiling it on first use.
-    pub fn get_or_build(
-        &self,
-        source: &DistArrayDesc,
-        target: &DistArrayDesc,
-    ) -> Result<SharedPlan, CcaError> {
-        let key = (source.clone(), target.clone());
-        let mut entries = self.entries.lock();
-        if let Some((plan, compiled)) = entries.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((Arc::clone(plan), Arc::clone(compiled)));
-        }
-        let plan = RedistPlan::build(source, target)
-            .map_err(|e| CcaError::Framework(format!("redistribution plan: {e}")))?;
-        let compiled = plan
-            .compile()
-            .map_err(|e| CcaError::Framework(format!("plan compilation: {e}")))?;
-        let entry = (Arc::new(plan), Arc::new(compiled));
-        entries.insert(key, (Arc::clone(&entry.0), Arc::clone(&entry.1)));
-        self.builds.fetch_add(1, Ordering::Relaxed);
-        Ok(entry)
-    }
-
-    /// Lookups that found an existing plan.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that had to build a plan.
-    pub fn builds(&self) -> u64 {
-        self.builds.load(Ordering::Relaxed)
-    }
-
-    /// Number of distinct descriptor pairs cached.
-    pub fn len(&self) -> usize {
-        self.entries.lock().len()
-    }
-
-    /// True if nothing is cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.lock().is_empty()
-    }
-
-    /// Drops every cached plan (e.g. after a topology change).
-    pub fn clear(&self) {
-        self.entries.lock().clear();
-    }
-}
 
 /// A collective port between a source parallel component (M ranks) and a
 /// target parallel component (N ranks), all living on one world
 /// communicator.
 pub struct MxNPort {
-    plan: Arc<RedistPlan>,
-    compiled: Arc<CompiledPlan>,
+    plan: RedistPlan,
+    compiled: CompiledPlan,
     /// World rank of each source-side rank, indexed by source rank.
     src_world: Vec<usize>,
     /// World rank of each target-side rank, indexed by target rank.
@@ -129,51 +47,6 @@ impl MxNPort {
         dst_world: Vec<usize>,
         tag: Tag,
     ) -> Result<Self, CcaError> {
-        Self::validate(source, target, &src_world, &dst_world)?;
-        let plan = RedistPlan::build(source, target)
-            .map_err(|e| CcaError::Framework(format!("redistribution plan: {e}")))?;
-        let compiled = plan
-            .compile()
-            .map_err(|e| CcaError::Framework(format!("plan compilation: {e}")))?;
-        Ok(MxNPort {
-            plan: Arc::new(plan),
-            compiled: Arc::new(compiled),
-            src_world,
-            dst_world,
-            tag,
-        })
-    }
-
-    /// Like [`MxNPort::new`], but resolves the plan through a shared
-    /// [`PlanCache`]: ports connecting identically distributed arrays (the
-    /// common case across timesteps, and across components coupled with
-    /// the same M×N shape) reuse one immutable plan instead of re-running
-    /// region intersection.
-    pub fn with_cache(
-        source: &DistArrayDesc,
-        target: &DistArrayDesc,
-        src_world: Vec<usize>,
-        dst_world: Vec<usize>,
-        tag: Tag,
-        cache: &PlanCache,
-    ) -> Result<Self, CcaError> {
-        Self::validate(source, target, &src_world, &dst_world)?;
-        let (plan, compiled) = cache.get_or_build(source, target)?;
-        Ok(MxNPort {
-            plan,
-            compiled,
-            src_world,
-            dst_world,
-            tag,
-        })
-    }
-
-    fn validate(
-        source: &DistArrayDesc,
-        target: &DistArrayDesc,
-        src_world: &[usize],
-        dst_world: &[usize],
-    ) -> Result<(), CcaError> {
         if src_world.len() != source.nranks() {
             return Err(CcaError::Framework(format!(
                 "source mapping has {} ranks, descriptor has {}",
@@ -188,7 +61,18 @@ impl MxNPort {
                 target.nranks()
             )));
         }
-        Ok(())
+        let plan = RedistPlan::build(source, target)
+            .map_err(|e| CcaError::Framework(format!("redistribution plan: {e}")))?;
+        let compiled = plan
+            .compile()
+            .map_err(|e| CcaError::Framework(format!("plan compilation: {e}")))?;
+        Ok(MxNPort {
+            plan,
+            compiled,
+            src_world,
+            dst_world,
+            tag,
+        })
     }
 
     /// The underlying plan (for inspection and statistics).
@@ -492,61 +376,6 @@ mod tests {
             let mut out = vec![0.0f64; 4];
             port.recv(c, &mut out).unwrap();
         });
-    }
-
-    #[test]
-    fn plan_cache_builds_once_and_shares() {
-        let cache = PlanCache::new();
-        let src = block_desc(16, 4);
-        let dst = cyclic_desc(16, 3);
-        let p1 =
-            MxNPort::with_cache(&src, &dst, vec![0, 1, 2, 3], vec![0, 1, 2], 60, &cache).unwrap();
-        let p2 =
-            MxNPort::with_cache(&src, &dst, vec![0, 1, 2, 3], vec![4, 5, 6], 61, &cache).unwrap();
-        // One region-intersection pass total; the second port is a cache hit
-        // sharing the same plan object.
-        assert_eq!((cache.builds(), cache.hits(), cache.len()), (1, 1, 1));
-        assert!(std::ptr::eq(p1.plan(), p2.plan()));
-        assert!(std::ptr::eq(p1.compiled_plan(), p2.compiled_plan()));
-        // A different coupling shape is a separate entry.
-        let dst2 = block_desc(16, 2);
-        MxNPort::with_cache(&src, &dst2, vec![0, 1, 2, 3], vec![0, 1], 62, &cache).unwrap();
-        assert_eq!((cache.builds(), cache.len()), (2, 2));
-        cache.clear();
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn cached_port_timesteps_never_rebuild_after_first() {
-        // The acceptance criterion: reconnecting the same coupling each
-        // "timestep" must not re-run RedistPlan::build after step 0.
-        let cache = PlanCache::new();
-        let src = block_desc(12, 3);
-        let dst = cyclic_desc(12, 2);
-        for step in 0..5u32 {
-            let port =
-                MxNPort::with_cache(&src, &dst, vec![0, 1, 2], vec![0, 1], 70 + step, &cache)
-                    .unwrap();
-            let src_buffers: Vec<Vec<f64>> = (0..3).map(|r| tagged(&src, r)).collect();
-            let out = port.transfer_local(&src_buffers).unwrap();
-            for (r, buf) in out.iter().enumerate() {
-                check(&dst, r, buf);
-            }
-        }
-        assert_eq!((cache.builds(), cache.hits()), (1, 4));
-    }
-
-    #[test]
-    fn cache_propagates_build_errors_without_poisoning() {
-        let cache = PlanCache::new();
-        let src = block_desc(8, 2);
-        let bad = block_desc(9, 2);
-        assert!(MxNPort::with_cache(&src, &bad, vec![0, 1], vec![0, 1], 80, &cache).is_err());
-        assert_eq!((cache.builds(), cache.len()), (0, 0));
-        // The cache still works for valid pairs afterwards.
-        let dst = block_desc(8, 2);
-        MxNPort::with_cache(&src, &dst, vec![0, 1], vec![0, 1], 81, &cache).unwrap();
-        assert_eq!(cache.builds(), 1);
     }
 
     #[test]

@@ -38,7 +38,9 @@
 
 use crate::framework::Framework;
 use bytes::Bytes;
-use cca_core::resilience::{BreakerPolicy, BreakerState, CircuitBreaker, Clock, SplitMix64};
+use cca_core::resilience::{
+    BackoffSchedule, BreakerPolicy, BreakerState, CircuitBreaker, Clock, RetryPolicy, SplitMix64,
+};
 use cca_core::ConfigEvent;
 use cca_parallel::{Comm, ParallelError, WireLink, WireMsg};
 use cca_rpc::transport::Dispatcher;
@@ -1117,47 +1119,36 @@ impl WireLink for HubLink {
 // Restart backoff
 // ---------------------------------------------------------------------------
 
-/// Decorrelated-jitter restart backoff, the same draw as
-/// `cca_core::resilience::BackoffSchedule` (each wait uniform in
-/// `[base, prev*3]` clamped to `[base, cap]`) but resettable: a rank
-/// that reaches healthy gets its schedule rewound so the next death
-/// starts from the base again.
+/// Decorrelated-jitter restart backoff: the core [`BackoffSchedule`],
+/// plus a `reset` — a rank that reaches healthy gets its schedule rewound
+/// so the next death starts from the base again.
 #[derive(Debug, Clone)]
 pub struct RestartBackoff {
-    seed: u64,
-    base: u64,
-    cap: u64,
-    rng: SplitMix64,
-    prev: u64,
+    fresh: BackoffSchedule,
+    schedule: BackoffSchedule,
 }
 
 impl RestartBackoff {
     /// A schedule drawing from `[base_ns, cap_ns]`, seeded for
     /// determinism (see [`rank_backoff_seed`]).
     pub fn new(base_ns: u64, cap_ns: u64, seed: u64) -> Self {
-        let base = base_ns.max(1);
+        let fresh = RetryPolicy::new(u32::MAX, base_ns, cap_ns)
+            .with_jitter_seed(seed)
+            .schedule();
         RestartBackoff {
-            seed,
-            base,
-            cap: cap_ns.max(base),
-            rng: SplitMix64::new(seed),
-            prev: base,
+            schedule: fresh.clone(),
+            fresh,
         }
     }
 
     /// The next restart delay in nanoseconds.
     pub fn next_delay_ns(&mut self) -> u64 {
-        let upper = self.prev.saturating_mul(3).max(self.base + 1);
-        let draw = self.base + self.rng.next_below(upper - self.base);
-        let wait = draw.clamp(self.base, self.cap);
-        self.prev = wait;
-        wait
+        self.schedule.next().expect("a backoff schedule never ends")
     }
 
     /// Rewinds the schedule to its initial state (rank became healthy).
     pub fn reset(&mut self) {
-        self.rng = SplitMix64::new(self.seed);
-        self.prev = self.base;
+        self.schedule = self.fresh.clone();
     }
 }
 

@@ -1,6 +1,5 @@
 //! The reference framework: instances, services, builder API.
 
-use crate::collective::PlanCache;
 use crate::connect::{ConnectionInfo, ConnectionPolicy};
 use crate::event::EventService;
 use cca_core::component::GO_PORT_TYPE;
@@ -36,9 +35,6 @@ pub struct Framework {
     /// will allow different flavors of compliance; each component will
     /// specify a minimum flavor of compliance required of a framework").
     flavors: Vec<String>,
-    /// Shared M×N redistribution-plan cache: every collective port built
-    /// through this framework reuses plans keyed by descriptor pair.
-    plan_cache: Arc<PlanCache>,
     /// The topic-based event service. Configuration events are published
     /// here (topics `cca.config.*`) in addition to the typed
     /// [`ConfigListener`](cca_core::event::ConfigListener) path, so
@@ -71,17 +67,9 @@ impl Framework {
             default_policy: policy,
             // The reference framework supports both interaction styles.
             flavors: vec!["in-process".to_string(), "distributed".to_string()],
-            plan_cache: Arc::new(PlanCache::new()),
             events: EventService::new(),
             myself: Weak::clone(myself),
         })
-    }
-
-    /// The framework-wide redistribution-plan cache. Pass it to
-    /// [`crate::MxNPort::with_cache`] so identically distributed couplings
-    /// share one plan across components and timesteps.
-    pub fn plan_cache(&self) -> &Arc<PlanCache> {
-        &self.plan_cache
     }
 
     /// The compliance flavors this framework provides.

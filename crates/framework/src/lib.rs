@@ -55,7 +55,7 @@ pub mod observability;
 pub mod script;
 
 pub use bulk::{BulkLandingZone, BulkRedistSender};
-pub use collective::{MxNPort, PlanCache};
+pub use collective::MxNPort;
 pub use connect::{ConnectionInfo, ConnectionPolicy, RemoteTransportKind};
 pub use discovery::{
     DiscoveryComponent, DiscoveryPort, DISCOVERY_EXPORT_KEY, DISCOVERY_INSTANCE,

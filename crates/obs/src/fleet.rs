@@ -1,6 +1,6 @@
 //! Fleet counters: one shared tally of worker-fleet supervision events.
 //!
-//! Same shape as [`crate::resilience`]: plain relaxed atomics bumped from
+//! Same shape as [`resilience`](mod@crate::resilience): plain relaxed atomics bumped from
 //! the supervisor/hub hot paths (rank death handling must never block on
 //! observability), snapshot on demand, stable-key JSON for the
 //! ObservabilityPort and the flight recorder.

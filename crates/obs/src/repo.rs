@@ -2,12 +2,13 @@
 //!
 //! The sharded repository (`cca-repository`) reports here so the
 //! `ObservabilityPort`/`DiscoveryPort` can answer "how hot is the
-//! catalog" without walking shards. Like [`crate::resilience`], these are
-//! **not** gated by the `counters` flag: a registration or a fuzzy query
-//! already allocates and searches, so one relaxed `fetch_add` on top is
-//! noise — only the exact-lookup counters sit near a hot path, and that
-//! path is a hash + one `Arc` clone, where a relaxed add is still far
-//! below measurement floor. Process-global, like [`crate::flags`].
+//! catalog" without walking shards. Like
+//! [`resilience`](mod@crate::resilience), these are **not** gated by the
+//! `counters` flag: a registration or a fuzzy query already allocates and
+//! searches, so one relaxed `fetch_add` on top is noise — only the
+//! exact-lookup counters sit near a hot path, and that path is a hash + one
+//! shard-snapshot clone, where a relaxed add is still far below
+//! measurement floor. Process-global, like [`crate::flags`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -20,7 +21,6 @@ pub struct RepoCounters {
     fuzzy_queries: AtomicU64,
     fuzzy_hits: AtomicU64,
     cursor_pages: AtomicU64,
-    rebalances: AtomicU64,
     entries_indexed: AtomicU64,
     folds: AtomicU64,
 }
@@ -52,11 +52,6 @@ impl RepoCounters {
         self.cursor_pages.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one store-wide reshard.
-    pub fn record_rebalance(&self) {
-        self.rebalances.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records `n` entries passed through a segment build — the work a
     /// publication does, whatever the box's clock says it cost.
     pub fn record_entries_indexed(&self, n: u64) {
@@ -77,7 +72,6 @@ impl RepoCounters {
             fuzzy_queries: self.fuzzy_queries.load(Ordering::Relaxed),
             fuzzy_hits: self.fuzzy_hits.load(Ordering::Relaxed),
             cursor_pages: self.cursor_pages.load(Ordering::Relaxed),
-            rebalances: self.rebalances.load(Ordering::Relaxed),
             entries_indexed: self.entries_indexed.load(Ordering::Relaxed),
             folds: self.folds.load(Ordering::Relaxed),
         }
@@ -91,7 +85,6 @@ impl RepoCounters {
         self.fuzzy_queries.store(0, Ordering::Relaxed);
         self.fuzzy_hits.store(0, Ordering::Relaxed);
         self.cursor_pages.store(0, Ordering::Relaxed);
-        self.rebalances.store(0, Ordering::Relaxed);
         self.entries_indexed.store(0, Ordering::Relaxed);
         self.folds.store(0, Ordering::Relaxed);
     }
@@ -112,8 +105,6 @@ pub struct RepoSnapshot {
     pub fuzzy_hits: u64,
     /// Continuation pages served from a cursor.
     pub cursor_pages: u64,
-    /// Store-wide reshards.
-    pub rebalances: u64,
     /// Entries sorted and trigram-indexed by segment builds (appends
     /// rebuild a handful, folds a whole shard).
     pub entries_indexed: u64,
@@ -127,14 +118,13 @@ impl RepoSnapshot {
         format!(
             "{{\"deposits\":{},\"exact_lookups\":{},\"exact_misses\":{},\
              \"fuzzy_queries\":{},\"fuzzy_hits\":{},\"cursor_pages\":{},\
-             \"rebalances\":{},\"entries_indexed\":{},\"folds\":{}}}",
+             \"entries_indexed\":{},\"folds\":{}}}",
             self.deposits,
             self.exact_lookups,
             self.exact_misses,
             self.fuzzy_queries,
             self.fuzzy_hits,
             self.cursor_pages,
-            self.rebalances,
             self.entries_indexed,
             self.folds
         )
@@ -148,7 +138,6 @@ static GLOBAL: RepoCounters = RepoCounters {
     fuzzy_queries: AtomicU64::new(0),
     fuzzy_hits: AtomicU64::new(0),
     cursor_pages: AtomicU64::new(0),
-    rebalances: AtomicU64::new(0),
     entries_indexed: AtomicU64::new(0),
     folds: AtomicU64::new(0),
 };
@@ -172,7 +161,6 @@ mod tests {
         c.record_fuzzy_query(10);
         c.record_fuzzy_query(0);
         c.record_cursor_page();
-        c.record_rebalance();
         c.record_entries_indexed(9);
         c.record_entries_indexed(3);
         c.record_fold();
@@ -186,7 +174,6 @@ mod tests {
                 fuzzy_queries: 2,
                 fuzzy_hits: 10,
                 cursor_pages: 1,
-                rebalances: 1,
                 entries_indexed: 12,
                 folds: 1,
             }
@@ -203,7 +190,7 @@ mod tests {
             c.snapshot().to_json(),
             "{\"deposits\":1,\"exact_lookups\":0,\"exact_misses\":0,\
              \"fuzzy_queries\":0,\"fuzzy_hits\":0,\"cursor_pages\":0,\
-             \"rebalances\":0,\"entries_indexed\":0,\"folds\":0}"
+             \"entries_indexed\":0,\"folds\":0}"
         );
     }
 

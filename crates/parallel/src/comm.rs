@@ -11,7 +11,7 @@
 //! (constructed with [`Comm::over_wire`]), which serializes payloads with
 //! the closed codec in [`crate::wire`] and carries the identical
 //! (source, context, tag) matching triple. The two paths meet in one
-//! [`RankEndpoint`] enum; collectives, tag matching, sub-communicators,
+//! `RankEndpoint` enum; collectives, tag matching, sub-communicators,
 //! and the unexpected-message buffer are shared code, so SPMD programs
 //! are oblivious to which substrate they run on.
 //!
@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
-/// A user message tag. Tags below [`Tag::MAX_USER`] are available to
+/// A user message tag. Tags up to [`MAX_USER_TAG`] are available to
 /// applications; higher values are reserved for internal collectives.
 pub type Tag = u32;
 

@@ -1,4 +1,4 @@
-//! Wire form of communicator payloads, and the [`WireLink`] a [`Comm`]
+//! Wire form of communicator payloads, and the [`WireLink`] a [`Comm`](crate::Comm)
 //! routes over when its peers live in other processes.
 //!
 //! The in-process fast path moves payloads as `Box<dyn Any + Send>` —

@@ -18,13 +18,14 @@
 //!   type (honouring SIDL subtyping), package, or free-text name — plus
 //!   trigram-accelerated fuzzy discovery with scored, capped, paged
 //!   results ([`FuzzyQuery`]/[`QueryCursor`]).
-//! * [`shard`] — the scale layer: entries hashed across N shards, each
-//!   an immutable Arc snapshot of two indexed segments (a large `base`, a
-//!   small `recent`) behind a generation counter (the PR-1
-//!   clone-mutate-swap idiom), so reads are lock-free at millions of
-//!   registered types and a deposit costs what the entry costs.
+//! * [`shard`] — the scale layer: entries hashed across N shards, N fixed
+//!   when the repository is built, each shard an immutable Arc snapshot
+//!   of two indexed segments (a large `base`, a small `recent`) stamped
+//!   with its generation (the PR-1 clone-mutate-swap idiom), so reads
+//!   are lock-free at millions of registered types and a deposit costs
+//!   what the entry costs.
 //! * [`trigram`] — the inverted substring index and the pure-function
-//!   match scoring that keeps rankings stable under resharding.
+//!   match scoring that keeps rankings identical at any shard count.
 
 pub mod catalog;
 pub mod query;
@@ -34,6 +35,6 @@ pub mod trigram;
 
 pub use catalog::Catalog;
 pub use query::{FuzzyHit, FuzzyQuery, Query, QueryCursor, QueryPage};
-pub use shard::{Segment, ShardSnapshot, ShardedStore, StoredEntry, WriteOutcome, DEFAULT_SHARDS};
+pub use shard::{Segment, ShardSnapshot, ShardedStore, StoredEntry, DEFAULT_SHARDS};
 pub use store::{ComponentEntry, ComponentFactory, PortSpec, Repository};
 pub use trigram::{score_match, trigrams_of, Trigram, TrigramIndex};

@@ -71,8 +71,8 @@ impl Query {
 /// A resumable position in a fuzzy result ranking: the `(score, class)`
 /// of the last hit already delivered. Because the ranking is a total
 /// order on exactly that pair, the cursor pins a page boundary that
-/// survives resharding and concurrent deposits (new entries that rank
-/// before the cursor are simply never revisited).
+/// means the same at any shard count and survives concurrent deposits
+/// (new entries that rank before the cursor are simply never revisited).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryCursor {
     /// Score of the last delivered hit.
@@ -195,7 +195,7 @@ impl Repository {
         // deposit time, so no per-entry lowering or allocation happens.
         let lowered = query.text.as_ref().map(|t| t.to_lowercase());
         let mut out: Vec<ComponentEntry> = Vec::new();
-        for snap in self.sharded().snapshots() {
+        for snap in self.store.snapshots() {
             for stored in snap.segments().into_iter().flat_map(Segment::entries) {
                 if let Some(t) = lowered.as_deref() {
                     if !stored.lowered_class.contains(t) && !stored.lowered_aux.contains(t) {
@@ -295,7 +295,7 @@ impl Repository {
         let mut needle_trigrams = Vec::new();
         trigrams_of(&needle, &mut needle_trigrams);
         let mut candidates: Vec<u32> = Vec::new();
-        for snap in self.sharded().snapshots() {
+        for snap in self.store.snapshots() {
             for segment in snap.segments() {
                 let entries = segment.entries();
                 if needle_trigrams.is_empty() {

@@ -9,11 +9,17 @@
 //! fuzzy query, `entries()` walk) clones two `Arc`s and then works on a
 //! frozen world: no lock is held while searching, and a concurrent
 //! deposit can never tear the view. Writers serialize per shard, build
-//! the successor snapshot off-line, swap the pointer in O(1), and bump
-//! that shard's monotonic generation counter.
+//! the successor snapshot off-line and swap the pointer in O(1); the
+//! successor carries the shard's generation, one past the snapshot it
+//! replaces, so the generation needs no counter of its own.
+//!
+//! The shard count is fixed when the store is built. Nothing reshapes a
+//! live store, so a reader reaches its shard by index — no store-wide
+//! lock, no shared refcount — and a writer's shard lock is all that
+//! stands between it and its publication.
 //!
 //! A snapshot is **two** immutable indexed [`Segment`]s, both built by the
-//! one [`Segment::build`]: `base`, the bulk of the shard, shared untouched
+//! one `Segment::build`: `base`, the bulk of the shard, shared untouched
 //! from one publication to the next, and `recent`, the at most
 //! `RECENT_MAX` entries deposited since `base` was built, disjoint from it
 //! by class. That split is what lets a deposit cost what the entry costs.
@@ -36,19 +42,12 @@
 //! `recent` is indexed rather than scanned so that readers keep one code
 //! path and pay nothing for it: a needle none of whose trigrams occur in
 //! a shard's eight newest entries costs that segment one binary search.
-//!
-//! Resharding ([`crate::Repository::rebalance`]) replaces the whole
-//! store. A writer that raced the swap — it cloned the old store's `Arc`
-//! before retirement — finds [`ShardedStore::retired`] set once it holds
-//! the shard lock, abandons the write, and retries against the new store;
-//! readers of the old store just finish against their frozen snapshots.
 
 use crate::store::ComponentEntry;
 use crate::trigram::{size_class, TrigramIndex};
 use cca_core::CcaError;
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Default shard count: enough that a million entries keep shards in the
@@ -190,12 +189,11 @@ impl ShardSnapshot {
 }
 
 struct Shard {
-    /// The published snapshot. Readers take the lock only long enough to
-    /// clone its two `Arc`s; writers only to swap it. Held by value, not
-    /// behind an `Arc` of its own: one pointer hop fewer per shard visit.
+    /// The published snapshot, generation included. Readers take the lock
+    /// only long enough to clone its two `Arc`s; writers only to swap it.
+    /// Held by value, not behind an `Arc` of its own: one pointer hop
+    /// fewer per shard visit.
     snap: RwLock<ShardSnapshot>,
-    /// Monotonic publication counter, bumped after every swap.
-    generation: AtomicU64,
     /// Serializes writers of this shard (clone-mutate-swap must not race
     /// itself or the republication is a lost update).
     write: Mutex<()>,
@@ -209,7 +207,6 @@ impl Shard {
                 base: Segment::build(Vec::new()),
                 recent: Segment::build(Vec::new()),
             }),
-            generation: AtomicU64::new(0),
             write: Mutex::new(()),
         }
     }
@@ -218,21 +215,21 @@ impl Shard {
         self.snap.read().clone()
     }
 
-    /// Publishes the two segments as the next snapshot. Caller holds
-    /// `write`.
+    /// Publishes the two segments as the next snapshot, one generation
+    /// past the one it replaces. Caller holds `write`.
     fn publish(&self, base: Arc<Segment>, recent: Arc<Segment>) {
-        let generation = self.generation.load(Ordering::Acquire) + 1;
+        let mut slot = self.snap.write();
         let next = ShardSnapshot {
-            generation,
+            generation: slot.generation + 1,
             base,
             recent,
         };
-        // The guard is gone by the end of this statement: whoever holds
-        // the last reference to a retired segment frees it, and that must
-        // never be the holder of the pointer lock.
-        let retired = std::mem::replace(&mut *self.snap.write(), next);
-        self.generation.store(generation, Ordering::Release);
-        drop(retired);
+        let replaced = std::mem::replace(&mut *slot, next);
+        // Unlock first: whoever holds the last reference to a replaced
+        // segment frees it, and that must never be the holder of the
+        // pointer lock.
+        drop(slot);
+        drop(replaced);
     }
 
     /// Publishes everything `current` holds except the class `without`,
@@ -270,24 +267,9 @@ impl Shard {
     }
 }
 
-/// The outcome of a write attempt against a possibly-retired store.
-/// `Retired` hands the unpublished payload back (`B`: the entry, the
-/// batch, or nothing for a remove), so the caller can retry against the
-/// current store without having cloned it up front.
-pub enum WriteOutcome<T, B> {
-    /// The write was decided here: published, or rejected whole (for an
-    /// insert, a duplicate; nothing published).
-    Done(T),
-    /// The store was retired by a rebalance after the caller cloned its
-    /// handle; retry against the current store.
-    Retired(B),
-}
-
-/// A fixed set of shards plus the retirement flag that makes
-/// whole-store replacement (rebalance) safe against in-flight writers.
+/// A fixed set of shards, sized once at construction.
 pub struct ShardedStore {
     shards: Box<[Shard]>,
-    retired: AtomicBool,
 }
 
 /// FNV-1a, the classic stable string hash: deterministic across runs and
@@ -308,24 +290,7 @@ impl ShardedStore {
         let n = shards.max(1);
         ShardedStore {
             shards: (0..n).map(|_| Shard::new()).collect(),
-            retired: AtomicBool::new(false),
         }
-    }
-
-    /// Creates a store pre-populated with `entries` (used by rebalance;
-    /// duplicates must already be impossible).
-    pub fn with_entries(shards: usize, entries: Vec<StoredEntry>) -> Self {
-        let store = ShardedStore::new(shards);
-        let mut buckets: Vec<Vec<StoredEntry>> =
-            (0..store.shards.len()).map(|_| Vec::new()).collect();
-        for e in entries {
-            buckets[store.shard_of(&e.entry.class)].push(e);
-        }
-        for (shard, bucket) in store.shards.iter().zip(buckets) {
-            let _w = shard.write.lock();
-            shard.deposit(&shard.snapshot(), bucket);
-        }
-        store
     }
 
     /// Number of shards.
@@ -336,11 +301,6 @@ impl ShardedStore {
     /// The shard a class name hashes to.
     pub fn shard_of(&self, class: &str) -> usize {
         (fnv1a(class) % self.shards.len() as u64) as usize
-    }
-
-    /// True once a rebalance has replaced this store.
-    pub fn is_retired(&self) -> bool {
-        self.retired.load(Ordering::Acquire)
     }
 
     /// The published snapshot of one shard.
@@ -355,11 +315,11 @@ impl ShardedStore {
         self.shards.iter().map(Shard::snapshot).collect()
     }
 
-    /// Per-shard generation counters.
+    /// Per-shard generations, read from the published snapshots.
     pub fn generations(&self) -> Vec<u64> {
         self.shards
             .iter()
-            .map(|s| s.generation.load(Ordering::Acquire))
+            .map(|s| s.snap.read().generation)
             .collect()
     }
 
@@ -382,16 +342,9 @@ impl ShardedStore {
     /// is an error) from re-deposit (replace in place). A new class is an
     /// append or, every `RECENT_MAX + 1`-th time, a fold; a replacement
     /// always folds.
-    pub fn try_insert(
-        &self,
-        stored: StoredEntry,
-        overwrite: bool,
-    ) -> WriteOutcome<Result<(), CcaError>, StoredEntry> {
+    pub fn try_insert(&self, stored: StoredEntry, overwrite: bool) -> Result<(), CcaError> {
         let shard = &self.shards[self.shard_of(&stored.entry.class)];
         let _w = shard.write.lock();
-        if self.is_retired() {
-            return WriteOutcome::Retired(stored);
-        }
         let current = shard.snapshot();
         if current.get(&stored.entry.class).is_none() {
             shard.deposit(&current, vec![stored]);
@@ -399,9 +352,9 @@ impl ShardedStore {
             let class = stored.entry.class.clone();
             shard.fold(&current, Some(&class), vec![stored]);
         } else {
-            return WriteOutcome::Done(Err(CcaError::ComponentAlreadyExists(stored.entry.class)));
+            return Err(CcaError::ComponentAlreadyExists(stored.entry.class));
         }
-        WriteOutcome::Done(Ok(()))
+        Ok(())
     }
 
     /// Inserts a batch, all-or-nothing: every touched shard is locked (in
@@ -409,12 +362,9 @@ impl ShardedStore {
     /// existing snapshots *and* the batch itself, and only then does any
     /// shard publish — an append where its bucket fits in `recent`, a fold
     /// where not. A duplicate anywhere leaves the whole store untouched.
-    pub fn try_insert_batch(
-        &self,
-        batch: Vec<StoredEntry>,
-    ) -> WriteOutcome<Result<usize, CcaError>, Vec<StoredEntry>> {
+    pub fn try_insert_batch(&self, batch: Vec<StoredEntry>) -> Result<usize, CcaError> {
         if batch.is_empty() {
-            return WriteOutcome::Done(Ok(0));
+            return Ok(0);
         }
         let mut buckets: Vec<Vec<StoredEntry>> =
             (0..self.shards.len()).map(|_| Vec::new()).collect();
@@ -430,9 +380,6 @@ impl ShardedStore {
             .iter()
             .map(|&i| self.shards[i].write.lock())
             .collect();
-        if self.is_retired() {
-            return WriteOutcome::Retired(buckets.into_iter().flatten().collect());
-        }
         let mut inserted = 0usize;
         for &i in &touched {
             let current = self.shards[i].snapshot();
@@ -440,16 +387,14 @@ impl ShardedStore {
             bucket.sort_by(|a, b| a.entry.class.cmp(&b.entry.class));
             for pair in bucket.windows(2) {
                 if pair[0].entry.class == pair[1].entry.class {
-                    return WriteOutcome::Done(Err(CcaError::ComponentAlreadyExists(
+                    return Err(CcaError::ComponentAlreadyExists(
                         pair[0].entry.class.clone(),
-                    )));
+                    ));
                 }
             }
             for e in bucket.iter() {
                 if current.get(&e.entry.class).is_some() {
-                    return WriteOutcome::Done(Err(CcaError::ComponentAlreadyExists(
-                        e.entry.class.clone(),
-                    )));
+                    return Err(CcaError::ComponentAlreadyExists(e.entry.class.clone()));
                 }
             }
             inserted += bucket.len();
@@ -459,42 +404,19 @@ impl ShardedStore {
             shard.deposit(&shard.snapshot(), std::mem::take(&mut buckets[i]));
         }
         drop(guards);
-        WriteOutcome::Done(Ok(inserted))
+        Ok(inserted)
     }
 
     /// Removes one entry by class (a fold, whichever segment held it).
-    pub fn try_remove(&self, class: &str) -> WriteOutcome<Result<ComponentEntry, CcaError>, ()> {
+    pub fn try_remove(&self, class: &str) -> Result<ComponentEntry, CcaError> {
         let shard = &self.shards[self.shard_of(class)];
         let _w = shard.write.lock();
-        if self.is_retired() {
-            return WriteOutcome::Retired(());
-        }
         let current = shard.snapshot();
         let Some(removed) = current.get(class).map(|e| e.entry.clone()) else {
-            return WriteOutcome::Done(Err(CcaError::ComponentNotFound(class.to_string())));
+            return Err(CcaError::ComponentNotFound(class.to_string()));
         };
         shard.fold(&current, Some(class), Vec::new());
-        WriteOutcome::Done(Ok(removed))
-    }
-
-    /// Locks every shard, marks this store retired, and returns all
-    /// entries — the first half of a rebalance. After this returns, no
-    /// in-flight writer can publish here: anyone who raced the swap sees
-    /// the retirement flag under the shard lock and retries elsewhere.
-    pub fn retire_and_collect(&self) -> Vec<StoredEntry> {
-        let _guards: Vec<_> = self.shards.iter().map(|s| s.write.lock()).collect();
-        self.retired.store(true, Ordering::Release);
-        let mut all = Vec::with_capacity(self.len());
-        for s in self.shards.iter() {
-            let snap = s.snapshot();
-            all.extend(
-                snap.segments()
-                    .into_iter()
-                    .flat_map(Segment::entries)
-                    .cloned(),
-            );
-        }
-        all
+        Ok(removed)
     }
 }
 
@@ -526,26 +448,19 @@ mod tests {
         })
     }
 
-    fn unwrap_done<T, B>(o: WriteOutcome<T, B>) -> T {
-        match o {
-            WriteOutcome::Done(t) => t,
-            WriteOutcome::Retired(_) => panic!("store unexpectedly retired"),
-        }
-    }
-
     #[test]
     fn insert_get_remove_across_shards() {
         let store = ShardedStore::new(4);
         for i in 0..100 {
-            unwrap_done(store.try_insert(entry(&format!("p{i}.C")), false)).unwrap();
+            store.try_insert(entry(&format!("p{i}.C")), false).unwrap();
         }
         assert_eq!(store.len(), 100);
         assert!(store.get("p42.C").is_some());
         assert!(store.get("p777.C").is_none());
-        unwrap_done(store.try_remove("p42.C")).unwrap();
+        store.try_remove("p42.C").unwrap();
         assert!(store.get("p42.C").is_none());
         assert_eq!(store.len(), 99);
-        assert!(unwrap_done(store.try_remove("p42.C")).is_err());
+        assert!(store.try_remove("p42.C").is_err());
     }
 
     #[test]
@@ -559,14 +474,16 @@ mod tests {
     #[test]
     fn duplicate_single_insert_rejected_overwrite_replaces() {
         let store = ShardedStore::new(2);
-        unwrap_done(store.try_insert(entry("a.B"), false)).unwrap();
+        store.try_insert(entry("a.B"), false).unwrap();
         assert!(matches!(
-            unwrap_done(store.try_insert(entry("a.B"), false)),
+            store.try_insert(entry("a.B"), false),
             Err(CcaError::ComponentAlreadyExists(_))
         ));
         let mut replacement = entry("a.B");
         replacement.entry.description = "replaced".into();
-        unwrap_done(store.try_insert(StoredEntry::new(replacement.entry), true)).unwrap();
+        store
+            .try_insert(StoredEntry::new(replacement.entry), true)
+            .unwrap();
         assert_eq!(store.get("a.B").unwrap().entry.description, "replaced");
         assert_eq!(store.len(), 1);
     }
@@ -574,19 +491,21 @@ mod tests {
     #[test]
     fn batch_is_all_or_nothing() {
         let store = ShardedStore::new(4);
-        unwrap_done(store.try_insert(entry("x.Existing"), false)).unwrap();
+        store.try_insert(entry("x.Existing"), false).unwrap();
         let before = store.generations();
         // Batch with a duplicate against the store: nothing publishes.
         let batch = vec![entry("a.A"), entry("b.B"), entry("x.Existing")];
-        assert!(unwrap_done(store.try_insert_batch(batch)).is_err());
+        assert!(store.try_insert_batch(batch).is_err());
         assert_eq!(store.len(), 1);
         assert_eq!(store.generations(), before);
         // Batch with an internal duplicate: same.
         let batch = vec![entry("a.A"), entry("a.A")];
-        assert!(unwrap_done(store.try_insert_batch(batch)).is_err());
+        assert!(store.try_insert_batch(batch).is_err());
         assert_eq!(store.len(), 1);
         // A clean batch lands everywhere.
-        let n = unwrap_done(store.try_insert_batch(vec![entry("a.A"), entry("b.B")])).unwrap();
+        let n = store
+            .try_insert_batch(vec![entry("a.A"), entry("b.B")])
+            .unwrap();
         assert_eq!(n, 2);
         assert_eq!(store.len(), 3);
     }
@@ -598,7 +517,7 @@ mod tests {
     }
 
     fn single(store: &ShardedStore, class: &str) {
-        unwrap_done(store.try_insert(entry(class), false)).unwrap();
+        store.try_insert(entry(class), false).unwrap();
     }
 
     #[test]
@@ -637,14 +556,14 @@ mod tests {
     fn overwrite_and_remove_fold_whichever_segment_holds_the_class() {
         let store = ShardedStore::new(1);
         let base: Vec<StoredEntry> = (0..20).map(|i| entry(&format!("b{i:02}.C"))).collect();
-        unwrap_done(store.try_insert_batch(base)).unwrap();
+        store.try_insert_batch(base).unwrap();
         single(&store, "r.Recent");
         assert_eq!(layout(&store), (20, 1));
 
         let replace = |class: &str| {
             let mut e = entry(class).entry;
             e.description = "replaced".into();
-            unwrap_done(store.try_insert(StoredEntry::new(e), true)).unwrap();
+            store.try_insert(StoredEntry::new(e), true).unwrap();
             assert_eq!(store.get(class).unwrap().entry.description, "replaced");
         };
         replace("r.Recent");
@@ -660,11 +579,11 @@ mod tests {
 
         single(&store, "r.Third");
         assert_eq!(layout(&store), (22, 1));
-        let gone = unwrap_done(store.try_remove("r.Third")).unwrap();
+        let gone = store.try_remove("r.Third").unwrap();
         assert_eq!(gone.class, "r.Third");
         assert_eq!(layout(&store), (22, 0), "remove from recent folds");
         single(&store, "r.Fourth");
-        unwrap_done(store.try_remove("b00.C")).unwrap();
+        store.try_remove("b00.C").unwrap();
         assert_eq!(
             layout(&store),
             (22, 0),
@@ -672,7 +591,7 @@ mod tests {
         );
         assert!(store.get("b00.C").is_none() && store.get("r.Third").is_none());
         assert!(store.get("r.Fourth").is_some() && store.get("r.Other").is_some());
-        assert!(unwrap_done(store.try_remove("r.Third")).is_err());
+        assert!(store.try_remove("r.Third").is_err());
     }
 
     #[test]
@@ -683,9 +602,9 @@ mod tests {
                 .map(|i| entry(&format!("p{i:02}.C")))
                 .collect()
         };
-        unwrap_done(store.try_insert_batch(batch(0, 5))).unwrap();
+        store.try_insert_batch(batch(0, 5)).unwrap();
         assert_eq!(layout(&store), (0, 5));
-        unwrap_done(store.try_insert_batch(batch(5, RECENT_MAX - 5))).unwrap();
+        store.try_insert_batch(batch(5, RECENT_MAX - 5)).unwrap();
         assert_eq!(
             layout(&store),
             (0, RECENT_MAX),
@@ -695,23 +614,23 @@ mod tests {
         let before = store.generations();
         let mut clash = batch(40, 2);
         clash.push(entry("p03.C"));
-        assert!(unwrap_done(store.try_insert_batch(clash)).is_err());
+        assert!(store.try_insert_batch(clash).is_err());
         assert_eq!(store.generations(), before);
         assert_eq!(layout(&store), (0, RECENT_MAX));
-        unwrap_done(store.try_insert_batch(batch(20, 2))).unwrap();
+        store.try_insert_batch(batch(20, 2)).unwrap();
         assert_eq!(
             layout(&store),
             (RECENT_MAX + 2, 0),
             "an overflowing bucket folds"
         );
         // ... as does one that never could have fit.
-        unwrap_done(store.try_insert_batch(batch(50, RECENT_MAX + 1))).unwrap();
+        store.try_insert_batch(batch(50, RECENT_MAX + 1)).unwrap();
         assert_eq!(layout(&store), (2 * RECENT_MAX + 3, 0));
         assert_eq!(store.generations(), vec![4], "one publication per batch");
         // And a duplicate sitting in base rejects too.
         let mut clash = batch(70, 1);
         clash.push(entry("p50.C"));
-        assert!(unwrap_done(store.try_insert_batch(clash)).is_err());
+        assert!(store.try_insert_batch(clash).is_err());
         assert_eq!(store.generations(), vec![4]);
     }
 
@@ -719,37 +638,24 @@ mod tests {
     fn generations_bump_per_publication_and_snapshots_carry_them() {
         let store = ShardedStore::new(1);
         assert_eq!(store.generations(), vec![0]);
-        unwrap_done(store.try_insert(entry("a.A"), false)).unwrap();
-        unwrap_done(store.try_insert(entry("b.B"), false)).unwrap();
+        store.try_insert(entry("a.A"), false).unwrap();
+        store.try_insert(entry("b.B"), false).unwrap();
         assert_eq!(store.generations(), vec![2]);
         assert_eq!(store.snapshot(0).generation, 2);
     }
 
-    #[test]
-    fn retired_store_refuses_writes() {
-        let store = ShardedStore::new(2);
-        unwrap_done(store.try_insert(entry("a.A"), false)).unwrap();
-        let all = store.retire_and_collect();
-        assert_eq!(all.len(), 1);
-        // A refused write hands its payload back for the retry.
-        assert!(matches!(
-            store.try_insert(entry("b.B"), false),
-            WriteOutcome::Retired(back) if back.entry.class == "b.B"
-        ));
-        assert!(matches!(store.try_remove("a.A"), WriteOutcome::Retired(())));
-        assert!(matches!(
-            store.try_insert_batch(vec![entry("c.C")]),
-            WriteOutcome::Retired(back) if back.len() == 1
-        ));
-        // Readers of the retired store still see their frozen world.
-        assert!(store.get("a.A").is_some());
+    /// An 8-shard store holding `entries`, deposited as one batch.
+    fn with_entries(entries: Vec<StoredEntry>) -> ShardedStore {
+        let store = ShardedStore::new(8);
+        store.try_insert_batch(entries).unwrap();
+        store
     }
 
     #[test]
     fn with_entries_distributes_deterministically() {
         let entries: Vec<StoredEntry> = (0..50).map(|i| entry(&format!("p{i}.C"))).collect();
-        let a = ShardedStore::with_entries(8, entries.clone());
-        let b = ShardedStore::with_entries(8, entries);
+        let a = with_entries(entries.clone());
+        let b = with_entries(entries);
         for i in 0..8 {
             assert_eq!(
                 a.snapshot(i).len(),

@@ -1,7 +1,7 @@
 //! Component entries and instantiation factories.
 
 use crate::catalog::Catalog;
-use crate::shard::{Segment, ShardedStore, StoredEntry, WriteOutcome, DEFAULT_SHARDS};
+use crate::shard::{Segment, ShardedStore, StoredEntry, DEFAULT_SHARDS};
 use cca_core::{CcaError, Component};
 use cca_data::TypeMap;
 use cca_sidl::SidlError;
@@ -76,16 +76,15 @@ impl std::fmt::Debug for ComponentEntry {
 /// work on frozen per-shard snapshots, writers clone-mutate-swap).
 pub struct Repository {
     catalog: RwLock<Catalog>,
-    /// The current store. Swapped wholesale only by [`rebalance`]
-    /// (Repository::rebalance); everyone else clones the `Arc` and goes.
-    store: RwLock<Arc<ShardedStore>>,
+    /// The component table, its shard count fixed at construction.
+    pub(crate) store: ShardedStore,
 }
 
 impl Default for Repository {
     fn default() -> Self {
         Repository {
             catalog: RwLock::new(Catalog::default()),
-            store: RwLock::new(Arc::new(ShardedStore::new(DEFAULT_SHARDS))),
+            store: ShardedStore::new(DEFAULT_SHARDS),
         }
     }
 }
@@ -96,18 +95,14 @@ impl Repository {
         Arc::new(Repository::default())
     }
 
-    /// Creates an empty repository with an explicit shard count (tests
-    /// and benchmarks; `shards == 1` degenerates to the flat store).
+    /// Creates an empty repository with an explicit shard count, fixed
+    /// for its lifetime (tests and benchmarks; `shards == 1` degenerates
+    /// to the flat store).
     pub fn with_shards(shards: usize) -> Arc<Self> {
         Arc::new(Repository {
             catalog: RwLock::new(Catalog::default()),
-            store: RwLock::new(Arc::new(ShardedStore::new(shards))),
+            store: ShardedStore::new(shards),
         })
-    }
-
-    /// The current store handle (shared with in-flight readers).
-    pub(crate) fn sharded(&self) -> Arc<ShardedStore> {
-        Arc::clone(&self.store.read())
     }
 
     /// Deposits SIDL source into the catalog.
@@ -135,21 +130,10 @@ impl Repository {
             .expect("overwrite insert cannot reject");
     }
 
-    fn insert(&self, mut stored: StoredEntry, overwrite: bool) -> Result<(), CcaError> {
-        // The retry loop only spins when a rebalance retired the store
-        // between our handle clone and the shard lock — rare, bounded by
-        // the number of concurrent rebalances.
-        loop {
-            match self.sharded().try_insert(stored, overwrite) {
-                WriteOutcome::Done(r) => {
-                    if r.is_ok() {
-                        cca_obs::repo().record_deposits(1);
-                    }
-                    return r;
-                }
-                WriteOutcome::Retired(back) => stored = back,
-            }
-        }
+    fn insert(&self, stored: StoredEntry, overwrite: bool) -> Result<(), CcaError> {
+        self.store.try_insert(stored, overwrite)?;
+        cca_obs::repo().record_deposits(1);
+        Ok(())
     }
 
     /// Registers a whole batch in one publication per touched shard,
@@ -157,33 +141,21 @@ impl Repository {
     /// batch) rejects the lot and publishes nothing. This is the scale
     /// path — a million types cost one fold per shard, not one per entry.
     pub fn register_components(&self, batch: Vec<ComponentEntry>) -> Result<usize, CcaError> {
-        let mut stored: Vec<StoredEntry> = batch.into_iter().map(StoredEntry::new).collect();
-        loop {
-            match self.sharded().try_insert_batch(stored) {
-                WriteOutcome::Done(r) => {
-                    if let Ok(n) = r {
-                        cca_obs::repo().record_deposits(n as u64);
-                    }
-                    return r;
-                }
-                WriteOutcome::Retired(back) => stored = back,
-            }
-        }
+        let n = self
+            .store
+            .try_insert_batch(batch.into_iter().map(StoredEntry::new).collect())?;
+        cca_obs::repo().record_deposits(n as u64);
+        Ok(n)
     }
 
     /// Removes a component entry.
     pub fn unregister_component(&self, class: &str) -> Result<ComponentEntry, CcaError> {
-        loop {
-            match self.sharded().try_remove(class) {
-                WriteOutcome::Done(r) => return r,
-                WriteOutcome::Retired(()) => continue,
-            }
-        }
+        self.store.try_remove(class)
     }
 
     /// The entry for a class (exact lookup: one hash, one frozen shard).
     pub fn entry(&self, class: &str) -> Result<ComponentEntry, CcaError> {
-        match self.sharded().get(class) {
+        match self.store.get(class) {
             Some(stored) => {
                 cca_obs::repo().record_exact_lookup();
                 Ok(stored.entry)
@@ -203,7 +175,7 @@ impl Repository {
     /// All registered entries, sorted by class name.
     pub fn entries(&self) -> Vec<ComponentEntry> {
         let mut all: Vec<ComponentEntry> = self
-            .sharded()
+            .store
             .snapshots()
             .iter()
             .flat_map(|snap| snap.segments())
@@ -216,34 +188,22 @@ impl Repository {
 
     /// Number of registered components.
     pub fn len(&self) -> usize {
-        self.sharded().len()
+        self.store.len()
     }
 
     /// True if no components are registered.
     pub fn is_empty(&self) -> bool {
-        self.sharded().is_empty()
+        self.store.is_empty()
     }
 
-    /// Number of shards in the current store.
+    /// Number of shards, as fixed at construction.
     pub fn shard_count(&self) -> usize {
-        self.sharded().shard_count()
+        self.store.shard_count()
     }
 
-    /// Per-shard publication generations of the current store.
+    /// Per-shard publication generations.
     pub fn generations(&self) -> Vec<u64> {
-        self.sharded().generations()
-    }
-
-    /// Redistributes every entry across `shards` shards. The old store is
-    /// retired under all its shard locks, so an insert racing the swap
-    /// either lands before collection or retries against the new store —
-    /// never into the void. In-flight readers finish against their frozen
-    /// snapshots of the old store.
-    pub fn rebalance(&self, shards: usize) {
-        let mut cell = self.store.write();
-        let entries = cell.retire_and_collect();
-        *cell = Arc::new(ShardedStore::with_entries(shards, entries));
-        cca_obs::repo().record_rebalance();
+        self.store.generations()
     }
 
     /// Subtype check backed by the catalog (reflexive, false for unknowns).
@@ -375,27 +335,42 @@ mod tests {
     }
 
     #[test]
-    fn rebalance_preserves_entries_and_changes_layout() {
-        let repo = Repository::with_shards(2);
-        repo.register_components((0..50).map(|i| nop_entry(&format!("p{i}.C"))).collect())
-            .unwrap();
-        assert_eq!(repo.shard_count(), 2);
-        repo.rebalance(8);
-        assert_eq!(repo.shard_count(), 8);
-        assert_eq!(repo.len(), 50);
-        for i in 0..50 {
-            assert!(repo.entry(&format!("p{i}.C")).is_ok());
-        }
-        // Entries stay sorted and complete after the reshard.
-        let classes: Vec<String> = repo.entries().iter().map(|e| e.class.clone()).collect();
-        let mut sorted = classes.clone();
+    fn shard_count_changes_layout_not_entries() {
+        let build = |shards| {
+            let repo = Repository::with_shards(shards);
+            repo.register_components((0..50).map(|i| nop_entry(&format!("p{i}.C"))).collect())
+                .unwrap();
+            repo
+        };
+        let (two, eight) = (build(2), build(8));
+        assert_eq!((two.shard_count(), eight.shard_count()), (2, 8));
+        let occupied = |repo: &Repository| {
+            repo.store
+                .snapshots()
+                .iter()
+                .filter(|s| !s.is_empty())
+                .count()
+        };
+        assert!(
+            occupied(&eight) > occupied(&two),
+            "more shards, wider spread"
+        );
+        // Entries come back sorted, complete and identical at either size.
+        let classes = |repo: &Repository| -> Vec<String> {
+            repo.entries().into_iter().map(|e| e.class).collect()
+        };
+        let mut sorted = classes(&eight);
         sorted.sort();
-        assert_eq!(classes, sorted);
-        assert_eq!(classes.len(), 50);
-        // Writes keep working against the new store.
-        repo.register_component(nop_entry("after.Rebalance"))
-            .unwrap();
-        assert_eq!(repo.len(), 51);
+        assert_eq!(classes(&eight), sorted);
+        assert_eq!(classes(&two), sorted);
+        assert_eq!(sorted.len(), 50);
+        for repo in [&two, &eight] {
+            for i in 0..50 {
+                assert!(repo.entry(&format!("p{i}.C")).is_ok());
+            }
+            repo.register_component(nop_entry("after.Build")).unwrap();
+            assert_eq!(repo.len(), 51);
+        }
     }
 
     #[test]

@@ -200,8 +200,8 @@ const AUX_SUBSTRING: u32 = 1 << 16;
 ///
 /// The score is deterministic and depends only on the two texts and the
 /// needle — never on shard layout, insertion order, or page position —
-/// so rankings are stable under resharding and pagination (the
-/// properties `shard_proptest.rs` pins). Ties are broken by class name
+/// so rankings are identical at any shard count and stable under
+/// pagination (the properties `shard_proptest.rs` pins). Ties are broken by class name
 /// at sort time.
 pub fn score_match(class: &str, aux: &str, lowered_needle: &str) -> Option<u32> {
     debug_assert!(!lowered_needle.is_empty());

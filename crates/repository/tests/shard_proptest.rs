@@ -1,7 +1,7 @@
 //! Property tests for the sharded catalog: the discovery guarantees that
 //! must hold for *every* catalog, not just the curated fixtures.
 //!
-//! Five contracts under random entry sets and needles:
+//! Six contracts under random entry sets and needles:
 //! - **Completeness and soundness**: the trigram-accelerated fuzzy path
 //!   returns exactly the entries whose searchable text contains the
 //!   needle — the posting intersection may over-approximate, but the
@@ -11,7 +11,7 @@
 //!   the same catalog sharded 1, 4, or 32 ways ranks identically — and so
 //!   does the same catalog however its deposits split it between each
 //!   shard's `base` and `recent` segments (one batch, one entry at a
-//!   time, or a mix with an overwrite, a remove and a rebalance between).
+//!   time, or a mix with an overwrite and a remove, at any shard count).
 //! - **Cap fidelity**: a limited page is exactly the head of the
 //!   unlimited ranking — capping never trades a higher-scored hit for a
 //!   lower one.
@@ -19,16 +19,19 @@
 //!   fully-published snapshots — two sorted, class-disjoint segments, class
 //!   maps that agree with the entry arrays, a bounded `recent`, a
 //!   generation that never runs backwards.
+//! - **Concurrent writers**: four writers racing overlapping batches and
+//!   singles through `Repository`, beside two readers, finish (ascending
+//!   lock order cannot deadlock), land every batch whole or not at all,
+//!   and leave each class in the catalog exactly once.
 
 use cca_core::{CcaError, CcaServices, Component};
 use cca_data::TypeMap;
-use cca_repository::{
-    ComponentEntry, FuzzyQuery, PortSpec, Repository, ShardedStore, StoredEntry, WriteOutcome,
-};
+use cca_repository::{ComponentEntry, FuzzyQuery, PortSpec, Repository, ShardedStore, StoredEntry};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::Duration;
 
 struct Nop;
 impl Component for Nop {
@@ -144,10 +147,10 @@ proptest! {
         prop_assert!(page.next.is_none(), "an uncapped page leaves no cursor");
     }
 
-    /// The ranking is a pure function of (texts, needle): resharding the
-    /// same catalog 1, 4, or 32 ways produces the identical hit sequence,
-    /// scores included. This is what makes cursors durable across a
-    /// rebalance and rankings reproducible across deployments.
+    /// The ranking is a pure function of (texts, needle): the same catalog
+    /// sharded 1, 4, or 32 ways produces the identical hit sequence,
+    /// scores included. This is what makes a cursor mean the same thing at
+    /// any shard count and rankings reproducible across deployments.
     #[test]
     fn ranking_is_stable_under_shard_count(
         catalog in arb_catalog(),
@@ -181,17 +184,17 @@ proptest! {
     /// The same catalog reached by three deposit histories — one batch
     /// (one fold, or one append when it is small), one entry at a time
     /// (eight appends, a fold, eight appends, …), and half as a batch,
-    /// half singly, with an overwrite back to the original, a throw-away
-    /// class added and removed, and a rebalance in between — reads
-    /// identically: `entries()`, the unlimited ranking (class and score)
-    /// and the cursor walk. Which segment an entry sits in is not
-    /// observable. One shard to start with, so that catalogs of a few
-    /// dozen entries do cross the fold boundary.
+    /// half singly, with an overwrite back to the original and a
+    /// throw-away class added and removed, built at 1, 4 or 32 shards —
+    /// reads identically: `entries()`, the unlimited ranking (class and
+    /// score) and the cursor walk. Which segment or shard an entry sits
+    /// in is not observable. The first two at one shard, so that catalogs
+    /// of a few dozen entries do cross the fold boundary.
     #[test]
     fn reads_are_independent_of_segment_layout(
         catalog in arb_catalog(),
         needle in "[a-d]{1,4}",
-        reshard in prop_oneof![Just(1usize), Just(4), Just(32)],
+        shards in prop_oneof![Just(1usize), Just(4), Just(32)],
     ) {
         let batched = Repository::with_shards(1);
         batched
@@ -204,7 +207,7 @@ proptest! {
         populate(&singly, &catalog);
         prop_assert_eq!(&observe(&singly, &needle), &reference);
 
-        let mixed = Repository::with_shards(1);
+        let mixed = Repository::with_shards(shards);
         let (head, tail) = catalog.split_at(catalog.len() / 2);
         mixed
             .register_components(head.iter().map(|(c, d)| entry(c, d)).collect())
@@ -213,7 +216,6 @@ proptest! {
         let (victim, desc) = &catalog[catalog.len() / 3];
         mixed.reregister_component(entry(victim, "dddd scratch"));
         mixed.register_component(entry("zz.Scratch", "abcd")).unwrap();
-        mixed.rebalance(reshard);
         mixed.reregister_component(entry(victim, desc));
         mixed.unregister_component("zz.Scratch").unwrap();
         prop_assert_eq!(&observe(&mixed, &needle), &reference);
@@ -319,10 +321,7 @@ fn concurrent_readers_never_observe_a_torn_snapshot() {
         // The depositor: one publish per entry, maximum snapshot churn.
         for i in 0..DEPOSITS {
             let stored = StoredEntry::new(entry(&format!("pkg{}.Type{i:05}", i % 7), "racing"));
-            match store.try_insert(stored, false) {
-                WriteOutcome::Done(r) => r.unwrap(),
-                WriteOutcome::Retired(_) => panic!("nobody retires this store"),
-            }
+            store.try_insert(stored, false).unwrap();
         }
         done.store(true, Ordering::Release);
     });
@@ -330,4 +329,130 @@ fn concurrent_readers_never_observe_a_torn_snapshot() {
     assert_eq!(store.len(), DEPOSITS);
     // The final generations account for exactly one publish per deposit.
     assert_eq!(store.generations().iter().sum::<u64>(), DEPOSITS as u64);
+}
+
+// ---------------------------------------------------------------------
+// Concurrent writers through `Repository`.
+// ---------------------------------------------------------------------
+
+/// Four writers race through `Repository` on four shared shards while two
+/// readers run `entry` and `fuzzy`. Each round, every writer deposits one
+/// class of its own singly and one six-class batch that spans shards.
+/// Even rounds poison every writer's batch with the round's contested
+/// class, so exactly one of the four batches lands; odd rounds race the
+/// contested class as four singles instead. The run must finish within
+/// the timeout — batches lock their shards in ascending order, so no two
+/// can deadlock — and at the end every batch is wholly present or wholly
+/// absent, each contested class was won exactly once, and `entries()`
+/// holds every class exactly once.
+#[test]
+fn concurrent_writers_land_whole_batches_and_each_class_once() {
+    const WRITERS: usize = 4;
+    const ROUNDS: usize = 64;
+    let contested = |round: usize| format!("contested.Round{round:03}");
+    let poisoned = |round: usize| round.is_multiple_of(2);
+    let batch_of = move |writer: usize, round: usize| -> Vec<String> {
+        (0..5)
+            .map(|k| format!("w{writer}.Batch{round:03}x{k}"))
+            .chain(poisoned(round).then(|| contested(round)))
+            .collect()
+    };
+
+    let repo = Repository::with_shards(4);
+    let (tx, rx) = mpsc::channel();
+    let worker = {
+        let repo = Arc::clone(&repo);
+        std::thread::spawn(move || {
+            let start = Barrier::new(WRITERS);
+            let writing = AtomicBool::new(true);
+            // Per writer and round: whether its batch landed, and whether
+            // its single of the contested class did.
+            let outcomes = std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    scope.spawn(|| {
+                        let mut probes = 0usize;
+                        while writing.load(Ordering::Acquire) || probes == 0 {
+                            let page = repo.fuzzy(&FuzzyQuery::new("batch").with_limit(16));
+                            let distinct: BTreeSet<&str> =
+                                page.hits.iter().map(|h| h.class.as_str()).collect();
+                            assert_eq!(distinct.len(), page.hits.len(), "a class listed twice");
+                            for hit in &page.hits {
+                                // Nothing is ever removed: a class seen once
+                                // is found from then on.
+                                assert_eq!(repo.entry(&hit.class).unwrap().class, hit.class);
+                            }
+                            let _ = repo.entry(&contested(probes % ROUNDS));
+                            probes += 1;
+                        }
+                    });
+                }
+                let writers: Vec<_> = (0..WRITERS)
+                    .map(|w| {
+                        let (start, repo) = (&start, &repo);
+                        scope.spawn(move || {
+                            start.wait();
+                            let mut mine = Vec::new();
+                            for round in 0..ROUNDS {
+                                let single = format!("w{w}.Single{round:03}");
+                                repo.register_component(entry(&single, "racing")).unwrap();
+                                let batch = batch_of(w, round)
+                                    .iter()
+                                    .map(|class| entry(class, "racing batch"))
+                                    .collect();
+                                let landed = match repo.register_components(batch) {
+                                    Ok(n) => {
+                                        assert_eq!(n, batch_of(w, round).len());
+                                        true
+                                    }
+                                    Err(CcaError::ComponentAlreadyExists(class)) => {
+                                        assert_eq!(class, contested(round));
+                                        false
+                                    }
+                                    Err(e) => panic!("unexpected batch error {e:?}"),
+                                };
+                                let won_single = !poisoned(round)
+                                    && repo
+                                        .register_component(entry(&contested(round), "single"))
+                                        .is_ok();
+                                mine.push((landed, won_single));
+                            }
+                            mine
+                        })
+                    })
+                    .collect();
+                let outcomes: Vec<_> = writers.into_iter().map(|h| h.join().unwrap()).collect();
+                writing.store(false, Ordering::Release);
+                outcomes
+            });
+            tx.send(outcomes).unwrap();
+        })
+    };
+    let outcomes = rx
+        .recv_timeout(Duration::from_secs(120))
+        .expect("concurrent writers did not finish: deadlock?");
+    worker.join().unwrap();
+
+    let mut expected = 0usize;
+    for round in 0..ROUNDS {
+        let mut winners = 0;
+        for (w, mine) in outcomes.iter().enumerate() {
+            let (landed, won_single) = mine[round];
+            assert!(repo.entry(&format!("w{w}.Single{round:03}")).is_ok());
+            let own = &batch_of(w, round)[..5];
+            let present = own.iter().filter(|c| repo.entry(c).is_ok()).count();
+            assert_eq!(present, if landed { 5 } else { 0 }, "w{w} round {round}");
+            expected += 1 + present;
+            winners += usize::from(if poisoned(round) { landed } else { won_single });
+        }
+        assert_eq!(winners, 1, "{} won {winners} times", contested(round));
+        assert!(repo.entry(&contested(round)).is_ok());
+        expected += 1;
+    }
+    let classes: Vec<String> = repo.entries().into_iter().map(|e| e.class).collect();
+    assert!(
+        classes.windows(2).all(|w| w[0] < w[1]),
+        "every class appears exactly once"
+    );
+    assert_eq!(classes.len(), expected);
+    assert_eq!(repo.len(), expected);
 }

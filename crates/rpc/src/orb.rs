@@ -13,7 +13,7 @@
 //! 4. reply marshaling and demarshaling.
 //!
 //! This is also the genuinely useful half of the paper's story: the same
-//! `ObjRef` behind a [`LatencyTransport`] is how the reference framework
+//! `ObjRef` behind a [`LatencyTransport`](crate::LatencyTransport) is how the reference framework
 //! implements *distributed* port connections ("CCA over CORBA ...
 //! targeting distributed environments").
 

@@ -30,7 +30,7 @@
 //!   [`vector::Reduction`] triple so one implementation serves serial,
 //!   SPMD, and matrix-free callers.
 //! * [`mesh`] — a block-decomposed 2-D structured mesh with halo exchange
-//!   "encapsulat[ing] nonlocal communication in gather/scatter routines"
+//!   "encapsulat\[ing\] nonlocal communication in gather/scatter routines"
 //!   as CHAD does.
 //! * [`hydro`] — the CHAD-mini application: semi-implicit 2-D
 //!   advection–diffusion, runnable monolithically (the baseline for E6) or

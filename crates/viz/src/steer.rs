@@ -1,6 +1,6 @@
 //! Computational steering: bounded, named parameters.
 //!
-//! CUMULVS (paper ref [26]) provided "fault tolerance, visualization and
+//! CUMULVS (paper ref \[26\]) provided "fault tolerance, visualization and
 //! steering of parallel applications"; the steering half is a registry of
 //! parameters the simulation reads every timestep and a remote tool may
 //! change between them. We reproduce it with explicit bounds checking and

@@ -9,6 +9,7 @@
 #   build-test release build + test suite
 #   clippy     clippy with -D warnings
 #   fmt        rustfmt --check
+#   doc        rustdoc over the workspace with -D warnings (broken links)
 #   fault      the fault-injection suites under one CCA_FAULT_SEED
 #   fleet      the multi-process kill-matrix under one CCA_FAULT_SEED
 #   bench-gate every experiment's gates in fast mode (scripts/bench.sh)
@@ -54,6 +55,11 @@ clippy() {
 fmt() {
     echo "==> cargo fmt --check"
     cargo fmt --all -- --check
+}
+
+doc() {
+    echo "==> cargo doc -D warnings"
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 }
 
 # One run of the failure-injection + resilience + remote-transport +
@@ -109,6 +115,7 @@ all)
     build_test
     clippy
     fmt
+    doc
     fault
     fleet
     bench_gate
@@ -117,12 +124,13 @@ all)
 build-test) build_test ;;
 clippy) clippy ;;
 fmt) fmt ;;
+doc) doc ;;
 fault) fault ;;
 fleet) fleet ;;
 bench-gate) bench_gate ;;
 ccabench) ccabench ;;
 *)
-    echo "unknown mode '$MODE' (want all|build-test|clippy|fmt|fault|fleet|bench-gate|ccabench)" >&2
+    echo "unknown mode '$MODE' (want all|build-test|clippy|fmt|doc|fault|fleet|bench-gate|ccabench)" >&2
     exit 2
     ;;
 esac

@@ -6,8 +6,8 @@
 //! hammers the discovery surfaces: exact lookups round-trip every
 //! sampled entry, fuzzy queries return known-answer rankings across
 //! every score tier, paged cursor walks reach exhaustion with no gaps
-//! and no duplicates, duplicate deposits and live rebalances keep the
-//! catalog consistent, and the `cca.ports.DiscoveryPort` answers over a
+//! and no duplicates, duplicate deposits keep the catalog consistent and
+//! it reads identically at any shard count, and the `cca.ports.DiscoveryPort` answers over a
 //! real `tcp+mux://` socket under the CI fault matrix — a seeded
 //! mid-call drop opens the breaker, quarantine is published, and the
 //! healed wire recovers on the half-open probe.
@@ -262,68 +262,77 @@ fn paged_cursor_walk_reaches_exhaustion_without_gaps_or_duplicates() {
 }
 
 // ---------------------------------------------------------------------
-// 4. Deposit edge cases and live rebalance.
+// 4. Deposit edge cases, at three shard counts.
 // ---------------------------------------------------------------------
 
 /// Duplicate deposits reject without corrupting the catalog, a batch with
 /// an internal duplicate is refused whole (all-or-nothing), re-deposit
-/// overwrites in place, and a live rebalance to a different shard count
-/// preserves every entry, every lookup, and every fuzzy ranking.
+/// overwrites in place — and the same catalog built at 8, 32 and 1 shards
+/// holds every entry, answers every lookup and ranks every fuzzy query
+/// identically: scoring is a pure function of the texts, never the layout.
 #[test]
-fn duplicate_redeposit_and_rebalance_keep_the_catalog_consistent() {
+fn duplicate_redeposit_and_shard_count_keep_the_catalog_consistent() {
     let n = 10_000;
-    let repo = Repository::with_shards(8);
-    populate(&repo, n);
-
-    // Duplicate single deposit: typed rejection, count unchanged.
-    assert!(repo
-        .register_component(entry(&class_of(0), "imposter"))
-        .is_err());
-    assert_eq!(repo.len(), n);
-    assert_eq!(
-        repo.entry(&class_of(0)).unwrap().description,
-        "synthetic scale entry"
-    );
-
-    // All-or-nothing batch: one duplicate (against the store) poisons the
-    // whole batch — none of the fresh entries land.
-    let poisoned = vec![
-        entry("fresh.One", "new"),
-        entry(&class_of(42), "imposter"),
-        entry("fresh.Two", "new"),
-    ];
-    assert!(repo.register_components(poisoned).is_err());
-    assert_eq!(repo.len(), n);
-    assert!(repo.entry("fresh.One").is_err());
-    assert!(repo.entry("fresh.Two").is_err());
-
-    // Batch-internal duplicate: also refused whole.
-    let twins = vec![entry("twin.A", "first"), entry("twin.A", "second")];
-    assert!(repo.register_components(twins).is_err());
-    assert!(repo.entry("twin.A").is_err());
-
-    // Re-deposit (upsert) replaces in place.
-    repo.reregister_component(entry(&class_of(7), "upgraded"));
-    assert_eq!(repo.len(), n);
-    assert_eq!(repo.entry(&class_of(7)).unwrap().description, "upgraded");
-
-    // Live rebalance: grow 8 -> 32 shards, then shrink to 1. Every entry
-    // survives both migrations and fuzzy rankings are byte-identical —
-    // scoring is a pure function of the texts, never the layout.
-    let before = repo.fuzzy(&FuzzyQuery::new("tensor").with_limit(50));
-    for shards in [32usize, 1] {
-        repo.rebalance(shards);
+    let build = |shards: usize| {
+        let repo = Repository::with_shards(shards);
         assert_eq!(repo.shard_count(), shards);
-        assert_eq!(repo.len(), n, "rebalance to {shards} shards lost entries");
-        for i in (0..n).step_by(997) {
-            assert!(repo.entry(&class_of(i)).is_ok());
-        }
+        populate(&repo, n);
+
+        // Duplicate single deposit: typed rejection, count unchanged.
+        assert!(repo
+            .register_component(entry(&class_of(0), "imposter"))
+            .is_err());
+        assert_eq!(repo.len(), n);
+        assert_eq!(
+            repo.entry(&class_of(0)).unwrap().description,
+            "synthetic scale entry"
+        );
+
+        // All-or-nothing batch: one duplicate (against the store) poisons
+        // the whole batch — none of the fresh entries land.
+        let poisoned = vec![
+            entry("fresh.One", "new"),
+            entry(&class_of(42), "imposter"),
+            entry("fresh.Two", "new"),
+        ];
+        assert!(repo.register_components(poisoned).is_err());
+        assert_eq!(repo.len(), n);
+        assert!(repo.entry("fresh.One").is_err());
+        assert!(repo.entry("fresh.Two").is_err());
+
+        // Batch-internal duplicate: also refused whole.
+        let twins = vec![entry("twin.A", "first"), entry("twin.A", "second")];
+        assert!(repo.register_components(twins).is_err());
+        assert!(repo.entry("twin.A").is_err());
+
+        // Re-deposit (upsert) replaces in place.
+        repo.reregister_component(entry(&class_of(7), "upgraded"));
+        assert_eq!(repo.len(), n);
         assert_eq!(repo.entry(&class_of(7)).unwrap().description, "upgraded");
-        let after = repo.fuzzy(&FuzzyQuery::new("tensor").with_limit(50));
-        assert_eq!(after.matched, before.matched);
-        for (a, b) in after.hits.iter().zip(before.hits.iter()) {
-            assert_eq!(a.class, b.class);
-            assert_eq!(a.score, b.score);
+        repo
+    };
+
+    let ranking = |repo: &Repository, needle: &str| -> (usize, Vec<(String, u32)>) {
+        let page = repo.fuzzy(&FuzzyQuery::new(needle).with_limit(50));
+        let hits = page.hits.into_iter().map(|h| (h.class, h.score)).collect();
+        (page.matched, hits)
+    };
+    let reference = build(8);
+    for shards in [32usize, 1] {
+        let repo = build(shards);
+        for i in (0..n).step_by(997) {
+            let class = class_of(i);
+            assert_eq!(
+                repo.entry(&class).unwrap().description,
+                reference.entry(&class).unwrap().description
+            );
+        }
+        for needle in ["tensor", "upgraded", "ze"] {
+            assert_eq!(
+                ranking(&repo, needle),
+                ranking(&reference, needle),
+                "{shards} shards must rank {needle:?} like 8"
+            );
         }
     }
 }
