@@ -7,23 +7,21 @@
 //!   dynamic_facade   — the reflective DynObject call (no marshaling);
 //!   orb_loopback/*   — the CORBA-shaped path *within one address space*:
 //!                      marshal → dispatch-by-name → demarshal, swept over
-//!                      argument sizes (scalar, 1 KiB, 64 KiB arrays);
-//!   orb_lan/*        — the same through the simulated-LAN transport, the
-//!                      regime CORBA was actually designed for.
+//!                      argument sizes (scalar, 1 KiB, 64 KiB arrays).
 //!
 //! Expected shape: orb_loopback ≳ 100× direct_port for scalar args; the
-//! array sweep shows the per-byte marshal cost; orb_lan is dominated by
-//! simulated latency — i.e. CORBA's costs are tolerable *between* hosts
-//! and intolerable *inside* one, which is the paper's argument for
-//! direct-connect ports.
+//! array sweep shows the per-byte marshal cost. E12 prices the same ORB
+//! call over a real socket, the regime CORBA was designed for: there the
+//! socket round trip dwarfs the marshaling, so CORBA's costs are tolerable
+//! *between* hosts and intolerable *inside* one, which is the paper's
+//! argument for direct-connect ports.
 
 use cca_bench::{Harness, Report};
 use cca_data::NdArray;
-use cca_rpc::{LatencyTransport, LoopbackTransport, ObjRef, Orb};
+use cca_rpc::{ObjRef, Orb};
 use cca_sidl::{DynObject, DynValue, SidlError};
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Duration;
 
 trait SumPort: Send + Sync {
     fn total(&self, x: f64) -> f64;
@@ -81,7 +79,7 @@ fn main() {
     // The ORB in the same address space.
     let orb = Orb::new();
     orb.register("sum", Arc::new(SumImpl));
-    let objref = ObjRef::loopback("sum", Arc::clone(&orb));
+    let objref = ObjRef::loopback("sum", orb);
     report.metric(
         "orb_loopback_scalar_ns",
         h.time(|| {
@@ -110,22 +108,5 @@ fn main() {
         );
     }
 
-    // The ORB across the simulated LAN (100 µs + 10 ns/byte).
-    let remote_orb = Orb::new();
-    remote_orb.register("sum", Arc::new(SumImpl));
-    let lan = LatencyTransport::new(
-        LoopbackTransport::new(remote_orb),
-        Duration::from_micros(100),
-        Duration::from_nanos(10),
-    );
-    let remote_ref = ObjRef::new("sum", lan);
-    report.metric(
-        "orb_lan_scalar_ns",
-        h.time(|| {
-            remote_ref
-                .invoke("total", vec![DynValue::Double(black_box(1.0))])
-                .unwrap()
-        }),
-    );
     report.finish();
 }

@@ -18,12 +18,11 @@
 //!   framework operation constructs unconditionally;
 //! * the full tracing-off trace plumbing a remote call executes
 //!   (`span` + `current_context` + `install_context`) — exactly zero;
-//! * the remote call path itself over both the pooled and the mux
-//!   transport: a remote call allocates (payload vecs, frames), so the
-//!   assertion is *equality* — the calling thread's warmed per-loop
-//!   allocation count must be deterministic, and turning tracing ON must
-//!   not add a single allocation (rings are preallocated; context rides
-//!   in the frame);
+//! * the remote call path itself over the mux transport: a remote call
+//!   allocates (payload vecs, frames), so the assertion is *equality* —
+//!   the calling thread's warmed per-loop allocation count must be
+//!   deterministic, and turning tracing ON must not add a single
+//!   allocation (rings are preallocated; context rides in the frame);
 //! * building and compiling a redistribution plan: not zero, but the same
 //!   count whatever the array's size — nothing is allocated per element.
 //!
@@ -39,7 +38,7 @@
 use cca_core::{CcaServices, PortHandle};
 use cca_data::TypeMap;
 use cca_rpc::transport::Dispatcher;
-use cca_rpc::{MuxServer, MuxServerConfig, MuxTransport, ObjRef, Orb, TcpServer, TcpTransport};
+use cca_rpc::{MuxServer, MuxServerConfig, MuxTransport, ObjRef, Orb};
 use cca_sidl::{DynObject, DynValue, SidlError};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -246,47 +245,6 @@ fn remote_loop_allocs(objref: &ObjRef, n: i64) -> u64 {
 /// call, not of time), and a tracing-on loop must match them exactly —
 /// the span ring is preallocated and the wire context rides inside the
 /// frame's existing single buffer.
-fn assert_trace_plumbing_adds_no_allocations(label: &str, objref: &ObjRef) {
-    // Warm both gates outside the measured region: pool dials, reply
-    // buffers, and the per-thread trace rings (client and server side)
-    // all come into existence here.
-    cca_obs::set_tracing(false);
-    remote_loop_allocs(objref, 200);
-    cca_obs::set_tracing(true);
-    remote_loop_allocs(objref, 200);
-    cca_obs::set_tracing(false);
-
-    let off_first = remote_loop_allocs(objref, 500);
-    let off_second = remote_loop_allocs(objref, 500);
-    cca_obs::set_tracing(true);
-    let on = remote_loop_allocs(objref, 500);
-    cca_obs::set_tracing(false);
-    cca_obs::drain();
-
-    assert_eq!(
-        off_first, off_second,
-        "{label}: warmed remote calls must allocate deterministically"
-    );
-    assert_eq!(
-        on, off_first,
-        "{label}: tracing must add zero allocations per remote call \
-         (off={off_first}, on={on} over 500 calls)"
-    );
-}
-
-fn remote_call_trace_plumbing_adds_no_allocations_pooled() {
-    let orb = Orb::new();
-    orb.register("doubler", Arc::new(Doubler));
-    let server = TcpServer::bind("127.0.0.1:0", orb as Arc<dyn Dispatcher>).unwrap();
-    // Pool of 1: a serial client reuses one warmed connection, keeping
-    // the per-loop allocation count a pure function of the call.
-    let transport = Arc::new(TcpTransport::new(server.local_addr().to_string()).with_pool_size(1));
-    let objref = ObjRef::new("doubler", transport as Arc<dyn cca_rpc::Transport>);
-
-    assert_trace_plumbing_adds_no_allocations("pooled", &objref);
-    server.shutdown();
-}
-
 fn remote_call_trace_plumbing_adds_no_allocations_mux() {
     let orb = Orb::new();
     orb.register("doubler", Arc::new(Doubler));
@@ -303,8 +261,32 @@ fn remote_call_trace_plumbing_adds_no_allocations_mux() {
     let transport = Arc::new(MuxTransport::new(server.local_addr().to_string()));
     let objref = ObjRef::new("doubler", transport as Arc<dyn cca_rpc::Transport>);
 
-    assert_trace_plumbing_adds_no_allocations("mux", &objref);
+    // Warm both gates outside the measured region: connection dials, reply
+    // buffers, and the per-thread trace rings (client and server side)
+    // all come into existence here.
+    cca_obs::set_tracing(false);
+    remote_loop_allocs(&objref, 200);
+    cca_obs::set_tracing(true);
+    remote_loop_allocs(&objref, 200);
+    cca_obs::set_tracing(false);
+
+    let off_first = remote_loop_allocs(&objref, 500);
+    let off_second = remote_loop_allocs(&objref, 500);
+    cca_obs::set_tracing(true);
+    let on = remote_loop_allocs(&objref, 500);
+    cca_obs::set_tracing(false);
+    cca_obs::drain();
     server.shutdown();
+
+    assert_eq!(
+        off_first, off_second,
+        "warmed remote calls must allocate deterministically"
+    );
+    assert_eq!(
+        on, off_first,
+        "tracing must add zero allocations per remote call \
+         (off={off_first}, on={on} over 500 calls)"
+    );
 }
 
 /// The one test that owns the process-global `cca-obs` flags (see the
@@ -314,7 +296,6 @@ fn flag_dependent_paths_add_no_allocations() {
     counters_on_cached_record_path_allocates_nothing();
     tracing_off_span_guard_allocates_nothing();
     tracing_off_remote_plumbing_allocates_nothing();
-    remote_call_trace_plumbing_adds_no_allocations_pooled();
     remote_call_trace_plumbing_adds_no_allocations_mux();
 }
 

@@ -65,8 +65,7 @@ pub fn fault_seed_from_env() -> u64 {
 ///
 /// All resilience timing (backoff waits, breaker cooldowns, deadlines)
 /// goes through this trait so tests substitute a [`MockClock`] and advance
-/// simulated time instantly — the paper's framework simulation philosophy
-/// ("simulation, not emulation", cf. `LatencyTransport`) applied to fault
+/// simulated time instantly: simulation, not emulation, applied to fault
 /// handling.
 pub trait Clock: Send + Sync + std::fmt::Debug {
     /// Nanoseconds since an arbitrary (per-clock) epoch. Monotonic.

@@ -12,7 +12,7 @@ use cca_core::{CcaError, ConfigEvent, PortHandle};
 use cca_rpc::transport::Dispatcher;
 use cca_rpc::{
     DeadlineTransport, LoopbackTransport, MuxServer, MuxTransport, ObjRef, RemotePortProxy,
-    TcpServer, TcpTransport, Transport,
+    Transport,
 };
 use cca_sidl::DynObject;
 use std::collections::BTreeMap;
@@ -34,18 +34,17 @@ pub enum ConnectionPolicy {
     Proxied,
 }
 
-/// Which TCP client a remote connection rides on.
+/// Which client a remote connection rides on. There is one socket
+/// transport, so `Mux` is the only variant. This enum and
+/// [`Framework::connect_remote_with`] remain only because the end-to-end
+/// benchmark (`benchmark/src/workloads/hydro.rs`) names them; once it
+/// calls [`Framework::connect_remote`], both can go.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RemoteTransportKind {
-    /// The PR-5 pooled transport: one in-flight request per pooled
-    /// connection, checked out for the duration of the call. Simple and
-    /// predictable; the default.
+    /// The multiplexed transport (`cca_rpc::MuxTransport`): concurrent
+    /// calls pipeline over a small fixed connection set, with replies
+    /// routed by frame request id.
     #[default]
-    Pooled,
-    /// The multiplexed transport: concurrent calls pipeline over a small
-    /// fixed connection set, with replies routed by frame request id
-    /// (`cca_rpc::MuxTransport`). The right choice when many components or
-    /// threads share one remote provider.
     Mux,
 }
 
@@ -366,8 +365,8 @@ impl Framework {
     /// Publishes a provides port for remote callers: registers the port's
     /// dynamic facade with the framework ORB under the key
     /// `"{provider}/{provides_port}"` and returns that key. Pair with
-    /// [`serve_tcp`](Self::serve_tcp) to put the ORB on the network; a
-    /// remote framework then reaches the port via
+    /// [`serve_tcp_mux`](Self::serve_tcp_mux) to put the ORB on the
+    /// network; a remote framework then reaches the port via
     /// [`connect_remote`](Self::connect_remote) with the returned key.
     pub fn export_port(&self, provider: &str, provides_port: &str) -> Result<String, CcaError> {
         let handle = self.services(provider)?.get_provides_port(provides_port)?;
@@ -385,69 +384,39 @@ impl Framework {
 
     /// Serves this framework's ORB over TCP: every port already exported
     /// (via [`export_port`](Self::export_port) or a proxied connection)
-    /// becomes remotely invocable. Bind to `"127.0.0.1:0"` for an
-    /// ephemeral port and read the real one off the returned server.
-    pub fn serve_tcp(&self, addr: &str) -> Result<Arc<TcpServer>, CcaError> {
-        TcpServer::bind(addr, Arc::clone(&self.orb) as Arc<dyn Dispatcher>)
-            .map_err(|e| CcaError::Framework(format!("serve tcp://{addr}: {e}")))
-    }
-
-    /// Serves this framework's ORB over multiplexed TCP: the same exported
-    /// ports as [`serve_tcp`](Self::serve_tcp), dispatched through the
-    /// same ORB, but from an event-driven [`MuxServer`] whose thread
-    /// budget does not grow with the number of peers. A remote framework
-    /// reaches it with [`connect_remote_with`](Self::connect_remote_with)
-    /// and [`RemoteTransportKind::Mux`] for pipelining — though the pooled
-    /// client interoperates too (the wire format is identical).
+    /// becomes remotely invocable, dispatched from an event-driven
+    /// [`MuxServer`] whose thread budget does not grow with the number of
+    /// peers. Bind to `"127.0.0.1:0"` for an ephemeral port and read the
+    /// real one off the returned server. A remote framework reaches it
+    /// with [`connect_remote`](Self::connect_remote).
     pub fn serve_tcp_mux(&self, addr: &str) -> Result<Arc<MuxServer>, CcaError> {
         MuxServer::bind(addr, Arc::clone(&self.orb) as Arc<dyn Dispatcher>)
             .map_err(|e| CcaError::Framework(format!("serve tcp+mux://{addr}: {e}")))
     }
 
     /// Connects `user.uses_port` to a port exported by a *remote*
-    /// framework: `addr` is the remote [`serve_tcp`](Self::serve_tcp)
+    /// framework: `addr` is the remote [`serve_tcp_mux`](Self::serve_tcp_mux)
     /// address and `remote_key` the key its `export_port` returned. The
     /// user receives an ordinary [`PortHandle`] whose dynamic facade
-    /// marshals every call over TCP — the same shape as a local proxied
-    /// connection, so the component cannot tell (§6.2).
+    /// marshals every call over a [`MuxTransport`] — the same shape as a
+    /// local proxied connection, so the component cannot tell (§6.2). The
+    /// slot's calls, from however many threads, pipeline over the
+    /// transport's few sockets.
     ///
     /// The uses slot's [`CallPolicy`] applies unchanged: a deadline both
-    /// bounds each round trip on the policy clock *and* becomes the socket
-    /// read/write timeout, and a breaker policy attaches a circuit breaker
-    /// that quarantines the remote provider on connection failures exactly
-    /// like a wedged local one (its transitions are published as
-    /// configuration events, labelled `tcp://{addr}/{remote_key}`).
+    /// bounds each round trip on the policy clock *and* becomes the
+    /// transport's per-call wait budget, and a breaker policy attaches a
+    /// circuit breaker that quarantines the remote provider on
+    /// `cca.rpc.ConnectionFailure` exactly like a wedged local one. The
+    /// connection record and its configuration events are labelled
+    /// `tcp+mux://{addr}/{remote_key}`.
     ///
     /// Trust edge: the remote port's type cannot be checked against the
     /// local repository without a network round trip, so the uses slot's
     /// declared type is taken at face value — a mismatch surfaces at call
     /// time as a remote dispatch error, not at connect time.
-    pub fn connect_remote(
-        &self,
-        user: &str,
-        uses_port: &str,
-        addr: &str,
-        remote_key: &str,
-    ) -> Result<(), CcaError> {
-        self.connect_remote_with(
-            user,
-            uses_port,
-            addr,
-            remote_key,
-            RemoteTransportKind::Pooled,
-        )
-    }
-
-    /// [`connect_remote`](Self::connect_remote) with an explicit transport
-    /// choice. [`RemoteTransportKind::Mux`] pipelines this slot's calls
-    /// (and those of every other mux slot aimed at the same address by
-    /// other threads) over the multiplexed client; connection failures
-    /// carry the same `cca.rpc.ConnectionFailure` type either way, so
-    /// breaker quarantine/recovery behaves identically. Mux connections
-    /// are labelled `tcp+mux://{addr}/{remote_key}` in connection records
-    /// and configuration events.
     ///
-    /// Incarnation audit (PR 9): the `tcp+mux://{addr}/{remote_key}`
+    /// Incarnation audit: the `tcp+mux://{addr}/{remote_key}`
     /// label names an *address*, not a process. If the provider behind
     /// it is a supervised fleet child, the label outlives any one
     /// incarnation: a restarted rank gets the same address back, and a
@@ -461,13 +430,12 @@ impl Framework {
     /// superseded. Non-fleet remotes keep the existing behaviour: a dead
     /// peer trips the breaker to `Open` via `cca.rpc.ConnectionFailure`,
     /// so stale addresses quarantine rather than resolve.
-    pub fn connect_remote_with(
+    pub fn connect_remote(
         &self,
         user: &str,
         uses_port: &str,
         addr: &str,
         remote_key: &str,
-        kind: RemoteTransportKind,
     ) -> Result<(), CcaError> {
         let _span = cca_obs::span("framework.connect_remote");
         let user_services = self.services(user)?;
@@ -477,22 +445,12 @@ impl Framework {
             .as_ref()
             .and_then(|p| p.deadline_ns().map(|d| (d, Arc::clone(p.clock()))));
 
-        let (mut transport, provider_label): (Arc<dyn Transport>, String) = match kind {
-            RemoteTransportKind::Pooled => {
-                let mut tcp = TcpTransport::new(addr);
-                if let Some((deadline_ns, _)) = &deadline {
-                    tcp = tcp.with_io_timeout(Duration::from_nanos(*deadline_ns));
-                }
-                (Arc::new(tcp), format!("tcp://{addr}/{remote_key}"))
-            }
-            RemoteTransportKind::Mux => {
-                let mut mux = MuxTransport::new(addr);
-                if let Some((deadline_ns, _)) = &deadline {
-                    mux = mux.with_io_timeout(Duration::from_nanos(*deadline_ns));
-                }
-                (Arc::new(mux), format!("tcp+mux://{addr}/{remote_key}"))
-            }
-        };
+        let mut mux = MuxTransport::new(addr);
+        if let Some((deadline_ns, _)) = &deadline {
+            mux = mux.with_io_timeout(Duration::from_nanos(*deadline_ns));
+        }
+        let mut transport: Arc<dyn Transport> = Arc::new(mux);
+        let provider_label = format!("tcp+mux://{addr}/{remote_key}");
         if let Some((deadline_ns, clock)) = deadline {
             transport = DeadlineTransport::new(transport, deadline_ns, clock);
         }
@@ -526,6 +484,20 @@ impl Framework {
             port_type: uses_type,
         });
         Ok(())
+    }
+
+    /// [`connect_remote`](Self::connect_remote), naming the transport.
+    /// `Mux` is the only kind, so this forwards; see
+    /// [`RemoteTransportKind`] for why it remains.
+    pub fn connect_remote_with(
+        &self,
+        user: &str,
+        uses_port: &str,
+        addr: &str,
+        remote_key: &str,
+        _kind: RemoteTransportKind,
+    ) -> Result<(), CcaError> {
+        self.connect_remote(user, uses_port, addr, remote_key)
     }
 }
 

@@ -11,7 +11,7 @@
 //! components themselves use. [`Framework::install_discovery`] mirrors
 //! [`Framework::install_observability`]: deposit the SIDL, add the
 //! component instance, export the port under [`DISCOVERY_EXPORT_KEY`],
-//! and the next `serve_tcp`/`serve_tcp_mux` call makes the catalog
+//! and the next `serve_tcp_mux` call makes the catalog
 //! remotely searchable.
 
 use crate::framework::Framework;
@@ -220,7 +220,6 @@ impl Framework {
     /// repository (idempotently), adds a [`DiscoveryComponent`] instance
     /// named [`DISCOVERY_INSTANCE`], and exports its port under
     /// [`DISCOVERY_EXPORT_KEY`] so the next
-    /// [`serve_tcp`](Framework::serve_tcp) /
     /// [`serve_tcp_mux`](Framework::serve_tcp_mux) call makes the catalog
     /// remotely searchable.
     ///

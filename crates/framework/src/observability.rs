@@ -10,9 +10,9 @@
 //! so a collector can light up tracing on a misbehaving process, scrape a
 //! window, and turn it back off. [`Framework::install_observability`]
 //! both installs the component *and* exports its port under
-//! [`OBSERVABILITY_EXPORT_KEY`], so a single `serve_tcp`/`serve_tcp_mux`
-//! call afterwards puts the scrape plane on the network over the very
-//! transports the components themselves use.
+//! [`OBSERVABILITY_EXPORT_KEY`], so a single `serve_tcp_mux` call
+//! afterwards puts the scrape plane on the network over the very
+//! transport the components themselves use.
 
 use crate::framework::Framework;
 use crate::monitor::MonitorPort;
@@ -168,7 +168,6 @@ impl Framework {
     /// repository (idempotently), adds an [`ObservabilityComponent`]
     /// instance named [`OBSERVABILITY_INSTANCE`], and exports its port
     /// under [`OBSERVABILITY_EXPORT_KEY`] so the next
-    /// [`serve_tcp`](Framework::serve_tcp) /
     /// [`serve_tcp_mux`](Framework::serve_tcp_mux) call makes the process
     /// remotely scrapeable.
     ///

@@ -177,7 +177,7 @@ impl std::error::Error for FrameError {}
 
 impl From<FrameError> for SidlError {
     fn from(e: FrameError) -> Self {
-        SidlError::user(crate::tcp::CONNECTION_EXCEPTION_TYPE, e.to_string())
+        SidlError::user(crate::mux::CONNECTION_EXCEPTION_TYPE, e.to_string())
     }
 }
 
@@ -599,19 +599,7 @@ pub fn write_frame(
     payload: &[u8],
     max_payload: u32,
 ) -> std::io::Result<()> {
-    write_frame_with(writer, kind, request_id, payload, max_payload, None)
-}
-
-/// Writes one frame, carrying `context` when given, to a blocking writer.
-pub fn write_frame_with(
-    writer: &mut impl std::io::Write,
-    kind: FrameKind,
-    request_id: u64,
-    payload: &[u8],
-    max_payload: u32,
-    context: Option<TraceContext>,
-) -> std::io::Result<()> {
-    let framed = encode_frame_with(kind, request_id, payload, max_payload, context)
+    let framed = encode_frame(kind, request_id, payload, max_payload)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
     writer.write_all(&framed)?;
     writer.flush()

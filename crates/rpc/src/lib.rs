@@ -11,9 +11,9 @@
 //!
 //! * [`wire`] — a CDR-flavoured binary marshaling of [`cca_sidl::DynValue`]
 //!   request/reply messages (what a CORBA GIOP implementation does).
-//! * [`transport`] — synchronous request/response transports: an in-process
-//!   loopback and a latency/bandwidth-simulating wrapper standing in for a
-//!   real network (see DESIGN.md substitutions).
+//! * [`transport`] — the synchronous request/response seam: the
+//!   [`Transport`] and [`transport::Dispatcher`] traits and an in-process
+//!   loopback.
 //! * [`orb`] — a deliberately CORBA-shaped object request broker: objects
 //!   registered under string keys, every invocation marshaled, dispatched
 //!   by operation *name*, and demarshaled — even between objects in the
@@ -31,17 +31,16 @@
 //!   versioned frames over the [`wire`] encoding, with a payload cap and
 //!   typed rejection of malformed input (proptested in
 //!   `tests/frame_proptest.rs`).
-//! * [`tcp`] — the actual wire: a threaded `std::net` server dispatching
-//!   into the same [`transport::Dispatcher`] as the loopback, and a
-//!   pooled, timeout-aware client [`TcpTransport`] whose failures feed
-//!   the circuit-breaker machinery unchanged.
-//! * [`mux`] — the same wire, multiplexed: [`mux::MuxTransport`] pipelines
+//! * [`mux`] — the one socket transport: [`mux::MuxTransport`] pipelines
 //!   thousands of concurrent calls over a handful of sockets by routing
 //!   replies to waiters by frame request id, and [`mux::MuxServer`] serves
 //!   them from one event loop that parks in `poll(2)` on its sockets
 //!   (`readiness.rs`, the workspace's only `unsafe` block), with
-//!   per-connection backpressure instead of a thread per peer
-//!   (experiment E13).
+//!   per-connection backpressure instead of a thread per peer. Both
+//!   dispatch into the same [`transport::Dispatcher`] as the loopback, and
+//!   connection failures surface as typed [`CONNECTION_EXCEPTION_TYPE`]
+//!   errors that feed the circuit breaker unchanged (experiments E12,
+//!   E13).
 //! * [`bulk`] — the data plane: `FrameKind::Bulk` slabs carrying M×N
 //!   array-redistribution chunks as raw little-endian bytes (no
 //!   per-element encoding), acknowledged with resume watermarks so a
@@ -54,7 +53,6 @@ pub mod orb;
 pub mod proxy;
 mod readiness;
 pub mod resilient;
-pub mod tcp;
 pub mod transport;
 pub mod wire;
 
@@ -63,16 +61,15 @@ pub use bulk::{
     BULK_SLAB_HEADER_LEN,
 };
 pub use frame::{
-    encode_frame, encode_frame_with, write_frame, write_frame_with, Frame, FrameDecoder,
-    FrameError, FrameKind, FRAME_VERSION, TRACE_CONTEXT_LEN,
+    encode_frame, encode_frame_with, write_frame, Frame, FrameDecoder, FrameError, FrameKind,
+    FRAME_VERSION, TRACE_CONTEXT_LEN,
 };
 pub use mux::{
     BulkChannel, MuxServer, MuxServerConfig, MuxTransport, PendingReply, SessionSink,
-    DEFAULT_MUX_CONNECTIONS,
+    CONNECTION_EXCEPTION_TYPE, DEFAULT_MUX_CONNECTIONS,
 };
 pub use orb::{ObjRef, Orb};
 pub use proxy::RemotePortProxy;
 pub use resilient::{DeadlineTransport, FaultAction, FaultTransport, INJECTED_FAULT_TYPE};
-pub use tcp::{TcpServer, TcpTransport, CONNECTION_EXCEPTION_TYPE};
-pub use transport::{LatencyTransport, LoopbackTransport, Transport};
+pub use transport::{LoopbackTransport, Transport};
 pub use wire::{decode_reply, decode_request, encode_reply, encode_request, Reply, Request};

@@ -1,12 +1,10 @@
-//! Request-id multiplexing: thousands of concurrent logical clients on a
-//! handful of sockets.
+//! The socket transport: thousands of concurrent logical clients on a
+//! handful of sockets, with replies routed by request id.
 //!
-//! The PR-5 stack is correct but serial: `TcpTransport` allows one in-flight
-//! request per pooled connection, and `TcpServer` spends a blocking thread
-//! per peer. The frame header has carried a `u64` request id since PR-5
-//! precisely so that replies can be routed without demarshaling — this
-//! module cashes that in on both sides of the socket, std-only (vendor
-//! policy: no new runtime deps, no async runtime).
+//! Every frame header carries a `u64` request id, so a reply can be routed
+//! to its caller without demarshaling. This module uses that on both sides
+//! of the socket, std-only (vendor policy: no new runtime deps, no async
+//! runtime).
 //!
 //! * [`MuxTransport`] — the client: many concurrent calls pipeline over a
 //!   small fixed set of connections. Per connection, one writer thread
@@ -16,13 +14,13 @@
 //!   returns a [`PendingReply`] without blocking on the reply, so one OS
 //!   thread can keep hundreds of logical calls in flight. When a
 //!   connection dies, every in-flight call on it fails with a typed
-//!   [`CONNECTION_EXCEPTION_TYPE`] error — which feeds the PR-3 circuit
-//!   breaker exactly like a pooled-transport failure.
+//!   [`CONNECTION_EXCEPTION_TYPE`] error — which feeds the circuit
+//!   breaker exactly like a wedged local provider.
 //! * [`MuxServer`] — the server: an event-driven readiness loop over
 //!   nonblocking sockets instead of a thread per peer. One loop thread
 //!   reads frames from every connection, a bounded worker pool dispatches
-//!   into the same [`Dispatcher`] trait the blocking server uses (the
-//!   Figure-2 pipeline and the hostile-network battery run unchanged), and
+//!   into the same [`Dispatcher`] trait the in-process loopback uses (the
+//!   Figure-2 pipeline and the hostile-network battery cannot tell), and
 //!   replies are flushed back by the loop. Backpressure is per-connection:
 //!   when a peer's replies aren't draining, the loop stops *reading* that
 //!   connection until the write buffer empties, so one slow consumer can't
@@ -42,7 +40,6 @@ use crate::frame::{
     Frame, FrameDecoder, FrameKind, DEFAULT_MAX_PAYLOAD, FRAME_HEADER_LEN,
 };
 use crate::readiness::{self, PollFd, Waker, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
-use crate::tcp::CONNECTION_EXCEPTION_TYPE;
 use crate::transport::{Dispatcher, Transport};
 use bytes::Bytes;
 use cca_core::resilience::{SplitMix64, DEADLINE_EXCEPTION_TYPE};
@@ -57,6 +54,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// The SIDL exception type for transport-level connection failures: failed
+/// dials, peers hanging up mid-call, and framing violations. Distinct from
+/// dispatch errors (which arrive as marshaled replies) and from
+/// [`DEADLINE_EXCEPTION_TYPE`] (an exceeded call budget), so a breaker
+/// observer or a test can tell *how* the wire failed.
+pub const CONNECTION_EXCEPTION_TYPE: &str = "cca.rpc.ConnectionFailure";
 
 fn conn_err(message: impl Into<String>) -> SidlError {
     SidlError::user(CONNECTION_EXCEPTION_TYPE, message)
@@ -290,8 +294,7 @@ struct Slot {
 /// implementation is `submit` + [`PendingReply::wait`]. Connections are
 /// selected round-robin and dialed lazily; a dead connection is replaced
 /// on the next submission that lands on its slot — dialing fresh *is* the
-/// circuit breaker's half-open probe, exactly as with the pooled
-/// transport.
+/// circuit breaker's half-open probe.
 pub struct MuxTransport {
     addr: String,
     io_timeout: Option<Duration>,
@@ -939,17 +942,18 @@ impl ServerConn {
 }
 
 /// The event-driven multiplexing server: a readiness loop over nonblocking
-/// sockets, dispatching into the same [`Dispatcher`] as [`crate::TcpServer`]
-/// — a servant, a test battery, or the Figure-2 pipeline cannot tell the
-/// two apart.
+/// sockets, dispatching into the same [`Dispatcher`] as the in-process
+/// [`LoopbackTransport`](crate::LoopbackTransport) — a servant, a test
+/// battery, or the Figure-2 pipeline cannot tell the two apart.
 ///
 /// Thread budget is *fixed*, independent of peer count: one accept thread,
 /// one event-loop thread, `dispatch_threads` workers. Ten thousand logical
 /// clients over eight sockets cost the same threads as one.
 ///
-/// Fault injection mirrors [`crate::TcpServer::set_fault_plan`]: the drop
-/// decision is made on the event loop as each request frame is decoded, so
-/// a serialized client observes a schedule that is a pure function of the
+/// Fault injection ([`set_fault_plan`](Self::set_fault_plan)) follows the
+/// [`FaultTransport`](crate::FaultTransport) contract: the drop decision is
+/// made on the event loop as each request frame is decoded, so a
+/// serialized client observes a schedule that is a pure function of the
 /// seed.
 pub struct MuxServer {
     local_addr: SocketAddr,
@@ -1112,9 +1116,12 @@ impl MuxServer {
     }
 
     /// Arms (or disarms with `drop_permille == 0`) the hostile-network
-    /// fault plan — same contract as [`crate::TcpServer::set_fault_plan`]:
-    /// the schedule is a pure function of `seed`, drawn once per request
-    /// in the order the event loop decodes them.
+    /// fault plan: out of every 1000 requests (statistically),
+    /// `drop_permille` have their connection closed after the request is
+    /// read and before any reply is written — the worst moment. The
+    /// schedule is a pure function of `seed`, drawn once per request in
+    /// the order the event loop decodes them, so the CI fault matrix
+    /// replays identically per `CCA_FAULT_SEED`.
     pub fn set_fault_plan(&self, seed: u64, drop_permille: u64) {
         *self.fault_draws.lock().unwrap() = SplitMix64::new(seed);
         self.drop_permille.store(drop_permille, Ordering::SeqCst);
@@ -1177,9 +1184,9 @@ impl MuxServer {
             // protocol violation. The reply is simply not produced; the
             // event loop closed (or will close) hostile connections via
             // framing errors, and a client that sent garbage inside a
-            // valid frame observes its call never completing against its
-            // deadline. To keep parity with `TcpServer` (which hangs up),
-            // we enqueue a sentinel close instead.
+            // valid frame would observe its call never completing against
+            // its deadline. So that it fails at once instead, we enqueue a
+            // sentinel close: the connection hangs up.
             let outcome = {
                 // Adopt the caller's wire identity for the dispatch: the
                 // ORB's dispatch span parents to the client's call span.
@@ -1320,7 +1327,7 @@ impl MuxServer {
                     conn.pending_cost = conn.pending_cost.saturating_sub(cost);
                     if framed.is_empty() {
                         // Close sentinel: undecodable payload or oversized
-                        // reply — hang up, like the blocking server.
+                        // reply — hang up.
                         conn.closed = true;
                         continue;
                     }
@@ -1666,6 +1673,15 @@ mod tests {
         assert!(matches!(r, DynValue::Double(v) if v == 42.0));
         assert!(server.shutdown() >= 3);
         assert_eq!(server.dispatched(), 1);
+    }
+
+    #[test]
+    fn user_exceptions_cross_the_socket() {
+        let (server, _orb) = serve();
+        let objref = ObjRef::tcp("doubler", server.local_addr().to_string());
+        let e = objref.invoke("missing", vec![]).unwrap_err();
+        assert!(e.to_string().contains("SystemException"), "{e}");
+        server.shutdown();
     }
 
     #[test]

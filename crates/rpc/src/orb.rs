@@ -13,9 +13,9 @@
 //! 4. reply marshaling and demarshaling.
 //!
 //! This is also the genuinely useful half of the paper's story: the same
-//! `ObjRef` behind a [`LatencyTransport`](crate::LatencyTransport) is how the reference framework
-//! implements *distributed* port connections ("CCA over CORBA ...
-//! targeting distributed environments").
+//! `ObjRef` behind a [`MuxTransport`](crate::MuxTransport) is how the
+//! framework implements *distributed* port connections ("CCA over CORBA
+//! ... targeting distributed environments").
 
 use crate::transport::{Dispatcher, LoopbackTransport, Transport};
 use crate::wire::{decode_reply, decode_request, encode_reply, encode_request, Reply, Request};
@@ -141,11 +141,12 @@ impl ObjRef {
     }
 
     /// Convenience: a reference to a servant hosted by a
-    /// [`TcpServer`](crate::tcp::TcpServer) at `addr` — the genuinely
-    /// distributed configuration of §4, with default pool and no socket
-    /// timeout (build a [`crate::tcp::TcpTransport`] directly for those).
+    /// [`MuxServer`](crate::MuxServer) at `addr` — the genuinely
+    /// distributed configuration of §4, with the default connection count
+    /// and no call budget (build a [`crate::MuxTransport`] directly for
+    /// those).
     pub fn tcp(key: impl Into<String>, addr: impl Into<String>) -> Arc<Self> {
-        Self::new(key, Arc::new(crate::tcp::TcpTransport::new(addr)))
+        Self::new(key, Arc::new(crate::mux::MuxTransport::new(addr)))
     }
 
     /// The servant key.

@@ -51,9 +51,7 @@ impl DynObject for RemotePortProxy {
 mod tests {
     use super::*;
     use crate::orb::Orb;
-    use crate::transport::{LatencyTransport, LoopbackTransport};
     use cca_core::PortHandle;
-    use std::time::Duration;
 
     struct Doubler;
     impl DynObject for Doubler {
@@ -139,7 +137,7 @@ mod tests {
     #[test]
     fn proxy_over_dead_tcp_endpoint_is_a_typed_connection_error() {
         // Bind-then-drop guarantees a dead port: the proxy's first call
-        // dials, fails, and surfaces the tcp transport's typed error.
+        // dials, fails, and surfaces the socket transport's typed error.
         let dead = {
             let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap()
@@ -150,7 +148,7 @@ mod tests {
             .unwrap_err();
         match e {
             SidlError::UserException { exception_type, .. } => {
-                assert_eq!(exception_type, crate::tcp::CONNECTION_EXCEPTION_TYPE);
+                assert_eq!(exception_type, crate::CONNECTION_EXCEPTION_TYPE);
             }
             other => panic!("dead endpoint must be a connection error, got {other:?}"),
         }
@@ -168,21 +166,5 @@ mod tests {
             .invoke("double", vec![DynValue::Str("not a number".into())])
             .unwrap_err();
         assert!(e.to_string().contains("SystemException"), "{e}");
-    }
-
-    #[test]
-    fn proxy_over_simulated_network() {
-        let orb = Orb::new();
-        orb.register("dbl", Arc::new(Doubler));
-        let slow = LatencyTransport::new(
-            LoopbackTransport::new(orb),
-            Duration::from_micros(50),
-            Duration::ZERO,
-        );
-        let proxy = RemotePortProxy::new("demo.Doubler", ObjRef::new("dbl", slow));
-        let start = std::time::Instant::now();
-        let r = proxy.invoke("double", vec![DynValue::Double(1.0)]).unwrap();
-        assert!(matches!(r, DynValue::Double(v) if v == 2.0));
-        assert!(start.elapsed() >= Duration::from_micros(100));
     }
 }

@@ -12,9 +12,8 @@
 //!   matrix (`CCA_FAULT_SEED` ∈ {1, 7, 42, 1999}) replays the exact same
 //!   fault sequence on every run.
 //!
-//! Like `LatencyTransport`, both are simulation, not emulation: time is
-//! charged to the injected clock (a `MockClock` in tests), never slept on
-//! the wall clock.
+//! Both are simulation, not emulation: time is charged to the injected
+//! clock (a `MockClock` in tests), never slept on the wall clock.
 
 use crate::transport::Transport;
 use bytes::Bytes;

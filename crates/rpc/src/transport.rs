@@ -1,21 +1,19 @@
 //! Request/response transports.
 //!
 //! A [`Transport`] carries marshaled request bytes to a server and returns
-//! marshaled reply bytes. Two implementations:
+//! marshaled reply bytes; a [`Dispatcher`] is the server side that turns
+//! one into the other. This module holds the in-process implementation:
 //!
 //! * [`LoopbackTransport`] — same-address-space dispatch, used by the ORB
 //!   baseline to isolate pure marshaling/dispatch overhead (experiment E3).
-//! * [`LatencyTransport`] — wraps any transport and charges a configurable
-//!   per-message latency plus per-byte cost, our stand-in for a real
-//!   network between "possibly remote components that monitor, analyze,
-//!   and visualize data" (§6). Simulation, not emulation: the delay is a
-//!   deterministic busy-wait so benchmarks are stable.
+//!
+//! The socket transport is [`crate::mux::MuxTransport`]; the wrappers that
+//! add deadlines and injected faults live in [`crate::resilient`].
 
 use bytes::Bytes;
 use cca_sidl::SidlError;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// A synchronous request/response byte transport.
 pub trait Transport: Send + Sync {
@@ -57,60 +55,6 @@ impl Transport for LoopbackTransport {
     }
 }
 
-/// Deterministic simulated-network transport: adds
-/// `latency + bytes * per_byte` of busy-wait to every call (both request
-/// and reply directions are folded into one charge).
-pub struct LatencyTransport {
-    inner: Arc<dyn Transport>,
-    latency: Duration,
-    per_byte: Duration,
-    bytes_carried: AtomicU64,
-}
-
-impl LatencyTransport {
-    /// Wraps `inner`, charging `latency` per message and `per_byte` per
-    /// payload byte (request + reply).
-    pub fn new(inner: Arc<dyn Transport>, latency: Duration, per_byte: Duration) -> Arc<Self> {
-        Arc::new(LatencyTransport {
-            inner,
-            latency,
-            per_byte,
-            bytes_carried: AtomicU64::new(0),
-        })
-    }
-
-    /// A profile resembling 1999-era LAN: ~100 µs latency, ~10 ns/byte
-    /// (≈100 MB/s).
-    pub fn lan(inner: Arc<dyn Transport>) -> Arc<Self> {
-        Self::new(inner, Duration::from_micros(100), Duration::from_nanos(10))
-    }
-
-    /// Total payload bytes carried (both directions).
-    pub fn bytes_carried(&self) -> u64 {
-        self.bytes_carried.load(Ordering::Relaxed)
-    }
-
-    fn charge(&self, bytes: usize) {
-        let cost = self.latency + self.per_byte * (bytes as u32);
-        let start = Instant::now();
-        while start.elapsed() < cost {
-            std::hint::spin_loop();
-        }
-    }
-}
-
-impl Transport for LatencyTransport {
-    fn call(&self, request: Bytes) -> Result<Bytes, SidlError> {
-        let req_len = request.len();
-        self.charge(req_len);
-        let reply = self.inner.call(request)?;
-        self.charge(reply.len());
-        self.bytes_carried
-            .fetch_add((req_len + reply.len()) as u64, Ordering::Relaxed);
-        Ok(reply)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,32 +78,24 @@ mod tests {
     }
 
     #[test]
-    fn latency_transport_charges_time_and_counts_bytes() {
-        let inner = LoopbackTransport::new(Arc::new(Echo));
-        let slow =
-            LatencyTransport::new(inner, Duration::from_micros(200), Duration::from_nanos(0));
-        let start = Instant::now();
-        let reply = slow.call(Bytes::from_static(b"payload")).unwrap();
-        let elapsed = start.elapsed();
-        assert_eq!(&reply[..], b"payload");
-        // Two directions, 200 µs each.
-        assert!(elapsed >= Duration::from_micros(400), "{elapsed:?}");
-        assert_eq!(slow.bytes_carried(), 14);
-    }
-
-    #[test]
     fn errors_propagate_through_wrappers() {
+        use crate::resilient::DeadlineTransport;
+        use cca_core::resilience::MockClock;
+
         struct Failing;
         impl Dispatcher for Failing {
             fn dispatch(&self, _: Bytes) -> Result<Bytes, SidlError> {
                 Err(SidlError::invoke("server down"))
             }
         }
-        let t = LatencyTransport::new(
+        // A generous budget: the inner error, not a deadline, comes back.
+        let t = DeadlineTransport::new(
             LoopbackTransport::new(Arc::new(Failing)),
-            Duration::ZERO,
-            Duration::ZERO,
+            1_000_000,
+            MockClock::new(),
         );
-        assert!(t.call(Bytes::new()).is_err());
+        let e = t.call(Bytes::new()).unwrap_err();
+        assert!(e.to_string().contains("server down"), "{e}");
+        assert_eq!(t.deadline_hits(), 0);
     }
 }

@@ -1,27 +1,22 @@
-//! Remote components over TCP, end to end: the Figure-2 pipeline with its
-//! provider on the far side of a real socket, a hostile-network battery
-//! (mid-call hangups, quarantine, half-open recovery — no wall-clock
-//! sleeps for any breaker timing), a 16-thread stress run through one
-//! pooled transport, and the seed-deterministic remote fault matrix the
-//! CI `fault-matrix` job replays across seeds {1, 7, 42, 1999}.
-//!
-//! The same battery then runs against the *multiplexed* stack
-//! (`MuxServer`/`MuxTransport`): same `Dispatcher`, same servants, same
-//! breaker timing on the mock clock — plus mux-specific coverage
-//! (out-of-order completions through one socket, a killed connection
-//! fanning its error to every in-flight call).
+//! Remote components over TCP, end to end, on the one socket transport
+//! (`MuxServer`/`MuxTransport`): the Figure-2 pipeline with its provider
+//! on the far side of a real socket, a hostile-network battery (mid-call
+//! hangups, quarantine, half-open recovery — no wall-clock sleeps for any
+//! breaker timing), a 16-thread stress run through one transport's four
+//! connections, out-of-order completions through one socket, a killed
+//! connection fanning its error to every in-flight call, and the
+//! seed-deterministic remote fault matrix the CI `fault-matrix` job
+//! replays across seeds {1, 7, 42, 1999}.
 
 use cca::core::event::RecordingListener;
 use cca::core::resilience::{
     fault_seed_from_env, BreakerPolicy, CallPolicy, MockClock, RetryPolicy, SplitMix64,
 };
 use cca::core::{CcaError, CcaServices, Component, ConfigEvent, GoPort, PortHandle};
-use cca::framework::{Framework, RemoteTransportKind};
+use cca::framework::Framework;
 use cca::repository::Repository;
 use cca::rpc::transport::Dispatcher;
-use cca::rpc::{
-    MuxServer, MuxTransport, ObjRef, Orb, TcpServer, TcpTransport, CONNECTION_EXCEPTION_TYPE,
-};
+use cca::rpc::{MuxServer, MuxTransport, ObjRef, Orb, CONNECTION_EXCEPTION_TYPE};
 use cca::sidl::{DynObject, DynValue, SidlError};
 use cca_data::TypeMap;
 use parking_lot::Mutex;
@@ -87,12 +82,12 @@ impl Component for RemoteConsumer {
 
 /// Server-side framework hosting one exported Doubler, already on the
 /// network. Returns (framework, server, addr, remote key).
-fn serve_doubler() -> (Arc<Framework>, Arc<TcpServer>, String, String) {
+fn serve_doubler() -> (Arc<Framework>, Arc<MuxServer>, String, String) {
     let fw = Framework::new(Repository::new());
     fw.add_instance("provider0", Arc::new(DoublerProvider))
         .unwrap();
     let key = fw.export_port("provider0", "out").unwrap();
-    let server = fw.serve_tcp("127.0.0.1:0").unwrap();
+    let server = fw.serve_tcp_mux("127.0.0.1:0").unwrap();
     let addr = server.local_addr().to_string();
     (fw, server, addr, key)
 }
@@ -207,7 +202,8 @@ impl GoPort for Pump {
 /// The Figure-2 pipeline with source and sink living in a *different*
 /// framework reached over real sockets. The pump and the assertion are
 /// unchanged from `tests/figure2_pipeline.rs`; only the connect calls
-/// differ (`connect_remote` instead of `connect`).
+/// differ (`connect_remote` instead of `connect`) — the Dispatcher seam
+/// means nothing above the transport can tell.
 #[test]
 fn figure2_pipeline_runs_over_tcp() {
     // Server side: a framework hosting the two providers, on the network.
@@ -230,7 +226,7 @@ fn figure2_pipeline_runs_over_tcp() {
         .unwrap();
     let source_key = server_fw.export_port("source0", "out").unwrap();
     let sink_key = server_fw.export_port("sink0", "in").unwrap();
-    let server = server_fw.serve_tcp("127.0.0.1:0").unwrap();
+    let server = server_fw.serve_tcp_mux("127.0.0.1:0").unwrap();
     let addr = server.local_addr().to_string();
 
     // Client side: the pump, wired to the remote ports.
@@ -261,8 +257,8 @@ fn figure2_pipeline_runs_over_tcp() {
     client_fw.run_go("pump0", "go").unwrap();
 
     // 1+2+...+10 = 55, computed across 20 real round trips. Shut down
-    // first: that joins the handler threads, so the dispatch counter is
-    // final when read.
+    // first: that joins the event loop, so the dispatch counter is final
+    // when read.
     assert_eq!(*pump.last_total.lock(), 55.0);
     server.shutdown();
     assert_eq!(server.dispatched(), 20);
@@ -272,13 +268,13 @@ fn figure2_pipeline_runs_over_tcp() {
 // Hostile network: hangups → typed errors → quarantine → half-open heal.
 // ---------------------------------------------------------------------
 
-/// The server drops the socket mid-call; the client observes a typed
-/// `CcaError` (never a hang), the breaker quarantines the remote provider
-/// (published as a configuration event, labelled `tcp://{addr}/{key}`),
-/// and once the network heals and the cooldown passes — on a mock clock,
-/// no wall-clock sleeps — the half-open probe re-dials and recovers.
+/// The server drops the socket mid-call: the client observes a typed
+/// `ConnectionFailure` (never a hang), the breaker quarantines the
+/// provider under its `tcp+mux://` label, fail-fast calls never touch the
+/// network, and the half-open probe re-dials and recovers — all breaker
+/// timing on the mock clock.
 #[test]
-fn mid_call_hangups_quarantine_the_remote_provider_until_the_probe_heals() {
+fn mid_call_hangups_quarantine_the_mux_provider_until_the_probe_heals() {
     let (_server_fw, server, addr, key) = serve_doubler();
     let seed = fault_seed_from_env();
 
@@ -290,360 +286,10 @@ fn mid_call_hangups_quarantine_the_remote_provider_until_the_probe_heals() {
         .unwrap();
     let services = client_fw.services("u0").unwrap();
 
-    // Breaker on a mock clock: threshold 2, cooldown 10 µs of simulated
-    // time. Installed on the slot *before* connecting, as a builder would.
     let clock = MockClock::new();
     let policy = CallPolicy::with_clock(clock.clone()).with_breaker(BreakerPolicy::new(2, 10_000));
     services.set_call_policy("in", Arc::new(policy)).unwrap();
     client_fw.connect_remote("u0", "in", &addr, &key).unwrap();
-
-    let provider_label = format!("tcp://{addr}/{key}");
-    assert!(
-        rec.events().iter().any(|e| matches!(
-            e,
-            ConfigEvent::Connected { provider, .. } if *provider == provider_label
-        )),
-        "remote connection published with its tcp:// provider label"
-    );
-
-    let mut port = services.cached_port::<dyn DynObject>("in");
-    fn call(p: &(dyn DynObject + 'static)) -> Result<DynValue, CcaError> {
-        p.invoke("double", vec![DynValue::Long(21)])
-            .map_err(CcaError::from)
-    }
-
-    // Sanity: the healthy path round-trips.
-    assert!(matches!(port.call(call).unwrap(), DynValue::Long(42)));
-
-    // Hostile phase: every request is read, then the socket is shut down
-    // before any reply. Each call must come back as a typed error — the
-    // blocking read sees EOF, not a hang.
-    server.set_fault_plan(seed, 1000);
-    for _ in 0..2 {
-        let err = port.call(call).unwrap_err();
-        assert!(
-            err.to_string().contains(CONNECTION_EXCEPTION_TYPE),
-            "mid-call hangup must surface as a connection failure, got: {err}"
-        );
-    }
-    assert_eq!(server.dropped_mid_call(), 2);
-
-    // Threshold 2 reached: the breaker opened and the quarantine was
-    // published against the tcp:// provider label.
-    assert!(rec.events().iter().any(|e| matches!(
-        e,
-        ConfigEvent::ProviderQuarantined { provider, .. } if *provider == provider_label
-    )));
-    let breaker = services.connection_breaker("in", 0).unwrap().unwrap();
-    assert!(
-        !breaker.admit(),
-        "open breaker denies admission in cooldown"
-    );
-
-    // While quarantined, calls fail fast without touching the network.
-    let dropped_before = server.dropped_mid_call();
-    assert!(port.call(call).is_err());
-    assert_eq!(
-        server.dropped_mid_call(),
-        dropped_before,
-        "quarantined calls must not reach the server"
-    );
-
-    // Heal the network and pass the cooldown in simulated time: the next
-    // call is the half-open probe — it re-dials (the pool discarded every
-    // errored connection) and closes the breaker on success.
-    server.set_fault_plan(seed, 0);
-    clock.advance_ns(20_000);
-    let accepted_before = server.connections_accepted();
-    assert!(matches!(port.call(call).unwrap(), DynValue::Long(42)));
-    assert!(
-        server.connections_accepted() > accepted_before,
-        "recovery must re-dial: every errored connection was discarded"
-    );
-    assert!(rec.events().iter().any(|e| matches!(
-        e,
-        ConfigEvent::ProviderRecovered { provider, .. } if *provider == provider_label
-    )));
-    server.shutdown();
-}
-
-// ---------------------------------------------------------------------
-// Concurrency: 16 threads through one pooled transport.
-// ---------------------------------------------------------------------
-
-/// 16 client threads share one pooled `TcpTransport` (4 connections) into
-/// one server. Replies are arg-dependent, so a lost, duplicated, or
-/// crossed request id shows up as a wrong value or a correlation error.
-/// Shutdown joins every handler thread the server ever spawned.
-#[test]
-fn sixteen_threads_share_one_pooled_connection_without_crossing_replies() {
-    const THREADS: u64 = 16;
-    const CALLS_PER_THREAD: u64 = 200;
-
-    let orb = Orb::new();
-    orb.register(
-        "doubler",
-        Arc::new(Doubler {
-            calls: AtomicU64::new(0),
-        }),
-    );
-    let server = TcpServer::bind("127.0.0.1:0", orb as Arc<dyn Dispatcher>).unwrap();
-    let transport = Arc::new(TcpTransport::new(server.local_addr().to_string()));
-    assert_eq!(transport.pool_size(), 4);
-    let objref = ObjRef::new(
-        "doubler",
-        Arc::clone(&transport) as Arc<dyn cca::rpc::Transport>,
-    );
-
-    let workers: Vec<_> = (0..THREADS)
-        .map(|t| {
-            let objref = Arc::clone(&objref);
-            std::thread::spawn(move || {
-                for k in 0..CALLS_PER_THREAD {
-                    // Unique argument per (thread, call): a reply delivered
-                    // to the wrong caller cannot produce the right value.
-                    let x = (t * 1_000_000 + k) as i64;
-                    let reply = objref.invoke("double", vec![DynValue::Long(x)]).unwrap();
-                    assert!(matches!(reply, DynValue::Long(v) if v == 2 * x));
-                }
-            })
-        })
-        .collect();
-    for w in workers {
-        w.join().unwrap();
-    }
-
-    assert!(transport.live_connections() <= 4);
-    assert!(
-        transport.metrics().dials() <= 4,
-        "healthy traffic must reuse pooled connections, dials = {}",
-        transport.metrics().dials()
-    );
-
-    // Clean shutdown: every handler thread the server spawned is joined —
-    // one per accepted connection — and a second shutdown is a no-op.
-    let joined = server.shutdown();
-    assert_eq!(joined as u64, server.connections_accepted());
-    assert_eq!(server.shutdown(), 0);
-
-    // With the handlers joined the dispatch counter is final: the server
-    // replied exactly once per call — nothing lost, nothing duplicated.
-    assert_eq!(server.dispatched(), THREADS * CALLS_PER_THREAD);
-}
-
-// ---------------------------------------------------------------------
-// The CI fault matrix, remote edition.
-// ---------------------------------------------------------------------
-
-/// The remote fault scenario is a pure function of `CCA_FAULT_SEED`: a
-/// server dropping ~30% of requests mid-call, a client retrying through a
-/// seeded policy on a mock clock. Two fresh runs must produce identical
-/// per-call outcome vectors.
-#[test]
-fn remote_fault_scenario_is_deterministic_per_seed() {
-    let seed = fault_seed_from_env();
-
-    let run_scenario = || -> Vec<bool> {
-        let orb = Orb::new();
-        orb.register(
-            "doubler",
-            Arc::new(Doubler {
-                calls: AtomicU64::new(0),
-            }),
-        );
-        let server = TcpServer::bind("127.0.0.1:0", orb as Arc<dyn Dispatcher>).unwrap();
-        server.set_fault_plan(seed, 300);
-        // Pool of 1: a single-threaded client serializes requests, so the
-        // server consumes its fault draws in a deterministic order.
-        let transport =
-            Arc::new(TcpTransport::new(server.local_addr().to_string()).with_pool_size(1));
-        let objref = ObjRef::new("doubler", transport as Arc<dyn cca::rpc::Transport>);
-        let clock = MockClock::new();
-        let policy = CallPolicy::with_clock(clock)
-            .with_retry(RetryPolicy::new(3, 100, 1_000).with_jitter_seed(seed));
-        let outcomes: Vec<bool> = (0..60)
-            .map(|i| {
-                policy
-                    .execute("doubler.double", None, |_| {
-                        objref
-                            .invoke("double", vec![DynValue::Long(i)])
-                            .map_err(CcaError::from)
-                    })
-                    .is_ok()
-            })
-            .collect();
-        server.shutdown();
-        outcomes
-    };
-
-    let first = run_scenario();
-    let second = run_scenario();
-    assert_eq!(
-        first, second,
-        "the remote fault schedule must be a pure function of seed {seed}"
-    );
-    // Three attempts against a 30% drop rate: the vast majority of calls
-    // survive retry for every matrix seed.
-    let successes = first.iter().filter(|ok| **ok).count();
-    assert!(
-        successes >= 48,
-        "seed {seed}: only {successes}/60 calls survived retry"
-    );
-}
-
-// ---------------------------------------------------------------------
-// Robustness: garbage on the wire never takes the server down.
-// ---------------------------------------------------------------------
-
-/// Raw garbage and oversized frames get the offending connection closed
-/// (framing has no resync point), while well-formed clients keep working.
-#[test]
-fn garbage_and_oversized_frames_only_kill_their_own_connection() {
-    let orb = Orb::new();
-    orb.register(
-        "doubler",
-        Arc::new(Doubler {
-            calls: AtomicU64::new(0),
-        }),
-    );
-    let server = TcpServer::bind("127.0.0.1:0", orb as Arc<dyn Dispatcher>).unwrap();
-    let addr = server.local_addr();
-
-    // A peer speaking nonsense (at least one full header's worth, so the
-    // server's header read completes): hangup (EOF), no reply.
-    let mut garbage = TcpStream::connect(addr).unwrap();
-    garbage
-        .write_all(b"GET /frames HTTP/1.1\r\nHost: nope\r\n\r\n")
-        .unwrap();
-    let mut buf = [0u8; 64];
-    assert_eq!(garbage.read(&mut buf).unwrap(), 0, "bad magic => hangup");
-
-    // A peer declaring an absurd payload length: rejected from the header
-    // alone, before any payload is buffered.
-    let mut oversized = TcpStream::connect(addr).unwrap();
-    let mut header = Vec::new();
-    header.extend_from_slice(b"CCAR"); // magic
-    header.push(1); // version
-    header.push(0); // kind = Request
-    header.extend_from_slice(&[0, 0]); // reserved
-    header.extend_from_slice(&7u64.to_le_bytes()); // request id
-    header.extend_from_slice(&u32::MAX.to_le_bytes()); // 4 GiB payload
-    oversized.write_all(&header).unwrap();
-    assert_eq!(oversized.read(&mut buf).unwrap(), 0, "oversized => hangup");
-
-    // Meanwhile a well-formed client is unaffected.
-    let objref = ObjRef::tcp("doubler", addr.to_string());
-    let reply = objref.invoke("double", vec![DynValue::Long(5)]).unwrap();
-    assert!(matches!(reply, DynValue::Long(10)));
-    server.shutdown();
-    assert_eq!(server.dispatched(), 1);
-}
-
-// ---------------------------------------------------------------------
-// The same battery against the multiplexed stack.
-// ---------------------------------------------------------------------
-
-/// Server-side framework hosting one exported Doubler behind a
-/// `MuxServer`. Returns (framework, server, addr, remote key).
-fn serve_doubler_mux() -> (Arc<Framework>, Arc<MuxServer>, String, String) {
-    let fw = Framework::new(Repository::new());
-    fw.add_instance("provider0", Arc::new(DoublerProvider))
-        .unwrap();
-    let key = fw.export_port("provider0", "out").unwrap();
-    let server = fw.serve_tcp_mux("127.0.0.1:0").unwrap();
-    let addr = server.local_addr().to_string();
-    (fw, server, addr, key)
-}
-
-/// Figure 2 with the remote providers served by the event-driven
-/// `MuxServer` and reached through `RemoteTransportKind::Mux`: the pump,
-/// the servants, and the arithmetic are identical to the pooled run —
-/// the Dispatcher seam means nothing above the transport can tell.
-#[test]
-fn figure2_pipeline_runs_over_mux() {
-    let server_fw = Framework::new(Repository::new());
-    server_fw
-        .add_instance(
-            "source0",
-            Arc::new(RampSource {
-                state: Mutex::new(0.0),
-            }),
-        )
-        .unwrap();
-    server_fw
-        .add_instance(
-            "sink0",
-            Arc::new(SummingSink {
-                total: Mutex::new(0.0),
-            }),
-        )
-        .unwrap();
-    let source_key = server_fw.export_port("source0", "out").unwrap();
-    let sink_key = server_fw.export_port("sink0", "in").unwrap();
-    let server = server_fw.serve_tcp_mux("127.0.0.1:0").unwrap();
-    let addr = server.local_addr().to_string();
-
-    let client_fw = Framework::new(Repository::new());
-    let pump = Arc::new(Pump {
-        n: 10,
-        services: Mutex::new(None),
-        last_total: Mutex::new(0.0),
-    });
-    client_fw.add_instance("pump0", pump.clone()).unwrap();
-    let go: Arc<dyn GoPort> = pump.clone();
-    client_fw
-        .services("pump0")
-        .unwrap()
-        .add_provides_port(PortHandle::new(
-            "go",
-            cca::core::component::GO_PORT_TYPE,
-            go,
-        ))
-        .unwrap();
-
-    client_fw
-        .connect_remote_with(
-            "pump0",
-            "from",
-            &addr,
-            &source_key,
-            RemoteTransportKind::Mux,
-        )
-        .unwrap();
-    client_fw
-        .connect_remote_with("pump0", "to", &addr, &sink_key, RemoteTransportKind::Mux)
-        .unwrap();
-    client_fw.run_go("pump0", "go").unwrap();
-
-    assert_eq!(*pump.last_total.lock(), 55.0);
-    server.shutdown();
-    assert_eq!(server.dispatched(), 20);
-}
-
-/// The hostile-network scenario, mux edition: mid-call hangups surface as
-/// typed `ConnectionFailure`, the breaker quarantines the provider under
-/// its `tcp+mux://` label, fail-fast calls never touch the network, and
-/// the half-open probe re-dials and recovers — all breaker timing on the
-/// mock clock.
-#[test]
-fn mid_call_hangups_quarantine_the_mux_provider_until_the_probe_heals() {
-    let (_server_fw, server, addr, key) = serve_doubler_mux();
-    let seed = fault_seed_from_env();
-
-    let client_fw = Framework::new(Repository::new());
-    let rec = RecordingListener::new();
-    client_fw.add_listener(rec.clone());
-    client_fw
-        .add_instance("u0", Arc::new(RemoteConsumer))
-        .unwrap();
-    let services = client_fw.services("u0").unwrap();
-
-    let clock = MockClock::new();
-    let policy = CallPolicy::with_clock(clock.clone()).with_breaker(BreakerPolicy::new(2, 10_000));
-    services.set_call_policy("in", Arc::new(policy)).unwrap();
-    client_fw
-        .connect_remote_with("u0", "in", &addr, &key, RemoteTransportKind::Mux)
-        .unwrap();
 
     let provider_label = format!("tcp+mux://{addr}/{key}");
     assert!(
@@ -708,6 +354,73 @@ fn mid_call_hangups_quarantine_the_mux_provider_until_the_probe_heals() {
     )));
     server.shutdown();
 }
+
+// ---------------------------------------------------------------------
+// Concurrency: 16 threads through one transport's four connections.
+// ---------------------------------------------------------------------
+
+/// 16 client threads share one `MuxTransport` (the default 4 connections)
+/// into one server, so all four sockets carry pipelined calls at once.
+/// Replies are arg-dependent, so a lost, duplicated, or crossed request id
+/// shows up as a wrong value or a typed error.
+#[test]
+fn sixteen_threads_share_four_mux_connections_without_crossing_replies() {
+    const THREADS: u64 = 16;
+    const CALLS_PER_THREAD: u64 = 200;
+
+    let orb = Orb::new();
+    orb.register(
+        "doubler",
+        Arc::new(Doubler {
+            calls: AtomicU64::new(0),
+        }),
+    );
+    let server = MuxServer::bind("127.0.0.1:0", orb as Arc<dyn Dispatcher>).unwrap();
+    let transport = Arc::new(MuxTransport::new(server.local_addr().to_string()));
+    assert_eq!(transport.connections(), 4);
+    let objref = ObjRef::new(
+        "doubler",
+        Arc::clone(&transport) as Arc<dyn cca::rpc::Transport>,
+    );
+
+    let workers: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let objref = Arc::clone(&objref);
+            std::thread::spawn(move || {
+                for k in 0..CALLS_PER_THREAD {
+                    // Unique argument per (thread, call): a reply delivered
+                    // to the wrong caller cannot produce the right value.
+                    let x = (t * 1_000_000 + k) as i64;
+                    let reply = objref.invoke("double", vec![DynValue::Long(x)]).unwrap();
+                    assert!(matches!(reply, DynValue::Long(v) if v == 2 * x));
+                }
+            })
+        })
+        .collect();
+    for w in workers {
+        w.join().unwrap();
+    }
+
+    assert!(transport.live_connections() <= 4);
+    assert!(
+        transport.metrics().dials() <= 4,
+        "healthy traffic must reuse the mux connections, dials = {}",
+        transport.metrics().dials()
+    );
+    assert_eq!(transport.mux_metrics().protocol_violations(), 0);
+
+    // Clean shutdown joins every server thread; a second is a no-op.
+    assert!(server.shutdown() > 0);
+    assert_eq!(server.shutdown(), 0);
+
+    // With the event loop joined the dispatch counter is final: the server
+    // replied exactly once per call — nothing lost, nothing duplicated.
+    assert_eq!(server.dispatched(), THREADS * CALLS_PER_THREAD);
+}
+
+// ---------------------------------------------------------------------
+// Multiplexing: replies routed by id, connection death fanned out.
+// ---------------------------------------------------------------------
 
 /// A servant whose reply time depends on its argument: early requests
 /// finish *last*, so replies come back out of submission order and only
@@ -841,10 +554,15 @@ fn killed_mux_connection_fails_all_in_flight_calls_with_typed_errors() {
     server.shutdown();
 }
 
-/// The CI fault matrix against the mux stack: with one connection and a
-/// serialized caller, the event loop consumes fault draws in request
-/// order, so the outcome vector is a pure function of the seed — same
-/// contract as the pooled transport.
+// ---------------------------------------------------------------------
+// The CI fault matrix, remote edition.
+// ---------------------------------------------------------------------
+
+/// The remote fault scenario is a pure function of `CCA_FAULT_SEED`: a
+/// server dropping ~30% of requests mid-call, a client retrying through a
+/// seeded policy on a mock clock. With one connection and a serialized
+/// caller, the event loop consumes fault draws in request order, so two
+/// fresh runs must produce identical per-call outcome vectors.
 #[test]
 fn mux_fault_scenario_is_deterministic_per_seed() {
     let seed = fault_seed_from_env();
@@ -886,6 +604,8 @@ fn mux_fault_scenario_is_deterministic_per_seed() {
         first, second,
         "the mux fault schedule must be a pure function of seed {seed}"
     );
+    // Three attempts against a 30% drop rate: the vast majority of calls
+    // survive retry for every matrix seed.
     let successes = first.iter().filter(|ok| **ok).count();
     assert!(
         successes >= 48,
@@ -893,9 +613,14 @@ fn mux_fault_scenario_is_deterministic_per_seed() {
     );
 }
 
+// ---------------------------------------------------------------------
+// Robustness: garbage on the wire never takes the server down.
+// ---------------------------------------------------------------------
+
 /// Garbage and oversized frames against the event-driven server: the
-/// offending connection is closed from the header alone, and a
-/// well-formed client on another connection never notices.
+/// offending connection is closed from the header alone (framing has no
+/// resync point), and a well-formed client on another connection never
+/// notices.
 #[test]
 fn garbage_and_oversized_frames_only_kill_their_own_mux_connection() {
     let orb = Orb::new();

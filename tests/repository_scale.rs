@@ -15,7 +15,7 @@
 use cca::core::event::RecordingListener;
 use cca::core::resilience::{fault_seed_from_env, BreakerPolicy, CallPolicy, MockClock};
 use cca::core::{CcaError, CcaServices, Component, ConfigEvent};
-use cca::framework::{Framework, RemoteTransportKind, DISCOVERY_EXPORT_KEY, DISCOVERY_PORT_TYPE};
+use cca::framework::{Framework, DISCOVERY_EXPORT_KEY, DISCOVERY_PORT_TYPE};
 use cca::repository::{ComponentEntry, FuzzyQuery, PortSpec, QueryCursor, Repository};
 use cca::rpc::{MuxTransport, ObjRef, CONNECTION_EXCEPTION_TYPE};
 use cca::sidl::{DynObject, DynValue};
@@ -449,13 +449,7 @@ fn discovery_port_over_mux_survives_the_fault_matrix() {
     let policy = CallPolicy::with_clock(clock.clone()).with_breaker(BreakerPolicy::new(2, 10_000));
     services.set_call_policy("repo", Arc::new(policy)).unwrap();
     client_fw
-        .connect_remote_with(
-            "browser0",
-            "repo",
-            &addr,
-            DISCOVERY_EXPORT_KEY,
-            RemoteTransportKind::Mux,
-        )
+        .connect_remote("browser0", "repo", &addr, DISCOVERY_EXPORT_KEY)
         .unwrap();
     let provider_label = format!("tcp+mux://{addr}/{DISCOVERY_EXPORT_KEY}");
 

@@ -17,7 +17,7 @@
 
 use cca::core::resilience::{fault_seed_from_env, BreakerPolicy, CallPolicy, MockClock};
 use cca::core::{CcaError, CcaServices, Component, ConfigEvent, PortHandle};
-use cca::framework::{Framework, RemoteTransportKind, OBSERVABILITY_EXPORT_KEY};
+use cca::framework::{Framework, OBSERVABILITY_EXPORT_KEY};
 use cca::obs::TraceEvent;
 use cca::repository::Repository;
 use cca::rpc::{MuxServer, MuxTransport, ObjRef};
@@ -205,16 +205,10 @@ fn figure2_dispatch_spans_parent_to_client_calls_across_the_wire() {
         .add_instance("pump0", Arc::new(PipelineUser))
         .unwrap();
     client_fw
-        .connect_remote_with(
-            "pump0",
-            "from",
-            &addr,
-            &source_key,
-            RemoteTransportKind::Mux,
-        )
+        .connect_remote("pump0", "from", &addr, &source_key)
         .unwrap();
     client_fw
-        .connect_remote_with("pump0", "to", &addr, &sink_key, RemoteTransportKind::Mux)
+        .connect_remote("pump0", "to", &addr, &sink_key)
         .unwrap();
     let services = client_fw.services("pump0").unwrap();
     let source = services
@@ -342,9 +336,7 @@ fn mid_call_drop_leaves_a_flight_recording_with_the_quarantine() {
     let clock = MockClock::new();
     let policy = CallPolicy::with_clock(clock.clone()).with_breaker(BreakerPolicy::new(2, 10_000));
     services.set_call_policy("in", Arc::new(policy)).unwrap();
-    client_fw
-        .connect_remote_with("u0", "in", &addr, &key, RemoteTransportKind::Mux)
-        .unwrap();
+    client_fw.connect_remote("u0", "in", &addr, &key).unwrap();
 
     cca::obs::drain();
     cca::obs::set_tracing(true);
