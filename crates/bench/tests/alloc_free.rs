@@ -371,6 +371,35 @@ fn planning_allocations_do_not_grow_with_the_array() {
     );
 }
 
+/// Every `cca-obs` counter block records with relaxed atomics only; the mux
+/// pair runs on every remote call and the exact-lookup count on every
+/// repository lookup, so none of them may allocate.
+#[test]
+fn counter_block_record_paths_allocate_nothing() {
+    let mux = cca_obs::MuxMetrics::default();
+    let bulk = cca_obs::BulkMetrics::default();
+    let before = alloc_count();
+    for i in 0..1000 {
+        cca_obs::resilience().record_retry();
+        cca_obs::fleet().record_message_relayed();
+        cca_obs::repo().record_exact_lookup();
+        cca_obs::repo().record_fuzzy_query(3);
+        mux.record_begin();
+        mux.set_queued_bytes(i);
+        mux.set_paused_connections(i % 2);
+        mux.record_end();
+        bulk.record_chunk_sent(64, 96);
+        bulk.record_chunk_landed(64);
+    }
+    let delta = alloc_count() - before;
+    assert_eq!(
+        delta, 0,
+        "counter record paths must be allocation-free ({delta} allocations over 1000 rounds)"
+    );
+    assert_eq!(mux.snapshot().peak_in_flight, 1);
+    assert_eq!(bulk.snapshot().chunks_sent, 1000);
+}
+
 #[test]
 fn uncached_get_port_as_success_path_allocates_nothing() {
     let user = wire_fanout(1);

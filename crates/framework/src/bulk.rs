@@ -105,7 +105,7 @@ impl<T: BulkElem> BulkRedistSender<T> {
             transfer_ids,
             acked,
             peak_buffer_bytes: 0,
-            metrics: BulkMetrics::new(),
+            metrics: Arc::default(),
             _elem: std::marker::PhantomData,
         }
     }
@@ -468,7 +468,7 @@ impl<T: BulkElem> BulkLandingZone<T> {
             compiled,
             layout,
             generation,
-            metrics: BulkMetrics::new(),
+            metrics: Arc::default(),
             state: Mutex::new(LandingState {
                 dst,
                 watermarks,

@@ -15,7 +15,8 @@
 //! remotely searchable.
 
 use crate::framework::Framework;
-use cca_core::{CcaError, CcaServices, Component};
+use cca_core::CcaError;
+use cca_obs::trace::escape_json;
 use cca_repository::{FuzzyQuery, QueryCursor, QueryPage, Repository};
 use cca_sidl::{DynObject, DynValue, SidlError};
 use std::sync::Arc;
@@ -57,18 +58,20 @@ package cca.ports {
 }
 ";
 
-fn js(s: &str) -> String {
-    cca_obs::trace::escape_json(s)
-}
-
 fn page_json(page: &QueryPage) -> String {
     let hits: Vec<String> = page
         .hits
         .iter()
-        .map(|h| format!("{{\"class\":\"{}\",\"score\":{}}}", js(&h.class), h.score))
+        .map(|h| {
+            format!(
+                "{{\"class\":\"{}\",\"score\":{}}}",
+                escape_json(&h.class),
+                h.score
+            )
+        })
         .collect();
     let cursor = match &page.next {
-        Some(c) => format!("\"{}\"", js(&c.encode())),
+        Some(c) => format!("\"{}\"", escape_json(&c.encode())),
         None => "null".to_string(),
     };
     format!(
@@ -102,8 +105,8 @@ impl DiscoveryPort {
                         .map(|p| {
                             format!(
                                 "{{\"name\":\"{}\",\"type\":\"{}\"}}",
-                                js(&p.name),
-                                js(&p.port_type)
+                                escape_json(&p.name),
+                                escape_json(&p.port_type)
                             )
                         })
                         .collect::<Vec<_>>()
@@ -112,13 +115,13 @@ impl DiscoveryPort {
                 format!(
                     "{{\"found\":true,\"class\":\"{}\",\"description\":\"{}\",\
                      \"provides\":[{}],\"uses\":[{}]}}",
-                    js(&e.class),
-                    js(&e.description),
+                    escape_json(&e.class),
+                    escape_json(&e.description),
                     ports(&e.provides),
                     ports(&e.uses)
                 )
             }
-            Err(_) => format!("{{\"found\":false,\"class\":\"{}\"}}", js(class)),
+            Err(_) => format!("{{\"found\":false,\"class\":\"{}\"}}", escape_json(class)),
         }
     }
 
@@ -195,29 +198,9 @@ impl DynObject for DiscoveryPort {
     }
 }
 
-/// The component wrapper providing the discovery port (instance name
-/// [`DISCOVERY_INSTANCE`], port name `"discovery"`).
-pub struct DiscoveryComponent {
-    port: Arc<DiscoveryPort>,
-}
-
-impl Component for DiscoveryComponent {
-    fn component_type(&self) -> &str {
-        "cca.DiscoveryComponent"
-    }
-
-    fn set_services(&self, services: Arc<CcaServices>) -> Result<(), CcaError> {
-        let dynamic: Arc<dyn DynObject> = Arc::clone(&self.port) as Arc<dyn DynObject>;
-        services.add_provides_port(
-            cca_core::PortHandle::new("discovery", DISCOVERY_PORT_TYPE, Arc::clone(&dynamic))
-                .with_dynamic(dynamic),
-        )
-    }
-}
-
 impl Framework {
     /// Installs the discovery plane: deposits [`DISCOVERY_SIDL`] into the
-    /// repository (idempotently), adds a [`DiscoveryComponent`] instance
+    /// repository (idempotently), adds a `cca.DiscoveryComponent` instance
     /// named [`DISCOVERY_INSTANCE`], and exports its port under
     /// [`DISCOVERY_EXPORT_KEY`] so the next
     /// [`serve_tcp_mux`](Framework::serve_tcp_mux) call makes the catalog
@@ -225,20 +208,14 @@ impl Framework {
     ///
     /// Returns the port object for in-process callers.
     pub fn install_discovery(self: &Arc<Self>) -> Result<Arc<DiscoveryPort>, CcaError> {
-        let known = self
-            .repository()
-            .with_catalog(|c| c.reflection().type_info(DISCOVERY_PORT_TYPE).is_some());
-        if !known {
-            self.repository()
-                .deposit_sidl(DISCOVERY_SIDL)
-                .map_err(|e| CcaError::Framework(format!("discovery SIDL rejected: {e}")))?;
-        }
         let port = DiscoveryPort::new(Arc::clone(self.repository()));
-        self.add_instance(
+        self.install_reflective_port(
             DISCOVERY_INSTANCE,
-            Arc::new(DiscoveryComponent {
-                port: Arc::clone(&port),
-            }),
+            "cca.DiscoveryComponent",
+            "discovery",
+            DISCOVERY_PORT_TYPE,
+            DISCOVERY_SIDL,
+            Arc::clone(&port) as Arc<dyn DynObject>,
         )?;
         let key = self.export_port(DISCOVERY_INSTANCE, "discovery")?;
         debug_assert_eq!(key, DISCOVERY_EXPORT_KEY);
@@ -249,6 +226,7 @@ impl Framework {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cca_core::{CcaServices, Component};
     use cca_data::TypeMap;
     use cca_repository::{ComponentEntry, PortSpec};
     use cca_sidl::{compile, invoke_checked, Reflection};

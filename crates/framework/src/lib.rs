@@ -58,8 +58,7 @@ pub use bulk::{BulkLandingZone, BulkRedistSender};
 pub use collective::MxNPort;
 pub use connect::{ConnectionInfo, ConnectionPolicy, RemoteTransportKind};
 pub use discovery::{
-    DiscoveryComponent, DiscoveryPort, DISCOVERY_EXPORT_KEY, DISCOVERY_INSTANCE,
-    DISCOVERY_PORT_TYPE, DISCOVERY_SIDL,
+    DiscoveryPort, DISCOVERY_EXPORT_KEY, DISCOVERY_INSTANCE, DISCOVERY_PORT_TYPE, DISCOVERY_SIDL,
 };
 pub use event::{EventListener, EventService, SubscriptionId};
 pub use fleet::{
@@ -68,11 +67,9 @@ pub use fleet::{
     RankLauncher, RestartBackoff,
 };
 pub use framework::Framework;
-pub use monitor::{
-    MonitorComponent, MonitorPort, MONITOR_INSTANCE, MONITOR_PORT_TYPE, MONITOR_SIDL,
-};
+pub use monitor::{MonitorPort, MONITOR_INSTANCE, MONITOR_PORT_TYPE, MONITOR_SIDL};
 pub use observability::{
-    ObservabilityComponent, ObservabilityPort, OBSERVABILITY_EXPORT_KEY, OBSERVABILITY_INSTANCE,
-    OBSERVABILITY_PORT_TYPE, OBSERVABILITY_SIDL,
+    ObservabilityPort, OBSERVABILITY_EXPORT_KEY, OBSERVABILITY_INSTANCE, OBSERVABILITY_PORT_TYPE,
+    OBSERVABILITY_SIDL,
 };
 pub use script::{parse_script, Command};

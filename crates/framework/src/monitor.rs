@@ -15,7 +15,8 @@
 //! `cca_sidl::invoke_checked` only, as a composition tool would.
 
 use crate::framework::Framework;
-use cca_core::{CcaError, CcaServices, Component};
+use cca_core::{CcaError, CcaServices, Component, PortHandle};
+use cca_obs::trace::escape_json;
 use cca_sidl::{DynObject, DynValue, SidlError};
 use std::sync::{Arc, Weak};
 
@@ -56,10 +57,6 @@ package cca.ports {
 }
 ";
 
-fn js(s: &str) -> String {
-    cca_obs::trace::escape_json(s)
-}
-
 /// The monitor's port object: a [`DynObject`] over a weak framework
 /// reference (weak, so the monitor never keeps its own framework alive —
 /// the framework owns the monitor, not vice versa).
@@ -91,8 +88,8 @@ impl MonitorPort {
                 let class = fw.class_of(&name).unwrap_or_default();
                 format!(
                     "{{\"name\":\"{}\",\"class\":\"{}\"}}",
-                    js(&name),
-                    js(&class)
+                    escape_json(&name),
+                    escape_json(&class)
                 )
             })
             .collect();
@@ -109,11 +106,11 @@ impl MonitorPort {
                 format!(
                     "{{\"user\":\"{}\",\"usesPort\":\"{}\",\"provider\":\"{}\",\
                      \"providesPort\":\"{}\",\"portType\":\"{}\",\"policy\":\"{:?}\"}}",
-                    js(&c.user),
-                    js(&c.uses_port),
-                    js(&c.provider),
-                    js(&c.provides_port),
-                    js(&c.port_type),
+                    escape_json(&c.user),
+                    escape_json(&c.uses_port),
+                    escape_json(&c.provider),
+                    escape_json(&c.provides_port),
+                    escape_json(&c.port_type),
                     c.policy
                 )
             })
@@ -139,12 +136,12 @@ impl MonitorPort {
                 .map(|(port, kind, snap)| {
                     format!(
                         "{{\"port\":\"{}\",\"kind\":\"{kind}\",\"metrics\":{}}}",
-                        js(&port),
+                        escape_json(&port),
                         snap.to_json()
                     )
                 })
                 .collect();
-            per_instance.push(format!("\"{}\":[{}]", js(&name), ports.join(",")));
+            per_instance.push(format!("\"{}\":[{}]", escape_json(&name), ports.join(",")));
         }
         Ok(format!("{{{}}}", per_instance.join(",")))
     }
@@ -176,9 +173,9 @@ impl MonitorPort {
                 format!(
                     "{{\"user\":\"{}\",\"usesPort\":\"{}\",\"provider\":\"{}\",\
                      \"state\":\"{state_str}\",\"consecutiveFailures\":{failures}}}",
-                    js(&c.user),
-                    js(&c.uses_port),
-                    js(&c.provider),
+                    escape_json(&c.user),
+                    escape_json(&c.uses_port),
+                    escape_json(&c.provider),
                 )
             })
             .collect();
@@ -259,29 +256,64 @@ impl DynObject for MonitorPort {
     }
 }
 
-/// The component wrapper that provides the monitor port (instance name
-/// [`MONITOR_INSTANCE`], port name `"monitor"`).
-pub struct MonitorComponent {
-    port: Arc<MonitorPort>,
+/// The component behind each of the framework's reflective ports
+/// (monitor, observability, discovery): it provides one dynamic port and
+/// uses nothing.
+struct ReflectivePortComponent {
+    component_type: &'static str,
+    port_name: &'static str,
+    port_type: &'static str,
+    port: Arc<dyn DynObject>,
 }
 
-impl Component for MonitorComponent {
+impl Component for ReflectivePortComponent {
     fn component_type(&self) -> &str {
-        "cca.MonitorComponent"
+        self.component_type
     }
 
     fn set_services(&self, services: Arc<CcaServices>) -> Result<(), CcaError> {
-        let dynamic: Arc<dyn DynObject> = Arc::clone(&self.port) as Arc<dyn DynObject>;
         services.add_provides_port(
-            cca_core::PortHandle::new("monitor", MONITOR_PORT_TYPE, Arc::clone(&dynamic))
-                .with_dynamic(dynamic),
+            PortHandle::new(self.port_name, self.port_type, Arc::clone(&self.port))
+                .with_dynamic(Arc::clone(&self.port)),
         )
     }
 }
 
 impl Framework {
+    /// Installs one reflective port: deposits `sidl` into the repository
+    /// unless `port_type` is already known there, then adds an instance
+    /// `instance` whose `port_name` provides port is `port`, reachable
+    /// through dynamic invocation.
+    pub(crate) fn install_reflective_port(
+        &self,
+        instance: &str,
+        component_type: &'static str,
+        port_name: &'static str,
+        port_type: &'static str,
+        sidl: &str,
+        port: Arc<dyn DynObject>,
+    ) -> Result<(), CcaError> {
+        let known = self
+            .repository()
+            .with_catalog(|c| c.reflection().type_info(port_type).is_some());
+        if !known {
+            self.repository()
+                .deposit_sidl(sidl)
+                .map_err(|e| CcaError::Framework(format!("{port_name} SIDL rejected: {e}")))?;
+        }
+        self.add_instance(
+            instance,
+            Arc::new(ReflectivePortComponent {
+                component_type,
+                port_name,
+                port_type,
+                port,
+            }),
+        )
+    }
+
     /// Installs the monitoring component: deposits [`MONITOR_SIDL`] into
-    /// the repository (idempotently) and adds a [`MonitorComponent`]
+    /// the repository (idempotently) and adds a `cca.MonitorComponent`
     /// instance named [`MONITOR_INSTANCE`] whose `"monitor"` provides port
     /// answers the [`MONITOR_PORT_TYPE`] interface via dynamic invocation.
     ///
@@ -289,20 +321,14 @@ impl Framework {
     /// reach the same object with
     /// `framework.services(MONITOR_INSTANCE)?.get_provides_port("monitor")`.
     pub fn install_monitor(self: &Arc<Self>) -> Result<Arc<MonitorPort>, CcaError> {
-        let known = self
-            .repository()
-            .with_catalog(|c| c.reflection().type_info(MONITOR_PORT_TYPE).is_some());
-        if !known {
-            self.repository()
-                .deposit_sidl(MONITOR_SIDL)
-                .map_err(|e| CcaError::Framework(format!("monitor SIDL rejected: {e}")))?;
-        }
         let port = MonitorPort::new(self);
-        self.add_instance(
+        self.install_reflective_port(
             MONITOR_INSTANCE,
-            Arc::new(MonitorComponent {
-                port: Arc::clone(&port),
-            }),
+            "cca.MonitorComponent",
+            "monitor",
+            MONITOR_PORT_TYPE,
+            MONITOR_SIDL,
+            Arc::clone(&port) as Arc<dyn DynObject>,
         )?;
         Ok(port)
     }
@@ -311,7 +337,6 @@ impl Framework {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cca_core::PortHandle;
     use cca_data::TypeMap;
     use cca_repository::Repository;
     use cca_sidl::{compile, invoke_checked, Reflection};

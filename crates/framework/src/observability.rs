@@ -6,7 +6,7 @@
 //! observability port answers an operator's questions about *behaviour at
 //! a distance*: the trace ring (non-consuming, so a scrape never steals
 //! events from a local observer), the flight-recorder inventory, the
-//! resilience counters, and the tracing gate itself — togglable remotely,
+//! resilience, repository and fleet counters, and the tracing gate itself — togglable remotely,
 //! so a collector can light up tracing on a misbehaving process, scrape a
 //! window, and turn it back off. [`Framework::install_observability`]
 //! both installs the component *and* exports its port under
@@ -16,7 +16,8 @@
 
 use crate::framework::Framework;
 use crate::monitor::MonitorPort;
-use cca_core::{CcaError, CcaServices, Component};
+use cca_core::CcaError;
+use cca_obs::trace::escape_json;
 use cca_sidl::{DynObject, DynValue, SidlError};
 use std::sync::Arc;
 
@@ -41,7 +42,8 @@ package cca.ports {
     // over the wire through dynamic invocation alone.
     interface ObservabilityPort {
         // {\"tracing\":…,\"counters\":…,\"flight\":{…},\"metrics\":{…},
-        //  \"resilience\":{…}} — one self-describing scrape.
+        //  \"resilience\":{…},\"repo\":{…},\"fleet\":{…}} — one
+        // self-describing scrape.
         string snapshotJson();
         // Non-consuming trace-ring snapshot as JSON Lines (same format
         // the flight recorder and Perfetto merge consume).
@@ -55,10 +57,6 @@ package cca.ports {
     }
 }
 ";
-
-fn js(s: &str) -> String {
-    cca_obs::trace::escape_json(s)
-}
 
 /// The scrape port object. Structure queries delegate to an internal
 /// [`MonitorPort`] (same weak-reference discipline: the port never keeps
@@ -77,18 +75,20 @@ impl ObservabilityPort {
     }
 
     /// One self-describing scrape: flag gates, flight inventory,
-    /// per-instance port metrics, resilience counters, and the
-    /// repository's deposit/lookup/discovery counters.
+    /// per-instance port metrics, resilience counters, the repository's
+    /// deposit/lookup/discovery counters, and the worker fleet's
+    /// supervision counters (launches, deaths, restarts, generation bumps).
     pub fn snapshot_json(&self) -> Result<String, SidlError> {
         Ok(format!(
             "{{\"tracing\":{},\"counters\":{},\"flight\":{},\"metrics\":{},\"resilience\":{},\
-             \"repo\":{}}}",
+             \"repo\":{},\"fleet\":{}}}",
             cca_obs::tracing_enabled(),
             cca_obs::counters_enabled(),
             self.flight_json(),
             self.monitor.metrics_json()?,
             self.monitor.resilience_json()?,
             cca_obs::repo().snapshot().to_json(),
+            cca_obs::fleet().snapshot().to_json(),
         ))
     }
 
@@ -103,7 +103,7 @@ impl ObservabilityPort {
     pub fn flight_json(&self) -> String {
         let incidents: Vec<String> = cca_obs::flight::incidents()
             .iter()
-            .map(|p| format!("\"{}\"", js(&p.display().to_string())))
+            .map(|p| format!("\"{}\"", escape_json(&p.display().to_string())))
             .collect();
         format!(
             "{{\"enabled\":{},\"incidents\":[{}]}}",
@@ -139,33 +139,9 @@ impl DynObject for ObservabilityPort {
     }
 }
 
-/// The component wrapper providing the scrape port (instance name
-/// [`OBSERVABILITY_INSTANCE`], port name `"observability"`).
-pub struct ObservabilityComponent {
-    port: Arc<ObservabilityPort>,
-}
-
-impl Component for ObservabilityComponent {
-    fn component_type(&self) -> &str {
-        "cca.ObservabilityComponent"
-    }
-
-    fn set_services(&self, services: Arc<CcaServices>) -> Result<(), CcaError> {
-        let dynamic: Arc<dyn DynObject> = Arc::clone(&self.port) as Arc<dyn DynObject>;
-        services.add_provides_port(
-            cca_core::PortHandle::new(
-                "observability",
-                OBSERVABILITY_PORT_TYPE,
-                Arc::clone(&dynamic),
-            )
-            .with_dynamic(dynamic),
-        )
-    }
-}
-
 impl Framework {
     /// Installs the scrape plane: deposits [`OBSERVABILITY_SIDL`] into the
-    /// repository (idempotently), adds an [`ObservabilityComponent`]
+    /// repository (idempotently), adds a `cca.ObservabilityComponent`
     /// instance named [`OBSERVABILITY_INSTANCE`], and exports its port
     /// under [`OBSERVABILITY_EXPORT_KEY`] so the next
     /// [`serve_tcp_mux`](Framework::serve_tcp_mux) call makes the process
@@ -173,20 +149,14 @@ impl Framework {
     ///
     /// Returns the port object for in-process callers.
     pub fn install_observability(self: &Arc<Self>) -> Result<Arc<ObservabilityPort>, CcaError> {
-        let known = self
-            .repository()
-            .with_catalog(|c| c.reflection().type_info(OBSERVABILITY_PORT_TYPE).is_some());
-        if !known {
-            self.repository()
-                .deposit_sidl(OBSERVABILITY_SIDL)
-                .map_err(|e| CcaError::Framework(format!("observability SIDL rejected: {e}")))?;
-        }
         let port = ObservabilityPort::new(self);
-        self.add_instance(
+        self.install_reflective_port(
             OBSERVABILITY_INSTANCE,
-            Arc::new(ObservabilityComponent {
-                port: Arc::clone(&port),
-            }),
+            "cca.ObservabilityComponent",
+            "observability",
+            OBSERVABILITY_PORT_TYPE,
+            OBSERVABILITY_SIDL,
+            Arc::clone(&port) as Arc<dyn DynObject>,
         )?;
         let key = self.export_port(OBSERVABILITY_INSTANCE, "observability")?;
         debug_assert_eq!(key, OBSERVABILITY_EXPORT_KEY);
@@ -197,7 +167,7 @@ impl Framework {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cca_core::PortHandle;
+    use cca_core::{CcaServices, Component, PortHandle};
     use cca_data::TypeMap;
     use cca_repository::Repository;
     use cca_sidl::{compile, invoke_checked, Reflection};
@@ -255,6 +225,10 @@ mod tests {
         assert!(snap.contains("\"u0\""), "{snap}");
         assert!(snap.contains("\"resilience\":{"), "{snap}");
         assert!(snap.contains("\"repo\":{\"deposits\""), "{snap}");
+        assert!(
+            snap.contains("\"fleet\":{\"checkpoints_committed\""),
+            "{snap}"
+        );
     }
 
     #[test]

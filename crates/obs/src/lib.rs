@@ -18,7 +18,17 @@
 //!   churn, fan-out width, and fixed-bucket log2 latency histograms. The
 //!   record path is allocation-free: relaxed atomics only. Call counting
 //!   from `CachedPort` uses single-writer [`metrics::CallShard`]s so the
-//!   per-call cost is one relaxed store, not an atomic RMW.
+//!   per-call cost is one relaxed store, not an atomic RMW. Also the
+//!   transport's depth counters ([`MuxMetrics`]) and the bulk plane's
+//!   byte/chunk counters ([`BulkMetrics`]).
+//! * [`mod@resilience`], [`mod@repo`], [`mod@fleet`] — the process-global
+//!   counter blocks of the resilience layer, the component repository and
+//!   the worker fleet, each reached through a same-named function.
+//! * `counters` — the one counter shape. Every counter family (the three
+//!   global blocks above, [`MuxMetrics`], [`BulkMetrics`]) is one
+//!   `counter_block!` declaration listing its fields once; the atomics
+//!   block, getters, adders, `snapshot()`, the snapshot struct and its
+//!   `to_json()` all derive from it. A new count is one declared field.
 //! * [`trace`] — a distributed span/event tracer: a lock-free
 //!   single-writer seqlock ring per thread, per-process seeded
 //!   trace/span ids with parent links, a thread-local current-span cell
@@ -36,6 +46,7 @@
 //! remote tool can ask "who is connected to whom, how hot is each port"
 //! exactly as Fig. 2's builder would.
 
+mod counters;
 pub mod flags;
 pub mod fleet;
 pub mod flight;

@@ -18,6 +18,7 @@
 //!   shards; no increments are ever lost because each shard has exactly
 //!   one writer (`CachedPort::get` takes `&mut self`).
 
+use crate::counters::counter_block;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -472,26 +473,41 @@ impl TransportSnapshot {
 // Multiplexed-transport metrics
 // ---------------------------------------------------------------------------
 
-/// Depth and backpressure metrics for a multiplexed transport endpoint.
-///
-/// A mux client shares a handful of sockets among many concurrent logical
-/// callers, and a mux server buffers replies per connection — so the
-/// interesting quantities are *depths*, not rates: how many calls are in
-/// flight right now (and the high-water mark), how many reply bytes are
-/// queued waiting for slow peers, and how often backpressure paused
-/// reading a connection. Every record path is a relaxed atomic,
-/// allocation-free, matching the [`PortMetrics`] contract.
-#[derive(Default)]
-pub struct MuxMetrics {
-    in_flight: AtomicU64,
-    peak_in_flight: AtomicU64,
-    queued_bytes: AtomicU64,
-    peak_queued_bytes: AtomicU64,
-    paused_connections: AtomicU64,
-    pause_events: AtomicU64,
-    protocol_violations: AtomicU64,
-    loop_passes: AtomicU64,
-    loop_parks: AtomicU64,
+counter_block! {
+    /// Depth and backpressure metrics for a multiplexed transport endpoint.
+    ///
+    /// A mux client shares a handful of sockets among many concurrent logical
+    /// callers, and a mux server buffers replies per connection — so the
+    /// interesting quantities are *depths*, not rates: how many calls are in
+    /// flight right now (and the high-water mark), how many reply bytes are
+    /// queued waiting for slow peers, and how often backpressure paused
+    /// reading a connection. Every record path is a relaxed atomic,
+    /// allocation-free, matching the [`PortMetrics`] contract.
+    pub struct MuxMetrics => MuxSnapshot {
+        /// Calls in flight (registered with the completion router, not yet
+        /// answered).
+        in_flight,
+        /// High-water mark of concurrent in-flight calls.
+        peak_in_flight,
+        /// Reply bytes queued behind slow peers.
+        queued_bytes,
+        /// High-water mark of queued reply bytes.
+        peak_queued_bytes,
+        /// Connections paused by backpressure.
+        paused_connections,
+        /// Times a connection newly entered the paused state.
+        pause_events,
+        /// Mux protocol violations: a peer sent an unknown or
+        /// already-completed request id or the wrong frame kind, and lost
+        /// its connection for it.
+        protocol_violations => record_protocol_violation,
+        /// Server event-loop passes over its connections. An idle server
+        /// makes none.
+        loop_passes => record_loop_pass,
+        /// Times the server event loop found nothing to do and blocked
+        /// until a socket or a waker became ready.
+        loop_parks => record_loop_park,
+    }
 }
 
 /// Lock-free running maximum: raise `peak` to at least `value`.
@@ -506,11 +522,6 @@ fn raise_peak(peak: &AtomicU64, value: u64) {
 }
 
 impl MuxMetrics {
-    /// Creates a zeroed block.
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
     /// A call entered the in-flight set (registered with the completion
     /// router, not yet answered).
     pub fn record_begin(&self) {
@@ -539,163 +550,41 @@ impl MuxMetrics {
                 .fetch_add(now_paused - before, Ordering::Relaxed);
         }
     }
-
-    /// A peer violated the mux protocol (unknown or already-completed
-    /// request id, wrong frame kind) and its connection was dropped.
-    pub fn record_protocol_violation(&self) {
-        self.protocol_violations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The server's event loop began a pass over its connections.
-    pub fn record_loop_pass(&self) {
-        self.loop_passes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The server's event loop found nothing to do and blocked until a
-    /// socket or a waker became ready.
-    pub fn record_loop_park(&self) {
-        self.loop_parks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Calls in flight right now.
-    pub fn in_flight(&self) -> u64 {
-        self.in_flight.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of concurrent in-flight calls.
-    pub fn peak_in_flight(&self) -> u64 {
-        self.peak_in_flight.load(Ordering::Relaxed)
-    }
-
-    /// Reply bytes currently queued behind slow peers.
-    pub fn queued_bytes(&self) -> u64 {
-        self.queued_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Connections currently paused by backpressure.
-    pub fn paused_connections(&self) -> u64 {
-        self.paused_connections.load(Ordering::Relaxed)
-    }
-
-    /// Times a connection newly entered the paused state.
-    pub fn pause_events(&self) -> u64 {
-        self.pause_events.load(Ordering::Relaxed)
-    }
-
-    /// Protocol violations observed so far.
-    pub fn protocol_violations(&self) -> u64 {
-        self.protocol_violations.load(Ordering::Relaxed)
-    }
-
-    /// Event-loop passes so far. An idle server makes none.
-    pub fn loop_passes(&self) -> u64 {
-        self.loop_passes.load(Ordering::Relaxed)
-    }
-
-    /// Times the event loop blocked waiting for readiness.
-    pub fn loop_parks(&self) -> u64 {
-        self.loop_parks.load(Ordering::Relaxed)
-    }
-
-    /// A point-in-time copy.
-    pub fn snapshot(&self) -> MuxSnapshot {
-        MuxSnapshot {
-            in_flight: self.in_flight.load(Ordering::Relaxed),
-            peak_in_flight: self.peak_in_flight.load(Ordering::Relaxed),
-            queued_bytes: self.queued_bytes.load(Ordering::Relaxed),
-            peak_queued_bytes: self.peak_queued_bytes.load(Ordering::Relaxed),
-            paused_connections: self.paused_connections.load(Ordering::Relaxed),
-            pause_events: self.pause_events.load(Ordering::Relaxed),
-            protocol_violations: self.protocol_violations.load(Ordering::Relaxed),
-            loop_passes: self.loop_passes.load(Ordering::Relaxed),
-            loop_parks: self.loop_parks.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl std::fmt::Debug for MuxMetrics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MuxMetrics")
-            .field("in_flight", &self.in_flight())
-            .field("peak_in_flight", &self.peak_in_flight())
-            .finish()
-    }
-}
-
-/// A point-in-time copy of [`MuxMetrics`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MuxSnapshot {
-    /// Calls in flight at snapshot time.
-    pub in_flight: u64,
-    /// High-water mark of concurrent in-flight calls.
-    pub peak_in_flight: u64,
-    /// Reply bytes queued behind slow peers at snapshot time.
-    pub queued_bytes: u64,
-    /// High-water mark of queued reply bytes.
-    pub peak_queued_bytes: u64,
-    /// Connections paused by backpressure at snapshot time.
-    pub paused_connections: u64,
-    /// Times a connection newly entered the paused state.
-    pub pause_events: u64,
-    /// Mux protocol violations (each cost its peer the connection).
-    pub protocol_violations: u64,
-    /// Server event-loop passes.
-    pub loop_passes: u64,
-    /// Times the server event loop blocked waiting for readiness.
-    pub loop_parks: u64,
-}
-
-impl MuxSnapshot {
-    /// JSON rendering.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"in_flight\":{},\"peak_in_flight\":{},\"queued_bytes\":{},\
-             \"peak_queued_bytes\":{},\"paused_connections\":{},\
-             \"pause_events\":{},\"protocol_violations\":{},\
-             \"loop_passes\":{},\"loop_parks\":{}}}",
-            self.in_flight,
-            self.peak_in_flight,
-            self.queued_bytes,
-            self.peak_queued_bytes,
-            self.paused_connections,
-            self.pause_events,
-            self.protocol_violations,
-            self.loop_passes,
-            self.loop_parks
-        )
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Bulk data-plane metrics
 // ---------------------------------------------------------------------------
 
-/// Throughput and resume bookkeeping for the bulk data plane.
-///
-/// Bulk redistribution streams raw array slabs, so the interesting
-/// quantities are *bytes and chunks*: how much payload went out and
-/// landed, how many chunks were retransmitted after a connection drop
-/// (each resume should cost at most one chunk per in-flight transfer),
-/// and the largest single gather buffer a sender ever held — the
-/// memory-boundedness claim of experiment E15 is "peak is one chunk,
-/// not the array". Every record path is a relaxed atomic,
-/// allocation-free, matching the [`PortMetrics`] contract.
-#[derive(Default)]
-pub struct BulkMetrics {
-    bytes_sent: AtomicU64,
-    bytes_landed: AtomicU64,
-    chunks_sent: AtomicU64,
-    chunks_landed: AtomicU64,
-    resumed_chunks: AtomicU64,
-    peak_chunk_bytes: AtomicU64,
+counter_block! {
+    /// Throughput and resume bookkeeping for the bulk data plane.
+    ///
+    /// Bulk redistribution streams raw array slabs, so the interesting
+    /// quantities are *bytes and chunks*: how much payload went out and
+    /// landed, how many chunks were retransmitted after a connection drop
+    /// (each resume should cost at most one chunk per in-flight transfer),
+    /// and the largest single gather buffer a sender ever held — the
+    /// memory-boundedness claim of experiment E15 is "peak is one chunk,
+    /// not the array". Every record path is a relaxed atomic,
+    /// allocation-free, matching the [`PortMetrics`] contract.
+    pub struct BulkMetrics => BulkSnapshot {
+        /// Payload bytes sent (slab headers excluded).
+        bytes_sent,
+        /// Payload bytes landed into destination storage.
+        bytes_landed,
+        /// Slab chunks sent.
+        chunks_sent,
+        /// Slab chunks landed.
+        chunks_landed,
+        /// Chunks retransmitted after failure resumes: a sender that
+        /// re-enters a transfer resends from the acked watermark.
+        resumed_chunks => record_resume(chunks),
+        /// Largest sender gather buffer observed (bytes).
+        peak_chunk_bytes,
+    }
 }
 
 impl BulkMetrics {
-    /// Creates a zeroed block.
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
     /// A sender put one slab of `payload_bytes` element bytes on the wire
     /// (header excluded), holding a gather buffer of `buffer_bytes`.
     pub fn record_chunk_sent(&self, payload_bytes: u64, buffer_bytes: u64) {
@@ -710,96 +599,6 @@ impl BulkMetrics {
         self.bytes_landed
             .fetch_add(payload_bytes, Ordering::Relaxed);
         self.chunks_landed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A sender re-entered a transfer after a failure and will resend from
-    /// the acked watermark; `chunks` is how many chunks it re-sends.
-    pub fn record_resume(&self, chunks: u64) {
-        self.resumed_chunks.fetch_add(chunks, Ordering::Relaxed);
-    }
-
-    /// Payload bytes sent so far.
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent.load(Ordering::Relaxed)
-    }
-
-    /// Payload bytes landed into destination storage so far.
-    pub fn bytes_landed(&self) -> u64 {
-        self.bytes_landed.load(Ordering::Relaxed)
-    }
-
-    /// Chunks sent so far.
-    pub fn chunks_sent(&self) -> u64 {
-        self.chunks_sent.load(Ordering::Relaxed)
-    }
-
-    /// Chunks landed so far.
-    pub fn chunks_landed(&self) -> u64 {
-        self.chunks_landed.load(Ordering::Relaxed)
-    }
-
-    /// Chunks retransmitted across all resumes.
-    pub fn resumed_chunks(&self) -> u64 {
-        self.resumed_chunks.load(Ordering::Relaxed)
-    }
-
-    /// Largest gather buffer any sender held (bytes).
-    pub fn peak_chunk_bytes(&self) -> u64 {
-        self.peak_chunk_bytes.load(Ordering::Relaxed)
-    }
-
-    /// A point-in-time copy.
-    pub fn snapshot(&self) -> BulkSnapshot {
-        BulkSnapshot {
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            bytes_landed: self.bytes_landed.load(Ordering::Relaxed),
-            chunks_sent: self.chunks_sent.load(Ordering::Relaxed),
-            chunks_landed: self.chunks_landed.load(Ordering::Relaxed),
-            resumed_chunks: self.resumed_chunks.load(Ordering::Relaxed),
-            peak_chunk_bytes: self.peak_chunk_bytes.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl std::fmt::Debug for BulkMetrics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BulkMetrics")
-            .field("bytes_sent", &self.bytes_sent())
-            .field("chunks_sent", &self.chunks_sent())
-            .finish()
-    }
-}
-
-/// A point-in-time copy of [`BulkMetrics`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BulkSnapshot {
-    /// Payload bytes sent (slab headers excluded).
-    pub bytes_sent: u64,
-    /// Payload bytes landed into destination storage.
-    pub bytes_landed: u64,
-    /// Slab chunks sent.
-    pub chunks_sent: u64,
-    /// Slab chunks landed.
-    pub chunks_landed: u64,
-    /// Chunks retransmitted after failure resumes.
-    pub resumed_chunks: u64,
-    /// Largest sender gather buffer observed (bytes).
-    pub peak_chunk_bytes: u64,
-}
-
-impl BulkSnapshot {
-    /// JSON rendering.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"bytes_sent\":{},\"bytes_landed\":{},\"chunks_sent\":{},\
-             \"chunks_landed\":{},\"resumed_chunks\":{},\"peak_chunk_bytes\":{}}}",
-            self.bytes_sent,
-            self.bytes_landed,
-            self.chunks_sent,
-            self.chunks_landed,
-            self.resumed_chunks,
-            self.peak_chunk_bytes
-        )
     }
 }
 
@@ -939,8 +738,13 @@ mod tests {
         assert_eq!(s.peak_queued_bytes, 4096);
         assert_eq!(s.protocol_violations, 1);
         assert_eq!((s.loop_passes, s.loop_parks), (2, 1));
-        assert!(s.to_json().contains("\"peak_in_flight\":3"));
-        assert!(s.to_json().ends_with("\"loop_passes\":2,\"loop_parks\":1}"));
+        assert_eq!(
+            s.to_json(),
+            "{\"in_flight\":2,\"peak_in_flight\":3,\"queued_bytes\":128,\
+             \"peak_queued_bytes\":4096,\"paused_connections\":3,\
+             \"pause_events\":4,\"protocol_violations\":1,\
+             \"loop_passes\":2,\"loop_parks\":1}"
+        );
         assert!(format!("{m:?}").contains("in_flight"));
     }
 
@@ -963,7 +767,11 @@ mod tests {
         );
         let s = b.snapshot();
         assert_eq!(s.chunks_sent, 2);
-        assert!(s.to_json().contains("\"peak_chunk_bytes\":1048608"));
+        assert_eq!(
+            s.to_json(),
+            "{\"bytes_sent\":1049088,\"bytes_landed\":1048576,\"chunks_sent\":2,\
+             \"chunks_landed\":1,\"resumed_chunks\":3,\"peak_chunk_bytes\":1048608}"
+        );
         assert!(format!("{b:?}").contains("bytes_sent"));
     }
 }

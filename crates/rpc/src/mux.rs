@@ -327,7 +327,7 @@ impl MuxTransport {
             rr: AtomicUsize::new(0),
             next_id: AtomicU64::new(1),
             metrics: Arc::new(TransportMetrics::default()),
-            mux_metrics: MuxMetrics::new(),
+            mux_metrics: Arc::default(),
         }
     }
 
@@ -1036,7 +1036,7 @@ impl MuxServer {
             dropped_mid_call: AtomicU64::new(0),
             drop_permille: AtomicU64::new(0),
             fault_draws: Mutex::new(SplitMix64::new(0)),
-            metrics: MuxMetrics::new(),
+            metrics: Arc::default(),
             bulk_sink: Mutex::new(None),
             session_sink: Mutex::new(None),
         });

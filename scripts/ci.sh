@@ -15,6 +15,7 @@
 #   bench-gate every experiment's gates in fast mode (scripts/bench.sh)
 #   ccabench   the end-to-end benchmark's smoke run (benchmark/, all six
 #              workloads with their oracles on, a few seconds)
+#   loc        non-test line counts per crate (reports only; not in `all`)
 #
 # The CI workflow fans these out as separate jobs; `all` keeps the
 # one-command local story.
@@ -110,6 +111,22 @@ ccabench() {
     cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --smoke
 }
 
+# The one line-count rule line-budget claims are measured with: in every
+# .rs file under crates/*/src, the lines before its first top-level
+# `#[cfg(test)]`, summed per crate and in total.
+loc() {
+    echo "==> non-test lines in crates/*/src"
+    find crates/*/src -name '*.rs' | sort | xargs awk '
+        FNR == 1 { split(FILENAME, part, "/"); crate = part[2]; in_tests = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests { lines[crate]++; total++ }
+        END {
+            for (c in lines) printf "%-12s %7d\n", c, lines[c] | "sort"
+            close("sort")
+            printf "%-12s %7d\n", "total", total
+        }'
+}
+
 case "$MODE" in
 all)
     build_test
@@ -129,8 +146,9 @@ fault) fault ;;
 fleet) fleet ;;
 bench-gate) bench_gate ;;
 ccabench) ccabench ;;
+loc) loc ;;
 *)
-    echo "unknown mode '$MODE' (want all|build-test|clippy|fmt|doc|fault|fleet|bench-gate|ccabench)" >&2
+    echo "unknown mode '$MODE' (want all|build-test|clippy|fmt|doc|fault|fleet|bench-gate|ccabench|loc)" >&2
     exit 2
     ;;
 esac
