@@ -24,7 +24,12 @@
 //!   deterministic, and turning tracing ON must not add a single
 //!   allocation (rings are preallocated; context rides in the frame);
 //! * building and compiling a redistribution plan: not zero, but the same
-//!   count whatever the array's size — nothing is allocated per element.
+//!   count whatever the array's size — nothing is allocated per element;
+//! * the value codec: encoding a request that carries an array allocates
+//!   exactly once (the message buffer, sized up front), a full
+//!   encode/decode round trip allocates alike at 16 and 8192 elements, and
+//!   a hostile array header is refused before a byte is allocated for the
+//!   elements it declares.
 //!
 //! The tally is per thread, so what a sibling test or a server thread
 //! allocates meanwhile cannot leak into a measured region. The `cca-obs`
@@ -51,16 +56,18 @@ thread_local! {
     // Const-initialised and without a destructor: reading it never
     // allocates or registers anything, so the allocator may touch it.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn tally() {
+fn tally(bytes: usize) {
     // `try_with`: a thread being torn down may allocate past its TLS.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        tally();
+        tally(layout.size());
         System.alloc(layout)
     }
 
@@ -69,7 +76,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        tally();
+        tally(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -80,6 +87,11 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Allocations made so far by the calling thread.
 fn alloc_count() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// Bytes requested so far by the calling thread's allocations.
+fn alloc_bytes() -> u64 {
+    BYTES.with(Cell::get)
 }
 
 trait EventPort: Send + Sync {
@@ -398,6 +410,102 @@ fn counter_block_record_paths_allocate_nothing() {
     );
     assert_eq!(mux.snapshot().peak_in_flight, 1);
     assert_eq!(bulk.snapshot().chunks_sent, 1000);
+}
+
+/// A request carrying an `n`-element `double` array, and its echo reply.
+fn array_messages(n: usize) -> (cca_rpc::Request, cca_rpc::Reply) {
+    let array = cca_data::NdArray::from_vec(&[n], vec![0.5f64; n]).unwrap();
+    let request = cca_rpc::Request {
+        request_id: 7,
+        object_key: "solver0/solver".into(),
+        operation: "solve".into(),
+        args: vec![DynValue::DoubleArray(array.clone())],
+    };
+    let reply = cca_rpc::Reply {
+        request_id: 7,
+        result: Ok(DynValue::DoubleArray(array)),
+    };
+    (request, reply)
+}
+
+/// The value codec sizes a message once: no doubling reallocations, so
+/// one allocation whatever the array's length.
+#[test]
+fn encoding_an_array_request_allocates_once() {
+    for n in [16, 8192] {
+        let (request, _) = array_messages(n);
+        let before = alloc_count();
+        let bytes = cca_rpc::encode_request(&request).unwrap();
+        let delta = alloc_count() - before;
+        assert_eq!(
+            delta, 1,
+            "encode_request of a {n}-element array must allocate exactly once ({delta})"
+        );
+        assert!(bytes.len() > 8 * n);
+    }
+}
+
+/// Encode and decode both ways — the four codec calls of one remote call —
+/// allocate per message and per argument, never per element.
+#[test]
+fn codec_round_trip_allocations_do_not_grow_with_the_array() {
+    let round_trip = |n: usize| {
+        let (request, reply) = array_messages(n);
+        let before = alloc_count();
+        let out = cca_rpc::encode_request(&request).unwrap();
+        let served = cca_rpc::decode_request(out).unwrap();
+        let back = cca_rpc::encode_reply(&reply).unwrap();
+        let answered = cca_rpc::decode_reply(back).unwrap();
+        let delta = alloc_count() - before;
+        assert_eq!(served.args.len(), 1);
+        assert!(answered.result.is_ok());
+        delta
+    };
+    assert_eq!(
+        round_trip(16),
+        round_trip(8192),
+        "a codec round trip must allocate alike at 16 and 8192 elements"
+    );
+}
+
+/// A hostile array header costs its decoder no more than the error: the
+/// declared element bytes are checked against the payload before the
+/// element buffer is allocated.
+#[test]
+fn hostile_array_headers_allocate_nothing_for_their_elements() {
+    // An `rpc` request of 40 bytes declaring 2^30 dcomplexes (16 GiB).
+    let mut raw = Vec::new();
+    raw.extend_from_slice(&1u64.to_le_bytes());
+    for s in ["k", "o"] {
+        raw.extend_from_slice(&(s.len() as u32).to_le_bytes());
+        raw.extend_from_slice(s.as_bytes());
+    }
+    raw.extend_from_slice(&1u32.to_le_bytes());
+    raw.extend_from_slice(&[13, 1]); // dcomplex array, rank 1
+    raw.extend_from_slice(&0i64.to_le_bytes());
+    raw.extend_from_slice(&(1u64 << 30).to_le_bytes());
+    assert_eq!(raw.len(), 40);
+    let request = bytes::Bytes::from(raw);
+    let before = alloc_bytes();
+    let refused = cca_rpc::decode_request(request);
+    let spent = alloc_bytes() - before;
+    assert!(
+        refused.is_err(),
+        "a 2^30-element header in 40 bytes must be refused"
+    );
+    assert!(spent < 1024, "refusing it allocated {spent} bytes");
+
+    // A `parallel` wire vector of 5 bytes declaring 2^32 - 1 doubles.
+    let mut raw = vec![10u8]; // Vec<f64>
+    raw.extend_from_slice(&u32::MAX.to_le_bytes());
+    let before = alloc_bytes();
+    let refused = cca_parallel::wire::decode_to_box(&raw);
+    let spent = alloc_bytes() - before;
+    assert!(
+        refused.is_err(),
+        "a 2^32-element count in 5 bytes must be refused"
+    );
+    assert!(spent < 1024, "refusing it allocated {spent} bytes");
 }
 
 #[test]

@@ -22,6 +22,8 @@
 //!   *collective ports* (§6.3).
 //! * [`TypeMap`] — the heterogeneous property map used throughout the CCA
 //!   services for component metadata and port properties.
+//! * [`le`] — primitive slices as little-endian slabs, the one bulk
+//!   conversion both value codecs use for arrays.
 //!
 //! Everything in this crate is framework-agnostic: no threads, no ports, no
 //! I/O — just data layout and the algebra of moving it around.
@@ -29,6 +31,7 @@
 pub mod complex;
 pub mod dist;
 pub mod error;
+pub mod le;
 pub mod ndarray;
 pub mod redist;
 pub mod typemap;

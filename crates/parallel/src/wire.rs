@@ -18,6 +18,7 @@
 //! tag) routing intact.
 
 use crate::error::ParallelError;
+use cca_data::le::{self, LeScalar};
 use std::any::Any;
 
 /// One message delivered by a [`WireLink`]: the same routing triple an
@@ -82,6 +83,9 @@ const T_VEC_SPLIT_TRIPLE: u8 = 19;
 
 type SplitTriple = (Option<u32>, i64, usize);
 
+/// Wire bytes of one [`SplitTriple`]: presence, color, key, world rank.
+const SPLIT_TRIPLE_LEN: usize = 1 + 4 + 8 + 8;
+
 fn put_split_triple(out: &mut Vec<u8>, (color, key, world): &SplitTriple) {
     match color {
         Some(c) => {
@@ -142,6 +146,21 @@ impl<'a> Reader<'a> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// The bytes of a `u32`-counted run of `size`-byte items, checked
+    /// against what remains before the caller allocates for them.
+    fn counted(&mut self, size: usize) -> Result<(usize, &'a [u8]), ParallelError> {
+        let n = self.u32()? as usize;
+        let bytes = n
+            .checked_mul(size)
+            .ok_or_else(|| bad("wire vector length overflows"))?;
+        Ok((n, self.take(bytes)?))
+    }
+
+    /// A `u32`-counted slab of fixed-width scalars.
+    fn slab<T: LeScalar>(&mut self) -> Result<Vec<T>, ParallelError> {
+        Ok(le::read_vec(self.counted(T::SIZE)?.1))
+    }
+
     fn done(&self) -> Result<(), ParallelError> {
         if self.pos == self.bytes.len() {
             Ok(())
@@ -163,15 +182,12 @@ macro_rules! try_scalar {
 }
 
 macro_rules! try_vec {
-    ($value:expr, $t:ty, $tag:expr, $enc:expr) => {
+    ($value:expr, $t:ty, $tag:expr) => {
         if let Some(v) = $value.downcast_ref::<Vec<$t>>() {
-            let mut out = Vec::with_capacity(5 + v.len() * std::mem::size_of::<$t>());
+            let mut out = Vec::with_capacity(5 + v.len() * <$t as LeScalar>::SIZE);
             out.push($tag);
             put_u32(&mut out, v.len() as u32);
-            for x in v {
-                #[allow(clippy::redundant_closure_call)]
-                ($enc)(&mut out, x);
-            }
+            le::extend_vec(&mut out, v);
             return Some(out);
         }
     };
@@ -208,16 +224,10 @@ pub fn encode_any(value: &dyn Any) -> Option<Vec<u8>> {
         out.extend_from_slice(v.as_bytes());
         return Some(out);
     }
-    try_vec!(value, f64, T_VEC_F64, |out: &mut Vec<u8>, v: &f64| out
-        .extend_from_slice(&v.to_le_bytes()));
-    try_vec!(value, u64, T_VEC_U64, |out: &mut Vec<u8>, v: &u64| put_u64(
-        out, *v
-    ));
-    try_vec!(value, i64, T_VEC_I64, |out: &mut Vec<u8>, v: &i64| out
-        .extend_from_slice(&v.to_le_bytes()));
-    try_vec!(value, usize, T_VEC_USIZE, |out: &mut Vec<u8>, v: &usize| {
-        put_u64(out, *v as u64)
-    });
+    try_vec!(value, f64, T_VEC_F64);
+    try_vec!(value, u64, T_VEC_U64);
+    try_vec!(value, i64, T_VEC_I64);
+    try_vec!(value, usize, T_VEC_USIZE);
     if let Some(v) = value.downcast_ref::<Vec<u8>>() {
         let mut out = Vec::with_capacity(5 + v.len());
         out.push(T_VEC_U8);
@@ -225,9 +235,7 @@ pub fn encode_any(value: &dyn Any) -> Option<Vec<u8>> {
         out.extend_from_slice(v);
         return Some(out);
     }
-    try_vec!(value, u32, T_VEC_U32, |out: &mut Vec<u8>, v: &u32| put_u32(
-        out, *v
-    ));
+    try_vec!(value, u32, T_VEC_U32);
     if let Some((a, b)) = value.downcast_ref::<(f64, f64)>() {
         let mut out = Vec::with_capacity(17);
         out.push(T_PAIR_F64);
@@ -251,7 +259,7 @@ pub fn encode_any(value: &dyn Any) -> Option<Vec<u8>> {
         return Some(out);
     }
     if let Some(v) = value.downcast_ref::<Vec<SplitTriple>>() {
-        let mut out = Vec::with_capacity(5 + v.len() * 21);
+        let mut out = Vec::with_capacity(5 + v.len() * SPLIT_TRIPLE_LEN);
         out.push(T_VEC_SPLIT_TRIPLE);
         put_u32(&mut out, v.len() as u32);
         for t in v {
@@ -289,56 +297,17 @@ pub fn decode_to_box(bytes: &[u8]) -> Result<Box<dyn Any + Send>, ParallelError>
         T_F32 => Box::new(f32::from_le_bytes(r.take(4)?.try_into().unwrap())),
         T_F64 => Box::new(r.f64()?),
         T_STRING => {
-            let n = r.u32()? as usize;
-            let s = std::str::from_utf8(r.take(n)?)
+            let s = std::str::from_utf8(r.counted(1)?.1)
                 .map_err(|_| bad("non-utf8 wire string"))?
                 .to_string();
             Box::new(s)
         }
-        T_VEC_F64 => {
-            let n = r.u32()? as usize;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(r.f64()?);
-            }
-            Box::new(v)
-        }
-        T_VEC_U64 => {
-            let n = r.u32()? as usize;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(r.u64()?);
-            }
-            Box::new(v)
-        }
-        T_VEC_I64 => {
-            let n = r.u32()? as usize;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(i64::from_le_bytes(r.take(8)?.try_into().unwrap()));
-            }
-            Box::new(v)
-        }
-        T_VEC_USIZE => {
-            let n = r.u32()? as usize;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(r.u64()? as usize);
-            }
-            Box::new(v)
-        }
-        T_VEC_U8 => {
-            let n = r.u32()? as usize;
-            Box::new(r.take(n)?.to_vec())
-        }
-        T_VEC_U32 => {
-            let n = r.u32()? as usize;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(r.u32()?);
-            }
-            Box::new(v)
-        }
+        T_VEC_F64 => Box::new(r.slab::<f64>()?),
+        T_VEC_U64 => Box::new(r.slab::<u64>()?),
+        T_VEC_I64 => Box::new(r.slab::<i64>()?),
+        T_VEC_USIZE => Box::new(r.slab::<usize>()?),
+        T_VEC_U8 => Box::new(r.counted(1)?.1.to_vec()),
+        T_VEC_U32 => Box::new(r.slab::<u32>()?),
         T_PAIR_F64 => {
             let a = r.f64()?;
             let b = r.f64()?;
@@ -351,10 +320,11 @@ pub fn decode_to_box(bytes: &[u8]) -> Result<Box<dyn Any + Send>, ParallelError>
         }
         T_SPLIT_TRIPLE => Box::new(read_split_triple(&mut r)?),
         T_VEC_SPLIT_TRIPLE => {
-            let n = r.u32()? as usize;
+            let (n, bytes) = r.counted(SPLIT_TRIPLE_LEN)?;
+            let mut triples = Reader { bytes, pos: 0 };
             let mut v = Vec::with_capacity(n);
             for _ in 0..n {
-                v.push(read_split_triple(&mut r)?);
+                v.push(read_split_triple(&mut triples)?);
             }
             Box::new(v)
         }
@@ -435,6 +405,28 @@ mod tests {
             Err(ParallelError::Codec(_))
         ));
         assert!(matches!(decode_to_box(&[]), Err(ParallelError::Codec(_))));
+    }
+
+    #[test]
+    fn counts_the_bytes_cannot_hold_are_typed_errors() {
+        // Every counted tag declaring u32::MAX items in a 5-byte payload.
+        for tag in [
+            T_STRING,
+            T_VEC_F64,
+            T_VEC_U64,
+            T_VEC_I64,
+            T_VEC_USIZE,
+            T_VEC_U8,
+            T_VEC_U32,
+            T_VEC_SPLIT_TRIPLE,
+        ] {
+            let mut bytes = vec![tag];
+            put_u32(&mut bytes, u32::MAX);
+            assert!(
+                matches!(decode_to_box(&bytes), Err(ParallelError::Codec(_))),
+                "tag {tag}"
+            );
+        }
     }
 
     #[test]

@@ -209,7 +209,7 @@ pub fn encode_frame_with(
 
 /// Appends one encoded frame to `out` — byte-identical to what
 /// [`encode_frame_with`] returns, without the intermediate allocation.
-/// The mux client's bulk lane writes slabs straight into a connection's
+/// The mux server frames each reply straight onto its connection's
 /// outgoing buffer with this; on error `out` is untouched.
 pub fn encode_frame_onto(
     out: &mut Vec<u8>,
@@ -225,10 +225,11 @@ pub fn encode_frame_onto(
 }
 
 /// Appends just the header (and trace extension) of a frame whose
-/// `payload_len` payload bytes the caller will append next. The bulk
-/// lane's gather path uses this to build the payload *in place* in the
-/// connection's outgoing buffer — the slab never exists anywhere else.
-/// On error `out` is untouched.
+/// `payload_len` payload bytes the caller will append next. Every mux
+/// client submission uses this to append its payload *in place* in the
+/// connection's outgoing buffer — the bulk lane's gather builds its slab
+/// there, so the slab never exists anywhere else. On error `out` is
+/// untouched.
 pub fn encode_frame_header_onto(
     out: &mut Vec<u8>,
     kind: FrameKind,
@@ -473,20 +474,23 @@ impl FrameDecoder {
         // payloads aren't worth the buffer churn and copy out as before.
         const ZERO_COPY_POP_MIN: usize = 32 << 10;
         let payload = if header.payload_len as usize >= ZERO_COPY_POP_MIN {
-            self.buf.truncate(self.filled);
-            self.filled = 0;
+            // The storage moves whole, zeroed scratch tail included, and
+            // every view is cut at `filled`: reclaimed, it comes back with
+            // that tail still initialised, so `fill_from` offers it to the
+            // next read without zeroing it again.
+            let filled = std::mem::take(&mut self.filled);
             let whole = Bytes::from(std::mem::take(&mut self.buf));
-            self.view = whole.slice(total..);
+            self.view = whole.slice(total..filled);
             let payload = whole.slice(body_at..total);
             self.retired.push(whole);
             // Reclaim any retired storage whose views are all gone; the
-            // first one becomes the next accumulation buffer.
+            // one with the most initialised bytes becomes the next
+            // accumulation buffer.
             let mut i = 0;
             while i < self.retired.len() {
                 if self.retired[i].is_unique() {
-                    if let Ok(mut v) = self.retired.swap_remove(i).try_unwrap() {
-                        if self.buf.capacity() < v.capacity() {
-                            v.clear();
+                    if let Ok(v) = self.retired.swap_remove(i).try_unwrap() {
+                        if self.buf.len() < v.len() {
                             self.buf = v;
                         }
                     }
@@ -925,6 +929,31 @@ mod tests {
             assert_eq!(frame.request_id, id as u64);
             assert_eq!(frame.payload.as_slice(), &payload[..]);
         }
+    }
+
+    #[test]
+    fn reclaimed_storage_keeps_its_zeroed_scratch() {
+        // One slab-sized frame per read, each payload dropped before the
+        // next read — a server answering one large call at a time.
+        const OFFER: usize = 256 << 10;
+        let frame = |id| encode_frame(FrameKind::Request, id, &[7u8; 40 << 10], u32::MAX).unwrap();
+        let mut dec = FrameDecoder::new();
+        for id in 0..2 {
+            dec.fill_from(&mut &frame(id)[..], OFFER).unwrap();
+            drop(dec.next_frame().unwrap().unwrap());
+        }
+        // The second pop reclaimed the first storage whole: its tail past
+        // the frame is still initialised, so the next offer of `OFFER`
+        // bytes needs no resize — no allocation, no zero-fill.
+        assert_eq!(dec.filled, 0);
+        assert!(dec.buf.len() >= OFFER, "storage came back truncated");
+        let storage = dec.buf.as_ptr();
+        dec.fill_from(&mut &frame(2)[..], OFFER).unwrap();
+        assert_eq!(dec.buf.as_ptr(), storage);
+        let popped = dec.next_frame().unwrap().unwrap();
+        assert_eq!(popped.request_id, 2);
+        assert_eq!(popped.payload.as_slice(), &[7u8; 40 << 10][..]);
+        assert_eq!(dec.buffered(), 0);
     }
 
     #[test]

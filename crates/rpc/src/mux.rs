@@ -36,8 +36,8 @@
 //! misclassified as a violation.
 
 use crate::frame::{
-    encode_frame, encode_frame_header_onto, encode_frame_onto, encode_frame_with, read_frame,
-    Frame, FrameDecoder, FrameKind, DEFAULT_MAX_PAYLOAD, FRAME_HEADER_LEN,
+    encode_frame_header_onto, encode_frame_onto, read_frame, Frame, FrameDecoder, FrameKind,
+    DEFAULT_MAX_PAYLOAD, FRAME_HEADER_LEN,
 };
 use crate::readiness::{self, PollFd, Waker, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use crate::transport::{Dispatcher, Transport};
@@ -450,7 +450,7 @@ impl MuxTransport {
     /// from any number of threads may be in flight per connection.
     pub fn submit(&self, request: Bytes) -> Result<PendingReply, SidlError> {
         let _span = cca_obs::span("rpc.mux.submit");
-        self.submit_frame(FrameKind::Request, request)
+        self.submit_frame(FrameKind::Request, &request)
     }
 
     /// Starts one bulk-slab transfer: identical multiplexing to
@@ -459,8 +459,7 @@ impl MuxTransport {
     /// is a raw slab (see [`crate::bulk`]). The reply's payload is the
     /// receiver's encoded [`crate::bulk::BulkAck`].
     pub fn submit_bulk(&self, slab: Bytes) -> Result<PendingReply, SidlError> {
-        let _span = cca_obs::span("rpc.mux.submit_bulk");
-        self.submit_frame(FrameKind::Bulk, slab)
+        self.submit_bulk_ref(&slab)
     }
 
     /// Announces a fleet rank on this transport's connection: sends a
@@ -472,7 +471,7 @@ impl MuxTransport {
     /// connection's death is an unambiguous rank-death signal.
     pub fn submit_join(&self, hello: Bytes) -> Result<PendingReply, SidlError> {
         let _span = cca_obs::span("rpc.mux.submit_join");
-        self.submit_frame(FrameKind::Join, hello)
+        self.submit_frame(FrameKind::Join, &hello)
     }
 
     /// Departs cleanly: sends a `Leave` frame so the server's
@@ -480,62 +479,14 @@ impl MuxTransport {
     /// subsequent socket close is not treated as a crash.
     pub fn submit_leave(&self, goodbye: Bytes) -> Result<PendingReply, SidlError> {
         let _span = cca_obs::span("rpc.mux.submit_leave");
-        self.submit_frame(FrameKind::Leave, goodbye)
+        self.submit_frame(FrameKind::Leave, &goodbye)
     }
 
-    /// [`submit_bulk`](Self::submit_bulk) without the intermediate frame
-    /// buffer: the header and slab are appended straight onto the
-    /// connection's write queue, so the caller may reuse `slab` for the
-    /// next chunk as soon as this returns. Saves one allocation and one
-    /// full-payload copy per chunk, which is what the data plane is
-    /// throughput-bound on.
+    /// [`submit_bulk`](Self::submit_bulk) for a borrowed slab: the caller
+    /// may reuse `slab` for the next chunk as soon as this returns.
     pub fn submit_bulk_ref(&self, slab: &[u8]) -> Result<PendingReply, SidlError> {
         let _span = cca_obs::span("rpc.mux.submit_bulk");
-        let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let conn = self.conn_for_call()?;
-        let context = cca_obs::trace::current_context();
-        let cell = Arc::new(WaitCell::new());
-        {
-            let mut pending = conn.pending.lock().unwrap();
-            if let Some(err) = &pending.dead {
-                return Err(err.clone());
-            }
-            pending
-                .waiters
-                .insert(request_id, PendingEntry::Live(Arc::clone(&cell)));
-        }
-        self.mux_metrics.record_begin();
-        let enqueued = {
-            let mut out = conn.out.lock().unwrap();
-            if out.dead {
-                Ok(())
-            } else {
-                encode_frame_onto(
-                    &mut out.buf,
-                    FrameKind::Bulk,
-                    request_id,
-                    slab,
-                    self.max_payload,
-                    context,
-                )
-            }
-        };
-        if let Err(err) = enqueued {
-            // Oversize slab: nothing was written, so unhook the waiter
-            // instead of leaving a request id that can never complete.
-            conn.pending.lock().unwrap().waiters.remove(&request_id);
-            self.mux_metrics.record_end();
-            return Err(err.into());
-        }
-        conn.out_cv.notify_one();
-        Ok(PendingReply {
-            cell: Some(cell),
-            conn,
-            request_id,
-            request_bytes: slab.len() as u64,
-            submitted: Instant::now(),
-            timeout: self.io_timeout,
-        })
+        self.submit_frame(FrameKind::Bulk, slab)
     }
 
     /// The zero-materialization variant of
@@ -551,8 +502,34 @@ impl MuxTransport {
         fill: impl FnOnce(&mut [u8]),
     ) -> Result<PendingReply, SidlError> {
         let _span = cca_obs::span("rpc.mux.submit_bulk");
+        self.enqueue(FrameKind::Bulk, payload_len, |buf| {
+            let at = buf.len();
+            buf.resize(at + payload_len, 0);
+            fill(&mut buf[at..]);
+        })
+    }
+
+    /// Appends header and payload straight onto the connection's write
+    /// queue: no intermediate frame buffer, one copy of the payload.
+    fn submit_frame(&self, kind: FrameKind, payload: &[u8]) -> Result<PendingReply, SidlError> {
+        self.enqueue(kind, payload.len(), |buf| buf.extend_from_slice(payload))
+    }
+
+    /// The one submission path: registers a waiter under a fresh request
+    /// id, then — under the write-queue lock — appends the frame header
+    /// and lets `append_payload` append exactly `payload_len` bytes after
+    /// it.
+    fn enqueue(
+        &self,
+        kind: FrameKind,
+        payload_len: usize,
+        append_payload: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<PendingReply, SidlError> {
         let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let conn = self.conn_for_call()?;
+        // The caller's span is current here, so the wire context parents
+        // the server's dispatch span to this very call. Tracing off ⇒
+        // `None` after one relaxed load, zero extension bytes.
         let context = cca_obs::trace::current_context();
         let cell = Arc::new(WaitCell::new());
         {
@@ -567,12 +544,15 @@ impl MuxTransport {
         self.mux_metrics.record_begin();
         let enqueued = {
             let mut out = conn.out.lock().unwrap();
+            // If the connection died between the two locks, teardown has
+            // already delivered the error to our cell; skip the enqueue
+            // and let `wait` surface it.
             if out.dead {
                 Ok(())
             } else {
                 encode_frame_header_onto(
                     &mut out.buf,
-                    FrameKind::Bulk,
+                    kind,
                     request_id,
                     payload_len,
                     self.max_payload,
@@ -580,12 +560,14 @@ impl MuxTransport {
                 )
                 .map(|()| {
                     let at = out.buf.len();
-                    out.buf.resize(at + payload_len, 0);
-                    fill(&mut out.buf[at..]);
+                    append_payload(&mut out.buf);
+                    debug_assert_eq!(out.buf.len() - at, payload_len);
                 })
             }
         };
         if let Err(err) = enqueued {
+            // Oversize payload: nothing was written, so unhook the waiter
+            // instead of leaving a request id that can never complete.
             conn.pending.lock().unwrap().waiters.remove(&request_id);
             self.mux_metrics.record_end();
             return Err(err.into());
@@ -596,50 +578,6 @@ impl MuxTransport {
             conn,
             request_id,
             request_bytes: payload_len as u64,
-            submitted: Instant::now(),
-            timeout: self.io_timeout,
-        })
-    }
-
-    fn submit_frame(&self, kind: FrameKind, request: Bytes) -> Result<PendingReply, SidlError> {
-        let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let conn = self.conn_for_call()?;
-        // The caller's span is current here, so the wire context parents
-        // the server's dispatch span to this very call. Tracing off ⇒
-        // `None` after one relaxed load, zero extension bytes.
-        let framed = encode_frame_with(
-            kind,
-            request_id,
-            request.as_ref(),
-            self.max_payload,
-            cca_obs::trace::current_context(),
-        )?;
-        let cell = Arc::new(WaitCell::new());
-        {
-            let mut pending = conn.pending.lock().unwrap();
-            if let Some(err) = &pending.dead {
-                return Err(err.clone());
-            }
-            pending
-                .waiters
-                .insert(request_id, PendingEntry::Live(Arc::clone(&cell)));
-        }
-        self.mux_metrics.record_begin();
-        {
-            let mut out = conn.out.lock().unwrap();
-            // If the connection died between the two locks, teardown has
-            // already delivered the error to our cell; skip the enqueue
-            // and let `wait` surface it.
-            if !out.dead {
-                out.buf.extend_from_slice(&framed);
-            }
-        }
-        conn.out_cv.notify_one();
-        Ok(PendingReply {
-            cell: Some(cell),
-            conn,
-            request_id,
-            request_bytes: request.len() as u64,
             submitted: Instant::now(),
             timeout: self.io_timeout,
         })
@@ -889,6 +827,17 @@ struct Job {
     cost: usize,
 }
 
+/// A finished dispatch on its way from a worker to the event loop.
+struct Completion {
+    conn_id: u64,
+    request_id: u64,
+    /// The job's charge against its connection's backlog.
+    cost: usize,
+    /// The reply payload; `None` is the close sentinel (undecodable
+    /// payload, sink error): the connection hangs up.
+    reply: Option<Bytes>,
+}
+
 struct JobQueue {
     jobs: VecDeque<Job>,
     shutting_down: bool,
@@ -970,9 +919,8 @@ pub struct MuxServer {
     live_conns: AtomicUsize,
     jobs: Mutex<JobQueue>,
     jobs_cv: Condvar,
-    /// Completed dispatches awaiting the event loop:
-    /// `(conn id, job cost, frame)`.
-    completed: Mutex<Vec<(u64, usize, Vec<u8>)>>,
+    /// Completed dispatches awaiting the event loop.
+    completed: Mutex<Vec<Completion>>,
     /// True while the event loop is blocked in `poll` (or about to be):
     /// whoever swaps it back to false owes the loop one [`Waker::wake`].
     parked: AtomicBool,
@@ -1225,38 +1173,15 @@ impl MuxServer {
                     _ => self.dispatcher.dispatch(job.payload),
                 }
             };
-            match outcome {
-                Ok(reply) => {
-                    match encode_frame(
-                        FrameKind::Reply,
-                        job.request_id,
-                        reply.as_ref(),
-                        self.config.max_payload,
-                    ) {
-                        Ok(framed) => {
-                            self.completed
-                                .lock()
-                                .unwrap()
-                                .push((job.conn_id, job.cost, framed));
-                        }
-                        Err(_) => {
-                            // Reply exceeds the frame cap: close the
-                            // connection (empty frame = close sentinel).
-                            self.completed.lock().unwrap().push((
-                                job.conn_id,
-                                job.cost,
-                                Vec::new(),
-                            ));
-                        }
-                    }
-                }
-                Err(_) => {
-                    self.completed
-                        .lock()
-                        .unwrap()
-                        .push((job.conn_id, job.cost, Vec::new()));
-                }
-            }
+            // The event loop frames the reply onto the connection's write
+            // buffer itself: one copy of the reply, on the one thread that
+            // owns that buffer.
+            self.completed.lock().unwrap().push(Completion {
+                conn_id: job.conn_id,
+                request_id: job.request_id,
+                cost: job.cost,
+                reply: outcome.ok(),
+            });
             self.metrics.record_end();
             self.wake_event_loop();
         }
@@ -1312,11 +1237,11 @@ impl MuxServer {
             // Completed dispatches into per-connection write buffers.
             {
                 let mut completed = self.completed.lock().unwrap();
-                for (conn_id, cost, framed) in completed.drain(..) {
+                for done in completed.drain(..) {
                     progressed = true;
                     // `conns` is sorted by id: ids only grow, registration
                     // appends, and the reap's `retain` keeps order.
-                    let Ok(at) = conns.binary_search_by_key(&conn_id, |c| c.id) else {
+                    let Ok(at) = conns.binary_search_by_key(&done.conn_id, |c| c.id) else {
                         continue; // connection died mid-dispatch
                     };
                     let conn = &mut conns[at];
@@ -1324,15 +1249,23 @@ impl MuxServer {
                         continue;
                     }
                     conn.ready = true;
-                    conn.pending_cost = conn.pending_cost.saturating_sub(cost);
-                    if framed.is_empty() {
-                        // Close sentinel: undecodable payload or oversized
-                        // reply — hang up.
+                    conn.pending_cost = conn.pending_cost.saturating_sub(done.cost);
+                    let framed = done.reply.map(|reply| {
+                        encode_frame_onto(
+                            &mut conn.out,
+                            FrameKind::Reply,
+                            done.request_id,
+                            &reply,
+                            self.config.max_payload,
+                            None,
+                        )
+                    });
+                    if let Some(Ok(())) = framed {
+                        self.dispatched.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        // Close sentinel or oversized reply: hang up.
                         conn.closed = true;
-                        continue;
                     }
-                    conn.out.extend_from_slice(&framed);
-                    self.dispatched.fetch_add(1, Ordering::Relaxed);
                 }
             }
 

@@ -12,6 +12,9 @@
 //! 3. object lookup by string key and dispatch by operation *name*,
 //! 4. reply marshaling and demarshaling.
 //!
+//! Each of the four codec calls runs under its own `rpc.wire.encode` or
+//! `rpc.wire.decode` span, so a trace tells codec time from transit.
+//!
 //! This is also the genuinely useful half of the paper's story: the same
 //! `ObjRef` behind a [`MuxTransport`](crate::MuxTransport) is how the
 //! framework implements *distributed* port connections ("CCA over CORBA
@@ -80,7 +83,10 @@ impl Dispatcher for Orb {
         let counters = cca_obs::counters_enabled();
         let started = if counters { Some(Instant::now()) } else { None };
         let request_len = request.len() as u64;
-        let req = decode_request(request)?;
+        let req = {
+            let _span = cca_obs::span("rpc.wire.decode");
+            decode_request(request)?
+        };
         let servant = self.objects.lock().get(&req.object_key).cloned();
         let result = match servant {
             Some(obj) => match obj.invoke(&req.operation, req.args) {
@@ -96,10 +102,13 @@ impl Dispatcher for Orb {
                 format!("no servant registered under '{}'", req.object_key),
             )),
         };
-        let reply = encode_reply(&Reply {
-            request_id: req.request_id,
-            result,
-        })?;
+        let reply = {
+            let _span = cca_obs::span("rpc.wire.encode");
+            encode_reply(&Reply {
+                request_id: req.request_id,
+                result,
+            })?
+        };
         if let Some(started) = started {
             // bytes_in = what arrived at the servant, bytes_out = the reply.
             self.metrics.record_round_trip(
@@ -167,12 +176,15 @@ impl ObjRef {
         let counters = cca_obs::counters_enabled();
         let started = if counters { Some(Instant::now()) } else { None };
         let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let bytes = encode_request(&Request {
-            request_id,
-            object_key: self.key.clone(),
-            operation: operation.to_string(),
-            args,
-        })?;
+        let bytes = {
+            let _span = cca_obs::span("rpc.wire.encode");
+            encode_request(&Request {
+                request_id,
+                object_key: self.key.clone(),
+                operation: operation.to_string(),
+                args,
+            })?
+        };
         let bytes_out = bytes.len() as u64;
         let reply_bytes = self.transport.call(bytes)?;
         let bytes_in = reply_bytes.len() as u64;
@@ -184,7 +196,10 @@ impl ObjRef {
                 started.elapsed().as_nanos() as u64,
             );
         }
-        let reply = decode_reply(reply_bytes)?;
+        let reply = {
+            let _span = cca_obs::span("rpc.wire.decode");
+            decode_reply(reply_bytes)?
+        };
         if reply.request_id != request_id {
             return Err(SidlError::invoke(format!(
                 "reply correlation mismatch: sent {request_id}, got {}",

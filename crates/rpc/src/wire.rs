@@ -6,8 +6,18 @@
 //! compatibility with IIOP but *cost* fidelity: every argument of every
 //! call through the ORB pays serialize + copy + deserialize, which is the
 //! overhead source the paper's §3 names.
+//!
+//! What it does not pay is a walk per element. A primitive array is a
+//! tag, its rank, a `(lower, extent)` pair per dimension and then its
+//! elements as one little-endian slab ([`cca_data::le`]): one bulk pass
+//! each way, into a message buffer sized exactly once
+//! ([`encode_request`], [`encode_reply`]) and out into an exactly-sized
+//! `Vec`. A declared shape is checked against the bytes actually present
+//! before anything is allocated for it, so a hostile header is a typed
+//! error, never an overflow or a giant allocation.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use cca_data::le::{self, LeScalar};
 use cca_data::{Complex32, Complex64, NdArray, Order};
 use cca_sidl::{DynValue, SidlError};
 
@@ -54,88 +64,104 @@ pub struct Reply {
     pub result: Result<DynValue, (String, String)>,
 }
 
-/// Marshals one value.
+/// Marshals one value, appending it to `buf`.
 pub fn encode_value(buf: &mut BytesMut, v: &DynValue) -> Result<(), SidlError> {
-    match v {
-        DynValue::Void => buf.put_u8(tag::VOID),
-        DynValue::Bool(b) => {
-            buf.put_u8(tag::BOOL);
-            buf.put_u8(*b as u8);
-        }
-        DynValue::Char(c) => {
-            buf.put_u8(tag::CHAR);
-            buf.put_u32_le(*c as u32);
-        }
-        DynValue::Int(x) => {
-            buf.put_u8(tag::INT);
-            buf.put_i32_le(*x);
-        }
-        DynValue::Long(x) => {
-            buf.put_u8(tag::LONG);
-            buf.put_i64_le(*x);
-        }
-        DynValue::Float(x) => {
-            buf.put_u8(tag::FLOAT);
-            buf.put_f32_le(*x);
-        }
-        DynValue::Double(x) => {
-            buf.put_u8(tag::DOUBLE);
-            buf.put_f64_le(*x);
-        }
-        DynValue::Fcomplex(z) => {
-            buf.put_u8(tag::FCOMPLEX);
-            buf.put_f32_le(z.re);
-            buf.put_f32_le(z.im);
-        }
-        DynValue::Dcomplex(z) => {
-            buf.put_u8(tag::DCOMPLEX);
-            buf.put_f64_le(z.re);
-            buf.put_f64_le(z.im);
-        }
-        DynValue::Str(s) => {
-            buf.put_u8(tag::STR);
-            put_str(buf, s);
-        }
-        DynValue::Opaque(x) => {
-            buf.put_u8(tag::OPAQUE);
-            buf.put_u64_le(*x);
-        }
-        DynValue::DoubleArray(a) => {
-            buf.put_u8(tag::DOUBLE_ARRAY);
-            put_array_header(buf, a.lower(), a.extents());
-            for x in a.as_slice() {
-                buf.put_f64_le(*x);
-            }
-        }
-        DynValue::LongArray(a) => {
-            buf.put_u8(tag::LONG_ARRAY);
-            put_array_header(buf, a.lower(), a.extents());
-            for x in a.as_slice() {
-                buf.put_i64_le(*x);
-            }
-        }
-        DynValue::DcomplexArray(a) => {
-            buf.put_u8(tag::DCOMPLEX_ARRAY);
-            put_array_header(buf, a.lower(), a.extents());
-            for z in a.as_slice() {
-                buf.put_f64_le(z.re);
-                buf.put_f64_le(z.im);
-            }
-        }
-        DynValue::Enum(ty, value) => {
-            buf.put_u8(tag::ENUM);
-            put_str(buf, ty);
-            buf.put_i64_le(*value);
-        }
-        DynValue::Object(_) => {
-            return Err(SidlError::invoke(
-                "object references cannot be marshaled by value; register the object \
-                 with the ORB and pass its key"
-                    .to_string(),
-            ));
-        }
+    refuse_objects(std::slice::from_ref(v))?;
+    let at = buf.len();
+    buf.put_bytes(0, encoded_len(v));
+    let mut w = Writer {
+        out: &mut buf[at..],
+        at: 0,
+    };
+    write_value(&mut w, v);
+    Ok(())
+}
+
+/// Object references travel as registration keys, never by value.
+fn refuse_objects(values: &[DynValue]) -> Result<(), SidlError> {
+    if values.iter().any(|v| matches!(v, DynValue::Object(_))) {
+        return Err(SidlError::invoke(
+            "object references cannot be marshaled by value; register the object \
+             with the ORB and pass its key"
+                .to_string(),
+        ));
     }
     Ok(())
+}
+
+/// Bytes [`encode_value`] appends for `v`.
+fn encoded_len(v: &DynValue) -> usize {
+    1 + match v {
+        DynValue::Void | DynValue::Object(_) => 0,
+        DynValue::Bool(_) => 1,
+        DynValue::Char(_) | DynValue::Int(_) | DynValue::Float(_) => 4,
+        DynValue::Long(_) | DynValue::Double(_) | DynValue::Opaque(_) => 8,
+        DynValue::Fcomplex(_) => 8,
+        DynValue::Dcomplex(_) => 16,
+        DynValue::Str(s) => 4 + s.len(),
+        DynValue::Enum(ty, _) => 4 + ty.len() + 8,
+        DynValue::DoubleArray(a) => array_len(a),
+        DynValue::LongArray(a) => array_len(a),
+        DynValue::DcomplexArray(a) => array_len(a),
+    }
+}
+
+/// Writes a value whose bytes [`encoded_len`] reserved (objects refused).
+fn write_value(w: &mut Writer<'_>, v: &DynValue) {
+    match v {
+        DynValue::Void => w.u8(tag::VOID),
+        DynValue::Object(_) => unreachable!("refuse_objects runs before any value is written"),
+        DynValue::Bool(b) => {
+            w.u8(tag::BOOL);
+            w.u8(*b as u8);
+        }
+        DynValue::Char(c) => {
+            w.u8(tag::CHAR);
+            w.put(&(*c as u32).to_le_bytes());
+        }
+        DynValue::Int(x) => {
+            w.u8(tag::INT);
+            w.put(&x.to_le_bytes());
+        }
+        DynValue::Long(x) => {
+            w.u8(tag::LONG);
+            w.put(&x.to_le_bytes());
+        }
+        DynValue::Float(x) => {
+            w.u8(tag::FLOAT);
+            w.put(&x.to_le_bytes());
+        }
+        DynValue::Double(x) => {
+            w.u8(tag::DOUBLE);
+            w.put(&x.to_le_bytes());
+        }
+        DynValue::Fcomplex(z) => {
+            w.u8(tag::FCOMPLEX);
+            w.put(&z.re.to_le_bytes());
+            w.put(&z.im.to_le_bytes());
+        }
+        DynValue::Dcomplex(z) => {
+            w.u8(tag::DCOMPLEX);
+            w.put(&z.re.to_le_bytes());
+            w.put(&z.im.to_le_bytes());
+        }
+        DynValue::Str(s) => {
+            w.u8(tag::STR);
+            w.str(s);
+        }
+        DynValue::Opaque(x) => {
+            w.u8(tag::OPAQUE);
+            w.put(&x.to_le_bytes());
+        }
+        DynValue::DoubleArray(a) => w.array(tag::DOUBLE_ARRAY, a),
+        DynValue::LongArray(a) => w.array(tag::LONG_ARRAY, a),
+        DynValue::DcomplexArray(a) => w.array(tag::DCOMPLEX_ARRAY, a),
+        DynValue::Enum(ty, value) => {
+            w.u8(tag::ENUM);
+            w.str(ty);
+            w.put(&value.to_le_bytes());
+        }
+    }
 }
 
 /// Unmarshals one value.
@@ -162,33 +188,9 @@ pub fn decode_value(buf: &mut Bytes) -> Result<DynValue, SidlError> {
         )),
         tag::STR => DynValue::Str(get_str(buf)?),
         tag::OPAQUE => DynValue::Opaque(get_u64(buf)?),
-        tag::DOUBLE_ARRAY => {
-            let (lower, extents, n) = get_array_header(buf)?;
-            let mut data = Vec::with_capacity(n);
-            for _ in 0..n {
-                data.push(f64::from_bits(get_u64(buf)?));
-            }
-            DynValue::DoubleArray(make_array(&lower, &extents, data)?)
-        }
-        tag::LONG_ARRAY => {
-            let (lower, extents, n) = get_array_header(buf)?;
-            let mut data = Vec::with_capacity(n);
-            for _ in 0..n {
-                data.push(get_i64(buf)?);
-            }
-            DynValue::LongArray(make_array(&lower, &extents, data)?)
-        }
-        tag::DCOMPLEX_ARRAY => {
-            let (lower, extents, n) = get_array_header(buf)?;
-            let mut data = Vec::with_capacity(n);
-            for _ in 0..n {
-                data.push(Complex64::new(
-                    f64::from_bits(get_u64(buf)?),
-                    f64::from_bits(get_u64(buf)?),
-                ));
-            }
-            DynValue::DcomplexArray(make_array(&lower, &extents, data)?)
-        }
+        tag::DOUBLE_ARRAY => DynValue::DoubleArray(get_array(buf)?),
+        tag::LONG_ARRAY => DynValue::LongArray(get_array(buf)?),
+        tag::DCOMPLEX_ARRAY => DynValue::DcomplexArray(get_array(buf)?),
         tag::ENUM => {
             let ty = get_str(buf)?;
             DynValue::Enum(ty, get_i64(buf)?)
@@ -197,17 +199,26 @@ pub fn decode_value(buf: &mut Bytes) -> Result<DynValue, SidlError> {
     })
 }
 
-/// Marshals a request message.
+/// Marshals a request message into a buffer allocated once, at its final
+/// size.
 pub fn encode_request(req: &Request) -> Result<Bytes, SidlError> {
-    let mut buf = BytesMut::with_capacity(64);
-    buf.put_u64_le(req.request_id);
-    put_str(&mut buf, &req.object_key);
-    put_str(&mut buf, &req.operation);
-    buf.put_u32_le(req.args.len() as u32);
-    for a in &req.args {
-        encode_value(&mut buf, a)?;
-    }
-    Ok(buf.freeze())
+    refuse_objects(&req.args)?;
+    let len = 8
+        + 4
+        + req.object_key.len()
+        + 4
+        + req.operation.len()
+        + 4
+        + req.args.iter().map(encoded_len).sum::<usize>();
+    Ok(encode_message(len, |w| {
+        w.put(&req.request_id.to_le_bytes());
+        w.str(&req.object_key);
+        w.str(&req.operation);
+        w.put(&(req.args.len() as u32).to_le_bytes());
+        for a in &req.args {
+            write_value(w, a);
+        }
+    }))
 }
 
 /// Unmarshals a request message.
@@ -216,6 +227,11 @@ pub fn decode_request(mut bytes: Bytes) -> Result<Request, SidlError> {
     let object_key = get_str(&mut bytes)?;
     let operation = get_str(&mut bytes)?;
     let n = get_u32(&mut bytes)? as usize;
+    // Every value is at least its tag byte: a count the bytes cannot hold
+    // is refused before the argument list is sized by it.
+    if n > bytes.remaining() {
+        return Err(bad("truncated argument list"));
+    }
     let mut args = Vec::with_capacity(n);
     for _ in 0..n {
         args.push(decode_value(&mut bytes)?);
@@ -228,22 +244,46 @@ pub fn decode_request(mut bytes: Bytes) -> Result<Request, SidlError> {
     })
 }
 
-/// Marshals a reply message.
+/// Marshals a reply message into a buffer allocated once, at its final
+/// size.
 pub fn encode_reply(reply: &Reply) -> Result<Bytes, SidlError> {
-    let mut buf = BytesMut::with_capacity(32);
-    buf.put_u64_le(reply.request_id);
-    match &reply.result {
-        Ok(v) => {
-            buf.put_u8(0);
-            encode_value(&mut buf, v)?;
+    let len = 8
+        + 1
+        + match &reply.result {
+            Ok(v) => {
+                refuse_objects(std::slice::from_ref(v))?;
+                encoded_len(v)
+            }
+            Err((ty, msg)) => 4 + ty.len() + 4 + msg.len(),
+        };
+    Ok(encode_message(len, |w| {
+        w.put(&reply.request_id.to_le_bytes());
+        match &reply.result {
+            Ok(v) => {
+                w.u8(0);
+                write_value(w, v);
+            }
+            Err((ty, msg)) => {
+                w.u8(1);
+                w.str(ty);
+                w.str(msg);
+            }
         }
-        Err((ty, msg)) => {
-            buf.put_u8(1);
-            put_str(&mut buf, ty);
-            put_str(&mut buf, msg);
-        }
-    }
-    Ok(buf.freeze())
+    }))
+}
+
+/// One allocation of exactly `len` bytes, written front to back by
+/// `write` through a single borrow of the buffer.
+fn encode_message(len: usize, write: impl FnOnce(&mut Writer<'_>)) -> Bytes {
+    let mut buf = BytesMut::with_capacity(len);
+    buf.put_bytes(0, len);
+    let mut w = Writer {
+        out: &mut buf,
+        at: 0,
+    };
+    write(&mut w);
+    debug_assert_eq!(w.at, len, "encoded_len disagrees with write_value");
+    buf.freeze()
 }
 
 /// Unmarshals a reply message.
@@ -264,11 +304,6 @@ fn bad(msg: &str) -> SidlError {
     SidlError::invoke(format!("wire format error: {msg}"))
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
 fn get_str(buf: &mut Bytes) -> Result<String, SidlError> {
     let n = get_u32(buf)? as usize;
     if buf.remaining() < n {
@@ -278,38 +313,72 @@ fn get_str(buf: &mut Bytes) -> Result<String, SidlError> {
     String::from_utf8(raw.to_vec()).map_err(|_| bad("invalid utf-8"))
 }
 
-fn put_array_header(buf: &mut BytesMut, lower: &[isize], extents: &[usize]) {
-    buf.put_u8(extents.len() as u8);
-    for (&l, &e) in lower.iter().zip(extents) {
-        buf.put_i64_le(l as i64);
-        buf.put_u64_le(e as u64);
+/// Rank byte, a `(lower, extent)` pair per dimension, then the slab.
+fn array_len<T: LeScalar>(a: &NdArray<T>) -> usize {
+    1 + 16 * a.extents().len() + a.as_slice().len() * T::SIZE
+}
+
+/// A cursor over a buffer already sized for what it will hold.
+struct Writer<'a> {
+    out: &'a mut [u8],
+    at: usize,
+}
+
+impl Writer<'_> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.out[self.at..self.at + bytes.len()].copy_from_slice(bytes);
+        self.at += bytes.len();
+    }
+
+    fn u8(&mut self, v: u8) {
+        self.put(&[v]);
+    }
+
+    fn str(&mut self, s: &str) {
+        self.put(&(s.len() as u32).to_le_bytes());
+        self.put(s.as_bytes());
+    }
+
+    /// The array's header, then its elements as one slab.
+    fn array<T: LeScalar>(&mut self, tag: u8, a: &NdArray<T>) {
+        self.u8(tag);
+        self.u8(a.extents().len() as u8);
+        for (&l, &e) in a.lower().iter().zip(a.extents()) {
+            self.put(&(l as i64).to_le_bytes());
+            self.put(&(e as u64).to_le_bytes());
+        }
+        let data = a.as_slice();
+        let end = self.at + data.len() * T::SIZE;
+        le::write_slice(data, &mut self.out[self.at..end]);
+        self.at = end;
     }
 }
 
-#[allow(clippy::type_complexity)]
-fn get_array_header(buf: &mut Bytes) -> Result<(Vec<isize>, Vec<usize>, usize), SidlError> {
+/// Reads an array header and its slab. The element count is checked for
+/// overflow, and its bytes against what remains, before the element
+/// buffer is allocated.
+fn get_array<T: LeScalar>(buf: &mut Bytes) -> Result<NdArray<T>, SidlError> {
     let rank = get_u8(buf)? as usize;
     if rank == 0 || rank > 7 {
         return Err(bad(&format!("invalid array rank {rank}")));
     }
-    let mut lower = Vec::with_capacity(rank);
-    let mut extents = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        lower.push(get_i64(buf)? as isize);
-        extents.push(get_u64(buf)? as usize);
+    let mut lower = [0isize; 7];
+    let mut extents = [0usize; 7];
+    for d in 0..rank {
+        lower[d] = get_i64(buf)? as isize;
+        extents[d] = get_u64(buf)? as usize;
     }
-    let n: usize = extents.iter().product();
-    if n > (1 << 30) {
-        return Err(bad("array too large"));
+    let (lower, extents) = (&lower[..rank], &extents[..rank]);
+    let bytes = extents
+        .iter()
+        .try_fold(1usize, |n, &e| n.checked_mul(e))
+        .and_then(le::byte_len::<T>)
+        .ok_or_else(|| bad("array size overflows"))?;
+    if bytes > buf.remaining() {
+        return Err(bad("truncated array"));
     }
-    Ok((lower, extents, n))
-}
-
-fn make_array<T: Clone>(
-    lower: &[isize],
-    extents: &[usize],
-    data: Vec<T>,
-) -> Result<NdArray<T>, SidlError> {
+    let data = le::read_vec(&buf.chunk()[..bytes]);
+    buf.advance(bytes);
     NdArray::with_lower(lower, extents, data, Order::ColumnMajor)
         .map_err(|e| bad(&format!("array reconstruction failed: {e}")))
 }
@@ -481,6 +550,169 @@ mod tests {
         }
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// A request and a reply carrying every array kind: a rank-2 `double`
+    /// array with nonzero lower bounds, a `dcomplex` and a `long` array.
+    fn pinned_messages() -> (Request, Reply) {
+        let doubles = NdArray::with_lower(
+            &[-1, 2],
+            &[2, 3],
+            vec![1.5, -2.0, 0.25, 1e300, -0.0, f64::MIN_POSITIVE],
+            Order::ColumnMajor,
+        )
+        .unwrap();
+        let complexes = NdArray::with_lower(
+            &[3],
+            &[2],
+            vec![Complex64::new(1.0, -1.0), Complex64::new(0.5, 2.0)],
+            Order::ColumnMajor,
+        )
+        .unwrap();
+        let longs = NdArray::from_vec(&[3], vec![-1i64, 0, i64::MAX]).unwrap();
+        let request = Request {
+            request_id: 0x0102_0304_0506_0708,
+            object_key: "k/x".into(),
+            operation: "solve".into(),
+            args: vec![
+                DynValue::DoubleArray(doubles.clone()),
+                DynValue::DcomplexArray(complexes),
+                DynValue::LongArray(longs),
+            ],
+        };
+        let reply = Reply {
+            request_id: 9,
+            result: Ok(DynValue::DoubleArray(doubles)),
+        };
+        (request, reply)
+    }
+
+    /// The bytes the per-element codec produced, captured before arrays
+    /// became slabs: the slab passes must reproduce them exactly.
+    #[test]
+    fn wire_format_is_pinned() {
+        let (request, reply) = pinned_messages();
+        assert_eq!(
+            hex(&encode_request(&request).unwrap()),
+            concat!(
+                "0807060504030201", // request id
+                "03000000",
+                "6b2f78", // object key "k/x"
+                "05000000",
+                "736f6c7665", // operation "solve"
+                "03000000",   // three arguments
+                "0b02",       // double array, rank 2
+                "ffffffffffffffff",
+                "0200000000000000", // lower -1, extent 2
+                "0200000000000000",
+                "0300000000000000", // lower 2, extent 3
+                "000000000000f83f",
+                "00000000000000c0",
+                "000000000000d03f",
+                "9c7500883ce4377e",
+                "0000000000000080",
+                "0000000000001000",
+                "0d01", // dcomplex array, rank 1
+                "0300000000000000",
+                "0200000000000000", // lower 3, extent 2
+                "000000000000f03f",
+                "000000000000f0bf", // 1 - 1i
+                "000000000000e03f",
+                "0000000000000040", // 0.5 + 2i
+                "0c01",             // long array, rank 1
+                "0000000000000000",
+                "0300000000000000", // lower 0, extent 3
+                "ffffffffffffffff",
+                "0000000000000000",
+                "ffffffffffffff7f",
+            )
+        );
+        assert_eq!(
+            hex(&encode_reply(&reply).unwrap()),
+            concat!(
+                "0900000000000000", // request id
+                "00",               // ok
+                "0b02",
+                "ffffffffffffffff",
+                "0200000000000000",
+                "0200000000000000",
+                "0300000000000000",
+                "000000000000f83f",
+                "00000000000000c0",
+                "000000000000d03f",
+                "9c7500883ce4377e",
+                "0000000000000080",
+                "0000000000001000",
+            )
+        );
+        // And back: the decoded messages re-encode to the same bytes.
+        let again = decode_request(encode_request(&request).unwrap()).unwrap();
+        assert_eq!(
+            encode_request(&again).unwrap(),
+            encode_request(&request).unwrap()
+        );
+        let again = decode_reply(encode_reply(&reply).unwrap()).unwrap();
+        assert_eq!(encode_reply(&again).unwrap(), encode_reply(&reply).unwrap());
+    }
+
+    fn put_str(buf: &mut BytesMut, s: &str) {
+        buf.put_u32_le(s.len() as u32);
+        buf.put_slice(s.as_bytes());
+    }
+
+    /// A value header declaring an array: tag, rank, `(lower, extent)`s.
+    fn array_header(tag: u8, extents: &[u64]) -> BytesMut {
+        let mut buf = BytesMut::new();
+        buf.put_u8(tag);
+        buf.put_u8(extents.len() as u8);
+        for &e in extents {
+            buf.put_i64_le(0);
+            buf.put_u64_le(e);
+        }
+        buf
+    }
+
+    #[test]
+    fn overflowing_array_shapes_are_typed_errors() {
+        for tag in [tag::DOUBLE_ARRAY, tag::LONG_ARRAY, tag::DCOMPLEX_ARRAY] {
+            // 2^33 · 2^33 elements wraps a 64-bit product.
+            let buf = array_header(tag, &[1 << 33, 1 << 33]);
+            let err = decode_value(&mut buf.freeze()).unwrap_err();
+            assert!(err.to_string().contains("overflows"), "{err}");
+            // 2^61 elements fit a usize; their bytes do not.
+            let buf = array_header(tag, &[1 << 61]);
+            assert!(decode_value(&mut buf.freeze()).is_err());
+        }
+    }
+
+    #[test]
+    fn declared_elements_must_be_present() {
+        // 2^30 dcomplexes (16 GiB) declared by a 40-byte request.
+        let mut buf = BytesMut::new();
+        buf.put_u64_le(1);
+        put_str(&mut buf, "k");
+        put_str(&mut buf, "o");
+        buf.put_u32_le(1);
+        buf.put_slice(&array_header(tag::DCOMPLEX_ARRAY, &[1 << 30]));
+        assert_eq!(buf.len(), 40);
+        let err = decode_request(buf.freeze()).unwrap_err();
+        assert!(err.to_string().contains("truncated array"), "{err}");
+        // One element short is just as truncated.
+        let mut buf = array_header(tag::DOUBLE_ARRAY, &[3]);
+        buf.put_f64_le(1.0);
+        buf.put_f64_le(2.0);
+        assert!(decode_value(&mut buf.freeze()).is_err());
+        // And an argument count the bytes cannot hold is refused up front.
+        let mut buf = BytesMut::new();
+        buf.put_u64_le(1);
+        put_str(&mut buf, "k");
+        put_str(&mut buf, "op");
+        buf.put_u32_le(u32::MAX);
+        assert!(decode_request(buf.freeze()).is_err());
+    }
+
     #[test]
     fn garbage_tags_rejected() {
         let mut buf = BytesMut::new();
@@ -519,11 +751,25 @@ mod proptests {
             })
             .prop_flat_map(|(lower, extents)| {
                 let n: usize = extents.iter().product();
-                proptest::collection::vec(any::<f64>(), n).prop_map(move |data| {
-                    DynValue::DoubleArray(
-                        NdArray::with_lower(&lower, &extents, data, Order::ColumnMajor).unwrap(),
-                    )
-                })
+                // One of the three slab kinds, from the same random bits.
+                (0u8..3, proptest::collection::vec(any::<f64>(), n)).prop_map(
+                    move |(kind, data)| {
+                        fn shaped<T: Clone>(l: &[isize], e: &[usize], data: Vec<T>) -> NdArray<T> {
+                            NdArray::with_lower(l, e, data, Order::ColumnMajor).unwrap()
+                        }
+                        match kind {
+                            0 => DynValue::DoubleArray(shaped(&lower, &extents, data)),
+                            1 => {
+                                let longs = data.iter().map(|x| x.to_bits() as i64).collect();
+                                DynValue::LongArray(shaped(&lower, &extents, longs))
+                            }
+                            _ => {
+                                let zs = data.iter().map(|&x| Complex64::new(x, -x)).collect();
+                                DynValue::DcomplexArray(shaped(&lower, &extents, zs))
+                            }
+                        }
+                    },
+                )
             })
     }
 
