@@ -29,7 +29,8 @@
 //!   exactly once (the message buffer, sized up front), a full
 //!   encode/decode round trip allocates alike at 16 and 8192 elements, and
 //!   a hostile array header is refused before a byte is allocated for the
-//!   elements it declares.
+//!   elements it declares — in both value codecs and in the fleet hub's
+//!   op codec.
 //!
 //! The tally is per thread, so what a sibling test or a server thread
 //! allocates meanwhile cannot leak into a measured region. The `cca-obs`
@@ -468,9 +469,9 @@ fn codec_round_trip_allocations_do_not_grow_with_the_array() {
     );
 }
 
-/// A hostile array header costs its decoder no more than the error: the
-/// declared element bytes are checked against the payload before the
-/// element buffer is allocated.
+/// A hostile length costs its decoder no more than the error: the
+/// declared element or payload bytes are checked against the message
+/// before anything is allocated for them.
 #[test]
 fn hostile_array_headers_allocate_nothing_for_their_elements() {
     // An `rpc` request of 40 bytes declaring 2^30 dcomplexes (16 GiB).
@@ -504,6 +505,31 @@ fn hostile_array_headers_allocate_nothing_for_their_elements() {
     assert!(
         refused.is_err(),
         "a 2^32-element count in 5 bytes must be refused"
+    );
+    assert!(spent < 1024, "refusing it allocated {spent} bytes");
+
+    // A fleet hub `send` op of 33 bytes whose payload declares 2^32 - 1
+    // bytes.
+    let hub = cca_framework::FleetHub::new(2);
+    let mut raw = vec![1u8]; // send
+    raw.extend_from_slice(&0u32.to_le_bytes()); // rank
+    raw.extend_from_slice(&0u64.to_le_bytes()); // generation
+    raw.extend_from_slice(&1u32.to_le_bytes()); // destination
+    raw.extend_from_slice(&0u32.to_le_bytes()); // context
+    raw.extend_from_slice(&0u64.to_le_bytes()); // tag
+    raw.extend_from_slice(&u32::MAX.to_le_bytes()); // payload length
+    assert_eq!(raw.len(), 33);
+    let request = bytes::Bytes::from(raw);
+    let before = alloc_bytes();
+    let refused = hub.dispatch(request);
+    let spent = alloc_bytes() - before;
+    assert!(
+        matches!(
+            refused,
+            Err(SidlError::UserException { ref exception_type, .. })
+                if exception_type == "cca.fleet.BadOp"
+        ),
+        "a 2^32-byte payload in 33 bytes must be a typed refusal: {refused:?}"
     );
     assert!(spent < 1024, "refusing it allocated {spent} bytes");
 }

@@ -41,7 +41,7 @@
 //! loopback round trips (E15 gates the resulting speedup).
 
 use bytes::Bytes;
-use cca_data::{CompiledPlan, CompiledTransfer, WireLayout};
+use cca_data::{le, CompiledPlan, CompiledTransfer, WireLayout};
 use cca_obs::span;
 use cca_obs::BulkMetrics;
 use cca_rpc::{
@@ -117,32 +117,9 @@ impl<T: BulkElem> BulkRedistSender<T> {
     /// the last acked chunk of the interrupted transfer.
     pub fn send(&mut self, channel: &dyn Transport, data: &[T]) -> Result<(), SidlError> {
         let _s = span("bulk.send");
-        let expected = self.compiled.src_count(self.src_rank);
-        if data.len() != expected {
-            return Err(SidlError::user(
-                BULK_EXCEPTION_TYPE,
-                format!(
-                    "source rank {} buffer has {} elements, plan says {expected}",
-                    self.src_rank,
-                    data.len()
-                ),
-            ));
-        }
-        for local in 0..self.transfer_ids.len() {
-            let t = self.transfer_ids[local] as usize;
-            let total = self.layout.transfer_bytes(t);
-            let resume_from = self.acked[local];
-            if resume_from >= total {
-                continue; // already fully acked
-            }
-            if resume_from > 0 {
-                let remaining = self.layout.chunk_count(t)
-                    - (resume_from / self.layout.chunk_bytes() as u64) as usize;
-                self.metrics.record_resume(remaining as u64);
-            }
-            self.stream_transfer(channel, data, local, t, total, resume_from)?;
-        }
-        Ok(())
+        self.each_unacked(data, |me, local, t, total, from| {
+            me.stream_transfer(channel, data, local, t, total, from)
+        })
     }
 
     /// Streams like [`send`](Self::send) but keeps up to `window` slabs in
@@ -166,6 +143,20 @@ impl<T: BulkElem> BulkRedistSender<T> {
         window: usize,
     ) -> Result<(), SidlError> {
         let _s = span("bulk.send_pipelined");
+        let window = window.max(1);
+        self.each_unacked(data, |me, local, t, total, from| {
+            me.stream_transfer_windowed(channel, data, local, t, total, from, window)
+        })
+    }
+
+    /// Checks `data` against the plan, then runs `stream(self, local, t,
+    /// total, resume_from)` for every transfer this rank owes that is not
+    /// yet fully acked, in plan order, stopping at the first error.
+    fn each_unacked(
+        &mut self,
+        data: &[T],
+        mut stream: impl FnMut(&mut Self, usize, usize, u64, u64) -> Result<(), SidlError>,
+    ) -> Result<(), SidlError> {
         let expected = self.compiled.src_count(self.src_rank);
         if data.len() != expected {
             return Err(SidlError::user(
@@ -177,7 +168,6 @@ impl<T: BulkElem> BulkRedistSender<T> {
                 ),
             ));
         }
-        let window = window.max(1);
         for local in 0..self.transfer_ids.len() {
             let t = self.transfer_ids[local] as usize;
             let total = self.layout.transfer_bytes(t);
@@ -190,7 +180,7 @@ impl<T: BulkElem> BulkRedistSender<T> {
                     - (resume_from / self.layout.chunk_bytes() as u64) as usize;
                 self.metrics.record_resume(remaining as u64);
             }
-            self.stream_transfer_windowed(channel, data, local, t, total, resume_from, window)?;
+            stream(self, local, t, total, resume_from)?;
         }
         Ok(())
     }
@@ -269,33 +259,14 @@ impl<T: BulkElem> BulkRedistSender<T> {
                 }
             };
             self.metrics.record_chunk_sent(len as u64, sample);
-            let ack = match BulkAck::decode(reply.as_slice()) {
-                Ok(a) => a,
+            match self.check_ack(&reply, t) {
+                Ok(through) => wm = wm.max(through),
                 Err(e) => {
-                    outcome = Err(e.into());
+                    outcome = Err(e);
                     in_flight.clear();
                     break;
                 }
-            };
-            if ack.generation != self.generation {
-                outcome = Err(BulkError::GenerationMismatch {
-                    got: ack.generation,
-                    want: self.generation,
-                }
-                .into());
-                in_flight.clear();
-                break;
             }
-            if ack.transfer as usize != t {
-                outcome = Err(BulkError::BadTransfer {
-                    got: ack.transfer,
-                    count: self.layout.transfer_count(),
-                }
-                .into());
-                in_flight.clear();
-                break;
-            }
-            wm = wm.max(ack.acked_through);
         }
         self.acked[local] = wm;
         outcome
@@ -342,33 +313,37 @@ impl<T: BulkElem> BulkRedistSender<T> {
                 }
             };
             self.metrics.record_chunk_sent(len as u64, buffer_bytes);
-            let ack = match BulkAck::decode(reply.as_slice()) {
-                Ok(a) => a,
+            match self.check_ack(&reply, t) {
+                Ok(through) => wm = wm.max(through),
                 Err(e) => {
-                    outcome = Err(e.into());
+                    outcome = Err(e);
                     break;
                 }
-            };
-            if ack.generation != self.generation {
-                outcome = Err(BulkError::GenerationMismatch {
-                    got: ack.generation,
-                    want: self.generation,
-                }
-                .into());
-                break;
             }
-            if ack.transfer as usize != t {
-                outcome = Err(BulkError::BadTransfer {
-                    got: ack.transfer,
-                    count: self.layout.transfer_count(),
-                }
-                .into());
-                break;
-            }
-            wm = wm.max(ack.acked_through);
         }
         self.acked[local] = wm;
         outcome
+    }
+
+    /// The watermark an ack for transfer `t` carries; an ack that does not
+    /// parse, or names another generation or transfer, is a typed error.
+    fn check_ack(&self, reply: &[u8], t: usize) -> Result<u64, SidlError> {
+        let ack = BulkAck::decode(reply)?;
+        if ack.generation != self.generation {
+            return Err(BulkError::GenerationMismatch {
+                got: ack.generation,
+                want: self.generation,
+            }
+            .into());
+        }
+        if ack.transfer as usize != t {
+            return Err(BulkError::BadTransfer {
+                got: ack.transfer,
+                count: self.layout.transfer_count(),
+            }
+            .into());
+        }
+        Ok(ack.acked_through)
     }
 
     /// True once every transfer this rank owes is fully acked.
@@ -417,11 +392,9 @@ impl<T: BulkElem> BulkRedistSender<T> {
 fn gather_le<T: BulkElem>(transfer: &CompiledTransfer, data: &[T], offset: u64, body: &mut [u8]) {
     let mut at = 0;
     for (src, _, len) in transfer.runs(offset as usize / T::SIZE, body.len() / T::SIZE) {
-        let cells = body[at * T::SIZE..(at + len) * T::SIZE].chunks_exact_mut(T::SIZE);
-        for (x, cell) in data[src..src + len].iter().zip(cells) {
-            x.write_le(cell);
-        }
-        at += len;
+        let end = at + len * T::SIZE;
+        le::write_slice(&data[src..src + len], &mut body[at..end]);
+        at = end;
     }
 }
 
@@ -575,11 +548,9 @@ impl<T: BulkElem> BulkSink for BulkLandingZone<T> {
             let dst_local = &mut st.dst[transfer.dst_rank];
             let (raw, mut at) = (body.as_slice(), 0);
             for (_, dst, len) in transfer.runs(first, count) {
-                let cells = raw[at * T::SIZE..(at + len) * T::SIZE].chunks_exact(T::SIZE);
-                for (slot, cell) in dst_local[dst..dst + len].iter_mut().zip(cells) {
-                    *slot = T::read_le(cell);
-                }
-                at += len;
+                let end = at + len * T::SIZE;
+                le::read_into(&raw[at..end], &mut dst_local[dst..dst + len]);
+                at = end;
             }
             // A slab that is exactly one layout chunk marks its flag;
             // anything else (hand-built slabs at odd offsets) can only

@@ -42,6 +42,7 @@ use cca_core::resilience::{
     BackoffSchedule, BreakerPolicy, BreakerState, CircuitBreaker, Clock, RetryPolicy, SplitMix64,
 };
 use cca_core::ConfigEvent;
+use cca_data::le::{self, Reader};
 use cca_parallel::{Comm, ParallelError, WireLink, WireMsg};
 use cca_rpc::transport::Dispatcher;
 use cca_rpc::{MuxServer, MuxServerConfig, MuxTransport, SessionSink};
@@ -103,10 +104,16 @@ pub fn rank_backoff_seed(fleet_seed: u64, rank: usize) -> u64 {
 // Wire ops between HubLink (child) and FleetHub (parent)
 // ---------------------------------------------------------------------------
 
-/// Compact fleet op codec. Every request is `[op u8]` + LE fields; every
-/// reply opens `[status u8][generation u64]` so a child learns about a
-/// rollback from *any* op it happens to be in.
+/// Compact fleet op codec, laid out and bounds-checked by `cca_data::le`.
+/// Every request is `[op u8]`, then (all but lookup) `[rank u32][generation
+/// u64]`, then the op's LE fields; every reply opens `[status
+/// u8][generation u64]` so a child learns about a rollback from *any* op
+/// it happens to be in. Labels are `u16`-counted, payloads `u32`-counted.
+/// The hub reads each request whole — trailing bytes included — before it
+/// acts on any of it.
 pub(crate) mod ops {
+    use cca_data::le::{self, Reader, Writer};
+
     pub const OP_SEND: u8 = 1;
     pub const OP_RECV: u8 = 2;
     pub const OP_CHECKPOINT: u8 = 3;
@@ -133,60 +140,31 @@ pub(crate) mod ops {
     /// Incarnation not newer than the last join — a stale process.
     pub const JOIN_STALE_INCARNATION: u8 = 3;
 
-    /// Bounds-checked little-endian cursor.
-    pub struct Cur<'a> {
-        buf: &'a [u8],
-        pos: usize,
+    /// A `u16`-counted UTF-8 label.
+    pub fn label<'a>(r: &mut Reader<'a>) -> Result<&'a str, le::Error> {
+        let n = r.get::<u16>()?;
+        std::str::from_utf8(r.bytes(n.into())?).map_err(|_| le::Error::Utf8)
     }
 
-    impl<'a> Cur<'a> {
-        pub fn new(buf: &'a [u8]) -> Self {
-            Cur { buf, pos: 0 }
-        }
-
-        fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-            let s = self.buf.get(self.pos..self.pos.checked_add(n)?)?;
-            self.pos += n;
-            Some(s)
-        }
-
-        pub fn u8(&mut self) -> Option<u8> {
-            self.take(1).map(|s| s[0])
-        }
-
-        pub fn u16(&mut self) -> Option<u16> {
-            self.take(2)
-                .map(|s| u16::from_le_bytes(s.try_into().unwrap()))
-        }
-
-        pub fn u32(&mut self) -> Option<u32> {
-            self.take(4)
-                .map(|s| u32::from_le_bytes(s.try_into().unwrap()))
-        }
-
-        pub fn u64(&mut self) -> Option<u64> {
-            self.take(8)
-                .map(|s| u64::from_le_bytes(s.try_into().unwrap()))
-        }
-
-        pub fn bytes32(&mut self) -> Option<&'a [u8]> {
-            let len = self.u32()? as usize;
-            self.take(len)
-        }
-
-        pub fn bytes16(&mut self) -> Option<&'a [u8]> {
-            let len = self.u16()? as usize;
-            self.take(len)
-        }
-
-        pub fn done(&self) -> bool {
-            self.pos == self.buf.len()
-        }
+    fn put_label(w: &mut Writer<'_>, label: &str) {
+        w.put(label.len() as u16);
+        w.bytes(label.as_bytes());
     }
 
-    pub fn put_bytes32(out: &mut Vec<u8>, b: &[u8]) {
-        out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-        out.extend_from_slice(b);
+    /// `op`, `rank` and `gen`, then `len` more bytes from `write`.
+    fn req(
+        op: u8,
+        rank: u32,
+        gen: u64,
+        len: usize,
+        write: impl FnOnce(&mut Writer<'_>),
+    ) -> Vec<u8> {
+        le::encode(13 + len, |w| {
+            w.put(op);
+            w.put(rank);
+            w.put(gen);
+            write(w);
+        })
     }
 
     pub fn send_req(
@@ -197,68 +175,83 @@ pub(crate) mod ops {
         tag: u64,
         bytes: &[u8],
     ) -> Vec<u8> {
-        let mut out = Vec::with_capacity(30 + bytes.len());
-        out.push(OP_SEND);
-        out.extend_from_slice(&rank.to_le_bytes());
-        out.extend_from_slice(&gen.to_le_bytes());
-        out.extend_from_slice(&dst.to_le_bytes());
-        out.extend_from_slice(&context.to_le_bytes());
-        out.extend_from_slice(&tag.to_le_bytes());
-        put_bytes32(&mut out, bytes);
-        out
+        req(OP_SEND, rank, gen, 20 + bytes.len(), |w| {
+            w.put(dst);
+            w.put(context);
+            w.put(tag);
+            w.bytes32(bytes);
+        })
     }
 
     pub fn recv_req(rank: u32, gen: u64, wait_ms: u32) -> Vec<u8> {
-        let mut out = Vec::with_capacity(17);
-        out.push(OP_RECV);
-        out.extend_from_slice(&rank.to_le_bytes());
-        out.extend_from_slice(&gen.to_le_bytes());
-        out.extend_from_slice(&wait_ms.to_le_bytes());
-        out
+        req(OP_RECV, rank, gen, 4, |w| w.put(wait_ms))
     }
 
     pub fn checkpoint_req(rank: u32, gen: u64, step: u64, bytes: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(25 + bytes.len());
-        out.push(OP_CHECKPOINT);
-        out.extend_from_slice(&rank.to_le_bytes());
-        out.extend_from_slice(&gen.to_le_bytes());
-        out.extend_from_slice(&step.to_le_bytes());
-        put_bytes32(&mut out, bytes);
-        out
+        req(OP_CHECKPOINT, rank, gen, 12 + bytes.len(), |w| {
+            w.put(step);
+            w.bytes32(bytes);
+        })
     }
 
     pub fn plain_req(op: u8, rank: u32, gen: u64) -> Vec<u8> {
-        let mut out = Vec::with_capacity(13);
-        out.push(op);
-        out.extend_from_slice(&rank.to_le_bytes());
-        out.extend_from_slice(&gen.to_le_bytes());
-        out
+        req(op, rank, gen, 0, |_| {})
     }
 
     pub fn result_req(rank: u32, gen: u64, bytes: &[u8]) -> Vec<u8> {
-        let mut out = plain_req(OP_RESULT, rank, gen);
-        put_bytes32(&mut out, bytes);
-        out
+        req(OP_RESULT, rank, gen, 4 + bytes.len(), |w| w.bytes32(bytes))
     }
 
     pub fn lookup_req(label: &str) -> Vec<u8> {
-        let mut out = Vec::with_capacity(3 + label.len());
-        out.push(OP_LOOKUP);
-        out.extend_from_slice(&(label.len() as u16).to_le_bytes());
-        out.extend_from_slice(label.as_bytes());
-        out
+        le::encode(3 + label.len(), |w| {
+            w.put(OP_LOOKUP);
+            put_label(w, label);
+        })
+    }
+
+    /// Bytes of a reply's status and generation header.
+    pub const REPLY_HEADER_LEN: usize = 9;
+
+    /// The status and generation header, then `len` bytes from `write`.
+    pub fn reply(
+        status: u8,
+        generation: u64,
+        len: usize,
+        write: impl FnOnce(&mut Writer<'_>),
+    ) -> Vec<u8> {
+        le::encode(REPLY_HEADER_LEN + len, |w| {
+            w.put(status);
+            w.put(generation);
+            write(w);
+        })
+    }
+
+    /// A reply's status and generation.
+    pub fn reply_header(reply: &[u8]) -> Result<(u8, u64), le::Error> {
+        let mut r = Reader::new(reply);
+        Ok((r.get()?, r.get()?))
     }
 
     pub fn encode_join_hello(rank: u32, incarnation: u32, labels: &[String]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(10 + labels.iter().map(|l| l.len() + 2).sum::<usize>());
-        out.extend_from_slice(&rank.to_le_bytes());
-        out.extend_from_slice(&incarnation.to_le_bytes());
-        out.extend_from_slice(&(labels.len() as u16).to_le_bytes());
-        for l in labels {
-            out.extend_from_slice(&(l.len() as u16).to_le_bytes());
-            out.extend_from_slice(l.as_bytes());
-        }
-        out
+        let len = 10 + labels.iter().map(|l| 2 + l.len()).sum::<usize>();
+        le::encode(len, |w| {
+            w.put(rank);
+            w.put(incarnation);
+            w.put(labels.len() as u16);
+            for l in labels {
+                put_label(w, l);
+            }
+        })
+    }
+
+    /// `(rank, incarnation, labels)`.
+    pub fn decode_join_hello(hello: &[u8]) -> Result<(u32, u32, Vec<&str>), le::Error> {
+        le::decode(hello, |r| {
+            let (rank, incarnation, n) = (r.get()?, r.get()?, r.get::<u16>()?);
+            // Collected without a capacity: the count is not trusted.
+            let labels = (0..n).map(|_| label(r)).collect::<Result<_, _>>()?;
+            Ok((rank, incarnation, labels))
+        })
     }
 
     pub struct JoinAck {
@@ -271,32 +264,37 @@ pub(crate) mod ops {
     }
 
     pub fn encode_join_ack(ack: &JoinAck) -> Vec<u8> {
-        let mut out = Vec::with_capacity(29);
-        out.push(ack.status);
-        out.extend_from_slice(&ack.generation.to_le_bytes());
-        out.extend_from_slice(&ack.session.to_le_bytes());
-        out.extend_from_slice(&ack.size.to_le_bytes());
-        out.extend_from_slice(&ack.committed_step.to_le_bytes());
-        out
+        le::encode(29, |w| {
+            w.put(ack.status);
+            w.put(ack.generation);
+            w.put(ack.session);
+            w.put(ack.size);
+            w.put(ack.committed_step);
+        })
     }
 
-    pub fn decode_join_ack(buf: &[u8]) -> Option<JoinAck> {
-        let mut c = Cur::new(buf);
-        let ack = JoinAck {
-            status: c.u8()?,
-            generation: c.u64()?,
-            session: c.u64()?,
-            size: c.u32()?,
-            committed_step: c.u64()?,
-        };
-        c.done().then_some(ack)
+    pub fn decode_join_ack(buf: &[u8]) -> Result<JoinAck, le::Error> {
+        le::decode(buf, |r| {
+            Ok(JoinAck {
+                status: r.get()?,
+                generation: r.get()?,
+                session: r.get()?,
+                size: r.get()?,
+                committed_step: r.get()?,
+            })
+        })
     }
 
     pub fn encode_leave(rank: u32, incarnation: u32) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8);
-        out.extend_from_slice(&rank.to_le_bytes());
-        out.extend_from_slice(&incarnation.to_le_bytes());
-        out
+        le::encode(8, |w| {
+            w.put(rank);
+            w.put(incarnation);
+        })
+    }
+
+    /// `(rank, incarnation)`.
+    pub fn decode_leave(goodbye: &[u8]) -> Result<(u32, u32), le::Error> {
+        le::decode(goodbye, |r| Ok((r.get()?, r.get()?)))
     }
 }
 
@@ -461,29 +459,27 @@ impl FleetHub {
     }
 
     fn header(status: u8, generation: u64) -> Vec<u8> {
-        let mut out = Vec::with_capacity(9);
-        out.push(status);
-        out.extend_from_slice(&generation.to_le_bytes());
-        out
+        ops::reply(status, generation, 0, |_| {})
     }
 
-    fn check_rank(&self, rank: u32) -> Result<usize, SidlError> {
-        let rank = rank as usize;
-        if rank >= self.size {
-            return Err(Self::bad("rank out of range"));
+    /// A rank on the wire, checked against the fleet size.
+    fn rank(&self, rank: u32) -> Result<usize, le::Error> {
+        match rank as usize {
+            r if r < self.size => Ok(r),
+            _ => Err(le::Error::Invalid("rank out of range".into())),
         }
-        Ok(rank)
     }
 
-    fn op_send(&self, c: &mut ops::Cur<'_>) -> Result<Vec<u8>, SidlError> {
-        let (rank, gen, dst, context, tag) =
-            (|| Some((c.u32()?, c.u64()?, c.u32()?, c.u32()?, c.u64()?)))()
-                .ok_or_else(|| Self::bad("truncated send"))?;
-        let bytes = c
-            .bytes32()
-            .ok_or_else(|| Self::bad("truncated send payload"))?;
-        let src = self.check_rank(rank)?;
-        let dst = self.check_rank(dst)?;
+    /// The `(rank, generation)` every op but lookup opens with.
+    fn head(&self, r: &mut Reader<'_>) -> Result<(usize, u64), le::Error> {
+        Ok((self.rank(r.get()?)?, r.get()?))
+    }
+
+    fn op_send(&self, mut r: Reader<'_>) -> Result<Vec<u8>, le::Error> {
+        let (src, gen) = self.head(&mut r)?;
+        let dst = self.rank(r.get()?)?;
+        let (context, tag, bytes) = (r.get()?, r.get()?, r.bytes32()?);
+        r.finish()?;
         let mut st = self.state.lock().unwrap();
         if gen != st.generation {
             return Ok(Self::header(ops::ST_STALE, st.generation));
@@ -501,10 +497,10 @@ impl FleetHub {
         Ok(Self::header(ops::ST_OK, gen))
     }
 
-    fn op_recv(&self, c: &mut ops::Cur<'_>) -> Result<Vec<u8>, SidlError> {
-        let (rank, gen, wait_ms) = (|| Some((c.u32()?, c.u64()?, c.u32()?)))()
-            .ok_or_else(|| Self::bad("truncated recv"))?;
-        let rank = self.check_rank(rank)?;
+    fn op_recv(&self, mut r: Reader<'_>) -> Result<Vec<u8>, le::Error> {
+        let (rank, gen) = self.head(&mut r)?;
+        let wait_ms: u32 = r.get()?;
+        r.finish()?;
         let deadline =
             Instant::now() + Duration::from_millis(u64::from(wait_ms)).min(MAX_SERVER_WAIT);
         let mut st = self.state.lock().unwrap();
@@ -513,12 +509,13 @@ impl FleetHub {
                 return Ok(Self::header(ops::ST_STALE, st.generation));
             }
             if let Some(msg) = st.mailboxes[rank].pop_front() {
-                let mut out = Self::header(ops::ST_OK, st.generation);
-                out.extend_from_slice(&msg.src.to_le_bytes());
-                out.extend_from_slice(&msg.context.to_le_bytes());
-                out.extend_from_slice(&msg.tag.to_le_bytes());
-                ops::put_bytes32(&mut out, &msg.bytes);
-                return Ok(out);
+                let len = 20 + msg.bytes.len();
+                return Ok(ops::reply(ops::ST_OK, st.generation, len, |w| {
+                    w.put(msg.src);
+                    w.put(msg.context);
+                    w.put(msg.tag);
+                    w.bytes32(&msg.bytes);
+                }));
             }
             let now = Instant::now();
             if now >= deadline {
@@ -528,13 +525,10 @@ impl FleetHub {
         }
     }
 
-    fn op_checkpoint(&self, c: &mut ops::Cur<'_>) -> Result<Vec<u8>, SidlError> {
-        let (rank, gen, step) = (|| Some((c.u32()?, c.u64()?, c.u64()?)))()
-            .ok_or_else(|| Self::bad("truncated checkpoint"))?;
-        let bytes = c
-            .bytes32()
-            .ok_or_else(|| Self::bad("truncated checkpoint payload"))?;
-        let rank = self.check_rank(rank)?;
+    fn op_checkpoint(&self, mut r: Reader<'_>) -> Result<Vec<u8>, le::Error> {
+        let (rank, gen) = self.head(&mut r)?;
+        let (step, bytes): (u64, _) = (r.get()?, r.bytes32()?);
+        r.finish()?;
         let mut st = self.state.lock().unwrap();
         if gen != st.generation {
             return Ok(Self::header(ops::ST_STALE, st.generation));
@@ -562,29 +556,33 @@ impl FleetHub {
         Ok(Self::header(ops::ST_OK, st.generation))
     }
 
-    fn op_restore(&self, c: &mut ops::Cur<'_>) -> Result<Vec<u8>, SidlError> {
-        let (rank, gen) =
-            (|| Some((c.u32()?, c.u64()?)))().ok_or_else(|| Self::bad("truncated restore"))?;
-        let rank = self.check_rank(rank)?;
+    fn op_restore(&self, mut r: Reader<'_>) -> Result<Vec<u8>, le::Error> {
+        let (rank, gen) = self.head(&mut r)?;
+        r.finish()?;
         let st = self.state.lock().unwrap();
         if gen != st.generation {
             return Ok(Self::header(ops::ST_STALE, st.generation));
         }
         match &st.committed {
             Some((step, blobs)) => {
-                let mut out = Self::header(ops::ST_OK, st.generation);
-                out.extend_from_slice(&step.to_le_bytes());
-                ops::put_bytes32(&mut out, &blobs[rank]);
-                Ok(out)
+                let blob = &blobs[rank];
+                Ok(ops::reply(
+                    ops::ST_OK,
+                    st.generation,
+                    12 + blob.len(),
+                    |w| {
+                        w.put(*step);
+                        w.bytes32(blob);
+                    },
+                ))
             }
             None => Ok(Self::header(ops::ST_EMPTY, st.generation)),
         }
     }
 
-    fn op_resync(&self, c: &mut ops::Cur<'_>) -> Result<Vec<u8>, SidlError> {
-        let (rank, gen) =
-            (|| Some((c.u32()?, c.u64()?)))().ok_or_else(|| Self::bad("truncated resync"))?;
-        let rank = self.check_rank(rank)?;
+    fn op_resync(&self, mut r: Reader<'_>) -> Result<Vec<u8>, le::Error> {
+        let (rank, gen) = self.head(&mut r)?;
+        r.finish()?;
         let mut st = self.state.lock().unwrap();
         if gen != st.generation {
             return Ok(Self::header(ops::ST_STALE, st.generation));
@@ -603,13 +601,10 @@ impl FleetHub {
         Ok(Self::header(status, st.generation))
     }
 
-    fn op_result(&self, c: &mut ops::Cur<'_>) -> Result<Vec<u8>, SidlError> {
-        let (rank, gen) =
-            (|| Some((c.u32()?, c.u64()?)))().ok_or_else(|| Self::bad("truncated result"))?;
-        let bytes = c
-            .bytes32()
-            .ok_or_else(|| Self::bad("truncated result payload"))?;
-        let rank = self.check_rank(rank)?;
+    fn op_result(&self, mut r: Reader<'_>) -> Result<Vec<u8>, le::Error> {
+        let (rank, gen) = self.head(&mut r)?;
+        let bytes = r.bytes32()?;
+        r.finish()?;
         let mut st = self.state.lock().unwrap();
         if gen != st.generation {
             return Ok(Self::header(ops::ST_STALE, st.generation));
@@ -624,18 +619,16 @@ impl FleetHub {
         Ok(Self::header(ops::ST_OK, st.generation))
     }
 
-    fn op_lookup(&self, c: &mut ops::Cur<'_>) -> Result<Vec<u8>, SidlError> {
-        let label = c.bytes16().ok_or_else(|| Self::bad("truncated lookup"))?;
-        let label = std::str::from_utf8(label).map_err(|_| Self::bad("label not utf-8"))?;
+    fn op_lookup(&self, mut r: Reader<'_>) -> Result<Vec<u8>, le::Error> {
+        let label = ops::label(&mut r)?;
+        r.finish()?;
         let resolved = self.resolve_provider(label);
         let st = self.state.lock().unwrap();
         match resolved {
-            Some((rank, inc)) => {
-                let mut out = Self::header(ops::ST_OK, st.generation);
-                out.extend_from_slice(&rank.to_le_bytes());
-                out.extend_from_slice(&inc.to_le_bytes());
-                Ok(out)
-            }
+            Some((rank, inc)) => Ok(ops::reply(ops::ST_OK, st.generation, 8, |w| {
+                w.put(rank);
+                w.put(inc);
+            })),
             None => Ok(Self::header(ops::ST_EMPTY, st.generation)),
         }
     }
@@ -643,39 +636,27 @@ impl FleetHub {
 
 impl Dispatcher for FleetHub {
     fn dispatch(&self, request: Bytes) -> Result<Bytes, SidlError> {
-        let mut c = ops::Cur::new(&request);
-        let op = c.u8().ok_or_else(|| Self::bad("empty fleet op"))?;
-        let reply = match op {
-            ops::OP_SEND => self.op_send(&mut c)?,
-            ops::OP_RECV => self.op_recv(&mut c)?,
-            ops::OP_CHECKPOINT => self.op_checkpoint(&mut c)?,
-            ops::OP_RESTORE => self.op_restore(&mut c)?,
-            ops::OP_RESYNC => self.op_resync(&mut c)?,
-            ops::OP_RESULT => self.op_result(&mut c)?,
-            ops::OP_LOOKUP => self.op_lookup(&mut c)?,
-            other => return Err(Self::bad(&format!("unknown fleet op {other}"))),
-        };
-        Ok(Bytes::from(reply))
+        let mut r = Reader::new(&request);
+        let reply = r.get::<u8>().and_then(|op| match op {
+            ops::OP_SEND => self.op_send(r),
+            ops::OP_RECV => self.op_recv(r),
+            ops::OP_CHECKPOINT => self.op_checkpoint(r),
+            ops::OP_RESTORE => self.op_restore(r),
+            ops::OP_RESYNC => self.op_resync(r),
+            ops::OP_RESULT => self.op_result(r),
+            ops::OP_LOOKUP => self.op_lookup(r),
+            other => Err(le::Error::Invalid(format!("unknown fleet op {other}"))),
+        });
+        reply
+            .map(Bytes::from)
+            .map_err(|e| Self::bad(&format!("bad fleet op: {e}")))
     }
 }
 
 impl SessionSink for FleetHub {
     fn join(&self, session: u64, hello: Bytes) -> Result<Vec<u8>, SidlError> {
-        let mut c = ops::Cur::new(&hello);
-        let rank = c.u32().ok_or_else(|| Self::bad("truncated join"))?;
-        let incarnation = c.u32().ok_or_else(|| Self::bad("truncated join"))?;
-        let nlabels = c.u16().ok_or_else(|| Self::bad("truncated join"))?;
-        let mut labels = Vec::with_capacity(nlabels as usize);
-        for _ in 0..nlabels {
-            let l = c
-                .bytes16()
-                .ok_or_else(|| Self::bad("truncated join label"))?;
-            labels.push(
-                std::str::from_utf8(l)
-                    .map_err(|_| Self::bad("label not utf-8"))?
-                    .to_string(),
-            );
-        }
+        let (rank, incarnation, labels) = ops::decode_join_hello(&hello)
+            .map_err(|e| Self::bad(&format!("malformed join: {e}")))?;
 
         let mut st = self.state.lock().unwrap();
         let refuse = |st: &HubState, status: u8| {
@@ -704,7 +685,7 @@ impl SessionSink for FleetHub {
         slot.joins += 1;
         st.conn_rank.insert(session, rank);
         for label in &labels {
-            st.providers.insert(label.clone(), (rank, incarnation));
+            st.providers.insert(label.to_string(), (rank, incarnation));
         }
         let committed_step = st.committed.as_ref().map_or(u64::MAX, |(s, _)| *s);
         Self::log(
@@ -729,9 +710,8 @@ impl SessionSink for FleetHub {
     }
 
     fn leave(&self, session: u64, goodbye: Bytes) -> Result<Vec<u8>, SidlError> {
-        let mut c = ops::Cur::new(&goodbye);
-        let rank = c.u32().ok_or_else(|| Self::bad("truncated leave"))?;
-        let incarnation = c.u32().ok_or_else(|| Self::bad("truncated leave"))?;
+        let (rank, incarnation) =
+            ops::decode_leave(&goodbye).map_err(|e| Self::bad(&format!("malformed leave: {e}")))?;
         let mut st = self.state.lock().unwrap();
         let matches = st.conn_rank.get(&session) == Some(&rank)
             && (rank as usize) < self.size
@@ -833,6 +813,10 @@ fn rpc_fatal(e: SidlError) -> ParallelError {
     ParallelError::Codec(format!("fleet hub rpc failed: {e}"))
 }
 
+fn bad_reply(e: le::Error) -> ParallelError {
+    ParallelError::Codec(format!("malformed fleet reply: {e}"))
+}
+
 impl HubLink {
     /// Dials `addr`, joins as `rank` with `incarnation`, registering
     /// `labels` in the hub's provider registry. `park_timeout` bounds
@@ -853,8 +837,7 @@ impl HubLink {
             .map_err(rpc_fatal)?
             .wait()
             .map_err(rpc_fatal)?;
-        let ack = ops::decode_join_ack(&ack)
-            .ok_or_else(|| ParallelError::Codec("malformed join ack".into()))?;
+        let ack = ops::decode_join_ack(&ack).map_err(bad_reply)?;
         if ack.status != ops::JOIN_OK {
             return Err(ParallelError::Codec(format!(
                 "fleet join refused with status {} (rank {rank} incarnation {incarnation})",
@@ -933,30 +916,32 @@ impl HubLink {
             .map_err(rpc_fatal)?
             .wait()
             .map_err(rpc_fatal)?;
-        let mut c = ops::Cur::new(&reply);
-        let status = c
-            .u8()
-            .ok_or_else(|| ParallelError::Codec("empty fleet reply".into()))?;
-        let generation = c
-            .u64()
-            .ok_or_else(|| ParallelError::Codec("truncated fleet reply".into()))?;
+        let (status, generation) = ops::reply_header(&reply).map_err(bad_reply)?;
         self.gen.store(generation, Ordering::Release);
         if status == ops::ST_STALE {
             self.interrupted.store(true, Ordering::Release);
         }
-        Ok((status, generation, reply.slice(9..)))
+        Ok((status, generation, reply.slice(ops::REPLY_HEADER_LEN..)))
+    }
+
+    /// One round trip whose whole answer is its status: anything but
+    /// `ST_OK` means the generation moved under the caller.
+    fn call_ok(&self, req: Vec<u8>) -> Result<(), ParallelError> {
+        match self.call(req)? {
+            (ops::ST_OK, _, _) => Ok(()),
+            (_, generation, _) => Err(ParallelError::Interrupted { generation }),
+        }
     }
 
     /// Stages this rank's checkpoint for `step`; the hub promotes it to
     /// committed once every rank staged the same step.
     pub fn checkpoint(&self, step: u64, bytes: &[u8]) -> Result<(), ParallelError> {
-        let gen = self.generation();
-        let (status, generation, _) =
-            self.call(ops::checkpoint_req(self.rank, gen, step, bytes))?;
-        match status {
-            ops::ST_OK => Ok(()),
-            _ => Err(ParallelError::Interrupted { generation }),
-        }
+        self.call_ok(ops::checkpoint_req(
+            self.rank,
+            self.generation(),
+            step,
+            bytes,
+        ))
     }
 
     /// Fetches this rank's slice of the last committed checkpoint.
@@ -965,16 +950,8 @@ impl HubLink {
         let (status, generation, rest) =
             self.call(ops::plain_req(ops::OP_RESTORE, self.rank, gen))?;
         match status {
-            ops::ST_OK => {
-                let mut c = ops::Cur::new(&rest);
-                let step = c
-                    .u64()
-                    .ok_or_else(|| ParallelError::Codec("truncated restore reply".into()))?;
-                let bytes = c
-                    .bytes32()
-                    .ok_or_else(|| ParallelError::Codec("truncated restore payload".into()))?;
-                Ok(Some((step, bytes.to_vec())))
-            }
+            ops::ST_OK => le::decode(&rest, |r| Ok(Some((r.get()?, r.bytes32()?.to_vec()))))
+                .map_err(bad_reply),
             ops::ST_EMPTY => Ok(None),
             _ => Err(ParallelError::Interrupted { generation }),
         }
@@ -1012,12 +989,7 @@ impl HubLink {
 
     /// Deposits this rank's final result with the hub.
     pub fn deposit_result(&self, bytes: &[u8]) -> Result<(), ParallelError> {
-        let gen = self.generation();
-        let (status, generation, _) = self.call(ops::result_req(self.rank, gen, bytes))?;
-        match status {
-            ops::ST_OK => Ok(()),
-            _ => Err(ParallelError::Interrupted { generation }),
-        }
+        self.call_ok(ops::result_req(self.rank, self.generation(), bytes))
     }
 
     /// Resolves a provider label through the hub's incarnation-checked
@@ -1028,14 +1000,7 @@ impl HubLink {
         if status != ops::ST_OK {
             return Ok(None);
         }
-        let mut c = ops::Cur::new(&rest);
-        let rank = c
-            .u32()
-            .ok_or_else(|| ParallelError::Codec("truncated lookup reply".into()))?;
-        let inc = c
-            .u32()
-            .ok_or_else(|| ParallelError::Codec("truncated lookup reply".into()))?;
-        Ok(Some((rank, inc)))
+        le::decode(&rest, |r| Ok(Some((r.get()?, r.get()?)))).map_err(bad_reply)
     }
 
     /// Clean departure: tells the hub this rank is done so its
@@ -1060,18 +1025,14 @@ impl WireLink for HubLink {
         bytes: Vec<u8>,
     ) -> Result<(), ParallelError> {
         let gen = self.generation();
-        let (status, generation, _) = self.call(ops::send_req(
+        self.call_ok(ops::send_req(
             self.rank,
             gen,
             dst_world as u32,
             context,
             tag,
             &bytes,
-        ))?;
-        match status {
-            ops::ST_OK => Ok(()),
-            _ => Err(ParallelError::Interrupted { generation }),
-        }
+        ))
     }
 
     fn recv(&self) -> Result<WireMsg, ParallelError> {
@@ -1082,25 +1043,15 @@ impl WireLink for HubLink {
             let (status, generation, rest) = self.call(ops::recv_req(self.rank, gen, wait_ms))?;
             match status {
                 ops::ST_OK => {
-                    let mut c = ops::Cur::new(&rest);
-                    let src = c
-                        .u32()
-                        .ok_or_else(|| ParallelError::Codec("truncated recv reply".into()))?;
-                    let context = c
-                        .u32()
-                        .ok_or_else(|| ParallelError::Codec("truncated recv reply".into()))?;
-                    let tag = c
-                        .u64()
-                        .ok_or_else(|| ParallelError::Codec("truncated recv reply".into()))?;
-                    let bytes = c
-                        .bytes32()
-                        .ok_or_else(|| ParallelError::Codec("truncated recv payload".into()))?;
-                    return Ok(WireMsg {
-                        src_world: src as usize,
-                        context,
-                        tag,
-                        bytes: bytes.to_vec(),
-                    });
+                    return le::decode(&rest, |r| {
+                        Ok(WireMsg {
+                            src_world: r.get::<u32>()? as usize,
+                            context: r.get()?,
+                            tag: r.get()?,
+                            bytes: r.bytes32()?.to_vec(),
+                        })
+                    })
+                    .map_err(bad_reply);
                 }
                 ops::ST_EMPTY => {
                     if Instant::now() >= deadline {
@@ -1901,10 +1852,100 @@ mod tests {
 
     fn dispatch(hub: &FleetHub, req: Vec<u8>) -> (u8, u64, Vec<u8>) {
         let reply = hub.dispatch(Bytes::from(req)).expect("dispatch");
-        let mut c = ops::Cur::new(&reply);
-        let status = c.u8().unwrap();
-        let generation = c.u64().unwrap();
-        (status, generation, reply[9..].to_vec())
+        let (status, generation) = ops::reply_header(&reply).unwrap();
+        (status, generation, reply[ops::REPLY_HEADER_LEN..].to_vec())
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Every op a child sends and every reply shape the hub returns, with
+    /// the bytes the codec has always produced.
+    #[test]
+    fn fleet_op_wire_format_is_pinned() {
+        let labels = ["x".to_string(), "yz".to_string()];
+        let ack = ops::JoinAck {
+            status: ops::JOIN_OK,
+            generation: 3,
+            session: 4,
+            size: 5,
+            committed_step: u64::MAX,
+        };
+        let pins: [(Vec<u8>, &str); 9] = [
+            (
+                ops::send_req(1, 2, 3, 4, 5, b"ab"),
+                "01 01000000 0200000000000000 03000000 04000000 0500000000000000 02000000 6162",
+            ),
+            (
+                ops::recv_req(1, 2, 10),
+                "02 01000000 0200000000000000 0a000000",
+            ),
+            (
+                ops::checkpoint_req(1, 2, 9, b"c"),
+                "03 01000000 0200000000000000 0900000000000000 01000000 63",
+            ),
+            (
+                ops::plain_req(ops::OP_RESTORE, 1, 2),
+                "04 01000000 0200000000000000",
+            ),
+            (
+                ops::result_req(1, 2, b"r"),
+                "06 01000000 0200000000000000 01000000 72",
+            ),
+            (ops::lookup_req("ab"), "07 0200 6162"),
+            (
+                ops::encode_join_hello(1, 2, &labels),
+                "01000000 02000000 0200 0100 78 0200 797a",
+            ),
+            (
+                ops::encode_join_ack(&ack),
+                "00 0300000000000000 0400000000000000 05000000 ffffffffffffffff",
+            ),
+            (ops::encode_leave(1, 2), "01000000 02000000"),
+        ];
+        for (bytes, want) in pins {
+            assert_eq!(hex(&bytes), want.replace(' ', ""));
+        }
+
+        // The hub's replies: a status and generation header, then the
+        // op's payload.
+        let hub = FleetHub::new(2);
+        join_ok(&hub, 1, 0, 1, &["p"]);
+        join_ok(&hub, 2, 1, 1, &[]);
+        let reply = |req: Vec<u8>| hex(&hub.dispatch(Bytes::from(req)).unwrap());
+        assert_eq!(
+            reply(ops::send_req(0, 0, 1, 7, 9, b"hi")),
+            "000000000000000000"
+        );
+        assert_eq!(
+            reply(ops::recv_req(1, 0, 0)),
+            "00 0000000000000000 00000000 07000000 0900000000000000 02000000 6869".replace(' ', "")
+        );
+        assert_eq!(
+            reply(ops::recv_req(1, 0, 0)),
+            "010000000000000000",
+            "an empty mailbox"
+        );
+        reply(ops::checkpoint_req(0, 0, 3, b"s0"));
+        reply(ops::checkpoint_req(1, 0, 3, b"s1"));
+        assert_eq!(
+            reply(ops::plain_req(ops::OP_RESTORE, 1, 0)),
+            "00 0000000000000000 0300000000000000 02000000 7331".replace(' ', "")
+        );
+        assert_eq!(
+            reply(ops::lookup_req("p")),
+            "00 0000000000000000 00000000 01000000".replace(' ', "")
+        );
+        assert_eq!(
+            reply(ops::recv_req(1, 5, 0)),
+            "020000000000000000",
+            "a stale generation"
+        );
+        assert_eq!(
+            hub.leave(2, Bytes::from(ops::encode_leave(1, 1))).unwrap(),
+            [0]
+        );
     }
 
     #[test]
@@ -1944,11 +1985,11 @@ mod tests {
         assert_eq!((st, gen), (ops::ST_OK, 0));
         let (st, _, rest) = dispatch(&hub, ops::recv_req(1, 0, 0));
         assert_eq!(st, ops::ST_OK);
-        let mut c = ops::Cur::new(&rest);
-        assert_eq!(c.u32().unwrap(), 0, "src");
-        assert_eq!(c.u32().unwrap(), 7, "context");
-        assert_eq!(c.u64().unwrap(), 0x42, "tag");
-        assert_eq!(c.bytes32().unwrap(), b"hi");
+        let mut r = le::Reader::new(&rest);
+        assert_eq!(r.get::<u32>().unwrap(), 0, "src");
+        assert_eq!(r.get::<u32>().unwrap(), 7, "context");
+        assert_eq!(r.get::<u64>().unwrap(), 0x42, "tag");
+        assert_eq!(r.bytes32().unwrap(), b"hi");
 
         // Empty mailbox returns ST_EMPTY, not a hang.
         let (st, _, _) = dispatch(&hub, ops::recv_req(1, 0, 0));
@@ -2018,9 +2059,9 @@ mod tests {
 
         let (st, _, rest) = dispatch(&hub, ops::plain_req(ops::OP_RESTORE, 1, 0));
         assert_eq!(st, ops::ST_OK);
-        let mut c = ops::Cur::new(&rest);
-        assert_eq!(c.u64().unwrap(), 3);
-        assert_eq!(c.bytes32().unwrap(), b"r1s3");
+        let mut r = le::Reader::new(&rest);
+        assert_eq!(r.get::<u64>().unwrap(), 3);
+        assert_eq!(r.bytes32().unwrap(), b"r1s3");
 
         // Death purges staged but keeps committed (it's the rollback target).
         let (st, _, _) = dispatch(&hub, ops::checkpoint_req(0, 0, 4, b"r0s4"));
@@ -2029,9 +2070,13 @@ mod tests {
         assert_eq!(hub.committed_step(), Some(3));
         let (st, _, rest) = dispatch(&hub, ops::plain_req(ops::OP_RESTORE, 0, 1));
         assert_eq!(st, ops::ST_OK);
-        let mut c = ops::Cur::new(&rest);
-        assert_eq!(c.u64().unwrap(), 3, "restore serves the pre-death commit");
-        assert_eq!(c.bytes32().unwrap(), b"r0s3");
+        let mut r = le::Reader::new(&rest);
+        assert_eq!(
+            r.get::<u64>().unwrap(),
+            3,
+            "restore serves the pre-death commit"
+        );
+        assert_eq!(r.bytes32().unwrap(), b"r0s3");
     }
 
     #[test]
@@ -2077,8 +2122,8 @@ mod tests {
         assert_eq!(hub.resolve_provider(label), Some((0, 2)));
         let (st, _, rest) = dispatch(&hub, ops::lookup_req(label));
         assert_eq!(st, ops::ST_OK);
-        let mut c = ops::Cur::new(&rest);
-        assert_eq!((c.u32().unwrap(), c.u32().unwrap()), (0, 2));
+        let mut r = le::Reader::new(&rest);
+        assert_eq!((r.get::<u32>().unwrap(), r.get::<u32>().unwrap()), (0, 2));
     }
 
     fn mock_fleet(size: usize) -> (Arc<FleetSupervisor>, Arc<MockLauncher>, Arc<MockClock>) {
@@ -2240,5 +2285,31 @@ mod tests {
             }
         )));
         sup.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Arbitrary bytes into every decoder that reads fleet wire input —
+        /// the hub's op dispatch (raw, and behind each valid op byte), the
+        /// join and leave handshakes, a child's join-ack parse — are a
+        /// reply or a typed error, never a panic.
+        #[test]
+        fn hostile_fleet_bytes_never_panic(data in proptest::collection::vec(any::<u8>(), 0..64)) {
+            let hub = FleetHub::new(2);
+            let _ = hub.dispatch(Bytes::from(data.clone()));
+            for op in ops::OP_SEND..=ops::OP_LOOKUP {
+                let mut request = vec![op];
+                request.extend_from_slice(&data);
+                let _ = hub.dispatch(Bytes::from(request));
+            }
+            let _ = hub.join(1, Bytes::from(data.clone()));
+            let _ = hub.leave(1, Bytes::from(data.clone()));
+            let _ = ops::decode_join_ack(&data);
+        }
     }
 }

@@ -7,7 +7,9 @@
 //! every payload must cross a socket. This module is the boundary: a
 //! small, closed set of concrete types — the scalars, pairs, and vectors
 //! the collectives and the hydro pipeline actually exchange — each
-//! encoded as one tag byte plus little-endian bytes. A type outside the
+//! encoded as one tag byte plus little-endian bytes, written and read
+//! through [`cca_data::le`] (so every counted run is bounds-checked before
+//! anything is allocated for it). A type outside the
 //! set is a typed [`ParallelError::Unserializable`], never a silent
 //! misroute: the send fails on the *sending* rank, where the fix is.
 //!
@@ -18,7 +20,7 @@
 //! tag) routing intact.
 
 use crate::error::ParallelError;
-use cca_data::le::{self, LeScalar};
+use cca_data::le::{self, LeScalar, Reader, Writer};
 use std::any::Any;
 
 /// One message delivered by a [`WireLink`]: the same routing triple an
@@ -86,197 +88,89 @@ type SplitTriple = (Option<u32>, i64, usize);
 /// Wire bytes of one [`SplitTriple`]: presence, color, key, world rank.
 const SPLIT_TRIPLE_LEN: usize = 1 + 4 + 8 + 8;
 
-fn put_split_triple(out: &mut Vec<u8>, (color, key, world): &SplitTriple) {
-    match color {
-        Some(c) => {
-            out.push(1);
-            put_u32(out, *c);
-        }
-        None => {
-            out.push(0);
-            put_u32(out, 0);
-        }
-    }
-    out.extend_from_slice(&key.to_le_bytes());
-    put_u64(out, *world as u64);
+fn write_split_triple(w: &mut Writer<'_>, &(color, key, world): &SplitTriple) {
+    w.put(color.is_some() as u8);
+    w.put(color.unwrap_or(0));
+    w.put(key);
+    w.put(world);
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+fn read_split_triple(r: &mut Reader<'_>) -> Result<SplitTriple, le::Error> {
+    let present = r.get::<u8>()? != 0;
+    let color = r.get::<u32>()?;
+    Ok((present.then_some(color), r.get()?, r.get()?))
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn bad(detail: &str) -> ParallelError {
-    ParallelError::Codec(detail.to_string())
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ParallelError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| bad("truncated wire value"))?;
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, ParallelError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, ParallelError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, ParallelError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, ParallelError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// The bytes of a `u32`-counted run of `size`-byte items, checked
-    /// against what remains before the caller allocates for them.
-    fn counted(&mut self, size: usize) -> Result<(usize, &'a [u8]), ParallelError> {
-        let n = self.u32()? as usize;
-        let bytes = n
-            .checked_mul(size)
-            .ok_or_else(|| bad("wire vector length overflows"))?;
-        Ok((n, self.take(bytes)?))
-    }
-
-    /// A `u32`-counted slab of fixed-width scalars.
-    fn slab<T: LeScalar>(&mut self) -> Result<Vec<T>, ParallelError> {
-        Ok(le::read_vec(self.counted(T::SIZE)?.1))
-    }
-
-    fn done(&self) -> Result<(), ParallelError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(bad("trailing bytes after wire value"))
-        }
-    }
-}
-
-macro_rules! try_scalar {
-    ($value:expr, $t:ty, $tag:expr, $enc:expr) => {
-        if let Some(v) = $value.downcast_ref::<$t>() {
-            let mut out = vec![$tag];
-            #[allow(clippy::redundant_closure_call)]
-            ($enc)(&mut out, v);
-            return Some(out);
-        }
-    };
-}
-
-macro_rules! try_vec {
-    ($value:expr, $t:ty, $tag:expr) => {
-        if let Some(v) = $value.downcast_ref::<Vec<$t>>() {
-            let mut out = Vec::with_capacity(5 + v.len() * <$t as LeScalar>::SIZE);
-            out.push($tag);
-            put_u32(&mut out, v.len() as u32);
-            le::extend_vec(&mut out, v);
-            return Some(out);
-        }
-    };
+/// The tag byte, then `len` bytes from `write`, in one exact-size buffer.
+fn tagged(tag: u8, len: usize, write: impl FnOnce(&mut Writer<'_>)) -> Vec<u8> {
+    le::encode(1 + len, |w| {
+        w.put(tag);
+        write(w);
+    })
 }
 
 /// Encodes a payload of one of the supported concrete types; `None` for
 /// anything outside the set (the caller turns that into
 /// [`ParallelError::Unserializable`] with the type's name).
 pub fn encode_any(value: &dyn Any) -> Option<Vec<u8>> {
-    try_scalar!(value, (), T_UNIT, |_out: &mut Vec<u8>, _v: &()| {});
-    try_scalar!(value, bool, T_BOOL, |out: &mut Vec<u8>, v: &bool| out
-        .push(*v as u8));
-    try_scalar!(value, i32, T_I32, |out: &mut Vec<u8>, v: &i32| out
-        .extend_from_slice(&v.to_le_bytes()));
-    try_scalar!(value, i64, T_I64, |out: &mut Vec<u8>, v: &i64| out
-        .extend_from_slice(&v.to_le_bytes()));
-    try_scalar!(value, u32, T_U32, |out: &mut Vec<u8>, v: &u32| put_u32(
-        out, *v
-    ));
-    try_scalar!(value, u64, T_U64, |out: &mut Vec<u8>, v: &u64| put_u64(
-        out, *v
-    ));
-    try_scalar!(value, usize, T_USIZE, |out: &mut Vec<u8>, v: &usize| {
-        put_u64(out, *v as u64)
-    });
-    try_scalar!(value, f32, T_F32, |out: &mut Vec<u8>, v: &f32| out
-        .extend_from_slice(&v.to_le_bytes()));
-    try_scalar!(value, f64, T_F64, |out: &mut Vec<u8>, v: &f64| out
-        .extend_from_slice(&v.to_le_bytes()));
-    if let Some(v) = value.downcast_ref::<String>() {
-        let mut out = Vec::with_capacity(5 + v.len());
-        out.push(T_STRING);
-        put_u32(&mut out, v.len() as u32);
-        out.extend_from_slice(v.as_bytes());
-        return Some(out);
+    // A scalar is its tag and its bytes; a vector its tag and a counted slab.
+    macro_rules! scalars_and_slabs {
+        ($($scalar:ty => $tag:expr),+; $($elem:ty => $vtag:expr),+) => {
+            $(if let Some(&x) = value.downcast_ref::<$scalar>() {
+                return Some(tagged($tag, <$scalar as LeScalar>::SIZE, |w| w.put(x)));
+            })+
+            $(if let Some(v) = value.downcast_ref::<Vec<$elem>>() {
+                return Some(tagged($vtag, 4 + v.len() * <$elem as LeScalar>::SIZE, |w| w.slab(v)));
+            })+
+        };
     }
-    try_vec!(value, f64, T_VEC_F64);
-    try_vec!(value, u64, T_VEC_U64);
-    try_vec!(value, i64, T_VEC_I64);
-    try_vec!(value, usize, T_VEC_USIZE);
-    if let Some(v) = value.downcast_ref::<Vec<u8>>() {
-        let mut out = Vec::with_capacity(5 + v.len());
-        out.push(T_VEC_U8);
-        put_u32(&mut out, v.len() as u32);
-        out.extend_from_slice(v);
-        return Some(out);
+    scalars_and_slabs!(
+        i32 => T_I32, i64 => T_I64, u32 => T_U32, u64 => T_U64,
+        usize => T_USIZE, f32 => T_F32, f64 => T_F64;
+        f64 => T_VEC_F64, u64 => T_VEC_U64, i64 => T_VEC_I64,
+        usize => T_VEC_USIZE, u8 => T_VEC_U8, u32 => T_VEC_U32
+    );
+    if value.is::<()>() {
+        return Some(vec![T_UNIT]);
     }
-    try_vec!(value, u32, T_VEC_U32);
-    if let Some((a, b)) = value.downcast_ref::<(f64, f64)>() {
-        let mut out = Vec::with_capacity(17);
-        out.push(T_PAIR_F64);
-        out.extend_from_slice(&a.to_le_bytes());
-        out.extend_from_slice(&b.to_le_bytes());
-        return Some(out);
+    if let Some(&b) = value.downcast_ref::<bool>() {
+        return Some(vec![T_BOOL, b as u8]);
     }
-    if let Some((a, b)) = value.downcast_ref::<(usize, usize)>() {
-        let mut out = Vec::with_capacity(17);
-        out.push(T_PAIR_USIZE);
-        put_u64(&mut out, *a as u64);
-        put_u64(&mut out, *b as u64);
-        return Some(out);
+    if let Some(s) = value.downcast_ref::<String>() {
+        return Some(tagged(T_STRING, 4 + s.len(), |w| w.str32(s)));
+    }
+    if let Some(&(a, b)) = value.downcast_ref::<(f64, f64)>() {
+        return Some(tagged(T_PAIR_F64, 16, |w| {
+            w.put(a);
+            w.put(b);
+        }));
+    }
+    if let Some(&(a, b)) = value.downcast_ref::<(usize, usize)>() {
+        return Some(tagged(T_PAIR_USIZE, 16, |w| {
+            w.put(a);
+            w.put(b);
+        }));
     }
     // The `split` collective's allgathered (color, key, world_rank):
     // scalar on the gather leg, vector on the broadcast leg.
     if let Some(t) = value.downcast_ref::<SplitTriple>() {
-        let mut out = Vec::with_capacity(22);
-        out.push(T_SPLIT_TRIPLE);
-        put_split_triple(&mut out, t);
-        return Some(out);
+        return Some(tagged(T_SPLIT_TRIPLE, SPLIT_TRIPLE_LEN, |w| {
+            write_split_triple(w, t)
+        }));
     }
     if let Some(v) = value.downcast_ref::<Vec<SplitTriple>>() {
-        let mut out = Vec::with_capacity(5 + v.len() * SPLIT_TRIPLE_LEN);
-        out.push(T_VEC_SPLIT_TRIPLE);
-        put_u32(&mut out, v.len() as u32);
-        for t in v {
-            put_split_triple(&mut out, t);
-        }
-        return Some(out);
+        return Some(tagged(
+            T_VEC_SPLIT_TRIPLE,
+            4 + v.len() * SPLIT_TRIPLE_LEN,
+            |w| {
+                w.put(v.len() as u32);
+                for t in v {
+                    write_split_triple(w, t);
+                }
+            },
+        ));
     }
     None
-}
-
-fn read_split_triple(r: &mut Reader<'_>) -> Result<SplitTriple, ParallelError> {
-    let present = r.u8()? != 0;
-    let c = r.u32()?;
-    let color = if present { Some(c) } else { None };
-    let key = i64::from_le_bytes(r.take(8)?.try_into().unwrap());
-    let world = r.u64()? as usize;
-    Ok((color, key, world))
 }
 
 /// Decodes wire bytes back into a boxed value of the encoded concrete
@@ -284,54 +178,44 @@ fn read_split_triple(r: &mut Reader<'_>) -> Result<SplitTriple, ParallelError> {
 /// as the same [`ParallelError::TypeMismatch`] the in-process path
 /// raises.
 pub fn decode_to_box(bytes: &[u8]) -> Result<Box<dyn Any + Send>, ParallelError> {
-    let mut r = Reader { bytes, pos: 0 };
-    let tag = r.u8()?;
-    let boxed: Box<dyn Any + Send> = match tag {
+    le::decode(bytes, read_any).map_err(|e| ParallelError::Codec(format!("wire value: {e}")))
+}
+
+fn read_any(r: &mut Reader<'_>) -> Result<Box<dyn Any + Send>, le::Error> {
+    Ok(match r.get::<u8>()? {
         T_UNIT => Box::new(()),
-        T_BOOL => Box::new(r.u8()? != 0),
-        T_I32 => Box::new(i32::from_le_bytes(r.take(4)?.try_into().unwrap())),
-        T_I64 => Box::new(i64::from_le_bytes(r.take(8)?.try_into().unwrap())),
-        T_U32 => Box::new(r.u32()?),
-        T_U64 => Box::new(r.u64()?),
-        T_USIZE => Box::new(r.u64()? as usize),
-        T_F32 => Box::new(f32::from_le_bytes(r.take(4)?.try_into().unwrap())),
-        T_F64 => Box::new(r.f64()?),
-        T_STRING => {
-            let s = std::str::from_utf8(r.counted(1)?.1)
-                .map_err(|_| bad("non-utf8 wire string"))?
-                .to_string();
-            Box::new(s)
-        }
+        T_BOOL => Box::new(r.get::<u8>()? != 0),
+        T_I32 => Box::new(r.get::<i32>()?),
+        T_I64 => Box::new(r.get::<i64>()?),
+        T_U32 => Box::new(r.get::<u32>()?),
+        T_U64 => Box::new(r.get::<u64>()?),
+        T_USIZE => Box::new(r.get::<usize>()?),
+        T_F32 => Box::new(r.get::<f32>()?),
+        T_F64 => Box::new(r.get::<f64>()?),
+        T_STRING => Box::new(r.str32()?.to_string()),
         T_VEC_F64 => Box::new(r.slab::<f64>()?),
         T_VEC_U64 => Box::new(r.slab::<u64>()?),
         T_VEC_I64 => Box::new(r.slab::<i64>()?),
         T_VEC_USIZE => Box::new(r.slab::<usize>()?),
-        T_VEC_U8 => Box::new(r.counted(1)?.1.to_vec()),
+        T_VEC_U8 => Box::new(r.bytes32()?.to_vec()),
         T_VEC_U32 => Box::new(r.slab::<u32>()?),
-        T_PAIR_F64 => {
-            let a = r.f64()?;
-            let b = r.f64()?;
-            Box::new((a, b))
-        }
-        T_PAIR_USIZE => {
-            let a = r.u64()? as usize;
-            let b = r.u64()? as usize;
-            Box::new((a, b))
-        }
-        T_SPLIT_TRIPLE => Box::new(read_split_triple(&mut r)?),
+        T_PAIR_F64 => Box::new((r.get::<f64>()?, r.get::<f64>()?)),
+        T_PAIR_USIZE => Box::new((r.get::<usize>()?, r.get::<usize>()?)),
+        T_SPLIT_TRIPLE => Box::new(read_split_triple(r)?),
         T_VEC_SPLIT_TRIPLE => {
-            let (n, bytes) = r.counted(SPLIT_TRIPLE_LEN)?;
-            let mut triples = Reader { bytes, pos: 0 };
+            let n = r.count(SPLIT_TRIPLE_LEN)?;
             let mut v = Vec::with_capacity(n);
             for _ in 0..n {
-                v.push(read_split_triple(&mut triples)?);
+                v.push(read_split_triple(r)?);
             }
             Box::new(v)
         }
-        other => return Err(bad(&format!("unknown wire value tag {other}"))),
-    };
-    r.done()?;
-    Ok(boxed)
+        other => {
+            return Err(le::Error::Invalid(format!(
+                "unknown wire value tag {other}"
+            )))
+        }
+    })
 }
 
 #[cfg(test)]
@@ -369,6 +253,65 @@ mod tests {
         round_trip((Some(3u32), -7i64, 2usize));
         round_trip((None::<u32>, 0i64, 5usize));
         round_trip(vec![(Some(1u32), 2i64, 3usize), (None, -4, 5)]);
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// One value per tag, with the bytes the codec has always produced:
+    /// a refactor of either side must reproduce them exactly.
+    #[test]
+    fn wire_format_is_pinned() {
+        let pins: [(&dyn Any, &str); 22] = [
+            (&(), "00"),
+            (&true, "0101"),
+            (&-42i32, "02d6ffffff"),
+            (&-42i64, "03d6ffffffffffffff"),
+            (&0x0102_0304u32, "0404030201"),
+            (&0x0102_0304_0506_0708u64, "050807060504030201"),
+            (&7usize, "060700000000000000"),
+            (&1.5f32, "070000c03f"),
+            (&-2.0f64, "0800000000000000c0"),
+            (&"hé".to_string(), "090300000068c3a9"),
+            (
+                &vec![1.5f64, -0.0],
+                "0a02000000000000000000f83f0000000000000080",
+            ),
+            (&vec![1u64], "0b010000000100000000000000"),
+            (&vec![-1i64], "0c01000000ffffffffffffffff"),
+            (
+                &vec![2usize, 3],
+                "0d02000000 0200000000000000 0300000000000000",
+            ),
+            (&vec![1u8, 2, 255], "0e03000000 0102ff"),
+            (&vec![5u32, 6], "0f020000000500000006000000"),
+            (&(1.0f64, -1.0f64), "10000000000000f03f000000000000f0bf"),
+            (
+                &(Some(3u32), -2i64, 9usize),
+                "110103000000feffffffffffffff0900000000000000",
+            ),
+            (
+                &(None::<u32>, 4i64, 1usize),
+                "1100000000000400000000000000 0100000000000000",
+            ),
+            (&(6usize, 8usize), "1206000000000000000800000000000000"),
+            (&Vec::<SplitTriple>::new(), "1300000000"),
+            (
+                &vec![(Some(1u32), 0i64, 2usize), (None, -1, 0)],
+                concat!(
+                    "1302000000",
+                    "01 01000000 0000000000000000 0200000000000000",
+                    "00 00000000 ffffffffffffffff 0000000000000000",
+                ),
+            ),
+        ];
+        for (value, want) in pins {
+            let bytes = encode_any(value).expect("type in the supported set");
+            assert_eq!(hex(&bytes), want.replace(' ', ""));
+            let back = decode_to_box(&bytes).unwrap();
+            assert_eq!(encode_any(&*back).unwrap(), bytes, "{want}");
+        }
     }
 
     #[test]
@@ -421,7 +364,7 @@ mod tests {
             T_VEC_SPLIT_TRIPLE,
         ] {
             let mut bytes = vec![tag];
-            put_u32(&mut bytes, u32::MAX);
+            bytes.extend_from_slice(&[0xff; 4]);
             assert!(
                 matches!(decode_to_box(&bytes), Err(ParallelError::Codec(_))),
                 "tag {tag}"

@@ -1,14 +1,16 @@
 //! The bulk data plane: raw little-endian slabs for M×N redistribution.
 //!
-//! The generic [`wire`](crate::wire) encoding marshals a `DoubleArray` one
-//! element at a time — tag byte, shape header, then a `put_f64_le` per
-//! element on the way out and a matching decode plus an `NdArray`
-//! allocation on the way in. That is the right trade for control-plane
-//! calls (self-describing, reflective), and exactly the wrong one for
-//! streaming a gigabyte of already-typed array data whose layout both
-//! sides precomputed from the same `RedistPlan`. This module is the other
-//! half of the bargain: a [`FrameKind::Bulk`](crate::frame::FrameKind)
-//! frame whose payload is a *slab* —
+//! The generic [`wire`](crate::wire) encoding marshals a `DoubleArray` as
+//! a whole value — tag byte, shape header, then its elements as one slab —
+//! into a fresh message, and decodes it into a fresh `NdArray` on the far
+//! side. That is the right trade for control-plane calls (self-describing,
+//! reflective), and the wrong one for streaming a gigabyte of
+//! already-typed array data whose layout both sides precomputed from the
+//! same `RedistPlan`: the whole array is encoded before the first byte
+//! moves, and a dropped connection loses all of it. This module is the
+//! other half of the bargain: a [`FrameKind::Bulk`](crate::frame::FrameKind)
+//! frame whose payload is a *chunk* of a transfer, written straight from
+//! the source array and resumable from an ack watermark —
 //!
 //! ```text
 //! offset  size  field
@@ -36,6 +38,7 @@
 //! garbage, it is fatal only for the connection that produced it.
 
 use bytes::Bytes;
+use cca_data::le::LeScalar;
 use cca_sidl::SidlError;
 use std::fmt;
 
@@ -95,38 +98,22 @@ impl ElemTag {
     }
 }
 
-/// A fixed-width element type that can ride a bulk slab. The gather side
-/// writes elements with [`write_le`](BulkElem::write_le) straight from the
-/// source array's local storage; the scatter side reads them with
-/// [`read_le`](BulkElem::read_le) straight into the destination slice —
-/// no intermediate typed buffer on either side.
-pub trait BulkElem: Copy + Default + Send + Sync + 'static {
+/// A fixed-width element type that can ride a bulk slab: an
+/// [`LeScalar`] (its little-endian form and `SIZE`) with a wire tag. The
+/// gather side writes a run of elements with `cca_data::le::write_slice`
+/// straight from the source array's local storage; the scatter side reads
+/// a run with `cca_data::le::read_into` straight into the destination
+/// slice — no intermediate typed buffer on either side.
+pub trait BulkElem: LeScalar + Default + Send + Sync + 'static {
     /// The wire tag for this type.
     const TAG: ElemTag;
-    /// Bytes per element on the wire (and in memory).
-    const SIZE: usize;
-    /// Writes `self` as `SIZE` little-endian bytes into `out`.
-    fn write_le(self, out: &mut [u8]);
-    /// Reads one element from the first `SIZE` bytes of `raw`.
-    fn read_le(raw: &[u8]) -> Self;
 }
 
 macro_rules! bulk_elem {
     ($($ty:ty => $tag:expr),+ $(,)?) => {
-        $(
-            impl BulkElem for $ty {
-                const TAG: ElemTag = $tag;
-                const SIZE: usize = std::mem::size_of::<$ty>();
-                #[inline]
-                fn write_le(self, out: &mut [u8]) {
-                    out[..Self::SIZE].copy_from_slice(&self.to_le_bytes());
-                }
-                #[inline]
-                fn read_le(raw: &[u8]) -> Self {
-                    <$ty>::from_le_bytes(raw[..Self::SIZE].try_into().unwrap())
-                }
-            }
-        )+
+        $(impl BulkElem for $ty {
+            const TAG: ElemTag = $tag;
+        })+
     };
 }
 

@@ -459,7 +459,8 @@ impl MuxTransport {
     /// is a raw slab (see [`crate::bulk`]). The reply's payload is the
     /// receiver's encoded [`crate::bulk::BulkAck`].
     pub fn submit_bulk(&self, slab: Bytes) -> Result<PendingReply, SidlError> {
-        self.submit_bulk_ref(&slab)
+        let _span = cca_obs::span("rpc.mux.submit_bulk");
+        self.submit_frame(FrameKind::Bulk, &slab)
     }
 
     /// Announces a fleet rank on this transport's connection: sends a
@@ -482,15 +483,8 @@ impl MuxTransport {
         self.submit_frame(FrameKind::Leave, &goodbye)
     }
 
-    /// [`submit_bulk`](Self::submit_bulk) for a borrowed slab: the caller
-    /// may reuse `slab` for the next chunk as soon as this returns.
-    pub fn submit_bulk_ref(&self, slab: &[u8]) -> Result<PendingReply, SidlError> {
-        let _span = cca_obs::span("rpc.mux.submit_bulk");
-        self.submit_frame(FrameKind::Bulk, slab)
-    }
-
     /// The zero-materialization variant of
-    /// [`submit_bulk_ref`](Self::submit_bulk_ref): appends the frame
+    /// [`submit_bulk`](Self::submit_bulk): appends the frame
     /// header to the connection's write queue, then hands `fill` the
     /// payload's `payload_len` bytes *in place* so the sender's gather
     /// writes element bytes directly where the writer thread will read
@@ -632,26 +626,12 @@ impl BulkChannel {
         Arc::new(BulkChannel { transport })
     }
 
-    /// The underlying multiplexed transport.
-    pub fn transport(&self) -> &Arc<MuxTransport> {
-        &self.transport
-    }
-
-    /// Starts one slab without waiting for its ack. The windowed sender
-    /// keeps several of these in flight so the gather, the wire, and the
-    /// receiver's scatter overlap instead of serializing on round trips;
-    /// [`call`](Transport::call) is the stop-and-wait special case. The
-    /// slab is borrowed — its bytes are on the connection's write queue
-    /// when this returns, so the caller may refill the same buffer for
-    /// the next chunk immediately.
-    pub fn submit_ref(&self, slab: &[u8]) -> Result<PendingReply, SidlError> {
-        let _span = cca_obs::span("rpc.bulk.chunk");
-        self.transport.submit_bulk_ref(slab)
-    }
-
-    /// Like [`submit_ref`](Self::submit_ref), but the slab is *built in
+    /// Starts one slab without waiting for its ack; the slab is *built in
     /// place* on the connection's write queue by `fill` — see
-    /// [`MuxTransport::submit_bulk_with`].
+    /// [`MuxTransport::submit_bulk_with`]. The windowed sender keeps
+    /// several of these in flight so the gather, the wire, and the
+    /// receiver's scatter overlap instead of serializing on round trips;
+    /// [`call`](Transport::call) is the stop-and-wait special case.
     pub fn submit_with(
         &self,
         payload_len: usize,
