@@ -18,6 +18,8 @@
 //!   framework operation constructs unconditionally;
 //! * the full tracing-off trace plumbing a remote call executes
 //!   (`span` + `current_context` + `install_context`) — exactly zero;
+//! * the tracing-off frame encode: onto a buffer that already has the
+//!   room, exactly zero; into a fresh frame, exactly one (the frame);
 //! * the remote call path itself over the mux transport: a remote call
 //!   allocates (payload vecs, frames), so the assertion is *equality* —
 //!   the calling thread's warmed per-loop allocation count must be
@@ -43,6 +45,7 @@
 
 use cca_core::{CcaServices, PortHandle};
 use cca_data::TypeMap;
+use cca_rpc::frame::{encode_frame_onto, encode_frame_with, FrameKind, DEFAULT_MAX_PAYLOAD};
 use cca_rpc::transport::Dispatcher;
 use cca_rpc::{MuxServer, MuxServerConfig, MuxTransport, ObjRef, Orb};
 use cca_sidl::{DynObject, DynValue, SidlError};
@@ -230,6 +233,45 @@ fn tracing_off_remote_plumbing_allocates_nothing() {
     );
 }
 
+fn tracing_off_frame_encode_allocates_exactly() {
+    cca_obs::set_tracing(false);
+    let payload = [7u8; 64];
+    let mut out = Vec::with_capacity(4096);
+
+    let before = alloc_count();
+    for _ in 0..1000 {
+        out.clear();
+        let ctx = cca_obs::current_context();
+        encode_frame_onto(
+            &mut out,
+            FrameKind::Request,
+            42,
+            &payload,
+            DEFAULT_MAX_PAYLOAD,
+            ctx,
+        )
+        .unwrap();
+    }
+    let onto = alloc_count() - before;
+
+    let before = alloc_count();
+    let ctx = cca_obs::current_context();
+    let frame =
+        encode_frame_with(FrameKind::Request, 42, &payload, DEFAULT_MAX_PAYLOAD, ctx).unwrap();
+    let with = alloc_count() - before;
+
+    assert_eq!(
+        onto, 0,
+        "a tracing-off frame encoded onto a buffer with room must not allocate \
+         ({onto} allocations over 1000 frames)"
+    );
+    assert_eq!(
+        with, 1,
+        "encode_frame_with must allocate exactly its frame ({with})"
+    );
+    assert_eq!(frame, out, "both encoders write the same bytes");
+}
+
 struct Doubler;
 impl DynObject for Doubler {
     fn sidl_type(&self) -> &str {
@@ -309,6 +351,7 @@ fn flag_dependent_paths_add_no_allocations() {
     counters_on_cached_record_path_allocates_nothing();
     tracing_off_span_guard_allocates_nothing();
     tracing_off_remote_plumbing_allocates_nothing();
+    tracing_off_frame_encode_allocates_exactly();
     remote_call_trace_plumbing_adds_no_allocations_mux();
 }
 

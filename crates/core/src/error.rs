@@ -1,5 +1,6 @@
 //! Error vocabulary shared by all CCA layers.
 
+use cca_parallel::ParallelError;
 use cca_sidl::SidlError;
 use std::fmt;
 
@@ -45,6 +46,10 @@ pub enum CcaError {
     Framework(String),
     /// An error crossing the SIDL binding.
     Sidl(SidlError),
+    /// A communicator operation failed — including
+    /// [`ParallelError::Interrupted`], the fleet's "the generation moved,
+    /// roll back" notice, which a worker loop retries instead of failing.
+    Parallel(ParallelError),
 }
 
 impl fmt::Display for CcaError {
@@ -79,6 +84,7 @@ impl fmt::Display for CcaError {
             }
             CcaError::Framework(msg) => write!(f, "framework error: {msg}"),
             CcaError::Sidl(e) => write!(f, "sidl error: {e}"),
+            CcaError::Parallel(e) => write!(f, "parallel error: {e}"),
         }
     }
 }
@@ -103,6 +109,12 @@ impl From<SidlError> for CcaError {
     }
 }
 
+impl From<ParallelError> for CcaError {
+    fn from(e: ParallelError) -> Self {
+        CcaError::Parallel(e)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,6 +132,8 @@ mod tests {
         .contains("subtype"));
         let sidl: CcaError = SidlError::invoke("boom").into();
         assert!(sidl.to_string().contains("boom"));
+        let par: CcaError = ParallelError::Interrupted { generation: 7 }.into();
+        assert!(par.to_string().contains("generation 7"));
     }
 
     #[test]

@@ -9,11 +9,13 @@
 //! join, **the connection is the liveness signal**: a `kill -9` tears the
 //! socket, the mux server reports [`SessionSink::disconnected`], and the
 //! hub bumps the group *generation* — survivors parked in a collective
-//! get a typed [`ParallelError::Interrupted`] instead of a hang, roll
-//! back to the last committed checkpoint, and resynchronize with the
-//! restarted rank.
+//! get a typed [`ParallelError::Interrupted`] instead of a hang. The
+//! error travels up as a value — through the collective, the solver and
+//! the worker's step — to [`run_worker`], which resynchronizes with the
+//! restarted rank, rolls back to the last committed checkpoint and runs
+//! on. Nothing unwinds.
 //!
-//! Pieces:
+//! Pieces (one file each):
 //!
 //! * [`FleetHub`] — parent-side mailbox switchboard. Implements both the
 //!   rpc [`Dispatcher`] (compact fleet ops: send/recv/checkpoint/
@@ -22,13 +24,21 @@
 //!   non-clean disconnect of a joined rank purges in-flight mail and
 //!   staged checkpoints and bumps the generation, so no pre-death bytes
 //!   can leak into the replayed epoch.
+//! * `ops` — the compact op codec both sides speak.
 //! * [`HubLink`] — child-side [`WireLink`]: routes
 //!   [`cca_parallel::Comm`] collectives through the hub with a
 //!   long-poll recv, plus the checkpoint/restore/resync side-band.
+//!   Beside it, [`run_worker`] — the one rollback loop: resync, restore
+//!   (or start fresh), fresh `Comm`, step and checkpoint to the end,
+//!   deposit, leave; an `Interrupted` anywhere goes round again, any
+//!   other error is returned. A rank supplies the steps as a [`Worker`].
+//! * Launchers — [`ExecLauncher`] re-execs the binary, [`MockLauncher`]
+//!   scripts processes for tests.
 //! * [`FleetSupervisor`] — launch, waitpid-style exit polling, per-rank
-//!   [`CircuitBreaker`] quarantine, decorrelated-jitter
-//!   [`RestartBackoff`] on a mockable [`Clock`], rejoin bookkeeping,
-//!   and zombie-free [`FleetSupervisor::shutdown`].
+//!   [`CircuitBreaker`] quarantine, decorrelated-jitter restart backoff
+//!   (each rank's seeded `RetryPolicy` schedule, rewound when the rank
+//!   proves healthy) on a mockable [`Clock`], rejoin bookkeeping, and
+//!   zombie-free [`FleetSupervisor::shutdown`].
 //!
 //! Provider labels follow incarnations: the hub's label registry
 //! ([`FleetHub::resolve_provider`]) refuses entries registered by a dead
@@ -56,8 +66,8 @@ pub use hub::FleetHub;
 pub use launch::{
     ExecLauncher, LaunchSpec, MockLauncher, MockProcess, ProcessHandle, RankLauncher,
 };
-pub use link::HubLink;
-pub use supervisor::{FleetConfig, FleetEvent, FleetSupervisor, RestartBackoff};
+pub use link::{run_worker, HubLink, Worker};
+pub use supervisor::{FleetConfig, FleetEvent, FleetSupervisor};
 
 /// Env var carrying the child's rank (presence marks a fleet child).
 pub const FLEET_RANK_ENV: &str = "CCA_FLEET_RANK";
@@ -109,11 +119,14 @@ pub fn rank_backoff_seed(fleet_seed: u64, rank: usize) -> u64 {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use cca_core::resilience::{BreakerState, Clock, MockClock, RetryPolicy};
+    use cca_core::resilience::{BackoffSchedule, BreakerState, Clock, MockClock, RetryPolicy};
+    use cca_core::CcaError;
     use cca_data::le;
+    use cca_parallel::{Comm, ParallelError};
     use cca_rpc::transport::Dispatcher;
-    use cca_rpc::SessionSink;
+    use cca_rpc::{MuxServer, MuxServerConfig, SessionSink};
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn hello(rank: u32, inc: u32, labels: &[&str]) -> Bytes {
         let labels: Vec<String> = labels.iter().map(|s| s.to_string()).collect();
@@ -227,29 +240,95 @@ mod tests {
         );
     }
 
+    /// A hub served over `tcp+mux://` the way the supervisor serves it.
+    fn served_hub(size: usize) -> (Arc<FleetHub>, Arc<MuxServer>) {
+        let hub = FleetHub::new(size);
+        let server = MuxServer::bind_with(
+            "127.0.0.1:0",
+            Arc::clone(&hub) as Arc<dyn Dispatcher>,
+            MuxServerConfig {
+                dispatch_threads: size * 2 + 2,
+                ..MuxServerConfig::default()
+            },
+        )
+        .expect("bind hub server");
+        server.set_session_sink(Arc::clone(&hub) as Arc<dyn SessionSink>);
+        (hub, server)
+    }
+
+    /// Adds `step + 1` per step; fails step `fail.0` once with `fail.1`.
+    #[derive(Default)]
+    struct Counter {
+        total: u64,
+        restores: u32,
+        stepped: Vec<u64>,
+        fail: Option<(u64, CcaError)>,
+    }
+
+    impl Worker for Counter {
+        fn restore(&mut self, checkpoint: Option<(u64, &[u8])>) -> Result<(), CcaError> {
+            self.restores += 1;
+            self.total = checkpoint.map_or(0, |(_, b)| u64::from_le_bytes(b.try_into().unwrap()));
+            Ok(())
+        }
+
+        fn step(&mut self, _: &Comm, step: u64) -> Result<Vec<u8>, CcaError> {
+            self.stepped.push(step);
+            if self.fail.as_ref().is_some_and(|(at, _)| *at == step) {
+                return Err(self.fail.take().unwrap().1);
+            }
+            self.total += step + 1;
+            Ok(self.total.to_le_bytes().to_vec())
+        }
+
+        fn finish(&mut self, _: &Comm) -> Result<Vec<u8>, CcaError> {
+            Ok(self.total.to_le_bytes().to_vec())
+        }
+    }
+
+    /// Runs `work` for four steps as the only rank of a fresh hub.
+    fn run_alone(work: &mut Counter) -> (Result<(), CcaError>, Option<Vec<Vec<u8>>>) {
+        let (hub, server) = served_hub(1);
+        let addr = server.local_addr().to_string();
+        let link = HubLink::connect(&addr, 0, 1, &[], Duration::from_secs(10)).expect("join");
+        let outcome = run_worker(&link, 4, work);
+        let results = hub.all_results();
+        drop(link);
+        server.shutdown();
+        (outcome, results)
+    }
+
     #[test]
-    fn restart_backoff_matches_core_schedule_and_resets() {
-        let (base, cap, seed) = (1_000_000u64, 50_000_000u64, 0xfeed_beefu64);
-        let core: Vec<u64> = RetryPolicy::new(16, base, cap)
-            .with_jitter_seed(seed)
-            .schedule()
-            .take(8)
-            .collect();
-        let mut mine = RestartBackoff::new(base, cap, seed);
-        let drawn: Vec<u64> = (0..8).map(|_| mine.next_delay_ns()).collect();
-        assert_eq!(drawn, core, "fleet backoff must mirror the core schedule");
-        assert!(drawn.iter().all(|&d| (base..=cap).contains(&d)));
+    fn run_worker_rolls_back_to_the_committed_checkpoint_on_interruption() {
+        let mut clean = Counter::default();
+        let (outcome, want) = run_alone(&mut clean);
+        assert_eq!(outcome, Ok(()));
+        assert_eq!(want, Some(vec![10u64.to_le_bytes().to_vec()]));
 
-        mine.reset();
-        assert_eq!(mine.next_delay_ns(), core[0], "reset rewinds the stream");
+        let interrupted = ParallelError::Interrupted { generation: 0 };
+        let mut work = Counter {
+            fail: Some((2, interrupted.into())),
+            ..Counter::default()
+        };
+        let (outcome, got) = run_alone(&mut work);
+        assert_eq!(outcome, Ok(()));
+        assert_eq!(got, want, "the resumed run finishes with the same result");
+        assert_eq!(work.restores, 2, "one rollback");
+        assert_eq!(work.stepped, [0, 1, 2, 2, 3], "resumed at committed step 2");
+    }
 
-        let mut other = RestartBackoff::new(base, cap, seed ^ 1);
-        let other_drawn: Vec<u64> = (0..8).map(|_| other.next_delay_ns()).collect();
-        assert_ne!(drawn, other_drawn, "different seeds draw different jitter");
-
-        // Per-rank seeds decorrelate too.
-        assert_ne!(rank_backoff_seed(42, 0), rank_backoff_seed(42, 1));
-        assert_eq!(rank_backoff_seed(42, 3), rank_backoff_seed(42, 3));
+    #[test]
+    fn run_worker_returns_other_errors_after_one_attempt() {
+        let boom = CcaError::Framework("boom".into());
+        let mut work = Counter {
+            fail: Some((1, boom.clone())),
+            ..Counter::default()
+        };
+        let (outcome, results) = run_alone(&mut work);
+        assert_eq!(outcome, Err(boom));
+        assert_eq!(work.restores, 1, "not retried");
+        assert_eq!(work.stepped, [0, 1]);
+        assert_eq!(results, None, "nothing deposited");
     }
 
     #[test]
@@ -423,6 +502,53 @@ mod tests {
         (sup, launcher, clock)
     }
 
+    /// Rank `rank`'s restart delays under `mock_fleet`'s config.
+    fn restart_schedule(rank: usize) -> BackoffSchedule {
+        RetryPolicy::new(u32::MAX, 10_000_000, 80_000_000)
+            .with_jitter_seed(rank_backoff_seed(42, rank))
+            .schedule()
+    }
+
+    #[test]
+    fn restart_backoff_matches_core_schedule_and_resets() {
+        let (sup, launcher, clock) = mock_fleet(1);
+        sup.start();
+        // kill -9 the rank, read the restart delay, let the restart fire.
+        let crash_and_restart = || {
+            launcher.last_for_rank(0).unwrap().exit_with(-9);
+            sup.tick();
+            let delay = match sup.events().last() {
+                Some(FleetEvent::RestartScheduled { delay_ns, .. }) => *delay_ns,
+                other => panic!("expected a scheduled restart, got {other:?}"),
+            };
+            clock.advance_ns(delay);
+            sup.tick();
+            delay
+        };
+        let first = crash_and_restart();
+        let second = crash_and_restart(); // inside the health window: no rewind
+        clock.advance_ns(5_000_000);
+        sup.tick(); // healthy: the schedule rewinds
+        let after_healthy = crash_and_restart();
+        assert_eq!(launcher.spawned().len(), 4);
+        sup.shutdown();
+
+        let core: Vec<u64> = restart_schedule(0).take(2).collect();
+        assert_eq!(
+            [first, second],
+            core[..],
+            "fleet backoff is the core schedule"
+        );
+        assert!(core.iter().all(|d| (10_000_000..=80_000_000).contains(d)));
+        assert_eq!(after_healthy, core[0], "healthy rewinds the stream");
+
+        // Per-rank seeds decorrelate.
+        let other: Vec<u64> = restart_schedule(1).take(2).collect();
+        assert_ne!(core, other, "different ranks draw different jitter");
+        assert_ne!(rank_backoff_seed(42, 0), rank_backoff_seed(42, 1));
+        assert_eq!(rank_backoff_seed(42, 3), rank_backoff_seed(42, 3));
+    }
+
     #[test]
     fn supervisor_restart_schedule_is_deterministic_on_the_mock_clock() {
         let (sup, launcher, clock) = mock_fleet(2);
@@ -439,8 +565,7 @@ mod tests {
 
         // kill -9 rank 0: the restart must land exactly one jitter draw
         // later — the same draw the core schedule produces for this seed.
-        let expected =
-            RestartBackoff::new(10_000_000, 80_000_000, rank_backoff_seed(42, 0)).next_delay_ns();
+        let expected = restart_schedule(0).next().unwrap();
         launcher.last_for_rank(0).unwrap().exit_with(-9);
         sup.tick();
         assert!(matches!(sup.breaker_state(0), BreakerState::Open));
@@ -473,9 +598,9 @@ mod tests {
         clock.advance_ns(5_000_000);
         sup.tick(); // healthy; backoff rewound
 
-        let mut schedule = RestartBackoff::new(10_000_000, 80_000_000, rank_backoff_seed(42, 0));
-        let first = schedule.next_delay_ns();
-        let second = schedule.next_delay_ns();
+        let mut schedule = restart_schedule(0);
+        let first = schedule.next().unwrap();
+        let second = schedule.next().unwrap();
 
         // Crash 1: quarantined, restart (the half-open probe) launches.
         launcher.last_for_rank(0).unwrap().exit_with(-9);

@@ -1,12 +1,14 @@
-//! `HubLink` — the child-side `WireLink`.
+//! The child side: `HubLink`, a `WireLink` to the hub, and `run_worker`,
+//! the rollback loop every rank runs over it.
 
 use super::ops;
 use bytes::Bytes;
+use cca_core::CcaError;
 use cca_data::le;
 use cca_parallel::{Comm, ParallelError, WireLink, WireMsg};
 use cca_rpc::MuxTransport;
 use cca_sidl::SidlError;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -19,10 +21,9 @@ use std::time::{Duration, Instant};
 ///
 /// Every reply carries the group generation. A `ST_STALE` reply means a
 /// peer died and the group rolled back: the link adopts the new
-/// generation, raises its `interrupted` flag, and surfaces
-/// [`ParallelError::Interrupted`] — which panics out of the collective
-/// via `CommReduce`'s expect, to be caught by the worker's
-/// `catch_unwind` rollback loop.
+/// generation and returns [`ParallelError::Interrupted`], which the
+/// collective, the solver and the worker's step pass up as a value until
+/// [`run_worker`] sees it and rolls back.
 pub struct HubLink {
     transport: MuxTransport,
     rank: u32,
@@ -33,7 +34,6 @@ pub struct HubLink {
     committed_step_at_join: Option<u64>,
     park_timeout: Duration,
     poll: Duration,
-    interrupted: AtomicBool,
 }
 
 fn rpc_fatal(e: SidlError) -> ParallelError {
@@ -81,7 +81,6 @@ impl HubLink {
             committed_step_at_join: (ack.committed_step != u64::MAX).then_some(ack.committed_step),
             park_timeout,
             poll: Duration::from_millis(10),
-            interrupted: AtomicBool::new(false),
         }))
     }
 
@@ -116,14 +115,6 @@ impl HubLink {
         self.committed_step_at_join
     }
 
-    /// True once any op observed a generation bump; cleared by a
-    /// successful [`HubLink::resync`]. The worker's rollback loop checks
-    /// this after catching a collective panic to distinguish fleet
-    /// interruption (recoverable) from a genuine defect (fatal).
-    pub fn interrupted(&self) -> bool {
-        self.interrupted.load(Ordering::Acquire)
-    }
-
     /// A communicator routing collectives through this link.
     pub fn comm(self: &Arc<Self>) -> Comm {
         Comm::over_wire(
@@ -134,8 +125,7 @@ impl HubLink {
     }
 
     /// One round-trip to the hub: returns `(status, generation, payload
-    /// after the 9-byte header)`. Adopts the replied generation and, on
-    /// `ST_STALE`, raises the interrupted flag.
+    /// after the 9-byte header)`. Adopts the replied generation.
     fn call(&self, req: Vec<u8>) -> Result<(u8, u64, Bytes), ParallelError> {
         let reply = self
             .transport
@@ -145,9 +135,6 @@ impl HubLink {
             .map_err(rpc_fatal)?;
         let (status, generation) = ops::reply_header(&reply).map_err(bad_reply)?;
         self.gen.store(generation, Ordering::Release);
-        if status == ops::ST_STALE {
-            self.interrupted.store(true, Ordering::Release);
-        }
         Ok((status, generation, reply.slice(ops::REPLY_HEADER_LEN..)))
     }
 
@@ -186,8 +173,7 @@ impl HubLink {
 
     /// Blocks (bounded by the park timeout) until every live rank has
     /// acknowledged the current generation, adopting newer generations
-    /// as they appear. Clears the interrupted flag on success and
-    /// returns the generation the group settled on.
+    /// as they appear. Returns the generation the group settled on.
     pub fn resync(&self) -> Result<u64, ParallelError> {
         let deadline = Instant::now() + self.park_timeout;
         loop {
@@ -195,10 +181,7 @@ impl HubLink {
             let (status, generation, _) =
                 self.call(ops::plain_req(ops::OP_RESYNC, self.rank, gen))?;
             match status {
-                ops::ST_OK => {
-                    self.interrupted.store(false, Ordering::Release);
-                    return Ok(generation);
-                }
+                ops::ST_OK => return Ok(generation),
                 // ST_EMPTY: peers still rolling back; ST_STALE: another
                 // death mid-resync — `call` already adopted the new
                 // generation, so just go around again.
@@ -291,4 +274,51 @@ impl WireLink for HubLink {
             }
         }
     }
+}
+
+/// One rank's share of a resumable, checkpointed run, driven by
+/// [`run_worker`]. Each method may fail; an error carrying
+/// [`ParallelError::Interrupted`] means "roll back", anything else ends
+/// the run.
+pub trait Worker {
+    /// Resets to the group's committed checkpoint — `(step, this rank's
+    /// bytes)` — or to the initial state when nothing is committed yet.
+    fn restore(&mut self, checkpoint: Option<(u64, &[u8])>) -> Result<(), CcaError>;
+
+    /// Takes step `step` (0-based) over `comm` and returns the bytes to
+    /// checkpoint once it is done.
+    fn step(&mut self, comm: &Comm, step: u64) -> Result<Vec<u8>, CcaError>;
+
+    /// The result to deposit once every step is done.
+    fn finish(&mut self, comm: &Comm) -> Result<Vec<u8>, CcaError>;
+}
+
+/// Runs `work` to `steps` steps on this rank and leaves the fleet: the
+/// one rollback loop a fleet child needs. Each attempt resyncs with the
+/// group, restores the committed checkpoint (or starts fresh), builds a
+/// fresh [`Comm`] so collective sequence numbers restart from zero on
+/// every rank, steps with a checkpoint per step, deposits the result and
+/// leaves. A [`ParallelError::Interrupted`] from any of those — a peer
+/// died — starts the next attempt; any other error is returned as is.
+pub fn run_worker(link: &Arc<HubLink>, steps: u64, work: &mut impl Worker) -> Result<(), CcaError> {
+    loop {
+        match attempt(link, steps, work) {
+            Err(CcaError::Parallel(ParallelError::Interrupted { .. })) => continue,
+            done => return done,
+        }
+    }
+}
+
+/// One pass of [`run_worker`], from resync to leave.
+fn attempt(link: &Arc<HubLink>, steps: u64, work: &mut impl Worker) -> Result<(), CcaError> {
+    link.resync()?;
+    let (start, blob) = link.restore()?.unzip();
+    work.restore(start.zip(blob.as_deref()))?;
+    let comm = link.comm();
+    for step in start.unwrap_or(0)..steps {
+        let blob = work.step(&comm, step)?;
+        link.checkpoint(step + 1, &blob)?;
+    }
+    link.deposit_result(&work.finish(&comm)?)?;
+    Ok(link.leave()?)
 }

@@ -13,39 +13,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::Duration;
 
-/// Decorrelated-jitter restart backoff: the core [`BackoffSchedule`],
-/// plus a `reset` — a rank that reaches healthy gets its schedule rewound
-/// so the next death starts from the base again.
-#[derive(Debug, Clone)]
-pub struct RestartBackoff {
-    fresh: BackoffSchedule,
-    schedule: BackoffSchedule,
-}
-
-impl RestartBackoff {
-    /// A schedule drawing from `[base_ns, cap_ns]`, seeded for
-    /// determinism (see [`rank_backoff_seed`]).
-    pub fn new(base_ns: u64, cap_ns: u64, seed: u64) -> Self {
-        let fresh = RetryPolicy::new(u32::MAX, base_ns, cap_ns)
-            .with_jitter_seed(seed)
-            .schedule();
-        RestartBackoff {
-            schedule: fresh.clone(),
-            fresh,
-        }
-    }
-
-    /// The next restart delay in nanoseconds.
-    pub fn next_delay_ns(&mut self) -> u64 {
-        self.schedule.next().expect("a backoff schedule never ends")
-    }
-
-    /// Rewinds the schedule to its initial state (rank became healthy).
-    pub fn reset(&mut self) {
-        self.schedule = self.fresh.clone();
-    }
-}
-
 /// One entry in the supervisor's event log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FleetEvent {
@@ -189,7 +156,11 @@ enum SlotState {
 struct Slot {
     state: SlotState,
     incarnation: u32,
-    backoff: RestartBackoff,
+    /// The rank's seeded decorrelated-jitter policy (see
+    /// [`rank_backoff_seed`]); `backoff` restarts from its `schedule()`
+    /// whenever the rank proves healthy.
+    policy: RetryPolicy,
+    backoff: BackoffSchedule,
     breaker: CircuitBreaker,
     /// Highest incarnation whose hub join we already turned into a
     /// Rejoined event.
@@ -238,19 +209,21 @@ impl FleetSupervisor {
         )?;
         server.set_session_sink(Arc::clone(&hub) as Arc<dyn SessionSink>);
         let slots = (0..config.size)
-            .map(|rank| Slot {
-                state: SlotState::Idle,
-                incarnation: 0,
-                backoff: RestartBackoff::new(
-                    config.base_backoff_ns,
-                    config.max_backoff_ns,
-                    rank_backoff_seed(config.seed, rank),
-                ),
-                breaker: CircuitBreaker::new(
-                    BreakerPolicy::new(1, (config.base_backoff_ns / 2).max(1)),
-                    Arc::clone(&clock),
-                ),
-                seen_join_inc: 0,
+            .map(|rank| {
+                let policy =
+                    RetryPolicy::new(u32::MAX, config.base_backoff_ns, config.max_backoff_ns)
+                        .with_jitter_seed(rank_backoff_seed(config.seed, rank));
+                Slot {
+                    state: SlotState::Idle,
+                    incarnation: 0,
+                    backoff: policy.schedule(),
+                    policy,
+                    breaker: CircuitBreaker::new(
+                        BreakerPolicy::new(1, (config.base_backoff_ns / 2).max(1)),
+                        Arc::clone(&clock),
+                    ),
+                    seen_join_inc: 0,
+                }
             })
             .collect();
         Ok(Arc::new(FleetSupervisor {
@@ -336,7 +309,7 @@ impl FleetSupervisor {
                 // Spawn failure behaves like an instant death: backoff
                 // and retry, the breaker keeps the cadence honest.
                 slot.breaker.record_failure();
-                let delay = slot.backoff.next_delay_ns();
+                let delay = slot.backoff.next().expect("a backoff schedule never ends");
                 slot.state = SlotState::Waiting {
                     restart_at_ns: now.saturating_add(delay),
                 };
@@ -390,7 +363,7 @@ impl FleetSupervisor {
                         }
                         cca_obs::fleet().record_death();
                         slot.breaker.record_failure();
-                        let delay = slot.backoff.next_delay_ns();
+                        let delay = slot.backoff.next().expect("a backoff schedule never ends");
                         slot.state = SlotState::Waiting {
                             restart_at_ns: now.saturating_add(delay),
                         };
@@ -439,7 +412,7 @@ impl FleetSupervisor {
                     {
                         *healthy = true;
                         slot.breaker.record_success();
-                        slot.backoff.reset();
+                        slot.backoff = slot.policy.schedule();
                         self.push_event(FleetEvent::Healthy {
                             rank: rank as u32,
                             incarnation: slot.incarnation,

@@ -42,6 +42,8 @@
 //!   connection death, circuit-breaker quarantine with
 //!   decorrelated-jitter restarts, and checkpoint-rollback rejoin so a
 //!   `kill -9` mid-timestep converges instead of hanging (PR 9).
+//!   A rank's steps run under [`fleet::run_worker`], which turns the
+//!   typed interruption into a rollback.
 
 pub mod bulk;
 pub mod collective;
@@ -62,9 +64,9 @@ pub use discovery::{
 };
 pub use event::{EventListener, EventService, SubscriptionId};
 pub use fleet::{
-    fleet_rank_env, rank_backoff_seed, ExecLauncher, FleetConfig, FleetEvent, FleetHub,
+    fleet_rank_env, rank_backoff_seed, run_worker, ExecLauncher, FleetConfig, FleetEvent, FleetHub,
     FleetRankEnv, FleetSupervisor, HubLink, LaunchSpec, MockLauncher, MockProcess, ProcessHandle,
-    RankLauncher, RestartBackoff,
+    RankLauncher, Worker,
 };
 pub use framework::Framework;
 pub use monitor::{MonitorPort, MONITOR_INSTANCE, MONITOR_PORT_TYPE, MONITOR_SIDL};

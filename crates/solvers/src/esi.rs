@@ -268,10 +268,9 @@ impl Component for PrecondComponent {
         "esi.PrecondComponent"
     }
     fn set_services(self: &PrecondComponent, services: Arc<CcaServices>) -> Result<(), CcaError> {
-        // The trick: the facade needs an Arc back to self. Components are
-        // created as Arc<Self>, so we rebuild one from the services table
-        // via a weak-free clone: store services first, then register the
-        // facade holding a fresh Arc<PrecondComponent> that shares state.
+        // The facade needs an `Arc` back to this component, which `&self`
+        // cannot supply, so this only stores the services; the ports are
+        // registered by `expose_precond_ports`, whose caller holds the `Arc`.
         *self.services.lock() = Some(Arc::clone(&services));
         Ok(())
     }
@@ -353,8 +352,9 @@ impl LinearOperator for PortOperator {
     fn rows(&self) -> usize {
         self.port.rows()
     }
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
+    fn apply(&self, x: &[f64], y: &mut [f64]) -> Result<(), CcaError> {
         self.port.apply(x, y);
+        Ok(())
     }
 }
 

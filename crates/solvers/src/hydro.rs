@@ -18,9 +18,9 @@ use crate::csr::CsrMatrix;
 use crate::krylov::{solve, KrylovKind, LinearOperator, SolveStats};
 use crate::mesh::Mesh2d;
 use crate::precond::Preconditioner;
-use crate::vector::{CommReduce, Reduction, SerialReduce};
+use crate::vector::{CommReduce, Reduction};
 use cca_core::CcaError;
-use cca_parallel::{Comm, Tag};
+use cca_parallel::{Comm, MaxOp, ParallelError, Tag};
 
 /// Message tag used by the hydro halo exchanges.
 pub const HYDRO_TAG: Tag = 0x48; // 'H'
@@ -64,34 +64,6 @@ impl Default for HydroConfig {
     }
 }
 
-/// Serial-or-parallel reduction selector.
-enum EitherReduce<'a> {
-    Serial(SerialReduce),
-    Comm(CommReduce<'a>),
-}
-
-impl Reduction for EitherReduce<'_> {
-    fn global_sum(&self, local: f64) -> f64 {
-        match self {
-            EitherReduce::Serial(r) => r.global_sum(local),
-            EitherReduce::Comm(r) => r.global_sum(local),
-        }
-    }
-    fn global_sum2(&self, a: f64, b: f64) -> (f64, f64) {
-        match self {
-            EitherReduce::Serial(r) => r.global_sum2(a, b),
-            EitherReduce::Comm(r) => r.global_sum2(a, b),
-        }
-    }
-}
-
-fn reduce_for<'a>(comm: Option<&'a Comm>) -> EitherReduce<'a> {
-    match comm {
-        Some(c) if c.size() > 1 => EitherReduce::Comm(CommReduce(c)),
-        _ => EitherReduce::Serial(SerialReduce),
-    }
-}
-
 /// The pluggable implicit-solve hook: given the operator and right-hand
 /// side, fill `x` with the solution (see
 /// [`HydroSim::step_with_solver`]).
@@ -115,11 +87,11 @@ impl LinearOperator for DiffusionOp<'_> {
         self.mesh.local_len()
     }
 
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
+    fn apply(&self, x: &[f64], y: &mut [f64]) -> Result<(), CcaError> {
         let m = self.mesh;
         let nx = m.nx;
         let mut g = m.add_ghosts(x);
-        m.halo_exchange(self.comm, &mut g, HYDRO_TAG);
+        m.halo_exchange(self.comm, &mut g, HYDRO_TAG)?;
         for j in 0..m.ny_local {
             for i in 0..nx {
                 let c = g[m.gidx(i, j)];
@@ -130,6 +102,7 @@ impl LinearOperator for DiffusionOp<'_> {
                 y[m.idx(i, j)] = c + self.coef * (4.0 * c - w - e - s - n);
             }
         }
+        Ok(())
     }
 }
 
@@ -210,11 +183,11 @@ impl HydroSim {
     }
 
     /// Explicit first-order upwind advection producing `u*`.
-    pub fn advect(&self, comm: Option<&Comm>) -> Vec<f64> {
+    pub fn advect(&self, comm: Option<&Comm>) -> Result<Vec<f64>, ParallelError> {
         let m = &self.mesh;
         let nx = m.nx;
         let mut g = m.add_ghosts(&self.u);
-        m.halo_exchange(comm, &mut g, HYDRO_TAG);
+        m.halo_exchange(comm, &mut g, HYDRO_TAG)?;
         let cx = self.cfg.vx * self.cfg.dt / self.h;
         let cy = self.cfg.vy * self.cfg.dt / self.h;
         let mut out = vec![0.0; m.local_len()];
@@ -230,7 +203,7 @@ impl HydroSim {
                 out[m.idx(i, j)] = c - cx * dudx - cy * dudy;
             }
         }
-        out
+        Ok(out)
     }
 
     /// One semi-implicit timestep with the given preconditioner: explicit
@@ -241,26 +214,10 @@ impl HydroSim {
         comm: Option<&Comm>,
         pre: &dyn Preconditioner,
     ) -> Result<SolveStats, CcaError> {
-        let rhs = self.advect(comm);
-        let op = DiffusionOp {
-            mesh: &self.mesh,
-            comm,
-            coef: self.coef,
-        };
-        let red = reduce_for(comm);
-        let mut x = rhs.clone(); // warm start from u*
-        let stats = solve(
-            self.cfg.kind,
-            &op,
-            pre,
-            &rhs,
-            &mut x,
-            self.cfg.tol,
-            self.cfg.max_iter,
-            &red,
-        )?;
-        self.u = x;
-        Ok(stats)
+        let (cfg, red) = (self.cfg, CommReduce(comm));
+        self.step_with_solver(comm, &|op, rhs, x| {
+            solve(cfg.kind, op, pre, rhs, x, cfg.tol, cfg.max_iter, &red)
+        })
     }
 
     /// One timestep where the implicit solve is delegated to an external
@@ -271,32 +228,30 @@ impl HydroSim {
         comm: Option<&Comm>,
         solve_fn: &SolveFn<'_>,
     ) -> Result<SolveStats, CcaError> {
-        let rhs = self.advect(comm);
+        let rhs = self.advect(comm)?;
         let op = DiffusionOp {
             mesh: &self.mesh,
             comm,
             coef: self.coef,
         };
-        let mut x = rhs.clone();
+        let mut x = rhs.clone(); // warm start from u*
         let stats = solve_fn(&op, &rhs, &mut x)?;
         self.u = x;
         Ok(stats)
     }
 
     /// Total mass `Σ u · h²` (global).
-    pub fn mass(&self, comm: Option<&Comm>) -> f64 {
+    pub fn mass(&self, comm: Option<&Comm>) -> Result<f64, ParallelError> {
         let local: f64 = self.u.iter().sum();
-        reduce_for(comm).global_sum(local) * self.h * self.h
+        Ok(CommReduce(comm).global_sum(local)? * self.h * self.h)
     }
 
     /// Global maximum of `|u|`.
-    pub fn max_abs(&self, comm: Option<&Comm>) -> f64 {
+    pub fn max_abs(&self, comm: Option<&Comm>) -> Result<f64, ParallelError> {
         let local = self.u.iter().fold(0.0f64, |a, &b| a.max(b.abs()));
         match comm {
-            Some(c) if c.size() > 1 => c
-                .allreduce(local, &cca_parallel::MaxOp)
-                .expect("allreduce on live communicator"),
-            _ => local,
+            Some(c) if c.size() > 1 => c.allreduce(local, &MaxOp),
+            _ => Ok(local),
         }
     }
 }
@@ -305,6 +260,7 @@ impl HydroSim {
 mod tests {
     use super::*;
     use crate::precond::{Identity, Jacobi};
+    use crate::vector::SerialReduce;
     use cca_parallel::spmd;
 
     fn small_cfg() -> HydroConfig {
@@ -324,9 +280,9 @@ mod tests {
     #[test]
     fn initial_condition_is_a_blob() {
         let sim = HydroSim::new(small_cfg(), 1, 0);
-        let max = sim.max_abs(None);
+        let max = sim.max_abs(None).unwrap();
         assert!(max > 0.9 && max <= 1.0, "max {max}");
-        assert!(sim.mass(None) > 0.0);
+        assert!(sim.mass(None).unwrap() > 0.0);
     }
 
     #[test]
@@ -335,12 +291,12 @@ mod tests {
         cfg.vx = 0.0;
         cfg.vy = 0.0;
         let mut sim = HydroSim::new(cfg, 1, 0);
-        let m0 = sim.max_abs(None);
+        let m0 = sim.max_abs(None).unwrap();
         for _ in 0..5 {
             let stats = sim.step(None, &Identity).unwrap();
             assert!(stats.converged, "{stats:?}");
         }
-        let m1 = sim.max_abs(None);
+        let m1 = sim.max_abs(None).unwrap();
         assert!(m1 < m0, "peak must decay: {m0} -> {m1}");
         // Nothing blew up.
         assert!(sim.u.iter().all(|v| v.is_finite()));
@@ -376,11 +332,11 @@ mod tests {
     #[test]
     fn mass_is_approximately_conserved_short_term() {
         let mut sim = HydroSim::new(small_cfg(), 1, 0);
-        let m0 = sim.mass(None);
+        let m0 = sim.mass(None).unwrap();
         for _ in 0..3 {
             sim.step(None, &Identity).unwrap();
         }
-        let m1 = sim.mass(None);
+        let m1 = sim.mass(None).unwrap();
         // Dirichlet boundaries leak a little, but over 3 tiny steps the
         // change must be small.
         assert!((m1 - m0).abs() / m0 < 0.05, "mass {m0} -> {m1}");
@@ -460,6 +416,36 @@ mod tests {
         }
     }
 
+    /// A fleet link whose generation has just moved: every op is refused.
+    struct Interrupted;
+
+    impl cca_parallel::WireLink for Interrupted {
+        fn send(&self, _: usize, _: u32, _: u64, _: Vec<u8>) -> Result<(), ParallelError> {
+            Err(ParallelError::Interrupted { generation: 7 })
+        }
+
+        fn recv(&self) -> Result<cca_parallel::WireMsg, ParallelError> {
+            Err(ParallelError::Interrupted { generation: 7 })
+        }
+    }
+
+    #[test]
+    fn step_surfaces_an_interrupted_wire_as_a_typed_error() {
+        let link = std::sync::Arc::new(Interrupted);
+        for rank in 0..2 {
+            let comm = Comm::over_wire(link.clone(), rank, 2);
+            let mut sim = HydroSim::new(small_cfg(), 2, rank);
+            let before = sim.u.clone();
+            let interrupted = CcaError::Parallel(ParallelError::Interrupted { generation: 7 });
+            assert_eq!(sim.step(Some(&comm), &Identity), Err(interrupted));
+            assert_eq!(sim.u, before, "an interrupted step leaves the field alone");
+            assert_eq!(
+                sim.mass(Some(&comm)),
+                Err(ParallelError::Interrupted { generation: 7 })
+            );
+        }
+    }
+
     #[test]
     fn local_matrix_matches_matrix_free_operator_serially() {
         let sim = HydroSim::new(small_cfg(), 1, 0);
@@ -476,7 +462,7 @@ mod tests {
         let mut y1 = vec![0.0; x.len()];
         let mut y2 = vec![0.0; x.len()];
         a.matvec(&x, &mut y1);
-        op.apply(&x, &mut y2);
+        op.apply(&x, &mut y2).unwrap();
         for (v1, v2) in y1.iter().zip(&y2) {
             assert!((v1 - v2).abs() < 1e-12);
         }

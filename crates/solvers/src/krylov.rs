@@ -23,8 +23,9 @@ pub trait LinearOperator {
     /// Number of local rows (= local vector length).
     fn rows(&self) -> usize;
 
-    /// Applies the operator.
-    fn apply(&self, x: &[f64], y: &mut [f64]);
+    /// Applies the operator. Fallible because an SPMD operator
+    /// communicates (its halo exchange can be interrupted).
+    fn apply(&self, x: &[f64], y: &mut [f64]) -> Result<(), CcaError>;
 }
 
 impl LinearOperator for CsrMatrix {
@@ -32,8 +33,9 @@ impl LinearOperator for CsrMatrix {
         self.nrows()
     }
 
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
+    fn apply(&self, x: &[f64], y: &mut [f64]) -> Result<(), CcaError> {
         self.matvec(x, y);
+        Ok(())
     }
 }
 
@@ -106,11 +108,11 @@ pub fn cg<R: Reduction>(
 ) -> Result<SolveStats, CcaError> {
     check_shapes(op, b, x)?;
     let n = b.len();
-    let bnorm = norm2(red, b);
+    let bnorm = norm2(red, b)?;
     let target = if bnorm == 0.0 { tol } else { tol * bnorm };
 
     let mut r = vec![0.0; n];
-    op.apply(x, &mut r);
+    op.apply(x, &mut r)?;
     for i in 0..n {
         r[i] = b[i] - r[i];
     }
@@ -120,13 +122,13 @@ pub fn cg<R: Reduction>(
     let mut ap = vec![0.0; n];
 
     // One fused reduction for (r·z, r·r).
-    let (mut rz, rr) = red.global_sum2(dot_local(&r, &z), dot_local(&r, &r));
+    let (mut rz, rr) = red.global_sum2(dot_local(&r, &z), dot_local(&r, &r))?;
     let mut rnorm = rr.sqrt();
     let mut iterations = 0;
 
     while rnorm > target && iterations < max_iter {
-        op.apply(&p, &mut ap);
-        let pap = dot(red, &p, &ap);
+        op.apply(&p, &mut ap)?;
+        let pap = dot(red, &p, &ap)?;
         if pap == 0.0 {
             break; // breakdown (or exact solution reached)
         }
@@ -134,7 +136,7 @@ pub fn cg<R: Reduction>(
         axpy(alpha, &p, x);
         axpy(-alpha, &ap, &mut r);
         pre.apply(&r, &mut z);
-        let (rz_new, rr_new) = red.global_sum2(dot_local(&r, &z), dot_local(&r, &r));
+        let (rz_new, rr_new) = red.global_sum2(dot_local(&r, &z), dot_local(&r, &r))?;
         rnorm = rr_new.sqrt();
         let beta = rz_new / rz;
         rz = rz_new;
@@ -160,11 +162,11 @@ pub fn bicgstab<R: Reduction>(
 ) -> Result<SolveStats, CcaError> {
     check_shapes(op, b, x)?;
     let n = b.len();
-    let bnorm = norm2(red, b);
+    let bnorm = norm2(red, b)?;
     let target = if bnorm == 0.0 { tol } else { tol * bnorm };
 
     let mut r = vec![0.0; n];
-    op.apply(x, &mut r);
+    op.apply(x, &mut r)?;
     for i in 0..n {
         r[i] = b[i] - r[i];
     }
@@ -178,11 +180,11 @@ pub fn bicgstab<R: Reduction>(
     let mut s = vec![0.0; n];
     let mut shat = vec![0.0; n];
     let mut t = vec![0.0; n];
-    let mut rnorm = norm2(red, &r);
+    let mut rnorm = norm2(red, &r)?;
     let mut iterations = 0;
 
     while rnorm > target && iterations < max_iter {
-        let rho_new = dot(red, &r0, &r);
+        let rho_new = dot(red, &r0, &r)?;
         if rho_new == 0.0 {
             break; // breakdown
         }
@@ -196,8 +198,8 @@ pub fn bicgstab<R: Reduction>(
         }
         rho = rho_new;
         pre.apply(&p, &mut phat);
-        op.apply(&phat, &mut v);
-        let r0v = dot(red, &r0, &v);
+        op.apply(&phat, &mut v)?;
+        let r0v = dot(red, &r0, &v)?;
         if r0v == 0.0 {
             break;
         }
@@ -205,7 +207,7 @@ pub fn bicgstab<R: Reduction>(
         for i in 0..n {
             s[i] = r[i] - alpha * v[i];
         }
-        let snorm = norm2(red, &s);
+        let snorm = norm2(red, &s)?;
         if snorm <= target {
             axpy(alpha, &phat, x);
             rnorm = snorm;
@@ -213,8 +215,8 @@ pub fn bicgstab<R: Reduction>(
             break;
         }
         pre.apply(&s, &mut shat);
-        op.apply(&shat, &mut t);
-        let (tt, ts) = red.global_sum2(dot_local(&t, &t), dot_local(&t, &s));
+        op.apply(&shat, &mut t)?;
+        let (tt, ts) = red.global_sum2(dot_local(&t, &t), dot_local(&t, &s))?;
         if tt == 0.0 {
             break;
         }
@@ -223,7 +225,7 @@ pub fn bicgstab<R: Reduction>(
             x[i] += alpha * phat[i] + omega * shat[i];
             r[i] = s[i] - omega * t[i];
         }
-        rnorm = norm2(red, &r);
+        rnorm = norm2(red, &r)?;
         iterations += 1;
         if omega == 0.0 {
             break;
@@ -255,7 +257,7 @@ pub fn gmres<R: Reduction>(
     }
     let n = b.len();
     let m = restart;
-    let bnorm = norm2(red, b);
+    let bnorm = norm2(red, b)?;
     let target = if bnorm == 0.0 { tol } else { tol * bnorm };
 
     let mut iterations = 0usize;
@@ -265,11 +267,11 @@ pub fn gmres<R: Reduction>(
 
     loop {
         // r = b - A x
-        op.apply(x, &mut r);
+        op.apply(x, &mut r)?;
         for i in 0..n {
             r[i] = b[i] - r[i];
         }
-        let beta = norm2(red, &r);
+        let beta = norm2(red, &r)?;
         if beta <= target || iterations >= max_iter {
             return Ok(SolveStats {
                 iterations,
@@ -293,14 +295,14 @@ pub fn gmres<R: Reduction>(
             }
             // w = A M⁻¹ v_k
             pre.apply(&v[k], &mut z);
-            op.apply(&z, &mut w);
+            op.apply(&z, &mut w)?;
             // Modified Gram–Schmidt.
             for (j, vj) in v.iter().enumerate().take(k + 1) {
-                let hjk = dot(red, &w, vj);
+                let hjk = dot(red, &w, vj)?;
                 h[j][k] = hjk;
                 axpy(-hjk, vj, &mut w);
             }
-            let hk1 = norm2(red, &w);
+            let hk1 = norm2(red, &w)?;
             h[k + 1][k] = hk1;
             iterations += 1;
             k_used = k + 1;
@@ -514,9 +516,9 @@ mod tests {
         fn rows(&self) -> usize {
             self.rows
         }
-        fn apply(&self, x: &[f64], y: &mut [f64]) {
+        fn apply(&self, x: &[f64], y: &mut [f64]) -> Result<(), CcaError> {
             // Allgather local pieces into the global vector.
-            let pieces = self.comm.allgather(x.to_vec()).unwrap();
+            let pieces = self.comm.allgather(x.to_vec())?;
             let mut global = Vec::with_capacity(self.counts.iter().sum());
             for p in pieces {
                 global.extend(p);
@@ -528,6 +530,7 @@ mod tests {
                 }
                 y[r] = acc;
             }
+            Ok(())
         }
     }
 
@@ -557,7 +560,7 @@ mod tests {
             };
             let b_local = b[row0..row0 + rows].to_vec();
             let mut x_local = vec![0.0; rows];
-            let red = CommReduce(c);
+            let red = CommReduce(Some(c));
             let stats = cg(&op, &Identity, &b_local, &mut x_local, 1e-10, 1000, &red).unwrap();
             (stats, x_local)
         });

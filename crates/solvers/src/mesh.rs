@@ -14,7 +14,7 @@
 //! with no repacking.
 
 use cca_data::{DimDist, DistArrayDesc, Distribution, ProcessGrid};
-use cca_parallel::{Comm, Tag};
+use cca_parallel::{Comm, ParallelError, Tag};
 
 /// Geometry and decomposition of one rank's share of the global mesh.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,8 +91,13 @@ impl Mesh2d {
     /// The gather/scatter routine: fills the two ghost rows of `ghosted`
     /// from the neighbouring ranks. Physical-boundary ghosts are set to
     /// zero (homogeneous Dirichlet). Serial meshes (`p == 1`) need no
-    /// communicator.
-    pub fn halo_exchange(&self, comm: Option<&Comm>, ghosted: &mut [f64], tag: Tag) {
+    /// communicator. A failed send or receive is returned, ghosts unfilled.
+    pub fn halo_exchange(
+        &self,
+        comm: Option<&Comm>,
+        ghosted: &mut [f64],
+        tag: Tag,
+    ) -> Result<(), ParallelError> {
         assert_eq!(ghosted.len(), self.ghosted_len());
         let nx = self.nx;
         let below = self.rank.checked_sub(1);
@@ -106,18 +111,18 @@ impl Mesh2d {
             // Post sends of my edge rows first (channels never block).
             if let Some(b) = below {
                 let first_row = ghosted[nx..2 * nx].to_vec();
-                comm.send(b, tag, first_row).expect("send to below");
+                comm.send(b, tag, first_row)?;
             }
             if let Some(a) = above {
                 let last_row = ghosted[nx * self.ny_local..nx * (self.ny_local + 1)].to_vec();
-                comm.send(a, tag, last_row).expect("send to above");
+                comm.send(a, tag, last_row)?;
             }
             if let Some(b) = below {
-                let row: Vec<f64> = comm.recv(b, tag).expect("recv from below");
+                let row: Vec<f64> = comm.recv(b, tag)?;
                 ghosted[0..nx].copy_from_slice(&row);
             }
             if let Some(a) = above {
-                let row: Vec<f64> = comm.recv(a, tag).expect("recv from above");
+                let row: Vec<f64> = comm.recv(a, tag)?;
                 ghosted[nx * (self.ny_local + 1)..].copy_from_slice(&row);
             }
         }
@@ -128,6 +133,7 @@ impl Mesh2d {
         if above.is_none() {
             ghosted[nx * (self.ny_local + 1)..].fill(0.0);
         }
+        Ok(())
     }
 
     /// The distributed-array descriptor for owned fields (global
@@ -141,20 +147,18 @@ impl Mesh2d {
     }
 
     /// Gathers the full global field onto rank 0 (`None` elsewhere).
-    pub fn gather_global(&self, comm: Option<&Comm>, field: &[f64]) -> Option<Vec<f64>> {
+    pub fn gather_global(
+        &self,
+        comm: Option<&Comm>,
+        field: &[f64],
+    ) -> Result<Option<Vec<f64>>, ParallelError> {
         assert_eq!(field.len(), self.local_len());
         if self.p == 1 {
-            return Some(field.to_vec());
+            return Ok(Some(field.to_vec()));
         }
         let comm = comm.expect("parallel mesh requires a communicator");
-        let pieces = comm.gather(0, field.to_vec()).expect("gather");
-        pieces.map(|ps| {
-            let mut global = Vec::with_capacity(self.nx * self.ny);
-            for p in ps {
-                global.extend(p);
-            }
-            global
-        })
+        let pieces = comm.gather(0, field.to_vec())?;
+        Ok(pieces.map(|ps| ps.concat()))
     }
 }
 
@@ -218,7 +222,7 @@ mod tests {
         g[0] = 99.0;
         let last = g.len() - 1;
         g[last] = 99.0;
-        m.halo_exchange(None, &mut g, 7);
+        m.halo_exchange(None, &mut g, 7).unwrap();
         assert_eq!(g[0], 0.0);
         assert_eq!(g[last], 0.0);
         assert_eq!(g[m.gidx(1, 1)], 5.0);
@@ -234,7 +238,7 @@ mod tests {
             // Field value = global row index.
             let field: Vec<f64> = (0..m.local_len()).map(|k| (m.j0 + k / nx) as f64).collect();
             let mut g = m.add_ghosts(&field);
-            m.halo_exchange(Some(c), &mut g, 3);
+            m.halo_exchange(Some(c), &mut g, 3).unwrap();
             // Ghost below holds j0-1, ghost above holds j0+ny_local.
             if m.j0 > 0 {
                 assert_eq!(g[0], (m.j0 - 1) as f64);
@@ -258,7 +262,7 @@ mod tests {
         let results = spmd(p, |c| {
             let m = Mesh2d::decompose(nx, ny, p, c.rank());
             let field: Vec<f64> = (0..m.local_len()).map(|k| (k + m.j0 * nx) as f64).collect();
-            m.gather_global(Some(c), &field)
+            m.gather_global(Some(c), &field).unwrap()
         });
         let global = results[0].as_ref().unwrap();
         assert_eq!(global.len(), nx * ny);

@@ -5,17 +5,18 @@
 //! sums locally; an SPMD solver hands partial sums to `allreduce`. All
 //! other kernels (axpy, scale, copy) are embarrassingly local.
 
-use cca_parallel::{Comm, ReduceOp, SumOp};
+use cca_parallel::{Comm, ParallelError, ReduceOp, SumOp};
 
-/// Where global sums come from.
+/// Where global sums come from. A communicator can fail mid-sum (a peer
+/// died and the fleet rolled back), so every sum is a `Result`.
 pub trait Reduction {
     /// Reduces a local partial sum to the global sum (on every caller).
-    fn global_sum(&self, local: f64) -> f64;
+    fn global_sum(&self, local: f64) -> Result<f64, ParallelError>;
 
     /// Reduces two partial sums at once (one message in SPMD contexts —
     /// the classic latency optimization for CG's paired dots).
-    fn global_sum2(&self, a: f64, b: f64) -> (f64, f64) {
-        (self.global_sum(a), self.global_sum(b))
+    fn global_sum2(&self, a: f64, b: f64) -> Result<(f64, f64), ParallelError> {
+        Ok((self.global_sum(a)?, self.global_sum(b)?))
     }
 }
 
@@ -24,31 +25,41 @@ pub trait Reduction {
 pub struct SerialReduce;
 
 impl Reduction for SerialReduce {
-    fn global_sum(&self, local: f64) -> f64 {
-        local
+    fn global_sum(&self, local: f64) -> Result<f64, ParallelError> {
+        Ok(local)
     }
 }
 
 /// SPMD context: partial sums go through `allreduce` on a communicator.
-pub struct CommReduce<'a>(pub &'a Comm);
+/// With no communicator, or one of a single rank, sums stay local.
+pub struct CommReduce<'a>(pub Option<&'a Comm>);
+
+impl CommReduce<'_> {
+    /// The communicator to reduce over, if there is anyone to reduce with.
+    fn peers(&self) -> Option<&Comm> {
+        self.0.filter(|c| c.size() > 1)
+    }
+}
 
 impl Reduction for CommReduce<'_> {
-    fn global_sum(&self, local: f64) -> f64 {
-        self.0
-            .allreduce(local, &SumOp)
-            .expect("allreduce on live communicator")
+    fn global_sum(&self, local: f64) -> Result<f64, ParallelError> {
+        match self.peers() {
+            Some(c) => c.allreduce(local, &SumOp),
+            None => Ok(local),
+        }
     }
 
-    fn global_sum2(&self, a: f64, b: f64) -> (f64, f64) {
+    fn global_sum2(&self, a: f64, b: f64) -> Result<(f64, f64), ParallelError> {
         struct PairSum;
         impl ReduceOp<(f64, f64)> for PairSum {
             fn combine(&self, x: (f64, f64), y: (f64, f64)) -> (f64, f64) {
                 (x.0 + y.0, x.1 + y.1)
             }
         }
-        self.0
-            .allreduce((a, b), &PairSum)
-            .expect("allreduce on live communicator")
+        match self.peers() {
+            Some(c) => c.allreduce((a, b), &PairSum),
+            None => Ok((a, b)),
+        }
     }
 }
 
@@ -85,14 +96,14 @@ pub fn dot_local(x: &[f64], y: &[f64]) -> f64 {
 
 /// Global dot product under a reduction context.
 #[inline]
-pub fn dot<R: Reduction>(r: &R, x: &[f64], y: &[f64]) -> f64 {
+pub fn dot<R: Reduction>(r: &R, x: &[f64], y: &[f64]) -> Result<f64, ParallelError> {
     r.global_sum(dot_local(x, y))
 }
 
 /// Global 2-norm under a reduction context.
 #[inline]
-pub fn norm2<R: Reduction>(r: &R, x: &[f64]) -> f64 {
-    r.global_sum(dot_local(x, x)).sqrt()
+pub fn norm2<R: Reduction>(r: &R, x: &[f64]) -> Result<f64, ParallelError> {
+    Ok(r.global_sum(dot_local(x, x))?.sqrt())
 }
 
 /// `y += alpha * x`.
@@ -201,9 +212,11 @@ mod tests {
     #[test]
     fn serial_reduction_is_identity() {
         let r = SerialReduce;
-        assert_eq!(r.global_sum(5.5), 5.5);
-        assert_eq!(r.global_sum2(1.0, 2.0), (1.0, 2.0));
-        assert_eq!(norm2(&r, &[3.0, 4.0]), 5.0);
+        assert_eq!(r.global_sum(5.5), Ok(5.5));
+        assert_eq!(r.global_sum2(1.0, 2.0), Ok((1.0, 2.0)));
+        assert_eq!(norm2(&r, &[3.0, 4.0]), Ok(5.0));
+        // No communicator: the comm reduction is the serial one.
+        assert_eq!(CommReduce(None).global_sum2(1.0, 2.0), Ok((1.0, 2.0)));
     }
 
     #[test]
@@ -213,9 +226,9 @@ mod tests {
         let serial_dot = dot_local(&global, &global);
         let results = spmd(3, |c| {
             let chunk = &global[c.rank() * 4..(c.rank() + 1) * 4];
-            let r = CommReduce(c);
-            let d = dot(&r, chunk, chunk);
-            let (a, b) = r.global_sum2(chunk.iter().sum(), 1.0);
+            let r = CommReduce(Some(c));
+            let d = dot(&r, chunk, chunk).unwrap();
+            let (a, b) = r.global_sum2(chunk.iter().sum(), 1.0).unwrap();
             (d, a, b)
         });
         for (d, a, b) in results {

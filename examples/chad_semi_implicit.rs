@@ -71,7 +71,7 @@ fn main() {
                 if step % frames_every == 0 {
                     port.send(c, &sim.u).unwrap();
                     // mass() is collective — every sim rank must call it.
-                    let mass = sim.mass(Some(&sub));
+                    let mass = sim.mass(Some(&sub)).unwrap();
                     if c.rank() == 0 {
                         println!(
                             "step {step:3}: CG {} iters, residual {:.2e}, mass {mass:.5}",

@@ -119,7 +119,7 @@ fn main() {
     assert!(after <= before);
 
     println!("phase 4: steer the viscosity knob");
-    let peak_before = sim.max_abs(None);
+    let peak_before = sim.max_abs(None).unwrap();
     registry.set("nu", 2.5).unwrap();
     // The simulation notices the revision change and rebuilds its operator.
     let mut cfg2 = cfg;
@@ -139,10 +139,10 @@ fn main() {
         cfg.nu,
         cfg2.nu,
         peak_before,
-        steered.max_abs(None),
+        steered.max_abs(None).unwrap(),
         stats.iterations
     );
-    assert!(steered.max_abs(None) < peak_before);
+    assert!(steered.max_abs(None).unwrap() < peak_before);
 
     println!(
         "builder event log: {} events ({} connections made)",

@@ -14,18 +14,47 @@
 //! murder later.
 
 use cca::core::resilience::SystemClock;
+use cca::core::CcaError;
 use cca::framework::fleet::{
-    fleet_rank_env, ExecLauncher, FleetConfig, FleetRankEnv, FleetSupervisor, HubLink, RankLauncher,
+    fleet_rank_env, run_worker, ExecLauncher, FleetConfig, FleetRankEnv, FleetSupervisor, HubLink,
+    RankLauncher, Worker,
 };
-use cca::parallel::SumOp;
-use std::panic::AssertUnwindSafe;
+use cca::parallel::{Comm, SumOp};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const STEPS: u64 = 8;
 
-/// Child mode: iterate `value += allreduce(rank-dependent term)` with a
-/// checkpoint each step, rolling back on fleet interruption.
+/// One rank's state: `value += allreduce(rank-dependent term)` per step.
+struct Accumulate {
+    rank: u32,
+    value: f64,
+}
+
+impl Worker for Accumulate {
+    fn restore(&mut self, checkpoint: Option<(u64, &[u8])>) -> Result<(), CcaError> {
+        self.value = checkpoint.map_or(0.0, |(step, blob)| {
+            eprintln!("[rank {}] resuming from committed step {step}", self.rank);
+            f64::from_le_bytes(blob.try_into().expect("an 8-byte checkpoint"))
+        });
+        Ok(())
+    }
+
+    fn step(&mut self, comm: &Comm, step: u64) -> Result<Vec<u8>, CcaError> {
+        let term = (self.rank as f64 + 1.0) / (step as f64 + 1.0);
+        self.value += comm.allreduce(term, &SumOp)?;
+        // Slow the loop down so the parent's kill lands mid-run.
+        std::thread::sleep(Duration::from_millis(40));
+        Ok(self.value.to_le_bytes().to_vec())
+    }
+
+    fn finish(&mut self, _: &Comm) -> Result<Vec<u8>, CcaError> {
+        Ok(self.value.to_le_bytes().to_vec())
+    }
+}
+
+/// Child mode: run the accumulation under `run_worker`, which rolls back
+/// to the last committed checkpoint on fleet interruption.
 fn run_rank(env: FleetRankEnv) -> ! {
     let link = HubLink::connect(
         &env.addr,
@@ -35,51 +64,12 @@ fn run_rank(env: FleetRankEnv) -> ! {
         Duration::from_secs(20),
     )
     .expect("join fleet hub");
-    let mut value: f64;
-    let mut step: u64;
-    loop {
-        link.resync().expect("resync");
-        match link.restore().expect("restore") {
-            Some((s, blob)) => {
-                step = s;
-                value = f64::from_le_bytes(blob.as_slice().try_into().unwrap());
-            }
-            None => {
-                step = 0;
-                value = 0.0;
-            }
-        }
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let comm = link.comm();
-            while step < STEPS {
-                let term = (env.rank as f64 + 1.0) / (step as f64 + 1.0);
-                value += comm.allreduce(term, &SumOp).expect("allreduce");
-                step += 1;
-                link.checkpoint(step, &value.to_le_bytes())
-                    .expect("checkpoint");
-                // Slow the loop down so the parent's kill lands mid-run.
-                std::thread::sleep(Duration::from_millis(40));
-            }
-            value
-        }));
-        match outcome {
-            Ok(v) => {
-                link.deposit_result(&v.to_le_bytes()).expect("result");
-                link.leave().expect("leave");
-                std::process::exit(0);
-            }
-            Err(p) if link.interrupted() => {
-                drop(p);
-                eprintln!(
-                    "[rank {} inc {}] interrupted at generation {} — rolling back",
-                    env.rank,
-                    env.incarnation,
-                    link.generation()
-                );
-            }
-            Err(p) => std::panic::resume_unwind(p),
-        }
-    }
+    let mut work = Accumulate {
+        rank: env.rank,
+        value: 0.0,
+    };
+    run_worker(&link, STEPS, &mut work).expect("rank finishes");
+    std::process::exit(0);
 }
 
 fn main() {

@@ -86,12 +86,19 @@ fault() {
 # than park it forever; the EXIT trap then reaps whatever re-exec'd ranks
 # the killed test left behind. Forensics (incident JSONL plus the
 # supervisor event log) land in target/flight for the workflow to upload.
+# Recovery is a value (fleet::run_worker), never an unwind, so any
+# `panicked at` in the lane's output — a rank's included — fails it.
 fleet() {
     local seed="${CCA_FAULT_SEED:-1}"
+    local log="target/flight/fleet_lane_$seed.log"
     echo "==> fleet kill-matrix (CCA_FAULT_SEED=$seed)"
     mkdir -p target/flight
     CCA_FAULT_SEED="$seed" CCA_FLIGHT_DIR="$(pwd)/target/flight" \
-        timeout -k 30 420 cargo test --offline --test fleet
+        timeout -k 30 420 cargo test --offline --test fleet 2>&1 | tee "$log"
+    if grep -q 'panicked at' "$log"; then
+        echo "fleet lane: a process panicked (see $log)" >&2
+        return 1
+    fi
 }
 
 # Every experiment in fast mode, artifacts into target/bench-ci/ (never over

@@ -169,11 +169,11 @@ fn steering_changes_take_effect_between_steps() {
     };
     cfg.nu = registry.value("nu");
     let mut sim = HydroSim::new(cfg, 1, 0);
-    let m0 = sim.max_abs(None);
+    let m0 = sim.max_abs(None).unwrap();
     for _ in 0..3 {
         sim.step(None, &Identity).unwrap();
     }
-    let m1 = sim.max_abs(None);
+    let m1 = sim.max_abs(None).unwrap();
     let slow_decay = m0 - m1;
 
     // Remote tool turns the knob way up. The simulation re-reads it and
@@ -184,11 +184,11 @@ fn steering_changes_take_effect_between_steps() {
     cfg2.nu = registry.value("nu");
     let mut sim2 = HydroSim::new(cfg2, 1, 0);
     sim2.u = sim.u.clone();
-    let m2 = sim2.max_abs(None);
+    let m2 = sim2.max_abs(None).unwrap();
     for _ in 0..3 {
         sim2.step(None, &Identity).unwrap();
     }
-    let m3 = sim2.max_abs(None);
+    let m3 = sim2.max_abs(None).unwrap();
     let fast_decay = m2 - m3;
     assert!(
         fast_decay > slow_decay * 2.0,

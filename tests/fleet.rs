@@ -17,13 +17,15 @@
 //!    carries `CCA_FLEET_RANK` in its environment.
 
 use cca::core::resilience::{fault_seed_from_env, SplitMix64, SystemClock};
+use cca::core::CcaError;
+use cca::data::le;
 use cca::framework::fleet::{
-    fleet_rank_env, ExecLauncher, FleetConfig, FleetEvent, FleetRankEnv, FleetSupervisor, HubLink,
-    RankLauncher,
+    fleet_rank_env, run_worker, ExecLauncher, FleetConfig, FleetEvent, FleetRankEnv,
+    FleetSupervisor, HubLink, RankLauncher, Worker,
 };
+use cca::parallel::Comm;
 use cca::solvers::precond::Identity;
 use cca::solvers::{HydroConfig, HydroSim, KrylovKind};
-use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -44,21 +46,6 @@ fn hydro_cfg() -> HydroConfig {
         max_iter: 400,
         kind: KrylovKind::Cg,
     }
-}
-
-fn bytes_of_f64s(v: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(v.len() * 8);
-    for x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-    out
-}
-
-fn f64s_of_bytes(b: &[u8]) -> Vec<f64> {
-    assert_eq!(b.len() % 8, 0, "checkpoint blob must be whole f64s");
-    b.chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-        .collect()
 }
 
 fn wait_until<T>(what: &str, deadline: Duration, mut probe: impl FnMut() -> Option<T>) -> T {
@@ -102,9 +89,35 @@ fn run_child_sleep(env: FleetRankEnv) -> ! {
     }
 }
 
-/// One hydro rank: timestep loop with per-step checkpoints, rolling back
-/// to the last committed checkpoint whenever the group generation bumps
-/// (a peer died). Exits 0 after depositing the final mass.
+/// One hydro rank: the field is its checkpoint, the final mass its
+/// result.
+struct HydroRank {
+    sim: HydroSim,
+}
+
+impl Worker for HydroRank {
+    fn restore(&mut self, checkpoint: Option<(u64, &[u8])>) -> Result<(), CcaError> {
+        let (p, rank) = (self.sim.mesh.p, self.sim.mesh.rank);
+        self.sim = HydroSim::new(hydro_cfg(), p, rank);
+        if let Some((_, blob)) = checkpoint {
+            le::read_into(blob, &mut self.sim.u);
+        }
+        Ok(())
+    }
+
+    fn step(&mut self, comm: &Comm, _: u64) -> Result<Vec<u8>, CcaError> {
+        self.sim.step(Some(comm), &Identity)?;
+        Ok(le::encode(8 * self.sim.u.len(), |w| w.slice(&self.sim.u)))
+    }
+
+    fn finish(&mut self, comm: &Comm) -> Result<Vec<u8>, CcaError> {
+        Ok(self.sim.mass(Some(comm))?.to_le_bytes().to_vec())
+    }
+}
+
+/// Runs the hydro rank under `run_worker`, which rolls back to the last
+/// committed checkpoint whenever a peer dies. Exits 0 after depositing
+/// the final mass.
 fn run_child_hydro(env: FleetRankEnv) -> ! {
     let total_steps: u64 = std::env::var(STEPS_ENV)
         .ok()
@@ -119,53 +132,9 @@ fn run_child_hydro(env: FleetRankEnv) -> ! {
         Duration::from_secs(30),
     )
     .expect("hydro child joins hub");
-    let cfg = hydro_cfg();
-    let mut sim = HydroSim::new(cfg, env.size as usize, env.rank as usize);
-    let mut step: u64;
-
-    loop {
-        // Settle the whole group on the current generation, then roll
-        // back to the committed checkpoint (or a fresh start).
-        link.resync().expect("resync with fleet");
-        match link.restore().expect("restore checkpoint") {
-            Some((cstep, blob)) => {
-                sim.u = f64s_of_bytes(&blob);
-                step = cstep;
-            }
-            None => {
-                sim = HydroSim::new(cfg, env.size as usize, env.rank as usize);
-                step = 0;
-            }
-        }
-
-        // A fresh Comm per epoch: collective sequence numbers restart
-        // from zero on every rank, and the hub purged pre-death mail.
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let comm = link.comm();
-            while step < total_steps {
-                sim.step(Some(&comm), &Identity).expect("hydro step");
-                step += 1;
-                link.checkpoint(step, &bytes_of_f64s(&sim.u))
-                    .expect("stage checkpoint");
-            }
-            sim.mass(Some(&comm))
-        }));
-        match outcome {
-            Ok(mass) => {
-                link.deposit_result(&mass.to_le_bytes())
-                    .expect("deposit final mass");
-                link.leave().expect("clean departure");
-                std::process::exit(0);
-            }
-            Err(payload) => {
-                // Only a fleet interruption (generation bump) is
-                // recoverable; anything else is a genuine defect.
-                if !link.interrupted() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        }
-    }
+    let sim = HydroSim::new(hydro_cfg(), env.size as usize, env.rank as usize);
+    run_worker(&link, total_steps, &mut HydroRank { sim }).expect("hydro rank finishes");
+    std::process::exit(0);
 }
 
 // ---------------------------------------------------------------------------
@@ -199,7 +168,7 @@ fn baseline_mass() -> f64 {
         for _ in 0..TOTAL_STEPS {
             sim.step(Some(comm), &Identity).expect("baseline step");
         }
-        sim.mass(Some(comm))
+        sim.mass(Some(comm)).expect("baseline mass")
     });
     for m in &masses {
         assert!((m - masses[0]).abs() < 1e-15, "baseline ranks disagree");

@@ -178,7 +178,7 @@ fn parallel_figure1_pipeline_runs_under_spmd() {
             let stats = sim.step(Some(c), &Identity).unwrap();
             assert!(stats.converged);
         }
-        sim.mass(Some(c))
+        sim.mass(Some(c)).unwrap()
     });
     // Every rank agrees on the global mass (allreduce semantics).
     for m in &masses {
@@ -189,5 +189,5 @@ fn parallel_figure1_pipeline_runs_under_spmd() {
     for _ in 0..3 {
         serial.step(None, &Identity).unwrap();
     }
-    assert!((serial.mass(None) - masses[0]).abs() < 1e-10);
+    assert!((serial.mass(None).unwrap() - masses[0]).abs() < 1e-10);
 }
