@@ -122,7 +122,7 @@ mod tests {
     use cca_core::resilience::{BackoffSchedule, BreakerState, Clock, MockClock, RetryPolicy};
     use cca_core::CcaError;
     use cca_data::le;
-    use cca_parallel::{Comm, ParallelError};
+    use cca_parallel::{Comm, ParallelError, SumOp};
     use cca_rpc::transport::Dispatcher;
     use cca_rpc::{MuxServer, MuxServerConfig, SessionSink};
     use std::sync::Arc;
@@ -329,6 +329,100 @@ mod tests {
         assert_eq!(work.restores, 1, "not retried");
         assert_eq!(work.stepped, [0, 1]);
         assert_eq!(results, None, "nothing deposited");
+    }
+
+    /// Adds `allreduce(rank + 1)` per step; `finish` is itself a
+    /// collective, like a global mass. With `die` set, this incarnation
+    /// fails once its share of the final collective is done — after
+    /// giving rank 0 time to deposit and leave, were it allowed to.
+    struct Summer {
+        value: f64,
+        die: Option<Arc<FleetHub>>,
+    }
+
+    impl Worker for Summer {
+        fn restore(&mut self, checkpoint: Option<(u64, &[u8])>) -> Result<(), CcaError> {
+            self.value = checkpoint.map_or(0.0, |(_, b)| f64::from_le_bytes(b.try_into().unwrap()));
+            Ok(())
+        }
+
+        fn step(&mut self, comm: &Comm, _: u64) -> Result<Vec<u8>, CcaError> {
+            self.value += comm.allreduce(comm.rank() as f64 + 1.0, &SumOp)?;
+            Ok(self.value.to_le_bytes().to_vec())
+        }
+
+        fn finish(&mut self, comm: &Comm) -> Result<Vec<u8>, CcaError> {
+            let total = comm.allreduce(self.value, &SumOp)?;
+            if let Some(hub) = self.die.take() {
+                let deadline = std::time::Instant::now() + Duration::from_millis(300);
+                while !hub.departed(0) && std::time::Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                return Err(CcaError::Framework("killed".into()));
+            }
+            Ok(total.to_le_bytes().to_vec())
+        }
+    }
+
+    #[test]
+    fn run_worker_redoes_the_final_collective_when_a_peer_dies_before_depositing() {
+        let (hub, server) = served_hub(3);
+        let addr = server.local_addr().to_string();
+        let ranks: Vec<_> = (0..3u32)
+            .map(|rank| {
+                let (addr, hub) = (addr.clone(), Arc::clone(&hub));
+                std::thread::spawn(move || {
+                    let connect = |inc| {
+                        HubLink::connect(&addr, rank, inc, &[], Duration::from_secs(5))
+                            .expect("join")
+                    };
+                    let mut work = Summer {
+                        value: 0.0,
+                        die: (rank == 2).then(|| Arc::clone(&hub)),
+                    };
+                    if rank == 2 {
+                        // Dropping the link tears its socket: a death.
+                        let died = run_worker(&connect(1), 3, &mut work);
+                        assert_eq!(died, Err(CcaError::Framework("killed".into())));
+                        while hub.present(2) {
+                            std::thread::sleep(Duration::from_millis(5));
+                        }
+                        return run_worker(&connect(2), 3, &mut work);
+                    }
+                    run_worker(&connect(1), 3, &mut work)
+                })
+            })
+            .collect();
+        for rank in ranks {
+            assert_eq!(rank.join().unwrap(), Ok(()));
+        }
+        // Each step adds 1 + 2 + 3 on every rank; finish sums the ranks.
+        let want = (3.0 * 3.0 * 6.0f64).to_le_bytes().to_vec();
+        assert_eq!(hub.all_results(), Some(vec![want; 3]));
+        assert!(hub.generation() >= 1, "the death rolled the group back");
+        server.shutdown();
+    }
+
+    #[test]
+    fn hub_results_freeze_once_every_rank_has_deposited() {
+        let hub = FleetHub::new(2);
+        join_ok(&hub, 1, 0, 1, &[]);
+        join_ok(&hub, 2, 1, 1, &[]);
+        let (st, _, _) = dispatch(&hub, ops::result_req(0, 0, b"r0"));
+        assert_eq!(st, ops::ST_EMPTY, "rank 1 still owes its result");
+        let (st, _, _) = dispatch(&hub, ops::result_req(1, 0, b"r1"));
+        assert_eq!(st, ops::ST_OK);
+        let (st, _, _) = dispatch(&hub, ops::result_req(0, 9, b"xx"));
+        assert_eq!(st, ops::ST_OK, "a late deposit changes nothing");
+
+        // A death after the last result is a departure, not a rollback.
+        hub.disconnected(1);
+        assert_eq!(hub.generation(), 0);
+        assert!(hub.departed(0));
+        assert_eq!(
+            hub.all_results(),
+            Some(vec![b"r0".to_vec(), b"r1".to_vec()])
+        );
     }
 
     #[test]

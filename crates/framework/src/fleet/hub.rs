@@ -25,7 +25,8 @@ struct RankSlot {
     incarnation: u32,
     /// Last generation this rank acknowledged via resync.
     resynced_gen: u64,
-    /// Rank sent a clean Leave; its disconnect is not a death.
+    /// Rank sent a clean Leave, or dropped once every result was in;
+    /// its disconnect is not a death.
     departed: bool,
     /// Successful joins (1 = initial join, >1 = rejoined after restart).
     joins: u32,
@@ -41,6 +42,13 @@ struct HubState {
     providers: HashMap<String, (u32, u32)>,
     conn_rank: HashMap<u64, u32>,
     log: Vec<String>,
+}
+
+impl HubState {
+    /// Every rank has deposited its final result: the run is over.
+    fn complete(&self) -> bool {
+        self.results.iter().all(Option::is_some)
+    }
 }
 
 /// Parent-side fleet switchboard: generation-tagged mailboxes, the
@@ -107,7 +115,8 @@ impl FleetHub {
         st.ranks.get(rank).is_some_and(|r| r.session.is_some())
     }
 
-    /// Whether `rank` left cleanly (Leave frame, not a death).
+    /// Whether `rank` left cleanly (a Leave frame, or a disconnect once
+    /// every result was in — not a death).
     pub fn departed(&self, rank: usize) -> bool {
         let st = self.state.lock().unwrap();
         st.ranks.get(rank).is_some_and(|r| r.departed)
@@ -134,7 +143,7 @@ impl FleetHub {
     /// All ranks' final results, once every rank has deposited one.
     pub fn all_results(&self) -> Option<Vec<Vec<u8>>> {
         let st = self.state.lock().unwrap();
-        if st.results.iter().all(|r| r.is_some()) {
+        if st.complete() {
             Some(st.results.iter().map(|r| r.clone().unwrap()).collect())
         } else {
             None
@@ -312,22 +321,34 @@ impl FleetHub {
         Ok(Self::header(status, st.generation))
     }
 
+    /// Records a rank's final result. `ST_OK` once every rank has one —
+    /// the set is then frozen — `ST_EMPTY` while peers still owe theirs:
+    /// the depositor re-sends until `ST_OK`, so no rank leaves while a
+    /// peer may still need it in a collective.
     fn op_result(&self, mut r: Reader<'_>) -> Result<Vec<u8>, le::Error> {
         let (rank, gen) = self.head(&mut r)?;
         let bytes = r.bytes32()?;
         r.finish()?;
         let mut st = self.state.lock().unwrap();
-        if gen != st.generation {
-            return Ok(Self::header(ops::ST_STALE, st.generation));
+        if !st.complete() {
+            if gen != st.generation {
+                return Ok(Self::header(ops::ST_STALE, st.generation));
+            }
+            if st.results[rank].replace(bytes.to_vec()).is_none() {
+                Self::log(
+                    &mut st,
+                    "result",
+                    rank as u32,
+                    format!("\"len\":{}", bytes.len()),
+                );
+            }
         }
-        st.results[rank] = Some(bytes.to_vec());
-        Self::log(
-            &mut st,
-            "result",
-            rank as u32,
-            format!("\"len\":{}", bytes.len()),
-        );
-        Ok(Self::header(ops::ST_OK, st.generation))
+        let status = if st.complete() {
+            ops::ST_OK
+        } else {
+            ops::ST_EMPTY
+        };
+        Ok(Self::header(status, st.generation))
     }
 
     fn op_lookup(&self, mut r: Reader<'_>) -> Result<Vec<u8>, le::Error> {
@@ -457,6 +478,20 @@ impl SessionSink for FleetHub {
         }
         let incarnation = slot.incarnation;
         slot.session = None;
+        if st.complete() {
+            // Every result is in: the death loses nothing, so it is a
+            // departure, not a rollback.
+            st.ranks[rank as usize].departed = true;
+            Self::log(
+                &mut st,
+                "leave",
+                rank,
+                format!("\"incarnation\":{incarnation},\"after_results\":true"),
+            );
+            drop(st);
+            self.cv.notify_all();
+            return;
+        }
         st.generation += 1;
         for mb in &mut st.mailboxes {
             mb.clear();

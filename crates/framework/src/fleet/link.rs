@@ -175,31 +175,52 @@ impl HubLink {
     /// acknowledged the current generation, adopting newer generations
     /// as they appear. Returns the generation the group settled on.
     pub fn resync(&self) -> Result<u64, ParallelError> {
-        let deadline = Instant::now() + self.park_timeout;
-        loop {
-            let gen = self.generation();
-            let (status, generation, _) =
-                self.call(ops::plain_req(ops::OP_RESYNC, self.rank, gen))?;
-            match status {
-                ops::ST_OK => return Ok(generation),
-                // ST_EMPTY: peers still rolling back; ST_STALE: another
-                // death mid-resync — `call` already adopted the new
-                // generation, so just go around again.
-                _ => {
-                    if Instant::now() >= deadline {
-                        return Err(ParallelError::Timeout {
-                            waited_ms: self.park_timeout.as_millis() as u64,
-                        });
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            }
-        }
+        self.park(|| {
+            let req = ops::plain_req(ops::OP_RESYNC, self.rank, self.generation());
+            // ST_EMPTY: peers still rolling back; ST_STALE: another death
+            // mid-resync — `call` already adopted the new generation, so
+            // just go around again.
+            Ok(match self.call(req)? {
+                (ops::ST_OK, generation, _) => Some(generation),
+                _ => None,
+            })
+        })
     }
 
-    /// Deposits this rank's final result with the hub.
+    /// Deposits this rank's final result, then blocks (bounded by the
+    /// park timeout) until every rank has deposited one. Holding the
+    /// rank here keeps the group whole: should a peer die first, this
+    /// rank gets [`ParallelError::Interrupted`] and redoes its share of
+    /// the final collective with the restarted peer, instead of having
+    /// left it waiting on a rank that is gone.
     pub fn deposit_result(&self, bytes: &[u8]) -> Result<(), ParallelError> {
-        self.call_ok(ops::result_req(self.rank, self.generation(), bytes))
+        self.park(
+            || match self.call(ops::result_req(self.rank, self.generation(), bytes))? {
+                (ops::ST_OK, _, _) => Ok(Some(())),
+                (ops::ST_EMPTY, _, _) => Ok(None),
+                (_, generation, _) => Err(ParallelError::Interrupted { generation }),
+            },
+        )
+    }
+
+    /// Repeats `poll` every 5 ms until it yields a value, failing with
+    /// [`ParallelError::Timeout`] once the park timeout has passed.
+    fn park<T>(
+        &self,
+        mut poll: impl FnMut() -> Result<Option<T>, ParallelError>,
+    ) -> Result<T, ParallelError> {
+        let deadline = Instant::now() + self.park_timeout;
+        loop {
+            if let Some(done) = poll()? {
+                return Ok(done);
+            }
+            if Instant::now() >= deadline {
+                return Err(ParallelError::Timeout {
+                    waited_ms: self.park_timeout.as_millis() as u64,
+                });
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
     }
 
     /// Resolves a provider label through the hub's incarnation-checked
@@ -297,9 +318,11 @@ pub trait Worker {
 /// one rollback loop a fleet child needs. Each attempt resyncs with the
 /// group, restores the committed checkpoint (or starts fresh), builds a
 /// fresh [`Comm`] so collective sequence numbers restart from zero on
-/// every rank, steps with a checkpoint per step, deposits the result and
-/// leaves. A [`ParallelError::Interrupted`] from any of those — a peer
-/// died — starts the next attempt; any other error is returned as is.
+/// every rank, steps with a checkpoint per step, deposits the result,
+/// waits for every peer's, and leaves. A [`ParallelError::Interrupted`]
+/// from any of those — a peer died — starts the next attempt; any other
+/// error is returned as is. No rank leaves before every result is in, so
+/// a retried [`Worker::finish`] always finds the whole group.
 pub fn run_worker(link: &Arc<HubLink>, steps: u64, work: &mut impl Worker) -> Result<(), CcaError> {
     loop {
         match attempt(link, steps, work) {

@@ -351,6 +351,7 @@ impl FleetSupervisor {
                         let incarnation = slot.incarnation;
                         if self.stop.load(Ordering::Acquire)
                             || self.hub.departed(rank)
+                            || self.hub.all_results().is_some()
                             || status == 0
                         {
                             slot.state = SlotState::Stopped { status };
