@@ -30,8 +30,9 @@
 //!   long-poll recv, plus the checkpoint/restore/resync side-band.
 //!   Beside it, [`run_worker`] — the one rollback loop: resync, restore
 //!   (or start fresh), fresh `Comm`, step and checkpoint to the end,
-//!   deposit, leave; an `Interrupted` anywhere goes round again, any
-//!   other error is returned. A rank supplies the steps as a [`Worker`].
+//!   deposit and wait for every rank's result, leave; an `Interrupted`
+//!   anywhere goes round again, any other error is returned. A rank
+//!   supplies the steps as a [`Worker`].
 //! * Launchers — [`ExecLauncher`] re-execs the binary, [`MockLauncher`]
 //!   scripts processes for tests.
 //! * [`FleetSupervisor`] — launch, waitpid-style exit polling, per-rank

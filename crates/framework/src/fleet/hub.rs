@@ -49,6 +49,14 @@ impl HubState {
     fn complete(&self) -> bool {
         self.results.iter().all(Option::is_some)
     }
+
+    /// Appends one JSONL event line.
+    fn log(&mut self, event: &str, rank: impl std::fmt::Display, detail: String) {
+        self.log.push(format!(
+            "{{\"src\":\"hub\",\"event\":\"{event}\",\"rank\":{rank},\"generation\":{},{detail}}}",
+            self.generation
+        ));
+    }
 }
 
 /// Parent-side fleet switchboard: generation-tagged mailboxes, the
@@ -167,13 +175,6 @@ impl FleetHub {
         self.state.lock().unwrap().log.clone()
     }
 
-    fn log(st: &mut HubState, event: &str, rank: u32, detail: String) {
-        st.log.push(format!(
-            "{{\"src\":\"hub\",\"event\":\"{event}\",\"rank\":{rank},\"generation\":{},{detail}}}",
-            st.generation
-        ));
-    }
-
     fn bad(msg: &str) -> SidlError {
         SidlError::user("cca.fleet.BadOp", msg)
     }
@@ -266,12 +267,7 @@ impl FleetHub {
                 .collect();
             st.committed = Some((step, blobs));
             cca_obs::fleet().record_checkpoint_committed();
-            Self::log(
-                &mut st,
-                "checkpoint_committed",
-                rank as u32,
-                format!("\"step\":{step}"),
-            );
+            st.log("checkpoint_committed", rank, format!("\"step\":{step}"));
         }
         Ok(Self::header(ops::ST_OK, st.generation))
     }
@@ -335,12 +331,7 @@ impl FleetHub {
                 return Ok(Self::header(ops::ST_STALE, st.generation));
             }
             if st.results[rank].replace(bytes.to_vec()).is_none() {
-                Self::log(
-                    &mut st,
-                    "result",
-                    rank as u32,
-                    format!("\"len\":{}", bytes.len()),
-                );
+                st.log("result", rank, format!("\"len\":{}", bytes.len()));
             }
         }
         let status = if st.complete() {
@@ -391,46 +382,35 @@ impl SessionSink for FleetHub {
             .map_err(|e| Self::bad(&format!("malformed join: {e}")))?;
 
         let mut st = self.state.lock().unwrap();
-        let refuse = |st: &HubState, status: u8| {
-            ops::encode_join_ack(&ops::JoinAck {
-                status,
-                generation: st.generation,
-                session,
-                size: self.size as u32,
-                committed_step: u64::MAX,
-            })
+        let status = match st.ranks.get(rank as usize) {
+            None => ops::JOIN_BAD_RANK,
+            Some(slot) if slot.session.is_some() => ops::JOIN_DUPLICATE,
+            Some(slot) if incarnation <= slot.incarnation => ops::JOIN_STALE_INCARNATION,
+            Some(_) => ops::JOIN_OK,
         };
-        if rank as usize >= self.size {
-            return Ok(refuse(&st, ops::JOIN_BAD_RANK));
+        let mut committed_step = u64::MAX;
+        if status == ops::JOIN_OK {
+            let slot = &mut st.ranks[rank as usize];
+            slot.session = Some(session);
+            slot.incarnation = incarnation;
+            slot.departed = false;
+            slot.joins += 1;
+            st.conn_rank.insert(session, rank);
+            for label in &labels {
+                st.providers.insert(label.to_string(), (rank, incarnation));
+            }
+            committed_step = st.committed.as_ref().map_or(u64::MAX, |(s, _)| *s);
+            st.log(
+                "join",
+                rank,
+                format!(
+                    "\"incarnation\":{incarnation},\"session\":{session},\"labels\":{}",
+                    labels.len()
+                ),
+            );
         }
-        let slot = &st.ranks[rank as usize];
-        if slot.session.is_some() {
-            return Ok(refuse(&st, ops::JOIN_DUPLICATE));
-        }
-        if incarnation <= slot.incarnation {
-            return Ok(refuse(&st, ops::JOIN_STALE_INCARNATION));
-        }
-        let slot = &mut st.ranks[rank as usize];
-        slot.session = Some(session);
-        slot.incarnation = incarnation;
-        slot.departed = false;
-        slot.joins += 1;
-        st.conn_rank.insert(session, rank);
-        for label in &labels {
-            st.providers.insert(label.to_string(), (rank, incarnation));
-        }
-        let committed_step = st.committed.as_ref().map_or(u64::MAX, |(s, _)| *s);
-        Self::log(
-            &mut st,
-            "join",
-            rank,
-            format!(
-                "\"incarnation\":{incarnation},\"session\":{session},\"labels\":{}",
-                labels.len()
-            ),
-        );
         let ack = ops::encode_join_ack(&ops::JoinAck {
-            status: ops::JOIN_OK,
+            status,
             generation: st.generation,
             session,
             size: self.size as u32,
@@ -453,12 +433,7 @@ impl SessionSink for FleetHub {
             let slot = &mut st.ranks[rank as usize];
             slot.session = None;
             slot.departed = true;
-            Self::log(
-                &mut st,
-                "leave",
-                rank,
-                format!("\"incarnation\":{incarnation}"),
-            );
+            st.log("leave", rank, format!("\"incarnation\":{incarnation}"));
             drop(st);
             self.cv.notify_all();
             Ok(vec![0])
@@ -472,42 +447,26 @@ impl SessionSink for FleetHub {
         let Some(rank) = st.conn_rank.remove(&session) else {
             return; // refused join, already-left, or superseded session
         };
+        let complete = st.complete();
         let slot = &mut st.ranks[rank as usize];
         if slot.session != Some(session) {
             return;
         }
         let incarnation = slot.incarnation;
         slot.session = None;
-        if st.complete() {
+        if complete {
             // Every result is in: the death loses nothing, so it is a
             // departure, not a rollback.
-            st.ranks[rank as usize].departed = true;
-            Self::log(
-                &mut st,
-                "leave",
-                rank,
-                format!("\"incarnation\":{incarnation},\"after_results\":true"),
-            );
-            drop(st);
-            self.cv.notify_all();
+            slot.departed = true;
             return;
         }
         st.generation += 1;
-        for mb in &mut st.mailboxes {
-            mb.clear();
-        }
-        for s in &mut st.staged {
-            *s = None;
-        }
-        let departed: Vec<bool> = st.ranks.iter().map(|r| r.departed).collect();
-        for (r, res) in st.results.iter_mut().enumerate() {
-            if !departed[r] {
-                *res = None;
-            }
-        }
+        st.mailboxes.iter_mut().for_each(VecDeque::clear);
+        st.staged.fill(None);
+        // No rank leaves before every result is in, so none is kept.
+        st.results.fill(None);
         cca_obs::fleet().record_generation_bump();
-        Self::log(
-            &mut st,
+        st.log(
             "rank_death",
             rank,
             format!("\"incarnation\":{incarnation},\"session\":{session}"),

@@ -31,10 +31,11 @@ pub struct HubLink {
     incarnation: u32,
     session: u64,
     gen: AtomicU64,
-    committed_step_at_join: Option<u64>,
     park_timeout: Duration,
-    poll: Duration,
 }
+
+/// How long the hub may hold one recv request open.
+const RECV_WAIT_MS: u32 = 10;
 
 fn rpc_fatal(e: SidlError) -> ParallelError {
     ParallelError::Codec(format!("fleet hub rpc failed: {e}"))
@@ -78,9 +79,7 @@ impl HubLink {
             incarnation,
             session: ack.session,
             gen: AtomicU64::new(ack.generation),
-            committed_step_at_join: (ack.committed_step != u64::MAX).then_some(ack.committed_step),
             park_timeout,
-            poll: Duration::from_millis(10),
         }))
     }
 
@@ -107,12 +106,6 @@ impl HubLink {
     /// Last generation observed in any hub reply.
     pub fn generation(&self) -> u64 {
         self.gen.load(Ordering::Acquire)
-    }
-
-    /// Committed checkpoint step advertised in the join ack (a restarted
-    /// rank uses this to know a restore is available before asking).
-    pub fn committed_step_at_join(&self) -> Option<u64> {
-        self.committed_step_at_join
     }
 
     /// A communicator routing collectives through this link.
@@ -175,7 +168,7 @@ impl HubLink {
     /// acknowledged the current generation, adopting newer generations
     /// as they appear. Returns the generation the group settled on.
     pub fn resync(&self) -> Result<u64, ParallelError> {
-        self.park(|| {
+        self.park(Duration::from_millis(5), || {
             let req = ops::plain_req(ops::OP_RESYNC, self.rank, self.generation());
             // ST_EMPTY: peers still rolling back; ST_STALE: another death
             // mid-resync — `call` already adopted the new generation, so
@@ -188,25 +181,23 @@ impl HubLink {
     }
 
     /// Deposits this rank's final result, then blocks (bounded by the
-    /// park timeout) until every rank has deposited one. Holding the
-    /// rank here keeps the group whole: should a peer die first, this
-    /// rank gets [`ParallelError::Interrupted`] and redoes its share of
-    /// the final collective with the restarted peer, instead of having
-    /// left it waiting on a rank that is gone.
+    /// park timeout) until every rank has one, so no rank leaves while a
+    /// peer may still need it to redo a collective `finish`.
     pub fn deposit_result(&self, bytes: &[u8]) -> Result<(), ParallelError> {
-        self.park(
-            || match self.call(ops::result_req(self.rank, self.generation(), bytes))? {
+        self.park(Duration::from_millis(5), || {
+            match self.call(ops::result_req(self.rank, self.generation(), bytes))? {
                 (ops::ST_OK, _, _) => Ok(Some(())),
                 (ops::ST_EMPTY, _, _) => Ok(None),
                 (_, generation, _) => Err(ParallelError::Interrupted { generation }),
-            },
-        )
+            }
+        })
     }
 
-    /// Repeats `poll` every 5 ms until it yields a value, failing with
-    /// [`ParallelError::Timeout`] once the park timeout has passed.
+    /// Repeats `poll`, `pause` apart, until it yields a value, failing
+    /// with [`ParallelError::Timeout`] once the park timeout has passed.
     fn park<T>(
         &self,
+        pause: Duration,
         mut poll: impl FnMut() -> Result<Option<T>, ParallelError>,
     ) -> Result<T, ParallelError> {
         let deadline = Instant::now() + self.park_timeout;
@@ -219,7 +210,7 @@ impl HubLink {
                     waited_ms: self.park_timeout.as_millis() as u64,
                 });
             }
-            std::thread::sleep(Duration::from_millis(5));
+            std::thread::sleep(pause);
         }
     }
 
@@ -266,34 +257,25 @@ impl WireLink for HubLink {
         ))
     }
 
+    /// The hub long-polls each recv, so the link re-polls at once.
     fn recv(&self) -> Result<WireMsg, ParallelError> {
-        let deadline = Instant::now() + self.park_timeout;
-        loop {
-            let gen = self.generation();
-            let wait_ms = self.poll.as_millis() as u32;
-            let (status, generation, rest) = self.call(ops::recv_req(self.rank, gen, wait_ms))?;
+        self.park(Duration::ZERO, || {
+            let (status, generation, rest) =
+                self.call(ops::recv_req(self.rank, self.generation(), RECV_WAIT_MS))?;
             match status {
-                ops::ST_OK => {
-                    return le::decode(&rest, |r| {
-                        Ok(WireMsg {
-                            src_world: r.get::<u32>()? as usize,
-                            context: r.get()?,
-                            tag: r.get()?,
-                            bytes: r.bytes32()?.to_vec(),
-                        })
-                    })
-                    .map_err(bad_reply);
-                }
-                ops::ST_EMPTY => {
-                    if Instant::now() >= deadline {
-                        return Err(ParallelError::Timeout {
-                            waited_ms: self.park_timeout.as_millis() as u64,
-                        });
-                    }
-                }
-                _ => return Err(ParallelError::Interrupted { generation }),
+                ops::ST_OK => le::decode(&rest, |r| {
+                    Ok(Some(WireMsg {
+                        src_world: r.get::<u32>()? as usize,
+                        context: r.get()?,
+                        tag: r.get()?,
+                        bytes: r.bytes32()?.to_vec(),
+                    }))
+                })
+                .map_err(bad_reply),
+                ops::ST_EMPTY => Ok(None),
+                _ => Err(ParallelError::Interrupted { generation }),
             }
-        }
+        })
     }
 }
 
