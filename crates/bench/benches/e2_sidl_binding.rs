@@ -3,7 +3,7 @@
 //! interface method call."
 //!
 //! Uses the *actual generated bindings* (`cca::generated::demo::Counter`,
-//! produced by build.rs from sidl/esi.sidl):
+//! produced by build.rs from sidl/demo.sidl):
 //!
 //!   direct_impl — calling the concrete implementation;
 //!   vtable      — calling through `Arc<dyn Counter>` (1 indirect call);

@@ -44,7 +44,8 @@ impl demo::Counter for CounterImpl {
     }
 }
 
-const SIDL: &str = include_str!("../../../sidl/esi.sidl");
+/// The package the generated `demo::Counter` comes from.
+const DEMO_SIDL: &str = include_str!("../../../sidl/demo.sidl");
 
 fn main() {
     let h = Harness::from_env();
@@ -70,7 +71,7 @@ fn main() {
         }),
     );
 
-    let reflection = Reflection::from_model(&cca::sidl::compile(SIDL).unwrap());
+    let reflection = Reflection::from_model(&cca::sidl::compile(DEMO_SIDL).unwrap());
     let add_info = reflection
         .type_info("demo.Counter")
         .unwrap()
@@ -97,12 +98,13 @@ fn main() {
         }),
     );
 
-    // The discovery path end-to-end: compile SIDL → reflection. This is a
-    // per-deposit cost, not per-call; included so EXPERIMENTS.md can set
-    // the scales side by side.
+    // The discovery path end-to-end: compile the solvers' `esi` package →
+    // reflection. This is a per-deposit cost, not per-call; included so
+    // EXPERIMENTS.md can set the scales side by side.
+    let esi = cca::solvers::esi::ESI_SIDL;
     report.metric(
         "compile_and_reflect_esi_sidl_ns",
-        h.time(|| Reflection::from_model(&cca::sidl::compile(black_box(SIDL)).unwrap())),
+        h.time(|| Reflection::from_model(&cca::sidl::compile(black_box(esi)).unwrap())),
     );
     report.finish();
 }

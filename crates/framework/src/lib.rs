@@ -56,6 +56,16 @@ pub mod monitor;
 pub mod observability;
 pub mod script;
 
+mod generated {
+    include!(concat!(env!("OUT_DIR"), "/cca_ports.rs"));
+}
+
+/// The framework's `cca.ports` interfaces as the build script generates
+/// them from `sidl/*.sidl`: one trait, stub and skeleton per reflective
+/// port ([`MonitorPort`], [`ObservabilityPort`] and [`DiscoveryPort`]
+/// implement the traits).
+pub use generated::cca::ports;
+
 pub use bulk::{BulkLandingZone, BulkRedistSender};
 pub use collective::MxNPort;
 pub use connect::{ConnectionInfo, ConnectionPolicy, RemoteTransportKind};

@@ -15,9 +15,10 @@
 //! `cca_sidl::invoke_checked` only, as a composition tool would.
 
 use crate::framework::Framework;
+use crate::ports::{self, MonitorPortSkel};
 use cca_core::{CcaError, CcaServices, Component, PortHandle};
 use cca_obs::trace::escape_json;
-use cca_sidl::{DynObject, DynValue, SidlError};
+use cca_sidl::{DynObject, SidlError};
 use std::sync::{Arc, Weak};
 
 /// The SIDL type of the monitor's provides port.
@@ -26,50 +27,25 @@ pub const MONITOR_PORT_TYPE: &str = "cca.ports.MonitorPort";
 /// Default instance name [`Framework::install_monitor`] registers under.
 pub const MONITOR_INSTANCE: &str = "cca-monitor";
 
-/// SIDL declaration of the monitor interface. Deposited into the
-/// repository by [`Framework::install_monitor`] so reflective callers can
-/// `invoke_checked` against real metadata.
-pub const MONITOR_SIDL: &str = "
-package cca.ports {
-    // Live-assembly introspection: every method returns JSON so callers
-    // need nothing beyond the dynamic-invocation machinery.
-    interface MonitorPort {
-        // [{\"name\":…,\"class\":…}] for every live instance.
-        string instances();
-        // {\"instances\":[…],\"connections\":[…]} — the live wiring graph.
-        string connectionGraph();
-        // {instance: [{\"port\":…,\"kind\":…,\"metrics\":{…}}]} for all ports.
-        string metricsJson();
-        // Total observed invocations of one port of one instance.
-        long callCount(in string instance, in string port);
-        // Live subscription count of the framework event service.
-        long eventSubscriptions();
-        // Flip the per-port counter gate at runtime.
-        void setCounters(in bool on);
-        // Flip the span/event tracer at runtime.
-        void setTracing(in bool on);
-        // Drain buffered trace events: format is \"jsonl\" or \"chrome\".
-        string drainTrace(in string format);
-        // {\"counters\":{…},\"breakers\":[…]} — global resilience counters
-        // plus the live circuit-breaker state of every connection.
-        string resilienceJson();
-    }
-}
-";
+/// SIDL declaration of the monitor interface (`sidl/monitor.sidl`; the
+/// build script generates [`ports::MonitorPort`] from it). Deposited into
+/// the repository by [`Framework::install_monitor`] so reflective callers
+/// can `invoke_checked` against real metadata.
+pub const MONITOR_SIDL: &str = include_str!("../sidl/monitor.sidl");
 
-/// The monitor's port object: a [`DynObject`] over a weak framework
-/// reference (weak, so the monitor never keeps its own framework alive —
-/// the framework owns the monitor, not vice versa).
+/// The monitor's port object: the [`ports::MonitorPort`] implementation
+/// over a weak framework reference (weak, so the monitor never keeps its
+/// own framework alive — the framework owns the monitor, not vice versa).
 pub struct MonitorPort {
     framework: Weak<Framework>,
 }
 
 impl MonitorPort {
     /// Creates a monitor port watching `framework`.
-    pub fn new(framework: &Arc<Framework>) -> Arc<Self> {
-        Arc::new(MonitorPort {
+    pub fn new(framework: &Arc<Framework>) -> Self {
+        MonitorPort {
             framework: Arc::downgrade(framework),
-        })
+        }
     }
 
     fn framework(&self) -> Result<Arc<Framework>, SidlError> {
@@ -77,9 +53,11 @@ impl MonitorPort {
             .upgrade()
             .ok_or_else(|| SidlError::invoke("monitored framework no longer exists"))
     }
+}
 
+impl ports::MonitorPort for MonitorPort {
     /// JSON array of `{"name", "class"}` for every live instance.
-    pub fn instances_json(&self) -> Result<String, SidlError> {
+    fn instances(&self) -> Result<String, SidlError> {
         let fw = self.framework()?;
         let items: Vec<String> = fw
             .instance_names()
@@ -97,7 +75,7 @@ impl MonitorPort {
     }
 
     /// The live connection graph: instances as nodes, connections as edges.
-    pub fn connection_graph_json(&self) -> Result<String, SidlError> {
+    fn connectionGraph(&self) -> Result<String, SidlError> {
         let fw = self.framework()?;
         let edges: Vec<String> = fw
             .connections()
@@ -117,13 +95,13 @@ impl MonitorPort {
             .collect();
         Ok(format!(
             "{{\"instances\":{},\"connections\":[{}]}}",
-            self.instances_json()?,
+            self.instances()?,
             edges.join(",")
         ))
     }
 
     /// Per-port metrics of every instance, keyed by instance name.
-    pub fn metrics_json(&self) -> Result<String, SidlError> {
+    fn metricsJson(&self) -> Result<String, SidlError> {
         let fw = self.framework()?;
         let mut per_instance = Vec::new();
         for name in fw.instance_names() {
@@ -147,7 +125,7 @@ impl MonitorPort {
     }
 
     /// Total observed invocations of `port` on `instance`.
-    pub fn call_count(&self, instance: &str, port: &str) -> Result<i64, SidlError> {
+    fn callCount(&self, instance: &str, port: &str) -> Result<i64, SidlError> {
         let fw = self.framework()?;
         let services = fw
             .services(instance)
@@ -158,9 +136,34 @@ impl MonitorPort {
         Ok(metrics.calls() as i64)
     }
 
+    fn eventSubscriptions(&self) -> Result<i64, SidlError> {
+        Ok(self.framework()?.event_service().subscription_count() as i64)
+    }
+
+    fn setCounters(&self, on: bool) -> Result<(), SidlError> {
+        cca_obs::set_counters(on);
+        Ok(())
+    }
+
+    fn setTracing(&self, on: bool) -> Result<(), SidlError> {
+        cca_obs::set_tracing(on);
+        Ok(())
+    }
+
+    /// Drains the tracer: `"chrome"` renders a Chrome `trace_event`
+    /// document, anything else JSON Lines.
+    fn drainTrace(&self, format: &str) -> Result<String, SidlError> {
+        let events = cca_obs::drain();
+        Ok(if format == "chrome" {
+            cca_obs::to_chrome_trace(&events)
+        } else {
+            cca_obs::to_jsonl(&events)
+        })
+    }
+
     /// Global resilience counters plus the live breaker state of every
     /// connection (state `"none"` for connections without a call policy).
-    pub fn resilience_json(&self) -> Result<String, SidlError> {
+    fn resilienceJson(&self) -> Result<String, SidlError> {
         let fw = self.framework()?;
         let breakers: Vec<String> = fw
             .breaker_states()
@@ -184,75 +187,6 @@ impl MonitorPort {
             cca_obs::resilience().snapshot().to_json(),
             breakers.join(",")
         ))
-    }
-
-    /// Drains the tracer: `"chrome"` renders a Chrome `trace_event`
-    /// document, anything else JSON Lines.
-    pub fn drain_trace(&self, format: &str) -> String {
-        let events = cca_obs::drain();
-        if format == "chrome" {
-            cca_obs::to_chrome_trace(&events)
-        } else {
-            cca_obs::to_jsonl(&events)
-        }
-    }
-}
-
-impl DynObject for MonitorPort {
-    fn sidl_type(&self) -> &str {
-        MONITOR_PORT_TYPE
-    }
-
-    fn invoke(&self, method: &str, args: Vec<DynValue>) -> Result<DynValue, SidlError> {
-        match method {
-            "instances" => Ok(DynValue::Str(self.instances_json()?)),
-            "connectionGraph" => Ok(DynValue::Str(self.connection_graph_json()?)),
-            "metricsJson" => Ok(DynValue::Str(self.metrics_json()?)),
-            "callCount" => {
-                let instance = args
-                    .first()
-                    .ok_or_else(|| SidlError::invoke("callCount needs (instance, port)"))?
-                    .as_str()?;
-                let port = args
-                    .get(1)
-                    .ok_or_else(|| SidlError::invoke("callCount needs (instance, port)"))?
-                    .as_str()?;
-                Ok(DynValue::Long(self.call_count(instance, port)?))
-            }
-            "eventSubscriptions" => {
-                let fw = self.framework()?;
-                Ok(DynValue::Long(
-                    fw.event_service().subscription_count() as i64
-                ))
-            }
-            "setCounters" => {
-                let on = args
-                    .first()
-                    .ok_or_else(|| SidlError::invoke("setCounters needs (on)"))?
-                    .as_bool()?;
-                cca_obs::set_counters(on);
-                Ok(DynValue::Void)
-            }
-            "setTracing" => {
-                let on = args
-                    .first()
-                    .ok_or_else(|| SidlError::invoke("setTracing needs (on)"))?
-                    .as_bool()?;
-                cca_obs::set_tracing(on);
-                Ok(DynValue::Void)
-            }
-            "resilienceJson" => Ok(DynValue::Str(self.resilience_json()?)),
-            "drainTrace" => {
-                let format = args
-                    .first()
-                    .ok_or_else(|| SidlError::invoke("drainTrace needs (format)"))?
-                    .as_str()?;
-                Ok(DynValue::Str(self.drain_trace(format)))
-            }
-            other => Err(SidlError::invoke(format!(
-                "{MONITOR_PORT_TYPE} has no method '{other}'"
-            ))),
-        }
     }
 }
 
@@ -317,18 +251,21 @@ impl Framework {
     /// instance named [`MONITOR_INSTANCE`] whose `"monitor"` provides port
     /// answers the [`MONITOR_PORT_TYPE`] interface via dynamic invocation.
     ///
-    /// Returns the port object for in-process callers; reflective tools
-    /// reach the same object with
+    /// Returns the installed skeleton for in-process callers (its `.0` is
+    /// the typed [`MonitorPort`]); reflective tools reach the same object
+    /// with
     /// `framework.services(MONITOR_INSTANCE)?.get_provides_port("monitor")`.
-    pub fn install_monitor(self: &Arc<Self>) -> Result<Arc<MonitorPort>, CcaError> {
-        let port = MonitorPort::new(self);
+    pub fn install_monitor(
+        self: &Arc<Self>,
+    ) -> Result<Arc<MonitorPortSkel<MonitorPort>>, CcaError> {
+        let port = Arc::new(MonitorPortSkel(MonitorPort::new(self)));
         self.install_reflective_port(
             MONITOR_INSTANCE,
             "cca.MonitorComponent",
             "monitor",
             MONITOR_PORT_TYPE,
             MONITOR_SIDL,
-            Arc::clone(&port) as Arc<dyn DynObject>,
+            port.clone(),
         )?;
         Ok(port)
     }
@@ -337,9 +274,10 @@ impl Framework {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ports::MonitorPort as _;
     use cca_data::TypeMap;
     use cca_repository::Repository;
-    use cca_sidl::{compile, invoke_checked, Reflection};
+    use cca_sidl::{compile, invoke_checked, DynValue, Reflection};
 
     trait Echo: Send + Sync {
         fn ping(&self) -> i64;
@@ -389,18 +327,18 @@ mod tests {
             fw.install_monitor(),
             Err(CcaError::ComponentAlreadyExists(_))
         ));
-        assert!(monitor.instances_json().unwrap().contains("cca-monitor"));
+        assert!(monitor.0.instances().unwrap().contains("cca-monitor"));
     }
 
     #[test]
     fn monitor_reports_graph_and_metrics() {
         let fw = wired_framework();
         let monitor = fw.install_monitor().unwrap();
-        let graph = monitor.connection_graph_json().unwrap();
+        let graph = monitor.0.connectionGraph().unwrap();
         assert!(graph.contains("\"user\":\"u0\""));
         assert!(graph.contains("\"provider\":\"p0\""));
         assert!(graph.contains("\"policy\":\"Direct\""));
-        let metrics = monitor.metrics_json().unwrap();
+        let metrics = monitor.0.metricsJson().unwrap();
         assert!(metrics.contains("\"u0\""));
         assert!(metrics.contains("\"kind\":\"uses\""));
         // Counter-gated call counting observed through the monitor.
@@ -409,9 +347,9 @@ mod tests {
         let port: Arc<dyn Echo> = services.get_port_as("in").unwrap();
         assert_eq!(port.ping(), 1);
         cca_obs::set_counters(false);
-        assert!(monitor.call_count("u0", "in").unwrap() >= 1);
-        assert!(monitor.call_count("ghost", "in").is_err());
-        assert!(monitor.call_count("u0", "ghost").is_err());
+        assert!(monitor.0.callCount("u0", "in").unwrap() >= 1);
+        assert!(monitor.0.callCount("ghost", "in").is_err());
+        assert!(monitor.0.callCount("u0", "ghost").is_err());
     }
 
     #[test]
@@ -464,7 +402,7 @@ mod tests {
             .unwrap();
         let monitor = fw.install_monitor().unwrap();
 
-        let json = monitor.resilience_json().unwrap();
+        let json = monitor.0.resilienceJson().unwrap();
         assert!(json.contains("\"state\":\"closed\""), "{json}");
         assert!(json.contains("\"breaker_opens\""), "{json}");
 
@@ -478,7 +416,7 @@ mod tests {
         for _ in 0..3 {
             breaker.record_failure();
         }
-        let json = monitor.resilience_json().unwrap();
+        let json = monitor.0.resilienceJson().unwrap();
         assert!(json.contains("\"state\":\"open\""), "{json}");
         assert!(json.contains("\"consecutiveFailures\":3"), "{json}");
 
@@ -500,8 +438,9 @@ mod tests {
         let fw = wired_framework();
         let monitor = fw.install_monitor().unwrap();
         drop(fw);
-        assert!(monitor.instances_json().is_err());
+        assert!(monitor.0.instances().is_err());
         assert!(monitor
+            .0
             .framework()
             .err()
             .unwrap()

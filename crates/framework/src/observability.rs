@@ -16,9 +16,10 @@
 
 use crate::framework::Framework;
 use crate::monitor::MonitorPort;
+use crate::ports::{self, MonitorPort as _, ObservabilityPortSkel};
 use cca_core::CcaError;
 use cca_obs::trace::escape_json;
-use cca_sidl::{DynObject, DynValue, SidlError};
+use cca_sidl::SidlError;
 use std::sync::Arc;
 
 /// The SIDL type of the scrape port.
@@ -33,60 +34,43 @@ pub const OBSERVABILITY_INSTANCE: &str = "cca-observability";
 /// it with `ObjRef::new(OBSERVABILITY_EXPORT_KEY, transport)`.
 pub const OBSERVABILITY_EXPORT_KEY: &str = "cca-observability/observability";
 
-/// SIDL declaration of the scrape interface, deposited into the
-/// repository by [`Framework::install_observability`] so reflective
-/// callers can `invoke_checked` against real metadata.
-pub const OBSERVABILITY_SIDL: &str = "
-package cca.ports {
-    // Remote scrape plane: everything observable in one process, pulled
-    // over the wire through dynamic invocation alone.
-    interface ObservabilityPort {
-        // {\"tracing\":…,\"counters\":…,\"flight\":{…},\"metrics\":{…},
-        //  \"resilience\":{…},\"repo\":{…},\"fleet\":{…}} — one
-        // self-describing scrape.
-        string snapshotJson();
-        // Non-consuming trace-ring snapshot as JSON Lines (same format
-        // the flight recorder and Perfetto merge consume).
-        string traceJsonl();
-        // {\"enabled\":…,\"incidents\":[…]} — flight-recorder inventory.
-        string flightJson();
-        // Global resilience counters plus live breaker states.
-        string resilienceJson();
-        // Flip the span tracer at runtime, from across the network.
-        void setTracing(in bool on);
-    }
-}
-";
+/// SIDL declaration of the scrape interface (`sidl/observability.sidl`;
+/// the build script generates [`ports::ObservabilityPort`] from it),
+/// deposited into the repository by [`Framework::install_observability`]
+/// so reflective callers can `invoke_checked` against real metadata.
+pub const OBSERVABILITY_SIDL: &str = include_str!("../sidl/observability.sidl");
 
 /// The scrape port object. Structure queries delegate to an internal
 /// [`MonitorPort`] (same weak-reference discipline: the port never keeps
 /// its framework alive); behaviour queries read the process-global
 /// tracer, flight recorder, and resilience counters directly.
 pub struct ObservabilityPort {
-    monitor: Arc<MonitorPort>,
+    monitor: MonitorPort,
 }
 
 impl ObservabilityPort {
     /// Creates a scrape port watching `framework`.
-    pub fn new(framework: &Arc<Framework>) -> Arc<Self> {
-        Arc::new(ObservabilityPort {
+    pub fn new(framework: &Arc<Framework>) -> Self {
+        ObservabilityPort {
             monitor: MonitorPort::new(framework),
-        })
+        }
     }
+}
 
+impl ports::ObservabilityPort for ObservabilityPort {
     /// One self-describing scrape: flag gates, flight inventory,
     /// per-instance port metrics, resilience counters, the repository's
     /// deposit/lookup/discovery counters, and the worker fleet's
     /// supervision counters (launches, deaths, restarts, generation bumps).
-    pub fn snapshot_json(&self) -> Result<String, SidlError> {
+    fn snapshotJson(&self) -> Result<String, SidlError> {
         Ok(format!(
             "{{\"tracing\":{},\"counters\":{},\"flight\":{},\"metrics\":{},\"resilience\":{},\
              \"repo\":{},\"fleet\":{}}}",
             cca_obs::tracing_enabled(),
             cca_obs::counters_enabled(),
-            self.flight_json(),
-            self.monitor.metrics_json()?,
-            self.monitor.resilience_json()?,
+            self.flightJson()?,
+            self.monitor.metricsJson()?,
+            self.monitor.resilienceJson()?,
             cca_obs::repo().snapshot().to_json(),
             cca_obs::fleet().snapshot().to_json(),
         ))
@@ -94,48 +78,31 @@ impl ObservabilityPort {
 
     /// The trace ring as JSON Lines, **without consuming it** — local
     /// drains (flight recorder, monitor) still see every event.
-    pub fn trace_jsonl(&self) -> String {
-        cca_obs::to_jsonl(&cca_obs::snapshot())
+    fn traceJsonl(&self) -> Result<String, SidlError> {
+        Ok(cca_obs::to_jsonl(&cca_obs::snapshot()))
     }
 
     /// Flight-recorder inventory: whether it is armed and which incident
     /// files this process currently retains.
-    pub fn flight_json(&self) -> String {
+    fn flightJson(&self) -> Result<String, SidlError> {
         let incidents: Vec<String> = cca_obs::flight::incidents()
             .iter()
             .map(|p| format!("\"{}\"", escape_json(&p.display().to_string())))
             .collect();
-        format!(
+        Ok(format!(
             "{{\"enabled\":{},\"incidents\":[{}]}}",
             cca_obs::flight::enabled(),
             incidents.join(",")
-        )
-    }
-}
-
-impl DynObject for ObservabilityPort {
-    fn sidl_type(&self) -> &str {
-        OBSERVABILITY_PORT_TYPE
+        ))
     }
 
-    fn invoke(&self, method: &str, args: Vec<DynValue>) -> Result<DynValue, SidlError> {
-        match method {
-            "snapshotJson" => Ok(DynValue::Str(self.snapshot_json()?)),
-            "traceJsonl" => Ok(DynValue::Str(self.trace_jsonl())),
-            "flightJson" => Ok(DynValue::Str(self.flight_json())),
-            "resilienceJson" => Ok(DynValue::Str(self.monitor.resilience_json()?)),
-            "setTracing" => {
-                let on = args
-                    .first()
-                    .ok_or_else(|| SidlError::invoke("setTracing needs (on)"))?
-                    .as_bool()?;
-                cca_obs::set_tracing(on);
-                Ok(DynValue::Void)
-            }
-            other => Err(SidlError::invoke(format!(
-                "{OBSERVABILITY_PORT_TYPE} has no method '{other}'"
-            ))),
-        }
+    fn resilienceJson(&self) -> Result<String, SidlError> {
+        self.monitor.resilienceJson()
+    }
+
+    fn setTracing(&self, on: bool) -> Result<(), SidlError> {
+        cca_obs::set_tracing(on);
+        Ok(())
     }
 }
 
@@ -147,16 +114,19 @@ impl Framework {
     /// [`serve_tcp_mux`](Framework::serve_tcp_mux) call makes the process
     /// remotely scrapeable.
     ///
-    /// Returns the port object for in-process callers.
-    pub fn install_observability(self: &Arc<Self>) -> Result<Arc<ObservabilityPort>, CcaError> {
-        let port = ObservabilityPort::new(self);
+    /// Returns the installed skeleton for in-process callers (its `.0` is
+    /// the typed [`ObservabilityPort`]).
+    pub fn install_observability(
+        self: &Arc<Self>,
+    ) -> Result<Arc<ObservabilityPortSkel<ObservabilityPort>>, CcaError> {
+        let port = Arc::new(ObservabilityPortSkel(ObservabilityPort::new(self)));
         self.install_reflective_port(
             OBSERVABILITY_INSTANCE,
             "cca.ObservabilityComponent",
             "observability",
             OBSERVABILITY_PORT_TYPE,
             OBSERVABILITY_SIDL,
-            Arc::clone(&port) as Arc<dyn DynObject>,
+            port.clone(),
         )?;
         let key = self.export_port(OBSERVABILITY_INSTANCE, "observability")?;
         debug_assert_eq!(key, OBSERVABILITY_EXPORT_KEY);
@@ -167,10 +137,11 @@ impl Framework {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ports::ObservabilityPort as _;
     use cca_core::{CcaServices, Component, PortHandle};
     use cca_data::TypeMap;
     use cca_repository::Repository;
-    use cca_sidl::{compile, invoke_checked, Reflection};
+    use cca_sidl::{compile, invoke_checked, DynObject, DynValue, Reflection};
 
     // The scrape tests never call through the port; a marker trait is
     // enough to give the provider a typed provides slot.
@@ -219,7 +190,7 @@ mod tests {
             fw.install_observability(),
             Err(CcaError::ComponentAlreadyExists(_))
         ));
-        let snap = obs.snapshot_json().unwrap();
+        let snap = obs.0.snapshotJson().unwrap();
         assert!(snap.contains("\"tracing\":"), "{snap}");
         assert!(snap.contains("\"flight\":{\"enabled\":"), "{snap}");
         assert!(snap.contains("\"u0\""), "{snap}");
@@ -259,8 +230,8 @@ mod tests {
         obs.invoke("setTracing", vec![DynValue::Bool(true)])
             .unwrap();
         cca_obs::trace_instant("scrape-me");
-        let first = obs.trace_jsonl();
-        let second = obs.trace_jsonl();
+        let first = obs.0.traceJsonl().unwrap();
+        let second = obs.0.traceJsonl().unwrap();
         obs.invoke("setTracing", vec![DynValue::Bool(false)])
             .unwrap();
         cca_obs::drain();

@@ -1,12 +1,15 @@
-//! The ESI-style port layer: SIDL description, Rust port traits, and CCA
-//! components wrapping the numerical kernels.
+//! The ESI-style port layer: the `esi` SIDL package, Rust port traits, and
+//! CCA components wrapping the numerical kernels.
 //!
 //! This is where the toolkit becomes *components*: a matrix provider, a
 //! preconditioner, and a Krylov solver, each a [`cca_core::Component`]
 //! with SIDL-described ports, wireable by the reference framework exactly
 //! as Figure 1 draws them. Each provides port carries both the typed trait
 //! object (direct-connect fast path) and a [`cca_sidl::DynObject`] facade
-//! (reflective calls and proxied connections).
+//! (reflective calls and proxied connections). The facade is the
+//! skeleton the crate's build script generates from `sidl/esi.sidl`
+//! ([`sidl`]); the components implement the generated traits and write
+//! no dispatch code of their own.
 
 use crate::csr::CsrMatrix;
 use crate::krylov::{solve, KrylovKind, LinearOperator, SolveStats};
@@ -14,41 +17,21 @@ use crate::precond::{Identity, Ilu0, Jacobi, Preconditioner, Ssor};
 use crate::vector::SerialReduce;
 use cca_core::{CcaError, CcaServices, Component, PortHandle};
 use cca_data::{NdArray, TypeMap};
-use cca_sidl::{DynObject, DynValue, SidlError};
+use cca_sidl::{DynObject, SidlError};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// The SIDL description of this package's ports — deposit into a
 /// repository with `repo.deposit_sidl(ESI_SIDL)`.
-pub const ESI_SIDL: &str = r#"
-package esi version 1.0 {
-    /** Raised when an iterative solve fails to converge. */
-    class SolveFailure { string message(); }
+pub const ESI_SIDL: &str = include_str!("../sidl/esi.sidl");
 
-    /** y = A x over the caller's local rows. */
-    interface Operator {
-        int rows();
-        array<double, 1> apply(in array<double, 1> x);
-    }
-
-    /** An operator that can also expose its sparse matrix. */
-    interface MatrixOperator extends Operator {
-        int nnz();
-    }
-
-    /** z = inv(M) r. */
-    interface Preconditioner {
-        array<double, 1> applyInverse(in array<double, 1> r);
-        string name();
-    }
-
-    /** Solves A x = b to a relative tolerance. */
-    interface LinearSolver {
-        array<double, 1> solve(in array<double, 1> b) throws esi.SolveFailure;
-        int lastIterations();
-    }
+mod generated {
+    include!(concat!(env!("OUT_DIR"), "/esi.rs"));
 }
-"#;
+
+/// The `esi` package as the generator emits it from [`ESI_SIDL`]: one
+/// trait, stub and skeleton per type.
+pub use generated::esi as sidl;
 
 // ---- typed port traits ---------------------------------------------------
 
@@ -110,27 +93,20 @@ impl OperatorPort for MatrixOperator {
     }
 }
 
-impl DynObject for MatrixOperator {
-    fn sidl_type(&self) -> &str {
-        "esi.MatrixOperator"
+impl sidl::Operator for MatrixOperator {
+    fn rows(&self) -> Result<i32, SidlError> {
+        Ok(self.a.nrows() as i32)
     }
-    fn invoke(&self, method: &str, args: Vec<DynValue>) -> Result<DynValue, SidlError> {
-        match method {
-            "rows" => Ok(DynValue::Int(self.a.nrows() as i32)),
-            "nnz" => Ok(DynValue::Int(self.a.nnz() as i32)),
-            "apply" => {
-                let x = args
-                    .first()
-                    .ok_or_else(|| SidlError::invoke("apply expects 1 argument"))?
-                    .as_double_array()?;
-                let mut y = vec![0.0; self.a.nrows()];
-                self.a.matvec(x.as_slice(), &mut y);
-                Ok(DynValue::DoubleArray(
-                    NdArray::from_vec(&[y.len()], y).expect("length matches"),
-                ))
-            }
-            other => Err(SidlError::invoke(format!("no method '{other}'"))),
-        }
+    fn apply(&self, x: &NdArray<f64>) -> Result<NdArray<f64>, SidlError> {
+        let mut y = vec![0.0; self.a.nrows()];
+        self.a.matvec(x.as_slice(), &mut y);
+        Ok(NdArray::from_vec(&[y.len()], y).expect("length matches"))
+    }
+}
+
+impl sidl::MatrixOperator for MatrixOperator {
+    fn nnz(&self) -> Result<i32, SidlError> {
+        Ok(self.a.nnz() as i32)
     }
 }
 
@@ -143,7 +119,7 @@ impl Component for MatrixComponent {
             a: Arc::clone(&self.a),
         });
         let typed: Arc<dyn OperatorPort> = op.clone();
-        let dynamic: Arc<dyn DynObject> = op;
+        let dynamic: Arc<dyn DynObject> = Arc::new(sidl::MatrixOperatorSkel(op));
         services.add_provides_port(
             PortHandle::new("A", "esi.MatrixOperator", typed).with_dynamic(dynamic),
         )
@@ -240,26 +216,14 @@ impl PreconditionerPort for PrecondFacade {
     }
 }
 
-impl DynObject for PrecondFacade {
-    fn sidl_type(&self) -> &str {
-        "esi.Preconditioner"
+impl sidl::Preconditioner for PrecondFacade {
+    fn applyInverse(&self, r: &NdArray<f64>) -> Result<NdArray<f64>, SidlError> {
+        let mut z = vec![0.0; r.len()];
+        self.apply_inverse(r.as_slice(), &mut z);
+        Ok(NdArray::from_vec(&[z.len()], z).expect("length matches"))
     }
-    fn invoke(&self, method: &str, args: Vec<DynValue>) -> Result<DynValue, SidlError> {
-        match method {
-            "applyInverse" => {
-                let r = args
-                    .first()
-                    .ok_or_else(|| SidlError::invoke("applyInverse expects 1 argument"))?
-                    .as_double_array()?;
-                let mut z = vec![0.0; r.len()];
-                self.apply_inverse(r.as_slice(), &mut z);
-                Ok(DynValue::DoubleArray(
-                    NdArray::from_vec(&[z.len()], z).expect("length matches"),
-                ))
-            }
-            "name" => Ok(DynValue::Str(self.precond_name())),
-            other => Err(SidlError::invoke(format!("no method '{other}'"))),
-        }
+    fn name(&self) -> Result<String, SidlError> {
+        Ok(self.precond_name())
     }
 }
 
@@ -290,7 +254,7 @@ pub fn expose_precond_ports(c: &Arc<PrecondComponent>) -> Result<(), CcaError> {
         owner: Arc::clone(c),
     });
     let typed: Arc<dyn PreconditionerPort> = facade.clone();
-    let dynamic: Arc<dyn DynObject> = facade;
+    let dynamic: Arc<dyn DynObject> = Arc::new(sidl::PreconditionerSkel(facade));
     services
         .add_provides_port(PortHandle::new("M", "esi.Preconditioner", typed).with_dynamic(dynamic))
 }
@@ -416,33 +380,20 @@ impl LinearSolverPort for SolverFacade {
     }
 }
 
-impl DynObject for SolverFacade {
-    fn sidl_type(&self) -> &str {
-        "esi.LinearSolver"
+impl sidl::LinearSolver for SolverFacade {
+    fn solve(&self, b: &NdArray<f64>) -> Result<NdArray<f64>, SidlError> {
+        let (x, _stats) = self.solve_system(b.as_slice()).map_err(|e| match e {
+            CcaError::Sidl(se) => se,
+            other => SidlError::invoke(other.to_string()),
+        })?;
+        Ok(NdArray::from_vec(&[x.len()], x).expect("length matches"))
     }
-    fn invoke(&self, method: &str, args: Vec<DynValue>) -> Result<DynValue, SidlError> {
-        match method {
-            "solve" => {
-                let b = args
-                    .first()
-                    .ok_or_else(|| SidlError::invoke("solve expects 1 argument"))?
-                    .as_double_array()?;
-                let (x, _stats) = self.solve_system(b.as_slice()).map_err(|e| match e {
-                    CcaError::Sidl(se) => se,
-                    other => SidlError::invoke(other.to_string()),
-                })?;
-                Ok(DynValue::DoubleArray(
-                    NdArray::from_vec(&[x.len()], x).expect("length matches"),
-                ))
-            }
-            "lastIterations" => Ok(DynValue::Int(
-                self.owner
-                    .last_stats()
-                    .map(|s| s.iterations as i32)
-                    .unwrap_or(-1),
-            )),
-            other => Err(SidlError::invoke(format!("no method '{other}'"))),
-        }
+    fn lastIterations(&self) -> Result<i32, SidlError> {
+        Ok(self
+            .owner
+            .last_stats()
+            .map(|s| s.iterations as i32)
+            .unwrap_or(-1))
     }
 }
 
@@ -470,7 +421,7 @@ pub fn expose_solver_ports(c: &Arc<SolverComponent>) -> Result<(), CcaError> {
         owner: Arc::clone(c),
     });
     let typed: Arc<dyn LinearSolverPort> = facade.clone();
-    let dynamic: Arc<dyn DynObject> = facade;
+    let dynamic: Arc<dyn DynObject> = Arc::new(sidl::LinearSolverSkel(facade));
     services.add_provides_port(
         PortHandle::new("solver", "esi.LinearSolver", typed).with_dynamic(dynamic),
     )
@@ -481,6 +432,7 @@ mod tests {
     use super::*;
     use cca_framework::{ConnectionPolicy, Framework};
     use cca_repository::Repository;
+    use cca_sidl::DynValue;
 
     /// Assembles matrix + preconditioner + solver in a framework and
     /// returns (framework, solver component).

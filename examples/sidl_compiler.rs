@@ -1,7 +1,7 @@
 //! The SIDL toolchain as a command-line tool.
 //!
 //! ```text
-//! cargo run --example sidl_compiler            # compiles the built-in ESI file
+//! cargo run --example sidl_compiler            # compiles the solvers' esi.sidl
 //! cargo run --example sidl_compiler -- my.sidl # compiles your file
 //! ```
 //!
@@ -10,13 +10,11 @@
 //! bindings and the Babel-IOR-style C header (Figure 2's proxy generator).
 
 use cca::sidl::codegen_c::generate_c_header;
-use cca::sidl::codegen_rust::{generate_rust, RustCodegenOptions};
+use cca::sidl::codegen_rust::generate_rust;
 use cca::sidl::fmt::print_packages;
 use cca::sidl::{Reflection, TypeKind};
 use std::env;
 use std::fs;
-
-const DEFAULT_SOURCE: &str = include_str!("../sidl/esi.sidl");
 
 fn main() {
     let args: Vec<String> = env::args().collect();
@@ -29,8 +27,8 @@ fn main() {
             }),
         ),
         None => (
-            "sidl/esi.sidl (built-in)".to_string(),
-            DEFAULT_SOURCE.to_string(),
+            "crates/solvers/sidl/esi.sidl (built-in)".to_string(),
+            cca::solvers::esi::ESI_SIDL.to_string(),
         ),
     };
 
@@ -98,7 +96,7 @@ fn main() {
     }
 
     println!("\n-- generated Rust bindings (first 40 lines) ------------------");
-    let rust = generate_rust(&model, &RustCodegenOptions::default());
+    let rust = generate_rust(&model);
     for line in rust.lines().take(40) {
         println!("{line}");
     }

@@ -119,15 +119,17 @@ ccabench() {
 }
 
 # The one line-count rule line-budget claims are measured with: every line
-# of every .rs file under crates/*/src except the top-level items marked
-# `#[cfg(test)]`, summed per crate and in total. A marked item is excluded
+# of every .rs file under crates/*/src and of every crate's build.rs,
+# except the top-level items marked `#[cfg(test)]`, summed per crate and in
+# total. A marked item is excluded
 # from its attribute through its end: the first line ending in `;`, or,
 # when a line ends in `{` first, the matching `}` in column 0 (rustfmt
 # puts a top-level item's closing brace there). Code after a test module
 # still counts.
 loc() {
-    echo "==> non-test lines in crates/*/src"
-    find crates/*/src -name '*.rs' | sort | xargs awk '
+    echo "==> non-test lines in crates/*/src and crates/*/build.rs"
+    { find crates/*/src -name '*.rs'; find crates/* -maxdepth 1 -name build.rs; } |
+        sort | xargs awk '
         FNR == 1 { split(FILENAME, part, "/"); crate = part[2]; skip = 0 }
         /^#\[cfg\(test\)\]/ {
             skip = 1

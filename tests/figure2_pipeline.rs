@@ -148,7 +148,7 @@ fn full_figure2_pipeline() {
     let generated = repo.with_catalog(|cat| {
         let source = cat.source_of("pipes").unwrap();
         let model = cca::sidl::compile(source).unwrap();
-        cca::sidl::codegen_rust::generate_rust(&model, &Default::default())
+        cca::sidl::codegen_rust::generate_rust(&model)
     });
     assert!(generated.contains("pub trait Source"));
     assert!(generated.contains("pub struct SinkStub"));

@@ -1,9 +1,9 @@
 //! End-to-end test of the SIDL proxy generator: `build.rs` compiled
-//! `sidl/esi.sidl` into `cca::generated`, and this test implements and
+//! `sidl/demo.sidl` into `cca::generated`, and this test implements and
 //! exercises the generated traits, stubs, and skeletons — the full
 //! "SIDL → proxy generator → component stubs" pipeline of Figure 2.
 
-use cca::generated::{demo, esi};
+use cca::generated::demo;
 use cca::sidl::{DynObject, DynValue, SidlError};
 use cca_data::{Complex64, NdArray};
 use parking_lot::Mutex;
@@ -84,19 +84,19 @@ fn generated_skeleton_composes_with_the_orb() {
     assert!(matches!(r, DynValue::Long(4)));
 }
 
-// ---- the esi package: inheritance, arrays, complex numbers ---------------
+// ---- inheritance, arrays, complex numbers ---------------
 
 struct DenseVector {
     data: Mutex<Vec<f64>>,
 }
 
-impl esi::Object for DenseVector {
+impl demo::Object for DenseVector {
     fn typeName(&self) -> Result<String, SidlError> {
-        Ok("esi.Vector/dense".into())
+        Ok("demo.Vector/dense".into())
     }
 }
 
-impl esi::Vector for DenseVector {
+impl demo::Vector for DenseVector {
     fn length(&self) -> Result<i32, SidlError> {
         Ok(self.data.lock().len() as i32)
     }
@@ -134,15 +134,15 @@ impl esi::Vector for DenseVector {
 
 #[test]
 fn inheritance_supertraits_flow_through() {
-    let v: Arc<dyn esi::Vector> = Arc::new(DenseVector {
+    let v: Arc<dyn demo::Vector> = Arc::new(DenseVector {
         data: Mutex::new(vec![1.0, 2.0, 3.0]),
     });
-    // esi.Vector extends esi.Object: the supertrait method is callable.
-    fn object_name(o: &dyn esi::Object) -> String {
+    // demo.Vector extends demo.Object: the supertrait method is callable.
+    fn object_name(o: &dyn demo::Object) -> String {
         o.typeName().unwrap()
     }
-    assert_eq!(object_name(v.as_ref()), "esi.Vector/dense");
-    let stub = esi::VectorStub(v);
+    assert_eq!(object_name(v.as_ref()), "demo.Vector/dense");
+    let stub = demo::VectorStub(v);
     assert_eq!(stub.length().unwrap(), 3);
     stub.scaleBy(2.0).unwrap();
     let z = stub.characteristic().unwrap();
@@ -151,7 +151,7 @@ fn inheritance_supertraits_flow_through() {
 
 #[test]
 fn generated_dcomplex_and_arrays_cross_the_dynamic_boundary() {
-    let skel = Arc::new(esi::VectorSkel(DenseVector {
+    let skel = Arc::new(demo::VectorSkel(DenseVector {
         data: Mutex::new(vec![1.0, 2.0, 3.0]),
     }));
     // Array-returning method.
@@ -175,20 +175,20 @@ fn generated_dcomplex_and_arrays_cross_the_dynamic_boundary() {
 
 #[test]
 fn generated_enum_round_trips() {
-    assert_eq!(esi::Status::Converged as i64, 0);
-    assert_eq!(esi::Status::MaxIterations as i64, 10);
-    assert_eq!(esi::Status::Breakdown as i64, 11);
+    assert_eq!(demo::Status::Converged as i64, 0);
+    assert_eq!(demo::Status::MaxIterations as i64, 10);
+    assert_eq!(demo::Status::Breakdown as i64, 11);
     assert_eq!(
-        esi::Status::from_value(10),
-        Some(esi::Status::MaxIterations)
+        demo::Status::from_value(10),
+        Some(demo::Status::MaxIterations)
     );
-    assert_eq!(esi::Status::from_value(99), None);
+    assert_eq!(demo::Status::from_value(99), None);
 }
 
 #[test]
 fn generated_c_header_exists_and_is_ior_shaped() {
     let header = std::fs::read_to_string(cca::generated::GENERATED_C_HEADER).unwrap();
-    assert!(header.contains("struct esi_Vector__epv"));
+    assert!(header.contains("struct demo_Vector__epv"));
     assert!(header.contains("sidl_dcomplex"));
     assert!(header.contains("demo_Counter"));
 }

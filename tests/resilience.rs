@@ -13,6 +13,7 @@ use cca::core::resilience::{
     fault_seed_from_env, BreakerPolicy, CallPolicy, Clock, MockClock, RetryPolicy,
 };
 use cca::core::{CcaError, CcaServices, Component, ConfigEvent, PortHandle};
+use cca::framework::ports::MonitorPort as _;
 use cca::framework::{ConnectionPolicy, Framework};
 use cca::repository::Repository;
 use cca::rpc::{FaultTransport, LoopbackTransport, ObjRef, Orb};
@@ -167,7 +168,7 @@ fn quarantine_recovery_round_trip_with_events_and_monitor() {
     // legal: a uses port sees "zero or more" providers)...
     assert_eq!(services.get_ports("in").unwrap().len(), 1);
     // ...and the monitor shows the open breaker live.
-    let json = monitor.resilience_json().unwrap();
+    let json = monitor.0.resilienceJson().unwrap();
     assert!(json.contains("\"state\":\"open\""), "{json}");
 
     // Heal the provider and pass the cooldown: the next resolution
@@ -185,7 +186,7 @@ fn quarantine_recovery_round_trip_with_events_and_monitor() {
         ConfigEvent::ProviderRecovered { provider, .. } if provider == "p0"
     )));
     assert_eq!(services.get_ports("in").unwrap().len(), 2);
-    let json = monitor.resilience_json().unwrap();
+    let json = monitor.0.resilienceJson().unwrap();
     assert!(!json.contains("\"state\":\"open\""), "{json}");
 }
 

@@ -4,7 +4,7 @@
 
 use cca::sidl::codegen_c::generate_c_header;
 use cca::sidl::codegen_f77::generate_f77;
-use cca::sidl::codegen_rust::{generate_rust, RustCodegenOptions};
+use cca::sidl::codegen_rust::generate_rust;
 use cca::sidl::fmt::print_packages;
 use cca::sidl::{QName, Reflection, TypeKind};
 
@@ -100,7 +100,7 @@ fn full_pipeline_is_consistent() {
     );
 
     // Rust backend output is structurally sane.
-    let rust = generate_rust(&model, &RustCodegenOptions::default());
+    let rust = generate_rust(&model);
     assert!(rust.contains("pub mod num {"));
     assert!(rust.contains("pub mod linalg {"));
     assert!(rust.contains("pub trait Kitchen: Object + Send + Sync {"));
