@@ -63,20 +63,13 @@ fn main() {
         ("shrink_8to2", block(n, 8), block(n, 2)),
     ];
     for (name, src, dst) in &cases {
-        let plan = RedistPlan::build(src, dst).unwrap();
-        let compiled = plan.compile().unwrap();
+        let compiled = RedistPlan::build(src, dst).unwrap().compile().unwrap();
         let bufs = buffers(src);
-        // Interpreted: per-element index translation on every call.
-        report.metric(
-            &format!("transfer_{name}_interpreted_ns"),
-            h.time(|| plan.apply(&bufs).unwrap()),
-        );
-        // Compiled: the run-copy path collective ports execute, into
-        // buffers the timestep loop reuses. (Allocating the outputs per
-        // call, as the interpreted rows do, would time the allocator: four
-        // 128 KiB vectors sit on glibc's mmap threshold, and whether they
-        // are returned to the kernel on every free depends on what the
-        // process freed before.)
+        // The run-copy path collective ports execute, into buffers the
+        // timestep loop reuses. (Allocating the outputs per call would time
+        // the allocator: four 128 KiB vectors sit on glibc's mmap
+        // threshold, and whether they are returned to the kernel on every
+        // free depends on what the process freed before.)
         let mut out = buffers(dst);
         report
             .metric(

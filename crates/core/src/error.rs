@@ -1,5 +1,6 @@
 //! Error vocabulary shared by all CCA layers.
 
+use cca_data::DataError;
 use cca_parallel::ParallelError;
 use cca_sidl::SidlError;
 use std::fmt;
@@ -109,6 +110,14 @@ impl From<SidlError> for CcaError {
     }
 }
 
+/// A data-layer failure (a bad descriptor, plan or buffer shape) is a
+/// framework error carrying its message.
+impl From<DataError> for CcaError {
+    fn from(e: DataError) -> Self {
+        CcaError::Framework(e.to_string())
+    }
+}
+
 impl From<ParallelError> for CcaError {
     fn from(e: ParallelError) -> Self {
         CcaError::Parallel(e)
@@ -132,6 +141,11 @@ mod tests {
         .contains("subtype"));
         let sidl: CcaError = SidlError::invoke("boom").into();
         assert!(sidl.to_string().contains("boom"));
+        let data: CcaError = DataError::InvalidDistribution("no grid".into()).into();
+        assert_eq!(
+            data,
+            CcaError::Framework("invalid distribution: no grid".into())
+        );
         let par: CcaError = ParallelError::Interrupted { generation: 7 }.into();
         assert!(par.to_string().contains("generation 7"));
     }

@@ -353,6 +353,25 @@ impl DistArrayDesc {
         Ok((rank, local))
     }
 
+    /// Flat column-major offset of a *global* index within `rank`'s local
+    /// buffer; an error unless `rank` owns the index.
+    pub fn local_offset(&self, rank: usize, global: &[usize]) -> Result<usize, DataError> {
+        let (owner, local) = self.global_to_local(global)?;
+        if owner != rank {
+            return Err(DataError::InvalidDistribution(format!(
+                "global index {global:?} owned by rank {owner}, not {rank}"
+            )));
+        }
+        let extents = self.local_extents(rank)?;
+        let mut off = 0usize;
+        let mut stride = 1usize;
+        for d in 0..extents.len() {
+            off += local[d] * stride;
+            stride *= extents[d];
+        }
+        Ok(off)
+    }
+
     /// Maps `(rank, local_index)` back to the global multi-index.
     pub fn local_to_global(&self, rank: usize, local: &[usize]) -> Result<Vec<usize>, DataError> {
         let coords = self.dist.grid().coords_of(rank)?;

@@ -40,5 +40,5 @@ pub use complex::{Complex, Complex32, Complex64};
 pub use dist::{DimDist, DistArrayDesc, Distribution, ProcessGrid};
 pub use error::DataError;
 pub use ndarray::{NdArray, NdView, Order, Slice, ViewStorage};
-pub use redist::{CompiledPlan, CompiledTransfer, RedistPlan, Transfer, WireLayout};
+pub use redist::{CompiledPlan, CompiledTransfer, RedistPlan, Transfer};
 pub use typemap::{TypeMap, TypeMapValue};

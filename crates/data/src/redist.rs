@@ -13,9 +13,12 @@
 //! both sides can compute it independently from the two descriptors, which
 //! is how the paper's collective ports avoid any central coordinator.
 //!
-//! Planning is separated from execution: `cca-parallel` executes plans with
-//! messages between SPMD ranks, while [`RedistPlan::apply`] executes them
-//! in-memory for testing and for same-address-space connections.
+//! Planning is separated from execution, and a plan executes in one form
+//! only: [`RedistPlan::compile`] reduces every transfer to a strided
+//! rectangle of local offsets, and the resulting [`CompiledPlan`] is what
+//! moves data. `cca-framework`'s collective ports pack and unpack its
+//! transfers between SPMD ranks, its bulk plane streams them in chunks,
+//! and [`CompiledPlan::apply`] runs them in memory.
 
 use crate::dist::{DistArrayDesc, Region};
 use crate::error::DataError;
@@ -39,14 +42,15 @@ impl Transfer {
     }
 }
 
-/// A complete, deterministic M×N redistribution plan.
+/// A complete, deterministic M×N redistribution plan: the transfers,
+/// before [`compile`](Self::compile) reduces them to the form that runs.
 ///
 /// ```
 /// use cca_data::{DistArrayDesc, Distribution, RedistPlan};
 /// // 12 elements: 3-way block source, serial target (a gather).
 /// let src = DistArrayDesc::new(&[12], Distribution::block_1d(3, 1)?)?;
 /// let dst = DistArrayDesc::new(&[12], Distribution::serial(1)?)?;
-/// let plan = RedistPlan::build(&src, &dst)?;
+/// let plan = RedistPlan::build(&src, &dst)?.compile()?;
 /// assert_eq!(plan.total_elements(), 12);
 /// let out = plan.apply(&[vec![0.0; 4], vec![1.0; 4], vec![2.0; 4]])?;
 /// assert_eq!(out[0][4], 1.0); // rank 1's block landed in the middle
@@ -137,160 +141,53 @@ impl RedistPlan {
         &self.transfers
     }
 
-    /// Source descriptor the plan was built for.
-    pub fn source(&self) -> &DistArrayDesc {
-        &self.source
-    }
-
-    /// Target descriptor the plan was built for.
-    pub fn target(&self) -> &DistArrayDesc {
-        &self.target
-    }
-
-    /// Total number of elements moved (equals the global element count).
-    pub fn total_elements(&self) -> usize {
-        self.transfers.iter().map(Transfer::count).sum()
-    }
-
-    /// Number of elements whose source and destination rank coincide —
-    /// with matched decompositions this is *all* of them, the paper's "data
-    /// would not need redistribution" fast path.
-    pub fn resident_elements(&self) -> usize {
-        self.transfers
-            .iter()
-            .filter(|t| t.src_rank == t.dst_rank)
-            .map(Transfer::count)
-            .sum()
-    }
-
-    /// Number of elements that must cross ranks.
-    pub fn moved_elements(&self) -> usize {
-        self.total_elements() - self.resident_elements()
-    }
-
-    /// True when the two decompositions are element-for-element identical,
-    /// so the collective port may skip communication entirely.
-    pub fn is_matched(&self) -> bool {
-        self.moved_elements() == 0 && self.source.nranks() == self.target.nranks()
-    }
-
-    /// Transfers originating at `src_rank` (what that rank must send).
-    pub fn sends_from(&self, src_rank: usize) -> impl Iterator<Item = &Transfer> + '_ {
-        self.transfers
-            .iter()
-            .filter(move |t| t.src_rank == src_rank)
-    }
-
-    /// Transfers terminating at `dst_rank` (what that rank must receive).
-    pub fn receives_at(&self, dst_rank: usize) -> impl Iterator<Item = &Transfer> + '_ {
-        self.transfers
-            .iter()
-            .filter(move |t| t.dst_rank == dst_rank)
-    }
-
-    /// Flat column-major offset of a *global* index within `rank`'s local
-    /// buffer under descriptor `desc`.
-    pub fn local_offset(
-        desc: &DistArrayDesc,
-        rank: usize,
-        global: &[usize],
-    ) -> Result<usize, DataError> {
-        let (owner, local) = desc.global_to_local(global)?;
-        if owner != rank {
-            return Err(DataError::InvalidDistribution(format!(
-                "global index {global:?} owned by rank {owner}, not {rank}"
-            )));
-        }
-        let extents = desc.local_extents(rank)?;
-        let mut off = 0usize;
-        let mut stride = 1usize;
-        for d in 0..extents.len() {
-            off += local[d] * stride;
-            stride *= extents[d];
-        }
-        Ok(off)
-    }
-
-    /// Packs the elements of one transfer out of the source rank's local
-    /// buffer, in the region's canonical (column-major) traversal order.
-    pub fn pack<T: Clone>(&self, t: &Transfer, src_local: &[T]) -> Result<Vec<T>, DataError> {
-        let mut out = Vec::with_capacity(t.count());
-        self.pack_into(t, src_local, &mut out)?;
-        Ok(out)
-    }
-
-    /// Buffer-reuse variant of [`pack`](Self::pack): clears `out` and packs
-    /// into it, so a steady-state timestep loop reuses one scratch
-    /// allocation across every transfer instead of allocating per transfer
-    /// (pinned at zero steady-state allocations by `alloc_free.rs`).
-    pub fn pack_into<T: Clone>(
-        &self,
-        t: &Transfer,
-        src_local: &[T],
-        out: &mut Vec<T>,
-    ) -> Result<(), DataError> {
-        out.clear();
-        out.reserve(t.count());
-        for idx in t.region.indices() {
-            let off = Self::local_offset(&self.source, t.src_rank, &idx)?;
-            out.push(src_local[off].clone());
-        }
-        Ok(())
-    }
-
-    /// Unpacks one transfer's payload into the destination rank's local
-    /// buffer (payload must be in the canonical traversal order).
-    pub fn unpack<T: Clone>(
-        &self,
-        t: &Transfer,
-        payload: &[T],
-        dst_local: &mut [T],
-    ) -> Result<(), DataError> {
-        if payload.len() != t.count() {
-            return Err(DataError::ShapeMismatch {
-                expected: vec![t.count()],
-                found: vec![payload.len()],
-            });
-        }
-        for (k, idx) in t.region.indices().enumerate() {
-            let off = Self::local_offset(&self.target, t.dst_rank, &idx)?;
-            dst_local[off] = payload[k].clone();
-        }
-        Ok(())
-    }
-
-    /// Executes the whole plan in memory: given every source rank's local
-    /// buffer, produces every target rank's local buffer. Used for testing
-    /// and for same-address-space collective connections.
-    pub fn apply<T: Clone + Default>(
-        &self,
-        src_buffers: &[Vec<T>],
-    ) -> Result<Vec<Vec<T>>, DataError> {
-        if src_buffers.len() != self.source.nranks() {
-            return Err(DataError::ShapeMismatch {
-                expected: vec![self.source.nranks()],
-                found: vec![src_buffers.len()],
-            });
-        }
-        for (r, buf) in src_buffers.iter().enumerate() {
-            let want = self.source.local_count(r)?;
-            if buf.len() != want {
-                return Err(DataError::ShapeMismatch {
-                    expected: vec![want],
-                    found: vec![buf.len()],
-                });
-            }
-        }
-        let mut dst: Vec<Vec<T>> = (0..self.target.nranks())
-            .map(|r| vec![T::default(); self.target.local_count(r).unwrap_or(0)])
-            .collect();
-        // One scratch payload reused across every transfer.
-        let mut payload = Vec::new();
+    /// Reduces every transfer to its rectangle: O(rank) arithmetic per
+    /// transfer, straight from the two descriptors; no element is visited.
+    pub fn compile(&self) -> Result<CompiledPlan, DataError> {
+        let local_extents = |desc: &DistArrayDesc| {
+            (0..desc.nranks())
+                .map(|r| desc.local_extents(r))
+                .collect::<Result<Vec<_>, _>>()
+        };
+        let src_extents = local_extents(&self.source)?;
+        let dst_extents = local_extents(&self.target)?;
+        let mut transfers = Vec::with_capacity(self.transfers.len());
         for t in &self.transfers {
-            self.pack_into(t, &src_buffers[t.src_rank], &mut payload)?;
-            self.unpack(t, &payload, &mut dst[t.dst_rank])?;
+            let (src_extents, dst_extents) = (&src_extents[t.src_rank], &dst_extents[t.dst_rank]);
+            let (_, src_first) = self.source.global_to_local(&t.region.start)?;
+            let (_, dst_first) = self.target.global_to_local(&t.region.start)?;
+            let mut dims = Vec::with_capacity(t.region.len.len());
+            let (mut src_base, mut dst_base) = (0, 0);
+            let (mut src_stride, mut dst_stride) = (1, 1);
+            for (d, &len) in t.region.len.iter().enumerate() {
+                src_base += src_first[d] * src_stride;
+                dst_base += dst_first[d] * dst_stride;
+                match dims.last_mut() {
+                    Some((inner, s, d))
+                        if *inner * *s == src_stride && *inner * *d == dst_stride =>
+                    {
+                        *inner *= len
+                    }
+                    _ => dims.push((len, src_stride, dst_stride)),
+                }
+                src_stride *= src_extents[d];
+                dst_stride *= dst_extents[d];
+            }
+            transfers.push(CompiledTransfer {
+                src_rank: t.src_rank,
+                dst_rank: t.dst_rank,
+                count: t.count(),
+                src_base,
+                dst_base,
+                dims: dims.into_boxed_slice(),
+            });
         }
-        Ok(dst)
+        let counts = |extents: &[Vec<usize>]| extents.iter().map(|e| e.iter().product()).collect();
+        Ok(CompiledPlan {
+            transfers,
+            src_counts: counts(&src_extents),
+            dst_counts: counts(&dst_extents),
+        })
     }
 }
 
@@ -337,30 +234,246 @@ fn advance(at: &mut [usize], digits: impl Fn(&[usize], usize) -> usize) -> bool 
     false
 }
 
+/// A [`RedistPlan`] with every transfer reduced to a strided rectangle —
+/// the one form in which a redistribution executes.
+///
+/// A transfer's region lies inside one owned block per side per dimension,
+/// where local indices advance in step with global ones, so its local
+/// offsets on either side are a base plus one stride per dimension.
+/// Compiling computes those O(rank) words once; executing is one slice
+/// copy per contiguous run, with no per-element index translation.
+#[derive(Debug, Clone)]
+pub struct CompiledPlan {
+    transfers: Vec<CompiledTransfer>,
+    src_counts: Vec<usize>,
+    dst_counts: Vec<usize>,
+}
+
+/// One transfer as the rectangle of local offsets it moves, in packed
+/// (region column-major) order.
+#[derive(Debug, Clone)]
+pub struct CompiledTransfer {
+    /// Source rank.
+    pub src_rank: usize,
+    /// Destination rank.
+    pub dst_rank: usize,
+    count: usize,
+    /// Local offset of the first packed element on each side.
+    src_base: usize,
+    dst_base: usize,
+    /// The rectangle as `(len, src_stride, dst_stride)` per dimension,
+    /// innermost first. `dims[0]` has stride one on both sides — it is the
+    /// contiguous run — and an adjacent pair is fused wherever the inner
+    /// one spans the whole local extent on both.
+    dims: Box<[(usize, usize, usize)]>,
+}
+
+impl CompiledTransfer {
+    /// Elements moved by this transfer.
+    pub fn count(&self) -> usize {
+        self.count
+    }
+
+    /// The contiguous runs covering elements `[first, first + count)` of
+    /// the packed order, as `(src_offset, dst_offset, len)`: a partial
+    /// first row, whole rows, a partial last row. Allocation-free; the row
+    /// index is decomposed into the outer dimensions once per run. Panics
+    /// if the range reaches past [`count`](Self::count) — callers validate
+    /// wire input before here.
+    pub fn runs(
+        &self,
+        first: usize,
+        count: usize,
+    ) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+        let end = first.checked_add(count).filter(|&end| end <= self.count);
+        let end = end.expect("packed range outside the transfer");
+        let run = self.dims[0].0;
+        let mut pos = first;
+        std::iter::from_fn(move || {
+            if pos >= end {
+                return None;
+            }
+            let (mut row, within) = (pos / run, pos % run);
+            let (mut src, mut dst) = (self.src_base + within, self.dst_base + within);
+            for &(len, src_stride, dst_stride) in &self.dims[1..] {
+                src += row % len * src_stride;
+                dst += row % len * dst_stride;
+                row /= len;
+            }
+            let len = (run - within).min(end - pos);
+            pos += len;
+            Some((src, dst, len))
+        })
+    }
+
+    /// Gathers this transfer's payload from the source local buffer, one
+    /// slice copy per run, into one allocation of exactly
+    /// [`count`](Self::count) elements.
+    pub fn pack<T: Clone>(&self, src_local: &[T]) -> Vec<T> {
+        let mut out = Vec::with_capacity(self.count);
+        for (src, _, len) in self.runs(0, self.count) {
+            out.extend_from_slice(&src_local[src..src + len]);
+        }
+        out
+    }
+
+    /// Scatters a whole payload into the destination local buffer, one
+    /// slice copy per run. Panics unless the payload holds exactly
+    /// [`count`](Self::count) elements.
+    pub fn unpack<T: Clone>(&self, payload: &[T], dst_local: &mut [T]) {
+        assert_eq!(payload.len(), self.count, "payload is not the transfer");
+        let mut at = 0;
+        for (_, dst, len) in self.runs(0, self.count) {
+            dst_local[dst..dst + len].clone_from_slice(&payload[at..at + len]);
+            at += len;
+        }
+    }
+}
+
+impl CompiledPlan {
+    /// The compiled transfers in plan order; a bulk slab names a transfer
+    /// by its index here.
+    pub fn transfers(&self) -> &[CompiledTransfer] {
+        &self.transfers
+    }
+
+    /// Transfers originating at `src_rank`.
+    pub fn sends_from(&self, src_rank: usize) -> impl Iterator<Item = &CompiledTransfer> + '_ {
+        self.transfers
+            .iter()
+            .filter(move |t| t.src_rank == src_rank)
+    }
+
+    /// Transfers terminating at `dst_rank`.
+    pub fn receives_at(&self, dst_rank: usize) -> impl Iterator<Item = &CompiledTransfer> + '_ {
+        self.transfers
+            .iter()
+            .filter(move |t| t.dst_rank == dst_rank)
+    }
+
+    /// Total number of elements moved (equals the global element count).
+    pub fn total_elements(&self) -> usize {
+        self.transfers.iter().map(CompiledTransfer::count).sum()
+    }
+
+    /// Number of elements whose source and destination rank coincide —
+    /// with matched decompositions this is *all* of them, the paper's "data
+    /// would not need redistribution" fast path.
+    pub fn resident_elements(&self) -> usize {
+        self.transfers
+            .iter()
+            .filter(|t| t.src_rank == t.dst_rank)
+            .map(CompiledTransfer::count)
+            .sum()
+    }
+
+    /// Number of elements that must cross ranks.
+    pub fn moved_elements(&self) -> usize {
+        self.total_elements() - self.resident_elements()
+    }
+
+    /// True when the two decompositions are element-for-element identical,
+    /// so the collective port may skip communication entirely.
+    pub fn is_matched(&self) -> bool {
+        self.moved_elements() == 0 && self.src_ranks() == self.dst_ranks()
+    }
+
+    /// In-memory execution: given every source rank's local buffer,
+    /// produces every target rank's local buffer.
+    pub fn apply<T: Clone + Default>(
+        &self,
+        src_buffers: &[Vec<T>],
+    ) -> Result<Vec<Vec<T>>, DataError> {
+        let mut dst: Vec<Vec<T>> = self
+            .dst_counts
+            .iter()
+            .map(|&n| vec![T::default(); n])
+            .collect();
+        self.apply_into(src_buffers, &mut dst)?;
+        Ok(dst)
+    }
+
+    /// Allocation-free execution into caller-owned destination buffers —
+    /// the steady-state timestep path. Both buffer sets are validated
+    /// against the plan's rank counts; the scatter itself performs zero
+    /// heap allocations (pinned by `alloc_free.rs`).
+    pub fn apply_into<T: Clone>(
+        &self,
+        src_buffers: &[Vec<T>],
+        dst_buffers: &mut [Vec<T>],
+    ) -> Result<(), DataError> {
+        check_buffers(src_buffers, &self.src_counts)?;
+        check_buffers(dst_buffers, &self.dst_counts)?;
+        for t in &self.transfers {
+            let src = &src_buffers[t.src_rank];
+            let out = &mut dst_buffers[t.dst_rank];
+            for (s, d, len) in t.runs(0, t.count) {
+                out[d..d + len].clone_from_slice(&src[s..s + len]);
+            }
+        }
+        Ok(())
+    }
+
+    /// Number of source ranks.
+    pub fn src_ranks(&self) -> usize {
+        self.src_counts.len()
+    }
+
+    /// Number of destination ranks.
+    pub fn dst_ranks(&self) -> usize {
+        self.dst_counts.len()
+    }
+
+    /// Local element count of source rank `r`.
+    pub fn src_count(&self, r: usize) -> usize {
+        self.src_counts[r]
+    }
+
+    /// Local element count of destination rank `r`.
+    pub fn dst_count(&self, r: usize) -> usize {
+        self.dst_counts[r]
+    }
+}
+
+/// One buffer per rank, each of that rank's local count.
+fn check_buffers<T>(buffers: &[Vec<T>], counts: &[usize]) -> Result<(), DataError> {
+    let mismatch = |expected: usize, found: usize| DataError::ShapeMismatch {
+        expected: vec![expected],
+        found: vec![found],
+    };
+    if buffers.len() != counts.len() {
+        return Err(mismatch(counts.len(), buffers.len()));
+    }
+    match buffers.iter().zip(counts).find(|(b, &n)| b.len() != n) {
+        Some((b, &n)) => Err(mismatch(n, b.len())),
+        None => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dist::{DimDist, Distribution, ProcessGrid};
 
-    fn block_desc(n: usize, p: usize) -> DistArrayDesc {
+    pub(super) fn block_desc(n: usize, p: usize) -> DistArrayDesc {
         DistArrayDesc::new(&[n], Distribution::block_1d(p, 1).unwrap()).unwrap()
     }
 
-    fn cyclic_desc(n: usize, p: usize) -> DistArrayDesc {
+    pub(super) fn cyclic_desc(n: usize, p: usize) -> DistArrayDesc {
         let dist = Distribution::new(ProcessGrid::linear(p).unwrap(), &[DimDist::Cyclic]).unwrap();
         DistArrayDesc::new(&[n], dist).unwrap()
     }
 
     /// Fill each source rank's buffer with the global linear index of each
     /// element, so correctness after redistribution is directly checkable.
-    fn tagged_buffers(desc: &DistArrayDesc) -> Vec<Vec<u64>> {
+    pub(super) fn tagged_buffers(desc: &DistArrayDesc) -> Vec<Vec<u64>> {
         (0..desc.nranks())
             .map(|r| {
                 let n = desc.local_count(r).unwrap();
                 let mut buf = vec![0u64; n];
                 for region in desc.owned_regions(r).unwrap() {
                     for idx in region.indices() {
-                        let off = RedistPlan::local_offset(desc, r, &idx).unwrap();
+                        let off = desc.local_offset(r, &idx).unwrap();
                         let gid: u64 = global_id(desc.global_extents(), &idx);
                         buf[off] = gid;
                     }
@@ -380,11 +493,11 @@ mod tests {
         id
     }
 
-    fn check_redistributed(desc: &DistArrayDesc, buffers: &[Vec<u64>]) {
+    pub(super) fn check_redistributed(desc: &DistArrayDesc, buffers: &[Vec<u64>]) {
         for r in 0..desc.nranks() {
             for region in desc.owned_regions(r).unwrap() {
                 for idx in region.indices() {
-                    let off = RedistPlan::local_offset(desc, r, &idx).unwrap();
+                    let off = desc.local_offset(r, &idx).unwrap();
                     assert_eq!(
                         buffers[r][off],
                         global_id(desc.global_extents(), &idx),
@@ -395,11 +508,55 @@ mod tests {
         }
     }
 
+    /// The per-element executor the compiled plan replaced, kept as the
+    /// oracle: it shares nothing with the rectangles but `build`'s transfer
+    /// list, and translates every element's global index on both sides.
+    pub(super) fn reference_apply<T: Clone + Default>(
+        src: &DistArrayDesc,
+        dst: &DistArrayDesc,
+        bufs: &[Vec<T>],
+    ) -> Vec<Vec<T>> {
+        let mut out: Vec<Vec<T>> = (0..dst.nranks())
+            .map(|r| vec![T::default(); dst.local_count(r).unwrap()])
+            .collect();
+        for t in RedistPlan::build(src, dst).unwrap().transfers() {
+            for idx in t.region.indices() {
+                let s = src.local_offset(t.src_rank, &idx).unwrap();
+                let d = dst.local_offset(t.dst_rank, &idx).unwrap();
+                out[t.dst_rank][d] = bufs[t.src_rank][s].clone();
+            }
+        }
+        out
+    }
+
+    /// Gathers elements `[first, first + n)` of `t`'s packed payload and
+    /// scatters them again, run by run — a chunk as the bulk plane moves it.
+    pub(super) fn move_range<T: Clone>(
+        t: &CompiledTransfer,
+        src: &[T],
+        first: usize,
+        n: usize,
+        dst: &mut [T],
+    ) {
+        let mut chunk = Vec::with_capacity(n);
+        for (s, _, len) in t.runs(first, n) {
+            chunk.extend_from_slice(&src[s..s + len]);
+        }
+        assert_eq!(chunk.len(), n);
+        let mut at = 0;
+        for (_, d, len) in t.runs(first, n) {
+            dst[d..d + len].clone_from_slice(&chunk[at..at + len]);
+            at += len;
+        }
+    }
+
+    fn compiled(src: &DistArrayDesc, dst: &DistArrayDesc) -> CompiledPlan {
+        RedistPlan::build(src, dst).unwrap().compile().unwrap()
+    }
+
     #[test]
     fn matched_decomposition_moves_nothing() {
-        let src = block_desc(12, 4);
-        let dst = block_desc(12, 4);
-        let plan = RedistPlan::build(&src, &dst).unwrap();
+        let plan = compiled(&block_desc(12, 4), &block_desc(12, 4));
         assert!(plan.is_matched());
         assert_eq!(plan.moved_elements(), 0);
         assert_eq!(plan.total_elements(), 12);
@@ -409,7 +566,7 @@ mod tests {
     fn serial_to_parallel_is_scatter() {
         let src = block_desc(12, 1);
         let dst = block_desc(12, 4);
-        let plan = RedistPlan::build(&src, &dst).unwrap();
+        let plan = compiled(&src, &dst);
         // Everything leaves rank 0 except the part rank 0 keeps.
         assert_eq!(plan.total_elements(), 12);
         assert_eq!(plan.resident_elements(), 3);
@@ -422,7 +579,7 @@ mod tests {
     fn parallel_to_serial_is_gather() {
         let src = block_desc(10, 3);
         let dst = block_desc(10, 1);
-        let plan = RedistPlan::build(&src, &dst).unwrap();
+        let plan = compiled(&src, &dst);
         assert_eq!(plan.receives_at(0).count(), 3);
         let out = plan.apply(&tagged_buffers(&src)).unwrap();
         assert_eq!(out.len(), 1);
@@ -433,7 +590,7 @@ mod tests {
     fn block_to_cyclic_mxn() {
         let src = block_desc(16, 4);
         let dst = cyclic_desc(16, 3);
-        let plan = RedistPlan::build(&src, &dst).unwrap();
+        let plan = compiled(&src, &dst);
         assert_eq!(plan.total_elements(), 16);
         let out = plan.apply(&tagged_buffers(&src)).unwrap();
         check_redistributed(&dst, &out);
@@ -443,7 +600,7 @@ mod tests {
     fn shrinking_rank_count_4_to_2() {
         let src = block_desc(20, 4);
         let dst = block_desc(20, 2);
-        let plan = RedistPlan::build(&src, &dst).unwrap();
+        let plan = compiled(&src, &dst);
         let out = plan.apply(&tagged_buffers(&src)).unwrap();
         check_redistributed(&dst, &out);
         // Only src rank 0's block lands on the same-numbered dst rank
@@ -472,7 +629,7 @@ mod tests {
             .unwrap(),
         )
         .unwrap();
-        let plan = RedistPlan::build(&src, &dst).unwrap();
+        let plan = compiled(&src, &dst);
         assert_eq!(plan.total_elements(), 36);
         let out = plan.apply(&tagged_buffers(&src)).unwrap();
         check_redistributed(&dst, &out);
@@ -490,46 +647,52 @@ mod tests {
 
     #[test]
     fn apply_validates_buffer_shapes() {
-        let src = block_desc(8, 2);
-        let dst = block_desc(8, 2);
-        let plan = RedistPlan::build(&src, &dst).unwrap();
-        // Wrong number of buffers.
-        assert!(plan.apply(&[vec![0u64; 4]]).is_err());
-        // Wrong buffer length.
-        assert!(plan.apply(&[vec![0u64; 3], vec![0u64; 4]]).is_err());
+        let plan = compiled(&block_desc(8, 2), &block_desc(8, 2));
+        let shape = |expected: usize, found: usize| DataError::ShapeMismatch {
+            expected: vec![expected],
+            found: vec![found],
+        };
+        // Wrong number of buffers, then a wrong buffer length.
+        assert_eq!(plan.apply(&[vec![0u64; 4]]).unwrap_err(), shape(2, 1));
+        assert_eq!(
+            plan.apply(&[vec![0u64; 4], vec![0u64; 3]]).unwrap_err(),
+            shape(4, 3)
+        );
     }
 
     #[test]
     fn pack_unpack_round_trip_single_transfer() {
         let src = block_desc(8, 2);
         let dst = block_desc(8, 4);
-        let plan = RedistPlan::build(&src, &dst).unwrap();
+        let plan = compiled(&src, &dst);
         let bufs = tagged_buffers(&src);
         let mut out: Vec<Vec<u64>> = (0..4)
             .map(|r| vec![0; dst.local_count(r).unwrap()])
             .collect();
         for t in plan.transfers() {
-            let payload = plan.pack(t, &bufs[t.src_rank]).unwrap();
-            plan.unpack(t, &payload, &mut out[t.dst_rank]).unwrap();
+            let payload = t.pack(&bufs[t.src_rank]);
+            t.unpack(&payload, &mut out[t.dst_rank]);
         }
         check_redistributed(&dst, &out);
     }
 
     #[test]
     fn unpack_rejects_wrong_payload_length() {
-        let src = block_desc(8, 2);
         let dst = block_desc(8, 4);
-        let plan = RedistPlan::build(&src, &dst).unwrap();
+        let plan = compiled(&block_desc(8, 2), &dst);
         let t = &plan.transfers()[0];
         let mut out = vec![0u64; dst.local_count(t.dst_rank).unwrap()];
-        assert!(plan
-            .unpack(t, &vec![0u64; t.count() + 1], &mut out)
-            .is_err());
+        let long = vec![1u64; t.count() + 1];
+        let refused =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t.unpack(&long, &mut out)));
+        assert!(refused.is_err());
+        assert!(out.iter().all(|&v| v == 0), "nothing was scattered");
     }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::{check_redistributed, move_range, reference_apply, tagged_buffers};
     use super::*;
     use crate::dist::{DimDist, Distribution, ProcessGrid};
     use proptest::prelude::*;
@@ -609,7 +772,7 @@ mod proptests {
         fn plan_moves_every_element_exactly_once((src, dst) in arb_pair()) {
             let plan = RedistPlan::build(&src, &dst).unwrap();
             let global: usize = src.global_extents().iter().product();
-            prop_assert_eq!(plan.total_elements(), global);
+            prop_assert_eq!(plan.compile().unwrap().total_elements(), global);
             // No two transfers overlap: mark every (global index) once.
             let mut seen = vec![false; global];
             for t in plan.transfers() {
@@ -629,53 +792,21 @@ mod proptests {
 
         #[test]
         fn apply_delivers_correct_values((src, dst) in arb_pair()) {
-            let plan = RedistPlan::build(&src, &dst).unwrap();
-            // Tag every element with its global id.
-            let bufs: Vec<Vec<u64>> = (0..src.nranks()).map(|r| {
-                let mut buf = vec![0u64; src.local_count(r).unwrap()];
-                for region in src.owned_regions(r).unwrap() {
-                    for idx in region.indices() {
-                        let off = RedistPlan::local_offset(&src, r, &idx).unwrap();
-                        let mut id = 0u64;
-                        let mut stride = 1u64;
-                        for d in 0..idx.len() {
-                            id += idx[d] as u64 * stride;
-                            stride *= src.global_extents()[d] as u64;
-                        }
-                        buf[off] = id;
-                    }
-                }
-                buf
-            }).collect();
-            let out = plan.apply(&bufs).unwrap();
-            for r in 0..dst.nranks() {
-                for region in dst.owned_regions(r).unwrap() {
-                    for idx in region.indices() {
-                        let off = RedistPlan::local_offset(&dst, r, &idx).unwrap();
-                        let mut id = 0u64;
-                        let mut stride = 1u64;
-                        for d in 0..idx.len() {
-                            id += idx[d] as u64 * stride;
-                            stride *= dst.global_extents()[d] as u64;
-                        }
-                        prop_assert_eq!(out[r][off], id);
-                    }
-                }
-            }
+            let plan = RedistPlan::build(&src, &dst).unwrap().compile().unwrap();
+            check_redistributed(&dst, &plan.apply(&tagged_buffers(&src)).unwrap());
         }
 
         #[test]
         fn identical_descriptors_are_matched(desc in arb_pair().prop_map(|(s, _)| s)) {
-            let plan = RedistPlan::build(&desc, &desc).unwrap();
+            let plan = RedistPlan::build(&desc, &desc).unwrap().compile().unwrap();
             prop_assert!(plan.is_matched());
         }
 
         #[test]
         fn compiled_plan_equals_interpreted_plan((src, dst) in arb_pair()) {
-            let plan = RedistPlan::build(&src, &dst).unwrap();
-            let compiled = plan.compile().unwrap();
+            let compiled = RedistPlan::build(&src, &dst).unwrap().compile().unwrap();
             let bufs = tagged_by_offset(&src);
-            prop_assert_eq!(plan.apply(&bufs).unwrap(), compiled.apply(&bufs).unwrap());
+            prop_assert_eq!(reference_apply(&src, &dst, &bufs), compiled.apply(&bufs).unwrap());
         }
 
         #[test]
@@ -689,13 +820,11 @@ mod proptests {
             (src, dst) in arb_pair(),
             steps in proptest::collection::vec(1usize..40, 1..8),
         ) {
-            let plan = RedistPlan::build(&src, &dst).unwrap();
-            let compiled = plan.compile().unwrap();
+            let compiled = RedistPlan::build(&src, &dst).unwrap().compile().unwrap();
             let bufs = tagged_by_offset(&src);
             let mut landed: Vec<Vec<u64>> = (0..compiled.dst_ranks())
                 .map(|r| vec![0; compiled.dst_count(r)])
                 .collect();
-            let mut scratch = Vec::new();
             let mut step = steps.iter().cycle();
             for ct in compiled.transfers() {
                 let mut first = 0;
@@ -703,391 +832,20 @@ mod proptests {
                     let n = (*step.next().unwrap()).min(ct.count() - first);
                     let covered: usize = ct.runs(first, n).map(|(_, _, len)| len).sum();
                     prop_assert_eq!(covered, n);
-                    ct.pack_range_into(&bufs[ct.src_rank], first, n, &mut scratch);
-                    prop_assert_eq!(scratch.len(), n);
-                    ct.unpack_range(&scratch, first, &mut landed[ct.dst_rank]);
+                    move_range(ct, &bufs[ct.src_rank], first, n, &mut landed[ct.dst_rank]);
                     first += n;
                 }
             }
-            prop_assert_eq!(landed, plan.apply(&bufs).unwrap());
+            prop_assert_eq!(landed, reference_apply(&src, &dst, &bufs));
         }
-    }
-}
-
-/// A [`RedistPlan`] with every transfer reduced to a strided rectangle —
-/// the form a collective port actually executes every timestep.
-///
-/// [`RedistPlan::pack`]/[`RedistPlan::unpack`] translate every element's
-/// global index to a local offset on every call (division-heavy, ~100s of
-/// ns/element). But a transfer's region lies inside one owned block per
-/// side per dimension, where local indices advance in step with global
-/// ones, so its local offsets on either side are a base plus one stride
-/// per dimension. Compiling computes those O(rank) words; the per-timestep
-/// work collapses to one slice copy per contiguous run (E4 measures both
-/// paths).
-#[derive(Debug, Clone)]
-pub struct CompiledPlan {
-    transfers: Vec<CompiledTransfer>,
-    src_counts: Vec<usize>,
-    dst_counts: Vec<usize>,
-}
-
-/// One transfer as the rectangle of local offsets it moves, in packed
-/// (region column-major) order.
-#[derive(Debug, Clone)]
-pub struct CompiledTransfer {
-    /// Source rank.
-    pub src_rank: usize,
-    /// Destination rank.
-    pub dst_rank: usize,
-    count: usize,
-    /// Local offset of the first packed element on each side.
-    src_base: usize,
-    dst_base: usize,
-    /// The rectangle as `(len, src_stride, dst_stride)` per dimension,
-    /// innermost first. `dims[0]` has stride one on both sides — it is the
-    /// contiguous run — and an adjacent pair is fused wherever the inner
-    /// one spans the whole local extent on both.
-    dims: Box<[(usize, usize, usize)]>,
-}
-
-impl CompiledTransfer {
-    /// Elements moved by this transfer.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// The contiguous runs covering elements `[first, first + count)` of
-    /// the packed order, as `(src_offset, dst_offset, len)`: a partial
-    /// first row, whole rows, a partial last row. Allocation-free; the row
-    /// index is decomposed into the outer dimensions once per run. Panics
-    /// if the range reaches past [`count`](Self::count) — callers validate
-    /// wire input before here.
-    pub fn runs(
-        &self,
-        first: usize,
-        count: usize,
-    ) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
-        let end = first.checked_add(count).filter(|&end| end <= self.count);
-        let end = end.expect("packed range outside the transfer");
-        let run = self.dims[0].0;
-        let mut pos = first;
-        std::iter::from_fn(move || {
-            if pos >= end {
-                return None;
-            }
-            let (mut row, within) = (pos / run, pos % run);
-            let (mut src, mut dst) = (self.src_base + within, self.dst_base + within);
-            for &(len, src_stride, dst_stride) in &self.dims[1..] {
-                src += row % len * src_stride;
-                dst += row % len * dst_stride;
-                row /= len;
-            }
-            let len = (run - within).min(end - pos);
-            pos += len;
-            Some((src, dst, len))
-        })
-    }
-
-    /// Gathers this transfer's payload from the source local buffer.
-    pub fn pack<T: Clone>(&self, src_local: &[T]) -> Vec<T> {
-        let mut out = Vec::new();
-        self.pack_into(src_local, &mut out);
-        out
-    }
-
-    /// Buffer-reuse variant of [`pack`](Self::pack): clears `out` and
-    /// gathers into it, so timestep loops reuse one scratch allocation.
-    pub fn pack_into<T: Clone>(&self, src_local: &[T], out: &mut Vec<T>) {
-        self.pack_range_into(src_local, 0, self.count, out);
-    }
-
-    /// Gathers elements `[first, first + count)` of this transfer's packed
-    /// payload into `out` (cleared first) — the chunk-sized gather the bulk
-    /// data plane streams, bounded by the chunk, not the transfer.
-    pub fn pack_range_into<T: Clone>(
-        &self,
-        src_local: &[T],
-        first: usize,
-        count: usize,
-        out: &mut Vec<T>,
-    ) {
-        out.clear();
-        out.reserve(count);
-        for (src, _, len) in self.runs(first, count) {
-            out.extend_from_slice(&src_local[src..src + len]);
-        }
-    }
-
-    /// Scatters a whole payload into the destination local buffer. Panics
-    /// unless the payload holds exactly [`count`](Self::count) elements.
-    pub fn unpack<T: Clone>(&self, payload: &[T], dst_local: &mut [T]) {
-        assert_eq!(payload.len(), self.count, "payload is not the transfer");
-        self.unpack_range(payload, 0, dst_local);
-    }
-
-    /// Scatters a payload slice representing elements `[first,
-    /// first + payload.len())` of the packed order — the landing half of a
-    /// chunked transfer, scattering straight from the received bytes'
-    /// element view into the destination local slice.
-    pub fn unpack_range<T: Clone>(&self, payload: &[T], first: usize, dst_local: &mut [T]) {
-        let mut rest = payload;
-        for (_, dst, len) in self.runs(first, payload.len()) {
-            let (run, tail) = rest.split_at(len);
-            dst_local[dst..dst + len].clone_from_slice(run);
-            rest = tail;
-        }
-    }
-}
-
-impl RedistPlan {
-    /// Reduces every transfer to its rectangle: O(rank) arithmetic per
-    /// transfer, straight from the two descriptors; no element is visited.
-    pub fn compile(&self) -> Result<CompiledPlan, DataError> {
-        let local_extents = |desc: &DistArrayDesc| {
-            (0..desc.nranks())
-                .map(|r| desc.local_extents(r))
-                .collect::<Result<Vec<_>, _>>()
-        };
-        let src_extents = local_extents(&self.source)?;
-        let dst_extents = local_extents(&self.target)?;
-        let mut transfers = Vec::with_capacity(self.transfers.len());
-        for t in &self.transfers {
-            let (src_extents, dst_extents) = (&src_extents[t.src_rank], &dst_extents[t.dst_rank]);
-            let (_, src_first) = self.source.global_to_local(&t.region.start)?;
-            let (_, dst_first) = self.target.global_to_local(&t.region.start)?;
-            let mut dims = Vec::with_capacity(t.region.len.len());
-            let (mut src_base, mut dst_base) = (0, 0);
-            let (mut src_stride, mut dst_stride) = (1, 1);
-            for (d, &len) in t.region.len.iter().enumerate() {
-                src_base += src_first[d] * src_stride;
-                dst_base += dst_first[d] * dst_stride;
-                match dims.last_mut() {
-                    Some((inner, s, d))
-                        if *inner * *s == src_stride && *inner * *d == dst_stride =>
-                    {
-                        *inner *= len
-                    }
-                    _ => dims.push((len, src_stride, dst_stride)),
-                }
-                src_stride *= src_extents[d];
-                dst_stride *= dst_extents[d];
-            }
-            transfers.push(CompiledTransfer {
-                src_rank: t.src_rank,
-                dst_rank: t.dst_rank,
-                count: t.count(),
-                src_base,
-                dst_base,
-                dims: dims.into_boxed_slice(),
-            });
-        }
-        let counts = |extents: &[Vec<usize>]| extents.iter().map(|e| e.iter().product()).collect();
-        Ok(CompiledPlan {
-            transfers,
-            src_counts: counts(&src_extents),
-            dst_counts: counts(&dst_extents),
-        })
-    }
-}
-
-impl CompiledPlan {
-    /// The compiled transfers in plan order.
-    pub fn transfers(&self) -> &[CompiledTransfer] {
-        &self.transfers
-    }
-
-    /// Transfers originating at `src_rank`.
-    pub fn sends_from(&self, src_rank: usize) -> impl Iterator<Item = &CompiledTransfer> + '_ {
-        self.transfers
-            .iter()
-            .filter(move |t| t.src_rank == src_rank)
-    }
-
-    /// Transfers terminating at `dst_rank`.
-    pub fn receives_at(&self, dst_rank: usize) -> impl Iterator<Item = &CompiledTransfer> + '_ {
-        self.transfers
-            .iter()
-            .filter(move |t| t.dst_rank == dst_rank)
-    }
-
-    /// In-memory execution (the fast counterpart of [`RedistPlan::apply`]).
-    pub fn apply<T: Clone + Default>(
-        &self,
-        src_buffers: &[Vec<T>],
-    ) -> Result<Vec<Vec<T>>, DataError> {
-        let mut dst: Vec<Vec<T>> = self
-            .dst_counts
-            .iter()
-            .map(|&n| vec![T::default(); n])
-            .collect();
-        self.apply_into(src_buffers, &mut dst)?;
-        Ok(dst)
-    }
-
-    /// Allocation-free execution into caller-owned destination buffers —
-    /// the steady-state timestep path. Both buffer sets are validated
-    /// against the plan's rank counts; the scatter itself performs zero
-    /// heap allocations (pinned by `alloc_free.rs`).
-    pub fn apply_into<T: Clone>(
-        &self,
-        src_buffers: &[Vec<T>],
-        dst_buffers: &mut [Vec<T>],
-    ) -> Result<(), DataError> {
-        check_buffers(src_buffers, &self.src_counts)?;
-        check_buffers(dst_buffers, &self.dst_counts)?;
-        for t in &self.transfers {
-            let src = &src_buffers[t.src_rank];
-            let out = &mut dst_buffers[t.dst_rank];
-            for (s, d, len) in t.runs(0, t.count) {
-                out[d..d + len].clone_from_slice(&src[s..s + len]);
-            }
-        }
-        Ok(())
-    }
-
-    /// Number of source ranks.
-    pub fn src_ranks(&self) -> usize {
-        self.src_counts.len()
-    }
-
-    /// Number of destination ranks.
-    pub fn dst_ranks(&self) -> usize {
-        self.dst_counts.len()
-    }
-
-    /// Local element count of source rank `r`.
-    pub fn src_count(&self, r: usize) -> usize {
-        self.src_counts[r]
-    }
-
-    /// Local element count of destination rank `r`.
-    pub fn dst_count(&self, r: usize) -> usize {
-        self.dst_counts[r]
-    }
-
-    /// Precomputes the per-peer *wire* layout of this plan for the bulk
-    /// data plane, the same way compiling precomputed the rectangles:
-    /// each transfer's total packed byte count and its division into
-    /// aligned chunks of (at most) `chunk_bytes`. Sender and receiver both
-    /// derive the layout from the same compiled plan, so chunk boundaries
-    /// never need negotiating on the wire. `chunk_bytes` is rounded down
-    /// to an element multiple (minimum one element).
-    pub fn wire_layout(&self, elem_size: usize, chunk_bytes: usize) -> WireLayout {
-        assert!(elem_size > 0, "element size must be nonzero");
-        let chunk = (chunk_bytes / elem_size).max(1) * elem_size;
-        WireLayout {
-            elem_size,
-            chunk_bytes: chunk,
-            totals: self
-                .transfers
-                .iter()
-                .map(|t| (t.count() * elem_size) as u64)
-                .collect(),
-        }
-    }
-}
-
-/// One buffer per rank, each of that rank's local count.
-fn check_buffers<T>(buffers: &[Vec<T>], counts: &[usize]) -> Result<(), DataError> {
-    let mismatch = |expected: usize, found: usize| DataError::ShapeMismatch {
-        expected: vec![expected],
-        found: vec![found],
-    };
-    if buffers.len() != counts.len() {
-        return Err(mismatch(counts.len(), buffers.len()));
-    }
-    match buffers.iter().zip(counts).find(|(b, &n)| b.len() != n) {
-        Some((b, &n)) => Err(mismatch(n, b.len())),
-        None => Ok(()),
-    }
-}
-
-/// The precomputed wire shape of a [`CompiledPlan`] for one element type:
-/// per-transfer packed byte totals and deterministic chunk boundaries.
-/// See [`CompiledPlan::wire_layout`].
-#[derive(Debug, Clone)]
-pub struct WireLayout {
-    elem_size: usize,
-    chunk_bytes: usize,
-    totals: Box<[u64]>,
-}
-
-impl WireLayout {
-    /// Bytes per element.
-    pub fn elem_size(&self) -> usize {
-        self.elem_size
-    }
-
-    /// The (element-aligned) chunk size every slab body is bounded by.
-    pub fn chunk_bytes(&self) -> usize {
-        self.chunk_bytes
-    }
-
-    /// Number of transfers in the plan.
-    pub fn transfer_count(&self) -> usize {
-        self.totals.len()
-    }
-
-    /// Total packed bytes of transfer `t`.
-    pub fn transfer_bytes(&self, t: usize) -> u64 {
-        self.totals[t]
-    }
-
-    /// Number of chunks transfer `t` streams as.
-    pub fn chunk_count(&self, t: usize) -> usize {
-        (self.totals[t] as usize).div_ceil(self.chunk_bytes)
-    }
-
-    /// The `(byte offset, byte length)` chunk boundaries of transfer `t`,
-    /// starting at the chunk containing `from_byte` — pass the resume
-    /// watermark after a failure, or 0 for a fresh stream. Boundaries are
-    /// a pure function of the layout, so a resumed stream re-produces
-    /// exactly the chunks the first attempt would have sent. (A
-    /// zero-element transfer has no chunks and is complete by vacuity.)
-    pub fn chunks_from(&self, t: usize, from_byte: u64) -> impl Iterator<Item = (u64, usize)> + '_ {
-        let total = self.totals[t];
-        let chunk = self.chunk_bytes as u64;
-        let first = from_byte / chunk;
-        (first..).map_while(move |i| {
-            let offset = i * chunk;
-            if offset >= total {
-                return None;
-            }
-            let len = chunk.min(total - offset) as usize;
-            Some((offset, len))
-        })
     }
 }
 
 #[cfg(test)]
 mod compiled_tests {
+    use super::tests::{block_desc, cyclic_desc, move_range, reference_apply, tagged_buffers};
     use super::*;
     use crate::dist::{DimDist, Distribution, ProcessGrid};
-
-    fn block_desc(n: usize, p: usize) -> DistArrayDesc {
-        DistArrayDesc::new(&[n], Distribution::block_1d(p, 1).unwrap()).unwrap()
-    }
-
-    fn cyclic_desc(n: usize, p: usize) -> DistArrayDesc {
-        let dist = Distribution::new(ProcessGrid::linear(p).unwrap(), &[DimDist::Cyclic]).unwrap();
-        DistArrayDesc::new(&[n], dist).unwrap()
-    }
-
-    fn tagged(desc: &DistArrayDesc) -> Vec<Vec<u64>> {
-        (0..desc.nranks())
-            .map(|r| {
-                let mut buf = vec![0u64; desc.local_count(r).unwrap()];
-                for region in desc.owned_regions(r).unwrap() {
-                    for idx in region.indices() {
-                        let off = RedistPlan::local_offset(desc, r, &idx).unwrap();
-                        buf[off] = idx[0] as u64;
-                    }
-                }
-                buf
-            })
-            .collect()
-    }
 
     #[test]
     fn compiled_apply_matches_interpreted_apply() {
@@ -1097,11 +855,10 @@ mod compiled_tests {
             (block_desc(24, 4), cyclic_desc(24, 3)),
             (cyclic_desc(17, 2), block_desc(17, 5)),
         ] {
-            let plan = RedistPlan::build(&src, &dst).unwrap();
-            let compiled = plan.compile().unwrap();
-            let bufs = tagged(&src);
+            let compiled = RedistPlan::build(&src, &dst).unwrap().compile().unwrap();
+            let bufs = tagged_buffers(&src);
             assert_eq!(
-                plan.apply(&bufs).unwrap(),
+                reference_apply(&src, &dst, &bufs),
                 compiled.apply(&bufs).unwrap(),
                 "{src:?} -> {dst:?}"
             );
@@ -1114,14 +871,17 @@ mod compiled_tests {
         let dst = cyclic_desc(16, 3);
         let plan = RedistPlan::build(&src, &dst).unwrap();
         let compiled = plan.compile().unwrap();
-        let bufs = tagged(&src);
+        let bufs = tagged_buffers(&src);
         for (t, ct) in plan.transfers().iter().zip(compiled.transfers()) {
             assert_eq!(t.src_rank, ct.src_rank);
             assert_eq!(t.dst_rank, ct.dst_rank);
             assert_eq!(t.count(), ct.count());
-            let slow = plan.pack(t, &bufs[t.src_rank]).unwrap();
-            let fast = ct.pack(&bufs[ct.src_rank]);
-            assert_eq!(slow, fast);
+            let slow: Vec<u64> = t
+                .region
+                .indices()
+                .map(|idx| bufs[t.src_rank][src.local_offset(t.src_rank, &idx).unwrap()])
+                .collect();
+            assert_eq!(slow, ct.pack(&bufs[ct.src_rank]));
         }
     }
 
@@ -1150,14 +910,14 @@ mod compiled_tests {
     }
 
     /// At this size a table of offsets would be 4 GB; the rectangles are a
-    /// few words. Sampled elements must sit where the interpreted plan's
-    /// index translation puts them, on both sides.
+    /// few words. Sampled elements must sit where the descriptors' index
+    /// translation puts them, on both sides.
     #[test]
     fn a_16384_squared_plan_compiles_and_agrees_with_local_offset() {
         let (src, dst) = (block_2d(16_384, [1, 4]), block_2d(16_384, [3, 1]));
         let plan = RedistPlan::build(&src, &dst).unwrap();
         let compiled = plan.compile().unwrap();
-        assert_eq!(plan.total_elements(), 16_384 * 16_384);
+        assert_eq!(compiled.total_elements(), 16_384 * 16_384);
         let mut state = 0x9e37_79b9_7f4a_7c15_u64;
         for (t, ct) in plan.transfers().iter().zip(compiled.transfers()) {
             assert_eq!(t.count(), ct.count());
@@ -1172,14 +932,8 @@ mod compiled_tests {
                 ];
                 let (s, d, len) = ct.runs(k, 1).next().unwrap();
                 assert_eq!(len, 1);
-                assert_eq!(
-                    s,
-                    RedistPlan::local_offset(&src, t.src_rank, &global).unwrap()
-                );
-                assert_eq!(
-                    d,
-                    RedistPlan::local_offset(&dst, t.dst_rank, &global).unwrap()
-                );
+                assert_eq!(s, src.local_offset(t.src_rank, &global).unwrap());
+                assert_eq!(d, dst.local_offset(t.dst_rank, &global).unwrap());
             }
         }
     }
@@ -1226,7 +980,7 @@ mod compiled_tests {
     fn apply_into_matches_apply_and_validates_destinations() {
         let plan = RedistPlan::build(&block_desc(24, 4), &cyclic_desc(24, 3)).unwrap();
         let compiled = plan.compile().unwrap();
-        let bufs = tagged(&block_desc(24, 4));
+        let bufs = tagged_buffers(&block_desc(24, 4));
         let fresh = compiled.apply(&bufs).unwrap();
         let mut reused: Vec<Vec<u64>> = (0..compiled.dst_ranks())
             .map(|r| vec![0; compiled.dst_count(r)])
@@ -1243,54 +997,21 @@ mod compiled_tests {
     }
 
     #[test]
-    fn wire_layout_chunks_tile_each_transfer_exactly() {
-        let plan = RedistPlan::build(&block_desc(100, 2), &cyclic_desc(100, 3)).unwrap();
-        let compiled = plan.compile().unwrap();
-        // 24-byte chunks over f64: rounds down to 3 elements per chunk.
-        let layout = compiled.wire_layout(8, 25);
-        assert_eq!(layout.chunk_bytes(), 24);
-        assert_eq!(layout.elem_size(), 8);
-        assert_eq!(layout.transfer_count(), compiled.transfers().len());
-        for (t, ct) in compiled.transfers().iter().enumerate() {
-            assert_eq!(layout.transfer_bytes(t), (ct.count() * 8) as u64);
-            let chunks: Vec<(u64, usize)> = layout.chunks_from(t, 0).collect();
-            assert_eq!(chunks.len(), layout.chunk_count(t));
-            // Chunks tile [0, total) contiguously, each a multiple of the
-            // element size, each bounded by the chunk size.
-            let mut expect = 0u64;
-            for (offset, len) in &chunks {
-                assert_eq!(*offset, expect);
-                assert!(*len > 0 && *len <= 24 && *len % 8 == 0);
-                expect += *len as u64;
-            }
-            assert_eq!(expect, layout.transfer_bytes(t));
-            // Resuming from a mid-chunk watermark re-yields that chunk.
-            if chunks.len() > 1 {
-                let resumed: Vec<_> = layout.chunks_from(t, chunks[1].0 + 1).collect();
-                assert_eq!(resumed[0], chunks[1]);
-            }
-        }
-    }
-
-    #[test]
-    fn pack_range_and_unpack_range_compose_to_full_transfer() {
+    fn chunked_runs_compose_to_the_full_transfer() {
         let src = block_desc(40, 2);
         let dst = cyclic_desc(40, 3);
-        let plan = RedistPlan::build(&src, &dst).unwrap();
-        let compiled = plan.compile().unwrap();
-        let bufs = tagged(&src);
+        let compiled = RedistPlan::build(&src, &dst).unwrap().compile().unwrap();
+        let bufs = tagged_buffers(&src);
         let whole = compiled.apply(&bufs).unwrap();
         let mut chunked: Vec<Vec<u64>> = (0..compiled.dst_ranks())
             .map(|r| vec![0; compiled.dst_count(r)])
             .collect();
-        let mut scratch = Vec::new();
         for ct in compiled.transfers() {
-            // 3 elements at a time, reusing one scratch buffer.
+            // 3 elements at a time.
             let mut first = 0;
             while first < ct.count() {
                 let n = 3.min(ct.count() - first);
-                ct.pack_range_into(&bufs[ct.src_rank], first, n, &mut scratch);
-                ct.unpack_range(&scratch, first, &mut chunked[ct.dst_rank]);
+                move_range(ct, &bufs[ct.src_rank], first, n, &mut chunked[ct.dst_rank]);
                 first += n;
             }
         }

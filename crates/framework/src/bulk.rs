@@ -7,9 +7,9 @@
 //! that protocol *about a plan*:
 //!
 //! * [`BulkRedistSender`] — the source side. For every transfer a source
-//!   rank owes under a [`CompiledPlan`], it walks the plan's precomputed
-//!   [`WireLayout`] chunk boundaries, gathers each chunk straight from the
-//!   rank's local array storage into one header-prefixed slab (no
+//!   rank owes under a [`CompiledPlan`], it walks the transfer's chunk
+//!   boundaries, gathers each chunk straight from the rank's local array
+//!   storage into one header-prefixed slab (no
 //!   per-element tag/length framing, no intermediate typed buffer), and
 //!   sends it through any [`Transport`] — normally a
 //!   [`BulkChannel`] over the mux, optionally under
@@ -22,6 +22,12 @@
 //!   contiguous run of the transfer's rectangle at a time, and answers
 //!   with a [`BulkAck`] carrying the transfer's contiguous-landing
 //!   watermark.
+//!
+//! Chunk boundaries are this module's wire policy, derived rather than
+//! negotiated: both ends hold the same compiled plan and the same
+//! element-aligned chunk size, a transfer's packed byte total is its
+//! element count times the element size, and it is cut into chunks of that
+//! size from byte zero (the last one short).
 //!
 //! The watermark is the resilience contract: the sender records
 //! `acked_through` after every chunk, so when a connection dies
@@ -41,7 +47,7 @@
 //! loopback round trips (E15 gates the resulting speedup).
 
 use bytes::Bytes;
-use cca_data::{le, CompiledPlan, CompiledTransfer, WireLayout};
+use cca_data::{le, CompiledPlan, CompiledTransfer};
 use cca_obs::span;
 use cca_obs::BulkMetrics;
 use cca_rpc::{
@@ -62,7 +68,8 @@ use std::sync::Arc;
 /// the same [`cca_rpc::MuxTransport`].
 pub struct BulkRedistSender<T: BulkElem> {
     compiled: Arc<CompiledPlan>,
-    layout: WireLayout,
+    /// Element-aligned bound on every slab body.
+    chunk_bytes: usize,
     generation: u64,
     src_rank: usize,
     /// Global transfer indices originating at `src_rank`, in plan order.
@@ -79,16 +86,16 @@ pub struct BulkRedistSender<T: BulkElem> {
 
 impl<T: BulkElem> BulkRedistSender<T> {
     /// Builds a sender for `src_rank` under `compiled`, streaming in
-    /// element-aligned chunks of (at most) `chunk_bytes`. Both sides must
-    /// construct their layout from the same plan and chunk size —
-    /// boundaries are never negotiated on the wire.
+    /// element-aligned chunks of (at most) `chunk_bytes`, rounded down to
+    /// whole elements (at least one). Both sides must be built from the
+    /// same plan and chunk size — boundaries are never negotiated on the
+    /// wire.
     pub fn new(
         compiled: Arc<CompiledPlan>,
         generation: u64,
         chunk_bytes: usize,
         src_rank: usize,
     ) -> Self {
-        let layout = compiled.wire_layout(T::SIZE, chunk_bytes);
         let transfer_ids: Vec<u32> = compiled
             .transfers()
             .iter()
@@ -99,7 +106,7 @@ impl<T: BulkElem> BulkRedistSender<T> {
         let acked = vec![0u64; transfer_ids.len()];
         BulkRedistSender {
             compiled,
-            layout,
+            chunk_bytes: aligned_chunk::<T>(chunk_bytes),
             generation,
             src_rank,
             transfer_ids,
@@ -170,14 +177,14 @@ impl<T: BulkElem> BulkRedistSender<T> {
         }
         for local in 0..self.transfer_ids.len() {
             let t = self.transfer_ids[local] as usize;
-            let total = self.layout.transfer_bytes(t);
+            let total = transfer_bytes::<T>(&self.compiled, t);
             let resume_from = self.acked[local];
             if resume_from >= total {
                 continue; // already fully acked
             }
             if resume_from > 0 {
-                let remaining = self.layout.chunk_count(t)
-                    - (resume_from / self.layout.chunk_bytes() as u64) as usize;
+                let remaining = chunk_count(total, self.chunk_bytes)
+                    - (resume_from / self.chunk_bytes as u64) as usize;
                 self.metrics.record_resume(remaining as u64);
             }
             stream(self, local, t, total, resume_from)?;
@@ -216,7 +223,7 @@ impl<T: BulkElem> BulkRedistSender<T> {
         // everything submitted but not yet retired.
         let mut in_flight: VecDeque<(usize, PendingReply)> = VecDeque::with_capacity(window);
         let mut resident = 0usize;
-        let mut chunks = self.layout.chunks_from(t, resume_from);
+        let mut chunks = chunks_from(total, self.chunk_bytes, resume_from);
         loop {
             while outcome.is_ok() && in_flight.len() < window {
                 let Some((offset, len)) = chunks.next() else {
@@ -293,7 +300,7 @@ impl<T: BulkElem> BulkRedistSender<T> {
         };
         let mut wm = resume_from;
         let mut outcome = Ok(());
-        for (offset, len) in self.layout.chunks_from(t, resume_from) {
+        for (offset, len) in chunks_from(total, self.chunk_bytes, resume_from) {
             // One slab: 32-byte header, then the chunk's elements gathered
             // run by run straight from local storage.
             let mut slab = vec![0u8; BULK_SLAB_HEADER_LEN + len];
@@ -339,7 +346,7 @@ impl<T: BulkElem> BulkRedistSender<T> {
         if ack.transfer as usize != t {
             return Err(BulkError::BadTransfer {
                 got: ack.transfer,
-                count: self.layout.transfer_count(),
+                count: self.compiled.transfers().len(),
             }
             .into());
         }
@@ -351,7 +358,7 @@ impl<T: BulkElem> BulkRedistSender<T> {
         self.transfer_ids
             .iter()
             .zip(self.acked.iter())
-            .all(|(&t, &wm)| wm >= self.layout.transfer_bytes(t as usize))
+            .all(|(&t, &wm)| wm >= transfer_bytes::<T>(&self.compiled, t as usize))
     }
 
     /// Largest payload memory this sender ever held resident — one slab
@@ -386,6 +393,35 @@ impl<T: BulkElem> BulkRedistSender<T> {
     }
 }
 
+/// `chunk_bytes` rounded down to whole elements of `T`, at least one.
+fn aligned_chunk<T: BulkElem>(chunk_bytes: usize) -> usize {
+    (chunk_bytes / T::SIZE).max(1) * T::SIZE
+}
+
+/// The packed byte total of transfer `t` as elements of `T`.
+fn transfer_bytes<T: BulkElem>(compiled: &CompiledPlan, t: usize) -> u64 {
+    (compiled.transfers()[t].count() * T::SIZE) as u64
+}
+
+/// Number of chunks of `chunk` bytes a transfer of `total` bytes streams as.
+fn chunk_count(total: u64, chunk: usize) -> usize {
+    total.div_ceil(chunk as u64) as usize
+}
+
+/// The `(byte offset, byte length)` chunks of a transfer of `total` bytes,
+/// starting at the chunk containing `from_byte` — the resume watermark
+/// after a failure, or 0 for a fresh stream. Boundaries are a pure
+/// function of `total` and `chunk`, so a resumed stream re-produces
+/// exactly the chunks the first attempt would have sent. (A zero-element
+/// transfer has no chunks and is complete by vacuity.)
+fn chunks_from(total: u64, chunk: usize, from_byte: u64) -> impl Iterator<Item = (u64, usize)> {
+    let chunk = chunk as u64;
+    (from_byte / chunk..).map_while(move |i| {
+        let offset = i * chunk;
+        (offset < total).then(|| (offset, chunk.min(total - offset) as usize))
+    })
+}
+
 /// Fills `body` with the bytes of `transfer`'s packed payload that start
 /// at byte `offset`: one sequential little-endian copy per contiguous run
 /// of the source rank's storage.
@@ -407,7 +443,8 @@ fn gather_le<T: BulkElem>(transfer: &CompiledTransfer, data: &[T], offset: u64, 
 /// idempotent.
 pub struct BulkLandingZone<T: BulkElem> {
     compiled: Arc<CompiledPlan>,
-    layout: WireLayout,
+    /// Element-aligned chunk size, the sender's.
+    chunk_bytes: usize,
     generation: u64,
     metrics: Arc<BulkMetrics>,
     state: Mutex<LandingState<T>>,
@@ -429,17 +466,18 @@ impl<T: BulkElem> BulkLandingZone<T> {
     /// Builds a landing zone for `compiled` at `generation`, expecting
     /// chunks laid out with `chunk_bytes` (must match the sender's).
     pub fn new(compiled: Arc<CompiledPlan>, generation: u64, chunk_bytes: usize) -> Arc<Self> {
-        let layout = compiled.wire_layout(T::SIZE, chunk_bytes);
+        let chunk_bytes = aligned_chunk::<T>(chunk_bytes);
         let dst = (0..compiled.dst_ranks())
             .map(|r| vec![T::default(); compiled.dst_count(r)])
             .collect();
-        let watermarks = vec![0u64; layout.transfer_count()];
-        let landed = (0..layout.transfer_count())
-            .map(|t| vec![false; layout.chunk_count(t)])
+        let transfers = compiled.transfers().len();
+        let watermarks = vec![0u64; transfers];
+        let landed = (0..transfers)
+            .map(|t| vec![false; chunk_count(transfer_bytes::<T>(&compiled, t), chunk_bytes)])
             .collect();
         Arc::new(BulkLandingZone {
             compiled,
-            layout,
+            chunk_bytes,
             generation,
             metrics: Arc::default(),
             state: Mutex::new(LandingState {
@@ -456,7 +494,7 @@ impl<T: BulkElem> BulkLandingZone<T> {
         st.watermarks
             .iter()
             .enumerate()
-            .all(|(t, &wm)| wm >= self.layout.transfer_bytes(t))
+            .all(|(t, &wm)| wm >= transfer_bytes::<T>(&self.compiled, t))
     }
 
     /// The contiguous-landing watermark of transfer `t` (bytes).
@@ -506,10 +544,10 @@ impl<T: BulkElem> BulkSink for BulkLandingZone<T> {
             .into());
         }
         let t = header.transfer as usize;
-        if t >= self.layout.transfer_count() {
+        if t >= self.compiled.transfers().len() {
             return Err(BulkError::BadTransfer {
                 got: header.transfer,
-                count: self.layout.transfer_count(),
+                count: self.compiled.transfers().len(),
             }
             .into());
         }
@@ -520,7 +558,7 @@ impl<T: BulkElem> BulkSink for BulkLandingZone<T> {
             }
             .into());
         }
-        let want_total = self.layout.transfer_bytes(t);
+        let want_total = transfer_bytes::<T>(&self.compiled, t);
         if header.total_bytes != want_total {
             return Err(BulkError::TotalMismatch {
                 got: header.total_bytes,
@@ -552,10 +590,10 @@ impl<T: BulkElem> BulkSink for BulkLandingZone<T> {
                 le::read_into(&raw[at..end], &mut dst_local[dst..dst + len]);
                 at = end;
             }
-            // A slab that is exactly one layout chunk marks its flag;
+            // A slab that is exactly one chunk marks its flag;
             // anything else (hand-built slabs at odd offsets) can only
             // extend the watermark contiguously.
-            let chunk_bytes = self.layout.chunk_bytes() as u64;
+            let chunk_bytes = self.chunk_bytes as u64;
             let idx = (header.chunk_offset / chunk_bytes) as usize;
             if header.chunk_offset == idx as u64 * chunk_bytes
                 && end == (header.chunk_offset + chunk_bytes).min(want_total)
@@ -591,7 +629,7 @@ impl<T: BulkElem> BulkSink for BulkLandingZone<T> {
 mod tests {
     use super::*;
     use cca_core::resilience::{Clock, MockClock, DEADLINE_EXCEPTION_TYPE};
-    use cca_data::{DistArrayDesc, Distribution, RedistPlan};
+    use cca_data::{DimDist, DistArrayDesc, Distribution, ProcessGrid, RedistPlan};
     use cca_rpc::DeadlineTransport;
 
     fn block_desc(n: usize, p: usize) -> DistArrayDesc {
@@ -654,11 +692,11 @@ mod tests {
     }
 
     /// 2-d, every column cut in three, 5-element chunks over 8- and
-    /// 7-element runs: slabs start and end mid-run. The oracle is the
-    /// interpreted plan, which shares nothing with the rectangles.
+    /// 7-element runs: slabs start and end mid-run. The oracle is each
+    /// element's global id, placed by the descriptors' index translation,
+    /// which shares nothing with the rectangles.
     #[test]
-    fn chunks_that_straddle_strided_runs_land_where_the_interpreted_plan_puts_them() {
-        use cca_data::{DimDist, ProcessGrid};
+    fn chunks_that_straddle_strided_runs_land_at_their_global_ids() {
         let desc = |grid: [usize; 2]| {
             let dist = Distribution::new(
                 ProcessGrid::new(&grid).unwrap(),
@@ -667,18 +705,68 @@ mod tests {
             .unwrap();
             DistArrayDesc::new(&[23, 23], dist).unwrap()
         };
-        let plan = RedistPlan::build(&desc([1, 4]), &desc([3, 1])).unwrap();
+        let (src_desc, dst_desc) = (desc([1, 4]), desc([3, 1]));
+        let plan = RedistPlan::build(&src_desc, &dst_desc).unwrap();
         let compiled = Arc::new(plan.compile().unwrap());
         let zone = BulkLandingZone::<f64>::new(Arc::clone(&compiled), 9, 40);
         let channel = ZoneChannel(Arc::clone(&zone));
-        let src = source_buffers(&compiled);
+        // Element (i, j) holds its global id i + 23 j; `place` finds its
+        // owner and local offset under a descriptor.
+        let elements = || (0..23).flat_map(|i| (0..23).map(move |j| (i, j)));
+        let place = |desc: &DistArrayDesc, i: usize, j: usize| {
+            let r = desc.owner_of(&[i, j]).unwrap();
+            (r, desc.local_offset(r, &[i, j]).unwrap())
+        };
+        let mut src: Vec<Vec<f64>> = (0..compiled.src_ranks())
+            .map(|r| vec![0.0; compiled.src_count(r)])
+            .collect();
+        for (i, j) in elements() {
+            let (r, off) = place(&src_desc, i, j);
+            src[r][off] = (i + 23 * j) as f64;
+        }
         for (rank, data) in src.iter().enumerate() {
             let mut sender = BulkRedistSender::<f64>::new(Arc::clone(&compiled), 9, 40, rank);
             sender.send(&channel, data).unwrap();
             assert!(sender.is_complete());
         }
         assert!(zone.is_complete());
-        assert_eq!(zone.snapshot_buffers(), plan.apply(&src).unwrap());
+        let landed = zone.snapshot_buffers();
+        for (i, j) in elements() {
+            let (r, off) = place(&dst_desc, i, j);
+            assert_eq!(landed[r][off], (i + 23 * j) as f64, "element ({i}, {j})");
+        }
+    }
+
+    #[test]
+    fn wire_chunks_tile_each_transfer_exactly() {
+        let cyclic = Distribution::new(ProcessGrid::linear(3).unwrap(), &[DimDist::Cyclic]);
+        let dst = DistArrayDesc::new(&[100], cyclic.unwrap()).unwrap();
+        let plan = RedistPlan::build(&block_desc(100, 2), &dst).unwrap();
+        let compiled = plan.compile().unwrap();
+        // 25-byte chunks over f64: rounds down to 3 elements per chunk.
+        let chunk = aligned_chunk::<f64>(25);
+        assert_eq!(chunk, 24);
+        assert_eq!(aligned_chunk::<f64>(5), 8, "at least one element");
+        for (t, ct) in compiled.transfers().iter().enumerate() {
+            let total = transfer_bytes::<f64>(&compiled, t);
+            assert_eq!(total, (ct.count() * 8) as u64);
+            let chunks: Vec<(u64, usize)> = chunks_from(total, chunk, 0).collect();
+            assert_eq!(chunks.len(), chunk_count(total, chunk));
+            // Chunks tile [0, total) contiguously, each a multiple of the
+            // element size, each bounded by the chunk size.
+            let mut expect = 0u64;
+            for (offset, len) in &chunks {
+                assert_eq!(*offset, expect);
+                assert!(*len > 0 && *len <= 24 && *len % 8 == 0);
+                expect += *len as u64;
+            }
+            assert_eq!(expect, total);
+            // Resuming from a mid-chunk watermark re-yields that chunk.
+            if chunks.len() > 1 {
+                let resumed: Vec<_> = chunks_from(total, chunk, chunks[1].0 + 1).collect();
+                assert_eq!(resumed[0], chunks[1]);
+            }
+        }
     }
 
     #[test]
@@ -714,7 +802,7 @@ mod tests {
     fn mismatched_generation_tag_transfer_and_total_are_typed() {
         let compiled = compiled_4_to_3(24);
         let zone = BulkLandingZone::<f64>::new(Arc::clone(&compiled), 5, 64);
-        let total = compiled.wire_layout(8, 64).transfer_bytes(0);
+        let total = transfer_bytes::<f64>(&compiled, 0);
         let mk = |generation: u64, transfer: u32, tag, total_bytes| {
             let h = SlabHeader {
                 generation,
@@ -754,7 +842,7 @@ mod tests {
             transfer: 0,
             tag: cca_rpc::ElemTag::F64,
             chunk_offset: u64::MAX - 7,
-            total_bytes: compiled.wire_layout(8, 64).transfer_bytes(0),
+            total_bytes: transfer_bytes::<f64>(&compiled, 0),
         }
         .encode_into(&mut hostile);
 
@@ -871,16 +959,10 @@ mod tests {
         }
 
         let mut sender = BulkRedistSender::<f64>::new(Arc::clone(&compiled), 2, 24, 1);
-        let chunk_total: usize = {
-            let layout = compiled.wire_layout(8, 24);
-            compiled
-                .transfers()
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.src_rank == 1)
-                .map(|(i, _)| layout.chunk_count(i))
-                .sum()
-        };
+        let chunk_total: usize = (0..compiled.transfers().len())
+            .filter(|&t| compiled.transfers()[t].src_rank == 1)
+            .map(|t| chunk_count(transfer_bytes::<f64>(&compiled, t), 24))
+            .sum();
         assert!(chunk_total >= 2, "topology must need several chunks");
 
         // First attempt: allow exactly one chunk through, then drop.

@@ -4,9 +4,9 @@
 //! the mapping of data (or processes participating) in the operations on
 //! this port." An [`MxNPort`] is exactly that: two [`DistArrayDesc`]s (one
 //! per side) plus the world ranks each side's processes occupy. From the
-//! two descriptors both sides independently derive the same
-//! [`RedistPlan`]; the port then executes the plan with point-to-point
-//! messages on the shared world communicator.
+//! two descriptors both sides independently derive and compile the same
+//! [`RedistPlan`]; the port then executes the [`CompiledPlan`] with
+//! point-to-point messages on the shared world communicator.
 //!
 //! The three cases the paper walks through all fall out of the same code:
 //!
@@ -26,8 +26,7 @@ use cca_parallel::{Comm, Tag};
 /// target parallel component (N ranks), all living on one world
 /// communicator.
 pub struct MxNPort {
-    plan: RedistPlan,
-    compiled: CompiledPlan,
+    plan: CompiledPlan,
     /// World rank of each source-side rank, indexed by source rank.
     src_world: Vec<usize>,
     /// World rank of each target-side rank, indexed by target rank.
@@ -37,8 +36,8 @@ pub struct MxNPort {
 }
 
 impl MxNPort {
-    /// Builds the port: computes the redistribution plan and records the
-    /// rank mappings. Deterministic — every participating rank can build
+    /// Builds the port: computes and compiles the redistribution plan and
+    /// records the rank mappings. Deterministic — every participating rank can build
     /// an identical port locally, no negotiation round needed.
     pub fn new(
         source: &DistArrayDesc,
@@ -62,21 +61,21 @@ impl MxNPort {
             )));
         }
         let plan = RedistPlan::build(source, target)
-            .map_err(|e| CcaError::Framework(format!("redistribution plan: {e}")))?;
-        let compiled = plan
+            .map_err(|e| CcaError::Framework(format!("redistribution plan: {e}")))?
             .compile()
             .map_err(|e| CcaError::Framework(format!("plan compilation: {e}")))?;
         Ok(MxNPort {
             plan,
-            compiled,
             src_world,
             dst_world,
             tag,
         })
     }
 
-    /// The underlying plan (for inspection and statistics).
-    pub fn plan(&self) -> &RedistPlan {
+    /// The compiled plan the port executes (for inspection, statistics,
+    /// and same-address-space execution through
+    /// [`CompiledPlan::apply`]/[`CompiledPlan::apply_into`]).
+    pub fn plan(&self) -> &CompiledPlan {
         &self.plan
     }
 
@@ -107,18 +106,14 @@ impl MxNPort {
         let Some(src_rank) = self.my_src_rank(comm) else {
             return Ok(());
         };
-        let expected = self
-            .plan
-            .source()
-            .local_count(src_rank)
-            .map_err(|e| CcaError::Framework(e.to_string()))?;
+        let expected = self.plan.src_count(src_rank);
         if data.len() != expected {
             return Err(CcaError::Framework(format!(
                 "source rank {src_rank} buffer has {} elements, descriptor says {expected}",
                 data.len()
             )));
         }
-        for t in self.compiled.sends_from(src_rank) {
+        for t in self.plan.sends_from(src_rank) {
             let payload = t.pack(data);
             let dst_world = self.dst_world[t.dst_rank];
             comm.send(dst_world, self.tag, payload)
@@ -138,18 +133,14 @@ impl MxNPort {
         let Some(dst_rank) = self.my_dst_rank(comm) else {
             return Ok(());
         };
-        let expected = self
-            .plan
-            .target()
-            .local_count(dst_rank)
-            .map_err(|e| CcaError::Framework(e.to_string()))?;
+        let expected = self.plan.dst_count(dst_rank);
         if out.len() != expected {
             return Err(CcaError::Framework(format!(
                 "target rank {dst_rank} buffer has {} elements, descriptor says {expected}",
                 out.len()
             )));
         }
-        for t in self.compiled.receives_at(dst_rank) {
+        for t in self.plan.receives_at(dst_rank) {
             let src_world = self.src_world[t.src_rank];
             let payload: Vec<T> = comm
                 .recv(src_world, self.tag)
@@ -174,48 +165,12 @@ impl MxNPort {
         data: &[T],
     ) -> Result<Vec<T>, CcaError> {
         self.send(comm, data)?;
-        let n = match self.my_dst_rank(comm) {
-            Some(dst) => self
-                .plan
-                .target()
-                .local_count(dst)
-                .map_err(|e| CcaError::Framework(e.to_string()))?,
-            None => 0,
-        };
+        let n = self
+            .my_dst_rank(comm)
+            .map_or(0, |dst| self.plan.dst_count(dst));
         let mut out = vec![T::default(); n];
         self.recv(comm, &mut out)?;
         Ok(out)
-    }
-
-    /// Same-address-space execution: runs the whole compiled plan in
-    /// memory (used when both components are serial or share one rank).
-    pub fn transfer_local<T: Clone + Default>(
-        &self,
-        src_buffers: &[Vec<T>],
-    ) -> Result<Vec<Vec<T>>, CcaError> {
-        self.compiled
-            .apply(src_buffers)
-            .map_err(|e| CcaError::Framework(e.to_string()))
-    }
-
-    /// Allocation-free variant of [`transfer_local`](Self::transfer_local):
-    /// scatters into caller-owned destination buffers, so a timestep loop
-    /// that reuses its buffers performs zero heap allocations in the
-    /// steady state (pinned by `alloc_free.rs`).
-    pub fn transfer_local_into<T: Clone>(
-        &self,
-        src_buffers: &[Vec<T>],
-        dst_buffers: &mut [Vec<T>],
-    ) -> Result<(), CcaError> {
-        self.compiled
-            .apply_into(src_buffers, dst_buffers)
-            .map_err(|e| CcaError::Framework(e.to_string()))
-    }
-
-    /// The compiled plan (one strided rectangle per transfer) the port
-    /// executes.
-    pub fn compiled_plan(&self) -> &CompiledPlan {
-        &self.compiled
     }
 }
 
@@ -239,7 +194,7 @@ mod tests {
         let mut buf = vec![0.0; desc.local_count(rank).unwrap()];
         for region in desc.owned_regions(rank).unwrap() {
             for idx in region.indices() {
-                let off = RedistPlan::local_offset(desc, rank, &idx).unwrap();
+                let off = desc.local_offset(rank, &idx).unwrap();
                 buf[off] = idx[0] as f64;
             }
         }
@@ -249,7 +204,7 @@ mod tests {
     fn check(desc: &DistArrayDesc, rank: usize, buf: &[f64]) {
         for region in desc.owned_regions(rank).unwrap() {
             for idx in region.indices() {
-                let off = RedistPlan::local_offset(desc, rank, &idx).unwrap();
+                let off = desc.local_offset(rank, &idx).unwrap();
                 assert_eq!(buf[off], idx[0] as f64, "rank {rank} idx {idx:?}");
             }
         }
@@ -345,7 +300,7 @@ mod tests {
                 let dst_rank = port.my_dst_rank(c).unwrap();
                 for region in dst.owned_regions(dst_rank).unwrap() {
                     for idx in region.indices() {
-                        let off = RedistPlan::local_offset(&dst, dst_rank, &idx).unwrap();
+                        let off = dst.local_offset(dst_rank, &idx).unwrap();
                         assert_eq!(out[off], idx[0] as f64 + shift, "step {step}");
                     }
                 }
@@ -379,12 +334,12 @@ mod tests {
     }
 
     #[test]
-    fn transfer_local_matches_spmd_result() {
+    fn in_memory_apply_matches_spmd_result() {
         let src = block_desc(10, 2);
         let dst = cyclic_desc(10, 2);
         let port = MxNPort::new(&src, &dst, vec![0, 1], vec![0, 1], 56).unwrap();
         let src_buffers: Vec<Vec<f64>> = (0..2).map(|r| tagged(&src, r)).collect();
-        let local = port.transfer_local(&src_buffers).unwrap();
+        let local = port.plan().apply(&src_buffers).unwrap();
         let spmd_out = spmd(2, |c| {
             let data = tagged(&src, c.rank());
             port.exchange(c, &data).unwrap()
@@ -393,7 +348,8 @@ mod tests {
         // The buffer-reuse path lands the identical result in caller-owned
         // destination buffers.
         let mut dst_buffers: Vec<Vec<f64>> = local.iter().map(|b| vec![0.0; b.len()]).collect();
-        port.transfer_local_into(&src_buffers, &mut dst_buffers)
+        port.plan()
+            .apply_into(&src_buffers, &mut dst_buffers)
             .unwrap();
         assert_eq!(dst_buffers, local);
     }

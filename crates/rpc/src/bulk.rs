@@ -5,8 +5,9 @@
 //! into a fresh message, and decodes it into a fresh `NdArray` on the far
 //! side. That is the right trade for control-plane calls (self-describing,
 //! reflective), and the wrong one for streaming a gigabyte of
-//! already-typed array data whose layout both sides precomputed from the
-//! same `RedistPlan`: the whole array is encoded before the first byte
+//! already-typed array data whose layout both sides derive from the same
+//! compiled plan (`cca_data::CompiledPlan`): the whole array is encoded
+//! before the first byte
 //! moves, and a dropped connection loses all of it. This module is the
 //! other half of the bargain: a [`FrameKind::Bulk`](crate::frame::FrameKind)
 //! frame whose payload is a *chunk* of a transfer, written straight from
@@ -16,7 +17,9 @@
 //! offset  size  field
 //! 0       8     plan generation (u64 LE) — both sides must agree which
 //!               compiled plan the offsets refer to
-//! 8       4     transfer index (u32 LE) into CompiledPlan::transfers()
+//! 8       4     transfer index (u32 LE) into the compiled plan's
+//!               transfers(); its chunk boundaries are the framework's
+//!               (cca_framework::bulk), never sent
 //! 12      1     element type tag (ElemTag)
 //! 13      3     reserved, must be zero
 //! 16      8     chunk offset in bytes (u64 LE) from the start of the

@@ -23,7 +23,7 @@ pub trait FieldSourcePort: Send + Sync {
     fn field_desc(&self, name: &str) -> Result<DistArrayDesc, CcaError>;
 
     /// This rank's local portion of the field (column-major local layout,
-    /// as `cca_data::RedistPlan::local_offset` prescribes). For serial
+    /// as `cca_data::DistArrayDesc::local_offset` prescribes). For serial
     /// sources `rank` is 0.
     fn local_field(&self, name: &str, rank: usize) -> Result<Vec<f64>, CcaError>;
 
@@ -68,9 +68,7 @@ impl InMemoryFieldSource {
             )));
         }
         for (r, b) in buffers.iter().enumerate() {
-            let want = desc
-                .local_count(r)
-                .map_err(|e| CcaError::Framework(e.to_string()))?;
+            let want = desc.local_count(r)?;
             if b.len() != want {
                 return Err(CcaError::Framework(format!(
                     "rank {r} buffer has {} elements, descriptor says {want}",

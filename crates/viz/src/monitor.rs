@@ -10,7 +10,7 @@ use crate::field::FieldSourcePort;
 use crate::render::{render_ascii, FieldStats};
 use cca_core::{CcaError, CcaServices, Component, PortHandle};
 use cca_data::TypeMap;
-use cca_data::{CompiledPlan, DistArrayDesc, Distribution, RedistPlan};
+use cca_data::{DistArrayDesc, Distribution, RedistPlan};
 use cca_sidl::DynObject;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -32,10 +32,6 @@ pub struct MonitorComponent {
     field: String,
     services: Mutex<Option<Arc<CcaServices>>>,
     history: Mutex<Vec<Frame>>,
-    /// Cached gather plan, rebuilt only when the source's distribution
-    /// changes (planning is once-per-connection work; E4 prices it beside
-    /// one execution).
-    plan_cache: Mutex<Option<(DistArrayDesc, CompiledPlan)>>,
 }
 
 impl MonitorComponent {
@@ -45,13 +41,15 @@ impl MonitorComponent {
             field: field.into(),
             services: Mutex::new(None),
             history: Mutex::new(Vec::new()),
-            plan_cache: Mutex::new(None),
         })
     }
 
     /// Pulls one frame through the port: fetches every source rank's local
-    /// buffer, builds the M→1 redistribution plan from the descriptors,
-    /// and assembles the global field.
+    /// buffer, builds and compiles the M→1 redistribution plan from the
+    /// descriptors, and assembles the global field. The plan is rebuilt on
+    /// every call, so it always follows the source's current layout; at
+    /// a few microseconds it is small beside the capture's own copies
+    /// (EXPERIMENTS.md, E7).
     pub fn capture(&self) -> Result<Frame, CcaError> {
         let services = self
             .services
@@ -63,30 +61,10 @@ impl MonitorComponent {
         let buffers: Vec<Vec<f64>> = (0..desc.nranks())
             .map(|r| src.local_field(&self.field, r))
             .collect::<Result<_, _>>()?;
-        // Target: the monitor's own serial layout. The plan is cached and
-        // only rebuilt if the source distribution changed.
-        let mut cache = self.plan_cache.lock();
-        let rebuild = match &*cache {
-            Some((cached_desc, _)) => cached_desc != &desc,
-            None => true,
-        };
-        if rebuild {
-            let serial = DistArrayDesc::new(
-                desc.global_extents(),
-                Distribution::serial(desc.rank())
-                    .map_err(|e| CcaError::Framework(e.to_string()))?,
-            )
-            .map_err(|e| CcaError::Framework(e.to_string()))?;
-            let plan = RedistPlan::build(&desc, &serial)
-                .map_err(|e| CcaError::Framework(e.to_string()))?
-                .compile()
-                .map_err(|e| CcaError::Framework(e.to_string()))?;
-            *cache = Some((desc.clone(), plan));
-        }
-        let (_, plan) = cache.as_ref().expect("just filled");
-        let mut out = plan
-            .apply(&buffers)
-            .map_err(|e| CcaError::Framework(e.to_string()))?;
+        // Target: the monitor's own serial layout.
+        let serial = DistArrayDesc::new(desc.global_extents(), Distribution::serial(desc.rank())?)?;
+        let plan = RedistPlan::build(&desc, &serial)?.compile()?;
+        let mut out = plan.apply(&buffers)?;
         let data = out.pop().unwrap_or_default();
         let frame = Frame {
             frame: src.frame(),

@@ -35,7 +35,7 @@ fn block_cyclic(n: usize, p: usize, b: usize) -> DistArrayDesc {
 }
 
 fn describe(label: &str, src: &DistArrayDesc, dst: &DistArrayDesc) {
-    let plan = RedistPlan::build(src, dst).unwrap();
+    let plan = RedistPlan::build(src, dst).unwrap().compile().unwrap();
     println!(
         "{label:<34} M={} N={} transfers={:<4} resident={:<6} moved={:<6} matched={}",
         src.nranks(),
@@ -86,7 +86,7 @@ fn main() {
         let mut data = vec![0.0f64; src.local_count(src_rank).unwrap()];
         for region in src.owned_regions(src_rank).unwrap() {
             for idx in region.indices() {
-                let off = RedistPlan::local_offset(&src, src_rank, &idx).unwrap();
+                let off = src.local_offset(src_rank, &idx).unwrap();
                 data[off] = idx[0] as f64;
             }
         }
@@ -97,7 +97,7 @@ fn main() {
         if let Some(dst_rank) = port.my_dst_rank(c) {
             for region in dst.owned_regions(dst_rank).unwrap() {
                 for idx in region.indices() {
-                    let off = RedistPlan::local_offset(&dst, dst_rank, &idx).unwrap();
+                    let off = dst.local_offset(dst_rank, &idx).unwrap();
                     assert_eq!(out[off], idx[0] as f64);
                     checked += 1;
                 }

@@ -10,6 +10,7 @@
 #   clippy     clippy with -D warnings
 #   fmt        rustfmt --check
 #   doc        rustdoc over the workspace with -D warnings (broken links)
+#   examples   run every example in examples/; each asserts its own results
 #   fault      the fault-injection suites under one CCA_FAULT_SEED
 #   fleet      the multi-process kill-matrix under one CCA_FAULT_SEED
 #   bench-gate every experiment's gates in fast mode (scripts/bench.sh)
@@ -61,6 +62,18 @@ fmt() {
 doc() {
     echo "==> cargo doc -D warnings"
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+}
+
+# Every file in examples/ as a release binary, one after another. Several
+# examples assert what they print (mxn_coupling checks every delivered
+# element), so a non-zero exit from any of them fails the mode.
+examples() {
+    local f name
+    for f in examples/*.rs; do
+        name="$(basename "$f" .rs)"
+        echo "==> cargo run --example $name"
+        cargo run --offline --release --example "$name" > /dev/null
+    done
 }
 
 # One run of the failure-injection + resilience + remote-transport +
@@ -156,6 +169,7 @@ all)
     clippy
     fmt
     doc
+    examples
     fault
     fleet
     bench_gate
@@ -165,13 +179,14 @@ build-test) build_test ;;
 clippy) clippy ;;
 fmt) fmt ;;
 doc) doc ;;
+examples) examples ;;
 fault) fault ;;
 fleet) fleet ;;
 bench-gate) bench_gate ;;
 ccabench) ccabench ;;
 loc) loc ;;
 *)
-    echo "unknown mode '$MODE' (want all|build-test|clippy|fmt|doc|fault|fleet|bench-gate|ccabench|loc)" >&2
+    echo "unknown mode '$MODE' (want all|build-test|clippy|fmt|doc|examples|fault|fleet|bench-gate|ccabench|loc)" >&2
     exit 2
     ;;
 esac

@@ -56,9 +56,10 @@ fn source_buffers(compiled: &CompiledPlan) -> Vec<Vec<f64>> {
 /// correct stream, and (because resume is watermark-exact) also the
 /// ceiling when drops happen before dispatch.
 fn unique_chunks(compiled: &CompiledPlan) -> u64 {
-    let layout = compiled.wire_layout(8, CHUNK_BYTES);
-    (0..layout.transfer_count())
-        .map(|t| layout.chunk_count(t) as u64)
+    compiled
+        .transfers()
+        .iter()
+        .map(|t| (t.count() * 8).div_ceil(CHUNK_BYTES) as u64)
         .sum()
 }
 

@@ -3,7 +3,7 @@
 //! numerical component feeding a differently distributed visualization
 //! component.
 
-use cca::data::{DimDist, DistArrayDesc, Distribution, ProcessGrid, RedistPlan};
+use cca::data::{DimDist, DistArrayDesc, Distribution, ProcessGrid};
 use cca::framework::MxNPort;
 use cca::parallel::spmd;
 use cca::solvers::{HydroConfig, HydroSim};
@@ -96,14 +96,15 @@ fn overlap_and_shrink_cases_agree_with_in_memory_plan() {
         let mut buf = vec![0.0; src.local_count(r).unwrap()];
         for region in src.owned_regions(r).unwrap() {
             for idx in region.indices() {
-                let off = RedistPlan::local_offset(&src, r, &idx).unwrap();
+                let off = src.local_offset(r, &idx).unwrap();
                 buf[off] = idx[0] as f64;
             }
         }
         buf
     };
     let expected = port
-        .transfer_local(&[make_buf(0), make_buf(1), make_buf(2)])
+        .plan()
+        .apply(&[make_buf(0), make_buf(1), make_buf(2)])
         .unwrap();
 
     let results = spmd(3, |c| {
