@@ -583,15 +583,21 @@ fn mux_fault_scenario_is_deterministic_per_seed() {
         let clock = MockClock::new();
         let policy = CallPolicy::with_clock(clock)
             .with_retry(RetryPolicy::new(3, 100, 1_000).with_jitter_seed(seed));
+        // The retry loop is the uses slot's, as in production.
+        let user = CcaServices::new("user");
+        user.register_uses_port("in", "test.Doubler", TypeMap::new())
+            .unwrap();
+        user.set_call_policy("in", Arc::new(policy)).unwrap();
+        user.connect_uses("in", PortHandle::new("out", "test.Doubler", objref))
+            .unwrap();
+        let mut port = user.cached_port::<ObjRef>("in");
         let outcomes: Vec<bool> = (0..60)
             .map(|i| {
-                policy
-                    .execute("doubler.double", None, |_| {
-                        objref
-                            .invoke("double", vec![DynValue::Long(i)])
-                            .map_err(CcaError::from)
-                    })
-                    .is_ok()
+                port.call(|o| {
+                    o.invoke("double", vec![DynValue::Long(i)])
+                        .map_err(CcaError::from)
+                })
+                .is_ok()
             })
             .collect();
         server.shutdown();

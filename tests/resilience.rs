@@ -12,7 +12,7 @@ use cca::core::event::RecordingListener;
 use cca::core::resilience::{
     fault_seed_from_env, BreakerPolicy, CallPolicy, Clock, MockClock, RetryPolicy,
 };
-use cca::core::{CcaError, CcaServices, Component, ConfigEvent, PortHandle};
+use cca::core::{CachedPort, CcaError, CcaServices, Component, ConfigEvent, PortHandle};
 use cca::framework::ports::MonitorPort as _;
 use cca::framework::{ConnectionPolicy, Framework};
 use cca::repository::Repository;
@@ -83,6 +83,21 @@ impl Component for Consumer {
     }
 }
 
+/// A uses slot whose one connection is `provider`, under `policy`: the
+/// tests below drive the retry loop production uses, `CachedPort::call`.
+fn policy_slot<P: ?Sized + Send + Sync + 'static>(
+    policy: CallPolicy,
+    provider: Arc<P>,
+) -> CachedPort<P> {
+    let user = CcaServices::new("user");
+    user.register_uses_port("in", "test.Port", TypeMap::new())
+        .unwrap();
+    user.set_call_policy("in", Arc::new(policy)).unwrap();
+    user.connect_uses("in", PortHandle::new("out", "test.Port", provider))
+        .unwrap();
+    user.cached_port("in")
+}
+
 // ---------------------------------------------------------------------
 // Retry + backoff timing, fully simulated.
 // ---------------------------------------------------------------------
@@ -102,10 +117,11 @@ fn backoff_timing_is_exact_on_the_mock_clock() {
 
     let attempts = AtomicU64::new(0);
     let timeline = parking_lot::Mutex::new(Vec::new());
-    let result: Result<(), CcaError> = policy.execute("op", None, |_| {
+    let always_fails: Arc<dyn WorkPort> = Flaky::new(0, u64::MAX);
+    let result = policy_slot(policy, always_fails).call(|p| {
         timeline.lock().push(clock.now_ns());
         attempts.fetch_add(1, Ordering::SeqCst);
-        Err(CcaError::Framework("always fails".into()))
+        p.work()
     });
     assert!(result.is_err());
     assert_eq!(attempts.load(Ordering::SeqCst), 4, "all attempts used");
@@ -290,12 +306,10 @@ fn fault_matrix_scenario_is_deterministic_per_seed() {
         let objref = ObjRef::new("answer", transport);
         let policy = CallPolicy::with_clock(clock)
             .with_retry(RetryPolicy::new(3, 100, 1_000).with_jitter_seed(seed));
+        let mut port = policy_slot(policy, objref);
         (0..100)
             .map(|_| {
-                policy
-                    .execute("answer.value", None, |_| {
-                        objref.invoke("value", vec![]).map_err(CcaError::from)
-                    })
+                port.call(|o| o.invoke("value", vec![]).map_err(CcaError::from))
                     .is_ok()
             })
             .collect()
