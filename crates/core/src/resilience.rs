@@ -29,7 +29,6 @@
 //! cached call by `benches/e11_resilience.rs`. All breaker *transitions*
 //! ride failure paths, which are already expensive.
 
-use crate::error::CcaError;
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -38,8 +37,8 @@ use std::time::{Duration, Instant};
 /// The SIDL exception type `cca-rpc`'s deadline-enforcing transport raises
 /// when an ORB round trip exceeds its per-call budget. `CcaError`'s
 /// `From<SidlError>` conversion recognizes it and produces
-/// [`CcaError::DeadlineExceeded`], so the error keeps its meaning across
-/// the RPC/port boundary.
+/// [`CcaError::DeadlineExceeded`](crate::CcaError::DeadlineExceeded), so
+/// the error keeps its meaning across the RPC/port boundary.
 pub const DEADLINE_EXCEPTION_TYPE: &str = "cca.rpc.DeadlineExceeded";
 
 /// Environment variable naming the deterministic fault-schedule seed used
@@ -565,64 +564,6 @@ impl CallPolicy {
             .as_ref()
             .map(|b| CircuitBreaker::new(b.clone(), Arc::clone(&self.clock)))
     }
-
-    /// Runs `f` (called with the 0-based attempt number) under this
-    /// policy: breaker admission before each attempt, retry with backoff
-    /// between failed attempts, the deadline enforced across the whole
-    /// sequence. `operation` labels errors.
-    ///
-    /// [`CachedPort::call`](crate::CachedPort::call) is the port-aware
-    /// variant (it re-resolves between attempts, so retries can fail over
-    /// to another connected provider); this entry point serves policy
-    /// users outside the port tables.
-    pub fn execute<R>(
-        &self,
-        operation: &str,
-        breaker: Option<&CircuitBreaker>,
-        mut f: impl FnMut(u32) -> Result<R, CcaError>,
-    ) -> Result<R, CcaError> {
-        let max_attempts = self.max_attempts();
-        let mut backoff = self.retry.as_ref().map(|r| r.schedule());
-        let started = self.clock.now_ns();
-        let mut attempt = 0u32;
-        loop {
-            if let Some(b) = breaker {
-                if !b.admit() {
-                    return Err(CcaError::ProviderQuarantined(operation.to_string()));
-                }
-            }
-            match f(attempt) {
-                Ok(v) => {
-                    if let Some(b) = breaker {
-                        b.record_success();
-                    }
-                    return Ok(v);
-                }
-                Err(e) => {
-                    if let Some(b) = breaker {
-                        b.record_failure();
-                    }
-                    attempt += 1;
-                    if attempt >= max_attempts {
-                        return Err(e);
-                    }
-                    let wait = backoff.as_mut().and_then(|s| s.next()).unwrap_or(0);
-                    if let Some(deadline) = self.deadline_ns {
-                        let spent = self.clock.now_ns().saturating_sub(started);
-                        if spent.saturating_add(wait) > deadline {
-                            cca_obs::resilience().record_deadline_hit();
-                            return Err(CcaError::DeadlineExceeded(format!(
-                                "'{operation}' exhausted its {deadline} ns budget after \
-                                 {attempt} attempt(s): {e}"
-                            )));
-                        }
-                    }
-                    cca_obs::resilience().record_retry();
-                    self.clock.sleep_ns(wait);
-                }
-            }
-        }
-    }
 }
 
 impl Default for CallPolicy {
@@ -787,78 +728,6 @@ mod tests {
                 (BreakerState::HalfOpen, BreakerState::Closed),
             ]
         );
-    }
-
-    #[test]
-    fn execute_retries_until_success_with_mock_time() {
-        let clock = mock();
-        let policy = CallPolicy::with_clock(clock.clone())
-            .with_retry(RetryPolicy::new(5, 1_000, 8_000).with_jitter_seed(3));
-        let mut failures_left = 3;
-        let result = policy.execute("op", None, |attempt| {
-            if failures_left > 0 {
-                failures_left -= 1;
-                Err(CcaError::Framework(format!("flake {attempt}")))
-            } else {
-                Ok(attempt)
-            }
-        });
-        assert_eq!(result.unwrap(), 3, "succeeded on the 4th attempt");
-        // Three backoff waits were charged to the mock clock, each in
-        // policy bounds.
-        let elapsed = clock.now_ns();
-        assert!((3_000..=24_000).contains(&elapsed), "elapsed {elapsed}");
-    }
-
-    #[test]
-    fn execute_exhausts_attempts_and_returns_last_error() {
-        let policy = CallPolicy::with_clock(mock())
-            .with_retry(RetryPolicy::new(3, 10, 100).with_jitter_seed(4));
-        let mut calls = 0;
-        let result: Result<(), _> = policy.execute("op", None, |_| {
-            calls += 1;
-            Err(CcaError::Framework(format!("always ({calls})")))
-        });
-        assert_eq!(calls, 3);
-        assert!(result.unwrap_err().to_string().contains("always (3)"));
-    }
-
-    #[test]
-    fn execute_enforces_the_deadline_across_attempts() {
-        let clock = mock();
-        let policy = CallPolicy::with_clock(clock.clone())
-            .with_retry(RetryPolicy::new(100, 1_000, 1_000).with_jitter_seed(5))
-            .with_deadline_ns(3_500);
-        let result: Result<(), _> = policy.execute("op", None, |_| {
-            clock.advance_ns(10); // each attempt costs simulated time
-            Err(CcaError::Framework("down".into()))
-        });
-        match result.unwrap_err() {
-            CcaError::DeadlineExceeded(msg) => assert!(msg.contains("3500"), "{msg}"),
-            other => panic!("expected DeadlineExceeded, got {other}"),
-        }
-        assert!(clock.now_ns() <= 3_500, "never slept past the deadline");
-    }
-
-    #[test]
-    fn execute_respects_the_breaker() {
-        let clock = mock();
-        let policy = CallPolicy::with_clock(clock.clone());
-        let breaker = CircuitBreaker::new(BreakerPolicy::new(1, 1_000), clock.clone());
-        let r: Result<(), _> = policy.execute("op", Some(&breaker), |_| {
-            Err(CcaError::Framework("boom".into()))
-        });
-        assert!(r.is_err());
-        assert_eq!(breaker.state(), BreakerState::Open);
-        // Next call is refused without invoking f at all.
-        let r: Result<(), _> =
-            policy.execute("op", Some(&breaker), |_| panic!("must not be called"));
-        assert!(matches!(r, Err(CcaError::ProviderQuarantined(_))));
-        // After the cooldown the probe goes through and recovery closes.
-        clock.advance_ns(1_000);
-        let r = policy.execute("op", Some(&breaker), |_| Ok(7));
-        assert_eq!(r.unwrap(), 7);
-        assert_eq!(breaker.state(), BreakerState::Closed);
     }
 
     #[test]

@@ -7,11 +7,7 @@ use std::env;
 use std::fs;
 use std::path::PathBuf;
 
-const FILES: [&str; 3] = [
-    "sidl/monitor.sidl",
-    "sidl/observability.sidl",
-    "sidl/discovery.sidl",
-];
+const FILES: [&str; 2] = ["sidl/monitor.sidl", "sidl/discovery.sidl"];
 
 fn main() {
     let mut source = String::new();

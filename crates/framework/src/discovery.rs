@@ -9,7 +9,7 @@
 //! opaque string), and the catalog's scale statistics, all through
 //! dynamic invocation over the same `tcp`/`tcp+mux` transports the
 //! components themselves use. [`Framework::install_discovery`] mirrors
-//! [`Framework::install_observability`]: deposit the SIDL, add the
+//! [`Framework::install_monitor`]: deposit the SIDL, add the
 //! component instance, export the port under [`DISCOVERY_EXPORT_KEY`],
 //! and the next `serve_tcp_mux` call makes the catalog
 //! remotely searchable.

@@ -25,10 +25,11 @@
 //!   between differently-distributed parallel components, executed over
 //!   `cca-parallel` communicators or in-memory for same-address-space
 //!   connections.
-//! * [`observability`] — the remote scrape plane: a reflective
-//!   `ObservabilityPort` exposing the trace ring, flight-recorder
-//!   inventory, and resilience counters over the same wire transports the
-//!   components use.
+//! * [`monitor`] — the introspection and remote scrape plane: one
+//!   reflective `MonitorPort` answering for the live assembly (instances,
+//!   wiring, per-port metrics) and for the process (trace ring,
+//!   flight-recorder inventory, resilience counters), exported over the
+//!   same wire transports the components use.
 //! * [`discovery`] — the remote discovery plane: the sharded repository's
 //!   search API (exact lookup, trigram fuzzy search with paged results,
 //!   catalog statistics) as a reflective `DiscoveryPort` other frameworks
@@ -53,7 +54,6 @@ pub mod event;
 pub mod fleet;
 pub mod framework;
 pub mod monitor;
-pub mod observability;
 pub mod script;
 
 mod generated {
@@ -62,8 +62,7 @@ mod generated {
 
 /// The framework's `cca.ports` interfaces as the build script generates
 /// them from `sidl/*.sidl`: one trait, stub and skeleton per reflective
-/// port ([`MonitorPort`], [`ObservabilityPort`] and [`DiscoveryPort`]
-/// implement the traits).
+/// port ([`MonitorPort`] and [`DiscoveryPort`] implement the traits).
 pub use generated::cca::ports;
 
 pub use bulk::{BulkLandingZone, BulkRedistSender};
@@ -79,9 +78,7 @@ pub use fleet::{
     RankLauncher, Worker,
 };
 pub use framework::Framework;
-pub use monitor::{MonitorPort, MONITOR_INSTANCE, MONITOR_PORT_TYPE, MONITOR_SIDL};
-pub use observability::{
-    ObservabilityPort, OBSERVABILITY_EXPORT_KEY, OBSERVABILITY_INSTANCE, OBSERVABILITY_PORT_TYPE,
-    OBSERVABILITY_SIDL,
+pub use monitor::{
+    MonitorPort, MONITOR_EXPORT_KEY, MONITOR_INSTANCE, MONITOR_PORT_TYPE, MONITOR_SIDL,
 };
 pub use script::{parse_script, Command};

@@ -3,7 +3,7 @@
 //! Same shape as [`resilience`](mod@crate::resilience): plain relaxed atomics bumped from
 //! the supervisor/hub hot paths (rank death handling must never block on
 //! observability), snapshot on demand, stable-key JSON for the
-//! ObservabilityPort and the flight recorder.
+//! `MonitorPort`'s `snapshotJson` and the flight recorder.
 
 use crate::counters::counter_block;
 

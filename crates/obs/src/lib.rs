@@ -11,9 +11,8 @@
 //!   hook in `cca-core`/`cca-rpc` is guarded by a single **relaxed load**
 //!   of this word, so the steady-state direct-connect call path (PR 1's
 //!   `CachedPort`) pays one predictable branch when observability is off.
-//!   Both facilities are additionally compile-time gated by the `trace`
-//!   and `counters` cargo features and env-gated via `CCA_TRACE` /
-//!   `CCA_METRICS` (see [`init_from_env`]).
+//!   The environment seeds both facilities via `CCA_TRACE` /
+//!   `CCA_METRICS` (see [`init_from_env`]); the runtime flips them.
 //! * [`metrics`] — per-port invocation counters, connect/disconnect
 //!   churn, fan-out width, and fixed-bucket log2 latency histograms. The
 //!   record path is allocation-free: relaxed atomics only. Call counting

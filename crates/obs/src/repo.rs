@@ -1,7 +1,7 @@
 //! Global repository counters: deposits, lookups, fuzzy discovery.
 //!
 //! The sharded repository (`cca-repository`) reports here so the
-//! `ObservabilityPort`/`DiscoveryPort` can answer "how hot is the
+//! `MonitorPort`/`DiscoveryPort` can answer "how hot is the
 //! catalog" without walking shards. Like
 //! [`resilience`](mod@crate::resilience), these are **not** gated by the
 //! `counters` flag: a registration or a fuzzy query already allocates and

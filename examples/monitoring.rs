@@ -14,6 +14,9 @@
 //! `MonitorPort` is called directly. It turns the per-port counters on,
 //! drives some port traffic, reads back the live connection graph and call
 //! counts, then flips the tracer on and drains a Chrome-format trace.
+//! Last come the scrape methods a remote collector would call: two
+//! non-consuming `traceJsonl` scrapes, the flight-recorder inventory and
+//! one `snapshotJson` of everything.
 
 use cca::core::{CcaError, CcaServices, Component, PortHandle};
 use cca::framework::{Framework, MONITOR_INSTANCE, MONITOR_PORT_TYPE, MONITOR_SIDL};
@@ -158,6 +161,47 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 6. Full metrics dump, as a dashboard would poll it.
     let metrics = invoke_checked(&*target, method(info, "metricsJson"), vec![])?;
-    println!("metrics:\n  {}", metrics.as_str()?);
+    println!("metrics:\n  {}\n", metrics.as_str()?);
+
+    // 7. Scrape the trace ring twice: unlike drainTrace, traceJsonl leaves
+    //    the events in place, so both scrapes see the same instant.
+    invoke_checked(
+        &*target,
+        method(info, "setTracing"),
+        vec![DynValue::Bool(true)],
+    )?;
+    cca::obs::trace_instant("scrape-window");
+    let first = invoke_checked(&*target, method(info, "traceJsonl"), vec![])?;
+    let second = invoke_checked(&*target, method(info, "traceJsonl"), vec![])?;
+    invoke_checked(
+        &*target,
+        method(info, "setTracing"),
+        vec![DynValue::Bool(false)],
+    )?;
+    for scrape in [first.as_str()?, second.as_str()?] {
+        assert!(scrape.contains("\"name\":\"scrape-window\""), "{scrape}");
+    }
+    println!("both traceJsonl scrapes saw the scrape-window instant\n");
+
+    // 8. The flight-recorder inventory and the one-call snapshot.
+    let flight = invoke_checked(&*target, method(info, "flightJson"), vec![])?;
+    println!("flight recorder:\n  {}\n", flight.as_str()?);
+    assert!(flight.as_str()?.contains("\"incidents\":["));
+    let snapshot = invoke_checked(&*target, method(info, "snapshotJson"), vec![])?;
+    let snapshot = snapshot.as_str()?;
+    let mut at = 0;
+    for key in [
+        "tracing",
+        "counters",
+        "flight",
+        "metrics",
+        "resilience",
+        "repo",
+        "fleet",
+    ] {
+        let found = snapshot[at..].find(&format!("\"{key}\":"));
+        at += found.unwrap_or_else(|| panic!("snapshot lacks '{key}' after byte {at}"));
+    }
+    println!("snapshot ({} bytes) carries all seven keys", snapshot.len());
     Ok(())
 }

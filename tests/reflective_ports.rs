@@ -1,7 +1,7 @@
-//! Pins what the six reflective ports answer through `DynObject::invoke`:
+//! Pins what the five reflective ports answer through `DynObject::invoke`:
 //! the `esi` operator, preconditioner and solver ports the solver
-//! components provide, and the framework's monitor, observability and
-//! discovery ports.
+//! components provide, and the framework's monitor and discovery ports
+//! (the monitor's scrape methods in a test of their own).
 //!
 //! Each test runs a fixed call list: every method with valid arguments,
 //! each argument-taking method with none, one wrong-typed argument and one
@@ -417,11 +417,11 @@ fn monitor_port() {
 }
 
 #[test]
-fn observability_port() {
+fn monitor_port_scrape_methods() {
     let fw = wired_framework();
-    fw.install_observability().unwrap();
-    let obs = dynamic(&fw, "cca-observability", "observability");
-    assert_eq!(obs.sidl_type(), "cca.ports.ObservabilityPort");
+    fw.install_monitor().unwrap();
+    let obs = dynamic(&fw, "cca-monitor", "monitor");
+    assert_eq!(obs.sidl_type(), "cca.ports.MonitorPort");
 
     assert_eq!(
         keys(call(&*obs, "snapshotJson", vec![])),

@@ -17,7 +17,7 @@
 
 use cca::core::resilience::{fault_seed_from_env, BreakerPolicy, CallPolicy, MockClock};
 use cca::core::{CcaError, CcaServices, Component, ConfigEvent, PortHandle};
-use cca::framework::{Framework, OBSERVABILITY_EXPORT_KEY};
+use cca::framework::{Framework, MONITOR_EXPORT_KEY};
 use cca::obs::TraceEvent;
 use cca::repository::Repository;
 use cca::rpc::{MuxServer, MuxTransport, ObjRef};
@@ -404,19 +404,19 @@ fn mid_call_drop_leaves_a_flight_recording_with_the_quarantine() {
 // The scrape plane, over the same wire it observes.
 // ---------------------------------------------------------------------
 
-/// A remote collector dials the exported `ObservabilityPort` through a
+/// A remote collector dials the exported `MonitorPort` through a
 /// plain `MuxTransport` + `ObjRef` — no framework on the client side at
 /// all — scrapes a snapshot and the live trace ring, and flips tracing
 /// off across the network.
 #[test]
-fn observability_port_scrapes_over_mux() {
+fn monitor_port_scrapes_over_mux() {
     let _serial = SERIAL.lock();
 
     let server_fw = Framework::new(Repository::new());
     server_fw
         .add_instance("provider0", Arc::new(DoublerProvider))
         .unwrap();
-    server_fw.install_observability().unwrap();
+    server_fw.install_monitor().unwrap();
     let server = server_fw.serve_tcp_mux("127.0.0.1:0").unwrap();
     let addr = server.local_addr().to_string();
 
@@ -426,7 +426,7 @@ fn observability_port_scrapes_over_mux() {
 
     let transport = Arc::new(MuxTransport::new(addr));
     let objref = ObjRef::new(
-        OBSERVABILITY_EXPORT_KEY,
+        MONITOR_EXPORT_KEY,
         transport as Arc<dyn cca::rpc::Transport>,
     );
 
