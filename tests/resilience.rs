@@ -8,7 +8,7 @@
 //! `MockClock`, so the suite is exactly as fast and exactly as
 //! deterministic on a loaded CI runner as on a quiet laptop.
 
-use cca::core::event::RecordingListener;
+use cca::core::event::{ConfigListener, RecordingListener};
 use cca::core::resilience::{
     fault_seed_from_env, BreakerPolicy, CallPolicy, Clock, MockClock, RetryPolicy,
 };
@@ -204,6 +204,110 @@ fn quarantine_recovery_round_trip_with_events_and_monitor() {
     assert_eq!(services.get_ports("in").unwrap().len(), 2);
     let json = monitor.0.resilienceJson().unwrap();
     assert!(!json.contains("\"state\":\"open\""), "{json}");
+}
+
+/// Appends its tag to a log shared with other listeners, so the log shows
+/// the order in which the framework reached them.
+struct Tagged(usize, Arc<parking_lot::Mutex<Vec<usize>>>);
+
+impl ConfigListener for Tagged {
+    fn on_event(&self, _event: &ConfigEvent) {
+        self.1.lock().push(self.0);
+    }
+}
+
+#[test]
+fn listeners_hear_every_configuration_event_in_registration_order() {
+    let fw = Framework::new(Repository::new());
+    let first = RecordingListener::new();
+    let second = RecordingListener::new();
+    fw.add_listener(first.clone());
+    fw.add_listener(second.clone());
+    let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    fw.add_listener(Arc::new(Tagged(0, Arc::clone(&order))));
+    fw.add_listener(Arc::new(Tagged(1, Arc::clone(&order))));
+
+    let healthy = Flaky::new(0, 0);
+    let flaky = Flaky::new(1, 2); // fails twice, then heals
+    fw.add_instance("p0", Arc::new(FlakyProvider { port: healthy }))
+        .unwrap();
+    fw.add_instance("p1", Arc::new(FlakyProvider { port: flaky }))
+        .unwrap();
+    fw.add_instance("u0", Arc::new(Consumer)).unwrap();
+    let clock = MockClock::new();
+    let policy = CallPolicy::with_clock(clock.clone()).with_breaker(BreakerPolicy::new(2, 10_000));
+    fw.connect_with_call_policy("u0", "in", "p0", "out", policy)
+        .unwrap();
+    fw.redirect("u0", "in", "p0", "p1", "out").unwrap();
+
+    // Two failed calls trip the new connection's breaker; after the
+    // cooldown the next call is the half-open probe, and it succeeds.
+    let mut port = fw.services("u0").unwrap().cached_port::<dyn WorkPort>("in");
+    assert!(port.call(|p| p.work()).is_err());
+    assert!(port.call(|p| p.work()).is_err());
+    clock.advance_ns(20_000);
+    assert_eq!(port.call(|p| p.work()).unwrap(), 1);
+
+    fw.disconnect("u0", "in", "p1").unwrap();
+    for name in ["u0", "p0", "p1"] {
+        fw.destroy_instance(name).unwrap();
+    }
+
+    let s = |v: &str| v.to_string();
+    let added = |instance: &str, component_type: &str| ConfigEvent::ComponentAdded {
+        instance: s(instance),
+        component_type: s(component_type),
+    };
+    let connected = |provider: &str| ConfigEvent::Connected {
+        user: s("u0"),
+        uses_port: s("in"),
+        provider: s(provider),
+        provides_port: s("out"),
+        port_type: s("test.WorkPort"),
+    };
+    let disconnected = |provider: &str| ConfigEvent::Disconnected {
+        user: s("u0"),
+        uses_port: s("in"),
+        provider: s(provider),
+    };
+    let removed = |instance: &str| ConfigEvent::ComponentRemoved {
+        instance: s(instance),
+    };
+    let expected = vec![
+        added("p0", "test.FlakyProvider"),
+        added("p1", "test.FlakyProvider"),
+        added("u0", "test.Consumer"),
+        connected("p0"),
+        disconnected("p0"),
+        connected("p1"),
+        ConfigEvent::Redirected {
+            user: s("u0"),
+            uses_port: s("in"),
+            old_provider: s("p0"),
+            new_provider: s("p1"),
+        },
+        ConfigEvent::ProviderQuarantined {
+            user: s("u0"),
+            uses_port: s("in"),
+            provider: s("p1"),
+            consecutive_failures: 2,
+        },
+        ConfigEvent::ProviderRecovered {
+            user: s("u0"),
+            uses_port: s("in"),
+            provider: s("p1"),
+        },
+        disconnected("p1"),
+        removed("u0"),
+        removed("p0"),
+        removed("p1"),
+    ];
+    assert_eq!(first.events(), expected);
+    assert_eq!(second.events(), expected);
+    // Each event reached the listeners in the order they were added.
+    let order = order.lock();
+    assert_eq!(order.len(), 2 * expected.len());
+    assert!(order.chunks(2).all(|pair| pair == [0, 1]), "{:?}", *order);
 }
 
 // ---------------------------------------------------------------------
