@@ -7,7 +7,6 @@
 //! failure." The reference framework (`cca-framework`) emits these events;
 //! builders and monitoring tools subscribe with a [`ConfigListener`].
 
-use cca_data::TypeMap;
 use std::sync::Arc;
 
 /// One configuration event.
@@ -112,8 +111,8 @@ pub enum ConfigEvent {
 }
 
 impl ConfigEvent {
-    /// The topic this event publishes under on a topic-based event service
-    /// (`cca.config.<kind>` — subscribe to `cca.config.*` for all of them).
+    /// The name of the trace instant the framework records for this event
+    /// (`cca.config.<kind>`).
     pub fn topic(&self) -> &'static str {
         match self {
             ConfigEvent::ComponentAdded { .. } => "cca.config.component_added",
@@ -127,96 +126,6 @@ impl ConfigEvent {
             ConfigEvent::RankDied { .. } => "cca.config.rank_died",
             ConfigEvent::RankRejoined { .. } => "cca.config.rank_rejoined",
         }
-    }
-
-    /// The event's fields as a [`TypeMap`] payload — the schemaless form a
-    /// generic event subscriber (or remote monitor) consumes.
-    pub fn to_typemap(&self) -> TypeMap {
-        let mut m = TypeMap::new();
-        match self {
-            ConfigEvent::ComponentAdded {
-                instance,
-                component_type,
-            } => {
-                m.put_string("instance", instance.clone());
-                m.put_string("component_type", component_type.clone());
-            }
-            ConfigEvent::ComponentRemoved { instance } => {
-                m.put_string("instance", instance.clone());
-            }
-            ConfigEvent::Connected {
-                user,
-                uses_port,
-                provider,
-                provides_port,
-                port_type,
-            } => {
-                m.put_string("user", user.clone());
-                m.put_string("uses_port", uses_port.clone());
-                m.put_string("provider", provider.clone());
-                m.put_string("provides_port", provides_port.clone());
-                m.put_string("port_type", port_type.clone());
-            }
-            ConfigEvent::Disconnected {
-                user,
-                uses_port,
-                provider,
-            } => {
-                m.put_string("user", user.clone());
-                m.put_string("uses_port", uses_port.clone());
-                m.put_string("provider", provider.clone());
-            }
-            ConfigEvent::Redirected {
-                user,
-                uses_port,
-                old_provider,
-                new_provider,
-            } => {
-                m.put_string("user", user.clone());
-                m.put_string("uses_port", uses_port.clone());
-                m.put_string("old_provider", old_provider.clone());
-                m.put_string("new_provider", new_provider.clone());
-            }
-            ConfigEvent::ComponentFailed { instance, reason } => {
-                m.put_string("instance", instance.clone());
-                m.put_string("reason", reason.clone());
-            }
-            ConfigEvent::ProviderQuarantined {
-                user,
-                uses_port,
-                provider,
-                consecutive_failures,
-            } => {
-                m.put_string("user", user.clone());
-                m.put_string("uses_port", uses_port.clone());
-                m.put_string("provider", provider.clone());
-                m.put_string("consecutive_failures", consecutive_failures.to_string());
-            }
-            ConfigEvent::ProviderRecovered {
-                user,
-                uses_port,
-                provider,
-            } => {
-                m.put_string("user", user.clone());
-                m.put_string("uses_port", uses_port.clone());
-                m.put_string("provider", provider.clone());
-            }
-            ConfigEvent::RankDied {
-                rank,
-                incarnation,
-                generation,
-            }
-            | ConfigEvent::RankRejoined {
-                rank,
-                incarnation,
-                generation,
-            } => {
-                m.put_string("rank", rank.to_string());
-                m.put_string("incarnation", incarnation.to_string());
-                m.put_string("generation", generation.to_string());
-            }
-        }
-        m
     }
 }
 
@@ -343,12 +252,7 @@ mod tests {
         ];
         for e in &events {
             assert!(e.topic().starts_with("cca.config."), "{}", e.topic());
-            assert!(!e.to_typemap().is_empty());
         }
-        // A wildcard subscriber can reconstruct the connection graph edge.
-        let m = events[2].to_typemap();
-        assert_eq!(m.get_string("user", String::new()), "u");
-        assert_eq!(m.get_string("provides_port", String::new()), "out");
     }
 
     #[test]

@@ -260,8 +260,8 @@ impl FleetSupervisor {
         self.slots.lock().unwrap()[rank].breaker.state()
     }
 
-    /// Routes `RankDied`/`RankRejoined` config events into a framework's
-    /// event service.
+    /// Routes `RankDied`/`RankRejoined` config events to a framework's
+    /// configuration listeners.
     pub fn attach_framework(&self, framework: &Arc<Framework>) {
         *self.framework.lock().unwrap() = Some(Arc::downgrade(framework));
     }

@@ -1,7 +1,6 @@
 //! The reference framework: instances, services, builder API.
 
 use crate::connect::{ConnectionInfo, ConnectionPolicy};
-use crate::event::EventService;
 use cca_core::component::GO_PORT_TYPE;
 use cca_core::event::SharedListener;
 use cca_core::{CcaError, CcaServices, Component, ConfigEvent, GoPort};
@@ -35,11 +34,6 @@ pub struct Framework {
     /// will allow different flavors of compliance; each component will
     /// specify a minimum flavor of compliance required of a framework").
     flavors: Vec<String>,
-    /// The topic-based event service. Configuration events are published
-    /// here (topics `cca.config.*`) in addition to the typed
-    /// [`ConfigListener`](cca_core::event::ConfigListener) path, so
-    /// monitors get the registration-order delivery guarantee.
-    events: Arc<EventService>,
     /// Self-reference so `&self` methods can hand long-lived callbacks
     /// (breaker observers) a way back to `emit` without keeping the
     /// framework alive.
@@ -67,7 +61,6 @@ impl Framework {
             default_policy: policy,
             // The reference framework supports both interaction styles.
             flavors: vec!["in-process".to_string(), "distributed".to_string()],
-            events: EventService::new(),
             myself: Weak::clone(myself),
         })
     }
@@ -87,18 +80,15 @@ impl Framework {
         &self.orb
     }
 
-    /// Subscribes a builder/monitor to configuration events.
+    /// Subscribes a builder/monitor to configuration events. Every event
+    /// reaches the listeners synchronously, in the order they were added.
     pub fn add_listener(&self, listener: SharedListener) {
         self.listeners.write().push(listener);
     }
 
-    /// The framework's topic-based event service. Configuration events are
-    /// republished here under `cca.config.*` topics (payload =
-    /// [`ConfigEvent::to_typemap`]) with the service's deterministic
-    /// registration-order delivery; components may publish their own
-    /// topics alongside.
-    pub fn event_service(&self) -> &Arc<EventService> {
-        &self.events
+    /// Number of listeners added with [`Framework::add_listener`].
+    pub(crate) fn listener_count(&self) -> usize {
+        self.listeners.read().len()
     }
 
     pub(crate) fn emit(&self, event: ConfigEvent) {
@@ -106,7 +96,6 @@ impl Framework {
         for l in self.listeners.read().iter() {
             l.on_event(&event);
         }
-        self.events.publish(event.topic(), &event.to_typemap());
     }
 
     /// Instantiates a component from the repository under an instance name
@@ -320,31 +309,6 @@ mod tests {
         let events = rec.events();
         assert!(matches!(events[0], ConfigEvent::ComponentAdded { .. }));
         assert!(matches!(events[1], ConfigEvent::ComponentRemoved { .. }));
-    }
-
-    #[test]
-    fn config_events_route_through_event_service() {
-        let fw = Framework::new(repo_with_echo());
-        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let log2 = Arc::clone(&log);
-        fw.event_service().subscribe(
-            "cca.config.*",
-            Arc::new(move |topic: &str, body: &TypeMap| {
-                log2.lock().push(format!(
-                    "{topic}:{}",
-                    body.get_string("instance", "?".into())
-                ));
-            }),
-        );
-        fw.create_instance("echo0", "demo.Echo").unwrap();
-        fw.destroy_instance("echo0").unwrap();
-        assert_eq!(
-            log.lock().as_slice(),
-            [
-                "cca.config.component_added:echo0",
-                "cca.config.component_removed:echo0"
-            ]
-        );
     }
 
     #[test]

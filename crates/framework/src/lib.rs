@@ -11,8 +11,10 @@
 //!
 //! * [`framework`] — the [`Framework`] itself: component instantiation
 //!   from the repository, per-instance [`cca_core::CcaServices`], the
-//!   Configuration/Builder API (add/remove/redirect/failure events), and
-//!   `go`-port driving.
+//!   Configuration/Builder API (add/remove/redirect/failure events, each
+//!   a typed [`cca_core::ConfigEvent`] delivered to every listener in the
+//!   order [`Framework::add_listener`] added them, and recorded as a
+//!   `cca.config.*` trace instant), and `go`-port driving.
 //! * [`connect`] — the connection machinery. The framework owns the
 //!   direct-vs-proxy decision ("port connection is the responsibility of
 //!   the framework; therefore, a particular component may find itself
@@ -50,7 +52,6 @@ pub mod bulk;
 pub mod collective;
 pub mod connect;
 pub mod discovery;
-pub mod event;
 pub mod fleet;
 pub mod framework;
 pub mod monitor;
@@ -71,7 +72,6 @@ pub use connect::{ConnectionInfo, ConnectionPolicy, RemoteTransportKind};
 pub use discovery::{
     DiscoveryPort, DISCOVERY_EXPORT_KEY, DISCOVERY_INSTANCE, DISCOVERY_PORT_TYPE, DISCOVERY_SIDL,
 };
-pub use event::{EventListener, EventService, SubscriptionId};
 pub use fleet::{
     fleet_rank_env, rank_backoff_seed, run_worker, ExecLauncher, FleetConfig, FleetEvent, FleetHub,
     FleetRankEnv, FleetSupervisor, HubLink, LaunchSpec, MockLauncher, MockProcess, ProcessHandle,

@@ -154,7 +154,7 @@ impl ports::MonitorPort for MonitorPort {
     }
 
     fn eventSubscriptions(&self) -> Result<i64, SidlError> {
-        Ok(self.framework()?.event_service().subscription_count() as i64)
+        Ok(self.framework()?.listener_count() as i64)
     }
 
     fn setCounters(&self, on: bool) -> Result<(), SidlError> {
@@ -448,6 +448,28 @@ mod tests {
             vec![],
         );
         assert!(r.unwrap().as_long().unwrap() >= 0);
+    }
+
+    #[test]
+    fn event_subscriptions_counts_config_listeners() {
+        let fw = wired_framework();
+        fw.install_monitor().unwrap();
+        fw.add_listener(cca_core::event::RecordingListener::new());
+        fw.add_listener(cca_core::event::RecordingListener::new());
+        let target = fw
+            .services(MONITOR_INSTANCE)
+            .unwrap()
+            .get_provides_port("monitor")
+            .unwrap();
+        let reflection = Reflection::from_model(&compile(MONITOR_SIDL).unwrap());
+        let info = reflection.type_info(MONITOR_PORT_TYPE).unwrap();
+        let r = invoke_checked(
+            &**target.dynamic().unwrap(),
+            info.method("eventSubscriptions").unwrap(),
+            vec![],
+        )
+        .unwrap();
+        assert!(matches!(r, DynValue::Long(2)), "{r:?}");
     }
 
     #[test]

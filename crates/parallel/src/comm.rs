@@ -396,70 +396,6 @@ impl Comm {
         self.bcast(0, reduced)
     }
 
-    /// Variable-count gather (`MPI_Gatherv`): every rank contributes a
-    /// vector of arbitrary length; the root receives them concatenated in
-    /// rank order (with per-rank boundaries preserved in the nested form).
-    pub fn gatherv<T: Send + 'static>(
-        &self,
-        root: usize,
-        values: Vec<T>,
-    ) -> Result<Option<Vec<Vec<T>>>, ParallelError> {
-        self.gather(root, values)
-    }
-
-    /// Variable-count scatter (`MPI_Scatterv`): the root supplies one
-    /// vector per rank (arbitrary lengths); each rank receives its own.
-    pub fn scatterv<T: Send + 'static>(
-        &self,
-        root: usize,
-        values: Option<Vec<Vec<T>>>,
-    ) -> Result<Vec<T>, ParallelError> {
-        self.scatter(root, values)
-    }
-
-    /// Exclusive prefix reduction (`MPI_Exscan`): rank r receives the
-    /// combination of ranks `0..r`'s values (`None` on rank 0).
-    pub fn exscan<T: Clone + Send + 'static>(
-        &self,
-        value: T,
-        op: &dyn ReduceOp<T>,
-    ) -> Result<Option<T>, ParallelError> {
-        let all = self.allgather(value)?;
-        if self.rank == 0 {
-            return Ok(None);
-        }
-        let mut it = all.into_iter().take(self.rank);
-        let first = it.next().expect("rank > 0");
-        Ok(Some(it.fold(first, |a, b| op.combine(a, b))))
-    }
-
-    /// Personalized all-to-all: rank i's `values[j]` is delivered as the
-    /// i-th element of rank j's result.
-    pub fn alltoall<T: Send + 'static>(&self, values: Vec<T>) -> Result<Vec<T>, ParallelError> {
-        if values.len() != self.size() {
-            return Err(ParallelError::CollectiveMismatch(format!(
-                "alltoall got {} values for {} ranks",
-                values.len(),
-                self.size()
-            )));
-        }
-        let tag = self.next_coll_tag();
-        let mut out: Vec<Option<T>> = (0..self.size()).map(|_| None).collect();
-        for (r, v) in values.into_iter().enumerate() {
-            if r == self.rank {
-                out[r] = Some(v);
-            } else {
-                self.send_value(r, tag, v)?;
-            }
-        }
-        for r in 0..self.size() {
-            if r != self.rank {
-                out[r] = Some(self.recv_raw(self.group[r], tag)?);
-            }
-        }
-        Ok(out.into_iter().map(Option::unwrap).collect())
-    }
-
     /// Splits the communicator by `color`: ranks sharing a color form a new
     /// communicator, ordered by `key` (ties broken by old rank). Returns
     /// `None` for ranks passing `color = None` (MPI's `MPI_UNDEFINED`).
@@ -500,13 +436,6 @@ impl Comm {
             next_context: Rc::clone(&self.next_context),
             coll_seq: Cell::new(0),
         }))
-    }
-
-    /// Creates a duplicate communicator with isolated collective/tag space.
-    pub fn dup(&self) -> Result<Comm, ParallelError> {
-        Ok(self
-            .split(Some(0), self.rank as i64)?
-            .expect("all ranks participate in dup"))
     }
 }
 
@@ -725,18 +654,6 @@ mod tests {
     }
 
     #[test]
-    fn alltoall_transposes() {
-        let results = spmd(3, |c| {
-            let send: Vec<(usize, usize)> = (0..3).map(|j| (c.rank(), j)).collect();
-            c.alltoall(send).unwrap()
-        });
-        for (j, row) in results.iter().enumerate() {
-            let expect: Vec<(usize, usize)> = (0..3).map(|i| (i, j)).collect();
-            assert_eq!(*row, expect);
-        }
-    }
-
-    #[test]
     fn split_forms_disjoint_subgroups() {
         let results = spmd(6, |c| {
             // Even ranks form one group, odd ranks another.
@@ -806,7 +723,8 @@ mod tests {
     #[test]
     fn dup_isolates_collectives() {
         let results = spmd(3, |c| {
-            let d = c.dup().unwrap();
+            // A duplicate: every rank, in the same order, in a new context.
+            let d = c.split(Some(0), c.rank() as i64).unwrap().unwrap();
             assert_eq!(d.rank(), c.rank());
             assert_eq!(d.size(), c.size());
             // Interleave collectives on both communicators.
@@ -851,37 +769,30 @@ mod tests {
 #[cfg(test)]
 mod collective_tests {
     use super::*;
-    use crate::reduce::SumOp;
 
     #[test]
-    fn gatherv_concatenates_ragged_contributions() {
+    fn gather_concatenates_ragged_contributions() {
         let results = spmd(3, |c| {
             let mine: Vec<u32> = (0..c.rank() as u32 + 1).collect();
-            c.gatherv(0, mine).unwrap()
+            c.gather(0, mine).unwrap()
         });
         assert_eq!(results[0], Some(vec![vec![0], vec![0, 1], vec![0, 1, 2]]));
         assert_eq!(results[1], None);
     }
 
     #[test]
-    fn scatterv_distributes_ragged_pieces() {
+    fn scatter_distributes_ragged_pieces() {
         let results = spmd(3, |c| {
             let input = if c.rank() == 1 {
                 Some(vec![vec![9u8], vec![], vec![1, 2, 3]])
             } else {
                 None
             };
-            c.scatterv(1, input).unwrap()
+            c.scatter(1, input).unwrap()
         });
         assert_eq!(results[0], vec![9]);
         assert_eq!(results[1], Vec::<u8>::new());
         assert_eq!(results[2], vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn exscan_is_exclusive_prefix_sum() {
-        let results = spmd(4, |c| c.exscan((c.rank() + 1) as i64, &SumOp).unwrap());
-        assert_eq!(results, vec![None, Some(1), Some(3), Some(6)]);
     }
 }
 
@@ -1058,36 +969,14 @@ mod proptests {
                 let sum = c.allreduce(mine, &SumOp).unwrap();
                 let max = c.allreduce(mine, &MaxOp).unwrap();
                 let gathered = c.allgather(mine).unwrap();
-                let scan = c.exscan(mine, &SumOp).unwrap();
-                (sum, max, gathered, scan)
+                (sum, max, gathered)
             });
-            for (r, (sum, max, gathered, scan)) in results.into_iter().enumerate() {
+            for (sum, max, gathered) in results {
                 prop_assert_eq!(sum, expect_sum);
                 prop_assert_eq!(max, expect_max);
                 prop_assert_eq!(&gathered, &values);
-                let expect_scan: Option<i64> = if r == 0 {
-                    None
-                } else {
-                    Some(values[..r].iter().sum())
-                };
-                prop_assert_eq!(scan, expect_scan);
             }
         }
 
-        /// alltoall is a transpose for arbitrary payloads.
-        #[test]
-        fn alltoall_transposes(size in 1usize..5, seed in 0i64..1000) {
-            let results = spmd(size, move |c| {
-                let send: Vec<i64> = (0..size)
-                    .map(|j| seed + (c.rank() * size + j) as i64)
-                    .collect();
-                c.alltoall(send).unwrap()
-            });
-            for (j, row) in results.iter().enumerate() {
-                for (i, &v) in row.iter().enumerate() {
-                    prop_assert_eq!(v, seed + (i * size + j) as i64);
-                }
-            }
-        }
     }
 }

@@ -25,8 +25,6 @@ pub enum ParallelError {
     /// A collective was called with inconsistent arguments across ranks
     /// (detected where cheaply possible, e.g. scatter length != size).
     CollectiveMismatch(String),
-    /// An invalid group size or topology request.
-    InvalidTopology(String),
     /// A payload type outside the wire-codec set was sent over a
     /// [`WireLink`](crate::wire::WireLink) route.
     Unserializable {
@@ -67,7 +65,6 @@ impl fmt::Display for ParallelError {
                 write!(f, "peer rank {peer} disconnected")
             }
             ParallelError::CollectiveMismatch(msg) => write!(f, "collective mismatch: {msg}"),
-            ParallelError::InvalidTopology(msg) => write!(f, "invalid topology: {msg}"),
             ParallelError::Unserializable { type_name } => {
                 write!(f, "payload type {type_name} has no wire encoding")
             }

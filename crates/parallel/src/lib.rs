@@ -11,7 +11,10 @@
 //! to communicate among the four processes over which it is distributed").
 //! We reproduce that substrate in-process: a *process group* is a set of
 //! OS threads, one per rank, and a [`Comm`] gives each rank MPI-flavoured
-//! point-to-point messaging and collective operations.
+//! point-to-point messaging and the collectives the components call:
+//! barrier, bcast, gather, scatter, allgather, reduce and allreduce, plus
+//! [`Comm::split`] for sub-communicators. The neighbour exchange of the
+//! hydro mesh lives with the mesh, in `cca-solvers`.
 //!
 //! Running ranks as threads instead of processes preserves everything the
 //! CCA collective-port model cares about — rank identity, message matching,
@@ -28,11 +31,9 @@
 pub mod comm;
 pub mod error;
 pub mod reduce;
-pub mod topology;
 pub mod wire;
 
 pub use comm::{spmd, Comm, Tag};
 pub use error::ParallelError;
-pub use reduce::{FnOp, LandOp, LorOp, MaxOp, MinOp, ProdOp, ReduceOp, SumOp};
-pub use topology::CartComm;
+pub use reduce::{FnOp, MaxOp, MinOp, ReduceOp, SumOp};
 pub use wire::{WireLink, WireMsg};

@@ -14,24 +14,15 @@ pub trait ReduceOp<T>: Sync {
 
 /// Elementwise sum (`MPI_SUM`).
 pub struct SumOp;
-/// Elementwise product (`MPI_PROD`).
-pub struct ProdOp;
 /// Elementwise minimum (`MPI_MIN`).
 pub struct MinOp;
 /// Elementwise maximum (`MPI_MAX`).
 pub struct MaxOp;
-/// Logical AND (`MPI_LAND`).
-pub struct LandOp;
-/// Logical OR (`MPI_LOR`).
-pub struct LorOp;
 
 macro_rules! impl_numeric_ops {
     ($($t:ty),*) => {$(
         impl ReduceOp<$t> for SumOp {
             fn combine(&self, a: $t, b: $t) -> $t { a + b }
-        }
-        impl ReduceOp<$t> for ProdOp {
-            fn combine(&self, a: $t, b: $t) -> $t { a * b }
         }
         impl ReduceOp<$t> for MinOp {
             fn combine(&self, a: $t, b: $t) -> $t { if b < a { b } else { a } }
@@ -59,18 +50,6 @@ macro_rules! impl_numeric_ops {
 
 impl_numeric_ops!(i32, i64, u32, u64, usize, f32, f64);
 
-impl ReduceOp<bool> for LandOp {
-    fn combine(&self, a: bool, b: bool) -> bool {
-        a && b
-    }
-}
-
-impl ReduceOp<bool> for LorOp {
-    fn combine(&self, a: bool, b: bool) -> bool {
-        a || b
-    }
-}
-
 /// A closure-backed user-defined reduction (`MPI_Op_create` analogue).
 pub struct FnOp<F>(pub F);
 
@@ -87,12 +66,8 @@ mod tests {
     #[test]
     fn scalar_ops() {
         assert_eq!(SumOp.combine(2i64, 3), 5);
-        assert_eq!(ProdOp.combine(2.0f64, 3.0), 6.0);
         assert_eq!(MinOp.combine(2u32, 3), 2);
         assert_eq!(MaxOp.combine(2usize, 3), 3);
-        assert!(LandOp.combine(true, true));
-        assert!(!LandOp.combine(true, false));
-        assert!(LorOp.combine(false, true));
     }
 
     #[test]

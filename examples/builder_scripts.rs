@@ -1,21 +1,19 @@
 //! Driving the framework with Ccaffeine-style builder scripts and
-//! observing it through the event service.
+//! observing it through its configuration events.
 //!
 //! ```text
 //! cargo run --example builder_scripts
 //! ```
 //!
 //! A builder script assembles a small pipeline from repository components,
-//! re-wires it mid-run, and tears it down; every Configuration-API action
-//! is mirrored both to a recording listener (the CCA configuration events)
-//! and to the topic-based event service.
+//! re-wires it mid-run, and tears it down; a recording listener hears every
+//! Configuration-API action, and the example asserts the exact sequence.
 
 use cca::core::event::RecordingListener;
-use cca::core::{CcaError, CcaServices, Component, PortHandle};
-use cca::framework::{EventService, Framework};
+use cca::core::{CcaError, CcaServices, Component, ConfigEvent, PortHandle};
+use cca::framework::Framework;
 use cca::repository::{ComponentEntry, PortSpec, Repository};
 use cca_data::TypeMap;
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 trait NumberPort: Send + Sync {
@@ -78,25 +76,6 @@ fn main() -> Result<(), CcaError> {
     let recorder = RecordingListener::new();
     fw.add_listener(recorder.clone());
 
-    // Topic events narrate the scenario for any interested tool.
-    let events = EventService::new();
-    let narration = Arc::new(Mutex::new(Vec::<String>::new()));
-    let sink = Arc::clone(&narration);
-    events.subscribe(
-        "builder.*",
-        Arc::new(move |topic: &str, body: &TypeMap| {
-            sink.lock().push(format!(
-                "{topic}: {}",
-                body.get_string("detail", String::new())
-            ));
-        }),
-    );
-    let publish = |topic: &str, detail: &str| {
-        let mut body = TypeMap::new();
-        body.put_string("detail", detail.into());
-        events.publish(topic, &body);
-    };
-
     let read = |fw: &Framework| -> f64 {
         let port: Arc<dyn NumberPort> = fw.services("reader0").unwrap().get_port_as("in").unwrap();
         port.value()
@@ -111,13 +90,13 @@ fn main() -> Result<(), CcaError> {
         connect reader0 in sourceA out
         ",
     )?;
-    publish("builder.assembled", "reader0 <- sourceA");
     println!("reader sees {}", read(&fw));
+    assert_eq!(read(&fw), 1.0);
 
     println!("-- phase 2: scripted re-wiring --");
     fw.run_script("redirect reader0 in sourceA sourceB out")?;
-    publish("builder.rewired", "reader0 <- sourceB");
     println!("reader sees {}", read(&fw));
+    assert_eq!(read(&fw), 2.0);
 
     println!("-- phase 3: scripted teardown --");
     fw.run_script(
@@ -128,15 +107,51 @@ fn main() -> Result<(), CcaError> {
         remove reader0
         ",
     )?;
-    publish("builder.done", "scenario dismantled");
 
     println!("\nconfiguration events seen by the builder:");
-    for e in recorder.events() {
+    let events = recorder.events();
+    for e in &events {
         println!("  {e:?}");
     }
-    println!("\ntopic narration:");
-    for line in narration.lock().iter() {
-        println!("  {line}");
-    }
+    let s = |v: &str| v.to_string();
+    let added = |instance: &str, class: &str| ConfigEvent::ComponentAdded {
+        instance: s(instance),
+        component_type: s(class),
+    };
+    let connected = |provider: &str| ConfigEvent::Connected {
+        user: s("reader0"),
+        uses_port: s("in"),
+        provider: s(provider),
+        provides_port: s("out"),
+        port_type: s("pipeline.Number"),
+    };
+    let disconnected = |provider: &str| ConfigEvent::Disconnected {
+        user: s("reader0"),
+        uses_port: s("in"),
+        provider: s(provider),
+    };
+    let removed = |instance: &str| ConfigEvent::ComponentRemoved {
+        instance: s(instance),
+    };
+    let expected = vec![
+        added("sourceA", "pipeline.Source"),
+        added("sourceB", "pipeline.Source"),
+        added("reader0", "pipeline.Reader"),
+        connected("sourceA"),
+        disconnected("sourceA"),
+        connected("sourceB"),
+        ConfigEvent::Redirected {
+            user: s("reader0"),
+            uses_port: s("in"),
+            old_provider: s("sourceA"),
+            new_provider: s("sourceB"),
+        },
+        disconnected("sourceB"),
+        removed("sourceA"),
+        removed("sourceB"),
+        removed("reader0"),
+    ];
+    assert_eq!(events, expected);
+    println!("all {} events in the expected order", expected.len());
     Ok(())
 }

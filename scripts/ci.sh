@@ -4,7 +4,7 @@
 # vendor/, so this works fully offline (--offline keeps cargo from touching
 # the network at all).
 #
-# Usage: scripts/ci.sh [mode]
+# Usage: scripts/ci.sh [mode] [ref]
 #   all        (default) every check below, in order
 #   build-test release build + test suite
 #   clippy     clippy with -D warnings
@@ -16,7 +16,9 @@
 #   bench-gate every experiment's gates in fast mode (scripts/bench.sh)
 #   ccabench   the end-to-end benchmark's smoke run (benchmark/, all six
 #              workloads with their oracles on, a few seconds)
-#   loc        non-test line counts per crate (reports only; not in `all`)
+#   loc        non-test line counts per crate (reports only; not in `all`);
+#              given a git ref, also counts that commit and prints the
+#              difference (ref, HEAD, delta per crate)
 #
 # The CI workflow fans these out as separate jobs; `all` keeps the
 # one-command local story.
@@ -139,8 +141,10 @@ ccabench() {
 # when a line ends in `{` first, the matching `}` in column 0 (rustfmt
 # puts a top-level item's closing brace there). Code after a test module
 # still counts.
-loc() {
-    echo "==> non-test lines in crates/*/src and crates/*/build.rs"
+# Every line of every .rs under crates/*/src and of every crates/*/build.rs,
+# except top-level items marked #[cfg(test)]. Counts the tree in the
+# current directory.
+loc_counts() {
     { find crates/*/src -name '*.rs'; find crates/* -maxdepth 1 -name build.rs; } |
         sort | xargs awk '
         FNR == 1 { split(FILENAME, part, "/"); crate = part[2]; skip = 0 }
@@ -161,6 +165,33 @@ loc() {
             close("sort")
             printf "%-12s %7d\n", "total", total
         }'
+}
+
+# With a ref, the ref's tree is exported with `git archive` into a
+# temporary directory, so the worktree is never touched.
+loc() {
+    echo "==> non-test lines in crates/*/src and crates/*/build.rs"
+    local ref="${1:-}"
+    if [ -z "$ref" ]; then
+        loc_counts
+        return
+    fi
+    local base
+    base="$(mktemp -d)"
+    git archive "$ref" crates | tar -x -C "$base"
+    (cd "$base" && loc_counts) > "$base/counts"
+    loc_counts | awk -v ref="$(git rev-parse --short "$ref")" '
+        NR == FNR { old[$1] = $2; seen[$1] = 1; next }
+        { new[$1] = $2; seen[$1] = 1 }
+        END {
+            printf "%-12s %7s %7s %7s\n", "crate", ref, "HEAD", "delta"
+            for (c in seen) if (c != "total")
+                printf "%-12s %7d %7d %+7d\n", c, old[c], new[c], new[c] - old[c] | "sort"
+            close("sort")
+            printf "%-12s %7d %7d %+7d\n", "total", old["total"], new["total"],
+                new["total"] - old["total"]
+        }' "$base/counts" -
+    rm -rf "$base"
 }
 
 case "$MODE" in
@@ -184,7 +215,7 @@ fault) fault ;;
 fleet) fleet ;;
 bench-gate) bench_gate ;;
 ccabench) ccabench ;;
-loc) loc ;;
+loc) loc "${2:-}" ;;
 *)
     echo "unknown mode '$MODE' (want all|build-test|clippy|fmt|doc|examples|fault|fleet|bench-gate|ccabench|loc)" >&2
     exit 2
