@@ -17,9 +17,21 @@
 //!    compiling the matched 4→4 plan is gated to cost no more than
 //!    executing it once, and the build and compiled-transfer rows at 2×
 //!    their committed values (DESIGN.md §5).
+//! 4. **The bulk plane against the bare socket** (`bulk_*`, `raw_wire_*`):
+//!    a 32 MiB 4→3 block redistribution streamed through
+//!    `BulkRedistSender::send_pipelined` over loopback mux (window 8,
+//!    1 MiB slabs), and the same bytes through a bare `write_all`/`read`
+//!    socket, in alternating rounds. Their ratio is gated: both rates move
+//!    with the host, their ratio far less (ROADMAP item 4 asks for 0.5).
 
-use cca_bench::{Harness, Report};
+use cca_bench::{batch, Harness, Report};
 use cca_data::{DimDist, DistArrayDesc, Distribution, ProcessGrid, RedistPlan};
+use cca_framework::{BulkLandingZone, BulkRedistSender};
+use cca_rpc::transport::Dispatcher;
+use cca_rpc::{BulkChannel, BulkSink, MuxServer, MuxTransport, Orb};
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::sync::Arc;
 
 fn block(n: usize, p: usize) -> DistArrayDesc {
     DistArrayDesc::new(&[n], Distribution::block_1d(p, 1).unwrap()).unwrap()
@@ -138,5 +150,94 @@ fn main() {
             1.0,
             "compiling a plan may not cost more than executing it once",
         );
+
+    bulk_against_raw_wire(&h, &mut report);
     report.finish();
+}
+
+/// Question 4: the bulk plane and the bare socket moving the same bytes,
+/// in alternating rounds.
+fn bulk_against_raw_wire(h: &Harness, report: &mut Report) {
+    const ELEMENTS: usize = 4 << 20;
+    const SLAB: usize = 1 << 20;
+    const WINDOW: usize = 8;
+    // Frames per sample: a sample long enough (~50 ms) that one scheduling
+    // hiccup on a shared box cannot decide a round.
+    const FRAMES: usize = 4;
+    let bytes = (FRAMES * ELEMENTS * 8) as f64;
+
+    let compiled = Arc::new(
+        RedistPlan::build(&block(ELEMENTS, 4), &block(ELEMENTS, 3))
+            .unwrap()
+            .compile()
+            .unwrap(),
+    );
+    let zone = BulkLandingZone::<f64>::new(Arc::clone(&compiled), 1, SLAB);
+    let server = MuxServer::bind("127.0.0.1:0", Orb::new() as Arc<dyn Dispatcher>).unwrap();
+    server.set_bulk_sink(Arc::clone(&zone) as Arc<dyn BulkSink>);
+    let transport = MuxTransport::new(server.local_addr().to_string()).with_connections(1);
+    let channel = BulkChannel::new(Arc::new(transport));
+    let src = buffers(&block(ELEMENTS, 4));
+    let mut senders: Vec<_> = (0..compiled.src_ranks())
+        .map(|r| BulkRedistSender::<f64>::new(Arc::clone(&compiled), 1, SLAB, r))
+        .collect();
+    let mut bulk = || {
+        for _ in 0..FRAMES {
+            zone.reset();
+            for (rank, sender) in senders.iter_mut().enumerate() {
+                sender.reset();
+                sender.send_pipelined(&channel, &src[rank], WINDOW).unwrap();
+            }
+            assert!(zone.is_complete());
+        }
+    };
+
+    // The bare socket: the reader drains one frame's bytes, answers with
+    // one byte, and waits for the next.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut wire = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    wire.set_nodelay(true).unwrap();
+    let (mut peer, _) = listener.accept().unwrap();
+    let total = ELEMENTS * 8;
+    let drain = std::thread::spawn(move || {
+        let mut buf = vec![0u8; 256 << 10];
+        'frames: loop {
+            let mut left = total;
+            while left > 0 {
+                match peer.read(&mut buf[..left.min(256 << 10)]) {
+                    Ok(0) | Err(_) => break 'frames,
+                    Ok(n) => left -= n,
+                }
+            }
+            if peer.write_all(&[1]).is_err() {
+                break;
+            }
+        }
+    });
+    let payload = vec![7u8; SLAB];
+    let mut raw = || {
+        for _ in 0..FRAMES {
+            let mut left = total;
+            while left > 0 {
+                let n = SLAB.min(left);
+                wire.write_all(&payload[..n]).unwrap();
+                left -= n;
+            }
+            wire.read_exact(&mut [0u8; 1]).unwrap();
+        }
+    };
+
+    let rounds = h.rounds(&mut [&mut batch(&mut bulk), &mut batch(&mut raw)]);
+    // ns per sample of `bytes` bytes: bytes per ns is GB/s.
+    report.metric("bulk_contig_gb_per_s", rounds.derive(|s| bytes / s[0]));
+    report.metric("raw_wire_gb_per_s", rounds.derive(|s| bytes / s[1]));
+    report
+        .metric("bulk_over_raw_wire_ratio", rounds.derive(|s| s[1] / s[0]))
+        .median_at_least(
+            0.35,
+            "the bulk plane moves a redistribution at a third or more of the bare socket's rate",
+        );
+    drop(wire);
+    drain.join().unwrap();
+    server.shutdown();
 }

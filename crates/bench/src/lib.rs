@@ -413,6 +413,14 @@ impl Recorded<'_> {
         self.gate(">=", bound, value, Self::verdict(value >= bound), why)
     }
 
+    /// Gates the median at `≥ bound`: the form for a same-run ratio of two
+    /// rates, where a co-tenant's burst can land on either side of the
+    /// ratio, so neither decile is the quiet-box reading.
+    pub fn median_at_least(self, bound: f64, why: &str) -> Self {
+        let value = self.stats().median;
+        self.gate(">=", bound, value, Self::verdict(value >= bound), why)
+    }
+
     /// Gates a count at exactly `expected`.
     pub fn exactly(self, expected: f64, why: &str) -> Self {
         let value = self.stats().median;

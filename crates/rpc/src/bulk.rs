@@ -371,10 +371,16 @@ impl BulkAck {
 }
 
 /// Where a server lands bulk slabs. `MuxServer::set_bulk_sink` installs
-/// one; every decoded `Bulk` frame is handed to it on a dispatch worker,
-/// and the returned bytes travel back as the `Reply` payload (normally an
-/// encoded [`BulkAck`]). An `Err` kills the producing connection — same
-/// blast radius as a framing error — and nothing else.
+/// one; every decoded `Bulk` frame is handed to it on the server's event
+/// loop, in the pass that decoded it, and the returned bytes travel back
+/// as the `Reply` payload (normally an encoded [`BulkAck`]). An `Err`
+/// kills the producing connection — same blast radius as a framing error
+/// — and nothing else.
+///
+/// `receive` runs on the one thread that serves every connection of the
+/// server, so it must not block: validate, scatter, answer. Waiting on a
+/// lock another thread holds for long, on I/O, or on another peer would
+/// stall them all.
 pub trait BulkSink: Send + Sync {
     /// Lands one slab; returns the ack payload to send back.
     fn receive(&self, payload: Bytes) -> Result<Vec<u8>, SidlError>;

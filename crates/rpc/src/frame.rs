@@ -225,11 +225,10 @@ pub fn encode_frame_onto(
 }
 
 /// Appends just the header (and trace extension) of a frame whose
-/// `payload_len` payload bytes the caller will append next. Every mux
-/// client submission uses this to append its payload *in place* in the
-/// connection's outgoing buffer — the bulk lane's gather builds its slab
-/// there, so the slab never exists anywhere else. On error `out` is
-/// untouched.
+/// `payload_len` payload bytes the caller writes next. The mux client's
+/// bulk lane frames each slab this way: the header goes into a small
+/// buffer written just ahead of the sender's own slab, so the slab is
+/// never copied into a frame buffer. On error `out` is untouched.
 pub fn encode_frame_header_onto(
     out: &mut Vec<u8>,
     kind: FrameKind,

@@ -15,13 +15,18 @@
 //!   thread can keep hundreds of logical calls in flight. When a
 //!   connection dies, every in-flight call on it fails with a typed
 //!   [`CONNECTION_EXCEPTION_TYPE`] error — which feeds the circuit
-//!   breaker exactly like a wedged local provider.
+//!   breaker exactly like a wedged local provider. A bulk slab skips the
+//!   writer thread: [`MuxTransport::submit_bulk`] takes the socket's write
+//!   side and writes the slab on the calling thread, so the sender's
+//!   gather and the socket copy follow each other with no hand-off.
 //! * [`MuxServer`] — the server: an event-driven readiness loop over
 //!   nonblocking sockets instead of a thread per peer. One loop thread
 //!   reads frames from every connection, a bounded worker pool dispatches
 //!   into the same [`Dispatcher`] trait the in-process loopback uses (the
 //!   Figure-2 pipeline and the hostile-network battery cannot tell), and
-//!   replies are flushed back by the loop. Backpressure is per-connection:
+//!   replies are flushed back by the loop. A bulk slab never reaches the
+//!   pool: the loop lands it in the installed sink in the pass that
+//!   decoded it. Backpressure is per-connection:
 //!   when a peer's replies aren't draining, the loop stops *reading* that
 //!   connection until the write buffer empties, so one slow consumer can't
 //!   balloon server memory.
@@ -37,7 +42,7 @@
 
 use crate::frame::{
     encode_frame_header_onto, encode_frame_onto, read_frame, Frame, FrameDecoder, FrameKind,
-    DEFAULT_MAX_PAYLOAD, FRAME_HEADER_LEN,
+    DEFAULT_MAX_PAYLOAD, FRAME_HEADER_LEN, TRACE_CONTEXT_LEN,
 };
 use crate::readiness::{self, PollFd, Waker, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use crate::transport::{Dispatcher, Transport};
@@ -47,7 +52,7 @@ use cca_obs::{MuxMetrics, TraceContext, TransportMetrics};
 use cca_sidl::SidlError;
 use std::collections::{HashMap, VecDeque};
 use std::ffi::c_short;
-use std::io::{ErrorKind, Write};
+use std::io::{ErrorKind, IoSlice, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -112,9 +117,18 @@ impl WaitCell {
     }
 }
 
-/// The shared output buffer a connection's writer thread drains.
+/// A connection's write side: the control frames queued for the writer
+/// thread, and who holds the socket right now.
 struct OutQueue {
+    /// Encoded control frames awaiting the writer thread, which swaps the
+    /// whole buffer out and writes it in one go.
     buf: Vec<u8>,
+    /// The socket's write side is taken: by the writer thread for one
+    /// batch, or by one bulk submitter for its frame. Whoever holds it is
+    /// the only thread writing, so frames never interleave on the wire.
+    writing: bool,
+    /// Bulk submitters parked on `side_cv` until the write side is free.
+    side_waiters: usize,
     dead: bool,
 }
 
@@ -125,7 +139,10 @@ struct MuxConn {
     /// Original stream handle, kept so teardown can unblock the reader.
     stream: TcpStream,
     out: Mutex<OutQueue>,
+    /// Wakes the writer thread: control bytes queued or write side freed.
     out_cv: Condvar,
+    /// Wakes one bulk submitter waiting for the write side.
+    side_cv: Condvar,
     pending: Mutex<PendingMap>,
     /// Fast liveness check for connection selection; authoritative state
     /// is `pending.dead`.
@@ -172,6 +189,7 @@ impl MuxConn {
             out.buf.clear();
         }
         self.out_cv.notify_all();
+        self.side_cv.notify_all();
         // Black-box the death while the evidence is fresh: what the mux
         // counters saw and what the trace rings hold, before the waiters
         // wake and their retries overwrite both.
@@ -188,35 +206,103 @@ impl MuxConn {
         }
     }
 
-    /// The writer loop: swap the shared buffer out under the lock, write
-    /// it without the lock. Submissions that arrive while a write syscall
-    /// is in progress coalesce into the next swap — under load, many
-    /// frames per syscall.
+    /// The writer loop: take the write side and swap the shared buffer out
+    /// under the lock, write it without the lock. Submissions that arrive
+    /// while a write syscall is in progress coalesce into the next swap —
+    /// under load, many frames per syscall. After each batch the write
+    /// side goes to a waiting bulk submitter first, which carries any
+    /// queued control bytes out ahead of its slab.
     fn write_loop(&self, mut stream: TcpStream) {
         let mut batch = Vec::new();
+        let mut held = false;
         loop {
             {
                 let mut out = self.out.lock().unwrap();
+                if held {
+                    // Freed in the same critical section as the next take.
+                    out.writing = false;
+                    if out.side_waiters > 0 {
+                        self.side_cv.notify_one();
+                    }
+                }
                 loop {
                     if out.dead {
                         return;
                     }
-                    if !out.buf.is_empty() {
+                    if !out.writing && out.side_waiters == 0 && !out.buf.is_empty() {
                         std::mem::swap(&mut batch, &mut out.buf);
+                        out.writing = true;
+                        held = true;
                         break;
                     }
                     out = self.out_cv.wait(out).unwrap();
                 }
             }
             if let Err(e) = stream.write_all(&batch) {
-                self.teardown(conn_err(format!(
-                    "socket write to tcp://{}: {e}",
-                    self.addr
-                )));
+                self.teardown(self.write_err(e));
                 return;
             }
             batch.clear();
         }
+    }
+
+    fn write_err(&self, e: std::io::Error) -> SidlError {
+        conn_err(format!("socket write to tcp://{}: {e}", self.addr))
+    }
+
+    /// Writes one bulk frame on the calling thread: waits for the write
+    /// side, takes it together with any queued control bytes (they were
+    /// submitted first, so they go out first), writes those, `head` and
+    /// `slab` with vectored writes, then frees the write side. A failed
+    /// or timed-out write leaves the stream mid-frame, so it tears the
+    /// connection down exactly as a failed write on the writer thread
+    /// does; teardown delivers the error to every waiter, this frame's
+    /// included.
+    fn write_bulk(&self, head: &[u8], slab: &[u8]) {
+        let mut queued = {
+            let mut out = self.out.lock().unwrap();
+            while out.writing && !out.dead {
+                out.side_waiters += 1;
+                out = self.side_cv.wait(out).unwrap();
+                out.side_waiters -= 1;
+            }
+            if out.dead {
+                return;
+            }
+            out.writing = true;
+            std::mem::take(&mut out.buf)
+        };
+        let written = {
+            let _span = cca_obs::span("rpc.bulk.write");
+            let mut parts = [
+                IoSlice::new(&queued),
+                IoSlice::new(head),
+                IoSlice::new(slab),
+            ];
+            write_all_vectored(&mut &self.stream, &mut parts)
+        };
+        if let Err(e) = written {
+            self.teardown(self.write_err(e));
+            return;
+        }
+        let control_queued = {
+            let mut out = self.out.lock().unwrap();
+            out.writing = false;
+            // Hand the emptied buffer back so control frames queue into
+            // storage that is already grown.
+            if out.buf.is_empty() && out.buf.capacity() < queued.capacity() {
+                queued.clear();
+                out.buf = queued;
+            }
+            if out.side_waiters > 0 {
+                self.side_cv.notify_one();
+            }
+            !out.buf.is_empty()
+        };
+        if control_queued {
+            self.out_cv.notify_one();
+        }
+        self.metrics.record_bulk_caller_write();
     }
 
     /// The reader loop: block on the socket, route each reply to its
@@ -340,7 +426,11 @@ impl MuxTransport {
     /// Bounds every call's end-to-end wait. A call that exceeds the budget
     /// abandons its request id (the late reply is dropped, the connection
     /// survives) and surfaces as a [`DEADLINE_EXCEPTION_TYPE`] user
-    /// exception — the same error every other deadline path raises.
+    /// exception — the same error every other deadline path raises. The
+    /// same budget bounds each socket write: a write the peer leaves
+    /// stalled that long tears the connection down, since the stream is
+    /// no longer at a frame boundary, and its calls fail with
+    /// [`CONNECTION_EXCEPTION_TYPE`].
     pub fn with_io_timeout(mut self, timeout: Duration) -> Self {
         self.io_timeout = Some(timeout);
         self
@@ -408,6 +498,14 @@ impl MuxTransport {
             .map_err(|e| conn_err(format!("dial tcp://{}: {e}", self.addr)))?;
         // Nagle would park small pipelined frames behind the previous ACK.
         let _ = stream.set_nodelay(true);
+        // A bulk submitter writes its own slab; were the peer to stop
+        // reading, an unbounded write would outlive the call's deadline.
+        // Bounded by it instead, a stalled write tears the connection down.
+        if self.io_timeout.is_some() {
+            stream
+                .set_write_timeout(self.io_timeout)
+                .map_err(|e| conn_err(format!("bound writes to tcp://{}: {e}", self.addr)))?;
+        }
         let reader_half = stream
             .try_clone()
             .map_err(|e| conn_err(format!("clone socket for tcp://{}: {e}", self.addr)))?;
@@ -419,9 +517,12 @@ impl MuxTransport {
             stream,
             out: Mutex::new(OutQueue {
                 buf: Vec::new(),
+                writing: false,
+                side_waiters: 0,
                 dead: false,
             }),
             out_cv: Condvar::new(),
+            side_cv: Condvar::new(),
             pending: Mutex::new(PendingMap {
                 waiters: HashMap::new(),
                 dead: None,
@@ -453,14 +554,17 @@ impl MuxTransport {
         self.submit_frame(FrameKind::Request, &request)
     }
 
-    /// Starts one bulk-slab transfer: identical multiplexing to
-    /// [`submit`](Self::submit) — same sockets, same writer batching, same
-    /// id-routed completion — but the frame kind is `Bulk` and the payload
-    /// is a raw slab (see [`crate::bulk`]). The reply's payload is the
-    /// receiver's encoded [`crate::bulk::BulkAck`].
-    pub fn submit_bulk(&self, slab: Bytes) -> Result<PendingReply, SidlError> {
+    /// Starts one bulk-slab transfer: the same sockets and the same
+    /// id-routed completion as [`submit`](Self::submit), but the frame kind
+    /// is `Bulk`, the payload is a raw slab (see [`crate::bulk`]), and the
+    /// calling thread writes the frame itself once it holds the
+    /// connection's write side — the slab is copied once, from `slab` into
+    /// the socket. Returns when the frame is written, not when it is
+    /// acknowledged. The reply's payload is the receiver's encoded
+    /// [`crate::bulk::BulkAck`].
+    pub fn submit_bulk(&self, slab: &[u8]) -> Result<PendingReply, SidlError> {
         let _span = cca_obs::span("rpc.mux.submit_bulk");
-        self.submit_frame(FrameKind::Bulk, &slab)
+        self.submit_frame(FrameKind::Bulk, slab)
     }
 
     /// Announces a fleet rank on this transport's connection: sends a
@@ -483,42 +587,11 @@ impl MuxTransport {
         self.submit_frame(FrameKind::Leave, &goodbye)
     }
 
-    /// The zero-materialization variant of
-    /// [`submit_bulk`](Self::submit_bulk): appends the frame
-    /// header to the connection's write queue, then hands `fill` the
-    /// payload's `payload_len` bytes *in place* so the sender's gather
-    /// writes element bytes directly where the writer thread will read
-    /// them. The slab never exists anywhere else — between source array
-    /// and socket there is exactly one copy.
-    pub fn submit_bulk_with(
-        &self,
-        payload_len: usize,
-        fill: impl FnOnce(&mut [u8]),
-    ) -> Result<PendingReply, SidlError> {
-        let _span = cca_obs::span("rpc.mux.submit_bulk");
-        self.enqueue(FrameKind::Bulk, payload_len, |buf| {
-            let at = buf.len();
-            buf.resize(at + payload_len, 0);
-            fill(&mut buf[at..]);
-        })
-    }
-
-    /// Appends header and payload straight onto the connection's write
-    /// queue: no intermediate frame buffer, one copy of the payload.
-    fn submit_frame(&self, kind: FrameKind, payload: &[u8]) -> Result<PendingReply, SidlError> {
-        self.enqueue(kind, payload.len(), |buf| buf.extend_from_slice(payload))
-    }
-
     /// The one submission path: registers a waiter under a fresh request
-    /// id, then — under the write-queue lock — appends the frame header
-    /// and lets `append_payload` append exactly `payload_len` bytes after
-    /// it.
-    fn enqueue(
-        &self,
-        kind: FrameKind,
-        payload_len: usize,
-        append_payload: impl FnOnce(&mut Vec<u8>),
-    ) -> Result<PendingReply, SidlError> {
+    /// id, then sends the frame. A control frame is appended, header and
+    /// payload, to the connection's write queue under its lock; a bulk
+    /// frame is written by the calling thread (`MuxConn::write_bulk`).
+    fn submit_frame(&self, kind: FrameKind, payload: &[u8]) -> Result<PendingReply, SidlError> {
         let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let conn = self.conn_for_call()?;
         // The caller's span is current here, so the wire context parents
@@ -536,46 +609,61 @@ impl MuxTransport {
                 .insert(request_id, PendingEntry::Live(Arc::clone(&cell)));
         }
         self.mux_metrics.record_begin();
-        let enqueued = {
-            let mut out = conn.out.lock().unwrap();
-            // If the connection died between the two locks, teardown has
-            // already delivered the error to our cell; skip the enqueue
-            // and let `wait` surface it.
-            if out.dead {
-                Ok(())
-            } else {
-                encode_frame_header_onto(
-                    &mut out.buf,
-                    kind,
-                    request_id,
-                    payload_len,
-                    self.max_payload,
-                    context,
-                )
-                .map(|()| {
-                    let at = out.buf.len();
-                    append_payload(&mut out.buf);
-                    debug_assert_eq!(out.buf.len() - at, payload_len);
-                })
-            }
+        let submitted = Instant::now();
+        let sent = if kind == FrameKind::Bulk {
+            let mut head = Vec::with_capacity(FRAME_HEADER_LEN + TRACE_CONTEXT_LEN);
+            let len = payload.len();
+            encode_frame_header_onto(&mut head, kind, request_id, len, self.max_payload, context)
+                .map(|()| conn.write_bulk(&head, payload))
+        } else {
+            let queued = {
+                let mut out = conn.out.lock().unwrap();
+                // If the connection died between the two locks, teardown
+                // has already delivered the error to our cell; skip the
+                // enqueue and let `wait` surface it.
+                if out.dead {
+                    Ok(())
+                } else {
+                    let max = self.max_payload;
+                    encode_frame_onto(&mut out.buf, kind, request_id, payload, max, context)
+                }
+            };
+            queued.map(|()| conn.out_cv.notify_one())
         };
-        if let Err(err) = enqueued {
+        if let Err(err) = sent {
             // Oversize payload: nothing was written, so unhook the waiter
             // instead of leaving a request id that can never complete.
             conn.pending.lock().unwrap().waiters.remove(&request_id);
             self.mux_metrics.record_end();
             return Err(err.into());
         }
-        conn.out_cv.notify_one();
         Ok(PendingReply {
             cell: Some(cell),
             conn,
             request_id,
-            request_bytes: payload_len as u64,
-            submitted: Instant::now(),
+            request_bytes: payload.len() as u64,
+            submitted,
             timeout: self.io_timeout,
         })
     }
+}
+
+/// Writes every byte of `parts`, in order, in as few syscalls as the
+/// socket accepts.
+fn write_all_vectored(
+    stream: &mut impl Write,
+    mut parts: &mut [IoSlice<'_>],
+) -> std::io::Result<()> {
+    IoSlice::advance_slices(&mut parts, 0);
+    while !parts.is_empty() {
+        match stream.write_vectored(parts) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 impl Drop for MuxTransport {
@@ -610,12 +698,11 @@ impl Transport for MuxTransport {
 
 /// A [`Transport`]-shaped view of a [`MuxTransport`]'s bulk lane: `call`
 /// submits the payload as a `Bulk` frame and waits for the ack reply.
-/// Being a `Transport`, it composes unchanged with the PR-3 resilience
-/// stack — wrap it in a [`crate::DeadlineTransport`] and a stalled
-/// receiver surfaces `cca.rpc.DeadlineExceeded` instead of wedging the
-/// writer thread, or in a [`crate::FaultTransport`] for the CI fault
-/// matrix; connection failures feed the circuit breaker exactly like
-/// control-plane calls.
+/// Being a `Transport`, it composes unchanged with the resilience stack —
+/// wrap it in a [`crate::DeadlineTransport`] and a stalled receiver
+/// surfaces `cca.rpc.DeadlineExceeded` instead of wedging the caller, or
+/// in a [`crate::FaultTransport`] for the CI fault matrix; connection
+/// failures feed the circuit breaker exactly like control-plane calls.
 pub struct BulkChannel {
     transport: Arc<MuxTransport>,
 }
@@ -626,27 +713,20 @@ impl BulkChannel {
         Arc::new(BulkChannel { transport })
     }
 
-    /// Starts one slab without waiting for its ack; the slab is *built in
-    /// place* on the connection's write queue by `fill` — see
-    /// [`MuxTransport::submit_bulk_with`]. The windowed sender keeps
-    /// several of these in flight so the gather, the wire, and the
-    /// receiver's scatter overlap instead of serializing on round trips;
+    /// Writes one slab on the calling thread and returns without waiting
+    /// for its ack — see [`MuxTransport::submit_bulk`]. The windowed sender
+    /// keeps several of these in flight so its next gather overlaps the
+    /// receiver's scatter instead of serializing on round trips;
     /// [`call`](Transport::call) is the stop-and-wait special case.
-    pub fn submit_with(
-        &self,
-        payload_len: usize,
-        fill: impl FnOnce(&mut [u8]),
-    ) -> Result<PendingReply, SidlError> {
+    pub fn submit(&self, slab: &[u8]) -> Result<PendingReply, SidlError> {
         let _span = cca_obs::span("rpc.bulk.chunk");
-        self.transport.submit_bulk_with(payload_len, fill)
+        self.transport.submit_bulk(slab)
     }
 }
 
 impl Transport for BulkChannel {
     fn call(&self, slab: Bytes) -> Result<Bytes, SidlError> {
-        let _span = cca_obs::span("rpc.bulk.chunk");
-        let pending = self.transport.submit_bulk(slab)?;
-        Ok(pending.wait_timed()?.0)
+        Ok(self.submit(&slab)?.wait_timed()?.0)
     }
 }
 
@@ -748,8 +828,12 @@ pub struct MuxServerConfig {
     /// Dispatch worker threads (completions may finish out of order up to
     /// this parallelism).
     pub dispatch_threads: usize,
-    /// Per-connection cap on buffered reply bytes; beyond it the loop
-    /// stops reading that connection until the buffer drains.
+    /// Per-connection cap on unanswered work: unflushed reply bytes plus
+    /// the requests still with the dispatch pool. Beyond it the loop stops
+    /// reading that connection until the backlog drains. Bulk slabs land
+    /// in the pass that decodes them, so they charge nothing here; their
+    /// acks, once framed, count as reply bytes. The cap also bounds what
+    /// one visit of the loop reads from one connection.
     pub write_buffer_cap: usize,
     /// Live-connection bound: accepts beyond it are refused immediately
     /// (the bounded accept/handshake concurrency).
@@ -794,9 +878,9 @@ pub trait SessionSink: Send + Sync {
 struct Job {
     conn_id: u64,
     request_id: u64,
-    /// `Request` goes to the [`Dispatcher`]; `Bulk` goes to the installed
-    /// [`BulkSink`]; `Join`/`Leave` go to the installed [`SessionSink`].
-    /// (`Reply` never reaches the queue.)
+    /// `Request` goes to the [`Dispatcher`]; `Join`/`Leave` go to the
+    /// installed [`SessionSink`]. (`Bulk` lands on the event loop and
+    /// `Reply` is a violation; neither reaches the queue.)
     kind: FrameKind,
     payload: Bytes,
     /// The caller's trace identity from the frame, installed around the
@@ -832,7 +916,8 @@ struct ServerConn {
     /// repeated front-drains.
     out: Vec<u8>,
     out_pos: usize,
-    /// Request bytes decoded but not yet answered into `out`. Without this
+    /// Request bytes decoded but not yet answered into `out` (bulk slabs
+    /// are answered in the pass that decodes them). Without this
     /// the read loop sees zero backlog for a whole pass (completions only
     /// reach `out` on a later pass) and a single pass can swallow an
     /// arbitrarily large burst into the job queue.
@@ -1008,7 +1093,9 @@ impl MuxServer {
         self.rejected_over_capacity.load(Ordering::Relaxed)
     }
 
-    /// Requests dispatched with their reply queued to the wire.
+    /// Requests the dispatch pool answered, with their reply queued to the
+    /// wire. Bulk slabs never reach the pool; the loop counts them in
+    /// [`MuxMetrics::bulk_loop_lands`].
     pub fn dispatched(&self) -> u64 {
         self.dispatched.load(Ordering::Relaxed)
     }
@@ -1025,11 +1112,14 @@ impl MuxServer {
     }
 
     /// Installs the data-plane sink: every decoded `Bulk` frame is handed
-    /// to `sink` on a dispatch worker and its returned bytes travel back
-    /// as the `Reply` payload (normally an encoded
-    /// [`crate::bulk::BulkAck`]). A sink error closes the producing
-    /// connection — the same blast radius as a framing violation — and no
-    /// other. Without a sink, bulk frames are protocol violations.
+    /// to `sink` on the event loop, in the pass that decoded it and under
+    /// the frame's trace context, and its returned bytes travel back as
+    /// the `Reply` payload (normally an encoded
+    /// [`crate::bulk::BulkAck`]). The sink therefore must not block: it
+    /// holds up every connection the loop serves. A sink error closes the
+    /// producing connection — the same blast radius as a framing
+    /// violation — and no other. Without a sink, bulk frames are protocol
+    /// violations.
     pub fn set_bulk_sink(&self, sink: Arc<dyn crate::bulk::BulkSink>) {
         *self.bulk_sink.lock().unwrap() = Some(sink);
     }
@@ -1120,24 +1210,11 @@ impl MuxServer {
                 // ORB's dispatch span parents to the client's call span.
                 let _ctx = cca_obs::install_context(job.context);
                 match job.kind {
-                    FrameKind::Bulk => {
-                        // Data plane: the slab goes to the sink, not the
-                        // dispatcher; the sink's ack bytes are the reply.
-                        // The sink is checked at decode time, so absence
-                        // here means it was uninstalled mid-flight — the
-                        // close sentinel handles that too.
-                        let sink = self.bulk_sink.lock().unwrap().clone();
-                        match sink {
-                            Some(sink) => sink.receive(job.payload).map(Bytes::from),
-                            None => Err(SidlError::user(
-                                crate::bulk::BULK_EXCEPTION_TYPE,
-                                "no bulk sink installed",
-                            )),
-                        }
-                    }
                     FrameKind::Join | FrameKind::Leave => {
                         // Fleet session plane: the sink's ack bytes are
-                        // the reply. Checked at decode time, like Bulk.
+                        // the reply. The sink is checked at decode time, so
+                        // absence here means it was uninstalled mid-flight;
+                        // the close sentinel handles that.
                         let sink = self.session_sink.lock().unwrap().clone();
                         match sink {
                             Some(sink) if job.kind == FrameKind::Join => {
@@ -1292,20 +1369,27 @@ impl MuxServer {
                 // Read whatever is ready, straight into the decoder's
                 // buffer — no scratch hop, the payload bytes are copied
                 // exactly once between socket and frame.
+                let mut visit_bytes = 0;
                 loop {
                     match conn.decoder.fill_from(&mut conn.stream, READ_CHUNK) {
                         Ok(0) => {
                             conn.closed = true;
                             break;
                         }
-                        Ok(_) => {
+                        Ok(n) => {
                             progressed = true;
                             if !self.drain_frames(conn) {
                                 break;
                             }
                             // Keep reading only while the backlog is sane;
                             // a huge burst re-checks backpressure next pass.
-                            if conn.backlog() > self.config.write_buffer_cap {
+                            // Slabs land without charging the backlog, so a
+                            // visit's reads are capped too: one streaming
+                            // peer cannot hold the loop from the others.
+                            visit_bytes += n;
+                            if conn.backlog() > self.config.write_buffer_cap
+                                || visit_bytes > self.config.write_buffer_cap
+                            {
                                 break;
                             }
                         }
@@ -1438,7 +1522,11 @@ impl MuxServer {
                     context,
                     payload,
                 })) => {
-                    if kind == FrameKind::Bulk && self.bulk_sink.lock().unwrap().is_none() {
+                    let bulk_sink = match kind {
+                        FrameKind::Bulk => self.bulk_sink.lock().unwrap().clone(),
+                        _ => None,
+                    };
+                    if kind == FrameKind::Bulk && bulk_sink.is_none() {
                         // Data-plane frame at a server with no data plane:
                         // protocol violation, same as a client reply.
                         self.metrics.record_protocol_violation();
@@ -1465,12 +1553,17 @@ impl MuxServer {
                         conn.closed = true;
                         return false;
                     }
+                    if let Some(sink) = bulk_sink {
+                        // Landed here, after the fault draw, so a seed's
+                        // drop schedule is the same whatever lands.
+                        if !self.land(conn, &*sink, request_id, context, payload) {
+                            return false;
+                        }
+                        continue;
+                    }
                     self.metrics.record_begin();
                     // Charge at least the header so a flood of empty
-                    // requests still accumulates backlog. Bulk frames
-                    // charge their full slab, so the write-buffer cap
-                    // bounds in-memory payload per connection for the
-                    // data plane exactly as for replies.
+                    // requests still accumulates backlog.
                     let cost = payload.len() + FRAME_HEADER_LEN;
                     conn.pending_cost += cost;
                     self.jobs.lock().unwrap().jobs.push_back(Job {
@@ -1497,6 +1590,43 @@ impl MuxServer {
                     return false;
                 }
             }
+        }
+    }
+
+    /// Lands one `Bulk` frame on the event loop: the sink validates and
+    /// scatters the slab under the frame's trace context, and its ack is
+    /// framed onto the connection's write buffer. Safe on the loop because
+    /// a sink never waits (see [`crate::bulk::BulkSink`]). Returns `false`,
+    /// with the connection marked closed, when the sink refuses the slab.
+    fn land(
+        &self,
+        conn: &mut ServerConn,
+        sink: &dyn crate::bulk::BulkSink,
+        request_id: u64,
+        context: Option<TraceContext>,
+        payload: Bytes,
+    ) -> bool {
+        let ack = {
+            let _ctx = cca_obs::install_context(context);
+            sink.receive(payload)
+        };
+        let framed = ack.ok().map(|ack| {
+            encode_frame_onto(
+                &mut conn.out,
+                FrameKind::Reply,
+                request_id,
+                &ack,
+                self.config.max_payload,
+                None,
+            )
+        });
+        if let Some(Ok(())) = framed {
+            self.metrics.record_bulk_loop_land();
+            true
+        } else {
+            // Refused slab or oversized ack: hang up on this peer only.
+            conn.closed = true;
+            false
         }
     }
 
