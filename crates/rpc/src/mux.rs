@@ -1673,7 +1673,7 @@ impl Drop for MuxServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::write_frame;
+    use crate::frame::{encode_frame, write_frame};
     use crate::orb::{ObjRef, Orb};
     use cca_sidl::{DynObject, DynValue};
 
@@ -1881,6 +1881,112 @@ mod tests {
             "all five were concurrently in flight"
         );
         assert_eq!(t.mux_metrics().in_flight(), 0, "fan-out drained the gauge");
+    }
+
+    /// A fake peer on its own thread: serves the `i`-th accepted
+    /// connection (counting from 0) with `serve(i, stream)`.
+    fn fake_peer(serve: impl Fn(usize, TcpStream) + Send + 'static) -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            for (i, stream) in listener.incoming().enumerate() {
+                let Ok(stream) = stream else { break };
+                serve(i, stream);
+            }
+        });
+        addr
+    }
+
+    /// Reads request frames off a fake peer's socket until `n` arrived.
+    fn read_requests(stream: &mut TcpStream, dec: &mut FrameDecoder, n: usize) -> Vec<Frame> {
+        let mut frames = Vec::new();
+        while frames.len() < n {
+            match dec.next_frame().unwrap() {
+                Some(frame) => frames.push(frame),
+                None => assert!(dec.fill_from(stream, 64 << 10).unwrap() > 0, "client left"),
+            }
+        }
+        frames
+    }
+
+    /// The reply frame echoing `request`'s payload under its id.
+    fn echo_frame(request: &Frame) -> Vec<u8> {
+        let id = request.request_id;
+        encode_frame(FrameKind::Reply, id, &request.payload, DEFAULT_MAX_PAYLOAD).unwrap()
+    }
+
+    #[test]
+    fn a_reply_written_one_byte_per_write_reaches_its_caller() {
+        let addr = fake_peer(|_, mut stream| {
+            stream.set_nodelay(true).unwrap();
+            let request = &read_requests(&mut stream, &mut FrameDecoder::new(), 1)[0];
+            for byte in echo_frame(request) {
+                stream.write_all(&[byte]).unwrap();
+            }
+        });
+        let t = MuxTransport::new(addr.to_string()).with_connections(1);
+        let payload: Vec<u8> = (0..300u32).map(|i| i as u8).collect();
+        let reply = t.call(Bytes::from(payload.clone())).unwrap();
+        assert_eq!(reply.as_slice(), &payload[..]);
+    }
+
+    #[test]
+    fn replies_written_in_one_burst_in_reverse_order_each_reach_their_caller() {
+        const CALLS: usize = 256;
+        let addr = fake_peer(|_, mut stream| {
+            let requests = read_requests(&mut stream, &mut FrameDecoder::new(), CALLS);
+            let burst: Vec<u8> = requests.iter().rev().flat_map(echo_frame).collect();
+            stream.write_all(&burst).unwrap();
+        });
+        let t = MuxTransport::new(addr.to_string()).with_connections(1);
+        // Every payload opens with its call's index; a quarter carry 8 KiB.
+        let payloads: Vec<Vec<u8>> = (0..CALLS)
+            .map(|i| {
+                let mut p = (i as u32).to_le_bytes().to_vec();
+                p.resize(if i % 4 == 0 { 8 << 10 } else { 16 }, i as u8);
+                p
+            })
+            .collect();
+        let pending: Vec<_> = payloads
+            .iter()
+            .map(|p| t.submit(Bytes::from(p.clone())).unwrap())
+            .collect();
+        for (p, payload) in pending.into_iter().zip(&payloads) {
+            assert_eq!(p.wait().unwrap().as_slice(), &payload[..]);
+        }
+        assert_eq!(t.metrics().dials(), 1);
+    }
+
+    #[test]
+    fn a_reply_cut_mid_payload_fails_every_call_in_flight_and_the_next_call_redials() {
+        let addr = fake_peer(|conn, mut stream| {
+            let mut dec = FrameDecoder::new();
+            if conn > 0 {
+                let request = &read_requests(&mut stream, &mut dec, 1)[0];
+                stream.write_all(&echo_frame(request)).unwrap();
+                return;
+            }
+            // Three calls in flight; the header of one reply and half its
+            // payload arrive, then the peer hangs up.
+            let requests = read_requests(&mut stream, &mut dec, 3);
+            let whole = echo_frame(&requests[1]);
+            let cut = FRAME_HEADER_LEN + (whole.len() - FRAME_HEADER_LEN) / 2;
+            stream.write_all(&whole[..cut]).unwrap();
+            stream.shutdown(Shutdown::Both).unwrap();
+        });
+        let t = MuxTransport::new(addr.to_string()).with_connections(1);
+        let payload = Bytes::from(vec![9u8; 100]);
+        let pending: Vec<_> = (0..3).map(|_| t.submit(payload.clone()).unwrap()).collect();
+        for p in pending {
+            match p.wait().unwrap_err() {
+                SidlError::UserException { exception_type, .. } => {
+                    assert_eq!(exception_type, CONNECTION_EXCEPTION_TYPE);
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+        assert_eq!(t.call(payload.clone()).unwrap(), payload);
+        assert_eq!(t.metrics().dials(), 2, "the next call re-dialed");
     }
 
     #[test]
