@@ -9,7 +9,9 @@
 //! * `raw_roundtrip_ns` — the floor under any socket transport: the echo
 //!   call's request bytes written as one frame to a blocking socket on
 //!   127.0.0.1 and read back from a std thread that answers each frame
-//!   with the same bytes (frame → socket → frame, no ORB);
+//!   with the same bytes (frame → socket → frame, no ORB). Both ends
+//!   decode with `FrameDecoder`, as the mux client and server do, so the
+//!   ratio below prices the mux's hand-offs, not a second decoder;
 //! * `mux_roundtrip_ns` — one `ObjRef::invoke` through a one-connection
 //!   `MuxTransport` into a `MuxServer` (marshal → frame → socket →
 //!   dispatch → frame → demarshal). Acceptance: ≤ 2× the committed
@@ -17,6 +19,9 @@
 //! * `mux_over_raw_ratio` — what the mux stack's thread hand-offs and the
 //!   ORB cost over the bare framed round trip. Acceptance: ratio ≤
 //!   [`MUX_OVER_RAW_GATE`];
+//! * `reply_reads_per_call` — socket reads of the reply stream per mux
+//!   call ([`cca_obs::MuxMetrics::reply_reads`]): a reply decoded from
+//!   one read costs one. Acceptance: ≤ 1.5;
 //! * `loopback_orb_ns` — the E3 in-process ORB configuration re-measured
 //!   in this process: the marshal/dispatch cost floor without sockets, so
 //!   the delta to the round trip is the price of the real network stack;
@@ -25,13 +30,12 @@
 
 use cca_bench::fixtures::Echo;
 use cca_bench::{Harness, Report, Rounds, Stats};
-use cca_rpc::frame::{encode_frame, read_frame, FrameKind, DEFAULT_MAX_PAYLOAD};
+use cca_rpc::frame::{encode_frame, Frame, FrameDecoder, FrameKind, DEFAULT_MAX_PAYLOAD};
 use cca_rpc::transport::Dispatcher;
-use cca_rpc::{
-    encode_request, write_frame, MuxServer, MuxTransport, ObjRef, Orb, Request, Transport,
-};
+use cca_rpc::{encode_request, MuxServer, MuxTransport, ObjRef, Orb, Request, Transport};
 use cca_sidl::DynValue;
 use std::hint::black_box;
+use std::io::Write;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -55,6 +59,19 @@ fn block_median(calls: usize, mut call: impl FnMut(usize)) -> f64 {
     Stats::from_samples(&latencies).median
 }
 
+/// The next frame `dec` decodes from `stream`; `None` once the other end
+/// hangs up or sends bytes that are not a frame.
+fn recv_frame(stream: &mut TcpStream, dec: &mut FrameDecoder) -> Option<Frame> {
+    loop {
+        if let Some(frame) = dec.next_frame().ok()? {
+            return Some(frame);
+        }
+        if dec.fill_from(stream, 64 << 10).ok()? == 0 {
+            return None;
+        }
+    }
+}
+
 /// A std thread on 127.0.0.1 that answers each frame with a frame of the
 /// same bytes, and a blocking client socket connected to it. The thread
 /// exits when the client hangs up.
@@ -64,15 +81,12 @@ fn raw_echo_peer() -> (TcpStream, JoinHandle<()>) {
     let peer = std::thread::spawn(move || {
         let (mut stream, _) = listener.accept().expect("accept the one client");
         let _ = stream.set_nodelay(true);
-        while let Ok(Some(frame)) = read_frame(&mut stream, DEFAULT_MAX_PAYLOAD) {
-            let echoed = write_frame(
-                &mut stream,
-                FrameKind::Reply,
-                frame.request_id,
-                &frame.payload,
-                DEFAULT_MAX_PAYLOAD,
-            );
-            if echoed.is_err() {
+        let mut dec = FrameDecoder::new();
+        while let Some(frame) = recv_frame(&mut stream, &mut dec) {
+            let id = frame.request_id;
+            let echoed = encode_frame(FrameKind::Reply, id, &frame.payload, DEFAULT_MAX_PAYLOAD)
+                .expect("an echo is no larger than its request");
+            if stream.write_all(&echoed).is_err() {
                 break;
             }
         }
@@ -97,16 +111,11 @@ fn main() {
         args: vec![DynValue::Double(1.0)],
     })
     .expect("encode the echo request");
+    let mut raw_replies = FrameDecoder::new();
     let mut raw_call = |i: usize| {
-        write_frame(
-            &mut raw,
-            FrameKind::Request,
-            i as u64,
-            &request,
-            DEFAULT_MAX_PAYLOAD,
-        )
-        .unwrap();
-        black_box(read_frame(&mut raw, DEFAULT_MAX_PAYLOAD).unwrap().unwrap());
+        let framed = encode_frame(FrameKind::Request, i as u64, &request, DEFAULT_MAX_PAYLOAD);
+        raw.write_all(&framed.unwrap()).unwrap();
+        black_box(recv_frame(&mut raw, &mut raw_replies).unwrap());
     };
 
     let orb = Orb::new();
@@ -115,7 +124,7 @@ fn main() {
         .expect("bind ephemeral port");
     let mux_transport =
         Arc::new(MuxTransport::new(mux_server.local_addr().to_string()).with_connections(1));
-    let mux = ObjRef::new("echo", mux_transport as Arc<dyn Transport>);
+    let mux = ObjRef::new("echo", Arc::clone(&mux_transport) as Arc<dyn Transport>);
     let mut mux_call = |i: usize| {
         black_box(
             mux.invoke("echo", vec![DynValue::Double(i as f64)])
@@ -126,11 +135,13 @@ fn main() {
     // Warm-up dials, fills caches and settles the scheduler.
     block_median(200, &mut raw_call);
     block_median(200, &mut mux_call);
+    let reads_before = mux_transport.mux_metrics().reply_reads();
     let mut samples = vec![Vec::new(), Vec::new()];
     for _ in 0..blocks {
         samples[0].push(block_median(calls_per_block, &mut raw_call));
         samples[1].push(block_median(calls_per_block, &mut mux_call));
     }
+    let reply_reads = mux_transport.mux_metrics().reply_reads() - reads_before;
     let rounds = Rounds(samples);
     mux_server.shutdown();
     raw.shutdown(Shutdown::Both).expect("hang up the echo peer");
@@ -149,6 +160,15 @@ fn main() {
         .at_most(
             MUX_OVER_RAW_GATE,
             "an unloaded mux call must stay within twice its measured multiple of a bare framed round trip",
+        );
+    report
+        .count(
+            "reply_reads_per_call",
+            reply_reads as f64 / (blocks * calls_per_block) as f64,
+        )
+        .at_most(
+            1.5,
+            "a reply the socket delivers whole is decoded from one read, not read piecewise",
         );
 
     // --- the in-process floor: same ORB, no sockets ----------------------

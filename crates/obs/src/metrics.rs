@@ -512,6 +512,9 @@ counter_block! {
         bulk_caller_writes => record_bulk_caller_write,
         /// Server side: bulk slabs landed in the sink on the event loop.
         bulk_loop_lands => record_bulk_loop_land,
+        /// Client side: socket reads of the reply stream that returned
+        /// bytes. Each may carry many replies, or part of one.
+        reply_reads => record_reply_read,
     }
 }
 
@@ -741,19 +744,21 @@ mod tests {
         m.record_bulk_caller_write();
         m.record_bulk_loop_land();
         m.record_bulk_loop_land();
+        m.record_reply_read();
         let s = m.snapshot();
         assert_eq!(s.peak_in_flight, 3);
         assert_eq!(s.peak_queued_bytes, 4096);
         assert_eq!(s.protocol_violations, 1);
         assert_eq!((s.loop_passes, s.loop_parks), (2, 1));
         assert_eq!((s.bulk_caller_writes, s.bulk_loop_lands), (1, 2));
+        assert_eq!(s.reply_reads, 1);
         assert_eq!(
             s.to_json(),
             "{\"in_flight\":2,\"peak_in_flight\":3,\"queued_bytes\":128,\
              \"peak_queued_bytes\":4096,\"paused_connections\":3,\
              \"pause_events\":4,\"protocol_violations\":1,\
              \"loop_passes\":2,\"loop_parks\":1,\
-             \"bulk_caller_writes\":1,\"bulk_loop_lands\":2}"
+             \"bulk_caller_writes\":1,\"bulk_loop_lands\":2,\"reply_reads\":1}"
         );
         assert!(format!("{m:?}").contains("in_flight"));
     }

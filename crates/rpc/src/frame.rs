@@ -339,11 +339,16 @@ pub struct FrameDecoder {
     /// *precedes* `buf` in the stream and is consumed first, frame by
     /// frame, without copying.
     view: Bytes,
-    /// Accumulated stream bytes are `buf[..filled]`. What lies beyond is
-    /// scratch that an earlier [`fill_from`](Self::fill_from) zeroed and
-    /// offered to a `read`; keeping it inside `len` is what lets the next
-    /// call offer it again without zeroing it again.
+    /// Unread stream bytes are `buf[start..filled]`: a small-frame pop
+    /// advances `start`, and the next fill moves what is left (a partial
+    /// frame) to the front once, so a burst of small frames costs one
+    /// copy per byte, not one shift of the whole backlog per frame. What
+    /// lies past `filled` is scratch that an earlier
+    /// [`fill_from`](Self::fill_from) zeroed and offered to a `read`;
+    /// keeping it inside `len` is what lets the next call offer it again
+    /// without zeroing it again.
     buf: Vec<u8>,
+    start: usize,
     filled: usize,
     /// Full-range handles on storages given away by zero-copy pops. Once
     /// the consumers of a storage's payload views drop them, the handle
@@ -371,14 +376,25 @@ impl FrameDecoder {
         FrameDecoder {
             view: Bytes::new(),
             buf: Vec::new(),
+            start: 0,
             filled: 0,
             retired: Vec::new(),
             max_payload,
         }
     }
 
+    /// Moves the unread bytes to the front of the buffer.
+    fn compact(&mut self) {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.filled, 0);
+            self.filled -= self.start;
+            self.start = 0;
+        }
+    }
+
     /// Appends newly arrived bytes.
     pub fn feed(&mut self, chunk: &[u8]) {
+        self.compact();
         self.buf.truncate(self.filled);
         self.buf.extend_from_slice(chunk);
         self.filled = self.buf.len();
@@ -393,6 +409,7 @@ impl FrameDecoder {
         reader: &mut impl std::io::Read,
         max: usize,
     ) -> std::io::Result<usize> {
+        self.compact();
         let end = self.filled + max;
         if self.buf.len() < end {
             self.buf.resize(end, 0);
@@ -404,7 +421,7 @@ impl FrameDecoder {
 
     /// Bytes buffered but not yet popped as a frame.
     pub fn buffered(&self) -> usize {
-        self.view.len() + self.filled
+        self.view.len() + self.filled - self.start
     }
 
     /// Parses one frame from the front of `bytes`; `None` means incomplete.
@@ -454,15 +471,17 @@ impl FrameDecoder {
                     // (partial-frame-sized) remainder back in front of the
                     // accumulation buffer and continue contiguously.
                     let mut merged = self.view.to_vec();
-                    merged.extend_from_slice(&self.buf[..self.filled]);
+                    merged.extend_from_slice(&self.buf[self.start..self.filled]);
+                    self.start = 0;
                     self.filled = merged.len();
                     self.buf = merged;
                     self.view = Bytes::new();
                 }
             }
         }
+        let at = self.start;
         let Some((header, context, body_at, total)) =
-            Self::parse_prefix(&self.buf[..self.filled], self.max_payload)?
+            Self::parse_prefix(&self.buf[at..self.filled], self.max_payload)?
         else {
             return Ok(None);
         };
@@ -478,9 +497,10 @@ impl FrameDecoder {
             // that tail still initialised, so `fill_from` offers it to the
             // next read without zeroing it again.
             let filled = std::mem::take(&mut self.filled);
+            self.start = 0;
             let whole = Bytes::from(std::mem::take(&mut self.buf));
-            self.view = whole.slice(total..filled);
-            let payload = whole.slice(body_at..total);
+            self.view = whole.slice(at + total..filled);
+            let payload = whole.slice(at + body_at..at + total);
             self.retired.push(whole);
             // Reclaim any retired storage whose views are all gone; the
             // one with the most initialised bytes becomes the next
@@ -503,9 +523,12 @@ impl FrameDecoder {
             }
             payload
         } else {
-            let payload = Bytes::from(self.buf[body_at..total].to_vec());
-            self.buf.copy_within(total..self.filled, 0);
-            self.filled -= total;
+            let payload = Bytes::from(self.buf[at + body_at..at + total].to_vec());
+            self.start += total;
+            if self.start == self.filled {
+                self.start = 0;
+                self.filled = 0;
+            }
             payload
         };
         Ok(Some(Frame {
@@ -528,8 +551,9 @@ impl FrameDecoder {
         let mut prefix = [0u8; FRAME_HEADER_LEN];
         let from_view = self.view.len().min(FRAME_HEADER_LEN);
         prefix[..from_view].copy_from_slice(&self.view.as_slice()[..from_view]);
-        let from_buf = self.filled.min(FRAME_HEADER_LEN - from_view);
-        prefix[from_view..from_view + from_buf].copy_from_slice(&self.buf[..from_buf]);
+        let unread = &self.buf[self.start..self.filled];
+        let from_buf = unread.len().min(FRAME_HEADER_LEN - from_view);
+        prefix[from_view..from_view + from_buf].copy_from_slice(&unread[..from_buf]);
         let need = if from_view + from_buf < FRAME_HEADER_LEN {
             FRAME_HEADER_LEN
         } else {
@@ -540,72 +564,6 @@ impl FrameDecoder {
         };
         Err(FrameError::Truncated { have, need })
     }
-}
-
-/// Reads one frame from a blocking reader. `Ok(None)` is a clean EOF at a
-/// frame boundary; EOF anywhere inside a frame is [`FrameError::Truncated`]
-/// surfaced as `InvalidData`. Frame-level violations are `InvalidData`
-/// carrying the [`FrameError`]; everything else is the underlying io error.
-pub fn read_frame(
-    reader: &mut impl std::io::Read,
-    max_payload: u32,
-) -> std::io::Result<Option<Frame>> {
-    use std::io::{Error, ErrorKind};
-
-    let mut raw = [0u8; FRAME_HEADER_LEN];
-    // First byte decides clean-EOF vs mid-frame EOF.
-    let mut first = [0u8; 1];
-    loop {
-        match reader.read(&mut first) {
-            Ok(0) => return Ok(None),
-            Ok(1) => break,
-            Ok(_) => unreachable!("read into a 1-byte buffer"),
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    raw[0] = first[0];
-    reader.read_exact(&mut raw[1..]).map_err(truncated)?;
-    let header = parse_header(&raw, max_payload)
-        .map_err(|e| Error::new(ErrorKind::InvalidData, e.to_string()))?;
-    let mut ext = [0u8; TRACE_CONTEXT_LEN];
-    let ext = &mut ext[..header.ctx_len];
-    reader.read_exact(ext).map_err(truncated)?;
-    let context =
-        decode_context(ext).map_err(|e| Error::new(ErrorKind::InvalidData, e.to_string()))?;
-    let mut payload = vec![0u8; header.payload_len as usize];
-    reader.read_exact(&mut payload).map_err(truncated)?;
-    Ok(Some(Frame {
-        kind: header.kind,
-        request_id: header.request_id,
-        context,
-        payload: Bytes::from(payload),
-    }))
-}
-
-fn truncated(e: std::io::Error) -> std::io::Error {
-    if e.kind() == std::io::ErrorKind::UnexpectedEof {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "stream ended mid-frame".to_string(),
-        )
-    } else {
-        e
-    }
-}
-
-/// Writes one frame without a trace context to a blocking writer.
-pub fn write_frame(
-    writer: &mut impl std::io::Write,
-    kind: FrameKind,
-    request_id: u64,
-    payload: &[u8],
-    max_payload: u32,
-) -> std::io::Result<()> {
-    let framed = encode_frame(kind, request_id, payload, max_payload)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    writer.write_all(&framed)?;
-    writer.flush()
 }
 
 #[cfg(test)]
@@ -828,7 +786,19 @@ mod tests {
     }
 
     #[test]
-    fn read_frame_distinguishes_clean_eof_from_mid_frame_eof() {
+    fn fill_from_distinguishes_clean_eof_from_mid_frame_eof() {
+        // Reads a stream through `fill_from` in 7-byte reads, popping
+        // frames as they complete, to the reader's end of stream.
+        fn read_to_end(mut stream: &[u8]) -> (Vec<Frame>, Result<(), FrameError>) {
+            let mut dec = FrameDecoder::new();
+            let mut frames = Vec::new();
+            while dec.fill_from(&mut stream, 7).unwrap() > 0 {
+                while let Some(frame) = dec.next_frame().unwrap() {
+                    frames.push(frame);
+                }
+            }
+            (frames, dec.finish())
+        }
         let framed = encode_frame_with(
             FrameKind::Reply,
             3,
@@ -837,18 +807,21 @@ mod tests {
             Some(ctx(5, 6)),
         )
         .unwrap();
-        let mut cursor = std::io::Cursor::new(framed.clone());
-        let frame = read_frame(&mut cursor, DEFAULT_MAX_PAYLOAD)
-            .unwrap()
-            .unwrap();
-        assert_eq!(frame.request_id, 3);
-        assert_eq!(frame.context, Some(ctx(5, 6)));
-        assert!(read_frame(&mut cursor, DEFAULT_MAX_PAYLOAD)
-            .unwrap()
-            .is_none());
+        let (frames, end) = read_to_end(&framed);
+        assert_eq!(frames.len(), 1);
+        assert_eq!(frames[0].request_id, 3);
+        assert_eq!(frames[0].context, Some(ctx(5, 6)));
+        assert_eq!(end, Ok(()));
         // EOF inside the extension bytes is mid-frame, not clean.
-        let mut cut = std::io::Cursor::new(framed[..FRAME_HEADER_LEN + 5].to_vec());
-        assert!(read_frame(&mut cut, DEFAULT_MAX_PAYLOAD).is_err());
+        let (frames, end) = read_to_end(&framed[..FRAME_HEADER_LEN + 5]);
+        assert!(frames.is_empty());
+        assert_eq!(
+            end,
+            Err(FrameError::Truncated {
+                have: FRAME_HEADER_LEN + 5,
+                need: framed.len()
+            })
+        );
     }
 
     #[test]
@@ -928,6 +901,41 @@ mod tests {
             assert_eq!(frame.request_id, id as u64);
             assert_eq!(frame.payload.as_slice(), &payload[..]);
         }
+    }
+
+    #[test]
+    fn popping_small_frames_costs_the_same_per_frame_however_many_are_buffered() {
+        // One fill, then k pops of 64-byte frames. A decoder that moves
+        // the unread bytes on every pop copies O(k²) bytes; one that
+        // advances a cursor copies O(k). The bound is a ratio of two
+        // readings from the same run, so it holds on any host.
+        fn per_frame_ns(k: usize) -> f64 {
+            let frame = encode_frame(FrameKind::Reply, 1, &[5u8; 64], DEFAULT_MAX_PAYLOAD).unwrap();
+            let stream = frame.repeat(k);
+            let mut dec = FrameDecoder::new();
+            dec.fill_from(&mut &stream[..], stream.len()).unwrap();
+            let start = std::time::Instant::now();
+            for _ in 0..k {
+                std::hint::black_box(dec.next_frame().unwrap().unwrap());
+            }
+            let ns = start.elapsed().as_nanos() as f64 / k as f64;
+            assert_eq!(dec.buffered(), 0);
+            ns
+        }
+        let median = |mut v: Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2]
+        };
+        let (mut few, mut many) = (Vec::new(), Vec::new());
+        for _ in 0..5 {
+            few.push(per_frame_ns(1_024));
+            many.push(per_frame_ns(16_384));
+        }
+        let ratio = median(many) / median(few);
+        assert!(
+            ratio <= 4.0,
+            "a pop with 16,384 frames buffered costs {ratio:.2}x one with 1,024"
+        );
     }
 
     #[test]

@@ -61,8 +61,8 @@ pub use bulk::{
     BULK_SLAB_HEADER_LEN,
 };
 pub use frame::{
-    encode_frame, encode_frame_with, write_frame, Frame, FrameDecoder, FrameError, FrameKind,
-    FRAME_VERSION, TRACE_CONTEXT_LEN,
+    encode_frame, encode_frame_with, Frame, FrameDecoder, FrameError, FrameKind, FRAME_VERSION,
+    TRACE_CONTEXT_LEN,
 };
 pub use mux::{
     BulkChannel, MuxServer, MuxServerConfig, MuxTransport, PendingReply, SessionSink,

@@ -41,7 +41,7 @@
 //! misclassified as a violation.
 
 use crate::frame::{
-    encode_frame_header_onto, encode_frame_onto, read_frame, Frame, FrameDecoder, FrameKind,
+    encode_frame_header_onto, encode_frame_onto, Frame, FrameDecoder, FrameKind,
     DEFAULT_MAX_PAYLOAD, FRAME_HEADER_LEN, TRACE_CONTEXT_LEN,
 };
 use crate::readiness::{self, PollFd, Waker, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
@@ -77,6 +77,9 @@ fn conn_err(message: impl Into<String>) -> SidlError {
 
 /// Default number of sockets a [`MuxTransport`] multiplexes over.
 pub const DEFAULT_MUX_CONNECTIONS: usize = 4;
+
+/// Bytes the client's reader offers each `read` of the reply stream.
+const REPLY_READ_CHUNK: usize = 64 << 10;
 
 /// What the completion router knows about one outstanding request id.
 enum PendingEntry {
@@ -305,36 +308,41 @@ impl MuxConn {
         self.metrics.record_bulk_caller_write();
     }
 
-    /// The reader loop: block on the socket, route each reply to its
-    /// waiter by frame id. Any violation — a request frame, an unknown or
-    /// already-completed id, a framing error — kills this connection and
-    /// only this connection.
-    fn read_loop(&self, mut stream: TcpStream, max_payload: u32) {
-        loop {
-            let frame = match read_frame(&mut stream, max_payload) {
+    /// The reader loop: pop every complete reply the decoder holds, route
+    /// each to its waiter by frame id, and block on the socket for more
+    /// only when none is left. Any violation — a request frame, an unknown
+    /// or already-completed id, a framing error, a hang-up mid-frame —
+    /// kills this connection and only this connection.
+    fn read_loop(&self, mut stream: TcpStream) {
+        let mut decoder = FrameDecoder::new();
+        let cause = loop {
+            let frame = match decoder.next_frame() {
                 Ok(Some(frame)) => frame,
-                Ok(None) => {
-                    self.teardown(conn_err(format!(
-                        "tcp://{} closed the connection with calls in flight",
-                        self.addr
-                    )));
-                    return;
-                }
-                Err(e) => {
-                    self.teardown(conn_err(format!(
-                        "socket read from tcp://{}: {e}",
-                        self.addr
-                    )));
-                    return;
-                }
+                Ok(None) => match decoder.fill_from(&mut stream, REPLY_READ_CHUNK) {
+                    Ok(0) => {
+                        break match decoder.finish() {
+                            Ok(()) => format!(
+                                "tcp://{} closed the connection with calls in flight",
+                                self.addr
+                            ),
+                            Err(e) => format!("socket read from tcp://{}: {e}", self.addr),
+                        }
+                    }
+                    Ok(_) => {
+                        self.metrics.record_reply_read();
+                        continue;
+                    }
+                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                    Err(e) => break format!("socket read from tcp://{}: {e}", self.addr),
+                },
+                Err(e) => break format!("socket read from tcp://{}: {e}", self.addr),
             };
             if frame.kind != FrameKind::Reply {
                 self.metrics.record_protocol_violation();
-                self.teardown(conn_err(format!(
+                break format!(
                     "tcp://{} sent a request frame on a client connection",
                     self.addr
-                )));
-                return;
+                );
             }
             let entry = self
                 .pending
@@ -352,15 +360,15 @@ impl MuxConn {
                 Some(PendingEntry::Abandoned) => {}
                 None => {
                     self.metrics.record_protocol_violation();
-                    self.teardown(conn_err(format!(
+                    break format!(
                         "tcp://{} sent a reply for unknown or already-completed \
                          request id {}",
                         self.addr, frame.request_id
-                    )));
-                    return;
+                    );
                 }
             }
-        }
+        };
+        self.teardown(conn_err(cause));
     }
 }
 
@@ -384,7 +392,6 @@ struct Slot {
 pub struct MuxTransport {
     addr: String,
     io_timeout: Option<Duration>,
-    max_payload: u32,
     slots: Vec<Slot>,
     rr: AtomicUsize,
     next_id: AtomicU64,
@@ -408,7 +415,6 @@ impl MuxTransport {
         MuxTransport {
             addr: addr.into(),
             io_timeout: None,
-            max_payload: DEFAULT_MAX_PAYLOAD,
             slots: make_slots(DEFAULT_MUX_CONNECTIONS),
             rr: AtomicUsize::new(0),
             next_id: AtomicU64::new(1),
@@ -433,12 +439,6 @@ impl MuxTransport {
     /// [`CONNECTION_EXCEPTION_TYPE`].
     pub fn with_io_timeout(mut self, timeout: Duration) -> Self {
         self.io_timeout = Some(timeout);
-        self
-    }
-
-    /// Overrides the frame payload cap (both directions).
-    pub fn with_max_payload(mut self, max_payload: u32) -> Self {
-        self.max_payload = max_payload;
         self
     }
 
@@ -531,11 +531,10 @@ impl MuxTransport {
             metrics: Arc::clone(&self.mux_metrics),
             transport_metrics: Arc::clone(&self.metrics),
         });
-        let max_payload = self.max_payload;
         let for_reader = Arc::clone(&conn);
         std::thread::Builder::new()
             .name(format!("cca-mux-read-{}", self.addr))
-            .spawn(move || for_reader.read_loop(reader_half, max_payload))
+            .spawn(move || for_reader.read_loop(reader_half))
             .map_err(|e| conn_err(format!("spawn mux reader: {e}")))?;
         let for_writer = Arc::clone(&conn);
         std::thread::Builder::new()
@@ -612,8 +611,8 @@ impl MuxTransport {
         let submitted = Instant::now();
         let sent = if kind == FrameKind::Bulk {
             let mut head = Vec::with_capacity(FRAME_HEADER_LEN + TRACE_CONTEXT_LEN);
-            let len = payload.len();
-            encode_frame_header_onto(&mut head, kind, request_id, len, self.max_payload, context)
+            let (len, max) = (payload.len(), DEFAULT_MAX_PAYLOAD);
+            encode_frame_header_onto(&mut head, kind, request_id, len, max, context)
                 .map(|()| conn.write_bulk(&head, payload))
         } else {
             let queued = {
@@ -624,7 +623,7 @@ impl MuxTransport {
                 if out.dead {
                     Ok(())
                 } else {
-                    let max = self.max_payload;
+                    let max = DEFAULT_MAX_PAYLOAD;
                     encode_frame_onto(&mut out.buf, kind, request_id, payload, max, context)
                 }
             };
@@ -838,8 +837,6 @@ pub struct MuxServerConfig {
     /// Live-connection bound: accepts beyond it are refused immediately
     /// (the bounded accept/handshake concurrency).
     pub max_connections: usize,
-    /// Frame payload cap (both directions).
-    pub max_payload: u32,
 }
 
 impl Default for MuxServerConfig {
@@ -848,7 +845,6 @@ impl Default for MuxServerConfig {
             dispatch_threads: 4,
             write_buffer_cap: 1 << 20,
             max_connections: 1024,
-            max_payload: DEFAULT_MAX_PAYLOAD,
         }
     }
 }
@@ -1278,7 +1274,7 @@ impl MuxServer {
                     conns.push(ServerConn {
                         id: next_conn_id,
                         stream,
-                        decoder: FrameDecoder::with_max_payload(self.config.max_payload),
+                        decoder: FrameDecoder::new(),
                         out: Vec::new(),
                         out_pos: 0,
                         pending_cost: 0,
@@ -1313,7 +1309,7 @@ impl MuxServer {
                             FrameKind::Reply,
                             done.request_id,
                             &reply,
-                            self.config.max_payload,
+                            DEFAULT_MAX_PAYLOAD,
                             None,
                         )
                     });
@@ -1616,7 +1612,7 @@ impl MuxServer {
                 FrameKind::Reply,
                 request_id,
                 &ack,
-                self.config.max_payload,
+                DEFAULT_MAX_PAYLOAD,
                 None,
             )
         });
@@ -1673,7 +1669,7 @@ impl Drop for MuxServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{encode_frame, write_frame};
+    use crate::frame::encode_frame;
     use crate::orb::{ObjRef, Orb};
     use cca_sidl::{DynObject, DynValue};
 
@@ -1762,34 +1758,41 @@ mod tests {
         assert_eq!(t.live_connections(), 0);
     }
 
+    /// The next frame off a raw peer socket; `None` once the other end
+    /// hangs up or sends bytes that are not a frame.
+    fn recv_frame(stream: &mut TcpStream, dec: &mut FrameDecoder) -> Option<Frame> {
+        loop {
+            if let Some(frame) = dec.next_frame().ok()? {
+                return Some(frame);
+            }
+            if dec.fill_from(stream, 64 << 10).ok()? == 0 {
+                return None;
+            }
+        }
+    }
+
+    /// Frames `payload` and writes it whole to a raw peer socket.
+    fn send_frame(stream: &mut TcpStream, kind: FrameKind, id: u64, payload: &[u8]) {
+        let framed = encode_frame(kind, id, payload, DEFAULT_MAX_PAYLOAD).unwrap();
+        stream.write_all(&framed).unwrap();
+    }
+
     /// A fake server that reads request frames and answers them however
     /// `reply_for` says — the tool for protocol-violation tests.
     fn hostile_server(
         reply_for: impl Fn(u64) -> Vec<(u64, Vec<u8>)> + Send + 'static,
     ) -> SocketAddr {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                let Ok(mut stream) = stream else { break };
-                while let Ok(Some(frame)) = read_frame(&mut stream, DEFAULT_MAX_PAYLOAD) {
-                    for (id, payload) in reply_for(frame.request_id) {
-                        if write_frame(
-                            &mut stream,
-                            FrameKind::Reply,
-                            id,
-                            &payload,
-                            DEFAULT_MAX_PAYLOAD,
-                        )
-                        .is_err()
-                        {
-                            break;
-                        }
+        fake_peer(move |_, mut stream| {
+            let mut dec = FrameDecoder::new();
+            while let Some(frame) = recv_frame(&mut stream, &mut dec) {
+                for (id, payload) in reply_for(frame.request_id) {
+                    let framed = encode_frame(FrameKind::Reply, id, &payload, DEFAULT_MAX_PAYLOAD);
+                    if stream.write_all(&framed.unwrap()).is_err() {
+                        return;
                     }
                 }
             }
-        });
-        addr
+        })
     }
 
     #[test]
@@ -1857,9 +1860,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            for _ in 0..5 {
-                let _ = read_frame(&mut stream, DEFAULT_MAX_PAYLOAD);
-            }
+            read_requests(&mut stream, &mut FrameDecoder::new(), 5);
             let _ = stream.shutdown(Shutdown::Both);
         });
         let t = MuxTransport::new(addr.to_string()).with_connections(1);
@@ -2052,14 +2053,7 @@ mod tests {
         let body = payload.clone();
         let writer = std::thread::spawn(move || {
             for id in 0..SENT {
-                write_frame(
-                    &mut write_half,
-                    FrameKind::Request,
-                    id,
-                    &body,
-                    DEFAULT_MAX_PAYLOAD,
-                )
-                .unwrap();
+                send_frame(&mut write_half, FrameKind::Request, id, &body);
             }
         });
         // Give the server time to read as much as it will: with a 64 KiB
@@ -2081,10 +2075,9 @@ mod tests {
 
         // Drain: read every reply; the server resumes and finishes them all.
         let mut got = 0u64;
+        let mut dec = FrameDecoder::new();
         while got < SENT {
-            let frame = read_frame(&mut stream, DEFAULT_MAX_PAYLOAD)
-                .unwrap()
-                .expect("reply");
+            let frame = recv_frame(&mut stream, &mut dec).expect("reply");
             assert_eq!(frame.payload.len(), payload.len());
             got += 1;
         }
@@ -2100,15 +2093,8 @@ mod tests {
         (0..n)
             .map(|id| {
                 let mut peer = TcpStream::connect(server.local_addr()).unwrap();
-                write_frame(
-                    &mut peer,
-                    FrameKind::Request,
-                    id,
-                    b"hi",
-                    DEFAULT_MAX_PAYLOAD,
-                )
-                .unwrap();
-                let reply = read_frame(&mut peer, DEFAULT_MAX_PAYLOAD).unwrap().unwrap();
+                send_frame(&mut peer, FrameKind::Request, id, b"hi");
+                let reply = recv_frame(&mut peer, &mut FrameDecoder::new()).unwrap();
                 assert_eq!(reply.request_id, id);
                 peer
             })
@@ -2213,26 +2199,12 @@ mod tests {
         .unwrap();
 
         let mut peer = TcpStream::connect(server.local_addr()).unwrap();
-        write_frame(
-            &mut peer,
-            FrameKind::Request,
-            0,
-            b"first",
-            DEFAULT_MAX_PAYLOAD,
-        )
-        .unwrap();
+        send_frame(&mut peer, FrameKind::Request, 0, b"first");
         // Wait for the reply without consuming it: closing a socket with
         // unread bytes sends a reset, not a polite FIN.
         assert_eq!(peer.peek(&mut [0u8; 1]).unwrap(), 1);
         for id in 1..=4 {
-            write_frame(
-                &mut peer,
-                FrameKind::Request,
-                id,
-                &[0u8; 1 << 10],
-                DEFAULT_MAX_PAYLOAD,
-            )
-            .unwrap();
+            send_frame(&mut peer, FrameKind::Request, id, &[0u8; 1 << 10]);
         }
         wait_until("the connection is paused", || {
             server.metrics().paused_connections() == 1

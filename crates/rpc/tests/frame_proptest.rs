@@ -7,7 +7,7 @@ use bytes::Bytes;
 use cca_obs::TraceContext;
 use cca_rpc::bulk::{BulkAck, BulkError, ElemTag, SlabHeader, BULK_ACK_LEN, BULK_SLAB_HEADER_LEN};
 use cca_rpc::frame::{
-    encode_frame, encode_frame_with, read_frame, Frame, FrameDecoder, FrameError, FrameKind,
+    encode_frame, encode_frame_with, Frame, FrameDecoder, FrameError, FrameKind,
     DEFAULT_MAX_PAYLOAD, FRAME_HEADER_LEN, TRACE_CONTEXT_LEN,
 };
 use proptest::prelude::*;
@@ -68,6 +68,22 @@ fn decode_in_chunks(stream: &[u8], cuts: &[usize]) -> Result<Vec<Frame>, FrameEr
     Ok(frames)
 }
 
+/// Reads `stream` through `Read` in `step`-byte reads straight into the
+/// decoder (`fill_from`), draining every complete frame after each read,
+/// to the reader's end of stream — the access pattern of the mux
+/// client's reply reader.
+fn read_in_chunks(mut stream: &[u8], step: usize) -> Result<Vec<Frame>, FrameError> {
+    let mut dec = FrameDecoder::new();
+    let mut frames = Vec::new();
+    while dec.fill_from(&mut stream, step).unwrap() > 0 {
+        while let Some(f) = dec.next_frame()? {
+            frames.push(f);
+        }
+    }
+    dec.finish()?;
+    Ok(frames)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -116,9 +132,12 @@ proptest! {
         dec.feed(&framed[..cut]);
         prop_assert!(dec.next_frame().unwrap().is_none());
         prop_assert!(matches!(dec.finish(), Err(FrameError::Truncated { .. })));
-        // The blocking reader agrees: EOF inside a frame is an error.
-        let mut cursor = std::io::Cursor::new(framed[..cut].to_vec());
-        prop_assert!(read_frame(&mut cursor, DEFAULT_MAX_PAYLOAD).is_err());
+        // Read from a stream that ends there, EOF inside a frame is the
+        // same typed error.
+        prop_assert!(matches!(
+            read_in_chunks(&framed[..cut], 16),
+            Err(FrameError::Truncated { .. })
+        ));
     }
 
     /// Corrupting any header byte yields a typed error or (only for bytes
@@ -235,12 +254,11 @@ proptest! {
         cuts in proptest::collection::vec(1usize..32, 0..6),
     ) {
         let _ = decode_in_chunks(&data, &cuts);
-        let mut cursor = std::io::Cursor::new(data);
-        while let Ok(Some(_)) = read_frame(&mut cursor, DEFAULT_MAX_PAYLOAD) {}
+        let _ = read_in_chunks(&data, 13);
     }
 
-    /// The incremental decoder and the blocking reader agree on every
-    /// valid stream.
+    /// Bytes fed to the decoder and bytes it reads from a stream itself
+    /// decode alike on every valid stream.
     #[test]
     fn decoder_and_reader_agree(
         messages in proptest::collection::vec(
@@ -254,14 +272,10 @@ proptest! {
                 encode_frame_with(*kind, *id, payload, DEFAULT_MAX_PAYLOAD, *ctx).unwrap(),
             );
         }
-        let incremental = decode_in_chunks(&stream, &[7]).unwrap();
-        let mut cursor = std::io::Cursor::new(stream);
-        let mut blocking = Vec::new();
-        while let Some(f) = read_frame(&mut cursor, DEFAULT_MAX_PAYLOAD).unwrap() {
-            blocking.push(f);
-        }
-        prop_assert_eq!(incremental.len(), blocking.len());
-        for (a, b) in incremental.iter().zip(&blocking) {
+        let fed = decode_in_chunks(&stream, &[7]).unwrap();
+        let read = read_in_chunks(&stream, 5).unwrap();
+        prop_assert_eq!(fed.len(), read.len());
+        for (a, b) in fed.iter().zip(&read) {
             prop_assert_eq!(a.kind, b.kind);
             prop_assert_eq!(a.request_id, b.request_id);
             prop_assert_eq!(a.context, b.context);
