@@ -19,6 +19,9 @@
 #   loc        non-test line counts per crate (reports only; not in `all`);
 #              given a git ref, also counts that commit and prints the
 #              difference (ref, HEAD, delta per crate)
+#   pairs      pairs <base-ref> <workload>[,<workload>...] [n=10] [seconds=4]:
+#              the end-to-end benchmark at <base-ref> and at HEAD, n
+#              alternating pairs per workload (reports only; not in `all`)
 #
 # The CI workflow fans these out as separate jobs; `all` keeps the
 # one-command local story.
@@ -136,14 +139,11 @@ ccabench() {
 # The one line-count rule line-budget claims are measured with: every line
 # of every .rs file under crates/*/src and of every crate's build.rs,
 # except the top-level items marked `#[cfg(test)]`, summed per crate and in
-# total. A marked item is excluded
-# from its attribute through its end: the first line ending in `;`, or,
-# when a line ends in `{` first, the matching `}` in column 0 (rustfmt
-# puts a top-level item's closing brace there). Code after a test module
-# still counts.
-# Every line of every .rs under crates/*/src and of every crates/*/build.rs,
-# except top-level items marked #[cfg(test)]. Counts the tree in the
-# current directory.
+# total. A marked item is excluded from its attribute through its end: the
+# first line ending in `;`, or, when a line ends in `{` first, the matching
+# `}` in column 0 (rustfmt puts a top-level item's closing brace there).
+# Code after a test module still counts. Counts the tree in the current
+# directory.
 loc_counts() {
     { find crates/*/src -name '*.rs'; find crates/* -maxdepth 1 -name build.rs; } |
         sort | xargs awk '
@@ -194,6 +194,120 @@ loc() {
     rm -rf "$base"
 }
 
+# Alternating pairs of the end-to-end benchmark (benchmark/, ccabench):
+# <base-ref> and HEAD are exported with `git archive` into temporary
+# directories, so the worktree and benchmark/Cargo.lock are never touched,
+# and ccabench is built in each. Then, per workload, n pairs of untraced
+# `ccabench run --workload W --seconds S` runs, the side that goes first
+# alternating from pair to pair. For every end-to-end metric BENCHMARK.json
+# declares, prints each side's median and quartiles, the pairs HEAD won
+# (ties count for neither), the bound, and a verdict: `worse` when HEAD's
+# median is worse than the base's by more than the bound, `unresolved`
+# when either side's interquartile range exceeds the bound, else `ok`.
+# Last, each side's share of failed operations per workload.
+pairs() {
+    local usage="usage: scripts/ci.sh pairs <base-ref> <workload>[,<workload>...] [n=10] [seconds=4]"
+    local ref="${1:?$usage}" workloads="${2:?$usage}" n="${3:-10}" seconds="${4:-4}"
+    local root side w i first second
+    PAIRS_ROOT="$(mktemp -d)"
+    root="$PAIRS_ROOT"
+    trap 'rm -rf "$PAIRS_ROOT"; reap_fleet_orphans' EXIT
+    for side in base head; do
+        mkdir -p "$root/$side"
+        if [ "$side" = base ]; then
+            git archive "$ref" | tar -x -C "$root/$side"
+        else
+            git archive HEAD | tar -x -C "$root/$side"
+        fi
+        echo "==> build ccabench at $side ($(git rev-parse --short "$([ "$side" = base ] && echo "$ref" || echo HEAD)"))"
+        (cd "$root/$side" && cargo build --release --offline --manifest-path benchmark/Cargo.toml -q)
+    done
+    : > "$root/results"
+    for w in ${workloads//,/ }; do
+        for i in $(seq 1 "$n"); do
+            if [ $((i % 2)) -eq 1 ]; then first=base second=head; else first=head second=base; fi
+            for side in $first $second; do
+                echo "==> $w pair $i/$n: $side"
+                (cd "$root/$side" &&
+                    benchmark/target/release/ccabench run --workload "$w" --seconds "$seconds" \
+                        --trace 0 --out "$root/out-$side") > "$root/run.log" || true
+                awk -v side="$side" -v pair="$i" -v w="$w" '
+                    $1 == w && NF >= 4 && $2 != "FAILED" { print side, pair, w, $2, $3 }
+                    /^\{"correct"/ {
+                        a = $0; sub(/.*"attempted":/, "", a); sub(/[,}].*/, "", a)
+                        f = $0; sub(/.*"failed":/, "", f); sub(/[,}].*/, "", f)
+                        print side, pair, w, "failed", f
+                        print side, pair, w, "attempted", a
+                    }' "$root/run.log" >> "$root/results"
+            done
+        done
+    done
+    grep -o '{"name": *"[a-z_0-9]*"[^}]*"better": *"[a-z]*", *"bound": *[0-9.]*' \
+        "$root/head/BENCHMARK.json" |
+        sed -E 's/.*"name": *"([^"]*)".*"better": *"([^"]*)".*"bound": *([0-9.]*)/\1 \2 \3/' \
+        > "$root/declared"
+    awk -v n="$n" '
+        function quantile(list, q,    v, k, m, t, pos, lo) {
+            m = split(list, v, " ")
+            for (k = 2; k <= m; k++) {
+                t = v[k] + 0
+                for (lo = k - 1; lo >= 1 && v[lo] + 0 > t; lo--) v[lo + 1] = v[lo]
+                v[lo + 1] = t
+            }
+            pos = 1 + (m - 1) * q
+            lo = int(pos)
+            return lo >= m ? v[m] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
+        }
+        NR == FNR { better[$1] = $2; bound[$1] = $3; order[++metrics] = $1; next }
+        {
+            key = $3 SUBSEP $4
+            vals[$1, key] = vals[$1, key] " " $5
+            got[$1, $2, key] = $5
+            if (!($3 in seen)) { seen[$3] = 1; wl[++workloads] = $3 }
+        }
+        END {
+            printf "%-14s %-12s %11s %23s %11s %23s %8s %6s %6s  %s\n", "workload", "metric",
+                "base", "[q1, q3]", "head", "[q1, q3]", "delta", "wins", "bound", "verdict"
+            for (i = 1; i <= workloads; i++) {
+                w = wl[i]
+                for (j = 1; j <= metrics; j++) {
+                    m = order[j]; key = w SUBSEP m
+                    if (vals["base", key] == "" || vals["head", key] == "") continue
+                    bm = quantile(vals["base", key], 0.5); hm = quantile(vals["head", key], 0.5)
+                    b1 = quantile(vals["base", key], 0.25); b3 = quantile(vals["base", key], 0.75)
+                    h1 = quantile(vals["head", key], 0.25); h3 = quantile(vals["head", key], 0.75)
+                    sign = better[m] == "higher" ? 1 : -1
+                    wins = 0; pairs = 0
+                    for (p = 1; p <= n; p++) {
+                        if (!(("base", p, key) in got) || !(("head", p, key) in got)) continue
+                        pairs++
+                        if (sign * (got["head", p, key] - got["base", p, key]) > 0) wins++
+                    }
+                    delta = bm != 0 ? (hm - bm) / bm : 0
+                    verdict = "ok"
+                    if (bm != 0 && ((b3 - b1) / bm > bound[m] || (h3 - h1) / hm > bound[m]))
+                        verdict = "unresolved"
+                    if (-sign * delta > bound[m]) verdict = "worse"
+                    printf "%-14s %-12s %11.4g [%10.4g, %10.4g] %11.4g [%10.4g, %10.4g] %+7.1f%% %3d/%-2d %6.2f  %s\n",
+                        w, m, bm, b1, b3, hm, h1, h3, 100 * delta, wins, pairs, bound[m], verdict
+                }
+            }
+            for (i = 1; i <= workloads; i++) {
+                w = wl[i]
+                for (s = 0; s < 2; s++) {
+                    side = s ? "head" : "base"; f = 0; a = 0
+                    for (p = 1; p <= n; p++) {
+                        f += got[side, p, w SUBSEP "failed"]; a += got[side, p, w SUBSEP "attempted"]
+                    }
+                    share[side] = a > 0 ? f / a : 0
+                    runs[side] = a
+                }
+                printf "%-14s failed share: base %.4g of %d ops, head %.4g of %d ops\n",
+                    w, share["base"], runs["base"], share["head"], runs["head"]
+            }
+        }' "$root/declared" "$root/results"
+}
+
 case "$MODE" in
 all)
     build_test
@@ -216,8 +330,9 @@ fleet) fleet ;;
 bench-gate) bench_gate ;;
 ccabench) ccabench ;;
 loc) loc "${2:-}" ;;
+pairs) pairs "${@:2}" ;;
 *)
-    echo "unknown mode '$MODE' (want all|build-test|clippy|fmt|doc|examples|fault|fleet|bench-gate|ccabench|loc)" >&2
+    echo "unknown mode '$MODE' (want all|build-test|clippy|fmt|doc|examples|fault|fleet|bench-gate|ccabench|loc|pairs)" >&2
     exit 2
     ;;
 esac
