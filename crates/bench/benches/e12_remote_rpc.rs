@@ -66,7 +66,8 @@ fn recv_frame(stream: &mut TcpStream, dec: &mut FrameDecoder) -> Option<Frame> {
         if let Some(frame) = dec.next_frame().ok()? {
             return Some(frame);
         }
-        if dec.fill_from(stream, 64 << 10).ok()? == 0 {
+        // The mux client's read size.
+        if dec.fill_from(stream, 4 << 10).ok()? == 0 {
             return None;
         }
     }

@@ -31,7 +31,10 @@
 //! is a typed [`FrameError`], never a panic and never an unbounded read.
 //! [`FrameDecoder`] is incremental: bytes may arrive split at arbitrary
 //! boundaries (as TCP delivers them) and frames pop out exactly when
-//! complete.
+//! complete. It is the one stream-to-frame decoder: the mux server's event
+//! loop and the mux client's reply reader both use it. Decoding is linear
+//! in the bytes read: a small frame pops by advancing a read cursor, and
+//! the unread remainder moves to the front of the buffer once per fill.
 
 use bytes::Bytes;
 use cca_obs::TraceContext;
