@@ -191,3 +191,49 @@ fn parallel_figure1_pipeline_runs_under_spmd() {
     }
     assert!((serial.mass(None).unwrap() - masses[0]).abs() < 1e-10);
 }
+
+/// Runs ten monolithic steps at `n × n` (Jacobi-preconditioned CG from a
+/// zero guess on the assembled matrix) and returns the total iteration
+/// count and an FNV-1a digest of the final field's bits.
+fn monolithic_digest(n: usize) -> (usize, u64) {
+    use cca::solvers::{cg, SerialReduce};
+    let cfg = HydroConfig {
+        nx: n,
+        ny: n,
+        dt: 1e-3,
+        nu: 0.1,
+        vx: 1.0,
+        vy: 0.5,
+        tol: 1e-8,
+        max_iter: 600,
+        kind: KrylovKind::Cg,
+    };
+    let mut sim = HydroSim::new(cfg, 1, 0);
+    let a = sim.local_matrix();
+    let jacobi = Jacobi::new(&a);
+    let mut iterations = 0;
+    for _ in 0..10 {
+        let stats = sim
+            .step_with_solver(None, &|_op, rhs, x| {
+                x.fill(0.0);
+                cg(&a, &jacobi, rhs, x, 1e-8, 600, &SerialReduce)
+            })
+            .unwrap();
+        assert!(stats.converged);
+        iterations += stats.iterations;
+    }
+    let mut h: u64 = 0xcbf29ce484222325;
+    for v in &sim.u {
+        h = (h ^ v.to_bits()).wrapping_mul(0x100000001b3);
+    }
+    (iterations, h)
+}
+
+#[test]
+fn monolithic_fields_are_pinned_bit_for_bit() {
+    // Any change to how the operator, the preconditioner or CG is stored
+    // or summed must leave every bit of these trajectories where it is.
+    assert_eq!(monolithic_digest(17), (60, 0xfab3f6f87ab0de30));
+    assert_eq!(monolithic_digest(64), (91, 0x293e1d2850c6573a));
+    assert_eq!(monolithic_digest(192), (288, 0xc790a49c58997b37));
+}
