@@ -19,9 +19,10 @@
 #   loc        non-test line counts per crate (reports only; not in `all`);
 #              given a git ref, also counts that commit and prints the
 #              difference (ref, HEAD, delta per crate)
-#   pairs      pairs <base-ref> <workload>[,<workload>...] [n=10] [seconds=4]:
-#              the end-to-end benchmark at <base-ref> and at HEAD, n
-#              alternating pairs per workload (reports only; not in `all`)
+#   pairs      pairs <base-ref> <workload>[,<workload>...] [n=10] [seconds=4]
+#              [seed=1999]: the end-to-end benchmark at <base-ref> and at
+#              HEAD, n alternating pairs per workload (reports only; not
+#              in `all`)
 #
 # The CI workflow fans these out as separate jobs; `all` keeps the
 # one-command local story.
@@ -198,16 +199,18 @@ loc() {
 # <base-ref> and HEAD are exported with `git archive` into temporary
 # directories, so the worktree and benchmark/Cargo.lock are never touched,
 # and ccabench is built in each. Then, per workload, n pairs of untraced
-# `ccabench run --workload W --seconds S` runs, the side that goes first
-# alternating from pair to pair. For every end-to-end metric BENCHMARK.json
-# declares, prints each side's median and quartiles, the pairs HEAD won
-# (ties count for neither), the bound, and a verdict: `worse` when HEAD's
-# median is worse than the base's by more than the bound, `unresolved`
-# when either side's interquartile range exceeds the bound, else `ok`.
+# `ccabench run --workload W --seconds S --seed N` runs, the side that goes
+# first alternating from pair to pair. For every end-to-end metric
+# BENCHMARK.json declares, prints each side's median and quartiles, the
+# pairs HEAD won (ties count for neither), the bound, and a verdict:
+# `worse` when HEAD's median is worse than the base's by more than the
+# bound, `unresolved` when either side's interquartile range exceeds the
+# bound, `better` when HEAD won at least 9 in 10 of the pairs and its median
+# is better than the base's by more than the base's q3 - q1, else `ok`.
 # Last, each side's share of failed operations per workload.
 pairs() {
-    local usage="usage: scripts/ci.sh pairs <base-ref> <workload>[,<workload>...] [n=10] [seconds=4]"
-    local ref="${1:?$usage}" workloads="${2:?$usage}" n="${3:-10}" seconds="${4:-4}"
+    local usage="usage: scripts/ci.sh pairs <base-ref> <workload>[,<workload>...] [n=10] [seconds=4] [seed=1999]"
+    local ref="${1:?$usage}" workloads="${2:?$usage}" n="${3:-10}" seconds="${4:-4}" seed="${5:-1999}"
     local root side w i first second
     PAIRS_ROOT="$(mktemp -d)"
     root="$PAIRS_ROOT"
@@ -230,7 +233,7 @@ pairs() {
                 echo "==> $w pair $i/$n: $side"
                 (cd "$root/$side" &&
                     benchmark/target/release/ccabench run --workload "$w" --seconds "$seconds" \
-                        --trace 0 --out "$root/out-$side") > "$root/run.log" || true
+                        --seed "$seed" --trace 0 --out "$root/out-$side") > "$root/run.log" || true
                 awk -v side="$side" -v pair="$i" -v w="$w" '
                     $1 == w && NF >= 4 && $2 != "FAILED" { print side, pair, w, $2, $3 }
                     /^\{"correct"/ {
@@ -285,6 +288,7 @@ pairs() {
                     }
                     delta = bm != 0 ? (hm - bm) / bm : 0
                     verdict = "ok"
+                    if (10 * wins >= 9 * pairs && sign * (hm - bm) > b3 - b1) verdict = "better"
                     if (bm != 0 && ((b3 - b1) / bm > bound[m] || (h3 - h1) / hm > bound[m]))
                         verdict = "unresolved"
                     if (-sign * delta > bound[m]) verdict = "worse"
