@@ -25,6 +25,9 @@
 //! `operator_bands_64` is the structural gate behind them: if the hydro
 //! operator stops being recognised as five diagonals, that count turns CI
 //! red rather than a timing row reading 2× on a noisy box.
+//! `operator_coefficient_bytes_192` gates the storage those diagonals are
+//! read from: each holds one value, so a `matvec` reads 40 B of them plus
+//! the 382 edge rows it sums again, not five dense arrays.
 //!
 //! Expected shape: componentized ≈ monolithic (the gap is a handful of
 //! virtual calls per *solve*, not per matrix application); proxied adds a
@@ -117,6 +120,12 @@ fn csr_path_copy(a: &CsrMatrix) -> CsrMatrix {
 /// One row per kernel of a CG iteration, at 192².
 fn kernel_rows(report: &mut Report, h: &Harness) {
     let a = HydroSim::new(cfg(192), 1, 0).local_matrix();
+    report
+        .count("operator_coefficient_bytes_192", a.coefficient_bytes() as f64)
+        .exactly(
+            6152.0,
+            "five one-value diagonals (40 B) and 382 edge hole rows (16 B each); dense diagonals read 1,474,560",
+        );
     let reference = csr_path_copy(&a);
     assert_eq!(reference.band_count(), None);
     let jac = Jacobi::new(&a);

@@ -28,6 +28,7 @@
 //! * building and compiling a redistribution plan: not zero, but the same
 //!   count whatever the array's size — nothing is allocated per element;
 //! * packing a compiled transfer: exactly one allocation, the payload;
+//! * a warmed banded `matvec` on the 5-point operator: exactly zero;
 //! * the value codec: encoding a request that carries an array allocates
 //!   exactly once (the message buffer, sized up front), a full
 //!   encode/decode round trip allocates alike at 16 and 8192 elements, and
@@ -426,6 +427,22 @@ fn compiled_pack_allocates_once() {
         (t.count() * 8) as u64,
         "pack must allocate the payload only"
     );
+}
+
+/// The banded `matvec` CG runs on every iteration writes into the caller's
+/// vector: once warmed, it allocates nothing.
+#[test]
+fn banded_matvec_allocates_nothing() {
+    let a = cca_solvers::CsrMatrix::laplacian_2d(64, 64);
+    assert_eq!(a.band_count(), Some(5));
+    let x: Vec<f64> = (0..a.ncols()).map(|i| (i % 7) as f64).collect();
+    let mut y = vec![0.0; a.nrows()];
+    a.matvec(&x, &mut y);
+    let before = alloc_count();
+    for _ in 0..10 {
+        a.matvec(&x, &mut y);
+    }
+    assert_eq!(alloc_count() - before, 0, "banded matvec must not allocate");
 }
 
 /// Planning allocates per rank, per interval and per transfer — never per

@@ -36,17 +36,35 @@ const BAND_TILE: usize = 512;
 struct Bands {
     /// Distinct `col - row` offsets, ascending.
     offsets: Vec<isize>,
-    /// Diagonal `d` is `values[d * nrows..][..nrows]`, indexed by row, with
-    /// `0.0` where the row stores no entry at `offsets[d]`.
-    values: Vec<f64>,
+    /// Diagonal `d` holds the entries at `offsets[d]`.
+    diags: Vec<Diag>,
+    /// Rows, ascending, that store no entry on some one-value diagonal
+    /// whose column `r + offset` exists, each with the bit set of the
+    /// diagonals the row does store (bit `d` for `offsets[d]`).
+    holes: Vec<(usize, u64)>,
+}
+
+/// One diagonal's storage.
+#[derive(Debug, PartialEq)]
+enum Diag {
+    /// Every entry stored on the diagonal has these bits.
+    One(f64),
+    /// Indexed by row, with `0.0` where the row stores no entry.
+    Dense(Vec<f64>),
 }
 
 impl Bands {
     /// Builds the diagonals if every row's columns strictly increase (so
     /// the CSR summation order is the ascending-offset order) and the
-    /// distinct offsets `D` satisfy `D * nrows <= 2 * nnz`, i.e. the
-    /// diagonals take no more bytes than the `indices` + `data` they
+    /// distinct offsets `D` satisfy `D * nrows <= 2 * nnz`, i.e. dense
+    /// diagonals would take no more bytes than the `indices` + `data` they
     /// shadow. Gives up the moment either fails.
+    ///
+    /// The first pass finds the offsets and, per offset, whether all its
+    /// entries share one value and how many there are; the second fills
+    /// only the diagonals that need a dense array and records the hole
+    /// rows of the rest. A matrix with more than 64 diagonals (no room in
+    /// a hole row's bit set) stores them all dense.
     fn detect(
         nrows: usize,
         ncols: usize,
@@ -59,64 +77,161 @@ impl Bands {
         }
         let budget = 2 * indices.len();
         let mut offsets: Vec<isize> = Vec::new();
+        // Per offset: the bits all its entries share (`None` once two
+        // differ) and the number of entries.
+        let mut shared: Vec<(Option<u64>, usize)> = Vec::new();
         for r in 0..nrows {
-            let cols = &indices[indptr[r]..indptr[r + 1]];
+            let (cols, vals) = (
+                &indices[indptr[r]..indptr[r + 1]],
+                &data[indptr[r]..indptr[r + 1]],
+            );
             if cols.windows(2).any(|w| w[0] >= w[1]) {
                 return None;
             }
             // Offsets ascend along a row, so one forward walk places them.
             let mut d = 0;
-            for &c in cols {
+            for (&c, v) in cols.iter().zip(vals) {
                 let off = c as isize - r as isize;
                 while d < offsets.len() && offsets[d] < off {
                     d += 1;
                 }
                 if offsets.get(d) != Some(&off) {
                     offsets.insert(d, off);
+                    shared.insert(d, (Some(v.to_bits()), 0));
                     if offsets.len() * nrows > budget {
                         return None;
                     }
                 }
+                let (bits, count) = &mut shared[d];
+                if *bits != Some(v.to_bits()) {
+                    *bits = None;
+                }
+                *count += 1;
             }
         }
-        let mut values = vec![0.0; offsets.len() * nrows];
+        let one_value = offsets.len() <= u64::BITS as usize;
+        let mut diags: Vec<Diag> = shared
+            .iter()
+            .map(|&(bits, _)| match bits {
+                Some(bits) if one_value => Diag::One(f64::from_bits(bits)),
+                _ => Diag::Dense(vec![0.0; nrows]),
+            })
+            .collect();
+        // One-value diagonals with fewer entries than rows in range, as
+        // `(bit, rows in range)`.
+        let holey: Vec<(u64, std::ops::Range<usize>)> = offsets
+            .iter()
+            .zip(&diags)
+            .zip(&shared)
+            .enumerate()
+            .filter_map(|(d, ((&off, diag), &(_, count)))| {
+                let rows = band_rows(off, 0, nrows, ncols);
+                (matches!(diag, Diag::One(_)) && count < rows.len()).then(|| (1 << d, rows))
+            })
+            .collect();
+        let mut holes = Vec::new();
         for r in 0..nrows {
             let mut d = 0;
+            let mut stored = 0u64;
             for k in indptr[r]..indptr[r + 1] {
                 let off = indices[k] as isize - r as isize;
                 while offsets[d] != off {
                     d += 1;
                 }
-                values[d * nrows + r] = data[k];
+                if let Diag::Dense(values) = &mut diags[d] {
+                    values[r] = data[k];
+                }
+                if one_value {
+                    stored |= 1 << d;
+                }
+            }
+            if holey
+                .iter()
+                .any(|(bit, rows)| stored & bit == 0 && rows.contains(&r))
+            {
+                holes.push((r, stored));
             }
         }
-        Some(Bands { offsets, values })
+        Some(Bands {
+            offsets,
+            diags,
+            holes,
+        })
     }
 
     /// `y = A x`, one row tile at a time: `y_tile = 0`, then
-    /// `y_tile += diagonal * x` shifted by the offset, diagonals in
-    /// ascending offset. Each row therefore adds its stored products in
-    /// the CSR loop's order, and the `0.0 * x[j]` a hole contributes leaves
-    /// a finite sum unchanged — the result is bit-identical to
+    /// `y_tile += c * x` (one value) or `y_tile += diagonal * x` (dense),
+    /// shifted by the offset, diagonals in ascending offset. Each row
+    /// therefore adds its stored products in the CSR loop's order, and the
+    /// `0.0 * x[j]` a dense diagonal's hole contributes leaves a finite sum
+    /// unchanged. A one-value diagonal adds `c * x` to its hole rows too,
+    /// so at the end of the tile each hole row is summed again from `+0.0`
+    /// over the diagonals it stores — the result is bit-identical to
     /// [`CsrMatrix::matvec_csr`] for finite `x`.
     fn matvec(&self, nrows: usize, ncols: usize, x: &[f64], y: &mut [f64]) {
+        let mut holes = self.holes.iter().peekable();
         for r0 in (0..nrows).step_by(BAND_TILE) {
             let r1 = (r0 + BAND_TILE).min(nrows);
             y[r0..r1].fill(0.0);
-            for (diag, &off) in self.values.chunks_exact(nrows).zip(&self.offsets) {
-                // Rows of the tile whose column `r + off` exists.
-                let lo = r0.max((-off).max(0) as usize);
-                let hi = r1.min((ncols as isize).saturating_sub(off).max(0) as usize);
-                if lo >= hi {
+            for (diag, &off) in self.diags.iter().zip(&self.offsets) {
+                let rows = band_rows(off, r0, r1, ncols);
+                if rows.is_empty() {
                     continue;
                 }
-                let xs = &x[(lo as isize + off) as usize..(hi as isize + off) as usize];
-                for ((yi, di), xi) in y[lo..hi].iter_mut().zip(&diag[lo..hi]).zip(xs) {
-                    *yi += di * xi;
+                let xs =
+                    &x[(rows.start as isize + off) as usize..(rows.end as isize + off) as usize];
+                let ys = &mut y[rows.clone()];
+                match diag {
+                    Diag::One(c) => {
+                        for (yi, xi) in ys.iter_mut().zip(xs) {
+                            *yi += c * xi;
+                        }
+                    }
+                    Diag::Dense(values) => {
+                        for ((yi, di), xi) in ys.iter_mut().zip(&values[rows]).zip(xs) {
+                            *yi += di * xi;
+                        }
+                    }
                 }
+            }
+            while let Some(&(r, mut stored)) = holes.next_if(|&&(r, _)| r < r1) {
+                let mut acc = 0.0;
+                while stored != 0 {
+                    let d = stored.trailing_zeros() as usize;
+                    stored &= stored - 1;
+                    let v = match &self.diags[d] {
+                        Diag::One(c) => *c,
+                        Diag::Dense(values) => values[r],
+                    };
+                    acc += v * x[(r as isize + self.offsets[d]) as usize];
+                }
+                y[r] = acc;
             }
         }
     }
+
+    /// Bytes of storage one `matvec` reads, each counted once: 8 per
+    /// one-value diagonal, 8 per row in range of a dense one, 16 per hole
+    /// row (its index and bit set).
+    fn bytes(&self, nrows: usize, ncols: usize) -> usize {
+        let values: usize = self
+            .diags
+            .iter()
+            .zip(&self.offsets)
+            .map(|(diag, &off)| match diag {
+                Diag::One(_) => 1,
+                Diag::Dense(_) => band_rows(off, 0, nrows, ncols).len(),
+            })
+            .sum();
+        8 * values + 16 * self.holes.len()
+    }
+}
+
+/// The rows of `r0..r1` whose column `r + off` lies in `0..ncols`.
+fn band_rows(off: isize, r0: usize, r1: usize, ncols: usize) -> std::ops::Range<usize> {
+    let lo = r0.max((-off).max(0) as usize);
+    let hi = r1.min((ncols as isize).saturating_sub(off).max(0) as usize);
+    lo..hi.max(lo)
 }
 
 impl CsrMatrix {
@@ -240,10 +355,21 @@ impl CsrMatrix {
             .zip(self.data[lo..hi].iter().copied())
     }
 
-    /// Number of dense diagonals `matvec` runs over, or `None` when the
-    /// matrix is unstructured and `matvec` takes the CSR loop.
+    /// Number of diagonals `matvec` runs over, or `None` when the matrix
+    /// is unstructured and `matvec` takes the CSR loop.
     pub fn band_count(&self) -> Option<usize> {
         self.bands.as_ref().map(|b| b.offsets.len())
+    }
+
+    /// Bytes of matrix storage one `matvec` reads, each counted once. On
+    /// the banded path: 8 per one-value diagonal, 8 per row in range of a
+    /// dense diagonal, 16 per hole row. On the CSR loop: values, column
+    /// indices and row pointers.
+    pub fn coefficient_bytes(&self) -> usize {
+        match &self.bands {
+            Some(bands) => bands.bytes(self.nrows, self.ncols),
+            None => 16 * self.nnz() + 8 * (self.nrows + 1),
+        }
     }
 
     /// `y = A x`.
@@ -281,8 +407,9 @@ impl CsrMatrix {
         d
     }
 
-    /// Dense reference (tests only — O(n²) memory).
-    pub fn to_dense(&self) -> Vec<Vec<f64>> {
+    /// Dense reference (O(n²) memory).
+    #[cfg(test)]
+    fn to_dense(&self) -> Vec<Vec<f64>> {
         let mut dense = vec![vec![0.0; self.ncols]; self.nrows];
         for r in 0..self.nrows {
             for (c, v) in self.row(r) {
@@ -318,29 +445,6 @@ impl CsrMatrix {
             }
         }
         CsrMatrix::from_triplets(n, n, &triplets).expect("stencil triplets are valid")
-    }
-
-    /// Shifted operator `alpha I + beta A` with the same sparsity.
-    pub fn shift_scale(&self, alpha: f64, beta: f64) -> CsrMatrix {
-        let mut out = self.clone();
-        for v in &mut out.data {
-            *v *= beta;
-        }
-        // Add alpha on the diagonal (entry must exist; laplacian has it).
-        for r in 0..out.nrows {
-            let mut found = false;
-            for k in out.indptr[r]..out.indptr[r + 1] {
-                if out.indices[k] == r {
-                    out.data[k] += alpha;
-                    found = true;
-                }
-            }
-            assert!(found, "shift_scale requires stored diagonal");
-        }
-        // The clone shares `self`'s diagonals; rebuild them from the new data.
-        out.bands =
-            Bands::detect(out.nrows, out.ncols, &out.indptr, &out.indices, &out.data).map(Arc::new);
-        out
     }
 }
 
@@ -423,34 +527,6 @@ mod tests {
     }
 
     #[test]
-    fn shift_scale_builds_helmholtz_like_operator() {
-        let a = CsrMatrix::laplacian_2d(3, 3);
-        let shifted = a.shift_scale(1.0, 0.5); // I + 0.5 A
-        let x = vec![1.0; 9];
-        let mut ya = vec![0.0; 9];
-        let mut ys = vec![0.0; 9];
-        a.matvec(&x, &mut ya);
-        shifted.matvec(&x, &mut ys);
-        for i in 0..9 {
-            assert!((ys[i] - (x[i] + 0.5 * ya[i])).abs() < 1e-14);
-        }
-    }
-
-    #[test]
-    fn shift_scale_keeps_bands_and_csr_in_agreement() {
-        let a = CsrMatrix::laplacian_2d(7, 5);
-        let shifted = a.shift_scale(1.0, 0.25);
-        assert_eq!(shifted.band_count(), Some(5));
-        let x: Vec<f64> = (0..35).map(|i| ((i * 13) % 11) as f64 - 4.5).collect();
-        let mut banded = vec![0.0; 35];
-        let mut csr = vec![0.0; 35];
-        shifted.matvec(&x, &mut banded);
-        shifted.matvec_csr(&x, &mut csr);
-        assert_eq!(bits(&banded), bits(&csr));
-        assert_eq!(shifted.diagonal(), vec![2.0; 35]);
-    }
-
-    #[test]
     fn stencils_are_banded_and_scattered_matrices_are_not() {
         assert_eq!(CsrMatrix::laplacian_2d(12, 12).band_count(), Some(5));
         assert_eq!(CsrMatrix::laplacian_2d(1, 1).band_count(), Some(1));
@@ -467,6 +543,73 @@ mod tests {
             CsrMatrix::from_triplets(n, n, &anti).unwrap().band_count(),
             None
         );
+    }
+
+    #[test]
+    fn stencil_diagonals_are_one_value_with_edge_holes() {
+        let a = CsrMatrix::laplacian_2d(12, 10);
+        let bands = a.bands.as_deref().unwrap();
+        assert_eq!(bands.offsets, [-12, -1, 0, 1, 12]);
+        assert!(bands.diags.iter().all(|d| matches!(d, Diag::One(_))));
+        // `i = 0` rows lack the -1 entry, `i = 11` rows the +1 entry; the
+        // first and last rows have no such column to miss.
+        let rows: Vec<usize> = bands.holes.iter().map(|&(r, _)| r).collect();
+        let want: Vec<usize> = (1..119).filter(|r| r % 12 == 0 || r % 12 == 11).collect();
+        assert_eq!(rows, want);
+        assert_eq!(bands.holes[0], (11, 0b10110)); // no -12 on the first grid row
+        assert_eq!(bands.holes[1], (12, 0b11101));
+        assert_eq!(a.coefficient_bytes(), 5 * 8 + 18 * 16);
+    }
+
+    #[test]
+    fn a_diagonal_with_two_values_is_dense_and_the_rest_stay_one_value() {
+        // [ 2 -1  0 ]
+        // [-1  3 -1 ]
+        // [ 0 -1  2 ]
+        let mut t = vec![(0, 0, 2.0), (1, 1, 3.0), (2, 2, 2.0)];
+        t.extend([(0, 1, -1.0), (1, 0, -1.0), (1, 2, -1.0), (2, 1, -1.0)]);
+        let a = CsrMatrix::from_triplets(3, 3, &t).unwrap();
+        let bands = a.bands.as_deref().unwrap();
+        assert_eq!(
+            bands.diags,
+            [
+                Diag::One(-1.0),
+                Diag::Dense(vec![2.0, 3.0, 2.0]),
+                Diag::One(-1.0)
+            ]
+        );
+        assert!(bands.holes.is_empty());
+        assert_eq!(a.coefficient_bytes(), 8 + 3 * 8 + 8);
+        let mut y = [0.0; 3];
+        a.matvec(&[1.0, 2.0, 3.0], &mut y);
+        assert_eq!(y, [0.0, 2.0, 4.0]);
+    }
+
+    #[test]
+    fn more_diagonals_than_mask_bits_are_stored_dense() {
+        // Two rows, 130 shared offsets: banded (130 * 2 <= 2 * 260), but a
+        // hole row's bit set could not name them, so every one is dense.
+        let t: Vec<_> = (0..2)
+            .flat_map(|r| (0..130).map(move |off| (r, r + off, 1.0)))
+            .collect();
+        let a = CsrMatrix::from_triplets(2, 200, &t).unwrap();
+        assert_eq!(a.band_count(), Some(130));
+        let bands = a.bands.as_deref().unwrap();
+        assert!(bands.diags.iter().all(|d| matches!(d, Diag::Dense(_))));
+        assert_eq!(a.coefficient_bytes(), 130 * 2 * 8);
+        let x: Vec<f64> = (0..200).map(|i| (i as f64 * 0.37).sin()).collect();
+        let (mut y, mut want) = (vec![0.0; 2], vec![0.0; 2]);
+        a.matvec(&x, &mut y);
+        a.matvec_csr(&x, &mut want);
+        assert_eq!(bits(&y), bits(&want));
+    }
+
+    #[test]
+    fn unstructured_coefficient_bytes_count_the_csr_arrays() {
+        let anti: Vec<_> = (0..50).map(|r| (r, 49 - r, 1.0)).collect();
+        let a = CsrMatrix::from_triplets(50, 50, &anti).unwrap();
+        assert_eq!(a.band_count(), None);
+        assert_eq!(a.coefficient_bytes(), 50 * 16 + 51 * 8);
     }
 
     #[test]
@@ -580,6 +723,69 @@ mod proptests {
             prop_assert_eq!(a.band_count(), banded.then_some(present.len()));
 
             // Signed, some exact zeros (so `0.0 * x` and `d * 0.0` both occur).
+            let x: Vec<f64> = (0..nc)
+                .map(|_| if unit() < 0.1 { 0.0 } else { unit() * 2e3 - 1e3 })
+                .collect();
+            let mut y = vec![f64::NAN; nr];
+            let mut want = vec![f64::NAN; nr];
+            a.matvec(&x, &mut y);
+            a.matvec_csr(&x, &mut want);
+            prop_assert_eq!(super::tests::bits(&y), super::tests::bits(&want));
+        }
+    }
+
+    /// Like `arb_banded`, plus a palette of one or two values the
+    /// diagonals draw from: most diagonals take one palette value for
+    /// every entry (one-value diagonals, with holes below keep 1), some
+    /// mix both. Signed zeros are in the palette so that `0.0` and `-0.0`
+    /// must not count as one value.
+    fn arb_palette_banded() -> impl Strategy<Value = (usize, usize, Vec<isize>, f64, Vec<f64>, u64)>
+    {
+        let value = prop_oneof![Just(0.0), Just(-0.0), Just(1.0), -4.0f64..4.0];
+        let keep = prop_oneof![Just(1.0), 0.3f64..1.0];
+        (arb_banded(), keep, proptest::collection::vec(value, 1..3)).prop_map(
+            |((nr, nc, offsets, _, seed), keep, palette)| (nr, nc, offsets, keep, palette, seed),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn one_value_diagonals_with_holes_match_the_csr_loop(
+            (nr, nc, offsets, keep, palette, seed) in arb_palette_banded()
+        ) {
+            let mut rng = seed | 1;
+            let mut unit = move || {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                (rng >> 11) as f64 / (1u64 << 53) as f64
+            };
+            // Per offset: a palette index, or `None` to mix.
+            let modes: Vec<Option<usize>> = offsets
+                .iter()
+                .map(|_| {
+                    let u = unit();
+                    (u < 0.8).then(|| (u * 10.0) as usize % palette.len())
+                })
+                .collect();
+            let mut indptr = vec![0];
+            let mut indices = Vec::new();
+            let mut data = Vec::new();
+            for r in 0..nr {
+                for (&off, mode) in offsets.iter().zip(&modes) {
+                    let c = r as isize + off;
+                    if (0..nc as isize).contains(&c) && unit() < keep {
+                        indices.push(c as usize);
+                        let pick = mode.unwrap_or((unit() * 2.0) as usize % palette.len());
+                        data.push(palette[pick]);
+                    }
+                }
+                indptr.push(indices.len());
+            }
+            let a = CsrMatrix::new(nr, nc, indptr, indices, data).unwrap();
+
             let x: Vec<f64> = (0..nc)
                 .map(|_| if unit() < 0.1 { 0.0 } else { unit() * 2e3 - 1e3 })
                 .collect();
