@@ -32,7 +32,6 @@ impl Preconditioner for Identity {
 /// Diagonal (Jacobi) preconditioning: `z_i = r_i / a_ii`.
 #[derive(Debug, Clone)]
 pub struct Jacobi {
-    /// One entry per row, or a single entry when every row's is the same.
     inv_diag: Vec<f64>,
 }
 
@@ -40,34 +39,19 @@ impl Jacobi {
     /// Builds from a matrix's diagonal. Zero diagonal entries are treated
     /// as 1 (identity on that row) so the preconditioner stays total.
     pub fn new(a: &CsrMatrix) -> Self {
-        let mut inv_diag: Vec<f64> = a
+        let inv_diag = a
             .diagonal()
             .into_iter()
             .map(|d| if d == 0.0 { 1.0 } else { 1.0 / d })
             .collect();
-        if inv_diag
-            .windows(2)
-            .all(|w| w[0].to_bits() == w[1].to_bits())
-        {
-            inv_diag.truncate(1);
-        }
         Jacobi { inv_diag }
     }
 }
 
 impl Preconditioner for Jacobi {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
-        match self.inv_diag[..] {
-            [inv] => {
-                for (zi, ri) in z.iter_mut().zip(r) {
-                    *zi = ri * inv;
-                }
-            }
-            _ => {
-                for i in 0..r.len() {
-                    z[i] = r[i] * self.inv_diag[i];
-                }
-            }
+        for i in 0..r.len() {
+            z[i] = r[i] * self.inv_diag[i];
         }
     }
     fn name(&self) -> &'static str {
