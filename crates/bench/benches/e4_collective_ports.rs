@@ -8,7 +8,9 @@
 //!    vs arbitrary M×N (4 block → 3 cyclic). In-memory plan execution
 //!    isolates pure data movement; cost must track `moved_elements`.
 //! 2. **Size scaling** (`transfer_sweep/*`): the 4→3 M×N case over array
-//!    sizes — expected linear in bytes moved.
+//!    sizes — expected linear in bytes moved. Beside it,
+//!    `transfer_cyclic_runs_512sq_ns_per_element`: a 512² layout cyclic in
+//!    dimension 0, whose every run is one element (recorded, not gated).
 //! 3. **Plan construction** (`plan_*_build_ns`, `plan_*_compile_ns` vs
 //!    `transfer_*`): building and compiling a plan (the once-per-connection
 //!    cost a collective port pays) vs executing it (the per-timestep
@@ -103,6 +105,24 @@ fn main() {
             h.time(|| compiled.apply_into(&bufs, &mut out).unwrap()),
         );
     }
+
+    // Runs of one element: dimension 0 cyclic on four ranks, so every run
+    // the compiled plan copies is a single element. Recorded per element,
+    // not gated: no workload has this layout.
+    let grid_desc = |grid: [usize; 2], dims: [DimDist; 2]| {
+        let dist = Distribution::new(ProcessGrid::new(&grid).unwrap(), &dims).unwrap();
+        DistArrayDesc::new(&[512, 512], dist).unwrap()
+    };
+    let src = grid_desc([4, 1], [DimDist::Cyclic, DimDist::Block]);
+    let dst = grid_desc([1, 3], [DimDist::Block, DimDist::Block]);
+    let compiled = RedistPlan::build(&src, &dst).unwrap().compile().unwrap();
+    let bufs = buffers(&src);
+    let mut out = buffers(&dst);
+    report.metric(
+        "transfer_cyclic_runs_512sq_ns_per_element",
+        h.time(|| compiled.apply_into(&bufs, &mut out).unwrap())
+            .scaled(1.0 / (512.0 * 512.0)),
+    );
 
     // 3. Plan construction.
     for (name, src, dst) in [

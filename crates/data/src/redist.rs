@@ -312,7 +312,11 @@ impl CompiledTransfer {
     pub fn pack<T: Clone>(&self, src_local: &[T]) -> Vec<T> {
         let mut out = Vec::with_capacity(self.count);
         for (src, _, len) in self.runs(0, self.count) {
-            out.extend_from_slice(&src_local[src..src + len]);
+            // The appending form of `copy_run`.
+            match &src_local[src..src + len] {
+                [one] => out.push(one.clone()),
+                run => out.extend_from_slice(run),
+            }
         }
         out
     }
@@ -324,7 +328,7 @@ impl CompiledTransfer {
         assert_eq!(payload.len(), self.count, "payload is not the transfer");
         let mut at = 0;
         for (_, dst, len) in self.runs(0, self.count) {
-            dst_local[dst..dst + len].clone_from_slice(&payload[at..at + len]);
+            copy_run(&mut dst_local[dst..dst + len], &payload[at..at + len]);
             at += len;
         }
     }
@@ -408,7 +412,7 @@ impl CompiledPlan {
             let src = &src_buffers[t.src_rank];
             let out = &mut dst_buffers[t.dst_rank];
             for (s, d, len) in t.runs(0, t.count) {
-                out[d..d + len].clone_from_slice(&src[s..s + len]);
+                copy_run(&mut out[d..d + len], &src[s..s + len]);
             }
         }
         Ok(())
@@ -432,6 +436,16 @@ impl CompiledPlan {
     /// Local element count of destination rank `r`.
     pub fn dst_count(&self, r: usize) -> usize {
         self.dst_counts[r]
+    }
+}
+
+/// Copies one run. A layout cyclic in dimension 0 makes every run one
+/// element long, where a slice copy is a `memcpy` call per element and an
+/// assignment is a move.
+fn copy_run<T: Clone>(dst: &mut [T], src: &[T]) {
+    match (dst, src) {
+        ([d], [s]) => d.clone_from(s),
+        (dst, src) => dst.clone_from_slice(src),
     }
 }
 
