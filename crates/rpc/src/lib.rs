@@ -68,7 +68,7 @@ pub use mux::{
     BulkChannel, MuxServer, MuxServerConfig, MuxTransport, PendingReply, SessionSink,
     CONNECTION_EXCEPTION_TYPE, DEFAULT_MUX_CONNECTIONS,
 };
-pub use orb::{ObjRef, Orb};
+pub use orb::{ObjRef, Orb, SERVANT_PANIC_TYPE};
 pub use proxy::RemotePortProxy;
 pub use resilient::{DeadlineTransport, FaultAction, FaultTransport, INJECTED_FAULT_TYPE};
 pub use transport::{LoopbackTransport, Transport};

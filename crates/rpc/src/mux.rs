@@ -57,6 +57,7 @@ use std::ffi::c_short;
 use std::io::{ErrorKind, IoSlice, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -1208,8 +1209,10 @@ impl MuxServer {
             // framing errors, and a client that sent garbage inside a
             // valid frame would observe its call never completing against
             // its deadline. So that it fails at once instead, we enqueue a
-            // sentinel close: the connection hangs up.
-            let outcome = {
+            // sentinel close: the connection hangs up. A panic out of the
+            // dispatcher or a sink is answered the same way, and the
+            // worker goes on to the next job.
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
                 // Adopt the caller's wire identity for the dispatch: the
                 // ORB's dispatch span parents to the client's call span.
                 let _ctx = cca_obs::install_context(job.context);
@@ -1233,7 +1236,7 @@ impl MuxServer {
                     }
                     _ => self.dispatcher.dispatch(job.payload),
                 }
-            };
+            }));
             // The event loop frames the reply onto the connection's write
             // buffer itself: one copy of the reply, on the one thread that
             // owns that buffer.
@@ -1241,7 +1244,7 @@ impl MuxServer {
                 conn_id: job.conn_id,
                 request_id: job.request_id,
                 cost: job.cost,
-                reply: outcome.ok(),
+                reply: outcome.ok().and_then(Result::ok),
             });
             self.metrics.record_end();
             self.wake_event_loop();
@@ -2027,6 +2030,82 @@ mod tests {
             0,
             "a late reply to an abandoned call is not a violation"
         );
+        server.shutdown();
+    }
+
+    /// Runs `f` on its own thread and waits at most a second for its
+    /// result: a call that never completes fails the test instead of
+    /// hanging it.
+    fn within_a_second<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(Duration::from_secs(1))
+            .expect("no answer within a second")
+    }
+
+    #[test]
+    fn a_panicking_servant_is_answered_with_a_typed_exception() {
+        struct Bomb;
+        impl DynObject for Bomb {
+            fn sidl_type(&self) -> &str {
+                "demo.Bomb"
+            }
+            fn invoke(&self, _: &str, _: Vec<DynValue>) -> Result<DynValue, SidlError> {
+                panic!("servant blew up");
+            }
+        }
+        let orb = Orb::new();
+        orb.register("bomb", Arc::new(Bomb));
+        let server = MuxServer::bind("127.0.0.1:0", orb).unwrap();
+        // No io_timeout: only a reply ends this call.
+        let objref = ObjRef::tcp("bomb", server.local_addr().to_string());
+        match within_a_second(move || objref.invoke("go", vec![])).unwrap_err() {
+            SidlError::UserException {
+                exception_type,
+                message,
+            } => {
+                assert_eq!(exception_type, crate::SERVANT_PANIC_TYPE);
+                assert!(message.contains("servant blew up"), "{message}");
+            }
+            other => panic!("{other:?}"),
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_dispatch_costs_one_connection_not_a_worker() {
+        struct Fragile;
+        impl Dispatcher for Fragile {
+            fn dispatch(&self, request: Bytes) -> Result<Bytes, SidlError> {
+                assert!(&request[..] != b"boom", "dispatcher blew up");
+                Ok(request)
+            }
+        }
+        const WORKERS: usize = 2;
+        let server = MuxServer::bind_with(
+            "127.0.0.1:0",
+            Arc::new(Fragile),
+            MuxServerConfig {
+                dispatch_threads: WORKERS,
+                ..MuxServerConfig::default()
+            },
+        )
+        .unwrap();
+        let t = Arc::new(MuxTransport::new(server.local_addr().to_string()).with_connections(1));
+        for _ in 0..2 * WORKERS {
+            let t = Arc::clone(&t);
+            let e = within_a_second(move || t.call(Bytes::from_static(b"boom"))).unwrap_err();
+            match e {
+                SidlError::UserException { exception_type, .. } => {
+                    assert_eq!(exception_type, CONNECTION_EXCEPTION_TYPE);
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+        let healthy = within_a_second(move || t.call(Bytes::from_static(b"fine")));
+        assert_eq!(healthy.unwrap(), Bytes::from_static(b"fine"));
         server.shutdown();
     }
 

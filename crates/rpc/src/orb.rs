@@ -26,10 +26,25 @@ use bytes::Bytes;
 use cca_obs::TransportMetrics;
 use cca_sidl::{DynObject, DynValue, SidlError};
 use parking_lot::Mutex;
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Exception type of the reply to a call whose servant panicked; the
+/// message is the panic's.
+pub const SERVANT_PANIC_TYPE: &str = "cca.rpc.ServantPanic";
+
+/// The message a panic was raised with, when it carries one.
+fn panic_message(panic: &(dyn Any + Send)) -> String {
+    match (panic.downcast_ref::<&str>(), panic.downcast_ref::<String>()) {
+        (Some(s), _) => (*s).to_string(),
+        (_, Some(s)) => s.clone(),
+        _ => "servant panicked".to_string(),
+    }
+}
 
 /// The broker: a table of servant objects keyed by string.
 #[derive(Default)]
@@ -89,13 +104,19 @@ impl Dispatcher for Orb {
         };
         let servant = self.objects.lock().get(&req.object_key).cloned();
         let result = match servant {
-            Some(obj) => match obj.invoke(&req.operation, req.args) {
-                Ok(v) => Ok(v),
-                Err(SidlError::UserException {
+            // A panicking servant costs its caller one call: the panic
+            // becomes a typed exception reply, and the thread that
+            // dispatched it lives on.
+            Some(obj) => match catch_unwind(AssertUnwindSafe(|| {
+                obj.invoke(&req.operation, req.args)
+            })) {
+                Ok(Ok(v)) => Ok(v),
+                Ok(Err(SidlError::UserException {
                     exception_type,
                     message,
-                }) => Err((exception_type, message)),
-                Err(other) => Err(("cca.rpc.SystemException".to_string(), other.to_string())),
+                })) => Err((exception_type, message)),
+                Ok(Err(other)) => Err(("cca.rpc.SystemException".to_string(), other.to_string())),
+                Err(panic) => Err((SERVANT_PANIC_TYPE.to_string(), panic_message(&*panic))),
             },
             None => Err((
                 "cca.rpc.ObjectNotFound".to_string(),
