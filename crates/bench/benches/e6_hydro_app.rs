@@ -124,7 +124,7 @@ fn kernel_rows(report: &mut Report, h: &Harness) {
         .count("operator_coefficient_bytes_192", a.coefficient_bytes() as f64)
         .exactly(
             6152.0,
-            "five one-value diagonals (40 B) and 382 edge hole rows (16 B each); dense diagonals read 1,474,560",
+            "five one-value diagonals (40 B) and 382 edge hole rows (16 B each); stored dense they read 1,471,472",
         );
     let reference = csr_path_copy(&a);
     assert_eq!(reference.band_count(), None);
