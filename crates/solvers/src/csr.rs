@@ -6,9 +6,10 @@
 //! column indices refer to a locally assembled (halo-extended) vector.
 //!
 //! A matrix whose non-zeros lie on few diagonals (any stencil operator)
-//! additionally keeps those diagonals as dense arrays, and `matvec` runs
-//! over them: zipped slices the compiler vectorises, with no index loads
-//! and no bounds checks per non-zero. The CSR arrays stay the interface
+//! additionally keeps those diagonals — each as one value when all its
+//! entries share it, as a dense array otherwise — and `matvec` runs over
+//! them: zipped slices the compiler vectorises, with no index loads and
+//! no bounds checks per non-zero. The CSR arrays stay the interface
 //! (`row`, `diagonal`, `nnz`) and the path for everything else.
 
 use cca_core::CcaError;

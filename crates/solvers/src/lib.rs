@@ -19,8 +19,9 @@
 //! * [`vector`] — BLAS-1 kernels plus a [`vector::Reduction`] abstraction
 //!   that makes every solver run identically in serial and SPMD contexts
 //!   (global dots become `allreduce`).
-//! * [`csr`] — compressed sparse row matrices with mat-vec (over dense
-//!   diagonals when the non-zeros lie on few of them), triplet assembly,
+//! * [`csr`] — compressed sparse row matrices with mat-vec (over the
+//!   diagonals, one value or a dense array each, when the non-zeros lie
+//!   on few of them), triplet assembly,
 //!   and the 5-point Poisson generator the hydro app uses.
 //! * [`precond`] — Identity / Jacobi / SSOR / ILU(0) preconditioners (the
 //!   "new algorithms ... encapsulated within toolkits" the paper wants to
