@@ -36,7 +36,9 @@
 //!   elements it declares — in both value codecs and in the fleet hub's
 //!   op codec;
 //! * a generated skeleton's dynamic `apply` over 4,096 doubles: exactly
-//!   the result's five allocations, none for the borrowed argument.
+//!   the result's five allocations, none for the borrowed argument;
+//! * a trigram index build over 10,000 catalog entries: at most twice the
+//!   bytes the built index holds — no (trigram, ordinal) pair vector.
 //!
 //! The tally is per thread, so what a sibling test or a server thread
 //! allocates meanwhile cannot leak into a measured region. The `cca-obs`
@@ -674,5 +676,38 @@ fn dynamic_apply_borrows_its_array_argument() {
     assert!(
         bytes < (N * 8 * 3 / 2) as u64,
         "a dynamic apply over {N} doubles allocated {bytes} bytes"
+    );
+}
+
+/// A shard's trigram index is built by counting, not by sorting pairs:
+/// over 10,000 entries shaped like the catalog's (lowered class, one
+/// space, lowered ports and description), the build allocates at most
+/// twice the bytes the finished index holds. A (trigram, ordinal) pair
+/// vector alone costs 8 bytes a posting against the index's 4, and more
+/// while it grows by doubling.
+#[test]
+fn trigram_index_build_allocates_about_its_own_size() {
+    const PKGS: [&str; 4] = ["esi", "hydro", "viz", "mesh"];
+    const WORDS: [&str; 8] = [
+        "krylov", "gmres", "jacobi", "euler", "riemann", "fourier", "schur", "halo",
+    ];
+    let texts: Vec<String> = (0..10_000)
+        .map(|i| {
+            let (w1, w2) = (WORDS[i % 8], WORDS[(i / 8) % 8]);
+            let pkg = PKGS[(i / 64) % 4];
+            format!(
+                "{pkg}.{w1}{w2}{i:07} main {pkg}.{w1}port go cca.ports.goport \
+                 synthetic {w1} component {i}"
+            )
+        })
+        .collect();
+    let before = alloc_bytes();
+    let index = cca_repository::TrigramIndex::build(&texts);
+    let spent = alloc_bytes() - before;
+    let own = index.heap_bytes() as u64;
+    assert!(index.posting_entries() > 500_000, "a catalog-sized build");
+    assert!(
+        spent <= 2 * own,
+        "building an index of {own} bytes allocated {spent} bytes"
     );
 }

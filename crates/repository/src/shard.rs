@@ -91,9 +91,14 @@ impl StoredEntry {
         }
     }
 
-    /// The combined text the trigram index sees.
-    fn search_text(&self) -> String {
-        format!("{} {}", self.lowered_class, self.lowered_aux)
+    /// The text the trigram index sees, in the three parts it is walked
+    /// in: `lowered_class`, one space, `lowered_aux`. Never joined.
+    fn search_text(&self) -> [&[u8]; 3] {
+        [
+            self.lowered_class.as_bytes(),
+            b" ",
+            self.lowered_aux.as_bytes(),
+        ]
     }
 }
 
@@ -128,8 +133,10 @@ impl Segment {
             .enumerate()
             .map(|(i, e)| (Arc::<str>::from(e.entry.class.as_str()), i as u32))
             .collect();
-        let texts: Vec<String> = entries.iter().map(|e| e.search_text()).collect();
-        let index = TrigramIndex::build(&texts);
+        let index = {
+            let _span = cca_obs::span("repository.index");
+            TrigramIndex::build_from_parts(entries.len(), |i| entries[i].search_text())
+        };
         Arc::new(Segment {
             entries,
             by_class,
@@ -236,6 +243,7 @@ impl Shard {
     /// plus `new`, as one `base` with an empty `recent`. Caller holds
     /// `write`.
     fn fold(&self, current: &ShardSnapshot, without: Option<&str>, new: Vec<StoredEntry>) {
+        let _span = cca_obs::span("repository.fold");
         cca_obs::repo().record_fold();
         // Sized once, to a size class (see `size_class`): grown by
         // doubling, this table leaves a trail of freed blocks the clones'
@@ -258,6 +266,7 @@ impl Shard {
     /// Caller holds `write`.
     fn deposit(&self, current: &ShardSnapshot, new: Vec<StoredEntry>) {
         if current.recent.entries.len() + new.len() <= RECENT_MAX {
+            let _span = cca_obs::span("repository.append");
             let mut recent = current.recent.entries.clone();
             recent.extend(new);
             self.publish(Arc::clone(&current.base), Segment::build(recent));

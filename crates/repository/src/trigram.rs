@@ -72,10 +72,195 @@ pub struct TrigramIndex {
     postings: Vec<u32>,
 }
 
+/// The key of a free slot: trigrams fill only the low 24 bits.
+const FREE: Trigram = u32::MAX;
+/// The `last` of a slot no text has reached yet in the current pass.
+const UNSEEN: u32 = u32::MAX;
+
+/// One distinct trigram in the counting table.
+#[derive(Clone, Copy)]
+struct Slot {
+    key: Trigram,
+    /// The ordinal of the last text that held `key`: a trigram repeated
+    /// within one text is counted, and posted, once.
+    last: u32,
+    /// Pass 1: how many texts hold `key`. Pass 2: where in the posting
+    /// pool its next ordinal goes.
+    n: u32,
+}
+
+/// Open-addressed map from trigram to [`Slot`], probed linearly from a
+/// multiplicative hash. It holds one slot per *distinct* trigram — a few
+/// thousand in a catalog shard of a few hundred thousand windows.
+struct SlotTable {
+    slots: Vec<Slot>,
+    /// Occupied slots.
+    len: usize,
+    /// `32 − log2(slots.len())`: the hash keeps its top bits.
+    shift: u32,
+}
+
+impl SlotTable {
+    /// A table for `windows` trigram windows, which hold at most that many
+    /// distinct keys: one slot a window, rounded up to a power of two, and
+    /// at most 4,096 to start. An appended segment's few hundred windows
+    /// get a few hundred slots; a shard's few hundred thousand windows
+    /// hold a few thousand keys, and the table doubles as they come in.
+    fn for_windows(windows: usize) -> Self {
+        Self::with_slots(windows.next_power_of_two().clamp(16, 4096))
+    }
+
+    /// `slots` must be a power of two.
+    fn with_slots(slots: usize) -> Self {
+        let empty = Slot {
+            key: FREE,
+            last: UNSEEN,
+            n: 0,
+        };
+        SlotTable {
+            slots: vec![empty; slots],
+            len: 0,
+            shift: 32 - slots.trailing_zeros(),
+        }
+    }
+
+    /// The slot holding `key`, or the free slot where it belongs.
+    #[inline]
+    fn position(&self, key: Trigram) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = (key.wrapping_mul(0x9e37_79b1) >> self.shift) as usize;
+        loop {
+            let at = self.slots[i].key;
+            if at == key || at == FREE {
+                return i;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Pass 1: counts `ordinal` under `key`, once per text.
+    #[inline]
+    fn count(&mut self, key: Trigram, ordinal: u32) {
+        let i = self.position(key);
+        let slot = &mut self.slots[i];
+        if slot.key == FREE {
+            *slot = Slot {
+                key,
+                last: ordinal,
+                n: 1,
+            };
+            self.len += 1;
+            if 4 * self.len > 3 * self.slots.len() {
+                self.grow();
+            }
+        } else if slot.last != ordinal {
+            slot.last = ordinal;
+            slot.n += 1;
+        }
+    }
+
+    /// Doubles the table and re-seats every occupied slot.
+    fn grow(&mut self) {
+        let old = std::mem::replace(self, Self::with_slots(2 * self.slots.len()));
+        for slot in old.slots.into_iter().filter(|s| s.key != FREE) {
+            let i = self.position(slot.key);
+            self.slots[i] = slot;
+        }
+        self.len = old.len;
+    }
+}
+
+/// Calls `f` with every 3-byte window of the concatenated `parts`, in
+/// order, repeats included: a rolling 24-bit register, one shift per byte.
+#[inline]
+fn for_each_window<const N: usize>(parts: [&[u8]; N], mut f: impl FnMut(Trigram)) {
+    let mut window: Trigram = 0;
+    let mut bytes = 0usize;
+    for part in parts {
+        for &b in part {
+            window = (window << 8 | b as Trigram) & 0x00ff_ffff;
+            bytes += 1;
+            if bytes >= 3 {
+                f(window);
+            }
+        }
+    }
+}
+
 impl TrigramIndex {
     /// Builds the index over `texts[ordinal]` (each already lowercased).
     pub fn build(texts: &[impl AsRef<str>]) -> Self {
-        // Pass 1: count occurrences per trigram to size the pool exactly.
+        Self::build_from_parts(texts.len(), |ordinal| [texts[ordinal].as_ref().as_bytes()])
+    }
+
+    /// Builds the index over `count` texts, text `ordinal` being the
+    /// concatenation of `parts(ordinal)` (already lowercased) — so a text
+    /// held as several strings is indexed where it lies, never joined.
+    ///
+    /// Counting, not sorting: pass 1 walks every text and counts, per
+    /// distinct trigram, the texts that hold it; the distinct keys — a few
+    /// thousand — are sorted once and prefix-summed into `spans`; pass 2
+    /// walks the texts again and writes each (trigram, ordinal) straight
+    /// into its key's run of a pool allocated once. Texts go in ordinal
+    /// order, so every run comes out ascending and deduplicated with no
+    /// sort of its own, and no (trigram, ordinal) pair is ever stored.
+    pub fn build_from_parts<'a, const N: usize>(
+        count: usize,
+        parts: impl Fn(usize) -> [&'a [u8]; N],
+    ) -> Self {
+        let windows: usize = (0..count)
+            .map(|ordinal| parts(ordinal).iter().map(|p| p.len()).sum::<usize>())
+            .map(|bytes| bytes.saturating_sub(2))
+            .sum();
+        let mut table = SlotTable::for_windows(windows);
+        for ordinal in 0..count {
+            for_each_window(parts(ordinal), |t| table.count(t, ordinal as u32));
+        }
+
+        let mut order: Vec<u32> = (0..table.slots.len() as u32)
+            .filter(|&i| table.slots[i as usize].key != FREE)
+            .collect();
+        order.sort_unstable_by_key(|&i| table.slots[i as usize].key);
+        let mut keys = Vec::with_capacity(order.len());
+        let mut spans = Vec::with_capacity(order.len());
+        let mut total = 0u32;
+        for &i in &order {
+            let slot = &mut table.slots[i as usize];
+            let start = total;
+            total += slot.n;
+            keys.push(slot.key);
+            spans.push((start, total));
+            slot.n = start;
+            slot.last = UNSEEN;
+        }
+        drop(order);
+
+        let mut postings = Vec::with_capacity(size_class(total as usize));
+        postings.resize(total as usize, 0);
+        for ordinal in 0..count {
+            let ordinal = ordinal as u32;
+            for_each_window(parts(ordinal as usize), |t| {
+                let i = table.position(t);
+                let slot = &mut table.slots[i];
+                if slot.last != ordinal {
+                    slot.last = ordinal;
+                    postings[slot.n as usize] = ordinal;
+                    slot.n += 1;
+                }
+            });
+        }
+        TrigramIndex {
+            keys,
+            spans,
+            postings,
+        }
+    }
+
+    /// The pair-sort build the counting build replaced: every (trigram,
+    /// ordinal) pair in one vector, sorted. Kept as the oracle the
+    /// counting build must match bit for bit.
+    #[cfg(test)]
+    fn build_by_sort(texts: &[impl AsRef<str>]) -> Self {
         let mut pairs: Vec<(Trigram, u32)> = Vec::new();
         let mut scratch = Vec::new();
         for (ordinal, text) in texts.iter().enumerate() {
@@ -180,6 +365,13 @@ impl TrigramIndex {
     pub fn posting_entries(&self) -> usize {
         self.postings.len()
     }
+
+    /// Heap bytes the index holds: the capacities of its three arrays.
+    pub fn heap_bytes(&self) -> usize {
+        size_of::<Trigram>() * self.keys.capacity()
+            + size_of::<(u32, u32)>() * self.spans.capacity()
+            + size_of::<u32>() * self.postings.capacity()
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -235,6 +427,7 @@ pub fn score_match(class: &str, aux: &str, lowered_needle: &str) -> Option<u32> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn find(index: &TrigramIndex, needle: &str) -> Vec<u32> {
         let (mut needle_trigrams, mut out) = (Vec::new(), Vec::new());
@@ -312,6 +505,95 @@ mod tests {
         let tight = score_match("esi.cg", "", n).unwrap();
         let loose = score_match("esi.cgacceleratedgradientfactory", "", n).unwrap();
         assert!(tight > loose);
+    }
+
+    /// Asserts the counting build and the pair sort agree exactly.
+    fn same_as_the_pair_sort(texts: &[String]) {
+        let counted = TrigramIndex::build(texts);
+        let sorted = TrigramIndex::build_by_sort(texts);
+        assert_eq!(counted.keys, sorted.keys);
+        assert_eq!(counted.spans, sorted.spans);
+        assert_eq!(counted.postings, sorted.postings);
+        assert_eq!(counted.postings.capacity(), sorted.postings.capacity());
+    }
+
+    /// Doublings the counting table makes over `texts`.
+    fn table_doublings(texts: &[String]) -> u32 {
+        let windows = texts.iter().map(|t| t.len().saturating_sub(2)).sum();
+        let mut table = SlotTable::for_windows(windows);
+        let start = table.slots.len();
+        for (ordinal, text) in texts.iter().enumerate() {
+            for_each_window([text.as_bytes()], |t| table.count(t, ordinal as u32));
+        }
+        (table.slots.len() / start).trailing_zeros()
+    }
+
+    /// Texts of `chars` drawn mostly from a small alphabet, so trigrams
+    /// repeat within and across texts, with some arbitrary scalar values
+    /// (multi-byte UTF-8) mixed in.
+    fn arb_text(chars: std::ops::Range<usize>) -> impl Strategy<Value = String> {
+        collection::vec(
+            prop_oneof![
+                (0u8..4).prop_map(|b| (b'a' + b) as char),
+                Just(' '),
+                any::<char>(),
+            ],
+            chars,
+        )
+        .prop_map(|cs| cs.into_iter().collect())
+    }
+
+    /// One text of `chars` characters nearly all of whose windows are
+    /// distinct trigrams: enough to double the counting table repeatedly.
+    fn arb_wide_text(chars: usize) -> impl Strategy<Value = String> {
+        collection::vec(any::<u32>(), chars).prop_map(|draws| {
+            draws
+                .into_iter()
+                .map(|d| char::from_u32(0x20 + d % 0x2000).unwrap_or('x'))
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn counting_build_matches_the_pair_sort(
+            texts in collection::vec(arb_text(0..40), 0..60),
+            wide in collection::vec(arb_wide_text(4_000), 0..3),
+        ) {
+            same_as_the_pair_sort(&texts);
+            // Empty and sub-trigram texts among longer ones, and a trigram
+            // repeated within one text.
+            let mut edged = texts.clone();
+            edged.extend(["", "a", "ab", "ababab", "é", "aaaa"].map(String::from));
+            edged.rotate_left(texts.len() / 2);
+            same_as_the_pair_sort(&edged);
+            // Thousands of distinct trigrams: the table doubles at least
+            // twice on the way.
+            if !wide.is_empty() {
+                let mut grown = wide.clone();
+                grown.extend(texts);
+                assert!(table_doublings(&grown) >= 2, "{}", table_doublings(&grown));
+                same_as_the_pair_sort(&grown);
+            }
+        }
+    }
+
+    #[test]
+    fn a_text_in_parts_indexes_as_its_concatenation() {
+        let whole = ["esi.cg solver", "ab", "", "viz.plot render"];
+        let parts = [
+            ["esi.cg", " ", "solver"],
+            ["a", "", "b"],
+            ["", "", ""],
+            ["v", "iz.plot ren", "der"],
+        ];
+        let joined = TrigramIndex::build_from_parts(parts.len(), |i| parts[i].map(str::as_bytes));
+        let reference = TrigramIndex::build(&whole);
+        assert_eq!(joined.keys, reference.keys);
+        assert_eq!(joined.spans, reference.spans);
+        assert_eq!(joined.postings, reference.postings);
     }
 
     #[test]
