@@ -515,6 +515,10 @@ counter_block! {
         /// Client side: socket reads of the reply stream that returned
         /// bytes. Each may carry many replies, or part of one.
         reply_reads => record_reply_read,
+        /// Server side: panics caught out of a dispatcher or session sink
+        /// on a dispatch worker, or out of a bulk sink on the event loop.
+        /// Each cost one connection; the thread lived on.
+        servant_panics => record_servant_panic,
     }
 }
 
@@ -745,20 +749,22 @@ mod tests {
         m.record_bulk_loop_land();
         m.record_bulk_loop_land();
         m.record_reply_read();
+        m.record_servant_panic();
         let s = m.snapshot();
         assert_eq!(s.peak_in_flight, 3);
         assert_eq!(s.peak_queued_bytes, 4096);
         assert_eq!(s.protocol_violations, 1);
         assert_eq!((s.loop_passes, s.loop_parks), (2, 1));
         assert_eq!((s.bulk_caller_writes, s.bulk_loop_lands), (1, 2));
-        assert_eq!(s.reply_reads, 1);
+        assert_eq!((s.reply_reads, s.servant_panics), (1, 1));
         assert_eq!(
             s.to_json(),
             "{\"in_flight\":2,\"peak_in_flight\":3,\"queued_bytes\":128,\
              \"peak_queued_bytes\":4096,\"paused_connections\":3,\
              \"pause_events\":4,\"protocol_violations\":1,\
              \"loop_passes\":2,\"loop_parks\":1,\
-             \"bulk_caller_writes\":1,\"bulk_loop_lands\":2,\"reply_reads\":1}"
+             \"bulk_caller_writes\":1,\"bulk_loop_lands\":2,\"reply_reads\":1,\
+             \"servant_panics\":1}"
         );
         assert!(format!("{m:?}").contains("in_flight"));
     }

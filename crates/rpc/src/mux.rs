@@ -1237,6 +1237,9 @@ impl MuxServer {
                     _ => self.dispatcher.dispatch(job.payload),
                 }
             }));
+            if outcome.is_err() {
+                self.metrics.record_servant_panic();
+            }
             // The event loop frames the reply onto the connection's write
             // buffer itself: one copy of the reply, on the one thread that
             // owns that buffer.
@@ -1604,7 +1607,9 @@ impl MuxServer {
     /// scatters the slab under the frame's trace context, and its ack is
     /// framed onto the connection's write buffer. Safe on the loop because
     /// a sink never waits (see [`crate::bulk::BulkSink`]). Returns `false`,
-    /// with the connection marked closed, when the sink refuses the slab.
+    /// with the connection marked closed, when the sink refuses the slab
+    /// or panics: a panicking sink costs its own connection, as a refused
+    /// slab does, and the loop serves every other one on.
     fn land(
         &self,
         conn: &mut ServerConn,
@@ -1613,11 +1618,14 @@ impl MuxServer {
         context: Option<TraceContext>,
         payload: Bytes,
     ) -> bool {
-        let ack = {
+        let landed = catch_unwind(AssertUnwindSafe(|| {
             let _ctx = cca_obs::install_context(context);
             sink.receive(payload)
-        };
-        let framed = ack.ok().map(|ack| {
+        }));
+        if landed.is_err() {
+            self.metrics.record_servant_panic();
+        }
+        let framed = landed.ok().and_then(Result::ok).map(|ack| {
             encode_frame_onto(
                 &mut conn.out,
                 FrameKind::Reply,
@@ -1631,7 +1639,8 @@ impl MuxServer {
             self.metrics.record_bulk_loop_land();
             true
         } else {
-            // Refused slab or oversized ack: hang up on this peer only.
+            // Refused slab, panicking sink or oversized ack: hang up on
+            // this peer only.
             conn.closed = true;
             false
         }

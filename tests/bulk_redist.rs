@@ -20,7 +20,10 @@
 //! * a receiver that stops reading costs the sender a typed error within
 //!   the transport's deadline, never a hung call;
 //! * a hostile slab costs its own connection and nothing else while a
-//!   stream and a run of control-plane calls share the server with it.
+//!   stream and a run of control-plane calls share the server with it;
+//! * so does a bulk sink that panics, and the server counts every panic
+//!   it catches — a dispatcher's on a worker, a sink's on the event loop —
+//!   exactly once.
 
 use bytes::Bytes;
 use cca::core::resilience::{
@@ -581,5 +584,121 @@ fn every_slab_is_written_by_its_sender_and_landed_on_the_loop() {
     assert_eq!(transport.mux_metrics().bulk_caller_writes(), unique);
     assert_eq!(server.metrics().bulk_loop_lands(), unique);
     assert_eq!(server.dispatched(), 0, "the dispatch pool ran no bulk job");
+    server.shutdown();
+}
+
+/// A bulk sink that panics on every slab.
+struct PanickingSink;
+
+impl BulkSink for PanickingSink {
+    fn receive(&self, _: Bytes) -> Result<Vec<u8>, SidlError> {
+        panic!("bulk sink blew up");
+    }
+}
+
+/// Runs `f` on its own thread; a result that takes over 5 s fails the
+/// test instead of hanging the suite.
+fn within_5s<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(Duration::from_secs(5))
+        .expect("no answer within 5 s")
+}
+
+/// Sends one slab to the panicking sink on a fresh connection and
+/// requires the server to hang up on it, unanswered.
+fn panic_the_sink(addr: &str) {
+    let mut peer = TcpStream::connect(addr).unwrap();
+    peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let framed = encode_frame(FrameKind::Bulk, 1, &[0u8; 48], DEFAULT_MAX_PAYLOAD).unwrap();
+    peer.write_all(&framed).unwrap();
+    let mut rest = Vec::new();
+    assert_eq!(
+        peer.read_to_end(&mut rest).unwrap(),
+        0,
+        "the panicking sink's peer is hung up on, unanswered"
+    );
+}
+
+#[test]
+fn a_panicking_sink_costs_only_its_connection_beside_orb_calls() {
+    let orb = Orb::new();
+    orb.register("echo", Arc::new(EchoServant));
+    let server = MuxServer::bind("127.0.0.1:0", orb as Arc<dyn Dispatcher>).unwrap();
+    server.set_bulk_sink(Arc::new(PanickingSink));
+    let addr = server.local_addr().to_string();
+    let transport = Arc::new(MuxTransport::new(addr.clone()).with_connections(1));
+    let objref = Arc::new(ObjRef::new(
+        "echo",
+        Arc::clone(&transport) as Arc<dyn Transport>,
+    ));
+    let call = |i: i64| {
+        let objref = Arc::clone(&objref);
+        within_5s(move || objref.invoke("echo", vec![DynValue::Long(i)]))
+    };
+    assert!(matches!(call(1), Ok(DynValue::Long(1))));
+
+    panic_the_sink(&addr);
+
+    // The caller's connection, open before the panic, still answers.
+    for i in 2..10 {
+        assert!(
+            matches!(call(i), Ok(DynValue::Long(v)) if v == i),
+            "call {i}"
+        );
+    }
+    assert_eq!(transport.metrics().dials(), 1, "the caller never re-dialed");
+    assert_eq!(transport.metrics().connection_drops(), 0);
+    assert_eq!(server.metrics().servant_panics(), 1);
+    server.shutdown();
+}
+
+#[test]
+fn servant_panics_counts_each_caught_panic_once() {
+    /// Echoes its request, and panics on `boom`.
+    struct Fragile;
+    impl Dispatcher for Fragile {
+        fn dispatch(&self, request: Bytes) -> Result<Bytes, SidlError> {
+            assert!(&request[..] != b"boom", "dispatcher blew up");
+            Ok(request)
+        }
+    }
+    const WORKERS: usize = 2;
+    let server = MuxServer::bind_with(
+        "127.0.0.1:0",
+        Arc::new(Fragile),
+        MuxServerConfig {
+            dispatch_threads: WORKERS,
+            ..MuxServerConfig::default()
+        },
+    )
+    .unwrap();
+    server.set_bulk_sink(Arc::new(PanickingSink));
+    let addr = server.local_addr().to_string();
+    let transport = Arc::new(MuxTransport::new(addr.clone()).with_connections(1));
+    let call = |request: &'static [u8]| {
+        let transport = Arc::clone(&transport);
+        within_5s(move || transport.call(Bytes::from_static(request)))
+    };
+
+    // Twice as many dispatch panics as workers: each costs its call's
+    // connection, never a worker.
+    for _ in 0..2 * WORKERS {
+        match call(b"boom") {
+            Err(SidlError::UserException { exception_type, .. }) => {
+                assert_eq!(exception_type, CONNECTION_EXCEPTION_TYPE);
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+    panic_the_sink(&addr);
+    assert_eq!(call(b"fine").unwrap(), Bytes::from_static(b"fine"));
+    assert_eq!(
+        server.metrics().servant_panics(),
+        2 * WORKERS as u64 + 1,
+        "every caught panic counted, once"
+    );
     server.shutdown();
 }
