@@ -19,6 +19,9 @@
 #   loc        non-test line counts per crate (reports only; not in `all`);
 #              given a git ref, also counts that commit and prints the
 #              difference (ref, HEAD, delta per crate)
+#   surface    every `pub fn` in crates/*/src that no other file names,
+#              less the names in scripts/surface_keep.txt (reports only;
+#              not in `all`)
 #   pairs      pairs <base-ref> <workload>[,<workload>...] [n=10] [seconds=4]
 #              [seed=1999]: the end-to-end benchmark at <base-ref> and at
 #              HEAD, n alternating pairs per workload (reports only; not
@@ -195,6 +198,32 @@ loc() {
     rm -rf "$base"
 }
 
+# Public functions nothing else calls: every `pub fn` (or `pub const fn`)
+# declared in crates/*/src whose name appears, as a whole word, in no other
+# .rs file under crates/, src/, tests/, examples/ or benchmark/src. A name
+# used only inside its own file is listed too: its callers, if any, could
+# reach it without the `pub`. Names in scripts/surface_keep.txt (one a line,
+# `#` starts a comment) are specification the tree reproduces whether or
+# not a caller exists, and are left out. Prints `file:line name` per
+# function and the count; never fails on what it finds.
+surface() {
+    echo "==> pub fns named in no other file (keep list: scripts/surface_keep.txt)"
+    local keep file line name found=0
+    keep="$(sed -e 's/#.*//' -e 's/[[:space:]]//g' scripts/surface_keep.txt | grep -v '^$' || true)"
+    while IFS=: read -r file line name; do
+        if grep -qxF "$name" <<< "$keep"; then
+            continue
+        fi
+        if ! grep -rlw --include='*.rs' -- "$name" crates src tests examples benchmark/src 2>/dev/null |
+            grep -qvxF "$file"; then
+            echo "$file:$line $name"
+            found=$((found + 1))
+        fi
+    done < <(find crates/*/src -name '*.rs' | sort | xargs grep -nE '^[[:space:]]*pub (const )?fn [A-Za-z_]' |
+        sed -E 's/^([^:]*):([0-9]*):.*pub (const )?fn ([A-Za-z_][A-Za-z0-9_]*).*/\1:\2:\4/')
+    echo "$found unreferenced pub fn(s)"
+}
+
 # Alternating pairs of the end-to-end benchmark (benchmark/, ccabench):
 # <base-ref> and HEAD are exported with `git archive` into temporary
 # directories, so the worktree and benchmark/Cargo.lock are never touched,
@@ -334,9 +363,10 @@ fleet) fleet ;;
 bench-gate) bench_gate ;;
 ccabench) ccabench ;;
 loc) loc "${2:-}" ;;
+surface) surface ;;
 pairs) pairs "${@:2}" ;;
 *)
-    echo "unknown mode '$MODE' (want all|build-test|clippy|fmt|doc|examples|fault|fleet|bench-gate|ccabench|loc|pairs)" >&2
+    echo "unknown mode '$MODE' (want all|build-test|clippy|fmt|doc|examples|fault|fleet|bench-gate|ccabench|loc|surface|pairs)" >&2
     exit 2
     ;;
 esac
