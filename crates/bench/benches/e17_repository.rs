@@ -14,7 +14,11 @@
 //!   rebuilds its shard reads `types / shards`; the two-segment snapshot
 //!   (PR 24) rebuilds at most eight entries and folds the shard on every
 //!   ninth deposit to it, ≈ `types / shards / 9 + 4` in the long run.
-//!   Gate: **≤ `types / shards / 4`**.
+//!   Gate: **≤ `types / shards / 4`**. The same singles, split by
+//!   whether the deposit folded (`cca_obs::repo().folds()` moved), give
+//!   `append_us`, `fold_us` and their ratio `fold_over_append` (recorded):
+//!   the mean deposit is (`RECENT_MAX` × append + fold) ÷ (`RECENT_MAX` +
+//!   1), so the ratio is what a choice of `RECENT_MAX` trades against.
 //! * `exact_lookup_ns` — class → entry through the shard hash and a
 //!   frozen snapshot, per lookup, summarised by block medians. Gate:
 //!   **< 5 µs**.
@@ -184,16 +188,28 @@ fn main() {
     };
     const SINGLES: usize = 256;
     let indexed_before = cca_obs::repo().snapshot().entries_indexed;
+    let (mut appends, mut folds) = (Vec::new(), Vec::new());
     let samples: Vec<f64> = (0..SINGLES)
         .map(|k| {
             let entry = late(k);
+            let folds_before = cca_obs::repo().folds();
             let start = Instant::now();
             repo.register_component(entry).expect("new class");
-            start.elapsed().as_secs_f64() * 1e6
+            let us = start.elapsed().as_secs_f64() * 1e6;
+            if cca_obs::repo().folds() > folds_before {
+                folds.push(us);
+            } else {
+                appends.push(us);
+            }
+            us
         })
         .collect();
     let indexed = cca_obs::repo().snapshot().entries_indexed - indexed_before;
     report.metric("single_deposit_us", Stats::from_blocks(&samples, 16));
+    let (appends, folds) = (Stats::from_samples(&appends), Stats::from_samples(&folds));
+    report.metric("append_us", appends);
+    report.metric("fold_us", folds);
+    report.count("fold_over_append", folds.median / appends.median);
     report
         .count(
             "entries_indexed_per_deposit",
