@@ -224,7 +224,7 @@ impl TrigramIndex {
         let mut keys = Vec::with_capacity(order.len());
         let mut spans = Vec::with_capacity(order.len());
         let mut total = 0u32;
-        for &i in &order {
+        for i in order {
             let slot = &mut table.slots[i as usize];
             let start = total;
             total += slot.n;
@@ -233,61 +233,20 @@ impl TrigramIndex {
             slot.n = start;
             slot.last = UNSEEN;
         }
-        drop(order);
 
         let mut postings = Vec::with_capacity(size_class(total as usize));
         postings.resize(total as usize, 0);
         for ordinal in 0..count {
-            let ordinal = ordinal as u32;
-            for_each_window(parts(ordinal as usize), |t| {
+            let posted = ordinal as u32;
+            for_each_window(parts(ordinal), |t| {
                 let i = table.position(t);
                 let slot = &mut table.slots[i];
-                if slot.last != ordinal {
-                    slot.last = ordinal;
-                    postings[slot.n as usize] = ordinal;
+                if slot.last != posted {
+                    slot.last = posted;
+                    postings[slot.n as usize] = posted;
                     slot.n += 1;
                 }
             });
-        }
-        TrigramIndex {
-            keys,
-            spans,
-            postings,
-        }
-    }
-
-    /// The pair-sort build the counting build replaced: every (trigram,
-    /// ordinal) pair in one vector, sorted. Kept as the oracle the
-    /// counting build must match bit for bit.
-    #[cfg(test)]
-    fn build_by_sort(texts: &[impl AsRef<str>]) -> Self {
-        let mut pairs: Vec<(Trigram, u32)> = Vec::new();
-        let mut scratch = Vec::new();
-        for (ordinal, text) in texts.iter().enumerate() {
-            trigrams_of(text.as_ref(), &mut scratch);
-            for &t in &scratch {
-                pairs.push((t, ordinal as u32));
-            }
-        }
-        // Trigram-major, ordinal-minor: each key's posting run comes out
-        // sorted, and runs are contiguous.
-        pairs.sort_unstable();
-        let mut keys = Vec::new();
-        let mut spans = Vec::new();
-        let mut postings = Vec::with_capacity(size_class(pairs.len()));
-        for (t, ordinal) in pairs {
-            if keys.last() != Some(&t) {
-                if let Some(last) = spans.last_mut() {
-                    let l: &mut (u32, u32) = last;
-                    l.1 = postings.len() as u32;
-                }
-                keys.push(t);
-                spans.push((postings.len() as u32, postings.len() as u32));
-            }
-            postings.push(ordinal);
-        }
-        if let Some(last) = spans.last_mut() {
-            last.1 = postings.len() as u32;
         }
         TrigramIndex {
             keys,
@@ -507,10 +466,49 @@ mod tests {
         assert!(tight > loose);
     }
 
+    /// The pair-sort build the counting build replaced: every (trigram,
+    /// ordinal) pair in one vector, sorted. Kept as the oracle the
+    /// counting build must match bit for bit.
+    fn build_by_sort(texts: &[impl AsRef<str>]) -> TrigramIndex {
+        let mut pairs: Vec<(Trigram, u32)> = Vec::new();
+        let mut scratch = Vec::new();
+        for (ordinal, text) in texts.iter().enumerate() {
+            trigrams_of(text.as_ref(), &mut scratch);
+            for &t in &scratch {
+                pairs.push((t, ordinal as u32));
+            }
+        }
+        // Trigram-major, ordinal-minor: each key's posting run comes out
+        // sorted, and runs are contiguous.
+        pairs.sort_unstable();
+        let mut keys = Vec::new();
+        let mut spans = Vec::new();
+        let mut postings = Vec::with_capacity(size_class(pairs.len()));
+        for (t, ordinal) in pairs {
+            if keys.last() != Some(&t) {
+                if let Some(last) = spans.last_mut() {
+                    let l: &mut (u32, u32) = last;
+                    l.1 = postings.len() as u32;
+                }
+                keys.push(t);
+                spans.push((postings.len() as u32, postings.len() as u32));
+            }
+            postings.push(ordinal);
+        }
+        if let Some(last) = spans.last_mut() {
+            last.1 = postings.len() as u32;
+        }
+        TrigramIndex {
+            keys,
+            spans,
+            postings,
+        }
+    }
+
     /// Asserts the counting build and the pair sort agree exactly.
     fn same_as_the_pair_sort(texts: &[String]) {
         let counted = TrigramIndex::build(texts);
-        let sorted = TrigramIndex::build_by_sort(texts);
+        let sorted = build_by_sort(texts);
         assert_eq!(counted.keys, sorted.keys);
         assert_eq!(counted.spans, sorted.spans);
         assert_eq!(counted.postings, sorted.postings);
