@@ -103,8 +103,8 @@ struct SlotTable {
 impl SlotTable {
     /// A table for `windows` trigram windows, which hold at most that many
     /// distinct keys: one slot a window, rounded up to a power of two, and
-    /// at most 4,096 to start. An appended segment's few hundred windows
-    /// get a few hundred slots; a shard's few hundred thousand windows
+    /// at most 4,096 to start. An appended segment's several hundred
+    /// windows get as many slots; a shard's few hundred thousand windows
     /// hold a few thousand keys, and the table doubles as they come in.
     fn for_windows(windows: usize) -> Self {
         Self::with_slots(windows.next_power_of_two().clamp(16, 4096))
