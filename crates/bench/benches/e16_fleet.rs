@@ -1,12 +1,12 @@
 //! E16 — worker-fleet overhead and recovery latency.
 //!
 //! PR 9 moves ranks out of the framework process: collectives that used
-//! to ride crossbeam channels now round-trip through the fleet hub over
+//! to ride in-process channels now round-trip through the fleet hub over
 //! real `tcp+mux://` sockets, and a dead rank is restarted and rejoined
 //! instead of sinking the run. Two costs follow, both measured here:
 //!
 //! * `wire_allreduce_ns` vs `thread_allreduce_ns` — the same 4-rank
-//!   f64 sum-allreduce on the in-process crossbeam substrate and on
+//!   f64 sum-allreduce on the in-process channel substrate and on
 //!   hub-routed process-fleet wiring (real sockets, join handshake,
 //!   long-poll recv), per call on rank 0, summarised by block medians.
 //!   The ratio is the price of crash-survivability. Gate: the wire

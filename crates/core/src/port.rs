@@ -106,11 +106,6 @@ impl PortHandle {
         &self.port_type
     }
 
-    /// The interned SIDL interface type (shareable without copying).
-    pub fn port_type_arc(&self) -> &Arc<str> {
-        &self.port_type
-    }
-
     /// Port properties.
     pub fn properties(&self) -> &TypeMap {
         &self.properties
@@ -344,11 +339,6 @@ impl UsesSlot {
     pub fn fan_out(&self) -> usize {
         self.connections.len()
     }
-
-    /// True if at least one provider is connected.
-    pub fn is_connected(&self) -> bool {
-        !self.connections.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -391,7 +381,7 @@ mod tests {
         let handle = PortHandle::new("greeter", "demo.Greeter", provider);
         let copy = handle.clone();
         assert!(Arc::ptr_eq(handle.port_name_arc(), copy.port_name_arc()));
-        assert!(Arc::ptr_eq(handle.port_type_arc(), copy.port_type_arc()));
+        assert!(Arc::ptr_eq(&handle.port_type, &copy.port_type));
         // Renaming to the identical name keeps the interned original.
         let same = handle.renamed("greeter");
         assert!(Arc::ptr_eq(handle.port_name_arc(), same.port_name_arc()));
@@ -435,11 +425,9 @@ mod tests {
             port_type: "esi.Solver".into(),
             properties: TypeMap::new(),
         });
-        assert!(!slot.is_connected());
         assert_eq!(slot.fan_out(), 0);
         slot.push_connection(PortHandle::new("s1", "esi.Solver", Arc::new(1u8)));
         slot.push_connection(PortHandle::new("s2", "esi.Solver", Arc::new(2u8)));
-        assert!(slot.is_connected());
         assert_eq!(slot.fan_out(), 2);
         // Copy-on-write: an earlier snapshot is unaffected by mutation.
         let snapshot = Arc::clone(slot.connections());
@@ -448,7 +436,7 @@ mod tests {
         assert_eq!(slot.fan_out(), 1);
         assert_eq!(snapshot.len(), 2);
         slot.clear_connections();
-        assert!(!slot.is_connected());
+        assert_eq!(slot.fan_out(), 0);
     }
 
     #[test]

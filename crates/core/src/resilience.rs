@@ -44,7 +44,7 @@ pub const DEADLINE_EXCEPTION_TYPE: &str = "cca.rpc.DeadlineExceeded";
 /// Environment variable naming the deterministic fault-schedule seed used
 /// by fault-injection tests (the CI fault matrix runs seeds 1, 7, 42 and
 /// 1999). See [`fault_seed_from_env`].
-pub const FAULT_SEED_ENV: &str = "CCA_FAULT_SEED";
+const FAULT_SEED_ENV: &str = "CCA_FAULT_SEED";
 
 /// The fault-schedule seed from `CCA_FAULT_SEED`, defaulting to 1. Invalid
 /// values fall back to the default rather than erroring, so a typo in a CI

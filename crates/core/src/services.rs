@@ -92,11 +92,6 @@ impl CcaServices {
         })
     }
 
-    /// The owning component's instance name.
-    pub fn component_name(&self) -> &str {
-        &self.component_name
-    }
-
     /// The current table generation. Any `connect`/`disconnect`/
     /// `add`/`remove`/`register`/`release` bumps it; a [`CachedPort`] whose
     /// remembered generation still matches may keep using its memoized
@@ -256,18 +251,6 @@ impl CcaServices {
             .get(name)
             .ok_or_else(|| CcaError::PortNotFound(name.to_string()))?;
         Ok(slot.healthy_connections())
-    }
-
-    /// The raw connection list, quarantined providers included. This is
-    /// what builders and monitors walk — a quarantined connection still
-    /// *exists*; it is only skipped by the invocation paths.
-    pub fn all_ports(&self, name: &str) -> Result<Arc<[PortHandle]>, CcaError> {
-        let tables = self.snapshot();
-        let slot = tables
-            .uses
-            .get(name)
-            .ok_or_else(|| CcaError::PortNotFound(name.to_string()))?;
-        Ok(Arc::clone(slot.connections()))
     }
 
     /// Typed convenience: `getPort` plus downcast to the port trait. For
@@ -654,7 +637,7 @@ impl<P: ?Sized + Send + Sync + 'static> CachedPort<P> {
 
     /// Cloning convenience for callers that need an owned `Arc<P>`.
     #[inline]
-    pub fn get_cloned(&mut self) -> Result<Arc<P>, CcaError> {
+    fn get_cloned(&mut self) -> Result<Arc<P>, CcaError> {
         self.get().map(Arc::clone)
     }
 
@@ -748,14 +731,8 @@ impl<P: ?Sized + Send + Sync + 'static> CachedPort<P> {
         }
     }
 
-    /// True if the memo is currently populated (diagnostic; says nothing
-    /// about staleness until the next `get`).
-    pub fn is_resolved(&self) -> bool {
-        self.port.is_some()
-    }
-
     /// Drops the memo, forcing the next `get` to re-resolve.
-    pub fn invalidate(&mut self) {
+    fn invalidate(&mut self) {
         self.port = None;
     }
 
@@ -944,7 +921,7 @@ mod tests {
             "direct"
         );
         assert_eq!(s.uses_port_type("u1").unwrap(), "demo.Adder");
-        assert_eq!(s.component_name(), "c");
+        assert_eq!(&*s.component_name, "c");
         assert!(format!("{s:?}").contains("p1"));
     }
 
@@ -1010,9 +987,9 @@ mod cached_port_tests {
     fn memoizes_until_generation_changes() {
         let (user, _p) = wired(0);
         let mut port = user.cached_port::<dyn Adder>("in");
-        assert!(!port.is_resolved());
+        assert!(port.port.is_none());
         let first = Arc::as_ptr(port.get().unwrap());
-        assert!(port.is_resolved());
+        assert!(port.port.is_some());
         // No mutation — the memo survives and is the identical object.
         assert_eq!(Arc::as_ptr(port.get().unwrap()), first);
         assert_eq!(port.get().unwrap().add(1, 2), 3);
@@ -1027,7 +1004,7 @@ mod cached_port_tests {
         user.disconnect_uses("in", 0).unwrap();
         // The stale memo must not be served after the disconnect.
         assert!(matches!(port.get(), Err(CcaError::PortNotConnected(_))));
-        assert!(!port.is_resolved());
+        assert!(port.port.is_none());
         // Errors stay sticky until a reconnect...
         assert!(port.get().is_err());
         let provider2 = CcaServices::new("p2");
@@ -1060,7 +1037,7 @@ mod cached_port_tests {
         let mut port = user.cached_port::<dyn Adder>("in");
         port.get().unwrap();
         port.invalidate();
-        assert!(!port.is_resolved());
+        assert!(port.port.is_none());
         assert_eq!(port.get().unwrap().add(5, 5), 10);
         assert_eq!(port.name(), "in");
     }
@@ -1236,7 +1213,7 @@ mod resilience_tests {
         assert_eq!(resolved.id(), "p2");
         // get_ports skips the quarantined provider; the raw list keeps it.
         assert_eq!(user.get_ports("work").unwrap().len(), 1);
-        assert_eq!(user.all_ports("work").unwrap().len(), 2);
+        assert_eq!(user.snapshot().uses["work"].fan_out(), 2);
     }
 
     #[test]

@@ -56,7 +56,7 @@ impl ProcessGrid {
     }
 
     /// Converts grid coordinates to a linear rank.
-    pub fn rank_of(&self, coords: &[usize]) -> Result<usize, DataError> {
+    fn rank_of(&self, coords: &[usize]) -> Result<usize, DataError> {
         if coords.len() != self.rank() {
             return Err(DataError::RankMismatch {
                 expected: self.rank(),
@@ -300,15 +300,6 @@ impl DistArrayDesc {
         (i / (p * b)) * b + i % b
     }
 
-    /// The global index along dimension `d` of local index `l` on the
-    /// process with grid coordinate `coord` in that dimension.
-    fn dim_global(&self, d: usize, coord: usize, l: usize) -> usize {
-        let n = self.global_extents[d];
-        let p = self.dist.grid().extents()[d];
-        let b = self.dist.dims()[d].block_size(n, p).expect("validated");
-        ((l / b) * p + coord) * b + l % b
-    }
-
     /// Number of locally owned indices along dimension `d` on grid
     /// coordinate `coord`.
     fn dim_local_extent(&self, d: usize, coord: usize) -> usize {
@@ -370,29 +361,6 @@ impl DistArrayDesc {
             stride *= extents[d];
         }
         Ok(off)
-    }
-
-    /// Maps `(rank, local_index)` back to the global multi-index.
-    pub fn local_to_global(&self, rank: usize, local: &[usize]) -> Result<Vec<usize>, DataError> {
-        let coords = self.dist.grid().coords_of(rank)?;
-        if local.len() != self.rank() {
-            return Err(DataError::RankMismatch {
-                expected: self.rank(),
-                found: local.len(),
-            });
-        }
-        let mut global = Vec::with_capacity(self.rank());
-        for d in 0..self.rank() {
-            if local[d] >= self.dim_local_extent(d, coords[d]) {
-                return Err(DataError::IndexOutOfBounds {
-                    index: local.iter().map(|&x| x as isize).collect(),
-                    lower: vec![0; self.rank()],
-                    extents: self.local_extents(rank)?,
-                });
-            }
-            global.push(self.dim_global(d, coords[d], local[d]));
-        }
-        Ok(global)
     }
 
     /// The contiguous global intervals owned along dimension `d` by grid
@@ -529,13 +497,18 @@ mod tests {
         )
         .unwrap();
         let d = DistArrayDesc::new(&[5, 6], dist).unwrap();
+        // Every global index lands on a distinct in-range local slot.
+        let mut seen = std::collections::HashSet::new();
         for i in 0..5 {
             for j in 0..6 {
                 let (rank, local) = d.global_to_local(&[i, j]).unwrap();
-                let back = d.local_to_global(rank, &local).unwrap();
-                assert_eq!(back, vec![i, j]);
+                let extents = d.local_extents(rank).unwrap();
+                assert!(local.iter().zip(&extents).all(|(l, e)| l < e));
+                assert!(seen.insert((rank, local)), "({i}, {j}) collides");
             }
         }
+        let total: usize = (0..d.nranks()).map(|r| d.local_count(r).unwrap()).sum();
+        assert_eq!(seen.len(), total);
     }
 
     #[test]
@@ -687,11 +660,17 @@ mod proptests {
                 start: vec![0; d.rank()],
                 len: d.global_extents().to_vec(),
             };
+            // Injective into in-range local slots, whose counts sum to
+            // the global count: a bijection.
+            let mut seen = std::collections::HashSet::new();
             for idx in full.indices() {
                 let (rank, local) = d.global_to_local(&idx).unwrap();
-                let back = d.local_to_global(rank, &local).unwrap();
-                prop_assert_eq!(back, idx);
+                let extents = d.local_extents(rank).unwrap();
+                prop_assert!(local.iter().zip(&extents).all(|(l, e)| l < e));
+                prop_assert!(seen.insert((rank, local)));
             }
+            let total: usize = (0..d.nranks()).map(|r| d.local_count(r).unwrap()).sum();
+            prop_assert_eq!(seen.len(), total);
         }
 
         #[test]

@@ -5,7 +5,7 @@
 //! components written in Fortran 77/90 exchange such arrays across language
 //! boundaries. [`NdArray`] reproduces the Babel-era array model:
 //!
-//! * rank is a *runtime* property (1 ..= [`MAX_RANK`]),
+//! * rank is a *runtime* property (1 ..= `MAX_RANK`),
 //! * storage is column-major ([`Order::ColumnMajor`]) by default, the layout
 //!   Fortran mandates, with row-major available for C callers,
 //! * each dimension has an arbitrary (possibly negative) *lower bound*, as
@@ -18,7 +18,7 @@ use std::fmt;
 
 /// Maximum supported array rank (the Babel/SIDL implementations capped
 /// arrays at rank 7, matching Fortran 77's limit).
-pub const MAX_RANK: usize = 7;
+const MAX_RANK: usize = 7;
 
 /// Storage order of an [`NdArray`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -108,11 +108,7 @@ impl<T: Clone> NdArray<T> {
     }
 
     /// Creates an array from a flat vector in the given storage order.
-    pub fn from_vec_ordered(
-        extents: &[usize],
-        data: Vec<T>,
-        order: Order,
-    ) -> Result<Self, DataError> {
+    fn from_vec_ordered(extents: &[usize], data: Vec<T>, order: Order) -> Result<Self, DataError> {
         let lower = vec![0isize; extents.len()];
         Self::with_lower(&lower, extents, data, order)
     }
@@ -211,13 +207,8 @@ impl<T: Clone> NdArray<T> {
         self.order
     }
 
-    /// Per-dimension strides, in elements.
-    pub fn strides(&self) -> &[usize] {
-        &self.strides
-    }
-
     /// Flat storage offset of a logical multi-index.
-    pub fn offset_of(&self, index: &[isize]) -> Result<usize, DataError> {
+    fn offset_of(&self, index: &[isize]) -> Result<usize, DataError> {
         if index.len() != self.rank() {
             return Err(DataError::RankMismatch {
                 expected: self.rank(),
@@ -241,7 +232,7 @@ impl<T: Clone> NdArray<T> {
 
     /// Logical multi-index of a flat storage offset (the inverse of
     /// [`offset_of`](Self::offset_of) for contiguous arrays).
-    pub fn multi_index_of(&self, offset: usize) -> Result<Vec<isize>, DataError> {
+    fn multi_index_of(&self, offset: usize) -> Result<Vec<isize>, DataError> {
         if offset >= self.len() {
             return Err(DataError::IndexOutOfBounds {
                 index: vec![offset as isize],
@@ -278,26 +269,6 @@ impl<T: Clone> NdArray<T> {
     /// Raw storage in layout order.
     pub fn as_slice(&self) -> &[T] {
         &self.data
-    }
-
-    /// Mutable raw storage in layout order.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
-    /// Consumes the array, returning its flat storage.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
-    /// Iterates over `(multi_index, &element)` pairs in storage order.
-    pub fn indexed_iter(&self) -> impl Iterator<Item = (Vec<isize>, &T)> + '_ {
-        (0..self.len()).map(move |off| {
-            (
-                self.multi_index_of(off).expect("offset in range"),
-                &self.data[off],
-            )
-        })
     }
 
     /// Extracts a rectangular (possibly strided) section as a new owned
@@ -338,79 +309,6 @@ impl<T: Clone> NdArray<T> {
         NdArray::from_vec_ordered(&new_extents, out, self.order)
     }
 
-    /// Reinterprets the array with new extents (same element count, same
-    /// storage order, lower bounds reset to zero).
-    pub fn reshape(&self, extents: &[usize]) -> Result<NdArray<T>, DataError> {
-        let n: usize = extents.iter().product();
-        if n != self.len() {
-            return Err(DataError::ShapeMismatch {
-                expected: extents.to_vec(),
-                found: self.extents.clone(),
-            });
-        }
-        NdArray::from_vec_ordered(extents, self.data.clone(), self.order)
-    }
-
-    /// Returns a copy converted to the requested storage order, preserving
-    /// logical element positions.
-    pub fn to_order(&self, order: Order) -> NdArray<T> {
-        if order == self.order {
-            return self.clone();
-        }
-        let mut out = NdArray {
-            data: self.data.clone(),
-            lower: self.lower.clone(),
-            extents: self.extents.clone(),
-            strides: Self::contiguous_strides(&self.extents, order),
-            order,
-        };
-        for off in 0..self.len() {
-            let idx = self.multi_index_of(off).expect("offset in range");
-            let dst = out.offset_of(&idx).expect("index in range");
-            out.data[dst] = self.data[off].clone();
-        }
-        out
-    }
-
-    /// Permutes dimensions. `perm` must be a permutation of `0..rank`.
-    pub fn permute(&self, perm: &[usize]) -> Result<NdArray<T>, DataError> {
-        if perm.len() != self.rank() {
-            return Err(DataError::RankMismatch {
-                expected: self.rank(),
-                found: perm.len(),
-            });
-        }
-        let mut seen = vec![false; self.rank()];
-        for &p in perm {
-            if p >= self.rank() || seen[p] {
-                return Err(DataError::InvalidSlice(format!(
-                    "invalid permutation {perm:?}"
-                )));
-            }
-            seen[p] = true;
-        }
-        let new_extents: Vec<usize> = perm.iter().map(|&p| self.extents[p]).collect();
-        let new_lower: Vec<isize> = perm.iter().map(|&p| self.lower[p]).collect();
-        let n = self.len();
-        let mut out = NdArray {
-            data: self.data.clone(),
-            lower: new_lower,
-            extents: new_extents.clone(),
-            strides: Self::contiguous_strides(&new_extents, self.order),
-            order: self.order,
-        };
-        let mut new_idx = vec![0isize; self.rank()];
-        for off in 0..n {
-            let idx = self.multi_index_of(off).expect("offset in range");
-            for (d, &p) in perm.iter().enumerate() {
-                new_idx[d] = idx[p];
-            }
-            let dst = out.offset_of(&new_idx).expect("index in range");
-            out.data[dst] = self.data[off].clone();
-        }
-        Ok(out)
-    }
-
     /// Elementwise map producing a new array with the same shape.
     pub fn map<U: Clone>(&self, f: impl Fn(&T) -> U) -> NdArray<U> {
         NdArray {
@@ -420,33 +318,6 @@ impl<T: Clone> NdArray<T> {
             strides: self.strides.clone(),
             order: self.order,
         }
-    }
-
-    /// Elementwise zip of two same-shape arrays (shapes must match exactly,
-    /// including lower bounds and storage order).
-    pub fn zip_map<U: Clone, V: Clone>(
-        &self,
-        other: &NdArray<U>,
-        f: impl Fn(&T, &U) -> V,
-    ) -> Result<NdArray<V>, DataError> {
-        if self.extents != other.extents || self.lower != other.lower || self.order != other.order {
-            return Err(DataError::ShapeMismatch {
-                expected: self.extents.clone(),
-                found: other.extents.clone(),
-            });
-        }
-        Ok(NdArray {
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(a, b)| f(a, b))
-                .collect(),
-            lower: self.lower.clone(),
-            extents: self.extents.clone(),
-            strides: self.strides.clone(),
-            order: self.order,
-        })
     }
 }
 
@@ -550,7 +421,7 @@ mod tests {
         // A(1:9:2) of A(0:9) -> elements 1,3,5,7,9
         let a = NdArray::<i32>::from_vec(&[10], (0..10).collect()).unwrap();
         let s = a.slice(&[Slice::strided(1, 9, 2)]).unwrap();
-        assert_eq!(s.into_vec(), vec![1, 3, 5, 7, 9]);
+        assert_eq!(s.as_slice(), &[1, 3, 5, 7, 9]);
     }
 
     #[test]
@@ -565,63 +436,11 @@ mod tests {
     }
 
     #[test]
-    fn reshape_preserves_storage_order() {
-        let a = NdArray::<i32>::from_vec(&[2, 3], (0..6).collect()).unwrap();
-        let b = a.reshape(&[3, 2]).unwrap();
-        assert_eq!(b.as_slice(), a.as_slice());
-        assert!(a.reshape(&[4, 2]).is_err());
-    }
-
-    #[test]
-    fn order_conversion_preserves_logical_elements() {
-        let a = NdArray::<i32>::from_vec(&[3, 2], (0..6).collect()).unwrap();
-        let b = a.to_order(Order::RowMajor);
-        for j in 0..2isize {
-            for i in 0..3isize {
-                assert_eq!(a.get(&[i, j]).unwrap(), b.get(&[i, j]).unwrap());
-            }
-        }
-        // Physical layout differs.
-        assert_ne!(a.as_slice(), b.as_slice());
-        // Round trip restores layout.
-        assert_eq!(b.to_order(Order::ColumnMajor).as_slice(), a.as_slice());
-    }
-
-    #[test]
-    fn permute_is_transpose_for_rank2() {
-        let a = NdArray::<i32>::from_vec(&[3, 2], (0..6).collect()).unwrap();
-        let t = a.permute(&[1, 0]).unwrap();
-        assert_eq!(t.extents(), &[2, 3]);
-        for j in 0..2isize {
-            for i in 0..3isize {
-                assert_eq!(a.get(&[i, j]).unwrap(), t.get(&[j, i]).unwrap());
-            }
-        }
-        assert!(a.permute(&[0, 0]).is_err());
-        assert!(a.permute(&[0]).is_err());
-    }
-
-    #[test]
-    fn map_and_zip_map() {
+    fn map_applies_elementwise() {
         let a = NdArray::<i32>::from_vec(&[2, 2], vec![1, 2, 3, 4]).unwrap();
         let b = a.map(|x| x * 10);
         assert_eq!(b.as_slice(), &[10, 20, 30, 40]);
-        let c = a.zip_map(&b, |x, y| x + y).unwrap();
-        assert_eq!(c.as_slice(), &[11, 22, 33, 44]);
-        let d = NdArray::<i32>::from_vec(&[4], vec![0; 4]).unwrap();
-        assert!(a.zip_map(&d, |x, _| *x).is_err());
-    }
-
-    #[test]
-    fn indexed_iter_visits_all_elements_once() {
-        let a = NdArray::<i32>::from_vec(&[2, 3], (0..6).collect()).unwrap();
-        let mut seen = [false; 6];
-        for (idx, &v) in a.indexed_iter() {
-            assert_eq!(*a.get(&idx).unwrap(), v);
-            assert!(!seen[v as usize]);
-            seen[v as usize] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
+        assert_eq!(b.extents(), a.extents());
     }
 }
 
@@ -663,15 +482,6 @@ mod proptests {
                     prop_assert!(idx[d] < lower[d] + extents[d] as isize);
                 }
             }
-        }
-
-        #[test]
-        fn order_conversion_round_trips((lower, extents) in arb_shape()) {
-            let n: usize = extents.iter().product();
-            let data: Vec<u32> = (0..n as u32).collect();
-            let a = NdArray::with_lower(&lower, &extents, data, Order::ColumnMajor).unwrap();
-            let back = a.to_order(Order::RowMajor).to_order(Order::ColumnMajor);
-            prop_assert_eq!(a, back);
         }
 
         #[test]
@@ -803,30 +613,28 @@ impl<'a, T: Clone> NdView<'a, T> {
         }
         Ok(&self.data[off])
     }
-
-    /// Copies the view into a fresh contiguous column-major array.
-    pub fn to_array(&self) -> NdArray<T> {
-        let n = self.len();
-        let mut out = Vec::with_capacity(n);
-        let mut idx = vec![0usize; self.rank()];
-        for _ in 0..n {
-            out.push(self.get(&idx).expect("in-range").clone());
-            // Column-major increment.
-            for d in 0..self.rank() {
-                idx[d] += 1;
-                if idx[d] < self.extents[d] {
-                    break;
-                }
-                idx[d] = 0;
-            }
-        }
-        NdArray::from_vec(self.extents, out).expect("shape matches")
-    }
 }
 
 #[cfg(test)]
 mod view_tests {
     use super::*;
+
+    /// The view's elements in column-major order (first index fastest).
+    fn elements(v: &NdView<'_, i32>) -> Vec<i32> {
+        let mut out = Vec::with_capacity(v.len());
+        let mut idx = vec![0usize; v.rank()];
+        for _ in 0..v.len() {
+            out.push(*v.get(&idx).unwrap());
+            for d in 0..v.rank() {
+                idx[d] += 1;
+                if idx[d] < v.extents()[d] {
+                    break;
+                }
+                idx[d] = 0;
+            }
+        }
+        out
+    }
 
     #[test]
     fn full_view_reads_all_elements() {
@@ -856,7 +664,7 @@ mod view_tests {
         }
         // Equivalent to the copying slice.
         assert_eq!(
-            v.to_array().as_slice(),
+            elements(&v),
             a.slice(&[Slice::strided(1, 9, 2)]).unwrap().as_slice()
         );
     }
@@ -868,7 +676,8 @@ mod view_tests {
         let mut storage = ViewStorage::default();
         let v = a.section(&spec, &mut storage).unwrap();
         let copied = a.slice(&spec).unwrap();
-        assert_eq!(v.to_array(), copied);
+        assert_eq!(v.extents(), copied.extents());
+        assert_eq!(elements(&v), copied.as_slice());
     }
 
     #[test]
@@ -901,6 +710,6 @@ mod view_tests {
         let mut storage = ViewStorage::default();
         let v = a.section(&[Slice::range(3, 1)], &mut storage).unwrap();
         assert!(v.is_empty());
-        assert_eq!(v.to_array().len(), 0);
+        assert_eq!(elements(&v).len(), 0);
     }
 }

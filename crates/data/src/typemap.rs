@@ -175,16 +175,6 @@ impl TypeMap {
         self.entries.remove(key)
     }
 
-    /// True if the key exists (any type).
-    pub fn has_key(&self, key: &str) -> bool {
-        self.entries.contains_key(key)
-    }
-
-    /// The type name stored at `key`, if any.
-    pub fn type_of(&self, key: &str) -> Option<&'static str> {
-        self.entries.get(key).map(TypeMapValue::type_name)
-    }
-
     /// All keys in sorted order.
     pub fn keys(&self) -> impl Iterator<Item = &str> {
         self.entries.keys().map(String::as_str)
@@ -270,11 +260,11 @@ mod tests {
         m.put_int("k", 1);
         m.put_int("k", 2);
         assert_eq!(m.get_int("k", 0), 2);
-        // Replacing with a different type changes type_of.
+        // Replacing with a different type changes the stored type.
         m.put_string("k", "now a string".into());
-        assert_eq!(m.type_of("k"), Some("string"));
+        assert_eq!(m.get("k").map(TypeMapValue::type_name), Some("string"));
         assert!(m.remove("k").is_some());
-        assert!(!m.has_key("k"));
+        assert!(m.get("k").is_none());
         assert!(m.remove("k").is_none());
     }
 
@@ -307,7 +297,6 @@ mod tests {
         let m = TypeMap::new();
         assert!(m.is_empty());
         assert_eq!(m.len(), 0);
-        assert_eq!(m.type_of("anything"), None);
         assert_eq!(m.get("anything"), None);
     }
 }
@@ -342,7 +331,7 @@ mod proptests {
             prop_assert_eq!(m.len(), entries.len());
             for (k, v) in &entries {
                 prop_assert_eq!(m.get(k), Some(v));
-                prop_assert_eq!(m.type_of(k), Some(v.type_name()));
+                prop_assert_eq!(m.get(k).map(TypeMapValue::type_name), Some(v.type_name()));
             }
         }
     }

@@ -370,11 +370,6 @@ impl<T: BulkElem> BulkRedistSender<T> {
         self.acked[i]
     }
 
-    /// Number of transfers this rank owes.
-    pub fn transfer_count(&self) -> usize {
-        self.transfer_ids.len()
-    }
-
     /// Zeroes every watermark so the same arrays can be streamed again
     /// (bench iterations, repeated timesteps).
     pub fn reset(&mut self) {

@@ -686,6 +686,66 @@ mod tests {
         sup.shutdown();
     }
 
+    /// The paper's section 4 failure notification: a framework attached
+    /// to the supervisor hears, through its configuration listeners, a
+    /// killed rank die and then rejoin at its next incarnation.
+    #[test]
+    fn an_attached_framework_hears_a_killed_rank_die_and_rejoin() {
+        use crate::Framework;
+        use cca_core::event::RecordingListener;
+        use cca_core::ConfigEvent;
+        use cca_repository::Repository;
+
+        let (sup, launcher, clock) = mock_fleet(1);
+        let fw = Framework::new(Repository::new());
+        let rec = RecordingListener::new();
+        fw.add_listener(rec.clone());
+        sup.attach_framework(&fw);
+        sup.start();
+        join_ok(sup.hub(), 1, 0, 1, &[]);
+        sup.tick();
+        assert!(rec.is_empty(), "a first join is not a rejoin");
+
+        // kill -9: the process exits and its hub session closes.
+        launcher.last_for_rank(0).unwrap().exit_with(-9);
+        sup.hub().disconnected(1);
+        sup.tick();
+        let delay = match sup.events().last() {
+            Some(FleetEvent::RestartScheduled { delay_ns, .. }) => *delay_ns,
+            other => panic!("expected a scheduled restart, got {other:?}"),
+        };
+        clock.advance_ns(delay);
+        sup.tick(); // incarnation 2 launches...
+        join_ok(sup.hub(), 2, 0, 2, &[]);
+        sup.tick(); // ...and joins the hub.
+
+        let events = rec.events();
+        assert_eq!(events.len(), 2, "{events:?}");
+        assert!(
+            matches!(
+                events[0],
+                ConfigEvent::RankDied {
+                    rank: 0,
+                    incarnation: 1,
+                    ..
+                }
+            ),
+            "{events:?}"
+        );
+        assert!(
+            matches!(
+                events[1],
+                ConfigEvent::RankRejoined {
+                    rank: 0,
+                    incarnation: 2,
+                    ..
+                }
+            ),
+            "{events:?}"
+        );
+        sup.shutdown();
+    }
+
     #[test]
     fn double_crash_during_half_open_probe_reopens_the_breaker() {
         let (sup, launcher, clock) = mock_fleet(1);

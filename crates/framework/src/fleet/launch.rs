@@ -60,12 +60,6 @@ impl ExecLauncher {
         })
     }
 
-    /// Appends a command-line argument for every child.
-    pub fn with_arg(mut self, arg: impl Into<String>) -> Self {
-        self.args.push(arg.into());
-        self
-    }
-
     /// Sets an extra environment variable for every child.
     pub fn with_env(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
         self.envs.push((key.into(), value.into()));

@@ -183,7 +183,7 @@ impl HubLink {
     /// Deposits this rank's final result, then blocks (bounded by the
     /// park timeout) until every rank has one, so no rank leaves while a
     /// peer may still need it to redo a collective `finish`.
-    pub fn deposit_result(&self, bytes: &[u8]) -> Result<(), ParallelError> {
+    fn deposit_result(&self, bytes: &[u8]) -> Result<(), ParallelError> {
         self.park(Duration::from_millis(5), || {
             match self.call(ops::result_req(self.rank, self.generation(), bytes))? {
                 (ops::ST_OK, _, _) => Ok(Some(())),

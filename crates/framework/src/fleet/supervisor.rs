@@ -505,7 +505,7 @@ impl FleetSupervisor {
     /// Writes the supervisor + hub event log as JSONL under
     /// `CCA_FLIGHT_DIR` (no-op when unset). CI uploads this next to the
     /// flight-recorder incidents on a red fleet lane.
-    pub fn write_event_log(&self) -> Option<PathBuf> {
+    fn write_event_log(&self) -> Option<PathBuf> {
         let dir = std::env::var_os("CCA_FLIGHT_DIR")?;
         let dir = PathBuf::from(dir);
         std::fs::create_dir_all(&dir).ok()?;

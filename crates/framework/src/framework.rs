@@ -208,7 +208,7 @@ impl Framework {
 
     /// Reports a component failure to all listeners (the Configuration
     /// API's "notifying a builder of a component failure").
-    pub fn report_failure(&self, instance: &str, reason: impl Into<String>) {
+    fn report_failure(&self, instance: &str, reason: impl Into<String>) {
         self.emit(ConfigEvent::ComponentFailed {
             instance: instance.to_string(),
             reason: reason.into(),

@@ -47,7 +47,7 @@ impl LatencyHistogram {
 
     /// The bucket index for a sample (0 for 0–1 ns, then `floor(log2)`).
     #[inline]
-    pub fn bucket_of(ns: u64) -> usize {
+    fn bucket_of(ns: u64) -> usize {
         if ns <= 1 {
             0
         } else {
@@ -57,7 +57,7 @@ impl LatencyHistogram {
 
     /// Records one latency sample. Relaxed atomics, no allocation.
     #[inline]
-    pub fn record_ns(&self, ns: u64) {
+    fn record_ns(&self, ns: u64) {
         self.buckets[Self::bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
@@ -98,33 +98,12 @@ pub struct LatencySnapshot {
 
 impl LatencySnapshot {
     /// Mean latency in nanoseconds (0.0 when empty).
-    pub fn mean_ns(&self) -> f64 {
+    fn mean_ns(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
             self.sum_ns as f64 / self.count as f64
         }
-    }
-
-    /// Upper bound (exclusive, ns) of bucket `i`: `2^(i+1)`.
-    pub fn bucket_upper_ns(i: usize) -> u64 {
-        1u64 << (i + 1).min(63)
-    }
-
-    /// An approximate quantile (0.0–1.0) from the bucket upper bounds.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= rank.max(1) {
-                return Self::bucket_upper_ns(i);
-            }
-        }
-        Self::bucket_upper_ns(BUCKETS - 1)
     }
 
     /// Compact JSON: only non-empty buckets, as `[bucket_index, count]`.
@@ -344,6 +323,7 @@ pub struct TransportMetrics {
     bytes_in: AtomicU64,
     dials: AtomicU64,
     connection_drops: AtomicU64,
+    servant_panics: AtomicU64,
     latency: LatencyHistogram,
     per_method: Mutex<BTreeMap<String, u64>>,
 }
@@ -390,6 +370,12 @@ impl TransportMetrics {
         self.connection_drops.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records one servant panic the ORB caught and answered with a typed
+    /// exception. Unconditional, like [`record_dial`](Self::record_dial).
+    pub fn record_servant_panic(&self) {
+        self.servant_panics.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Socket dial attempts so far.
     pub fn dials(&self) -> u64 {
         self.dials.load(Ordering::Relaxed)
@@ -408,6 +394,7 @@ impl TransportMetrics {
             bytes_in: self.bytes_in.load(Ordering::Relaxed),
             dials: self.dials.load(Ordering::Relaxed),
             connection_drops: self.connection_drops.load(Ordering::Relaxed),
+            servant_panics: self.servant_panics.load(Ordering::Relaxed),
             latency: self.latency.snapshot(),
             per_method: self
                 .per_method
@@ -440,6 +427,9 @@ pub struct TransportSnapshot {
     pub dials: u64,
     /// Connections discarded after errors.
     pub connection_drops: u64,
+    /// Servant panics the ORB caught and answered with
+    /// `cca.rpc.ServantPanic` (server side only).
+    pub servant_panics: u64,
     /// Round-trip latency histogram.
     pub latency: LatencySnapshot,
     /// `(method, round_trips)` sorted by method name.
@@ -458,13 +448,14 @@ impl TransportSnapshot {
         format!(
             "{{\"round_trips\":{},\"bytes_out\":{},\"bytes_in\":{},\
              \"dials\":{},\"connection_drops\":{},\
-             \"per_method\":{{{methods}}},\"latency\":{}}}",
+             \"per_method\":{{{methods}}},\"latency\":{},\"servant_panics\":{}}}",
             self.round_trips,
             self.bytes_out,
             self.bytes_in,
             self.dials,
             self.connection_drops,
-            self.latency.to_json()
+            self.latency.to_json(),
+            self.servant_panics
         )
     }
 }
@@ -637,7 +628,6 @@ mod tests {
         assert_eq!(s.buckets[10], 1);
         assert_eq!(s.sum_ns, 2027);
         assert!((s.mean_ns() - 2027.0 / 3.0).abs() < 1e-9);
-        assert!(s.quantile_ns(0.5) >= 512);
         assert!(s.to_json().contains("\"count\":3"));
     }
 
@@ -645,7 +635,6 @@ mod tests {
     fn empty_histogram_reports_zero() {
         let s = LatencyHistogram::new().snapshot();
         assert_eq!(s.mean_ns(), 0.0);
-        assert_eq!(s.quantile_ns(0.99), 0);
         assert!(s.to_json().contains("\"log2_buckets\":[]"));
     }
 
@@ -717,6 +706,11 @@ mod tests {
         assert_eq!(s.connection_drops, 1);
         assert!(s.to_json().contains("\"dials\":2"));
         assert!(s.to_json().contains("\"connection_drops\":1"));
+        // Servant panics are counted unconditionally too, last in the JSON.
+        t.record_servant_panic();
+        let s = t.snapshot();
+        assert_eq!(s.servant_panics, 1);
+        assert!(s.to_json().ends_with(",\"servant_panics\":1}"));
     }
 
     #[test]

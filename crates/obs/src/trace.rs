@@ -378,11 +378,6 @@ pub struct Span {
 }
 
 impl Span {
-    /// True if this guard will record on drop.
-    pub fn is_recording(&self) -> bool {
-        self.start.is_some()
-    }
-
     /// This span's wire identity, for callers that propagate manually.
     pub fn context(&self) -> Option<TraceContext> {
         self.start.map(|_| TraceContext {
@@ -737,7 +732,7 @@ mod tests {
         drain();
         {
             let s = span("getPort");
-            assert!(s.is_recording());
+            assert!(s.start.is_some());
             trace_instant("connected");
         }
         flags::set_tracing(false);
@@ -774,7 +769,7 @@ mod tests {
         flags::set_tracing(false);
         drain();
         let s = span("ignored");
-        assert!(!s.is_recording());
+        assert!(s.start.is_none());
         assert!(s.context().is_none());
         drop(s);
         trace_instant("ignored");

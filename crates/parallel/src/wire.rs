@@ -43,7 +43,7 @@ pub struct WireMsg {
 /// `send` must be non-blocking in the MPI "eager" sense (buffered by the
 /// far side); `recv` blocks until *any* message for this rank arrives —
 /// the communicator does its own (source, context, tag) matching and
-/// buffering, exactly as over crossbeam channels. Both surface fleet
+/// buffering, exactly as over the in-process channels. Both surface fleet
 /// interruptions ([`ParallelError::Interrupted`]) when the rank group's
 /// generation changes under the caller, and [`ParallelError::Timeout`]
 /// instead of hanging when the link's park deadline expires.

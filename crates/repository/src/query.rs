@@ -55,12 +55,6 @@ impl Query {
         self
     }
 
-    /// Restricts to a package prefix.
-    pub fn in_package(mut self, package: impl Into<String>) -> Self {
-        self.package = Some(package.into());
-        self
-    }
-
     /// Restricts by free text.
     pub fn with_text(mut self, text: impl Into<String>) -> Self {
         self.text = Some(text.into());
@@ -446,7 +440,11 @@ mod tests {
     #[test]
     fn package_and_text_filters() {
         let repo = demo_repo();
-        assert_eq!(repo.search(&Query::any().in_package("viz.")).len(), 1);
+        let viz = Query {
+            package: Some("viz.".into()),
+            ..Query::any()
+        };
+        assert_eq!(repo.search(&viz).len(), 1);
         let krylov = repo.search(&Query::any().with_text("KRYLOV"));
         assert_eq!(krylov.len(), 1);
         assert_eq!(krylov[0].class, "esi.Cg");
@@ -465,7 +463,10 @@ mod tests {
     #[test]
     fn filters_conjoin() {
         let repo = demo_repo();
-        let none = repo.search(&Query::any().providing("esi.Operator").in_package("viz."));
+        let none = repo.search(&Query {
+            package: Some("viz.".into()),
+            ..Query::any().providing("esi.Operator")
+        });
         assert!(none.is_empty());
         let one = repo.search(
             &Query::any()

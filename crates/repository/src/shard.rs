@@ -308,7 +308,7 @@ impl ShardedStore {
     }
 
     /// The shard a class name hashes to.
-    pub fn shard_of(&self, class: &str) -> usize {
+    fn shard_of(&self, class: &str) -> usize {
         (fnv1a(class) % self.shards.len() as u64) as usize
     }
 

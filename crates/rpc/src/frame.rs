@@ -42,7 +42,7 @@ use cca_sidl::SidlError;
 use std::fmt;
 
 /// The four magic bytes opening every frame.
-pub const FRAME_MAGIC: [u8; 4] = *b"CCAR";
+const FRAME_MAGIC: [u8; 4] = *b"CCAR";
 
 /// The protocol version this build speaks.
 pub const FRAME_VERSION: u8 = 2;
@@ -87,7 +87,7 @@ pub enum FrameKind {
 
 impl FrameKind {
     /// The wire encoding of this kind (header byte 5).
-    pub fn to_byte(self) -> u8 {
+    fn to_byte(self) -> u8 {
         match self {
             FrameKind::Request => 0,
             FrameKind::Reply => 1,
@@ -128,7 +128,7 @@ pub struct Frame {
 /// peer produced (or an attacker forged); none of them panic the reader.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameError {
-    /// The first four bytes were not [`FRAME_MAGIC`].
+    /// The first four bytes were not `FRAME_MAGIC`.
     BadMagic([u8; 4]),
     /// The version byte names a protocol this build does not speak.
     BadVersion(u8),

@@ -86,7 +86,8 @@ impl Orb {
 
     /// Server-side transport metrics: one round trip recorded per
     /// dispatched request (when counters are enabled), with request/reply
-    /// payload sizes and dispatch latency.
+    /// payload sizes and dispatch latency, and every servant panic caught
+    /// (always).
     pub fn metrics(&self) -> &TransportMetrics {
         &self.metrics
     }
@@ -105,8 +106,8 @@ impl Dispatcher for Orb {
         let servant = self.objects.lock().get(&req.object_key).cloned();
         let result = match servant {
             // A panicking servant costs its caller one call: the panic
-            // becomes a typed exception reply, and the thread that
-            // dispatched it lives on.
+            // becomes a typed exception reply, counted whether or not
+            // counters are on, and the thread that dispatched it lives on.
             Some(obj) => match catch_unwind(AssertUnwindSafe(|| {
                 obj.invoke(&req.operation, req.args)
             })) {
@@ -116,7 +117,10 @@ impl Dispatcher for Orb {
                     message,
                 })) => Err((exception_type, message)),
                 Ok(Err(other)) => Err(("cca.rpc.SystemException".to_string(), other.to_string())),
-                Err(panic) => Err((SERVANT_PANIC_TYPE.to_string(), panic_message(&*panic))),
+                Err(panic) => {
+                    self.metrics.record_servant_panic();
+                    Err((SERVANT_PANIC_TYPE.to_string(), panic_message(&*panic)))
+                }
             },
             None => Err((
                 "cca.rpc.ObjectNotFound".to_string(),

@@ -12,7 +12,6 @@
 
 use bytes::Bytes;
 use cca_sidl::SidlError;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A synchronous request/response byte transport.
@@ -30,27 +29,17 @@ pub trait Dispatcher: Send + Sync {
 /// Same-address-space transport: calls the dispatcher directly.
 pub struct LoopbackTransport {
     server: Arc<dyn Dispatcher>,
-    calls: AtomicU64,
 }
 
 impl LoopbackTransport {
     /// Wraps a dispatcher.
     pub fn new(server: Arc<dyn Dispatcher>) -> Arc<Self> {
-        Arc::new(LoopbackTransport {
-            server,
-            calls: AtomicU64::new(0),
-        })
-    }
-
-    /// Number of calls carried so far.
-    pub fn call_count(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
+        Arc::new(LoopbackTransport { server })
     }
 }
 
 impl Transport for LoopbackTransport {
     fn call(&self, request: Bytes) -> Result<Bytes, SidlError> {
-        self.calls.fetch_add(1, Ordering::Relaxed);
         self.server.dispatch(request)
     }
 }
@@ -59,22 +48,27 @@ impl Transport for LoopbackTransport {
 mod tests {
     use super::*;
 
-    /// Echo dispatcher for transport tests.
-    struct Echo;
-    impl Dispatcher for Echo {
+    /// Echo dispatcher for transport tests, counting the requests it was
+    /// handed.
+    #[derive(Default)]
+    struct CountingEcho(std::sync::atomic::AtomicU64);
+    impl Dispatcher for CountingEcho {
         fn dispatch(&self, request: Bytes) -> Result<Bytes, SidlError> {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             Ok(request)
         }
     }
 
     #[test]
     fn loopback_round_trips_and_counts() {
-        let t = LoopbackTransport::new(Arc::new(Echo));
+        let server = Arc::new(CountingEcho::default());
+        let seen = || server.0.load(std::sync::atomic::Ordering::Relaxed);
+        let t = LoopbackTransport::new(server.clone());
         let reply = t.call(Bytes::from_static(b"ping")).unwrap();
         assert_eq!(&reply[..], b"ping");
-        assert_eq!(t.call_count(), 1);
+        assert_eq!(seen(), 1);
         t.call(Bytes::from_static(b"again")).unwrap();
-        assert_eq!(t.call_count(), 2);
+        assert_eq!(seen(), 2);
     }
 
     #[test]

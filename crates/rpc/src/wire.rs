@@ -17,28 +17,28 @@
 //! present before anything is allocated for it: a hostile header is a
 //! typed error, never an overflow or a giant allocation.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 use cca_data::le::{self, LeScalar, Reader, Writer};
 use cca_data::{Complex32, NdArray, Order};
 use cca_sidl::{DynValue, SidlError};
 
 /// Tag bytes for [`DynValue`] variants.
 mod tag {
-    pub const VOID: u8 = 0;
-    pub const BOOL: u8 = 1;
-    pub const CHAR: u8 = 2;
+    pub(super) const VOID: u8 = 0;
+    pub(super) const BOOL: u8 = 1;
+    pub(super) const CHAR: u8 = 2;
     pub const INT: u8 = 3;
-    pub const LONG: u8 = 4;
-    pub const FLOAT: u8 = 5;
+    pub(super) const LONG: u8 = 4;
+    pub(super) const FLOAT: u8 = 5;
     pub const DOUBLE: u8 = 6;
-    pub const FCOMPLEX: u8 = 7;
-    pub const DCOMPLEX: u8 = 8;
-    pub const STR: u8 = 9;
-    pub const OPAQUE: u8 = 10;
-    pub const DOUBLE_ARRAY: u8 = 11;
-    pub const LONG_ARRAY: u8 = 12;
-    pub const DCOMPLEX_ARRAY: u8 = 13;
-    pub const ENUM: u8 = 14;
+    pub(super) const FCOMPLEX: u8 = 7;
+    pub(super) const DCOMPLEX: u8 = 8;
+    pub(super) const STR: u8 = 9;
+    pub(super) const OPAQUE: u8 = 10;
+    pub(super) const DOUBLE_ARRAY: u8 = 11;
+    pub(super) const LONG_ARRAY: u8 = 12;
+    pub(super) const DCOMPLEX_ARRAY: u8 = 13;
+    pub(super) const ENUM: u8 = 14;
 }
 
 /// A marshaled request: "call `operation` on the object registered under
@@ -65,17 +65,6 @@ pub struct Reply {
     pub result: Result<DynValue, (String, String)>,
 }
 
-/// Marshals one value, appending it to `buf`.
-pub fn encode_value(buf: &mut BytesMut, v: &DynValue) -> Result<(), SidlError> {
-    refuse_objects(std::slice::from_ref(v))?;
-    let at = buf.len();
-    buf.put_bytes(0, encoded_len(v));
-    let mut w = Writer::new(&mut buf[at..]);
-    write_value(&mut w, v);
-    w.finish();
-    Ok(())
-}
-
 /// Object references travel as registration keys, never by value.
 fn refuse_objects(values: &[DynValue]) -> Result<(), SidlError> {
     if values.iter().any(|v| matches!(v, DynValue::Object(_))) {
@@ -88,7 +77,7 @@ fn refuse_objects(values: &[DynValue]) -> Result<(), SidlError> {
     Ok(())
 }
 
-/// Bytes [`encode_value`] appends for `v`.
+/// Bytes [`write_value`] writes for `v`.
 fn encoded_len(v: &DynValue) -> usize {
     1 + match v {
         DynValue::Void | DynValue::Object(_) => 0,
@@ -139,15 +128,6 @@ fn write_value(w: &mut Writer<'_>, v: &DynValue) {
             w.put(*value);
         }
     }
-}
-
-/// Unmarshals one value, advancing `buf` past it.
-pub fn decode_value(buf: &mut Bytes) -> Result<DynValue, SidlError> {
-    let mut r = Reader::new(buf);
-    let value = read_value(&mut r).map_err(bad)?;
-    let used = buf.len() - r.remaining();
-    buf.advance(used);
-    Ok(value)
 }
 
 fn read_value(r: &mut Reader<'_>) -> Result<DynValue, le::Error> {
@@ -249,8 +229,7 @@ pub fn encode_reply(reply: &Reply) -> Result<Bytes, SidlError> {
 /// One allocation of exactly `len` bytes, written front to back by
 /// `write` through a single borrow of the buffer.
 fn encode_message(len: usize, write: impl FnOnce(&mut Writer<'_>)) -> Bytes {
-    let mut buf = BytesMut::with_capacity(len);
-    buf.put_bytes(0, len);
+    let mut buf = BytesMut::zeroed(len);
     let mut w = Writer::new(&mut buf);
     write(&mut w);
     w.finish();
@@ -322,13 +301,17 @@ mod tests {
     use super::*;
     use cca_data::Complex64;
 
+    /// A value out and back as a reply's result (`le::decode` refuses
+    /// trailing bytes, so the whole encoding was consumed).
     fn round_trip(v: DynValue) -> DynValue {
-        let mut buf = BytesMut::new();
-        encode_value(&mut buf, &v).unwrap();
-        let mut bytes = buf.freeze();
-        let back = decode_value(&mut bytes).unwrap();
-        assert!(!bytes.has_remaining(), "trailing bytes after decode");
-        back
+        let reply = Reply {
+            request_id: 0,
+            result: Ok(v),
+        };
+        decode_reply(encode_reply(&reply).unwrap())
+            .unwrap()
+            .result
+            .unwrap()
     }
 
     #[test]
@@ -416,9 +399,19 @@ mod tests {
                 Ok(DynValue::Void)
             }
         }
-        let mut buf = BytesMut::new();
         let v = DynValue::Object(std::sync::Arc::new(Dummy));
-        assert!(encode_value(&mut buf, &v).is_err());
+        let request = Request {
+            request_id: 1,
+            object_key: "k".into(),
+            operation: "op".into(),
+            args: vec![v.clone()],
+        };
+        assert!(encode_request(&request).is_err());
+        let reply = Reply {
+            request_id: 1,
+            result: Ok(v),
+        };
+        assert!(encode_reply(&reply).is_err());
     }
 
     #[test]
@@ -576,19 +569,47 @@ mod tests {
         assert_eq!(encode_reply(&again).unwrap(), encode_reply(&reply).unwrap());
     }
 
-    fn put_str(buf: &mut BytesMut, s: &str) {
-        buf.put_u32_le(s.len() as u32);
-        buf.put_slice(s.as_bytes());
+    /// A request header: id 1, object key "k", operation "o".
+    fn request_header(args: u32) -> Vec<u8> {
+        let mut buf = 1u64.to_le_bytes().to_vec();
+        for s in ["k", "o"] {
+            buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            buf.extend_from_slice(s.as_bytes());
+        }
+        buf.extend_from_slice(&args.to_le_bytes());
+        buf
+    }
+
+    /// Encoded value bytes as a request's one argument.
+    pub(super) fn as_argument(value: &[u8]) -> Bytes {
+        let mut buf = request_header(1);
+        buf.extend_from_slice(value);
+        Bytes::from(buf)
+    }
+
+    /// Encoded value bytes as a reply's result.
+    pub(super) fn as_result(value: &[u8]) -> Bytes {
+        let mut buf = 1u64.to_le_bytes().to_vec();
+        buf.push(0);
+        buf.extend_from_slice(value);
+        Bytes::from(buf)
+    }
+
+    /// What each decoder makes of a hostile value: as an argument, then
+    /// as a result. Both must refuse it.
+    fn refused(value: &[u8]) -> [SidlError; 2] {
+        [
+            decode_request(as_argument(value)).unwrap_err(),
+            decode_reply(as_result(value)).unwrap_err(),
+        ]
     }
 
     /// A value header declaring an array: tag, rank, `(lower, extent)`s.
-    fn array_header(tag: u8, extents: &[u64]) -> BytesMut {
-        let mut buf = BytesMut::new();
-        buf.put_u8(tag);
-        buf.put_u8(extents.len() as u8);
+    fn array_header(tag: u8, extents: &[u64]) -> Vec<u8> {
+        let mut buf = vec![tag, extents.len() as u8];
         for &e in extents {
-            buf.put_i64_le(0);
-            buf.put_u64_le(e);
+            buf.extend_from_slice(&0i64.to_le_bytes());
+            buf.extend_from_slice(&e.to_le_bytes());
         }
         buf
     }
@@ -597,46 +618,34 @@ mod tests {
     fn overflowing_array_shapes_are_typed_errors() {
         for tag in [tag::DOUBLE_ARRAY, tag::LONG_ARRAY, tag::DCOMPLEX_ARRAY] {
             // 2^33 · 2^33 elements wraps a 64-bit product.
-            let buf = array_header(tag, &[1 << 33, 1 << 33]);
-            let err = decode_value(&mut buf.freeze()).unwrap_err();
-            assert!(err.to_string().contains("overflows"), "{err}");
+            for err in refused(&array_header(tag, &[1 << 33, 1 << 33])) {
+                assert!(err.to_string().contains("overflows"), "{err}");
+            }
             // 2^61 elements fit a usize; their bytes do not.
-            let buf = array_header(tag, &[1 << 61]);
-            assert!(decode_value(&mut buf.freeze()).is_err());
+            refused(&array_header(tag, &[1 << 61]));
         }
     }
 
     #[test]
     fn declared_elements_must_be_present() {
         // 2^30 dcomplexes (16 GiB) declared by a 40-byte request.
-        let mut buf = BytesMut::new();
-        buf.put_u64_le(1);
-        put_str(&mut buf, "k");
-        put_str(&mut buf, "o");
-        buf.put_u32_le(1);
-        buf.put_slice(&array_header(tag::DCOMPLEX_ARRAY, &[1 << 30]));
+        let buf = as_argument(&array_header(tag::DCOMPLEX_ARRAY, &[1 << 30]));
         assert_eq!(buf.len(), 40);
-        let err = decode_request(buf.freeze()).unwrap_err();
+        let err = decode_request(buf).unwrap_err();
         assert!(err.to_string().contains("truncated"), "{err}");
         // One element short is just as truncated.
-        let mut buf = array_header(tag::DOUBLE_ARRAY, &[3]);
-        buf.put_f64_le(1.0);
-        buf.put_f64_le(2.0);
-        assert!(decode_value(&mut buf.freeze()).is_err());
+        let mut value = array_header(tag::DOUBLE_ARRAY, &[3]);
+        value.extend_from_slice(&1.0f64.to_le_bytes());
+        value.extend_from_slice(&2.0f64.to_le_bytes());
+        refused(&value);
         // And an argument count the bytes cannot hold is refused up front.
-        let mut buf = BytesMut::new();
-        buf.put_u64_le(1);
-        put_str(&mut buf, "k");
-        put_str(&mut buf, "op");
-        buf.put_u32_le(u32::MAX);
-        assert!(decode_request(buf.freeze()).is_err());
+        let buf = request_header(u32::MAX);
+        assert!(decode_request(Bytes::from(buf)).is_err());
     }
 
     #[test]
     fn garbage_tags_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(200);
-        assert!(decode_value(&mut buf.freeze()).is_err());
+        refused(&[200]);
     }
 }
 
@@ -693,22 +702,24 @@ mod proptests {
             })
     }
 
+    /// A value as a reply's result.
+    fn result(v: &DynValue) -> Reply {
+        Reply {
+            request_id: 0,
+            result: Ok(v.clone()),
+        }
+    }
+
     fn values_equal(a: &DynValue, b: &DynValue) -> bool {
         // Structural equality via re-encoding (handles NaN bit patterns).
-        let mut ba = BytesMut::new();
-        let mut bb = BytesMut::new();
-        encode_value(&mut ba, a).unwrap();
-        encode_value(&mut bb, b).unwrap();
-        ba == bb
+        encode_reply(&result(a)).unwrap() == encode_reply(&result(b)).unwrap()
     }
 
     proptest! {
         #[test]
         fn any_value_round_trips(v in prop_oneof![arb_scalar(), arb_array()]) {
-            let mut buf = BytesMut::new();
-            encode_value(&mut buf, &v).unwrap();
-            let back = decode_value(&mut buf.freeze()).unwrap();
-            prop_assert!(values_equal(&v, &back));
+            let back = decode_reply(encode_reply(&result(&v)).unwrap()).unwrap();
+            prop_assert!(values_equal(&v, &back.result.unwrap()));
         }
 
         #[test]
@@ -733,7 +744,9 @@ mod proptests {
         fn decoding_random_bytes_never_panics(data in proptest::collection::vec(any::<u8>(), 0..64)) {
             let _ = decode_request(Bytes::from(data.clone()));
             let _ = decode_reply(Bytes::from(data.clone()));
-            let _ = decode_value(&mut Bytes::from(data));
+            // The same bytes where each decoder reads a value.
+            let _ = decode_request(tests::as_argument(&data));
+            let _ = decode_reply(tests::as_result(&data));
         }
     }
 }

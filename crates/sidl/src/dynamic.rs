@@ -82,7 +82,7 @@ impl fmt::Debug for DynValue {
 
 impl DynValue {
     /// The SIDL type-family name of this value (for diagnostics).
-    pub fn kind_name(&self) -> &'static str {
+    fn kind_name(&self) -> &'static str {
         match self {
             DynValue::Void => "void",
             DynValue::Bool(_) => "bool",
@@ -107,7 +107,7 @@ impl DynValue {
     /// match on element family; declared-rank arrays additionally require a
     /// matching runtime rank; named types accept enums and objects (the
     /// precise subtype check needs reflection and lives in the framework).
-    pub fn conforms_to(&self, ty: &Type) -> bool {
+    fn conforms_to(&self, ty: &Type) -> bool {
         match (self, ty) {
             (DynValue::Bool(_), Type::Bool)
             | (DynValue::Char(_), Type::Char)

@@ -21,7 +21,7 @@ pub fn print_packages(packages: &[Package]) -> String {
 }
 
 /// Pretty-prints one package.
-pub fn print_package(out: &mut String, p: &Package) {
+fn print_package(out: &mut String, p: &Package) {
     let _ = writeln!(out, "package {} version {} {{", p.name, p.version);
     for (i, def) in p.definitions.iter().enumerate() {
         if i > 0 {
@@ -123,7 +123,7 @@ fn join_qnames(names: &[QName]) -> String {
 }
 
 /// SIDL source text of a type expression.
-pub fn type_text(ty: &Type) -> String {
+fn type_text(ty: &Type) -> String {
     match ty {
         Type::Void => "void".into(),
         Type::Bool => "bool".into(),

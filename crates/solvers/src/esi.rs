@@ -36,7 +36,7 @@ pub use generated::esi as sidl;
 // ---- typed port traits ---------------------------------------------------
 
 /// The `esi.Operator` / `esi.MatrixOperator` port.
-pub trait OperatorPort: Send + Sync {
+trait OperatorPort: Send + Sync {
     /// Local row count.
     fn rows(&self) -> usize;
     /// `y = A x`.
@@ -49,7 +49,7 @@ pub trait OperatorPort: Send + Sync {
 }
 
 /// The `esi.Preconditioner` port.
-pub trait PreconditionerPort: Send + Sync {
+trait PreconditionerPort: Send + Sync {
     /// `z = M⁻¹ r`.
     fn apply_inverse(&self, r: &[f64], z: &mut [f64]);
     /// Preconditioner name.

@@ -23,7 +23,7 @@ use cca_core::CcaError;
 use cca_parallel::{Comm, MaxOp, ParallelError, Tag};
 
 /// Message tag used by the hydro halo exchanges.
-pub const HYDRO_TAG: Tag = 0x48; // 'H'
+const HYDRO_TAG: Tag = 0x48; // 'H'
 
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -149,11 +149,6 @@ impl HydroSim {
         self.h
     }
 
-    /// The implicit-operator coefficient `ν·Δt/h²`.
-    pub fn coef(&self) -> f64 {
-        self.coef
-    }
-
     /// Assembles this rank's *local* implicit matrix `(I + c·L_local)`,
     /// dropping cross-rank couplings — the block-Jacobi approximation
     /// preconditioners factor (ILU(0)/SSOR setup input).
@@ -183,7 +178,7 @@ impl HydroSim {
     }
 
     /// Explicit first-order upwind advection producing `u*`.
-    pub fn advect(&self, comm: Option<&Comm>) -> Result<Vec<f64>, ParallelError> {
+    fn advect(&self, comm: Option<&Comm>) -> Result<Vec<f64>, ParallelError> {
         let m = &self.mesh;
         let nx = m.nx;
         let mut g = m.add_ghosts(&self.u);
@@ -454,7 +449,7 @@ mod tests {
         let op = DiffusionOp {
             mesh: &sim.mesh,
             comm: None,
-            coef: sim.coef(),
+            coef: sim.coef,
         };
         let x: Vec<f64> = (0..sim.mesh.local_len())
             .map(|k| ((k * 31) % 17) as f64)

@@ -57,7 +57,7 @@ impl Mesh2d {
     }
 
     /// Length of a field buffer including one ghost row below and above.
-    pub fn ghosted_len(&self) -> usize {
+    fn ghosted_len(&self) -> usize {
         self.nx * (self.ny_local + 2)
     }
 
@@ -80,12 +80,6 @@ impl Mesh2d {
         let mut out = vec![0.0; self.ghosted_len()];
         out[self.nx..self.nx + field.len()].copy_from_slice(field);
         out
-    }
-
-    /// Strips ghost rows.
-    pub fn drop_ghosts(&self, ghosted: &[f64]) -> Vec<f64> {
-        assert_eq!(ghosted.len(), self.ghosted_len());
-        ghosted[self.nx..self.nx + self.local_len()].to_vec()
     }
 
     /// The gather/scatter routine: fills the two ghost rows of `ghosted`
@@ -145,21 +139,6 @@ impl Mesh2d {
             Distribution::new(grid, &[DimDist::Block, DimDist::Block]).expect("valid distribution");
         DistArrayDesc::new(&[self.nx, self.ny], dist).expect("valid descriptor")
     }
-
-    /// Gathers the full global field onto rank 0 (`None` elsewhere).
-    pub fn gather_global(
-        &self,
-        comm: Option<&Comm>,
-        field: &[f64],
-    ) -> Result<Option<Vec<f64>>, ParallelError> {
-        assert_eq!(field.len(), self.local_len());
-        if self.p == 1 {
-            return Ok(Some(field.to_vec()));
-        }
-        let comm = comm.expect("parallel mesh requires a communicator");
-        let pieces = comm.gather(0, field.to_vec())?;
-        Ok(pieces.map(|ps| ps.concat()))
-    }
 }
 
 #[cfg(test)]
@@ -209,7 +188,7 @@ mod tests {
         let field: Vec<f64> = (0..12).map(|i| i as f64).collect();
         let g = m.add_ghosts(&field);
         assert_eq!(g.len(), m.ghosted_len());
-        assert_eq!(m.drop_ghosts(&g), field);
+        assert_eq!(&g[m.nx..m.nx + m.local_len()], &field[..]);
         assert_eq!(g[m.gidx(0, 0)], 0.0);
         assert_eq!(g[m.gidx(2, 3)], 11.0);
     }
@@ -262,7 +241,9 @@ mod tests {
         let results = spmd(p, |c| {
             let m = Mesh2d::decompose(nx, ny, p, c.rank());
             let field: Vec<f64> = (0..m.local_len()).map(|k| (k + m.j0 * nx) as f64).collect();
-            m.gather_global(Some(c), &field).unwrap()
+            // Rank-ordered row blocks concatenate to the global field.
+            let pieces = c.gather(0, field).unwrap();
+            pieces.map(|ps| ps.concat())
         });
         let global = results[0].as_ref().unwrap();
         assert_eq!(global.len(), nx * ny);

@@ -19,9 +19,9 @@
 #   loc        non-test line counts per crate (reports only; not in `all`);
 #              given a git ref, also counts that commit and prints the
 #              difference (ref, HEAD, delta per crate)
-#   surface    every `pub fn` in crates/*/src that no other file names,
-#              less the names in scripts/surface_keep.txt (reports only;
-#              not in `all`)
+#   surface    every `pub` fn or type item in crates/*/src that no other
+#              file names, less the names in scripts/surface_keep.txt;
+#              fails if any is left
 #   pairs      pairs <base-ref> <workload>[,<workload>...] [n=10] [seconds=4]
 #              [seed=1999]: the end-to-end benchmark at <base-ref> and at
 #              HEAD, n alternating pairs per workload (reports only; not
@@ -198,16 +198,17 @@ loc() {
     rm -rf "$base"
 }
 
-# Public functions nothing else calls: every `pub fn` (or `pub const fn`)
-# declared in crates/*/src whose name appears, as a whole word, in no other
-# .rs file under crates/, src/, tests/, examples/ or benchmark/src. A name
-# used only inside its own file is listed too: its callers, if any, could
-# reach it without the `pub`. Names in scripts/surface_keep.txt (one a line,
-# `#` starts a comment) are specification the tree reproduces whether or
-# not a caller exists, and are left out. Prints `file:line name` per
-# function and the count; never fails on what it finds.
+# Public items nothing else names: every `pub fn` (or `pub const fn`) and
+# every `pub struct|enum|trait|type|const|static` declared in crates/*/src
+# whose name appears, as a whole word, in no other .rs file under crates/,
+# src/, tests/, examples/ or benchmark/src. A name used only inside its own
+# file is listed too: its users, if any, could reach it without the `pub`.
+# Names in scripts/surface_keep.txt (one a line, `#` starts a comment) are
+# specification the tree reproduces whether or not a caller exists, and are
+# left out. Prints `file:line name` per item and the count; fails when the
+# count is not zero, so the surface cannot grow back unnoticed.
 surface() {
-    echo "==> pub fns named in no other file (keep list: scripts/surface_keep.txt)"
+    echo "==> pub items named in no other file (keep list: scripts/surface_keep.txt)"
     local keep file line name found=0
     keep="$(sed -e 's/#.*//' -e 's/[[:space:]]//g' scripts/surface_keep.txt | grep -v '^$' || true)"
     while IFS=: read -r file line name; do
@@ -219,9 +220,11 @@ surface() {
             echo "$file:$line $name"
             found=$((found + 1))
         fi
-    done < <(find crates/*/src -name '*.rs' | sort | xargs grep -nE '^[[:space:]]*pub (const )?fn [A-Za-z_]' |
-        sed -E 's/^([^:]*):([0-9]*):.*pub (const )?fn ([A-Za-z_][A-Za-z0-9_]*).*/\1:\2:\4/')
-    echo "$found unreferenced pub fn(s)"
+    done < <(find crates/*/src -name '*.rs' | sort |
+        xargs grep -nE '^[[:space:]]*pub ((const )?fn|struct|enum|trait|type|const|static) [A-Za-z_]' |
+        sed -E 's/^([^:]*):([0-9]*):.*pub ((const )?fn|struct|enum|trait|type|const|static) ([A-Za-z_][A-Za-z0-9_]*).*/\1:\2:\5/')
+    echo "$found unreferenced pub item(s)"
+    [ "$found" -eq 0 ]
 }
 
 # Alternating pairs of the end-to-end benchmark (benchmark/, ccabench):
@@ -347,6 +350,7 @@ all)
     clippy
     fmt
     doc
+    surface
     examples
     fault
     fleet

@@ -160,7 +160,7 @@ fn hydro_launcher() -> Arc<dyn RankLauncher> {
 }
 
 /// The unkilled reference: the same decomposition on in-process thread
-/// ranks over the crossbeam substrate.
+/// ranks over the in-process channel substrate.
 fn baseline_mass() -> f64 {
     let masses = cca::parallel::spmd(FLEET_SIZE, |comm| {
         let cfg = hydro_cfg();
