@@ -25,7 +25,11 @@
 //! * `fuzzy_us` — a mixed needle set (selective compound names plus
 //!   broad single words) through the trigram index, scored and capped;
 //!   one sample per pass over the needles (the pass median). Gate:
-//!   **< 5 ms**. `flat_scan_us` runs the same needles the seed way —
+//!   **< 5 ms**. Per needle, `fuzzy_us_<needle>` times its query alone,
+//!   and `candidates_<needle>` / `matches_<needle>` count, from
+//!   `cca_obs::repo()`, the entries it verified and the ones that held
+//!   it: exact for the corpus, so a change to the index or the verify
+//!   step shows as a count before any clock sees it. `flat_scan_us` runs the same needles the seed way —
 //!   linear scan, `to_lowercase` per entry per query — and `scan_speedup`
 //!   is the ratio of medians.
 //! * `four_thread_qps` vs `single_thread_qps` — the same mixed query
@@ -299,6 +303,26 @@ fn main() {
     report
         .metric("fuzzy_us", fuzzy)
         .at_most(5_000.0, "a fuzzy query must stay under 5 ms");
+    // Per needle: the candidates its query verifies and the matches it
+    // finds — exact counts for this fixed corpus — and its time.
+    for needle in NEEDLES {
+        let query = FuzzyQuery::new(needle).with_limit(25);
+        let before = cca_obs::repo().snapshot();
+        std::hint::black_box(repo.fuzzy(&query));
+        let after = cca_obs::repo().snapshot();
+        let candidates = after.fuzzy_candidates - before.fuzzy_candidates;
+        let matches = after.fuzzy_matches - before.fuzzy_matches;
+        report.count(&format!("candidates_{needle}"), candidates as f64);
+        report.count(&format!("matches_{needle}"), matches as f64);
+        let samples: Vec<f64> = (0..fuzzy_reps)
+            .map(|_| {
+                let start = Instant::now();
+                std::hint::black_box(repo.fuzzy(&query));
+                start.elapsed().as_secs_f64() * 1e6
+            })
+            .collect();
+        report.metric(&format!("fuzzy_us_{needle}"), Stats::from_samples(&samples));
+    }
     report.metric("flat_scan_us", flat_scan);
     report
         .count("scan_speedup", flat_scan.median / fuzzy.median)

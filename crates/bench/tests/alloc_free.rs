@@ -38,7 +38,12 @@
 //! * a generated skeleton's dynamic `apply` over 4,096 doubles: exactly
 //!   the result's five allocations, none for the borrowed argument;
 //! * a trigram index build over 10,000 catalog entries: at most twice the
-//!   bytes the built index holds — no (trigram, ordinal) pair vector.
+//!   bytes the built index holds — no (trigram, ordinal) pair vector;
+//! * an exact repository lookup: exactly what cloning the entry it
+//!   returns allocates — no key, no copy of the stored form;
+//! * a fuzzy query for a common word: at most `limit` + 16 allocations,
+//!   alike at 2,000 and 20,000 catalog types — nothing per segment or per
+//!   candidate, a string only per hit returned.
 //!
 //! The tally is per thread, so what a sibling test or a server thread
 //! allocates meanwhile cannot leak into a measured region. The `cca-obs`
@@ -710,4 +715,94 @@ fn trigram_index_build_allocates_about_its_own_size() {
         spent <= 2 * own,
         "building an index of {own} bytes allocated {spent} bytes"
     );
+}
+
+/// A catalog of `types` entries shaped like E17's: `pkg.Word1Word2NNNNNNN`
+/// classes over 16 words, two ports and a one-line description each.
+fn word_catalog(types: usize) -> Arc<cca_repository::Repository> {
+    const PKGS: [&str; 4] = ["esi", "hydro", "viz", "mesh"];
+    const WORDS: [&str; 16] = [
+        "Krylov", "Gmres", "Jacobi", "Euler", "Riemann", "Fourier", "Schur", "Halo", "Tensor",
+        "Newton", "Flux", "Mesh", "Graph", "Kernel", "Spline", "Adjoint",
+    ];
+    struct Nop;
+    impl cca_core::Component for Nop {
+        fn component_type(&self) -> &str {
+            "synthetic.Nop"
+        }
+        fn set_services(&self, _s: Arc<CcaServices>) -> Result<(), cca_core::CcaError> {
+            Ok(())
+        }
+    }
+    let repo = cca_repository::Repository::new();
+    let batch = (0..types)
+        .map(|i| {
+            let (w1, w2) = (WORDS[i % 16], WORDS[(i / 16) % 16]);
+            let pkg = PKGS[(i / 256) % 4];
+            cca_repository::ComponentEntry {
+                class: format!("{pkg}.{w1}{w2}{i:07}"),
+                description: format!("synthetic {w1} component {i}"),
+                provides: vec![cca_repository::PortSpec::new(
+                    "main",
+                    format!("{pkg}.{w1}Port"),
+                )],
+                uses: vec![cca_repository::PortSpec::new("go", "cca.ports.GoPort")],
+                properties: TypeMap::new(),
+                factory: Arc::new(|| Arc::new(Nop) as Arc<dyn cca_core::Component>),
+            }
+        })
+        .collect();
+    repo.register_components(batch).unwrap();
+    repo
+}
+
+/// An exact lookup allocates what the entry it returns costs to clone,
+/// and nothing else: no key string, no copy of the stored form.
+#[test]
+fn an_exact_lookup_allocates_only_the_entry_it_returns() {
+    let repo = word_catalog(2_000);
+    for class in ["esi.KrylovKrylov0000000", "mesh.GmresAdjoint0001009"] {
+        let warm = repo.entry(class).unwrap();
+        let before = alloc_count();
+        let found = repo.entry(class).unwrap();
+        let lookup = alloc_count() - before;
+        let before = alloc_count();
+        let cloned = warm.clone();
+        let clone = alloc_count() - before;
+        assert_eq!(found.class, class);
+        assert_eq!(cloned.class, class);
+        assert_eq!(
+            lookup, clone,
+            "a lookup of {class} against its entry's clone"
+        );
+    }
+}
+
+/// A fuzzy query for a common word allocates for the hits it returns and
+/// a bounded handful besides (the lowered needle, its trigrams, the
+/// snapshot list, the candidate buffer, the heap, the page), the same at
+/// 2,000 and 20,000 types: nothing per segment visited, nothing per
+/// candidate verified or per hit kept and later evicted.
+#[test]
+fn a_fuzzy_query_allocates_per_hit_returned_not_per_candidate() {
+    const LIMIT: usize = 25;
+    for types in [2_000, 20_000] {
+        let repo = word_catalog(types);
+        let query = cca_repository::FuzzyQuery::new("krylov").with_limit(LIMIT);
+        let warm = repo.fuzzy(&query);
+        assert_eq!(warm.hits.len(), LIMIT, "{types} types");
+        let before = alloc_count();
+        let page = repo.fuzzy(&query);
+        let spent = alloc_count() - before;
+        assert_eq!(page.hits, warm.hits);
+        assert!(
+            page.matched > 4 * LIMIT,
+            "{types} types: {} matched",
+            page.matched
+        );
+        assert!(
+            spent <= (LIMIT + 16) as u64,
+            "a fuzzy query over {types} types allocated {spent} times for {LIMIT} hits"
+        );
+    }
 }

@@ -26,6 +26,13 @@ counter_block! {
         fuzzy_queries,
         /// Entries returned across all fuzzy pages.
         fuzzy_hits,
+        /// Entries a fuzzy query verified by substring: the posting-list
+        /// survivors of every segment, or every entry when the needle is
+        /// too short for trigrams.
+        fuzzy_candidates => record_fuzzy_candidates(n),
+        /// Verified entries that held the needle, whether or not the page
+        /// (or its cursor) kept them.
+        fuzzy_matches => record_fuzzy_matches(n),
         /// Continuation pages served from a `QueryCursor`.
         cursor_pages => record_cursor_page,
         /// Entries sorted and trigram-indexed by segment builds (appends
@@ -66,6 +73,8 @@ mod tests {
         c.record_exact_miss();
         c.record_fuzzy_query(10);
         c.record_fuzzy_query(0);
+        c.record_fuzzy_candidates(7);
+        c.record_fuzzy_matches(4);
         c.record_cursor_page();
         c.record_entries_indexed(9);
         c.record_entries_indexed(3);
@@ -79,6 +88,8 @@ mod tests {
                 exact_misses: 1,
                 fuzzy_queries: 2,
                 fuzzy_hits: 10,
+                fuzzy_candidates: 7,
+                fuzzy_matches: 4,
                 cursor_pages: 1,
                 entries_indexed: 12,
                 folds: 1,
@@ -93,7 +104,8 @@ mod tests {
         assert_eq!(
             c.snapshot().to_json(),
             "{\"deposits\":1,\"exact_lookups\":0,\"exact_misses\":0,\
-             \"fuzzy_queries\":0,\"fuzzy_hits\":0,\"cursor_pages\":0,\
+             \"fuzzy_queries\":0,\"fuzzy_hits\":0,\"fuzzy_candidates\":0,\
+             \"fuzzy_matches\":0,\"cursor_pages\":0,\
              \"entries_indexed\":0,\"folds\":0}"
         );
     }

@@ -156,9 +156,9 @@ impl Repository {
     /// The entry for a class (exact lookup: one hash, one frozen shard).
     pub fn entry(&self, class: &str) -> Result<ComponentEntry, CcaError> {
         match self.store.get(class) {
-            Some(stored) => {
+            Some(entry) => {
                 cca_obs::repo().record_exact_lookup();
-                Ok(stored.entry)
+                Ok(entry)
             }
             None => {
                 cca_obs::repo().record_exact_miss();
@@ -180,7 +180,7 @@ impl Repository {
             .iter()
             .flat_map(|snap| snap.segments())
             .flat_map(Segment::entries)
-            .map(|e| e.entry.clone())
+            .cloned()
             .collect();
         all.sort_by(|a, b| a.class.cmp(&b.class));
         all

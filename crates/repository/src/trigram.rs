@@ -37,6 +37,7 @@ pub fn trigrams_of(text: &str, out: &mut Vec<Trigram>) {
     if bytes.len() < 3 {
         return;
     }
+    out.reserve(bytes.len() - 2);
     for w in bytes.windows(3) {
         out.push(pack(w));
     }
@@ -258,12 +259,14 @@ impl TrigramIndex {
     /// The posting list of one trigram (sorted ordinals), empty if absent.
     pub fn postings(&self, t: Trigram) -> &[u32] {
         match self.keys.binary_search(&t) {
-            Ok(i) => {
-                let (start, end) = self.spans[i];
-                &self.postings[start as usize..end as usize]
-            }
+            Ok(i) => self.list(self.spans[i]),
             Err(_) => &[],
         }
+    }
+
+    /// The posting list a span of `spans` bounds.
+    fn list(&self, (start, end): (u32, u32)) -> &[u32] {
+        &self.postings[start as usize..end as usize]
     }
 
     /// Ordinals whose text contains **every** trigram of the needle,
@@ -271,31 +274,42 @@ impl TrigramIndex {
     /// once per query and reused for every segment). Candidates only —
     /// the caller must still verify the substring, as trigram containment
     /// is necessary but not sufficient. Returns at the first trigram this
-    /// index does not hold, before touching `out`'s allocation or making
-    /// one of its own: a segment that cannot match costs a binary search.
+    /// index does not hold, before touching `out`'s allocation: a segment
+    /// that cannot match costs a binary search. Allocates nothing of its
+    /// own; `out` grows only when a segment's rarest list outgrows it.
     pub fn candidates(&self, needle_trigrams: &[Trigram], out: &mut Vec<u32>) {
+        /// Spans pass 1 keeps on the stack for pass 2; a longer needle's
+        /// later trigrams are looked up again.
+        const KEPT: usize = 16;
         out.clear();
-        let mut lists: Vec<&[u32]> = Vec::new();
-        for &t in needle_trigrams {
-            let list = self.postings(t);
-            if list.is_empty() {
+        // Pass 1: every list must exist; start from the rarest, so the
+        // working set is as small as it can be from the first merge on.
+        let mut kept = [(0u32, 0u32); KEPT];
+        let mut rarest: &[u32] = &[];
+        for (k, t) in needle_trigrams.iter().enumerate() {
+            let Ok(i) = self.keys.binary_search(t) else {
                 return;
+            };
+            if let Some(slot) = kept.get_mut(k) {
+                *slot = self.spans[i];
             }
-            if lists.is_empty() {
-                lists.reserve_exact(needle_trigrams.len());
+            let list = self.list(self.spans[i]);
+            if rarest.is_empty() || list.len() < rarest.len() {
+                rarest = list;
             }
-            lists.push(list);
         }
-        // Rarest-first intersection: sorting the lists by length means the
-        // working set can only shrink as fast as possible.
-        lists.sort_unstable_by_key(|l| l.len());
-        let Some((rarest, rest)) = lists.split_first() else {
-            return;
-        };
         out.extend_from_slice(rarest);
-        for list in rest {
+        // Pass 2: intersect with every other list.
+        for (k, &t) in needle_trigrams.iter().enumerate() {
             if out.is_empty() {
                 break;
+            }
+            let list = match kept.get(k) {
+                Some(&span) => self.list(span),
+                None => self.postings(t),
+            };
+            if std::ptr::eq(list, rarest) {
+                continue;
             }
             // Galloping would win on skewed lists; at catalog trigram
             // densities the simple merge is already far off the hot path.
@@ -376,6 +390,92 @@ pub fn score_match(class: &str, aux: &str, lowered_needle: &str) -> Option<u32> 
     } else {
         None
     }
+}
+
+/// A needle compiled once per query: what [`crate::Repository::fuzzy`]
+/// scores every candidate with. It finds the needle by scanning for its
+/// first byte eight bytes at a time and comparing the rest where that byte
+/// occurs, over the segment's text arena, with none of `str::find`'s
+/// per-call set-up. Its scores are [`score_match`]'s for every text and
+/// needle, non-ASCII included (a proptest pins the two equal);
+/// `score_match` stays the public reference answers are computed with.
+pub(crate) struct Needle<'a> {
+    bytes: &'a [u8],
+}
+
+impl<'a> Needle<'a> {
+    /// Compiles a lowered, non-empty needle.
+    pub(crate) fn new(lowered_needle: &'a str) -> Self {
+        debug_assert!(!lowered_needle.is_empty());
+        Needle {
+            bytes: lowered_needle.as_bytes(),
+        }
+    }
+
+    /// Byte position of the needle's first occurrence in `hay`. The
+    /// needle is valid UTF-8, so a byte match starts on a character
+    /// boundary and is the match `str::find` reports.
+    #[inline]
+    fn find(&self, hay: &[u8]) -> Option<usize> {
+        let (&first, rest) = self.bytes.split_first()?;
+        let last = hay.len().checked_sub(self.bytes.len())?;
+        let mut from = 0;
+        while from <= last {
+            let at = from + position_of(first, &hay[from..=last])?;
+            if hay[at + 1..at + self.bytes.len()] == *rest {
+                return Some(at);
+            }
+            from = at + 1;
+        }
+        None
+    }
+
+    /// [`score_match`] of this needle against lowered `class` and `aux`.
+    #[inline]
+    pub(crate) fn score(&self, class: &[u8], aux: &[u8]) -> Option<u32> {
+        if let Some(pos) = self.find(class) {
+            let mut score = CLASS_SUBSTRING;
+            if class.len() == self.bytes.len() {
+                score |= CLASS_EXACT;
+            }
+            if pos == 0 {
+                score |= CLASS_PREFIX;
+            } else if class[pos - 1] == b'.' {
+                score |= CLASS_BOUNDARY;
+            }
+            score += 30_000 - (pos as u32).min(10_000);
+            score -= (class.len() as u32).min(10_000);
+            Some(score)
+        } else {
+            let pos = self.find(aux)?;
+            let mut score = AUX_SUBSTRING;
+            score += 30_000 - (pos as u32).min(10_000);
+            score -= (aux.len() as u32).min(10_000);
+            Some(score)
+        }
+    }
+}
+
+/// Position of the first `byte` in `hay`, eight bytes a step: a chunk
+/// XORed with `byte` in every lane has a zero lane where `byte` is, and
+/// the lowest lane the zero-lane test flags is the first such lane.
+#[inline]
+fn position_of(byte: u8, hay: &[u8]) -> Option<usize> {
+    const LO: u64 = 0x0101_0101_0101_0101;
+    const HI: u64 = 0x8080_8080_8080_8080;
+    let pattern = LO * byte as u64;
+    let mut chunks = hay.chunks_exact(8);
+    let mut base = 0;
+    for chunk in &mut chunks {
+        let x = u64::from_le_bytes(chunk.try_into().expect("eight bytes")) ^ pattern;
+        let zero = x.wrapping_sub(LO) & !x & HI;
+        if zero != 0 {
+            return Some(base + (zero.trailing_zeros() / 8) as usize);
+        }
+        base += 8;
+    }
+    let tail = chunks.remainder();
+    tail.iter().position(|&b| b == byte).map(|i| base + i)
 }
 
 #[cfg(test)]
@@ -571,6 +671,71 @@ mod tests {
                 same_as_the_pair_sort(&grown);
             }
         }
+    }
+
+    /// Texts for the matcher: mostly a small alphabet with the package
+    /// dot, so needles occur, sometimes several times, plus arbitrary
+    /// scalar values.
+    fn arb_match_text(chars: std::ops::Range<usize>) -> impl Strategy<Value = String> {
+        collection::vec(
+            prop_oneof![
+                (0u8..3).prop_map(|b| (b'a' + b) as char),
+                (0u8..3).prop_map(|b| (b'a' + b) as char),
+                (0u8..3).prop_map(|b| (b'a' + b) as char),
+                Just('.'),
+                any::<char>(),
+            ],
+            chars,
+        )
+        .prop_map(|cs| cs.into_iter().collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The compiled needle scores exactly as `score_match` does: on
+        /// drawn needles, on needles cut out of either text (so they
+        /// occur), and on needles longer than the texts.
+        #[test]
+        fn the_compiled_needle_scores_as_score_match(
+            class in arb_match_text(0..40),
+            aux in arb_match_text(0..60),
+            drawn in arb_match_text(1..6),
+            cut in (any::<bool>(), any::<usize>(), 1usize..12),
+        ) {
+            let (from_class, at, len) = cut;
+            let source = if from_class { &class } else { &aux };
+            let chars: Vec<char> = source.chars().collect();
+            let mut needles = vec![drawn, format!("{class}{aux}x")];
+            if !chars.is_empty() {
+                let start = at % chars.len();
+                let end = (start + len).min(chars.len());
+                needles.push(chars[start..end].iter().collect());
+            }
+            for needle in needles.iter().filter(|n| !n.is_empty()) {
+                prop_assert_eq!(
+                    Needle::new(needle).score(class.as_bytes(), aux.as_bytes()),
+                    score_match(&class, &aux, needle),
+                    "needle {:?}", needle
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn position_of_finds_the_first_byte_in_every_lane() {
+        for len in 0..40 {
+            let mut hay = vec![b'a'; len];
+            assert_eq!(position_of(b'z', &hay), None);
+            for at in (0..len).rev() {
+                hay[at] = b'z';
+                assert_eq!(position_of(b'z', &hay), Some(at), "len {len}");
+            }
+        }
+        // Lanes just above a match must not hide it, nor bytes that differ
+        // from the wanted one only in their top bit.
+        assert_eq!(position_of(0x01, &[0x81, 0x00, 0x01, 0x01]), Some(2));
+        assert_eq!(position_of(0x00, &[1, 1, 1, 1, 1, 1, 0, 0, 0]), Some(6));
     }
 
     #[test]

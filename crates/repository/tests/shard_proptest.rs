@@ -294,13 +294,11 @@ fn concurrent_readers_never_observe_a_torn_snapshot() {
                         for segment in [base, recent] {
                             let entries = segment.entries();
                             assert!(
-                                entries
-                                    .windows(2)
-                                    .all(|w| w[0].entry.class < w[1].entry.class),
+                                entries.windows(2).all(|w| w[0].class < w[1].class),
                                 "a published segment must be strictly sorted"
                             );
                             for stored in entries {
-                                let class = stored.entry.class.as_str();
+                                let class = stored.class.as_str();
                                 assert!(seen.insert(class), "{class} is in both segments");
                                 let found = segment
                                     .get(class)
