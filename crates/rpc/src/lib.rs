@@ -39,8 +39,8 @@
 //!   per-connection backpressure instead of a thread per peer. Both
 //!   dispatch into the same [`transport::Dispatcher`] as the loopback, and
 //!   connection failures surface as typed [`CONNECTION_EXCEPTION_TYPE`]
-//!   errors that feed the circuit breaker unchanged (experiments E12,
-//!   E13).
+//!   errors that feed the circuit breaker unchanged (experiment E12 and
+//!   the end-to-end benchmark's `rpc_unloaded` and `rpc_pipelined`).
 //! * [`bulk`] — the data plane: `FrameKind::Bulk` slabs carrying M×N
 //!   array-redistribution chunks as raw little-endian bytes (no
 //!   per-element encoding), acknowledged with resume watermarks so a

@@ -830,7 +830,8 @@ impl Drop for PendingReply {
 // ---------------------------------------------------------------------------
 
 /// Tuning knobs for a [`MuxServer`]. `Default` is sized for tests and
-/// moderate service; the E13 bench overrides nothing.
+/// moderate service; the end-to-end benchmark's rpc workloads override
+/// nothing.
 #[derive(Debug, Clone)]
 pub struct MuxServerConfig {
     /// Dispatch worker threads (completions may finish out of order up to
@@ -1229,8 +1230,9 @@ impl MuxServer {
                     _ => self.dispatcher.dispatch(job.payload),
                 }
             }));
-            if outcome.is_err() {
+            if let Err(panic) = &outcome {
                 self.metrics.record_servant_panic();
+                crate::orb::record_panic_incident(&**panic, job.context);
             }
             // The event loop frames the reply onto the connection's write
             // buffer itself: one copy of the reply, on the one thread that
@@ -1614,8 +1616,9 @@ impl MuxServer {
             let _ctx = cca_obs::install_context(context);
             sink.receive(payload)
         }));
-        if landed.is_err() {
+        if let Err(panic) = &landed {
             self.metrics.record_servant_panic();
+            crate::orb::record_panic_incident(&**panic, context);
         }
         let framed = landed.ok().and_then(Result::ok).map(|ack| {
             encode_frame_onto(

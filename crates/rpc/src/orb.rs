@@ -23,7 +23,7 @@
 use crate::transport::{Dispatcher, LoopbackTransport, Transport};
 use crate::wire::{decode_reply, decode_request, encode_reply, encode_request, Reply, Request};
 use bytes::Bytes;
-use cca_obs::TransportMetrics;
+use cca_obs::{TraceContext, TransportMetrics};
 use cca_sidl::{DynObject, DynValue, SidlError};
 use parking_lot::Mutex;
 use std::any::Any;
@@ -38,11 +38,25 @@ use std::time::Instant;
 pub const SERVANT_PANIC_TYPE: &str = "cca.rpc.ServantPanic";
 
 /// The message a panic was raised with, when it carries one.
-fn panic_message(panic: &(dyn Any + Send)) -> String {
+pub(crate) fn panic_message(panic: &(dyn Any + Send)) -> String {
     match (panic.downcast_ref::<&str>(), panic.downcast_ref::<String>()) {
         (Some(s), _) => (*s).to_string(),
         (_, Some(s)) => s.clone(),
         _ => "servant panicked".to_string(),
+    }
+}
+
+/// Leaves the evidence of a caught panic: one flight incident of kind
+/// `ServantPanic` carrying the panic's message and the trace id of the
+/// frame whose call raised it (0 for an untraced frame). Nothing is
+/// formatted while the recorder is off.
+pub(crate) fn record_panic_incident(panic: &(dyn Any + Send), context: Option<TraceContext>) {
+    if cca_obs::flight::enabled() {
+        let trace_id = context.map_or(0, |c| c.trace_id);
+        cca_obs::flight::record_incident(
+            "ServantPanic",
+            &format!("trace {trace_id}: {}", panic_message(panic)),
+        );
     }
 }
 
@@ -119,6 +133,7 @@ impl Dispatcher for Orb {
                 Ok(Err(other)) => Err(("cca.rpc.SystemException".to_string(), other.to_string())),
                 Err(panic) => {
                     self.metrics.record_servant_panic();
+                    record_panic_incident(&*panic, cca_obs::current_context());
                     Err((SERVANT_PANIC_TYPE.to_string(), panic_message(&*panic)))
                 }
             },
