@@ -14,8 +14,10 @@
 #   fault      the fault-injection suites under one CCA_FAULT_SEED
 #   fleet      the multi-process kill-matrix under one CCA_FAULT_SEED
 #   bench-gate every experiment's gates in fast mode (scripts/bench.sh)
-#   ccabench   the end-to-end benchmark's smoke run (benchmark/, all six
-#              workloads with their oracles on, a few seconds)
+#   ccabench   the end-to-end benchmark's own unit tests (its oracles
+#              against known right and wrong answers), then its smoke run
+#              (benchmark/, all six workloads with their oracles on, a few
+#              seconds)
 #   loc        non-test line counts per crate (reports only; not in `all`);
 #              given a git ref, also counts that commit and prints the
 #              difference (ref, HEAD, delta per crate)
@@ -132,10 +134,15 @@ bench_gate() {
 }
 
 # ccabench (benchmark/README.md) is a package of its own with its own lock
-# file and target directory; --smoke runs every workload for half a second
-# with every oracle on and exits nonzero if any operation failed. Rows land
-# in benchmark/out/*.json for the workflow to upload.
+# file and target directory, so the workspace's `cargo test` never runs its
+# unit tests: they run here first, the oracles among them (a small catalog
+# passes the repository's, a wrong answer does not). Then --smoke runs
+# every workload for half a second with every oracle on and exits nonzero
+# if any operation failed. Rows land in benchmark/out/*.json for the
+# workflow to upload.
 ccabench() {
+    echo "==> ccabench unit tests"
+    cargo test --offline --manifest-path benchmark/Cargo.toml
     echo "==> ccabench smoke run"
     cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --smoke
 }
