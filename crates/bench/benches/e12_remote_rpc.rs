@@ -14,11 +14,10 @@
 //!   ratio below prices the mux's hand-offs, not a second decoder;
 //! * `mux_roundtrip_ns` — one `ObjRef::invoke` through a one-connection
 //!   `MuxTransport` into a `MuxServer` (marshal → frame → socket →
-//!   dispatch → frame → demarshal). Acceptance: ≤ 2× the committed
-//!   artifact's, on the host that artifact names;
+//!   dispatch → frame → demarshal). Recorded; the ratio below gates it;
 //! * `mux_over_raw_ratio` — what the mux stack's thread hand-offs and the
-//!   ORB cost over the bare framed round trip. Acceptance: ratio ≤
-//!   [`MUX_OVER_RAW_GATE`];
+//!   ORB cost over the bare framed round trip, formed within each round.
+//!   Acceptance: ratio ≤ [`MUX_OVER_RAW_GATE`];
 //! * `reply_reads_per_call` — socket reads of the reply stream per mux
 //!   call ([`cca_obs::MuxMetrics::reply_reads`]): a reply decoded from
 //!   one read costs one. Acceptance: ≤ 1.5;
@@ -150,12 +149,7 @@ fn main() {
 
     report.count("calls", (blocks * calls_per_block) as f64);
     report.metric("raw_roundtrip_ns", rounds.stats(0));
-    report
-        .metric("mux_roundtrip_ns", rounds.stats(1))
-        .at_most_x_committed(
-            2.0,
-            "a loopback mux round trip that doubles against the committed one is a regression",
-        );
+    report.metric("mux_roundtrip_ns", rounds.stats(1));
     report
         .metric("mux_over_raw_ratio", rounds.derive(|s| s[1] / s[0]))
         .at_most(

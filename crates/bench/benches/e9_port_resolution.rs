@@ -1,5 +1,4 @@
-//! E9 — the PR's acceptance measurement: port-resolution cost ladder and
-//! redistribution-plan build cost.
+//! E9 — the port-resolution cost ladder.
 //!
 //! §6.2 claims a direct-connected port call costs nothing beyond a virtual
 //! function call. This bench quantifies the claim for the current
@@ -13,16 +12,13 @@
 //! * `uncached_get_port_ns` — full `get_port_as` per call (snapshot read,
 //!   BTreeMap lookup, downcast): the price the cache removes;
 //! * `fanout8_ns` — one multicast over 8 connected listeners through the
-//!   shared `Arc<[PortHandle]>` snapshot (zero allocations per call);
-//! * `plan_build_ns` — one redistribution plan build for a 4→3
-//!   block-to-cyclic coupling, what a port pays when it is connected.
+//!   shared `Arc<[PortHandle]>` snapshot (zero allocations per call).
 //!
 //! The cached call and its floor run as an alternating pair, so the gated
 //! ratio is formed within each round.
 
 use cca_bench::fixtures::{wire_fanout, wire_single, WorkImpl, WorkPort};
 use cca_bench::{Harness, Report};
-use cca_data::{DimDist, DistArrayDesc, Distribution, ProcessGrid, RedistPlan};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -67,20 +63,6 @@ fn main() {
             acc
         }),
     );
-
-    // --- plan build -----------------------------------------------------
-    let src = DistArrayDesc::new(&[4096], Distribution::block_1d(4, 1).unwrap()).unwrap();
-    let dst = DistArrayDesc::new(
-        &[4096],
-        Distribution::new(ProcessGrid::linear(3).unwrap(), &[DimDist::Cyclic]).unwrap(),
-    )
-    .unwrap();
-    report
-        .metric(
-            "plan_build_ns",
-            h.time(|| RedistPlan::build(&src, &dst).unwrap()),
-        )
-        .at_most_x_committed(2.0, "build is linear in intervals plus transfers");
 
     report.finish();
 }

@@ -17,6 +17,11 @@
 //! 7.0 % on `hydro_direct`). An upper bound therefore gates `p10`, a lower
 //! bound (a rate or a speed-up) gates `p90`.
 //!
+//! **Every gate is bound to its own run.** A bound is a count or a ratio
+//! of two quantities timed in the same process, so it means the same on
+//! any host; the host block is a record of where the numbers came from,
+//! never a denominator.
+//!
 //! Two environment variables, no others: `CCA_BENCH_FAST` shrinks sample
 //! counts and workload sizes for CI; `CCA_BENCH_OUT_DIR` redirects the
 //! artifacts away from the committed copies in `crates/bench/results/`.
@@ -259,7 +264,7 @@ struct Gate {
     op: &'static str,
     bound: f64,
     value: f64,
-    status: String,
+    pass: bool,
     why: String,
 }
 
@@ -269,14 +274,20 @@ pub struct Report {
     host: Json,
     metrics: Vec<(String, Stats)>,
     gates: Vec<Gate>,
-    baseline_dir: PathBuf,
 }
 
 /// The metric a [`Report`] recorded last, ready to take the gates that
 /// bound it.
 pub struct Recorded<'a>(&'a mut Report);
 
-const FAIL: &str = "FAIL";
+/// A gate's line in the artifact and on stdout.
+fn status(pass: bool) -> &'static str {
+    if pass {
+        "pass"
+    } else {
+        "FAIL"
+    }
+}
 
 impl Report {
     /// Starts the report for `experiment` (the bench target's name).
@@ -286,7 +297,6 @@ impl Report {
             host: host_block(harness.fast),
             metrics: Vec::new(),
             gates: Vec::new(),
-            baseline_dir: committed_dir(),
         }
     }
 
@@ -326,7 +336,7 @@ impl Report {
                 ("op", Json::Str(g.op.to_string())),
                 ("bound", num(g.bound)),
                 ("value", num(g.value)),
-                ("status", Json::Str(g.status.clone())),
+                ("status", Json::Str(status(g.pass).into())),
                 ("why", Json::Str(g.why.clone())),
             ])
         });
@@ -343,7 +353,7 @@ impl Report {
     fn failures(&self) -> Vec<String> {
         self.gates
             .iter()
-            .filter(|g| g.status == FAIL)
+            .filter(|g| !g.pass)
             .map(|g| {
                 format!(
                     "{}: {} = {:.3} must be {} {:.3} — {}",
@@ -377,7 +387,7 @@ impl Recorded<'_> {
         self.0.metrics.last().expect("metric() pushed one").1
     }
 
-    fn gate(self, op: &'static str, bound: f64, value: f64, status: String, why: &str) -> Self {
+    fn gate(self, op: &'static str, bound: f64, value: f64, pass: bool, why: &str) -> Self {
         let metric = self
             .0
             .metrics
@@ -385,32 +395,28 @@ impl Recorded<'_> {
             .expect("metric() pushed one")
             .0
             .clone();
-        println!("    gate: {metric} {op} {bound:.3}  [{status}]");
+        println!("    gate: {metric} {op} {bound:.3}  [{}]", status(pass));
         self.0.gates.push(Gate {
             metric,
             op,
             bound,
             value,
-            status,
+            pass,
             why: why.to_string(),
         });
         self
     }
 
-    fn verdict(pass: bool) -> String {
-        String::from(if pass { "pass" } else { FAIL })
-    }
-
     /// Gates the lower decile at `≤ bound`.
     pub fn at_most(self, bound: f64, why: &str) -> Self {
         let value = self.stats().p10;
-        self.gate("<=", bound, value, Self::verdict(value <= bound), why)
+        self.gate("<=", bound, value, value <= bound, why)
     }
 
     /// Gates the upper decile at `≥ bound`.
     pub fn at_least(self, bound: f64, why: &str) -> Self {
         let value = self.stats().p90;
-        self.gate(">=", bound, value, Self::verdict(value >= bound), why)
+        self.gate(">=", bound, value, value >= bound, why)
     }
 
     /// Gates the median at `≥ bound`: the form for a same-run ratio of two
@@ -418,43 +424,13 @@ impl Recorded<'_> {
     /// ratio, so neither decile is the quiet-box reading.
     pub fn median_at_least(self, bound: f64, why: &str) -> Self {
         let value = self.stats().median;
-        self.gate(">=", bound, value, Self::verdict(value >= bound), why)
+        self.gate(">=", bound, value, value >= bound, why)
     }
 
     /// Gates a count at exactly `expected`.
     pub fn exactly(self, expected: f64, why: &str) -> Self {
         let value = self.stats().median;
-        self.gate("==", expected, value, Self::verdict(value == expected), why)
-    }
-
-    /// Gates the lower decile at `≤ factor ×` the committed artifact's, so a
-    /// regression of that factor turns CI red wherever the absolute number
-    /// means something: on the cpu model the committed artifact names.
-    /// Anywhere else the gate is recorded as not applied.
-    pub fn at_most_x_committed(self, factor: f64, why: &str) -> Self {
-        let report = &*self.0;
-        let (key, stats) = report.metrics.last().expect("metric() pushed one");
-        let path = report.baseline_dir.join(report.file_name());
-        let committed = std::fs::read_to_string(path)
-            .ok()
-            .and_then(|text| Json::parse(&text).ok());
-        let cpu = |host: Option<&Json>| host?.get("cpu_model")?.as_str().map(String::from);
-        let committed_cpu = cpu(committed.as_ref().and_then(|doc| doc.get("host")));
-        let baseline = committed
-            .as_ref()
-            .and_then(|doc| doc.get("metrics")?.get(key)?.get("p10")?.as_f64());
-        let value = stats.p10;
-        let (bound, status) = match baseline {
-            None => (
-                f64::INFINITY,
-                "not gated: no committed baseline".to_string(),
-            ),
-            Some(b) if committed_cpu != cpu(Some(&report.host)) => {
-                (factor * b, "not gated: different host".to_string())
-            }
-            Some(b) => (factor * b, Self::verdict(value <= factor * b)),
-        };
-        self.gate("<=", bound, value, status, why)
+        self.gate("==", expected, value, value == expected, why)
     }
 }
 
@@ -1031,10 +1007,8 @@ mod tests {
         dir
     }
 
-    fn report_into(dir: &Path) -> Report {
-        let mut report = Report::new("selftest", &Harness { fast: true });
-        report.baseline_dir = dir.to_path_buf();
-        report
+    fn selftest() -> Report {
+        Report::new("selftest", &Harness { fast: true })
     }
 
     #[test]
@@ -1079,7 +1053,7 @@ mod tests {
 
     #[test]
     fn report_round_trips_with_keys_in_declared_order() {
-        let mut report = report_into(&scratch_dir("roundtrip"));
+        let mut report = selftest();
         report.metric("zeta_ns", Stats::from_samples(&ramp(15)));
         report
             .count("alpha", 3.0)
@@ -1111,7 +1085,7 @@ mod tests {
 
     #[test]
     fn every_failing_gate_is_reported() {
-        let mut report = report_into(&scratch_dir("failures"));
+        let mut report = selftest();
         report
             .metric("slow_ratio", Stats::single(4.0))
             .at_most(3.0, "too slow");
@@ -1122,36 +1096,6 @@ mod tests {
         let failures = report.failures();
         assert_eq!(failures.len(), 2, "{failures:?}");
         assert!(failures[0].contains("slow_ratio") && failures[1].contains("builds"));
-    }
-
-    #[test]
-    fn committed_relative_gates_bind_only_on_the_committed_host() {
-        let dir = scratch_dir("baseline");
-        let mut committed = report_into(&dir);
-        committed.metric("rtt_ns", Stats::single(100.0));
-        let path = dir.join("BENCH_selftest.json");
-        publish(&path, &committed.to_json().render()).unwrap();
-
-        let mut same_host = report_into(&dir);
-        same_host
-            .metric("rtt_ns", Stats::single(150.0))
-            .at_most_x_committed(2.0, "1.5x");
-        same_host
-            .metric("rtt_ns", Stats::single(250.0))
-            .at_most_x_committed(2.0, "2.5x");
-        same_host
-            .metric("new_ns", Stats::single(1.0))
-            .at_most_x_committed(2.0, "new");
-        let statuses: Vec<&str> = same_host.gates.iter().map(|g| g.status.as_str()).collect();
-        assert_eq!(statuses, ["pass", FAIL, "not gated: no committed baseline"]);
-
-        let mut elsewhere = report_into(&dir);
-        elsewhere.host = Json::obj([("cpu_model", Json::Str("some other cpu".into()))]);
-        elsewhere
-            .metric("rtt_ns", Stats::single(900.0))
-            .at_most_x_committed(2.0, "9x");
-        assert_eq!(elsewhere.gates[0].status, "not gated: different host");
-        assert!(elsewhere.failures().is_empty());
     }
 
     #[test]

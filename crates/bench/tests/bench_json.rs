@@ -3,8 +3,7 @@
 //! parser as a complete schema-2 document. The benches publish with a
 //! write-then-rename so a killed run can't leave a truncated file; this is
 //! the other half of that contract — a hand edit or a bad merge that
-//! corrupts an artifact fails here, not in whatever reads it next
-//! (`Recorded::at_most_x_committed` does).
+//! corrupts an artifact fails here, not in whoever reads the record next.
 
 use cca_bench::{committed_dir, Json};
 

@@ -6,9 +6,9 @@
 # --no-fail-fast: a bench that fails a gate (it lists every failing gate,
 # then exits nonzero) does not stop the ones after it.
 #
-# CCA_BENCH_FAST=1 shrinks sample counts and workload sizes for CI; the
-# ratio gates still bind, the committed-baseline gates bind only on the host
-# the committed artifacts name.
+# CCA_BENCH_FAST=1 shrinks sample counts and workload sizes for CI. Every
+# gate is a count or a ratio taken in its own run, so each binds on any
+# host, in either mode.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 exec cargo bench --offline -p cca-bench --no-fail-fast
