@@ -20,6 +20,8 @@ use cca::solvers::precond::Jacobi;
 use cca::solvers::{HydroConfig, HydroSim, KrylovKind};
 use std::sync::Arc;
 
+mod common;
+
 fn cfg() -> HydroConfig {
     HydroConfig {
         nx: 16,
@@ -194,7 +196,7 @@ fn parallel_figure1_pipeline_runs_under_spmd() {
 
 /// Runs ten monolithic steps at `n × n` (Jacobi-preconditioned CG from a
 /// zero guess on the assembled matrix) and returns the total iteration
-/// count and an FNV-1a digest of the final field's bits.
+/// count and the final field's digest.
 fn monolithic_digest(n: usize) -> (usize, u64) {
     use cca::solvers::{cg, SerialReduce};
     let cfg = HydroConfig {
@@ -222,11 +224,7 @@ fn monolithic_digest(n: usize) -> (usize, u64) {
         assert!(stats.converged);
         iterations += stats.iterations;
     }
-    let mut h: u64 = 0xcbf29ce484222325;
-    for v in &sim.u {
-        h = (h ^ v.to_bits()).wrapping_mul(0x100000001b3);
-    }
-    (iterations, h)
+    (iterations, common::field_digest(&sim.u))
 }
 
 #[test]
