@@ -28,6 +28,9 @@
 #              [seed=1999]: the end-to-end benchmark at <base-ref> and at
 #              HEAD, n alternating pairs per workload (reports only; not
 #              in `all`)
+#   mutants    each scripts/mutants/*.patch applied to HEAD in turn, its
+#              named fast-mode bench or test run: caught, missed or stale
+#              (reports only; not in `all`)
 #
 # The CI workflow fans these out as separate jobs; `all` keeps the
 # one-command local story.
@@ -351,6 +354,52 @@ pairs() {
         }' "$root/declared" "$root/results"
 }
 
+# The committed mutants: each scripts/mutants/NN-name.patch is a past or
+# plausible regression, with a header naming the gate or test that must
+# turn red (`Red:`, a string its failure prints) and the cargo command that
+# runs it (`Run:`). HEAD is exported with `git archive` into a temporary
+# directory, as `pairs` does, so the worktree is never touched; each patch
+# is applied there, its command run in fast mode, and the patch reverted.
+# A mutant is caught when the command fails and prints its `Red:` string
+# (the last line that names it is shown), missed otherwise (the log's last
+# lines are shown), and stale when the patch no longer applies.
+mutants() {
+    local root patch name run red verdict
+    MUTANTS_ROOT="$(mktemp -d)"
+    root="$MUTANTS_ROOT"
+    trap 'rm -rf "$MUTANTS_ROOT"; reap_fleet_orphans' EXIT
+    mkdir -p "$root/tree"
+    git archive HEAD | tar -x -C "$root/tree"
+    for patch in "$(pwd)"/scripts/mutants/*.patch; do
+        name="$(basename "$patch" .patch)"
+        run="$(sed -n 's/^Run: //p' "$patch")"
+        red="$(sed -n 's/^Red: //p' "$patch")"
+        if ! (cd "$root/tree" && git apply --check "$patch" 2> /dev/null); then
+            echo "stale   $name"
+            continue
+        fi
+        echo "==> $name: cargo $run"
+        (cd "$root/tree" && git apply "$patch")
+        # `Run:` is a cargo argument list, split on purpose.
+        if (cd "$root/tree" && CCA_BENCH_FAST=1 CCA_BENCH_OUT_DIR="$root/out" \
+            CARGO_TARGET_DIR="$root/target" timeout -k 30 600 cargo $run --offline) \
+            > "$root/log" 2>&1; then
+            verdict=missed
+        elif grep -qF -- "$red" "$root/log"; then
+            verdict=caught
+        else
+            verdict=missed
+        fi
+        (cd "$root/tree" && git apply -R "$patch")
+        echo "$verdict  $name  ($red)"
+        if [ "$verdict" = caught ]; then
+            grep -F -- "$red" "$root/log" | tail -n 1 | sed 's/^/    /'
+        else
+            tail -n 3 "$root/log" | sed 's/^/    /'
+        fi
+    done
+}
+
 case "$MODE" in
 all)
     build_test
@@ -376,8 +425,9 @@ ccabench) ccabench ;;
 loc) loc "${2:-}" ;;
 surface) surface ;;
 pairs) pairs "${@:2}" ;;
+mutants) mutants ;;
 *)
-    echo "unknown mode '$MODE' (want all|build-test|clippy|fmt|doc|examples|fault|fleet|bench-gate|ccabench|loc|surface|pairs)" >&2
+    echo "unknown mode '$MODE' (want all|build-test|clippy|fmt|doc|examples|fault|fleet|bench-gate|ccabench|loc|surface|pairs|mutants)" >&2
     exit 2
     ;;
 esac
