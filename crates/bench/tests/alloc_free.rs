@@ -479,8 +479,9 @@ fn planning_allocations_do_not_grow_with_the_array() {
 }
 
 /// Every `cca-obs` counter block records with relaxed atomics only; the mux
-/// pair runs on every remote call and the exact-lookup count on every
-/// repository lookup, so none of them may allocate.
+/// pair runs on every remote call, the exact-lookup count on every
+/// repository lookup and the solver tallies on every CG solve, so none of
+/// them may allocate.
 #[test]
 fn counter_block_record_paths_allocate_nothing() {
     let mux = cca_obs::MuxMetrics::default();
@@ -491,6 +492,7 @@ fn counter_block_record_paths_allocate_nothing() {
         cca_obs::fleet().record_message_relayed();
         cca_obs::repo().record_exact_lookup();
         cca_obs::repo().record_fuzzy_query(3);
+        cca_obs::solvers().record_cg_solve(3, 8, 4);
         mux.record_begin();
         mux.set_queued_bytes(i);
         mux.set_paused_connections(i % 2);

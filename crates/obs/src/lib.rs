@@ -20,10 +20,11 @@
 //!   per-call cost is one relaxed store, not an atomic RMW. Also the
 //!   transport's depth counters ([`MuxMetrics`]) and the bulk plane's
 //!   byte/chunk counters ([`BulkMetrics`]).
-//! * [`mod@resilience`], [`mod@repo`], [`mod@fleet`] — the process-global
-//!   counter blocks of the resilience layer, the component repository and
-//!   the worker fleet, each reached through a same-named function.
-//! * `counters` — the one counter shape. Every counter family (the three
+//! * [`mod@resilience`], [`mod@repo`], [`mod@fleet`], [`mod@solvers`] — the
+//!   process-global counter blocks of the resilience layer, the component
+//!   repository, the worker fleet and the Krylov solvers, each reached
+//!   through a same-named function.
+//! * `counters` — the one counter shape. Every counter family (the four
 //!   global blocks above, [`MuxMetrics`], [`BulkMetrics`]) is one
 //!   `counter_block!` declaration listing its fields once; the atomics
 //!   block, getters, adders, `snapshot()`, the snapshot struct and its
@@ -52,6 +53,7 @@ pub mod flight;
 pub mod metrics;
 pub mod repo;
 pub mod resilience;
+pub mod solvers;
 pub mod trace;
 
 pub use flags::{counters_enabled, init_from_env, set_counters, set_tracing, tracing_enabled};
@@ -62,6 +64,7 @@ pub use metrics::{
 };
 pub use repo::{repo, RepoCounters, RepoSnapshot};
 pub use resilience::{resilience, ResilienceCounters, ResilienceSnapshot};
+pub use solvers::{solvers, SolverCounters, SolverSnapshot};
 pub use trace::{
     current_context, drain, install_context, merge_chrome_trace, snapshot, span, to_chrome_trace,
     to_jsonl, trace_instant, ContextGuard, Span, TraceContext, TraceEvent, TraceKind,
