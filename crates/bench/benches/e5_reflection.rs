@@ -11,8 +11,15 @@
 //!   reflection_query — pure metadata lookup (type → method), the
 //!                      discovery operation builders run while wiring.
 //!
-//! Expected shape: dynamic ≈ 5–50× static (boxing + name dispatch), both
-//! orders of magnitude below the ORB path of E3.
+//! Measured shape: `static_stub` and `dynamic_invoke` are timed in
+//! alternating rounds, and a dynamic call costs under 2× the typed one
+//! (ratio median 1.7–1.9, p10 1.6–1.8 in fast mode on a 2-vCPU Xeon: one
+//! argument vector boxed and freed and a method-name match around the
+//! same typed call). Gate: `dynamic_over_static_ratio ≤ 2.3` (p10); one
+//! extra clone of the argument vector in the skeleton reads 2.7–3.4.
+//! Argument checking adds ~10 ns more, a reflection query costs less than
+//! a typed call, and all of it is orders of magnitude below the ORB path
+//! of E3.
 
 use cca::generated::demo;
 use cca::sidl::dynamic::invoke_checked;
@@ -44,6 +51,10 @@ impl demo::Counter for CounterImpl {
     }
 }
 
+/// Bound on `dynamic_over_static_ratio`, between the skeleton's reading
+/// and that of a skeleton that clones its argument vector once more.
+const DYNAMIC_OVER_STATIC: f64 = 2.3;
+
 /// The package the generated `demo::Counter` comes from.
 const DEMO_SIDL: &str = include_str!("../../../sidl/demo.sidl");
 
@@ -54,22 +65,25 @@ fn main() {
     let stub = demo::CounterStub(Arc::new(CounterImpl {
         value: Mutex::new(0),
     }));
-    report.metric(
-        "static_stub_ns",
-        h.time(|| black_box(&stub).add(black_box(1)).unwrap()),
-    );
-
     let skel = demo::CounterSkel(CounterImpl {
         value: Mutex::new(0),
     });
-    report.metric(
-        "dynamic_invoke_ns",
-        h.time(|| {
+    let pair = h.ratio(
+        || black_box(&stub).add(black_box(1)).unwrap(),
+        || {
             black_box(&skel)
                 .invoke("add", vec![DynValue::Long(black_box(1))])
                 .unwrap()
-        }),
+        },
     );
+    report.metric("static_stub_ns", pair.baseline);
+    report.metric("dynamic_invoke_ns", pair.probe);
+    report
+        .metric("dynamic_over_static_ratio", pair.ratio)
+        .at_most(
+            DYNAMIC_OVER_STATIC,
+            "§5: a dynamic call is the typed call plus one boxed argument vector and a name match",
+        );
 
     let reflection = Reflection::from_model(&cca::sidl::compile(DEMO_SIDL).unwrap());
     let add_info = reflection
