@@ -510,6 +510,10 @@ counter_block! {
         /// on a dispatch worker, or out of a bulk sink on the event loop.
         /// Each cost one connection; the thread lived on.
         servant_panics => record_servant_panic,
+        /// Server side: dispatches run by a different worker than the
+        /// dispatch before them. A lone sequential caller's stay near
+        /// zero: each job wakes the most recently idle worker.
+        worker_switches => record_worker_switch,
     }
 }
 
@@ -744,6 +748,7 @@ mod tests {
         m.record_bulk_loop_land();
         m.record_reply_read();
         m.record_servant_panic();
+        m.record_worker_switch();
         let s = m.snapshot();
         assert_eq!(s.peak_in_flight, 3);
         assert_eq!(s.peak_queued_bytes, 4096);
@@ -751,6 +756,7 @@ mod tests {
         assert_eq!((s.loop_passes, s.loop_parks), (2, 1));
         assert_eq!((s.bulk_caller_writes, s.bulk_loop_lands), (1, 2));
         assert_eq!((s.reply_reads, s.servant_panics), (1, 1));
+        assert_eq!(s.worker_switches, 1);
         assert_eq!(
             s.to_json(),
             "{\"in_flight\":2,\"peak_in_flight\":3,\"queued_bytes\":128,\
@@ -758,7 +764,7 @@ mod tests {
              \"pause_events\":4,\"protocol_violations\":1,\
              \"loop_passes\":2,\"loop_parks\":1,\
              \"bulk_caller_writes\":1,\"bulk_loop_lands\":2,\"reply_reads\":1,\
-             \"servant_panics\":1}"
+             \"servant_panics\":1,\"worker_switches\":1}"
         );
         assert!(format!("{m:?}").contains("in_flight"));
     }
