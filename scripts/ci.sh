@@ -360,11 +360,14 @@ pairs() {
 # runs it (`Run:`). HEAD is exported with `git archive` into a temporary
 # directory, as `pairs` does, so the worktree is never touched; each patch
 # is applied there, its command run in fast mode, and the patch reverted.
-# A mutant is caught when the command fails and prints its `Red:` string
-# (the last line that names it is shown), missed otherwise (the log's last
-# lines are shown), and stale when the patch no longer applies.
+# A mutant is caught when the command fails and its log shows the `Red:`
+# string failing (the last such line is shown), missed otherwise (the log's
+# last lines are shown), and stale when the patch no longer applies. A
+# bench prints every metric's name whether its gate passes or not, so for a
+# bench mutant only the gate's own `GATE FAILED  <bench>: <Red> =` line
+# counts; a test mutant's `Red:` is a string its failure alone prints.
 mutants() {
-    local root patch name run red verdict
+    local root patch name run red bench needle verdict
     MUTANTS_ROOT="$(mktemp -d)"
     root="$MUTANTS_ROOT"
     trap 'rm -rf "$MUTANTS_ROOT"; reap_fleet_orphans' EXIT
@@ -374,6 +377,11 @@ mutants() {
         name="$(basename "$patch" .patch)"
         run="$(sed -n 's/^Run: //p' "$patch")"
         red="$(sed -n 's/^Red: //p' "$patch")"
+        bench="$(sed -n 's/.*--bench \([^ ]*\).*/\1/p' <<< "$run")"
+        needle="$red"
+        if [ -n "$bench" ]; then
+            needle="GATE FAILED  $bench: $red ="
+        fi
         if ! (cd "$root/tree" && git apply --check "$patch" 2> /dev/null); then
             echo "stale   $name"
             continue
@@ -385,7 +393,7 @@ mutants() {
             CARGO_TARGET_DIR="$root/target" timeout -k 30 600 cargo $run --offline) \
             > "$root/log" 2>&1; then
             verdict=missed
-        elif grep -qF -- "$red" "$root/log"; then
+        elif grep -qF -- "$needle" "$root/log"; then
             verdict=caught
         else
             verdict=missed
@@ -393,7 +401,7 @@ mutants() {
         (cd "$root/tree" && git apply -R "$patch")
         echo "$verdict  $name  ($red)"
         if [ "$verdict" = caught ]; then
-            grep -F -- "$red" "$root/log" | tail -n 1 | sed 's/^/    /'
+            grep -F -- "$needle" "$root/log" | tail -n 1 | sed 's/^/    /'
         else
             tail -n 3 "$root/log" | sed 's/^/    /'
         fi
