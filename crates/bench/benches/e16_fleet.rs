@@ -31,8 +31,6 @@ use cca_framework::fleet::{
     FleetConfig, FleetHub, FleetSupervisor, HubLink, LaunchSpec, ProcessHandle, RankLauncher,
 };
 use cca_parallel::{spmd, SumOp};
-use cca_rpc::transport::Dispatcher;
-use cca_rpc::{MuxServer, MuxServerConfig, SessionSink};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -62,17 +60,7 @@ fn thread_allreduce_ns(iters: usize) -> Vec<f64> {
 /// The same allreduce with every rank behind a [`HubLink`] over real
 /// sockets, ns, and the messages the hub relayed meanwhile.
 fn wire_allreduce_ns(iters: usize) -> (Vec<f64>, u64) {
-    let hub = FleetHub::new(RANKS);
-    let server = MuxServer::bind_with(
-        "127.0.0.1:0",
-        Arc::clone(&hub) as Arc<dyn Dispatcher>,
-        MuxServerConfig {
-            dispatch_threads: RANKS * 2 + 2,
-            ..MuxServerConfig::default()
-        },
-    )
-    .expect("bind hub server");
-    server.set_session_sink(Arc::clone(&hub) as Arc<dyn SessionSink>);
+    let (_, server) = FleetHub::serve(RANKS, "127.0.0.1:0").expect("bind hub server");
     let addr = server.local_addr().to_string();
 
     let relayed_before = cca_obs::fleet().messages_relayed();

@@ -1,9 +1,10 @@
 //! Launchers: how a rank incarnation becomes a process.
 
 use super::{FLEET_ADDR_ENV, FLEET_INCARNATION_ENV, FLEET_RANK_ENV, FLEET_SIZE_ENV};
+use parking_lot::Mutex;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// What to launch: one rank incarnation of the fleet.
@@ -134,7 +135,7 @@ pub struct MockProcess {
 impl MockProcess {
     /// Scripts this process to exit with `status` (e.g. `-9`).
     pub fn exit_with(&self, status: i32) {
-        *self.exit.lock().unwrap() = Some(status);
+        *self.exit.lock() = Some(status);
     }
 
     /// Whether the supervisor delivered a kill.
@@ -159,14 +160,13 @@ impl MockLauncher {
 
     /// Every process launched so far, in launch order.
     pub fn spawned(&self) -> Vec<Arc<MockProcess>> {
-        self.spawned.lock().unwrap().clone()
+        self.spawned.lock().clone()
     }
 
     /// The most recent launch for `rank`.
     pub fn last_for_rank(&self, rank: u32) -> Option<Arc<MockProcess>> {
         self.spawned
             .lock()
-            .unwrap()
             .iter()
             .rev()
             .find(|p| p.rank == rank)
@@ -184,12 +184,12 @@ impl ProcessHandle for MockHandle {
     }
 
     fn poll_exit(&mut self) -> Option<i32> {
-        *self.proc.exit.lock().unwrap()
+        *self.proc.exit.lock()
     }
 
     fn kill(&mut self) {
         self.proc.killed.store(true, Ordering::Release);
-        let mut exit = self.proc.exit.lock().unwrap();
+        let mut exit = self.proc.exit.lock();
         if exit.is_none() {
             *exit = Some(-9);
         }
@@ -197,7 +197,7 @@ impl ProcessHandle for MockHandle {
 
     fn wait_exit(&mut self) -> i32 {
         loop {
-            if let Some(status) = *self.proc.exit.lock().unwrap() {
+            if let Some(status) = *self.proc.exit.lock() {
                 return status;
             }
             std::thread::sleep(Duration::from_millis(1));
@@ -213,7 +213,7 @@ impl RankLauncher for MockLauncher {
             exit: Mutex::new(None),
             killed: AtomicBool::new(false),
         });
-        self.spawned.lock().unwrap().push(Arc::clone(&proc));
+        self.spawned.lock().push(Arc::clone(&proc));
         Ok(Box::new(MockHandle { proc }))
     }
 }

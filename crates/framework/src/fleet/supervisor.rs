@@ -6,11 +6,11 @@ use cca_core::resilience::{
     BackoffSchedule, BreakerPolicy, BreakerState, CircuitBreaker, Clock, RetryPolicy,
 };
 use cca_core::ConfigEvent;
-use cca_rpc::transport::Dispatcher;
-use cca_rpc::{MuxServer, MuxServerConfig, SessionSink};
+use cca_rpc::MuxServer;
+use parking_lot::Mutex;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 /// One entry in the supervisor's event log.
@@ -190,24 +190,14 @@ pub struct FleetSupervisor {
 }
 
 impl FleetSupervisor {
-    /// Binds the hub server and prepares (but does not launch) the
-    /// fleet. Dispatch threads scale with fleet size so parked recv
-    /// long-polls can't starve sends.
+    /// Binds the hub server ([`FleetHub::serve`]) and prepares (but does
+    /// not launch) the fleet.
     pub fn new(
         config: FleetConfig,
         launcher: Arc<dyn RankLauncher>,
         clock: Arc<dyn Clock>,
     ) -> std::io::Result<Arc<Self>> {
-        let hub = FleetHub::new(config.size);
-        let server = MuxServer::bind_with(
-            config.addr.as_str(),
-            Arc::clone(&hub) as Arc<dyn Dispatcher>,
-            MuxServerConfig {
-                dispatch_threads: config.size * 2 + 2,
-                ..MuxServerConfig::default()
-            },
-        )?;
-        server.set_session_sink(Arc::clone(&hub) as Arc<dyn SessionSink>);
+        let (hub, server) = FleetHub::serve(config.size, &config.addr)?;
         let slots = (0..config.size)
             .map(|rank| {
                 let policy =
@@ -252,34 +242,29 @@ impl FleetSupervisor {
 
     /// A copy of the supervision event log.
     pub fn events(&self) -> Vec<FleetEvent> {
-        self.events.lock().unwrap().clone()
+        self.events.lock().clone()
     }
 
     /// Current breaker state for `rank`'s restart quarantine.
     pub fn breaker_state(&self, rank: usize) -> BreakerState {
-        self.slots.lock().unwrap()[rank].breaker.state()
+        self.slots.lock()[rank].breaker.state()
     }
 
     /// Routes `RankDied`/`RankRejoined` config events to a framework's
     /// configuration listeners.
     pub fn attach_framework(&self, framework: &Arc<Framework>) {
-        *self.framework.lock().unwrap() = Some(Arc::downgrade(framework));
+        *self.framework.lock() = Some(Arc::downgrade(framework));
     }
 
     fn emit_event(&self, event: ConfigEvent) {
-        let fw = self
-            .framework
-            .lock()
-            .unwrap()
-            .as_ref()
-            .and_then(Weak::upgrade);
+        let fw = self.framework.lock().as_ref().and_then(Weak::upgrade);
         if let Some(fw) = fw {
             fw.emit(event);
         }
     }
 
     fn push_event(&self, ev: FleetEvent) {
-        self.events.lock().unwrap().push(ev);
+        self.events.lock().push(ev);
     }
 
     fn launch_slot(&self, rank: usize, slot: &mut Slot, now: u64) {
@@ -326,7 +311,7 @@ impl FleetSupervisor {
     /// Launches every rank at incarnation 1.
     pub fn start(&self) {
         let now = self.clock.now_ns();
-        let mut slots = self.slots.lock().unwrap();
+        let mut slots = self.slots.lock();
         for (rank, slot) in slots.iter_mut().enumerate() {
             if matches!(slot.state, SlotState::Idle) {
                 self.launch_slot(rank, slot, now);
@@ -337,9 +322,13 @@ impl FleetSupervisor {
     /// One supervision pass: reap exits, schedule restarts, admit
     /// probes through each rank's breaker, record health and rejoins.
     /// Deterministic: all timing comes from the injected [`Clock`].
+    /// The pass's `RankDied`/`RankRejoined` events reach the framework's
+    /// listeners after the slots are released, so a listener may call
+    /// back into the supervisor.
     pub fn tick(&self) {
         let now = self.clock.now_ns();
-        let mut slots = self.slots.lock().unwrap();
+        let mut notices = Vec::new();
+        let mut slots = self.slots.lock();
         for (rank, slot) in slots.iter_mut().enumerate() {
             match &mut slot.state {
                 SlotState::Running {
@@ -381,7 +370,7 @@ impl FleetSupervisor {
                             delay_ns: delay,
                             at_ns: now,
                         });
-                        self.emit_event(ConfigEvent::RankDied {
+                        notices.push(ConfigEvent::RankDied {
                             rank: rank as u64,
                             incarnation: u64::from(incarnation),
                             generation: self.hub.generation(),
@@ -398,7 +387,7 @@ impl FleetSupervisor {
                                     incarnation: jinc,
                                     at_ns: now,
                                 });
-                                self.emit_event(ConfigEvent::RankRejoined {
+                                notices.push(ConfigEvent::RankRejoined {
                                     rank: rank as u64,
                                     incarnation: u64::from(jinc),
                                     generation: self.hub.generation(),
@@ -432,6 +421,10 @@ impl FleetSupervisor {
                 SlotState::Idle | SlotState::Stopped { .. } => {}
             }
         }
+        drop(slots);
+        for event in notices {
+            self.emit_event(event);
+        }
     }
 
     /// Spawns a real-time monitor thread calling [`FleetSupervisor::tick`]
@@ -447,13 +440,13 @@ impl FleetSupervisor {
                 }
             })
             .expect("spawn fleet monitor thread");
-        *self.monitor.lock().unwrap() = Some(handle);
+        *self.monitor.lock() = Some(handle);
     }
 
     /// Delivers SIGKILL to `rank`'s current incarnation (fault
     /// injection). Returns false if the rank is not running.
     pub fn kill_rank(&self, rank: usize) -> bool {
-        let mut slots = self.slots.lock().unwrap();
+        let mut slots = self.slots.lock();
         match &mut slots[rank].state {
             SlotState::Running { handle, .. } => {
                 handle.kill();
@@ -469,13 +462,13 @@ impl FleetSupervisor {
     /// rank that ever ran; `None` for ranks with no live process.
     pub fn shutdown(&self) -> Vec<(usize, Option<i32>)> {
         self.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.monitor.lock().unwrap().take() {
+        if let Some(handle) = self.monitor.lock().take() {
             let _ = handle.join();
         }
         let now = self.clock.now_ns();
         let mut statuses = Vec::with_capacity(self.config.size);
         {
-            let mut slots = self.slots.lock().unwrap();
+            let mut slots = self.slots.lock();
             for (rank, slot) in slots.iter_mut().enumerate() {
                 let status = match &mut slot.state {
                     SlotState::Running { handle, .. } => {
@@ -510,13 +503,7 @@ impl FleetSupervisor {
         let dir = PathBuf::from(dir);
         std::fs::create_dir_all(&dir).ok()?;
         let path = dir.join(format!("fleet_supervisor_{}.jsonl", std::process::id()));
-        let mut lines: Vec<String> = self
-            .events
-            .lock()
-            .unwrap()
-            .iter()
-            .map(FleetEvent::to_json)
-            .collect();
+        let mut lines: Vec<String> = self.events.lock().iter().map(FleetEvent::to_json).collect();
         lines.extend(self.hub.log_lines());
         lines.push(cca_obs::fleet().snapshot().to_json());
         std::fs::write(&path, lines.join("\n") + "\n").ok()?;

@@ -57,6 +57,7 @@ use bytes::Bytes;
 use cca_core::resilience::{SplitMix64, DEADLINE_EXCEPTION_TYPE};
 use cca_obs::{MuxMetrics, TraceContext, TransportMetrics};
 use cca_sidl::SidlError;
+use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::ffi::c_short;
 use std::io::{ErrorKind, IoSlice, Write};
@@ -64,7 +65,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -127,7 +128,7 @@ impl WaitCell {
     }
 
     fn deliver(&self, outcome: Result<Bytes, SidlError>) {
-        *self.slot.lock().unwrap() = Some((outcome, Instant::now()));
+        *self.slot.lock() = Some((outcome, Instant::now()));
         self.cond.notify_one();
     }
 }
@@ -192,7 +193,7 @@ impl MuxConn {
     /// first caller wins; later causes are dropped.
     fn teardown(&self, cause: SidlError) {
         let victims: Vec<Arc<WaitCell>> = {
-            let mut pending = self.pending.lock().unwrap();
+            let mut pending = self.pending.lock();
             if pending.dead.is_some() {
                 return;
             }
@@ -218,7 +219,7 @@ impl MuxConn {
         self.transport_metrics.record_connection_drop();
         let _ = self.stream.shutdown(Shutdown::Both);
         {
-            let mut out = self.out.lock().unwrap();
+            let mut out = self.out.lock();
             out.dead = true;
             out.buf.clear();
         }
@@ -251,7 +252,7 @@ impl MuxConn {
         let mut held = false;
         loop {
             {
-                let mut out = self.out.lock().unwrap();
+                let mut out = self.out.lock();
                 if held {
                     // Freed in the same critical section as the next take.
                     out.writing = false;
@@ -269,7 +270,7 @@ impl MuxConn {
                         held = true;
                         break;
                     }
-                    out = self.out_cv.wait(out).unwrap();
+                    out = self.out_cv.wait(out);
                 }
             }
             if let Err(e) = stream.write_all(&batch) {
@@ -294,10 +295,10 @@ impl MuxConn {
     /// included.
     fn write_bulk(&self, head: &[u8], slab: &[u8]) {
         let mut queued = {
-            let mut out = self.out.lock().unwrap();
+            let mut out = self.out.lock();
             while out.writing && !out.dead {
                 out.side_waiters += 1;
-                out = self.side_cv.wait(out).unwrap();
+                out = self.side_cv.wait(out);
                 out.side_waiters -= 1;
             }
             if out.dead {
@@ -320,7 +321,7 @@ impl MuxConn {
             return;
         }
         let control_queued = {
-            let mut out = self.out.lock().unwrap();
+            let mut out = self.out.lock();
             out.writing = false;
             // Hand the emptied buffer back so control frames queue into
             // storage that is already grown.
@@ -377,12 +378,7 @@ impl MuxConn {
                     self.addr
                 );
             }
-            let entry = self
-                .pending
-                .lock()
-                .unwrap()
-                .waiters
-                .remove(&frame.request_id);
+            let entry = self.pending.lock().waiters.remove(&frame.request_id);
             match entry {
                 Some(PendingEntry::Live(cell)) => {
                     self.end_call();
@@ -526,7 +522,6 @@ impl MuxTransport {
             .filter(|s| {
                 s.conn
                     .lock()
-                    .unwrap()
                     .as_ref()
                     .is_some_and(|c| c.alive.load(Ordering::SeqCst))
             })
@@ -542,7 +537,7 @@ impl MuxTransport {
             .iter()
             .min_by_key(|s| s.load.rank())
             .expect("a transport has at least one slot");
-        let mut conn = slot.conn.lock().unwrap();
+        let mut conn = slot.conn.lock();
         if let Some(conn) = conn.as_ref() {
             if conn.alive.load(Ordering::SeqCst) {
                 return Ok(Arc::clone(conn));
@@ -663,7 +658,7 @@ impl MuxTransport {
         let context = cca_obs::trace::current_context();
         let cell = Arc::new(WaitCell::new());
         {
-            let mut pending = conn.pending.lock().unwrap();
+            let mut pending = conn.pending.lock();
             if let Some(err) = &pending.dead {
                 return Err(err.clone());
             }
@@ -680,7 +675,7 @@ impl MuxTransport {
                 .map(|()| conn.write_bulk(&head, payload))
         } else {
             let queued = {
-                let mut out = conn.out.lock().unwrap();
+                let mut out = conn.out.lock();
                 // If the connection died between the two locks, teardown
                 // has already delivered the error to our cell; skip the
                 // enqueue and let `wait` surface it.
@@ -697,7 +692,7 @@ impl MuxTransport {
             // Oversize payload: nothing was written, so unhook the waiter
             // instead of leaving a request id that can never complete —
             // unless a teardown has unhooked and ended it already.
-            let unhooked = conn.pending.lock().unwrap().waiters.remove(&request_id);
+            let unhooked = conn.pending.lock().waiters.remove(&request_id);
             if unhooked.is_some() {
                 conn.end_call();
             }
@@ -735,7 +730,7 @@ fn write_all_vectored(
 impl Drop for MuxTransport {
     fn drop(&mut self) {
         for slot in &self.slots {
-            let conn = slot.conn.lock().unwrap().clone();
+            let conn = slot.conn.lock().clone();
             if let Some(conn) = conn {
                 conn.teardown(conn_err("transport dropped"));
             }
@@ -826,14 +821,14 @@ impl PendingReply {
     pub fn wait_timed(mut self) -> Result<(Bytes, Duration), SidlError> {
         let cell = self.cell.take().expect("wait consumes the cell");
         let deadline = self.timeout.map(|t| self.submitted + t);
-        let mut slot = cell.slot.lock().unwrap();
+        let mut slot = cell.slot.lock();
         loop {
             if let Some((outcome, done_at)) = slot.take() {
                 let latency = done_at.saturating_duration_since(self.submitted);
                 return outcome.map(|bytes| (bytes, latency));
             }
             match deadline {
-                None => slot = cell.cond.wait(slot).unwrap(),
+                None => slot = cell.cond.wait(slot),
                 Some(d) => {
                     let now = Instant::now();
                     if now >= d {
@@ -852,7 +847,7 @@ impl PendingReply {
                             ),
                         ));
                     }
-                    slot = cell.cond.wait_timeout(slot, d - now).unwrap().0;
+                    slot = cell.cond.wait_timeout(slot, d - now).0;
                 }
             }
         }
@@ -861,7 +856,7 @@ impl PendingReply {
     /// Converts this call's routing entry to a tombstone. Returns the
     /// outcome instead if delivery won the race.
     fn abandon(&self, cell: &Arc<WaitCell>) -> Option<(Result<Bytes, SidlError>, Instant)> {
-        let mut pending = self.conn.pending.lock().unwrap();
+        let mut pending = self.conn.pending.lock();
         match pending.waiters.get_mut(&self.request_id) {
             Some(entry @ PendingEntry::Live(_)) => {
                 *entry = PendingEntry::Abandoned;
@@ -870,7 +865,7 @@ impl PendingReply {
             }
             // Already delivered (or the connection died and delivered an
             // error): the cell holds the outcome.
-            _ => cell.slot.lock().unwrap().take(),
+            _ => cell.slot.lock().take(),
         }
     }
 }
@@ -1127,18 +1122,18 @@ impl MuxServer {
             session_sink: Mutex::new(None),
         });
         let for_accept = Arc::clone(&server);
-        *server.accept_thread.lock().unwrap() = Some(
+        *server.accept_thread.lock() = Some(
             std::thread::Builder::new()
                 .name(format!("cca-mux-accept-{local_addr}"))
                 .spawn(move || for_accept.accept_loop(listener))?,
         );
         let for_events = Arc::clone(&server);
-        *server.event_thread.lock().unwrap() = Some(
+        *server.event_thread.lock() = Some(
             std::thread::Builder::new()
                 .name(format!("cca-mux-events-{local_addr}"))
                 .spawn(move || for_events.event_loop())?,
         );
-        let mut workers = server.workers.lock().unwrap();
+        let mut workers = server.workers.lock();
         for i in 0..dispatch_threads {
             let me = Arc::clone(&server);
             workers.push(
@@ -1189,7 +1184,7 @@ impl MuxServer {
     /// violation — and no other. Without a sink, bulk frames are protocol
     /// violations.
     pub fn set_bulk_sink(&self, sink: Arc<dyn crate::bulk::BulkSink>) {
-        *self.bulk_sink.lock().unwrap() = Some(sink);
+        *self.bulk_sink.lock() = Some(sink);
     }
 
     /// Installs the fleet session sink: decoded `Join`/`Leave` frames are
@@ -1198,7 +1193,7 @@ impl MuxServer {
     /// via [`SessionSink::disconnected`] from the reap pass. Without a
     /// sink, join/leave frames are protocol violations.
     pub fn set_session_sink(&self, sink: Arc<dyn SessionSink>) {
-        *self.session_sink.lock().unwrap() = Some(sink);
+        *self.session_sink.lock() = Some(sink);
     }
 
     /// Arms (or disarms with `drop_permille == 0`) the hostile-network
@@ -1209,7 +1204,7 @@ impl MuxServer {
     /// the order the event loop decodes them, so the CI fault matrix
     /// replays identically per `CCA_FAULT_SEED`.
     pub fn set_fault_plan(&self, seed: u64, drop_permille: u64) {
-        *self.fault_draws.lock().unwrap() = SplitMix64::new(seed);
+        *self.fault_draws.lock() = SplitMix64::new(seed);
         self.drop_permille.store(drop_permille, Ordering::SeqCst);
     }
 
@@ -1218,7 +1213,7 @@ impl MuxServer {
         if permille == 0 {
             return false;
         }
-        self.fault_draws.lock().unwrap().next_below(1000) < permille
+        self.fault_draws.lock().next_below(1000) < permille
     }
 
     /// Call *after* publishing work (`completed`, `incoming`,
@@ -1245,7 +1240,7 @@ impl MuxServer {
             let _ = stream.set_nodelay(true);
             self.accepted.fetch_add(1, Ordering::Relaxed);
             self.live_conns.fetch_add(1, Ordering::SeqCst);
-            self.incoming.lock().unwrap().push(stream);
+            self.incoming.lock().push(stream);
             self.wake_event_loop();
         }
     }
@@ -1255,7 +1250,7 @@ impl MuxServer {
     fn worker_loop(self: Arc<Self>, me: usize) {
         loop {
             let job = {
-                let mut queue = self.jobs.lock().unwrap();
+                let mut queue = self.jobs.lock();
                 loop {
                     if let Some(job) = queue.jobs.pop_front() {
                         if queue.last_worker.replace(me).is_some_and(|w| w != me) {
@@ -1268,8 +1263,7 @@ impl MuxServer {
                     }
                     queue.idle.push(me);
                     queue = self.worker_cvs[me]
-                        .wait_while(queue, |q| !q.shutting_down && q.idle.contains(&me))
-                        .unwrap();
+                        .wait_while(queue, |q| !q.shutting_down && q.idle.contains(&me));
                 }
             };
             // Dispatch errors mean the payload was undecodable — the
@@ -1292,7 +1286,7 @@ impl MuxServer {
                         // the reply. The sink is checked at decode time, so
                         // absence here means it was uninstalled mid-flight;
                         // the close sentinel handles that.
-                        let sink = self.session_sink.lock().unwrap().clone();
+                        let sink = self.session_sink.lock().clone();
                         match sink {
                             Some(sink) if job.kind == FrameKind::Join => {
                                 sink.join(job.conn_id, job.payload).map(Bytes::from)
@@ -1314,7 +1308,7 @@ impl MuxServer {
             // The event loop frames the reply onto the connection's write
             // buffer itself: one copy of the reply, on the one thread that
             // owns that buffer.
-            self.completed.lock().unwrap().push(Completion {
+            self.completed.lock().push(Completion {
                 conn_id: job.conn_id,
                 request_id: job.request_id,
                 cost: job.cost,
@@ -1349,7 +1343,7 @@ impl MuxServer {
 
             // New connections, registered nonblocking.
             {
-                let mut incoming = self.incoming.lock().unwrap();
+                let mut incoming = self.incoming.lock();
                 for stream in incoming.drain(..) {
                     if stream.set_nonblocking(true).is_err() {
                         self.live_conns.fetch_sub(1, Ordering::SeqCst);
@@ -1374,7 +1368,7 @@ impl MuxServer {
 
             // Completed dispatches into per-connection write buffers.
             {
-                let mut completed = self.completed.lock().unwrap();
+                let mut completed = self.completed.lock();
                 for done in completed.drain(..) {
                     progressed = true;
                     // `conns` is sorted by id: ids only grow, registration
@@ -1490,7 +1484,7 @@ impl MuxServer {
             // rank-death signal: report it before the conn is forgotten.
             let before = conns.len();
             let session_sink = if conns.iter().any(|c| c.closed && c.joined) {
-                self.session_sink.lock().unwrap().clone()
+                self.session_sink.lock().clone()
             } else {
                 None
             };
@@ -1547,8 +1541,8 @@ impl MuxServer {
     /// cannot be lost.
     fn park(&self, conns: &mut [ServerConn], poll_set: &mut Vec<PollFd>) -> bool {
         self.parked.store(true, Ordering::SeqCst);
-        let work_pending = !self.completed.lock().unwrap().is_empty()
-            || !self.incoming.lock().unwrap().is_empty()
+        let work_pending = !self.completed.lock().is_empty()
+            || !self.incoming.lock().is_empty()
             || self.shutting_down.load(Ordering::SeqCst);
         if work_pending {
             self.parked.store(false, Ordering::SeqCst);
@@ -1604,7 +1598,7 @@ impl MuxServer {
                     payload,
                 })) => {
                     let bulk_sink = match kind {
-                        FrameKind::Bulk => self.bulk_sink.lock().unwrap().clone(),
+                        FrameKind::Bulk => self.bulk_sink.lock().clone(),
                         _ => None,
                     };
                     if kind == FrameKind::Bulk && bulk_sink.is_none() {
@@ -1615,7 +1609,7 @@ impl MuxServer {
                         return false;
                     }
                     if matches!(kind, FrameKind::Join | FrameKind::Leave)
-                        && self.session_sink.lock().unwrap().is_none()
+                        && self.session_sink.lock().is_none()
                     {
                         // Fleet frame at a server with no fleet: protocol
                         // violation, same blast radius as above.
@@ -1648,7 +1642,7 @@ impl MuxServer {
                     let cost = payload.len() + FRAME_HEADER_LEN;
                     conn.pending_cost += cost;
                     let woken = {
-                        let mut queue = self.jobs.lock().unwrap();
+                        let mut queue = self.jobs.lock();
                         queue.jobs.push_back(Job {
                             conn_id: conn.id,
                             request_id,
@@ -1735,21 +1729,21 @@ impl MuxServer {
         // Unblock the accept thread.
         let _ = TcpStream::connect(self.local_addr);
         // Tell the workers to finish the queue and exit.
-        self.jobs.lock().unwrap().shutting_down = true;
+        self.jobs.lock().shutting_down = true;
         for idle in &self.worker_cvs {
             idle.notify_all();
         }
         self.wake_event_loop();
         let mut joined = 0;
-        if let Some(h) = self.accept_thread.lock().unwrap().take() {
+        if let Some(h) = self.accept_thread.lock().take() {
             let _ = h.join();
             joined += 1;
         }
-        for h in self.workers.lock().unwrap().drain(..) {
+        for h in self.workers.lock().drain(..) {
             let _ = h.join();
             joined += 1;
         }
-        if let Some(h) = self.event_thread.lock().unwrap().take() {
+        if let Some(h) = self.event_thread.lock().take() {
             let _ = h.join();
             joined += 1;
         }
@@ -2351,9 +2345,9 @@ mod tests {
         impl Dispatcher for Gate {
             fn dispatch(&self, request: Bytes) -> Result<Bytes, SidlError> {
                 if self.seen.fetch_add(1, Ordering::SeqCst) > 0 {
-                    let mut open = self.open.lock().unwrap();
+                    let mut open = self.open.lock();
                     while !*open {
-                        open = self.opened.wait(open).unwrap();
+                        open = self.opened.wait(open);
                     }
                 }
                 Ok(request)
@@ -2394,7 +2388,7 @@ mod tests {
         let passes = settled_passes(&server) - before;
         assert!(passes <= 4, "{passes} passes to reap one hung-up peer");
 
-        *gate.open.lock().unwrap() = true;
+        *gate.open.lock() = true;
         gate.opened.notify_all();
         server.shutdown();
     }
@@ -2460,7 +2454,7 @@ mod tests {
         let mut carried = [0usize; CONNS];
         for p in &pending {
             let slot = t.slots.iter().position(|s| {
-                let conn = s.conn.lock().unwrap();
+                let conn = s.conn.lock();
                 conn.as_ref().is_some_and(|c| Arc::ptr_eq(c, &p.conn))
             });
             carried[slot.expect("a call rides a slot's connection")] += 1;
@@ -2527,7 +2521,7 @@ mod tests {
     impl Dispatcher for WorkerWatch {
         fn dispatch(&self, request: Bytes) -> Result<Bytes, SidlError> {
             let me = std::thread::current().name().map(str::to_owned);
-            let mut last = self.last.lock().unwrap();
+            let mut last = self.last.lock();
             if last.is_some() && *last != me {
                 self.switches.fetch_add(1, Ordering::Relaxed);
             }
@@ -2574,8 +2568,8 @@ mod tests {
             fn dispatch(&self, request: Bytes) -> Result<Bytes, SidlError> {
                 let reply = self.watch.dispatch(request)?;
                 if &reply[..] == b"hold" {
-                    let open = self.open.lock().unwrap();
-                    drop(self.opened.wait_while(open, |open| !*open).unwrap());
+                    let open = self.open.lock();
+                    drop(self.opened.wait_while(open, |open| !*open));
                 }
                 Ok(reply)
             }
@@ -2586,16 +2580,14 @@ mod tests {
         let t = MuxTransport::new(server.local_addr().to_string());
         // Worker A takes `hold` and keeps it; `go` must wake another, B.
         let hold = t.submit(Bytes::from_static(b"hold")).unwrap();
-        wait_until("`hold` is dispatched", || {
-            held.watch.last.lock().unwrap().is_some()
-        });
+        wait_until("`hold` is dispatched", || held.watch.last.lock().is_some());
         t.call(Bytes::from_static(b"go")).unwrap();
-        *held.open.lock().unwrap() = true;
+        *held.open.lock() = true;
         held.opened.notify_all();
         hold.wait().unwrap();
         // A idled after B did, so `again` wakes A: a switch back.
         wait_until("every worker is idle", || {
-            server.jobs.lock().unwrap().idle.len() == 4
+            server.jobs.lock().idle.len() == 4
         });
         t.call(Bytes::from_static(b"again")).unwrap();
         assert_eq!(held.watch.switches.load(Ordering::Relaxed), 2);

@@ -263,13 +263,7 @@ mod tests {
     use super::*;
     use crate::compile;
     use crate::reflect::Reflection;
-    use parking_lot_stub::Mutex;
-
-    /// Tiny Mutex stand-in so this crate does not need parking_lot just for
-    /// a test; std's poisoning is irrelevant here.
-    mod parking_lot_stub {
-        pub use std::sync::Mutex;
-    }
+    use parking_lot::Mutex;
 
     /// A hand-written skeleton for the `esi.Counter` class below — exactly
     /// what `codegen_rust` emits, but spelled out for the unit test.
@@ -286,12 +280,12 @@ mod tests {
             match method {
                 "add" => {
                     let delta = args[0].as_long()?;
-                    let mut v = self.value.lock().unwrap();
+                    let mut v = self.value.lock();
                     *v += delta;
                     Ok(DynValue::Long(*v))
                 }
                 "reset" => {
-                    *self.value.lock().unwrap() = 0;
+                    *self.value.lock() = 0;
                     Ok(DynValue::Void)
                 }
                 "fail" => Err(SidlError::user("esi.CounterError", "requested failure")),
