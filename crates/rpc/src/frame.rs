@@ -434,11 +434,10 @@ impl FrameDecoder {
         bytes: &[u8],
         max_payload: u32,
     ) -> Result<Option<(Header, Option<TraceContext>, usize, usize)>, FrameError> {
-        if bytes.len() < FRAME_HEADER_LEN {
+        let Some(raw) = bytes.first_chunk::<FRAME_HEADER_LEN>() else {
             return Ok(None);
-        }
-        let raw: [u8; FRAME_HEADER_LEN] = bytes[..FRAME_HEADER_LEN].try_into().unwrap();
-        let header = parse_header(&raw, max_payload)?;
+        };
+        let header = parse_header(raw, max_payload)?;
         let body_at = FRAME_HEADER_LEN + header.ctx_len;
         if bytes.len() < body_at {
             return Ok(None);

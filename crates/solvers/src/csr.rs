@@ -337,7 +337,7 @@ impl CsrMatrix {
                 nrows + 1
             )));
         }
-        if indptr[0] != 0 || *indptr.last().unwrap() != indices.len() {
+        if indptr[0] != 0 || indptr.last() != Some(&indices.len()) {
             return Err(CcaError::Framework("indptr endpoints invalid".into()));
         }
         if indices.len() != data.len() {

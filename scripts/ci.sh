@@ -18,12 +18,16 @@
 #              against known right and wrong answers), then its smoke run
 #              (benchmark/, all six workloads with their oracles on, a few
 #              seconds)
-#   loc        non-test line counts per crate (reports only; not in `all`);
+#   loc        non-test line counts per crate, vendor shims apart
+#              (reports only; not in `all`);
 #              given a git ref, also counts that commit and prints the
 #              difference (ref, HEAD, delta per crate)
 #   surface    every `pub` fn or type item in crates/*/src that no other
 #              file names, less the names in scripts/surface_keep.txt;
 #              fails if any is left
+#   panics     every non-test `.unwrap()`, `.expect(`, `panic!` and
+#              `unreachable!` in crates/*/src outside crates/bench, less
+#              the sites scripts/panic_keep.txt keeps; fails if any is left
 #   pairs      pairs <base-ref> <workload>[,<workload>...] [n=10] [seconds=4]
 #              [seed=1999]: the end-to-end benchmark at <base-ref> and at
 #              HEAD, n alternating pairs per workload (reports only; not
@@ -156,12 +160,15 @@ ccabench() {
 # total. A marked item is excluded from its attribute through its end: the
 # first line ending in `;`, or, when a line ends in `{` first, the matching
 # `}` in column 0 (rustfmt puts a top-level item's closing brace there).
-# Code after a test module still counts. Counts the tree in the current
-# directory.
-loc_counts() {
-    { find crates/*/src -name '*.rs'; find crates/* -maxdepth 1 -name build.rs; } |
-        sort | xargs awk '
-        FNR == 1 { split(FILENAME, part, "/"); crate = part[2]; skip = 0 }
+# Code after a test module still counts. The vendored shims under
+# vendor/*/src are counted by the same rule on a line of their own, outside
+# the total. Counts the tree in the current directory.
+#
+# non_test_lines prints every line the rule counts in the files named on
+# stdin, as `file:line:text`.
+non_test_lines() {
+    xargs awk '
+        FNR == 1 { skip = 0 }
         /^#\[cfg\(test\)\]/ {
             skip = 1
             sub(/^#\[cfg\(test\)\][[:space:]]*/, "")
@@ -173,18 +180,27 @@ loc_counts() {
             next
         }
         skip == 2 { if (/^\}/) skip = 0; next }
-        { lines[crate]++; total++ }
+        { print FILENAME ":" FNR ":" $0 }'
+}
+
+loc_counts() {
+    { find crates/*/src vendor/*/src -name '*.rs'; find crates/* -maxdepth 1 -name build.rs; } |
+        sort | non_test_lines | awk -F: '
+        { split($1, part, "/") }
+        part[1] == "vendor" { vendor++; next }
+        { lines[part[2]]++; total++ }
         END {
             for (c in lines) printf "%-12s %7d\n", c, lines[c] | "sort"
             close("sort")
             printf "%-12s %7d\n", "total", total
+            printf "%-12s %7d\n", "vendor", vendor
         }'
 }
 
 # With a ref, the ref's tree is exported with `git archive` into a
 # temporary directory, so the worktree is never touched.
 loc() {
-    echo "==> non-test lines in crates/*/src and crates/*/build.rs"
+    echo "==> non-test lines in crates/*/src and crates/*/build.rs (vendor/*/src apart)"
     local ref="${1:-}"
     if [ -z "$ref" ]; then
         loc_counts
@@ -192,20 +208,77 @@ loc() {
     fi
     local base
     base="$(mktemp -d)"
-    git archive "$ref" crates | tar -x -C "$base"
+    git archive "$ref" crates vendor | tar -x -C "$base"
     (cd "$base" && loc_counts) > "$base/counts"
     loc_counts | awk -v ref="$(git rev-parse --short "$ref")" '
         NR == FNR { old[$1] = $2; seen[$1] = 1; next }
         { new[$1] = $2; seen[$1] = 1 }
         END {
             printf "%-12s %7s %7s %7s\n", "crate", ref, "HEAD", "delta"
-            for (c in seen) if (c != "total")
+            for (c in seen) if (c != "total" && c != "vendor")
                 printf "%-12s %7d %7d %+7d\n", c, old[c], new[c], new[c] - old[c] | "sort"
             close("sort")
-            printf "%-12s %7d %7d %+7d\n", "total", old["total"], new["total"],
-                new["total"] - old["total"]
+            for (i = 1; i <= 2; i++) {
+                c = i == 1 ? "total" : "vendor"
+                printf "%-12s %7d %7d %+7d\n", c, old[c], new[c], new[c] - old[c]
+            }
         }' "$base/counts" -
     rm -rf "$base"
+}
+
+# Panic sites outside test code, as `file: code`: every `.unwrap()`,
+# `.expect(`, `panic!` and `unreachable!` on a line the loc rule counts in
+# crates/*/src, crates/bench aside (a bench that fails should fail loudly).
+# Comment lines and trailing `//` comments are dropped first, and a method
+# of its own named `expect` (sidl's parser has one) is told apart by its
+# `self.` receiver or its `fn`.
+panic_sites() {
+    find crates/*/src -name '*.rs' -not -path 'crates/bench/*' | sort | non_test_lines | awk '
+        {
+            file = $0; sub(/:.*/, "", file)
+            code = $0; sub(/^[^:]*:[^:]*:/, "", code)
+        }
+        code ~ /^[[:space:]]*\/\// { next }
+        {
+            sub(/[[:space:]]\/\/.*$/, "", code)
+            probe = code
+            gsub(/self\.expect\(|fn expect\(/, "", probe)
+            if (probe ~ /\.unwrap\(\)|\.expect\(|panic!|unreachable!/) {
+                gsub(/^[[:space:]]+|[[:space:]]+$/, "", code)
+                print file ": " code
+            }
+        }'
+}
+
+# Every panic site must be on scripts/panic_keep.txt as `file: code  #
+# invariant` (one keep line covers identical lines of one file; `#` at the
+# start of a line is a comment), the invariant saying why the site cannot
+# fire. A site reachable from decoded bytes or from a servant's call is
+# never kept: it becomes a typed error. Fails on a site not kept, on a keep
+# line with no invariant, and on a keep line no site matches any more, so
+# the list cannot rot; prints the site count either way.
+panics() {
+    echo "==> panic sites outside test code (keep list: scripts/panic_keep.txt)"
+    panic_sites | awk '
+        NR == FNR {
+            if ($0 ~ /^#/ || $0 ~ /^[[:space:]]*$/) next
+            at = index($0, "  # ")
+            if (at == 0 || substr($0, at + 4) ~ /^[[:space:]]*$/) {
+                print "keep line states no invariant: " $0; bad++; next
+            }
+            kept[substr($0, 1, at - 1)] = 1
+            next
+        }
+        {
+            sites++
+            if ($0 in kept) used[$0] = 1
+            else { print "not kept: " $0; bad++ }
+        }
+        END {
+            for (k in kept) if (!(k in used)) { print "stale keep line: " k; bad++ }
+            printf "%d panic site(s), %d problem(s)\n", sites, bad
+            exit bad > 0
+        }' scripts/panic_keep.txt -
 }
 
 # Public items nothing else names: every `pub fn` (or `pub const fn`) and
@@ -415,6 +488,7 @@ all)
     fmt
     doc
     surface
+    panics
     examples
     fault
     fleet
@@ -432,10 +506,11 @@ bench-gate) bench_gate ;;
 ccabench) ccabench ;;
 loc) loc "${2:-}" ;;
 surface) surface ;;
+panics) panics ;;
 pairs) pairs "${@:2}" ;;
 mutants) mutants ;;
 *)
-    echo "unknown mode '$MODE' (want all|build-test|clippy|fmt|doc|examples|fault|fleet|bench-gate|ccabench|loc|surface|pairs|mutants)" >&2
+    echo "unknown mode '$MODE' (want all|build-test|clippy|fmt|doc|examples|fault|fleet|bench-gate|ccabench|loc|surface|panics|pairs|mutants)" >&2
     exit 2
     ;;
 esac
